@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import martingale, riesz, trig
 from .rudin_shapiro import build_pair
-from .walsh import SeriesFormatError, WalshSeries, series_from_csv
+from .walsh import SeriesFormatError, WalshSeries, _atomic_open, _write_csv, series_from_csv
 
 DEFAULT_SEED = 1729
 
@@ -38,21 +38,18 @@ EXIT_IO = 3
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
-def _write_csv(path: str, header, rows) -> None:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    _atomic_write_text(path, buf.getvalue())
+def _emit_csv(out: str, header, rows) -> None:
+    """CSV to stdout for `-`, else atomically to the file."""
+    if out == "-":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        _write_csv(out, header, rows)
 
 
 def _fmt(x: float) -> str:
@@ -118,12 +115,7 @@ class _IOFailure(Exception):
 def _cmd_rs_pair(args) -> int:
     pair = build_pair(args.level)
     rows = [(n, int(p), int(q)) for n, (p, q) in enumerate(zip(pair.p, pair.q))]
-    if args.out == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "p", "q"])
-        writer.writerows(rows)
-    else:
-        _write_csv(args.out, ["n", "p", "q"], rows)
+    _emit_csv(args.out, ["n", "p", "q"], rows)
     return EXIT_OK
 
 
@@ -216,8 +208,7 @@ def _cmd_build_walsh(args) -> int:
     )
 
     t0 = time.perf_counter()
-    rows = [(n, _fmt(state.spectrum[n])) for n in sorted(state.spectrum)]
-    _write_csv(args.out, ["n", "coeff"], rows)
+    riesz.export_measure(state, args.out)
     manifest = {
         "command": "build-walsh-measure",
         "argv": list(args.argv),
@@ -266,10 +257,7 @@ def _cmd_build_trig(args) -> int:
         raise _UsageError(str(exc)) from None
     build_s = time.perf_counter() - t0
 
-    rows = [(0, _fmt(state.constant))] + [
-        (f, _fmt(state.spectrum[f])) for f in sorted(state.spectrum)
-    ]
-    _write_csv(args.out, ["frequency", "coeff"], rows)
+    trig.trig_export(state, args.out)
     if args.manifest:
         manifest = {
             "command": "build-trig-measure",
@@ -415,14 +403,8 @@ def _cmd_singularity_report(args) -> int:
         state = riesz.state_from_manifest(manifest)
     except (KeyError, ValueError) as exc:
         raise _UsageError(f"cannot rebuild state from {args.state}: {exc}") from None
-    report = martingale.singularity_report(state)
-    rows = _singularity_rows(report)
-    if args.out == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["k", "hellinger", "conc50", "conc90", "conc99"])
-        writer.writerows(rows)
-    else:
-        _write_csv(args.out, ["k", "hellinger", "conc50", "conc90", "conc99"], rows)
+    rows = _singularity_rows(martingale.singularity_report(state))
+    _emit_csv(args.out, ["k", "hellinger", "conc50", "conc90", "conc99"], rows)
     return EXIT_OK
 
 
@@ -442,48 +424,28 @@ def _cmd_report(args) -> int:
         raise _UsageError(f"cannot rebuild state from {args.manifest}: {exc}") from None
 
     os.makedirs(args.out_dir, exist_ok=True)
-    top = max(spectrum)
-    depth = top.bit_length() if top else 0
-    envelope_rows = []
-    for k in range(depth):
-        lo, hi = 1 << k, 1 << (k + 1)
-        block = [abs(c) for n, c in spectrum.items() if lo <= n < hi]
-        envelope_rows.append((k, _fmt(max(block) if block else 0.0)))
     _write_csv(
         os.path.join(args.out_dir, "envelope.csv"),
         ["k", "max_abs_coeff"],
-        envelope_rows,
+        [(k, _fmt(v)) for k, v in martingale.dyadic_block_envelope(spectrum)],
     )
 
-    singular = martingale.singularity_report(state)
+    rows = _singularity_rows(martingale.singularity_report(state))
     _write_csv(
-        os.path.join(args.out_dir, "hellinger.csv"),
-        ["k", "hellinger"],
-        [(k, _fmt(h)) for k, h in enumerate(singular.hellinger)],
+        os.path.join(args.out_dir, "hellinger.csv"), ["k", "hellinger"], [r[:2] for r in rows]
     )
     _write_csv(
         os.path.join(args.out_dir, "concentration.csv"),
         ["k", "conc50", "conc90", "conc99"],
-        [
-            (k, _fmt(row[0.5]), _fmt(row[0.9]), _fmt(row[0.99]))
-            for k, row in enumerate(singular.concentration)
-        ],
+        [r[:1] + r[2:] for r in rows],
     )
 
     psi_report = riesz.psi_sum_report(state, psi, budget)
+    terms = zip(psi_report.stage_exact, psi_report.stage_bounds, psi_report.budget_terms or ())
     _write_csv(
         os.path.join(args.out_dir, "psi_terms.csv"),
         ["k", "exact", "bound", "budget_term"],
-        [
-            (k + 1, _fmt(e), _fmt(b), _fmt(t))
-            for k, (e, b, t) in enumerate(
-                zip(
-                    psi_report.stage_exact,
-                    psi_report.stage_bounds,
-                    psi_report.budget_terms or (),
-                )
-            )
-        ],
+        [(k, _fmt(e), _fmt(b), _fmt(t)) for k, (e, b, t) in enumerate(terms, start=1)],
     )
     print(f"wrote 4 CSV files to {args.out_dir}")
     return EXIT_OK
@@ -564,25 +526,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = _apply_config(parser, argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    args.argv = argv
-    try:
+        args = _apply_config(_build_parser(), argv)
+        args.argv = argv
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (_IOFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001 - surface invariant failures cleanly

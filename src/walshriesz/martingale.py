@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riesz import RieszProductState, factor_values, product_values
+from .riesz import RieszProductState, Spectrum, factor_values, product_values
 from .walsh import (
     AtomTable,
     InvariantViolation,
@@ -205,16 +205,22 @@ def check_p3(series: WalshSeries) -> bool:
     return True
 
 
-def dyadic_block_envelope(series: WalshSeries) -> list[tuple[int, float]]:
-    """(k, max_(2^k <= n < 2^(k+1)) |c_n|) for each dyadic block.
+def dyadic_block_envelope(series: WalshSeries | Spectrum) -> list[tuple[int, float]]:
+    """(k, max_(2^k <= n < 2^(k+1)) |c_n|) for each dyadic block below the
+    top index (0.0 for an empty block), dense or sparse, at any depth.
 
     A monitored decay diagnostic; nothing is asserted about it.
     """
-    out = []
-    for k in range(series.depth):
-        block = series.coeffs[1 << k : 1 << (k + 1)]
-        out.append((k, float(np.max(np.abs(block)))))
-    return out
+    if isinstance(series, WalshSeries):
+        series = Spectrum(np.arange(series.order), series.coeffs)
+    depth = int(series.indices[-1]).bit_length()
+    # every index is below 2^depth, so the last edge is the end (2^63 overflows)
+    edges = np.append(np.searchsorted(series.indices, [1 << k for k in range(depth)]), len(series))
+    mags = np.abs(series.coeffs)
+    return [
+        (k, float(mags[lo:hi].max()) if hi > lo else 0.0)
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:]))
+    ]
 
 
 # ---------------------------------------------------------------------------

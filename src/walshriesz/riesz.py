@@ -21,8 +21,12 @@ forces every partial sum whose order falls in stage k+1's range to stay
 above (1/4) Pi_k pointwise, hence positivity; condition (6) caps the
 stage contributions to sum_n psi(|c_n|).
 
-Because disjoint blocks make all XOR index products distinct, the
-spectrum of Pi_k stays sparse and every norm factors across stages.
+Each block lies right of all used coordinates, so stage k+1's XOR
+products are distinct and exceed every index of Pi_k: the spectrum is
+one sorted pair of int64/float64 arrays, stage k at positions
+[N_(k-1), N_k), N_k = prod_(i<=k) (1 + |supp X_i|), exported atomically
+as CSV.  Each X_i is evaluated on its own block's 2^|J_i| atoms (one
+butterfly) and read off elsewhere by the block's bits of the atom.
 
 Verification within `exhaustive_cap` used coordinates checks every
 prefix order on every atom; partial sums only change at the (sparse)
@@ -33,7 +37,6 @@ subsample and says so.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -41,12 +44,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rudin_shapiro import FLATNESS_CONSTANT, BlockSpec, build_flat, substitute_sparse
+from .rudin_shapiro import _MAX_PAIR_LEVEL, FLATNESS_CONSTANT, BlockSpec
+from .rudin_shapiro import build_flat, substitute_sparse
 from .walsh import (
     InvariantViolation,
+    SeriesFormatError,
     WalshSeries,
+    _write_csv,
     atom_patterns,
     butterfly,
+    read_coeff_rows,
     sign_vector,
 )
 
@@ -58,6 +65,7 @@ __all__ = [
     "PsiSpec",
     "SummabilityBudget",
     "Factor",
+    "Spectrum",
     "RieszProductState",
     "PositivityCertificate",
     "PsiSumReport",
@@ -277,12 +285,33 @@ class Factor:
         return float(np.sqrt(np.sum(self.coeffs * self.coeffs)))
 
 
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Sparse Walsh spectrum: strictly increasing indices and their coefficients."""
+
+    indices: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        indices = np.asarray(self.indices, dtype=np.int64)
+        coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        if indices.ndim != 1 or indices.shape != coeffs.shape:
+            raise ValueError(f"shapes {indices.shape} and {coeffs.shape} do not match")
+        if np.any(indices[1:] <= indices[:-1]):
+            raise InvariantViolation("spectrum indices are not strictly increasing")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __len__(self) -> int:
+        return self.indices.size
+
+
 @dataclass(frozen=True)
 class RieszProductState:
     """Sparse spectrum of Pi_k plus the caches the level rule needs."""
 
     factors: tuple[Factor, ...]
-    spectrum: dict[int, float]
+    spectrum: Spectrum
     norm_a: float
     inf_value: float
     inf_exact: bool
@@ -302,7 +331,7 @@ class RieszProductState:
 def empty_state(exhaustive_cap: int = 14, max_coordinates: int = 30) -> RieszProductState:
     return RieszProductState(
         factors=(),
-        spectrum={0: 1.0},
+        spectrum=Spectrum(np.zeros(1, dtype=np.int64), np.ones(1)),
         norm_a=1.0,
         inf_value=1.0,
         inf_exact=True,
@@ -312,40 +341,39 @@ def empty_state(exhaustive_cap: int = 14, max_coordinates: int = 30) -> RieszPro
     )
 
 
-def factor_values(factor: Factor, m: int) -> np.ndarray:
-    """X evaluated on all 2^m atoms (from its sparse spectrum)."""
-    patterns = atom_patterns(m)
-    out = np.zeros(patterns.size)
-    for idx, c in zip(factor.indices, factor.coeffs):
-        out += c * sign_vector(int(idx), patterns)
+def _block_bits(values: np.ndarray, block) -> np.ndarray:
+    """Bits of indices or atom patterns at coordinate block[i], as bit i."""
+    out = np.zeros_like(values)
+    for i, coord in enumerate(block):
+        out |= ((values >> (coord - 1)) & 1) << i
     return out
+
+
+def _block_table(factor: Factor) -> np.ndarray:
+    """X on the 2^|block| atoms of its own block, by one butterfly over
+    its coefficients remapped to block-relative indices."""
+    dense = np.zeros(1 << len(factor.block))
+    dense[_block_bits(factor.indices, factor.block)] = factor.coeffs
+    return butterfly(dense)
+
+
+def _product_at(factors, patterns: np.ndarray) -> np.ndarray:
+    """prod (1 + X_i) on the given atom patterns, read from block tables;
+    pointwise, so overlapping blocks work too."""
+    out = np.ones(patterns.size)
+    for f in factors:
+        out *= 1.0 + _block_table(f)[_block_bits(patterns, f.block)]
+    return out
+
+
+def factor_values(factor: Factor, m: int) -> np.ndarray:
+    """X evaluated on all 2^m atoms (coordinates past m read as +1)."""
+    return _block_table(factor)[_block_bits(atom_patterns(m), factor.block)]
 
 
 def product_values(factors, m: int) -> np.ndarray:
-    """prod (1 + X_i) evaluated pointwise on all 2^m atoms.
-
-    Works for any factor list, overlapping blocks included, because the
-    product is taken pointwise, not through the XOR spectrum.
-    """
-    out = np.ones(1 << m)
-    for f in factors:
-        out *= 1.0 + factor_values(f, m)
-    return out
-
-
-def _factor_sup(factor: Factor) -> float:
-    """Exact sup |X| via a full transform on the factor's own block atoms.
-
-    The factor's spectrum lives on its block, so its indices remap
-    injectively to block-relative positions; the value set is unchanged.
-    """
-    width = len(factor.block)
-    rel = np.zeros(factor.indices.size, dtype=np.int64)
-    for i, coord in enumerate(factor.block):
-        rel |= ((factor.indices >> (coord - 1)) & 1) << i
-    dense = np.zeros(1 << width)
-    dense[rel] = factor.coeffs
-    return float(np.max(np.abs(butterfly(dense))))
+    """prod (1 + X_i) evaluated pointwise on all 2^m atoms."""
+    return _product_at(factors, atom_patterns(m))
 
 
 def make_factor(level: int, block: BlockSpec, c: float = FLATNESS_CONSTANT) -> Factor:
@@ -399,8 +427,9 @@ def add_factor(
 
     The caller is responsible for level admissibility; structural rules
     are enforced here: the block must sit strictly to the right of all
-    used coordinates, and the XOR products of the sparse spectra must not
-    collide (they cannot, for disjoint blocks; asserted anyway).
+    used coordinates, and the new XOR products must extend the sorted
+    spectrum (they do, since the block lies past every used coordinate;
+    the Spectrum's strictly-increasing check asserts it anyway).
     """
     if block is None:
         lo = state.used_coordinates + 1
@@ -418,21 +447,25 @@ def add_factor(
         )
 
     factor = make_factor(level, block, c)
-    merged, new_terms = _merge_spectrum(state.spectrum, factor)
+    old = state.spectrum
+    # factor index outer, old index inner: already ascending
+    spectrum = Spectrum(
+        np.concatenate([old.indices, np.bitwise_xor.outer(factor.indices, old.indices).ravel()]),
+        np.concatenate([old.coeffs, np.multiply.outer(factor.coeffs, old.coeffs).ravel()]),
+    )
     used = block.sup
     factors = state.factors + (factor,)
 
     if used <= state.exhaustive_cap:
-        vals = product_values(factors, used)
-        inf_value = float(vals.min())
+        inf_value = float(product_values(factors, used).min())
         inf_exact = True
     else:
-        inf_value = state.inf_value * (1.0 - _factor_sup(factor))
+        inf_value = state.inf_value * (1.0 - float(np.max(np.abs(_block_table(factor)))))
         inf_exact = False
 
     return RieszProductState(
         factors=factors,
-        spectrum=merged,
+        spectrum=spectrum,
         norm_a=state.norm_a * (1.0 + factor.norm_a),
         inf_value=inf_value,
         inf_exact=inf_exact,
@@ -440,21 +473,6 @@ def add_factor(
         exhaustive_cap=state.exhaustive_cap,
         max_coordinates=state.max_coordinates,
     )
-
-
-def _merge_spectrum(spectrum: dict[int, float], factor: Factor):
-    """Spectrum of Pi * (1 + X); the new stage terms are returned separately."""
-    new_terms: dict[int, float] = {}
-    for j, cj in spectrum.items():
-        for s, xs in zip(factor.indices, factor.coeffs):
-            new_terms[j ^ int(s)] = cj * float(xs)
-    if len(new_terms) != len(spectrum) * factor.indices.size:
-        raise InvariantViolation("XOR products collided within the stage")
-    if set(new_terms) & set(spectrum):
-        raise InvariantViolation("stage spectrum collides with existing indices")
-    merged = dict(spectrum)
-    merged.update(new_terms)
-    return merged, new_terms
 
 
 def build_measure(
@@ -465,11 +483,12 @@ def build_measure(
     max_coordinates: int = 30,
     level_cap: int = 64,
 ) -> RieszProductState:
-    """Run the level rule for the requested number of stages."""
+    """Run the level rule for the requested number of stages, with levels
+    capped at the largest flat polynomial `build_pair` builds."""
     psi.validate()
     state = empty_state(exhaustive_cap, max_coordinates)
     for _ in range(stages):
-        level = choose_next_level(state, psi, budget, level_cap)
+        level = choose_next_level(state, psi, budget, min(level_cap, _MAX_PAIR_LEVEL))
         state = add_factor(state, level)
     return state
 
@@ -480,8 +499,7 @@ def state_series(state: RieszProductState) -> WalshSeries:
     if depth > 20:
         raise ValueError(f"refusing to densify a depth-{depth} spectrum")
     coeffs = np.zeros(1 << depth)
-    for n, c in state.spectrum.items():
-        coeffs[n] = c
+    coeffs[state.spectrum.indices] = state.spectrum.coeffs
     return WalshSeries(depth, coeffs)
 
 
@@ -572,8 +590,7 @@ def verify_all_partial_sums(
         )
     depth = state.used_coordinates
     order_total = 1 << depth
-    sup_idx = np.array(sorted(state.spectrum), dtype=np.int64)
-    sup_coeff = np.array([state.spectrum[int(n)] for n in sup_idx])
+    sup_idx, sup_coeff = state.spectrum.indices, state.spectrum.coeffs
     edges = tuple([1] + state.block_boundaries())
 
     sampling = None
@@ -593,33 +610,18 @@ def verify_all_partial_sums(
             "orders": "support-complete (every distinct partial sum)",
         }
 
+    def scan(atoms):
+        refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
+        return _scan_support_quarter(sup_idx, sup_coeff, atoms, edges, order_total, refs)
+
     workers = thread_cap()
     if workers > 1 and patterns.size >= 2 * workers:
-        chunks = np.array_split(patterns, workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda ch: _scan_support_quarter(
-                        sup_idx,
-                        sup_coeff,
-                        ch,
-                        edges,
-                        order_total,
-                        [0.25 * _product_on(state.factors[:j], ch) for j in range(state.stages)],
-                    ),
-                    chunks,
-                )
-            )
-        gmin = min(p[0] for p in parts)
-        margins = [min(p[1][b] for p in parts) for b in range(state.stages)]
+            parts = list(pool.map(scan, np.array_split(patterns, workers)))
     else:
-        quarter_refs = [
-            0.25 * _product_on(state.factors[:j], patterns)
-            for j in range(state.stages)
-        ]
-        gmin, margins = _scan_support_quarter(
-            sup_idx, sup_coeff, patterns, edges, order_total, quarter_refs
-        )
+        parts = [scan(patterns)]
+    gmin = min(p[0] for p in parts)
+    margins = [min(p[1][b] for p in parts) for b in range(state.stages)]
 
     passed = gmin >= 0.0 and all(m >= 0.0 for m in margins)
     return PositivityCertificate(
@@ -632,16 +634,6 @@ def verify_all_partial_sums(
         passed=passed,
         sampling=sampling,
     )
-
-
-def _product_on(factors, patterns: np.ndarray) -> np.ndarray:
-    out = np.ones(patterns.size)
-    for f in factors:
-        vals = np.zeros(patterns.size)
-        for idx, c in zip(f.indices, f.coeffs):
-            vals += c * sign_vector(int(idx), patterns)
-        out *= 1.0 + vals
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +663,11 @@ def psi_sum_report(
     psi: PsiSpec,
     budget: SummabilityBudget | None = None,
 ) -> PsiSumReport:
-    spectrum: dict[int, float] = {0: 1.0}
+    coeffs = state.spectrum.coeffs
+    lo = 1  # stage k's terms sit at positions [N_(k-1), N_k)
+    # positions [0, N_(k-1)) in generation order (previous term outer, factor
+    # term inner): summing in it keeps the psi sums reproducible bit for bit
+    order = np.zeros(1, dtype=np.int64)
     norm_a = 1.0
     pm = 1.0
     stage_exact = []
@@ -682,8 +678,9 @@ def psi_sum_report(
             * norm_a**2
             * psi.epsilon_bar(pm * factor.amplitude)
         )
-        spectrum, new_terms = _merge_spectrum(spectrum, factor)
-        exact = float(sum(psi.psi(abs(c)) for c in new_terms.values()))
+        width = factor.indices.size
+        terms = coeffs[lo : lo * (1 + width)].reshape(width, lo).T[order]
+        exact = float(sum(psi.psi(abs(c)) for c in terms.ravel().tolist()))
         if exact > bound * (1.0 + 1e-12) + 1e-300:
             raise InvariantViolation(
                 f"stage psi sum {exact} exceeds its bound {bound}"
@@ -691,7 +688,9 @@ def psi_sum_report(
         stage_exact.append(exact)
         stage_bounds.append(float(bound))
         norm_a *= 1.0 + factor.norm_a
-        pm = max(abs(c) for c in spectrum.values())
+        order = np.concatenate([order, lo + (order[:, None] + lo * np.arange(width)).ravel()])
+        lo *= 1 + width
+        pm = float(np.max(np.abs(coeffs[:lo])))
     budget_terms = None
     if budget is not None:
         budget_terms = tuple(
@@ -707,7 +706,7 @@ def psi_sum_report(
         budget_terms=budget_terms,
         exact_total=exact_total,
         bound_total=bound_total,
-        c0_term=float(psi.psi(abs(state.spectrum.get(0, 0.0)))),
+        c0_term=float(psi.psi(abs(coeffs[0]) if state.spectrum.indices[0] == 0 else 0.0)),
         ok=exact_total <= bound_total * (1.0 + 1e-12),
     )
 
@@ -717,18 +716,18 @@ def psi_sum_report(
 # ---------------------------------------------------------------------------
 
 def export_measure(state: RieszProductState, path) -> None:
-    """Sparse spectrum as CSV `n,coeff`, ascending n, repr-formatted floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "coeff"])
-        for n in sorted(state.spectrum):
-            writer.writerow([n, repr(float(state.spectrum[n]))])
+    """Sparse spectrum as CSV `n,coeff`, ascending n, repr-formatted floats,
+    written atomically."""
+    spectrum = state.spectrum
+    rows = zip(spectrum.indices.tolist(), map(repr, spectrum.coeffs.tolist()))
+    _write_csv(path, ["n", "coeff"], rows)
 
 
-def load_spectrum_csv(path) -> dict[int, float]:
-    from .walsh import read_coeff_rows
-
-    return {n: c for n, c in read_coeff_rows(path)}
+def load_spectrum_csv(path) -> Spectrum:
+    rows = read_coeff_rows(path)
+    if rows[-1][0] >> 63:
+        raise SeriesFormatError(f"index {rows[-1][0]} does not fit in 63 bits")
+    return Spectrum([n for n, _ in rows], [c for _, c in rows])
 
 
 def state_manifest(state: RieszProductState) -> dict:

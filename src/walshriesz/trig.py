@@ -24,14 +24,14 @@ past the top frequency, with the Bernstein slack max_freq * ||S||_A *
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rudin_shapiro import rs_sign_sequence
+from .rudin_shapiro import FLATNESS_CONSTANT, rs_sign_sequence
 from .riesz import PsiSpec, SummabilityBudget, LevelSelectionError
+from .walsh import _write_csv
 
 __all__ = [
     "CTRIG",
@@ -45,7 +45,7 @@ __all__ = [
     "trig_export",
 ]
 
-CTRIG = 2.0 + math.sqrt(2.0)
+CTRIG = FLATNESS_CONSTANT
 
 _MAX_FLAT_LOG = 12
 
@@ -324,10 +324,8 @@ def _cos_multiply(left: dict[int, float], right: dict[int, float]) -> dict[int, 
 
 
 def trig_export(state: TrigMeasureState, path) -> None:
-    """CSV `frequency,coeff`, ascending, with the constant at frequency 0."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency", "coeff"])
-        writer.writerow([0, repr(float(state.constant))])
-        for f in sorted(state.spectrum):
-            writer.writerow([f, repr(float(state.spectrum[f]))])
+    """CSV `frequency,coeff`, ascending, with the constant at frequency 0,
+    written atomically."""
+    rows = [(0, repr(float(state.constant)))]
+    rows += [(f, repr(float(state.spectrum[f]))) for f in sorted(state.spectrum)]
+    _write_csv(path, ["frequency", "coeff"], rows)

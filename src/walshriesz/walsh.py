@@ -29,9 +29,11 @@ Parseval: mean_t values(t)^2 = sum_n c_n^2.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +86,14 @@ def atom_patterns(m: int) -> np.ndarray:
 
 
 def sign_vector(n: int, patterns: np.ndarray) -> np.ndarray:
-    """w_n evaluated on the given atom patterns, as an int64 vector of +-1."""
-    bits = np.bitwise_count(np.uint64(n) & patterns).astype(np.int64)
-    return 1 - 2 * (bits & 1)
+    """w_n evaluated on the given atom patterns, as an int64 vector of +-1.
+
+    The parity stays uint8 until the one int64 result: the streaming
+    scans call this once per coefficient, and full-width temporaries
+    cost page faults whenever the allocator returns them to the system.
+    """
+    parity = np.bitwise_count(np.uint64(n) & patterns) & 1
+    return np.subtract(1, parity << 1, dtype=np.int64)
 
 
 def walsh_signs(n: int, m: int) -> np.ndarray:
@@ -355,12 +362,32 @@ def verify_lemma(series: WalshSeries, m, k: int, tol: float = 1e-12) -> LemmaWit
 # serialization: CSV `n,coeff` (dense or sparse rows) and JSON
 # ---------------------------------------------------------------------------
 
-def series_to_csv(series: WalshSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Text handle on a temp file beside `path`, renamed over it on
+    success and removed on error: readers never see a partial write."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_csv(path, header, rows) -> None:
+    """The package's one CSV writer: header plus rows, written atomically."""
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "coeff"])
-        for n, c in enumerate(series.coeffs):
-            writer.writerow([n, repr(float(c))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def series_to_csv(series: WalshSeries, path) -> None:
+    _write_csv(
+        path, ["n", "coeff"], ((n, repr(c)) for n, c in enumerate(series.coeffs.tolist()))
+    )
 
 
 def read_coeff_rows(source) -> list[tuple[int, float]]:

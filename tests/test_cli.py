@@ -66,6 +66,24 @@ def test_build_walsh_rejects_quadratic(tmp_path, capsys):
     assert "hypothesis" in capsys.readouterr().err
 
 
+def test_build_walsh_unbuildable_level_is_usage_error(tmp_path, monkeypatch, capsys):
+    # stage 4 would need a level past the largest flat polynomial built (20)
+    monkeypatch.chdir(tmp_path)
+    code = run(
+        [
+            "build-walsh-measure",
+            "--budget-scale", "4",
+            "--stages", "4",
+            "--max-coordinates", "60",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "stage 4" in err and "<= 20" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_build_walsh_cap_gate(tmp_path, capsys):
     args = [
         "build-walsh-measure",
@@ -227,6 +245,29 @@ def test_report_outputs(tmp_path):
     assert len(psi_terms) == 1 + 3  # one row per stage
     conc = (rep / "concentration.csv").read_text().strip().splitlines()
     assert len(conc) == 1 + 4
+
+
+def test_report_envelope_accepts_sparse_measure(tmp_path):
+    # the envelope reads the measure sparsely, past the dense 2^26 limit
+    manifest = tmp_path / "manifest.json"
+    run(
+        [
+            "build-walsh-measure",
+            "--psi", "preset:power,delta=1",
+            "--budget-scale", "1.0",
+            "--stages", "2",
+            "--out", str(tmp_path / "m.csv"),
+            "--manifest", str(manifest),
+        ]
+    )
+    measure = tmp_path / "sparse.csv"
+    measure.write_text(f"n,coeff\n0,1.0\n3,-0.25\n{1 << 30},0.125\n")
+    rep = tmp_path / "rep"
+    args = ["report", "--manifest", str(manifest), "--measure", str(measure)]
+    assert run(args + ["--out-dir", str(rep)]) == 0
+    envelope = (rep / "envelope.csv").read_text().splitlines()
+    assert len(envelope) == 1 + 31
+    assert envelope[2] == "1,0.25" and envelope[-1] == "30,0.125"
 
 
 def test_build_trig_cli(tmp_path):

@@ -282,3 +282,12 @@ def test_strong_orthogonality_rejects_bad_indices():
 def test_dyadic_block_envelope():
     series = wr.WalshSeries.from_coeffs([1.0, 0.5, -0.25, 0.1])
     assert wr.dyadic_block_envelope(series) == [(0, 0.5), (1, 0.25)]
+    series = _random_series(5)
+    support = wr.Spectrum(np.arange(series.order), series.coeffs)
+    assert wr.dyadic_block_envelope(support) == wr.dyadic_block_envelope(series)
+    # sparse: empty blocks read 0.0; indices past any dense limit, up to 2^63 - 1
+    top = (1 << 63) - 1
+    envelope = wr.dyadic_block_envelope(wr.Spectrum([0, 5, top], [1.0, -0.25, 0.5]))
+    assert len(envelope) == 63
+    assert envelope[2] == (2, 0.25) and envelope[-1] == (62, 0.5)
+    assert all(v == 0.0 for k, v in envelope if k not in (2, 62))

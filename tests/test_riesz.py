@@ -2,14 +2,42 @@
 positivity certificates, psi summability, and export."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import walshriesz as wr
-from walshriesz.riesz import make_factor, thread_cap
+from walshriesz.riesz import _block_table, _product_at, make_factor, thread_cap
+from walshriesz.walsh import atom_patterns, sign_vector
 
 C = wr.FLATNESS_CONSTANT
+EPS = np.finfo(np.float64).eps
+
+
+# ---------------------------------------------------------------------------
+# oracles: the evaluator and the merge the array code replaced
+# ---------------------------------------------------------------------------
+
+def sign_vector_values(factor, patterns):
+    """X on the given atoms, one sign_vector pass per coefficient."""
+    out = np.zeros(patterns.size)
+    for idx, c in zip(factor.indices, factor.coeffs):
+        out += c * sign_vector(int(idx), patterns)
+    return out
+
+
+def dict_merge(spectrum, factor):
+    """Spectrum of Pi * (1 + X) as a dict, plus the new stage terms."""
+    new_terms = {}
+    for j, cj in spectrum.items():
+        for s, xs in zip(factor.indices, factor.coeffs):
+            new_terms[j ^ int(s)] = cj * float(xs)
+    assert len(new_terms) == len(spectrum) * factor.indices.size
+    assert not set(new_terms) & set(spectrum)
+    merged = dict(spectrum)
+    merged.update(new_terms)
+    return merged, new_terms
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +145,9 @@ def test_level_selection_fails_without_decay():
 def test_add_factor_single_rademacher():
     state = wr.add_factor(wr.empty_state(), 0)
     a = 0.5 / C
-    assert state.spectrum[0] == 1.0
-    assert state.spectrum[1] == pytest.approx(a)
+    assert state.spectrum.indices.tolist() == [0, 1]
+    assert state.spectrum.coeffs[0] == 1.0
+    assert state.spectrum.coeffs[1] == pytest.approx(a)
     assert state.inf_value == pytest.approx(1 - a)
     assert state.inf_exact
     assert state.used_coordinates == 1
@@ -128,9 +157,9 @@ def test_add_factor_norm_product_matches_direct_sum():
     state = wr.empty_state()
     for level in (0, 2, 3):
         state = wr.add_factor(state, level)
-    direct = sum(abs(c) for c in state.spectrum.values())
+    direct = float(np.sum(np.abs(state.spectrum.coeffs)))
     assert abs(state.norm_a - direct) < 1e-12 * state.norm_a
-    norm2_direct = math.sqrt(sum(c * c for c in state.spectrum.values()))
+    norm2_direct = math.sqrt(float(np.sum(state.spectrum.coeffs**2)))
     norm2_product = math.prod(
         math.sqrt(1 + f.norm_2**2) for f in state.factors
     )
@@ -157,12 +186,23 @@ def test_add_factor_block_size_checked():
 def test_factor_sup_on_far_block():
     # blocks far to the right must not force a dense transform at the
     # block's absolute coordinate depth
-    from walshriesz.riesz import _factor_sup
-
     factor = make_factor(1, wr.BlockSpec((25, 26)))
     a = (0.5 / C) * 2.0 ** (-0.5)
     # phi at level 1 has values +-2 and 0 on its two coordinates
-    assert _factor_sup(factor) == pytest.approx(2 * a)
+    table = _block_table(factor)
+    assert table.size == 4
+    assert float(np.max(np.abs(table))) == pytest.approx(2 * a)
+    # past the cap, add_factor reads sup |X| off the same 4-atom table
+    state = wr.empty_state(exhaustive_cap=2, max_coordinates=26)
+    tracemalloc.start()
+    try:
+        state = wr.add_factor(state, 1, wr.BlockSpec((25, 26)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 2^26 float64 values would be 512 MiB
+    assert not state.inf_exact
+    assert state.inf_value == pytest.approx(1 - 2 * a)
 
 
 def test_inf_lower_bound_past_cap():
@@ -229,9 +269,10 @@ def test_certificate_flags_negative_prefix():
         indices=big.indices,
         coeffs=np.array([0.9]),
     )
+    a = state.spectrum.coeffs[1]
     state = wr.RieszProductState(
         factors=state.factors + (big,),
-        spectrum={**state.spectrum, 2: 0.9, 3: 0.9 * state.spectrum[1]},
+        spectrum=wr.Spectrum([0, 1, 2, 3], [1.0, a, 0.9, 0.9 * a]),
         norm_a=state.norm_a * 1.9,
         inf_value=float(np.min(wr.product_values(state.factors + (big,), 2))),
         inf_exact=True,
@@ -327,13 +368,16 @@ def test_export_roundtrip(tmp_path):
     path = tmp_path / "measure.csv"
     wr.export_measure(state, path)
     spectrum = wr.load_spectrum_csv(path)
-    assert spectrum == state.spectrum
+    assert np.array_equal(spectrum.indices, state.spectrum.indices)
+    assert np.array_equal(spectrum.coeffs, state.spectrum.coeffs)
+    assert not list(tmp_path.glob("*.tmp.*"))  # the atomic write left no temp file
 
 
 def test_export_empty_state(tmp_path):
     path = tmp_path / "measure.csv"
     wr.export_measure(wr.empty_state(), path)
-    assert wr.load_spectrum_csv(path) == {0: 1.0}
+    spectrum = wr.load_spectrum_csv(path)
+    assert (spectrum.indices.tolist(), spectrum.coeffs.tolist()) == ([0], [1.0])
 
 
 def test_manifest_roundtrip():
@@ -345,7 +389,8 @@ def test_manifest_roundtrip():
         expected = (0.5 / C) * 2.0 ** (-factor.level / 2)
         assert stage["amplitude"] == expected  # exact float equality
     rebuilt = wr.state_from_manifest(manifest)
-    assert rebuilt.spectrum == state.spectrum
+    assert np.array_equal(rebuilt.spectrum.indices, state.spectrum.indices)
+    assert np.array_equal(rebuilt.spectrum.coeffs, state.spectrum.coeffs)
     assert rebuilt.norm_a == state.norm_a
 
 
@@ -355,3 +400,123 @@ def test_state_series_matches_pointwise_product():
     from_spectrum = wr.inverse_fwht(series).values
     pointwise = wr.product_values(state.factors, state.used_coordinates)
     assert np.max(np.abs(from_spectrum - pointwise)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# block tables and the array spectrum against the oracles
+# ---------------------------------------------------------------------------
+
+def hand_built_factor():
+    # coefficients that are not +-amplitude, on a block with a gap
+    shape = make_factor(2, wr.BlockSpec((2, 4, 5)))
+    coeffs = np.random.default_rng(3).normal(size=shape.indices.size)
+    return wr.Factor(2, shape.block, 1.0, shape.indices, coeffs)
+
+
+FACTOR_CASES = {
+    "level-0": make_factor(0, wr.BlockSpec((1,))),
+    "level-3": make_factor(3, wr.BlockSpec((1, 2, 3, 4))),
+    "flagship-level-10": make_factor(10, wr.BlockSpec(tuple(range(3, 14)))),
+    "gap-block": make_factor(0, wr.BlockSpec((3,))),
+    "far-block": make_factor(1, wr.BlockSpec((25, 26))),
+    "hand-built": hand_built_factor(),
+}
+
+
+def evaluator_tol(factors):
+    """4 (l+1) eps ||X||_A per factor, carried through prod (1 + X_i)."""
+    total = sum(4 * len(f.block) * EPS * f.norm_a for f in factors)
+    bound = math.prod(1.0 + f.norm_a for f in factors)
+    return total * bound + 2 * len(factors) * EPS * bound
+
+
+def sampled_patterns(depth, count=513, seed=11):
+    draws = np.random.default_rng(seed).integers(0, 1 << depth, size=count, dtype=np.uint64)
+    return np.unique(np.concatenate([draws, [0, (1 << depth) - 1]]).astype(np.uint64))
+
+
+def oracle_product(factors, patterns):
+    out = np.ones(patterns.size)
+    for f in factors:
+        out *= 1.0 + sign_vector_values(f, patterns)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+def test_factor_values_match_sign_vector_oracle(name):
+    factor = FACTOR_CASES[name]
+    depth = factor.block[-1]
+    tol = 4 * len(factor.block) * EPS * factor.norm_a
+    if depth <= 16:  # all atoms; the far block stays sampled
+        new = wr.factor_values(factor, depth)
+        assert np.max(np.abs(new - sign_vector_values(factor, atom_patterns(depth)))) <= tol
+    patterns = sampled_patterns(depth)
+    new = _product_at([factor], patterns)
+    assert np.max(np.abs(new - oracle_product([factor], patterns))) <= evaluator_tol([factor])
+
+
+def test_construction_factor_values_are_exact_multiples():
+    # phi's block transform only ever adds powers-of-two multiples of the
+    # amplitude, so the table is amplitude * (integer values of phi)
+    factor = FACTOR_CASES["flagship-level-10"]
+    phi_values = wr.butterfly(wr.build_flat(10).as_series().coeffs)
+    assert np.array_equal(_block_table(factor), factor.amplitude * phi_values)
+
+
+def test_overlapping_pair_product_matches_oracle():
+    pair = [make_factor(1, wr.BlockSpec((1, 2))), make_factor(1, wr.BlockSpec((2, 3)))]
+    tol = evaluator_tol(pair)
+    assert np.max(np.abs(wr.product_values(pair, 3) - oracle_product(pair, atom_patterns(3)))) <= tol
+    patterns = sampled_patterns(3, count=5)
+    assert np.max(np.abs(_product_at(pair, patterns) - oracle_product(pair, patterns))) <= tol
+
+
+def staged_states():
+    yield "flagship", wr.build_measure(
+        wr.PsiSpec.logpow(1.0), 3, wr.SummabilityBudget(scale=2.25)
+    )
+    state = wr.empty_state()
+    for level in (1, 1, 2, 1):  # several wide stages: insertion order != sorted order
+        state = wr.add_factor(state, level)
+    yield "wide-stages", state
+    yield "gap-block", wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((3,)))
+    # unequal coefficient magnitudes; at this seed sorted-order psi sums
+    # would round differently from the dict's insertion order
+    rng = np.random.default_rng(45)
+    factors, spectrum = [], {0: 1.0}
+    for level, block in zip((1,) * 5, ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))):
+        shape = make_factor(level, wr.BlockSpec(block))
+        coeffs = rng.uniform(0.05, 0.2, size=shape.indices.size)
+        factors.append(wr.Factor(level, shape.block, 1.0, shape.indices, coeffs))
+        spectrum, _ = dict_merge(spectrum, factors[-1])
+    keys = sorted(spectrum)
+    yield "hand-built", wr.RieszProductState(
+        factors=tuple(factors),
+        spectrum=wr.Spectrum(keys, [spectrum[n] for n in keys]),
+        norm_a=math.prod(1 + f.norm_a for f in factors),
+        inf_value=0.0,
+        inf_exact=False,
+        used_coordinates=10,
+    )
+
+
+@pytest.mark.parametrize("state", [pytest.param(s, id=name) for name, s in staged_states()])
+def test_array_spectrum_matches_dict_merge(state):
+    psi = wr.PsiSpec.power(1.0)
+    spectrum, oracle_exact = {0: 1.0}, []
+    for factor in state.factors:
+        spectrum, new_terms = dict_merge(spectrum, factor)
+        oracle_exact.append(float(sum(psi.psi(abs(c)) for c in new_terms.values())))
+    assert len(state.spectrum) == len(spectrum)
+    assert state.spectrum.indices.tolist() == sorted(spectrum)
+    assert state.spectrum.coeffs.tolist() == [spectrum[n] for n in sorted(spectrum)]
+    # psi sums read stage slices in the dict's summation order: bit-identical
+    assert list(wr.psi_sum_report(state, psi).stage_exact) == oracle_exact
+
+
+def test_spectrum_rejects_unsorted_indices():
+    assert len(wr.Spectrum([0, 2, 5], [1.0, 0.5, 0.25])) == 3
+    with pytest.raises(wr.InvariantViolation):
+        wr.Spectrum([0, 2, 2], [1.0, 0.5, 0.25])
+    with pytest.raises(ValueError):
+        wr.Spectrum([0, 1], [1.0])

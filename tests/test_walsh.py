@@ -94,6 +94,14 @@ def test_product_index_is_pointwise_product(m, n):
     assert np.array_equal(left, right)
 
 
+def test_sign_vector_matches_scalar_walsh_eval():
+    patterns = atom_patterns(7)
+    for n in (0, 1, 6, 77, 127):
+        signs = sign_vector(n, patterns)
+        assert signs.dtype == np.int64
+        assert signs.tolist() == [wr.walsh_eval(n, wr.Atom(7, int(t))) for t in patterns]
+
+
 def test_orthonormality_up_to_1024():
     # mean_t w_j(t) = delta_(j,0); row sums of H are butterfly(ones).
     # Combined with the product identity above this gives
