@@ -140,7 +140,7 @@ def _cmd_build_walsh(args) -> int:
             exhaustive_cap=args.cap,
             max_coordinates=args.max_coordinates,
         )
-    except (riesz.LevelSelectionError, riesz.CoordinateBudgetError) as exc:
+    except (riesz.LevelSelectionError, ValueError) as exc:  # cap, coordinate budget
         raise _UsageError(str(exc)) from None
     build_s = time.perf_counter() - t0
 
@@ -478,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", default="preset:logpow,p=1")
     p.add_argument("--stages", type=int, default=3)
     p.add_argument("--cap", type=int, default=14,
-                   help="exhaustive verification cap in used coordinates")
+                   help=f"exhaustive verification cap in used coordinates, at most {riesz.DENSE_LIMIT}")
     p.add_argument("--budget-scale", type=float, default=2.25,
                    help="stage budget is scale * 2^-k (default keeps 3 stages within the cap)")
     p.add_argument("--max-coordinates", type=int, default=30)

@@ -36,7 +36,8 @@ from .walsh import (
     butterfly,
     multiply_by_walsh,
     partial_sum,
-    sign_vector,
+    prefix_extrema,
+    prefix_scan,
 )
 
 __all__ = [
@@ -70,37 +71,26 @@ def decompose(series: WalshSeries) -> MartingaleDecomposition:
     """Split the series into its martingale increments.
 
     N_k's coefficients are c_(2^k)..c_(2^(k+1) - 1) reindexed to [0, 2^k)
-    (w_(2^k + m) = r_(k+1) w_m for m < 2^k).
+    (w_(2^k + m) = r_(k+1) w_m for m < 2^k).  `prefix_extrema` gives N_k
+    and N_k* = max(MX, -MN); M_(k+1) is M_k + N_k, M_k - N_k on the halves.
     """
     c = series.coeffs
-    m_tables = []
+    m = c[:1].copy()
+    m_tables = [AtomTable(0, m)]
     n_tables = []
     n_star = []
-    for k in range(series.depth + 1):
-        m_tables.append(AtomTable(k, butterfly(c[: 1 << k].copy())))
     for k in range(series.depth):
-        block = c[1 << k : 1 << (k + 1)].copy()
-        n_tables.append(AtomTable(k, butterfly(block)))
-        n_star.append(AtomTable(k, _prefix_sup_table(block)))
+        n, mx, mn = prefix_extrema(c[1 << k : 1 << (k + 1)])
+        m = np.concatenate([m + n, m - n])
+        m_tables.append(AtomTable(k + 1, m))
+        n_tables.append(AtomTable(k, n))
+        n_star.append(AtomTable(k, np.maximum(mx, -mn)))
     return MartingaleDecomposition(
         depth=series.depth,
         m_tables=tuple(m_tables),
         n_tables=tuple(n_tables),
         n_star=tuple(n_star),
     )
-
-
-def _prefix_sup_table(coeffs: np.ndarray) -> np.ndarray:
-    """max over n of |sum_(m <= n) coeffs[m] w_m| per atom, streaming."""
-    size = coeffs.size
-    m = size.bit_length() - 1
-    patterns = atom_patterns(m)
-    acc = np.zeros(size)
-    best = np.zeros(size)
-    for idx in np.flatnonzero(coeffs):
-        acc = acc + coeffs[idx] * sign_vector(int(idx), patterns)
-        np.maximum(best, np.abs(acc), out=best)
-    return best
 
 
 @dataclass(frozen=True)
@@ -123,9 +113,10 @@ class EquivalenceReport:
 def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     """Exhaustive prefix scan vs the maximal-function inequality.
 
-    The two predicates are computed by independent routes and must agree;
-    a mismatch raises InvariantViolation.  The witness localizes the
-    first failure in whichever form it was found.
+    The two predicates are computed by independent routes, the streaming
+    `prefix_scan` over the support and `decompose`'s prefix-extrema
+    tables, and must agree; a mismatch raises InvariantViolation.  The
+    witness localizes the first failure in whichever form it was found.
     """
     scan_ok, scan_witness = _all_prefixes_nonneg(series)
     ineq_ok, ineq_witness = _maximal_inequality(series)
@@ -142,14 +133,11 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
 
 
 def _all_prefixes_nonneg(series: WalshSeries):
-    patterns = atom_patterns(series.depth)
-    acc = np.zeros(series.order)
-    for idx in np.flatnonzero(series.coeffs):
-        acc = acc + series.coeffs[idx] * sign_vector(int(idx), patterns)
+    support = series.support()
+    for n, acc in prefix_scan(support, series.coeffs[support], atom_patterns(series.depth)):
         low = acc.min()
         if low < 0.0:
-            atom = int(np.argmin(acc))
-            return False, PositivityWitness("prefix", int(idx) + 1, atom, float(low))
+            return False, PositivityWitness("prefix", n + 1, int(np.argmin(acc)), float(low))
     return True, None
 
 

@@ -28,18 +28,16 @@ one sorted pair of int64/float64 arrays, stage k at positions
 as CSV.  Each X_i is evaluated on its own block's 2^|J_i| atoms (one
 butterfly) and read off elsewhere by the block's bits of the atom.
 
-Verification within `exhaustive_cap` used coordinates checks every
-prefix order on every atom; partial sums only change at the (sparse)
-support, so scanning support points is exhaustive in the order, not a
-sample.  Past the cap the certificate degrades to a documented, seeded
-subsample and says so.
+Within `exhaustive_cap` used coordinates (at most DENSE_LIMIT) every
+prefix order is checked on every atom in O(K 2^K): orders in (2^k,
+2^(k+1)] read M_k plus or minus a prefix of N_k, whose extremes come
+from one `prefix_extrema` pass per level.  Past the cap the certificate
+covers a documented, seeded sample of atoms, and says so.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +51,9 @@ from .walsh import (
     _write_csv,
     atom_patterns,
     butterfly,
+    prefix_extrema,
+    prefix_scan,
     read_coeff_rows,
-    sign_vector,
 )
 
 __all__ = [
@@ -82,8 +81,11 @@ __all__ = [
     "load_spectrum_csv",
     "state_manifest",
     "state_from_manifest",
-    "thread_cap",
 ]
+
+# Largest depth densified: the dense series and the exhaustive
+# certificate's tables hold 2^DENSE_LIMIT float64 values each.
+DENSE_LIMIT = 20
 
 
 class PsiHypothesisError(ValueError):
@@ -100,16 +102,6 @@ class BlockOverlapError(ValueError):
 
 class CoordinateBudgetError(ValueError):
     """Adding the factor would exceed the hard coordinate budget."""
-
-
-def thread_cap() -> int:
-    """Worker cap for data-parallel sweeps, from WALSH_HELSON_THREADS."""
-    raw = os.environ.get("WALSH_HELSON_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +321,9 @@ class RieszProductState:
 
 
 def empty_state(exhaustive_cap: int = 14, max_coordinates: int = 30) -> RieszProductState:
+    if not 0 <= exhaustive_cap <= DENSE_LIMIT:
+        raise ValueError(f"exhaustive cap {exhaustive_cap} outside [0, {DENSE_LIMIT}]:"
+                         f" the exhaustive certificate is dense, limit {DENSE_LIMIT} coordinates")
     return RieszProductState(
         factors=(),
         spectrum=Spectrum(np.zeros(1, dtype=np.int64), np.ones(1)),
@@ -496,7 +491,7 @@ def build_measure(
 def state_series(state: RieszProductState) -> WalshSeries:
     """Dense Walsh series of the current product (desk scale only)."""
     depth = max(state.used_coordinates, 0)
-    if depth > 20:
+    if depth > DENSE_LIMIT:
         raise ValueError(f"refusing to densify a depth-{depth} spectrum")
     coeffs = np.zeros(1 << depth)
     coeffs[state.spectrum.indices] = state.spectrum.coeffs
@@ -513,9 +508,9 @@ class PositivityCertificate:
 
     `global_min` is over orders p >= 1 (the empty sum is 0 by
     definition).  `stage_margins[j]` is the pointwise minimum of
-    S_p - (1/4) Pi_j over orders in stage j's range; the construction
-    promises it stays nonnegative.  When `exhaustive` is false the sweep
-    ran on the documented sample recorded in `sampling`.
+    S_p - (1/4) Pi_j over stage j's orders [edge_j, edge_(j+1)) (the
+    last band closed), which the construction keeps nonnegative.  When
+    `exhaustive` is false only the atoms recorded in `sampling` were checked.
     """
 
     exhaustive: bool
@@ -528,39 +523,48 @@ class PositivityCertificate:
     sampling: dict | None = None
 
 
-def _scan_support_quarter(sup_idx, sup_coeff, patterns, edges, order_total, quarter_refs):
-    """Stream prefix sums over the support on the given atoms.
+def _kernel_runs(state: RieszProductState):
+    """(lo, hi, values) runs on the first k + 1 coordinates' atoms: order
+    2^k reads M_k, and the orders inside (2^k, 2^(k+1)) read M_k + r_(k+1)
+    P_q(N_k), q < 2^k, at least M_k + MN where r_(k+1) = +1 and M_k - MX
+    elsewhere, (MX, MN) the prefix extrema of N_k without its last term."""
+    c = state_series(state).coeffs
+    m = c[:1].copy()
+    yield 1, 1, m
+    for k in range(state.used_coordinates):
+        block = c[1 << k : 1 << (k + 1)]
+        if k:  # (1, 2) holds no order
+            _, mx, mn = prefix_extrema(np.append(block[:-1], 0.0))
+            yield (1 << k) + 1, (1 << (k + 1)) - 1, np.concatenate([m + mn, m - mx])
+        n = butterfly(block)
+        m = np.concatenate([m + n, m - n])
+        yield 1 << (k + 1), 1 << (k + 1), m
 
-    The value after adding support index n covers every order in
-    (n, next support index]; bands are the half-open ranges between
-    consecutive edges (last one closed).  Returns the global minimum over
-    orders >= 1 and, per band, the pointwise minimum of S - ref.
-    """
-    acc = np.zeros(patterns.size)
+
+def _scan_runs(state: RieszProductState, patterns: np.ndarray):
+    """(lo, hi, values) runs on the given atoms, streamed over the support:
+    the value after support index n covers the orders (n, next index]."""
+    indices, coeffs = state.spectrum.indices, state.spectrum.coeffs
+    ends = indices[1:].tolist() + [1 << state.used_coordinates]
+    if indices[0] >= 1:
+        yield 1, int(indices[0]), np.zeros(patterns.size)
+    for (n, acc), hi in zip(prefix_scan(indices, coeffs, patterns), ends):
+        yield n + 1, hi, acc
+
+
+def _band_minima(edges, refs, runs) -> tuple[float, list[float]]:
+    """Global minimum and per-band minimum of S_p - refs[j] over runs
+    (lo, hi, values), values = S_p for every order p in [lo, hi].  Bands
+    are [edge_j, edge_(j+1)), the last one closed; refs[j] is a function
+    of the values' atoms or of their first coordinates, broadcast."""
     gmin = math.inf
-    margins = [math.inf] * (len(edges) - 1)
-
-    def visit(lo, hi, values):
-        nonlocal gmin
-        low = float(np.min(values))
-        if low < gmin:
-            gmin = low
-        for b in range(len(edges) - 1):
-            b_hi = edges[b + 1]
-            upper = b_hi if b == len(edges) - 2 else b_hi - 1
+    margins = [math.inf] * len(refs)
+    for lo, hi, values in runs:
+        gmin = min(gmin, float(np.min(values)))
+        for b, ref in enumerate(refs):
+            upper = edges[b + 1] if b == len(refs) - 1 else edges[b + 1] - 1
             if lo <= upper and hi >= edges[b]:
-                margin = float(np.min(values - quarter_refs[b]))
-                if margin < margins[b]:
-                    margins[b] = margin
-
-    first = int(sup_idx[0]) if len(sup_idx) else order_total
-    if first >= 1:
-        visit(1, first, np.zeros(patterns.size))
-    for pos, (n, cval) in enumerate(zip(sup_idx, sup_coeff)):
-        acc = acc + cval * sign_vector(int(n), patterns)
-        lo = int(n) + 1
-        hi = int(sup_idx[pos + 1]) if pos + 1 < len(sup_idx) else order_total
-        visit(lo, hi, acc)
+                margins[b] = min(margins[b], float(np.min(values.reshape(-1, ref.size) - ref)))
     return gmin, margins
 
 
@@ -571,63 +575,40 @@ def verify_all_partial_sums(
 ) -> PositivityCertificate:
     """Certify S_p >= 0 and the stagewise S_p >= (1/4) Pi_j bound.
 
-    Within the cap this is exhaustive over every order p <= 2^depth and
-    every atom: partial sums are constant between support indices, so
-    visiting the support visits every order.  Past the cap a seeded
-    sample of atoms (plus the all-plus and all-minus patterns) is used
-    instead; orders stay support-complete on those atoms, and the
-    certificate is flagged non-exhaustive with the sample recorded.
+    Within the cap: every order on every atom, in O(depth 2^depth), with
+    Pi_j evaluated on the first log2(edge_j) coordinates it depends on.
+    Past the cap: every order on a seeded sample of atoms plus the
+    all-plus and all-minus patterns, flagged non-exhaustive with the
+    sample recorded.
     """
-    if state.stages == 0:
-        return PositivityCertificate(
-            exhaustive=True,
-            depth=0,
-            support_size=1,
-            band_edges=(1,),
-            global_min=1.0,
-            stage_margins=(),
-            passed=True,
-        )
     depth = state.used_coordinates
-    order_total = 1 << depth
-    sup_idx, sup_coeff = state.spectrum.indices, state.spectrum.coeffs
     edges = tuple([1] + state.block_boundaries())
 
     sampling = None
     if depth <= state.exhaustive_cap:
-        patterns = atom_patterns(depth)
-        exhaustive = True
+        ref_atoms = [atom_patterns(edge.bit_length() - 1) for edge in edges[:-1]]
+        runs = _kernel_runs(state)
     else:
         rng = np.random.default_rng(seed)
         count = min(sample_atoms, 1 << 16)
         draws = rng.integers(0, 1 << depth, size=count, dtype=np.uint64)
         special = np.array([0, (1 << depth) - 1], dtype=np.uint64)
         patterns = np.unique(np.concatenate([special, draws]))
-        exhaustive = False
         sampling = {
             "seed": int(seed),
             "atoms": int(patterns.size),
             "orders": "support-complete (every distinct partial sum)",
         }
-
-    def scan(atoms):
-        refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
-        return _scan_support_quarter(sup_idx, sup_coeff, atoms, edges, order_total, refs)
-
-    workers = thread_cap()
-    if workers > 1 and patterns.size >= 2 * workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, np.array_split(patterns, workers)))
-    else:
-        parts = [scan(patterns)]
-    gmin = min(p[0] for p in parts)
-    margins = [min(p[1][b] for p in parts) for b in range(state.stages)]
+        ref_atoms = [patterns] * state.stages
+        runs = _scan_runs(state, patterns)
+    refs = [0.25 * _product_at(state.factors[:j], atoms) for j, atoms in enumerate(ref_atoms)]
+    gmin, margins = _band_minima(edges, refs, runs)
 
     passed = gmin >= 0.0 and all(m >= 0.0 for m in margins)
     return PositivityCertificate(
-        exhaustive=exhaustive,
+        exhaustive=sampling is None,
         depth=depth,
-        support_size=int(sup_idx.size),
+        support_size=len(state.spectrum),
         band_edges=edges,
         global_min=float(gmin),
         stage_margins=tuple(float(m) for m in margins),

@@ -55,6 +55,7 @@ __all__ = [
     "inverse_fwht",
     "partial_sum",
     "multiply_by_walsh",
+    "prefix_extrema",
     "u_norm",
     "norm_bundle",
     "verify_lemma",
@@ -88,9 +89,9 @@ def atom_patterns(m: int) -> np.ndarray:
 def sign_vector(n: int, patterns: np.ndarray) -> np.ndarray:
     """w_n evaluated on the given atom patterns, as an int64 vector of +-1.
 
-    The parity stays uint8 until the one int64 result: the streaming
-    scans call this once per coefficient, and full-width temporaries
-    cost page faults whenever the allocator returns them to the system.
+    The parity stays uint8 until the one int64 result: `prefix_scan`
+    calls this once per coefficient, and full-width temporaries cost
+    page faults whenever the allocator returns them to the system.
     """
     parity = np.bitwise_count(np.uint64(n) & patterns) & 1
     return np.subtract(1, parity << 1, dtype=np.int64)
@@ -270,28 +271,57 @@ def multiply_by_walsh(series: WalshSeries, m) -> WalshSeries:
     return WalshSeries(series.depth, series.coeffs[idx])
 
 
-def u_norm(coeffs: np.ndarray) -> float:
-    """sup over prefix orders p of the sup-norm of the p-th partial sum.
+def prefix_extrema(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, MX, MN) on all 2^K atoms of c_0..c_(2^K - 1): the full sum and
+    the largest and smallest nonempty partial sum, in O(K 2^K).
 
-    Streaming accumulation over the support: partial sums only change at
-    nonzero coefficients, so scanning those is exhaustive in p.  Integer
-    input stays in exact integer arithmetic.
+    A butterfly whose merge is the martingale step M_(k+1) = M_k +
+    r_(k+1) N_k: a prefix of a segment is a prefix of its left half a, or
+    Sa plus r times a prefix of its right half b.  On the r = +1 half
+    S = Sa + Sb, MX = max(MXa, Sa + MXb), MN = min(MNa, Sa + MNb); on the
+    r = -1 half S = Sa - Sb, MX = max(MXa, Sa - MNb), MN = min(MNa, Sa - MXb).
+    S equals `butterfly` bit for bit; integer input is summed exactly in int64.
     """
     coeffs = np.asarray(coeffs)
-    n = coeffs.size
-    if not _is_pow2(n):
-        raise ValueError(f"length {n} is not a power of two")
-    m = n.bit_length() - 1
-    patterns = atom_patterns(m)
     exact = np.issubdtype(coeffs.dtype, np.integer)
-    acc = np.zeros(n, dtype=np.int64 if exact else np.float64)
-    best = 0
-    for idx in np.flatnonzero(coeffs):
-        acc = acc + coeffs[idx] * sign_vector(int(idx), patterns)
-        peak = np.abs(acc).max()
-        if peak > best:
-            best = peak
-    return int(best) if exact else float(best)
+    s = coeffs.astype(np.int64 if exact else np.float64)
+    n = s.size
+    if s.ndim != 1 or not _is_pow2(n):
+        raise ValueError(f"length {n} is not a power of two")
+    mx, mn = s.copy(), s.copy()
+    h = 1
+    while h < n:
+        sa, sb = s.reshape(-1, 2, h).transpose(1, 0, 2)
+        xa, xb = mx.reshape(-1, 2, h).transpose(1, 0, 2)
+        na, nb = mn.reshape(-1, 2, h).transpose(1, 0, 2)
+        s = np.stack([sa + sb, sa - sb], axis=1).reshape(n)
+        mx = np.stack([np.maximum(xa, sa + xb), np.maximum(xa, sa - nb)], axis=1).reshape(n)
+        mn = np.stack([np.minimum(na, sa + nb), np.minimum(na, sa - xb)], axis=1).reshape(n)
+        h *= 2
+    return s, mx, mn
+
+
+def u_norm(coeffs: np.ndarray) -> float:
+    """sup over prefix orders p of the sup-norm of the p-th partial sum,
+    read off the `prefix_extrema` tables (the empty sum counts as 0).
+    Integer input stays in exact integer arithmetic."""
+    _, mx, mn = prefix_extrema(coeffs)
+    best = max(0, mx.max(), -mn.min())
+    return int(best) if np.issubdtype(mx.dtype, np.integer) else float(best)
+
+
+def prefix_scan(indices, coeffs, patterns: np.ndarray):
+    """Stream the partial sums of a sparse series on the given atoms:
+    after support index n, yield (n, acc) with acc = S_(n+1), the partial
+    sum of every order up to the next support index.  acc is one buffer
+    updated in place, and each term goes through one more: full-width
+    temporaries freed at the heap top are returned to the system and
+    faulted back in on the next step.  O(|support| |patterns|)."""
+    acc = np.zeros(patterns.size)
+    term = np.empty(patterns.size)
+    for n, c in zip(indices, coeffs):
+        np.add(acc, np.multiply(sign_vector(int(n), patterns), c, out=term), out=acc)
+        yield int(n), acc
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,23 @@ def test_build_walsh_unbuildable_level_is_usage_error(tmp_path, monkeypatch, cap
     assert not list(tmp_path.iterdir())
 
 
+def test_cap_past_dense_limit_is_usage_error(tmp_path, capsys):
+    args = [
+        "build-walsh-measure",
+        "--cap", "21",
+        "--out", str(tmp_path / "m.csv"),
+        "--manifest", str(tmp_path / "m.json"),
+    ]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "limit 20" in err
+    assert not list(tmp_path.iterdir())
+    manifest = tmp_path / "cap21.json"
+    manifest.write_text(json.dumps({"exhaustive_cap": 21, "stages": []}))
+    assert run(["singularity-report", "--state", str(manifest), "--out", "-"]) == 2
+    assert "limit 20" in capsys.readouterr().err
+
+
 def test_build_walsh_cap_gate(tmp_path, capsys):
     args = [
         "build-walsh-measure",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import walshriesz as wr
-from walshriesz.riesz import _block_table, _product_at, make_factor, thread_cap
+from walshriesz.riesz import _band_minima, _block_table, _product_at, _scan_runs, make_factor
 from walshriesz.walsh import atom_patterns, sign_vector
 
 C = wr.FLATNESS_CONSTANT
@@ -258,27 +258,29 @@ def test_certificate_empty_state():
     assert cert.passed and cert.global_min == 1.0
 
 
-def test_certificate_flags_negative_prefix():
-    # an oversized hand-built factor breaks positivity: 1 + a r_1 + 0.9 r_2
-    state = wr.add_factor(wr.empty_state(), 0)
-    big = make_factor(0, wr.BlockSpec((2,)))
-    big = wr.Factor(
-        level=0,
-        block=(2,),
-        amplitude=0.9,
-        indices=big.indices,
-        coeffs=np.array([0.9]),
+def hand_built_state(coeffs):
+    """prod (1 + c_i r_i) on the blocks (1,), (2,), ...; any c_i, admissible or not."""
+    factors = tuple(
+        wr.Factor(level=0, block=(i,), amplitude=abs(c),
+                  indices=np.array([1 << (i - 1)]), coeffs=np.array([float(c)]))
+        for i, c in enumerate(coeffs, start=1)
     )
-    a = state.spectrum.coeffs[1]
-    state = wr.RieszProductState(
-        factors=state.factors + (big,),
-        spectrum=wr.Spectrum([0, 1, 2, 3], [1.0, a, 0.9, 0.9 * a]),
-        norm_a=state.norm_a * 1.9,
-        inf_value=float(np.min(wr.product_values(state.factors + (big,), 2))),
+    spectrum = np.ones(1)
+    for c in coeffs:
+        spectrum = np.concatenate([spectrum, c * spectrum])
+    return wr.RieszProductState(
+        factors=factors,
+        spectrum=wr.Spectrum(np.arange(spectrum.size), spectrum),
+        norm_a=float(np.prod([1 + abs(c) for c in coeffs])),
+        inf_value=float(np.min(wr.product_values(factors, len(coeffs)))),
         inf_exact=True,
-        used_coordinates=2,
+        used_coordinates=len(coeffs),
     )
-    cert = wr.verify_all_partial_sums(state)
+
+
+def test_certificate_flags_negative_prefix():
+    # an oversized factor breaks positivity: 1 + a r_1 + 0.9 r_2
+    cert = wr.verify_all_partial_sums(hand_built_state([0.5 / C, 0.9]))
     assert not cert.passed
     expected = 1 - 0.5 / C - 0.9  # S_3 at r_1 = -1, r_2 = -1
     assert cert.global_min == pytest.approx(expected)
@@ -303,25 +305,59 @@ def test_certificate_sampled_past_cap():
     assert cert.passed  # the construction is positive even when sampled
 
 
-def test_certificate_threaded_matches_serial(monkeypatch):
-    state = wr.build_measure(
-        wr.PsiSpec.power(1.0), 3, wr.SummabilityBudget()
-    )
-    serial = wr.verify_all_partial_sums(state)
-    monkeypatch.setenv("WALSH_HELSON_THREADS", "4")
-    assert thread_cap() == 4
-    threaded = wr.verify_all_partial_sums(state)
-    assert threaded.global_min == serial.global_min
-    assert threaded.stage_margins == serial.stage_margins
+CERTIFIED_STATES = {
+    "one-factor": lambda: wr.add_factor(wr.empty_state(), 0),
+    "gap-block": lambda: wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((3,))),
+    "flagship-d13": lambda: wr.build_measure(
+        wr.PsiSpec.logpow(1.0), 3, wr.SummabilityBudget(scale=2.25)
+    ),
+    "power-3": lambda: wr.build_measure(wr.PsiSpec.power(1.0), 3, wr.SummabilityBudget()),
+    "d16": lambda: wr.build_measure(
+        wr.PsiSpec.logpow(1.0), 4, wr.SummabilityBudget(scale=6), exhaustive_cap=16
+    ),
+    "negative-prefix": lambda: hand_built_state([0.5 / C, 0.9]),
+    # S_4 = Pi_2 sits at an edge and dips below every order of band 1
+    "edge-order": lambda: hand_built_state([0.5, 2.0, 0.1]),
+}
 
 
-def test_thread_cap_parsing(monkeypatch):
-    monkeypatch.delenv("WALSH_HELSON_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("WALSH_HELSON_THREADS", "junk")
-    assert thread_cap() == 1
-    monkeypatch.setenv("WALSH_HELSON_THREADS", "0")
-    assert thread_cap() == 1
+@pytest.mark.parametrize("name", list(CERTIFIED_STATES))
+def test_kernel_certificate_matches_scan_oracle(name):
+    # the streaming scan on every atom is the oracle; both sum the same
+    # terms in different orders, so they agree to (K + 1) eps ||Pi||_A
+    state = CERTIFIED_STATES[name]()
+    cert = wr.verify_all_partial_sums(state)
+    assert cert.exhaustive
+    atoms = atom_patterns(cert.depth)
+    refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
+    gmin, margins = _band_minima(cert.band_edges, refs, _scan_runs(state, atoms))
+    tol = (cert.depth + 1) * 2.0**-52 * state.norm_a
+    assert abs(cert.global_min - gmin) <= tol
+    assert len(cert.stage_margins) == len(margins) == state.stages
+    for got, want in zip(cert.stage_margins, margins):
+        assert abs(got - want) <= tol
+    if cert.depth <= 8:
+        # every partial sum on every atom, bands taken from their definition
+        signs = np.array([wr.walsh_signs(n, cert.depth) for n in range(1 << cert.depth)])
+        partial = np.cumsum(wr.state_series(state).coeffs[:, None] * signs, axis=0)
+        assert abs(cert.global_min - partial.min()) <= tol
+        edges = cert.band_edges
+        for j, got in enumerate(cert.stage_margins):
+            last = edges[j + 1] if j == state.stages - 1 else edges[j + 1] - 1
+            ref = 0.25 * wr.product_values(state.factors[:j], cert.depth)
+            assert abs(got - (partial[edges[j] - 1 : last] - ref).min()) <= tol
+
+
+def test_exhaustive_cap_bounded_by_dense_limit():
+    assert wr.riesz.DENSE_LIMIT == 20
+    wr.empty_state(exhaustive_cap=20)
+    for cap in (-1, 21):
+        with pytest.raises(ValueError, match="limit 20"):
+            wr.empty_state(exhaustive_cap=cap)
+    with pytest.raises(ValueError, match="limit 20"):
+        wr.build_measure(wr.PsiSpec.power(1.0), 1, exhaustive_cap=21)
+    with pytest.raises(ValueError, match="limit 20"):
+        wr.state_from_manifest({"exhaustive_cap": 21, "stages": []})
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,46 @@ def test_u_norm_integer_exact():
     assert value == brute
 
 
+@pytest.mark.parametrize("m", range(9))
+def test_prefix_extrema_matches_brute_partial_sums(m):
+    h = brute_matrix(m)
+    rng = np.random.default_rng(m)
+    size = 1 << m
+    single = np.zeros(size, dtype=np.int64)
+    single[rng.integers(size)] = -3
+    cases = [
+        rng.uniform(-1, 1, size),
+        rng.integers(-5, 6, size),
+        np.zeros(size),
+        np.zeros(size, dtype=np.int64),
+        single,
+        single.astype(np.float64),
+    ]
+    for coeffs in cases:
+        # partial[p - 1, t] = S_p(t) for the nonempty prefixes p = 1..2^m
+        partial = np.cumsum(h.T * coeffs[:, None], axis=0)
+        s, mx, mn = wr.prefix_extrema(coeffs)
+        exact = np.issubdtype(coeffs.dtype, np.integer)
+        assert s.dtype == mx.dtype == mn.dtype == (np.int64 if exact else np.float64)
+        if exact:
+            assert np.array_equal(s, partial[-1])
+            assert np.array_equal(mx, partial.max(axis=0))
+            assert np.array_equal(mn, partial.min(axis=0))
+        else:
+            tol = (m + 1) * 2.0**-52 * np.sum(np.abs(coeffs))
+            assert np.array_equal(s, wr.butterfly(coeffs))
+            assert np.max(np.abs(s - partial[-1])) <= tol
+            assert np.max(np.abs(mx - partial.max(axis=0))) <= tol
+            assert np.max(np.abs(mn - partial.min(axis=0))) <= tol
+
+
+def test_prefix_extrema_rejects_bad_length():
+    with pytest.raises(ValueError, match="power of two"):
+        wr.prefix_extrema(np.zeros(6))
+    with pytest.raises(ValueError, match="power of two"):
+        wr.prefix_extrema(np.zeros(0))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
