@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from walshriesz import cli
+from walshriesz import WalshSeries, cli
 
 
 def run(argv):
@@ -102,6 +102,7 @@ def test_cap_past_dense_limit_is_usage_error(tmp_path, capsys):
 
 
 def test_build_walsh_cap_gate(tmp_path, capsys):
+    # past the cap the build is certified from per-factor bounds, no flag needed
     args = [
         "build-walsh-measure",
         "--psi", "preset:logpow,p=1",
@@ -110,12 +111,11 @@ def test_build_walsh_cap_gate(tmp_path, capsys):
         "--out", str(tmp_path / "m.csv"),
         "--manifest", str(tmp_path / "m.json"),
     ]
-    assert run(args) == 2
-    assert "--allow-sampled" in capsys.readouterr().err
-    assert run(args + ["--allow-sampled"]) == 0
-    data = json.loads((tmp_path / "m.json").read_text())
-    assert not data["certificates"]["positivity"]["exhaustive"]
-    assert data["certificates"]["positivity"]["sampling"]["seed"] == 1729
+    assert run(args) == 0
+    positivity = json.loads((tmp_path / "m.json").read_text())["certificates"]["positivity"]
+    assert positivity["method"] == "per-factor"
+    assert positivity["exhaustive"] and positivity["passed"]
+    assert "sampling" not in positivity
 
 
 def test_determinism_same_seed(tmp_path):
@@ -158,7 +158,8 @@ def test_theorem1_check_pass_and_fail(tmp_path, capsys):
     )
     report = json.loads(report_path.read_text())
     assert report["all_prefixes_nonneg"] and report["p3"]
-    assert report["shifted_bounds"]["all_hold"]
+    # two multipliers per level kj, one at kj = 0
+    assert report["shifted_bounds"] == {"checked": 2 * report["depth"] - 1, "all_hold": True}
     assert len(report["envelope"]) == report["depth"]
 
     bad = tmp_path / "bad.csv"
@@ -171,6 +172,17 @@ def test_theorem1_check_pass_and_fail(tmp_path, capsys):
         "atom": 0,
         "value": -0.5,
     }
+
+
+def test_shifted_bound_sweep_negative_control():
+    # |N_0| = 3 > 2 M_0 = 2: the bound fails, as it may without positivity
+    assert cli._shifted_bound_sweep(WalshSeries.from_coeffs([1.0, 3.0])) == {
+        "checked": 1,
+        "all_hold": False,
+    }
+    # the failure sits at the top level, after positive ones
+    series = WalshSeries.from_coeffs([1.0, 0.5, 0.25, 0.0, 3.0, 0.0, 0.0, 0.0])
+    assert cli._shifted_bound_sweep(series) == {"checked": 5, "all_hold": False}
 
 
 def test_theorem1_check_io_errors(tmp_path, capsys):

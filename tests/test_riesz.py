@@ -1,6 +1,7 @@
 """Product builder: psi gauges, the level rule, factor bookkeeping,
 positivity certificates, psi summability, and export."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,16 +9,27 @@ import numpy as np
 import pytest
 
 import walshriesz as wr
-from walshriesz.riesz import _band_minima, _block_table, _product_at, _scan_runs, make_factor
-from walshriesz.walsh import atom_patterns, sign_vector
+from walshriesz.riesz import _band_minima, _block_table, _product_at, make_factor
+from walshriesz.walsh import atom_patterns, prefix_extrema, prefix_scan, sign_vector
 
 C = wr.FLATNESS_CONSTANT
 EPS = np.finfo(np.float64).eps
 
 
 # ---------------------------------------------------------------------------
-# oracles: the evaluator and the merge the array code replaced
+# oracles: the evaluator, the merge and the scan the array code replaced
 # ---------------------------------------------------------------------------
+
+def scan_runs(state, patterns):
+    """(lo, hi, values) runs on the given atoms, streamed over the support:
+    the value after support index n covers the orders (n, next index]."""
+    indices, coeffs = state.spectrum.indices, state.spectrum.coeffs
+    ends = indices[1:].tolist() + [1 << state.used_coordinates]
+    if indices[0] >= 1:
+        yield 1, int(indices[0]), np.zeros(patterns.size)
+    for (n, acc), hi in zip(prefix_scan(indices, coeffs, patterns), ends):
+        yield n + 1, hi, acc
+
 
 def sign_vector_values(factor, patterns):
     """X on the given atoms, one sign_vector pass per coefficient."""
@@ -149,7 +161,7 @@ def test_add_factor_single_rademacher():
     assert state.spectrum.coeffs[0] == 1.0
     assert state.spectrum.coeffs[1] == pytest.approx(a)
     assert state.inf_value == pytest.approx(1 - a)
-    assert state.inf_exact
+    assert state.inf_value == wr.product_values(state.factors, 1).min()
     assert state.used_coordinates == 1
 
 
@@ -192,7 +204,7 @@ def test_factor_sup_on_far_block():
     table = _block_table(factor)
     assert table.size == 4
     assert float(np.max(np.abs(table))) == pytest.approx(2 * a)
-    # past the cap, add_factor reads sup |X| off the same 4-atom table
+    # past the cap, add_factor reads inf X off the same 4-atom table
     state = wr.empty_state(exhaustive_cap=2, max_coordinates=26)
     tracemalloc.start()
     try:
@@ -201,21 +213,23 @@ def test_factor_sup_on_far_block():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # 2^26 float64 values would be 512 MiB
-    assert not state.inf_exact
     assert state.inf_value == pytest.approx(1 - 2 * a)
+    # X takes the same values on the near block (1, 2), where densifying is cheap
+    near = make_factor(1, wr.BlockSpec((1, 2)))
+    assert state.inf_value == wr.product_values([near], 2).min()
 
 
 def test_inf_lower_bound_past_cap():
+    # the product of the factor minima is the exact, rounded dense minimum
+    # at every depth, past the cap too
     state = wr.empty_state(exhaustive_cap=2)
     state = wr.add_factor(state, 0)
     state = wr.add_factor(state, 0)
     exact = state.inf_value
     state = wr.add_factor(state, 0)  # three coordinates > cap of two
-    assert not state.inf_exact
     a = 0.5 / C
     assert state.inf_value == pytest.approx(exact * (1 - a))
-    true_inf = float(np.min(wr.product_values(state.factors, 3)))
-    assert state.inf_value <= true_inf + 1e-15
+    assert state.inf_value == wr.product_values(state.factors, 3).min()
 
 
 def test_build_measure_flagship_shape():
@@ -273,7 +287,6 @@ def hand_built_state(coeffs):
         spectrum=wr.Spectrum(np.arange(spectrum.size), spectrum),
         norm_a=float(np.prod([1 + abs(c) for c in coeffs])),
         inf_value=float(np.min(wr.product_values(factors, len(coeffs)))),
-        inf_exact=True,
         used_coordinates=len(coeffs),
     )
 
@@ -296,13 +309,15 @@ def test_certificate_with_gap_block():
 
 
 def test_certificate_sampled_past_cap():
+    # past the cap the certificate is per-factor: every atom, no sample
     state = wr.empty_state(exhaustive_cap=2)
     for level in (0, 0, 1):
         state = wr.add_factor(state, level)
     cert = wr.verify_all_partial_sums(state, seed=7)
-    assert not cert.exhaustive
-    assert cert.sampling["seed"] == 7
-    assert cert.passed  # the construction is positive even when sampled
+    assert cert.method == "per-factor"
+    assert cert.exhaustive and cert.passed
+    assert not hasattr(cert, "sampling")
+    assert cert == wr.verify_all_partial_sums(state, seed=8)  # the seed is unused
 
 
 CERTIFIED_STATES = {
@@ -327,10 +342,10 @@ def test_kernel_certificate_matches_scan_oracle(name):
     # terms in different orders, so they agree to (K + 1) eps ||Pi||_A
     state = CERTIFIED_STATES[name]()
     cert = wr.verify_all_partial_sums(state)
-    assert cert.exhaustive
+    assert cert.exhaustive and cert.method == "kernel"
     atoms = atom_patterns(cert.depth)
     refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
-    gmin, margins = _band_minima(cert.band_edges, refs, _scan_runs(state, atoms))
+    gmin, margins = _band_minima(cert.band_edges, refs, scan_runs(state, atoms))
     tol = (cert.depth + 1) * 2.0**-52 * state.norm_a
     assert abs(cert.global_min - gmin) <= tol
     assert len(cert.stage_margins) == len(margins) == state.stages
@@ -346,6 +361,53 @@ def test_kernel_certificate_matches_scan_oracle(name):
             last = edges[j + 1] if j == state.stages - 1 else edges[j + 1] - 1
             ref = 0.25 * wr.product_values(state.factors[:j], cert.depth)
             assert abs(got - (partial[edges[j] - 1 : last] - ref).min()) <= tol
+
+
+def power_build_cap_20(stages):
+    return wr.build_measure(
+        wr.PsiSpec.power(1.0), stages, wr.SummabilityBudget(scale=6), exhaustive_cap=20
+    )
+
+
+SOUNDNESS_STATES = {
+    **CERTIFIED_STATES,
+    "power-d12-cap-20": lambda: power_build_cap_20(5),
+    "power-d14-cap-20": lambda: wr.build_measure(
+        wr.PsiSpec.power(1.0), 4, wr.SummabilityBudget(), exhaustive_cap=20
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SOUNDNESS_STATES))
+def test_per_factor_bounds_below_kernel_minima(name):
+    # the per-factor certificate only claims lower bounds: never above the
+    # kernel's exact minima, and nonnegative on every construction build
+    state = SOUNDNESS_STATES[name]()
+    kernel = wr.verify_all_partial_sums(state)
+    assert kernel.method == "kernel"
+    cert = wr.verify_all_partial_sums(dataclasses.replace(state, exhaustive_cap=0))
+    assert cert.method == "per-factor" and cert.exhaustive
+    assert cert.band_edges == kernel.band_edges
+    assert cert.global_min <= kernel.global_min
+    assert len(cert.stage_margins) == len(kernel.stage_margins)
+    for bound, margin in zip(cert.stage_margins, kernel.stage_margins):
+        assert bound <= margin
+    # passed: global_min and every margin >= 0; the hand-built two are not admissible
+    assert cert.passed == (name not in ("negative-prefix", "edge-order"))
+
+
+def test_per_factor_bound_at_depth_22():
+    # the deep ladder rung: past every cap, so check the bound against the
+    # densified spectrum's exhaustive minimum, 0.28909...
+    state = power_build_cap_20(6)
+    cert = wr.verify_all_partial_sums(state)
+    assert cert.method == "per-factor" and cert.exhaustive and cert.passed
+    dense = np.zeros(1 << 22)
+    dense[state.spectrum.indices] = state.spectrum.coeffs
+    exhaustive_min = float(prefix_extrema(dense)[2].min())
+    assert exhaustive_min == pytest.approx(0.28909103575544, abs=1e-13)
+    assert 0.0 <= cert.global_min <= exhaustive_min
+    assert min(cert.stage_margins) >= 0.0
 
 
 def test_exhaustive_cap_bounded_by_dense_limit():
@@ -400,12 +462,16 @@ def test_psi_report_flagship():
 # ---------------------------------------------------------------------------
 
 def test_export_roundtrip(tmp_path):
-    state = wr.build_measure(wr.PsiSpec.power(1.0), 2, wr.SummabilityBudget())
+    built = wr.build_measure(wr.PsiSpec.power(1.0), 2, wr.SummabilityBudget())
+    # rows are written in chunks of 2^16: the second spectrum spans two
+    size = (1 << 16) + 3
+    wide = wr.Spectrum(3 * np.arange(size), np.random.default_rng(5).normal(size=size))
     path = tmp_path / "measure.csv"
-    wr.export_measure(state, path)
-    spectrum = wr.load_spectrum_csv(path)
-    assert np.array_equal(spectrum.indices, state.spectrum.indices)
-    assert np.array_equal(spectrum.coeffs, state.spectrum.coeffs)
+    for state in (built, dataclasses.replace(built, spectrum=wide)):
+        wr.export_measure(state, path)
+        spectrum = wr.load_spectrum_csv(path)
+        assert np.array_equal(spectrum.indices, state.spectrum.indices)
+        assert np.array_equal(spectrum.coeffs, state.spectrum.coeffs)
     assert not list(tmp_path.glob("*.tmp.*"))  # the atomic write left no temp file
 
 
@@ -531,7 +597,6 @@ def staged_states():
         spectrum=wr.Spectrum(keys, [spectrum[n] for n in keys]),
         norm_a=math.prod(1 + f.norm_a for f in factors),
         inf_value=0.0,
-        inf_exact=False,
         used_coordinates=10,
     )
 
