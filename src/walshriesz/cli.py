@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -116,7 +117,10 @@ class _IOFailure(Exception):
 # ---------------------------------------------------------------------------
 
 def _cmd_rs_pair(args) -> int:
-    pair = build_pair(args.level)
+    try:
+        pair = build_pair(args.level)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     rows = [(n, int(p), int(q)) for n, (p, q) in enumerate(zip(pair.p, pair.q))]
     _emit_csv(args.out, ["n", "p", "q"], rows)
     return EXIT_OK
@@ -159,16 +163,7 @@ def _cmd_build_walsh(args) -> int:
     verify_s = time.perf_counter() - t0
 
     certificates = {
-        "positivity": {
-            "exhaustive": positivity.exhaustive,
-            "method": positivity.method,
-            "depth": positivity.depth,
-            "support_size": positivity.support_size,
-            "band_edges": list(positivity.band_edges),
-            "global_min": positivity.global_min,
-            "stage_margins": list(positivity.stage_margins),
-            "passed": positivity.passed,
-        },
+        "positivity": dataclasses.asdict(positivity),
         "psi_sum": {
             "stage_exact": list(psi_report.stage_exact),
             "stage_bounds": list(psi_report.stage_bounds),
@@ -250,7 +245,7 @@ def _cmd_build_trig(args) -> int:
         state, certs = trig.build_trig_measure(
             psi, args.stages, budget, oversample=args.grid_oversample
         )
-    except riesz.LevelSelectionError as exc:
+    except (riesz.LevelSelectionError, ValueError) as exc:  # stages, oversample
         raise _UsageError(str(exc)) from None
     build_s = time.perf_counter() - t0
 
@@ -268,16 +263,7 @@ def _cmd_build_trig(args) -> int:
             "stages": [
                 {"level": f.level, "amplitude": f.amplitude} for f in state.factors
             ],
-            "certificates": {
-                "grid_points": certs.grid_points,
-                "grid_min_partial": certs.grid_min_partial,
-                "bernstein_slack": certs.bernstein_slack,
-                "stage_supports_disjoint": certs.stage_supports_disjoint,
-                "stage_psi_exact": list(certs.stage_psi_exact),
-                "stage_psi_bounds": list(certs.stage_psi_bounds),
-                "parseval_gap": certs.parseval_gap,
-                "passed": certs.passed,
-            },
+            "certificates": dataclasses.asdict(certs),
             "timings": {"build_s": build_s},
         }
         _atomic_write_text(args.manifest, json.dumps(manifest, indent=2) + "\n")

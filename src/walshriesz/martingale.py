@@ -38,6 +38,7 @@ from .walsh import (
     partial_sum,
     prefix_extrema,
     prefix_scan,
+    sign_vector,
 )
 
 __all__ = [
@@ -134,7 +135,11 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
 
 def _all_prefixes_nonneg(series: WalshSeries):
     support = series.support()
-    for n, acc in prefix_scan(support, series.coeffs[support], atom_patterns(series.depth)):
+    patterns = atom_patterns(series.depth)
+    scan = prefix_scan(
+        support, series.coeffs[support], lambda n: sign_vector(n, patterns), patterns.size
+    )
+    for n, acc in scan:
         low = acc.min()
         if low < 0.0:
             return False, PositivityWitness("prefix", n + 1, int(np.argmin(acc)), float(low))

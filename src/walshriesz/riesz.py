@@ -290,7 +290,11 @@ class Factor:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sparse Walsh spectrum: strictly increasing indices and their coefficients."""
+    """Sparse spectrum: strictly increasing indices and their coefficients.
+
+    The indices are Walsh indices for the Walsh products and cosine
+    frequencies for the cosine products; index 0 is the constant term.
+    """
 
     indices: np.ndarray
     coeffs: np.ndarray
@@ -487,8 +491,11 @@ def build_measure(
     level_cap: int = 64,
 ) -> RieszProductState:
     """Run the level rule for the requested number of stages, with levels
-    capped at the largest flat polynomial `build_pair` builds."""
+    capped at the largest flat polynomial `build_pair` builds.  Raises
+    ValueError for a negative stage count."""
     psi.validate()
+    if stages < 0:
+        raise ValueError(f"stage count {stages} is negative")
     state = empty_state(exhaustive_cap, max_coordinates)
     for _ in range(stages):
         level = choose_next_level(state, psi, budget, min(level_cap, _MAX_PAIR_LEVEL))
@@ -701,16 +708,22 @@ def psi_sum_report(
 # export / import
 # ---------------------------------------------------------------------------
 
-def export_measure(state: RieszProductState, path) -> None:
-    """Sparse spectrum as CSV `n,coeff`, ascending n, repr-formatted floats,
-    written atomically.  Rows are converted to Python objects 2^16 at a
-    time, so the export adds little to the peak memory of a deep build."""
-    indices, coeffs, chunk = state.spectrum.indices, state.spectrum.coeffs, 1 << 16
+def _write_spectrum(path, index_name: str, spectrum: Spectrum) -> None:
+    """The package's one spectrum writer: CSV `<index_name>,coeff`,
+    ascending index, repr-formatted floats, written atomically.  Rows are
+    converted to Python objects 2^16 at a time, so the export adds little
+    to the peak memory of a deep build."""
+    indices, coeffs, chunk = spectrum.indices, spectrum.coeffs, 1 << 16
     rows = itertools.chain.from_iterable(
         zip(indices[lo : lo + chunk].tolist(), map(repr, coeffs[lo : lo + chunk].tolist()))
         for lo in range(0, indices.size, chunk)
     )
-    _write_csv(path, ["n", "coeff"], rows)
+    _write_csv(path, [index_name, "coeff"], rows)
+
+
+def export_measure(state: RieszProductState, path) -> None:
+    """Sparse spectrum as CSV `n,coeff` (see `_write_spectrum`)."""
+    _write_spectrum(path, "n", state.spectrum)
 
 
 def load_spectrum_csv(path) -> Spectrum:

@@ -17,9 +17,19 @@ which makes the stage supports exactly disjoint and kills the integrals
 of all admissible monomials prod X_k^alpha_k (strong orthogonality) by
 pure frequency bookkeeping.
 
+Every spectrum here is a `riesz.Spectrum` of cosine frequencies, with
+frequency 0 holding the constant term, and every grid partial sum is
+streamed by `walsh.prefix_scan` with the basis f -> cos(f t).  Each
+stage appends the products f and f +- h of the factor frequency f and
+the old frequencies h in generation order and sorts once; the sorted
+spectrum's strictly-increasing check and a positivity check on the new
+frequencies assert the disjointness lacunarity guarantees.
+
 Positivity of all partial sums is certified on a grid oversampled 16x
-past the top frequency, with the Bernstein slack max_freq * ||S||_A *
-(grid spacing)/2 reported to bound dips between grid points.
+past the top frequency: the grid minimum less the Bernstein slack
+max_freq * ||S||_A * (grid spacing)/2, which bounds dips between grid
+points, must be nonnegative.  Builds stop at two stages: a third needs
+about 26k frequencies on a grid of 4.2M points.
 """
 
 from __future__ import annotations
@@ -30,12 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rudin_shapiro import FLATNESS_CONSTANT, rs_sign_sequence
-from .riesz import PsiSpec, SummabilityBudget, LevelSelectionError
-from .walsh import _write_csv
+from .riesz import PsiSpec, SummabilityBudget, LevelSelectionError, Spectrum, _write_spectrum
+from .walsh import InvariantViolation, prefix_scan
 
 __all__ = [
     "CTRIG",
-    "TrigPolynomial",
     "TrigFactor",
     "TrigMeasureState",
     "TrigCertificates",
@@ -48,36 +57,19 @@ __all__ = [
 CTRIG = FLATNESS_CONSTANT
 
 _MAX_FLAT_LOG = 12
+_MAX_STAGES = 2
 
 
-@dataclass(frozen=True, eq=False)
-class TrigPolynomial:
-    """constant + sum coeffs[f] * cos(f t), finitely many frequencies."""
-
-    constant: float
-    coeffs: dict[int, float]
-
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        out = np.full_like(np.asarray(t, dtype=np.float64), self.constant)
-        for f, c in sorted(self.coeffs.items()):
-            out += c * np.cos(f * t)
-        return out
-
-    @property
-    def max_freq(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    @property
-    def norm_a(self) -> float:
-        return abs(self.constant) + sum(abs(c) for c in self.coeffs.values())
+def _grid_scan(spectrum: Spectrum, points: int):
+    """`prefix_scan` of the cosine series on the uniform grid of `points`
+    points in [0, 2pi)."""
+    t = np.arange(points) * (2.0 * math.pi / points)
+    return prefix_scan(spectrum.indices, spectrum.coeffs, lambda f: np.cos(f * t), points)
 
 
-def _grid(points: int) -> np.ndarray:
-    return np.arange(points) * (2.0 * math.pi / points)
-
-
-def build_trig_flat(length: int, oversample: int = 16, c: float = CTRIG) -> TrigPolynomial:
-    """phi_length with measured flatness.
+def build_trig_flat(length: int, oversample: int = 16, c: float = CTRIG) -> Spectrum:
+    """phi_length with measured flatness, as frequencies 1..length and
+    their Rudin-Shapiro signs.
 
     length must be a power of two (<= 2^12); the prefix sup over a
     uniform oversample*length grid is asserted below c*sqrt(length).
@@ -86,19 +78,15 @@ def build_trig_flat(length: int, oversample: int = 16, c: float = CTRIG) -> Trig
         raise ValueError(f"length {length} is not a power of two")
     if length > 1 << _MAX_FLAT_LOG:
         raise ValueError(f"length {length} beyond 2^{_MAX_FLAT_LOG}")
-    signs = rs_sign_sequence(length).astype(np.float64)
-    t = _grid(max(oversample * length, 8))
-    acc = np.zeros_like(t)
-    peak = 0.0
-    for n in range(1, length + 1):
-        acc += signs[n - 1] * np.cos(n * t)
-        peak = max(peak, float(np.max(np.abs(acc))))
+    flat = Spectrum(np.arange(1, length + 1), rs_sign_sequence(length))
+    scan = _grid_scan(flat, max(oversample * length, 8))
+    peak = max(float(np.max(np.abs(acc))) for _, acc in scan)
     bound = c * math.sqrt(length)
     if not peak <= bound:
         raise AssertionError(
             f"prefix sup {peak:.6f} above {bound:.6f} for length {length}"
         )
-    return TrigPolynomial(0.0, {n: float(signs[n - 1]) for n in range(1, length + 1)})
+    return flat
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +105,12 @@ class TrigFactor:
 @dataclass(frozen=True, eq=False)
 class TrigMeasureState:
     factors: tuple[TrigFactor, ...]
-    spectrum: dict[int, float]
-    constant: float
+    spectrum: Spectrum  # frequency 0 holds the constant term 1
     norm_a: float
-    max_freq: int
 
-    def density(self) -> TrigPolynomial:
-        return TrigPolynomial(self.constant, dict(self.spectrum))
+    @property
+    def max_freq(self) -> int:
+        return int(self.spectrum.indices[-1])
 
 
 @dataclass(frozen=True)
@@ -138,17 +125,11 @@ class TrigCertificates:
     passed: bool
 
 
-def _choose_trig_level(
-    spectrum, norm_a, max_freq, stage, psi, budget, oversample, c, level_cap
-):
-    if max_freq == 0:
-        inf_val = 1.0
-    else:
-        t = _grid(max(oversample * max_freq, 8))
-        vals = np.ones_like(t)
-        for f, coeff in spectrum.items():
-            vals += coeff * np.cos(f * t)
-        inf_val = float(vals.min())
+def _choose_trig_level(spectrum, norm_a, stage, psi, budget, oversample, c, level_cap):
+    max_freq = int(spectrum.indices[-1])
+    for _, vals in _grid_scan(spectrum, max(oversample * max_freq, 8)):
+        pass  # the full sum Pi on the grid
+    inf_val = float(vals.min())
     level = 1
     while level <= level_cap:
         amp = 1.0 / (4.0 * c * math.sqrt(level))
@@ -163,6 +144,21 @@ def _choose_trig_level(
     )
 
 
+def _stage_terms(spectrum: Spectrum, freqs: np.ndarray, coeffs: np.ndarray):
+    """The new frequencies and coefficients of Pi (1 + X) in generation
+    order: for each factor frequency f with coefficient x, first f with
+    x, then f + h and f - h with ch x / 2 for each old frequency h > 0."""
+    h, ch = spectrum.indices[1:], spectrum.coeffs[1:]
+    new_freqs = np.empty((freqs.size, 1 + 2 * h.size), dtype=np.int64)
+    new_freqs[:, 0] = freqs
+    new_freqs[:, 1::2] = np.add.outer(freqs, h)
+    new_freqs[:, 2::2] = np.subtract.outer(freqs, h)
+    new_coeffs = np.empty(new_freqs.shape)
+    new_coeffs[:, 0] = coeffs
+    new_coeffs[:, 1::2] = new_coeffs[:, 2::2] = np.multiply.outer(coeffs, ch) / 2.0
+    return new_freqs.ravel(), new_coeffs.ravel()
+
+
 def build_trig_measure(
     psi: PsiSpec,
     stages: int,
@@ -173,94 +169,73 @@ def build_trig_measure(
 ):
     """Build the cosine product and certify it; returns (state, certificates).
 
-    Capped at three stages: the grid needed for the certificate grows
-    like the square of the stage level, which already reaches millions
-    of points at stage three.
+    Raises ValueError unless 0 <= stages <= 2 and oversample >= 1.  The
+    grid needed for the certificate grows like the square of the stage
+    level: a third stage would need about 26k frequencies on 4.2M grid
+    points, which does not finish.
     """
     psi.validate()
-    if not 0 <= stages <= 3:
-        raise ValueError("stages must be between 0 and 3")
-    spectrum: dict[int, float] = {}
+    if not 0 <= stages <= _MAX_STAGES:
+        raise ValueError(f"stages {stages} outside [0, {_MAX_STAGES}]")
+    if oversample < 1:
+        raise ValueError(f"grid oversample {oversample} below 1")
+    spectrum = Spectrum(np.zeros(1, dtype=np.int64), np.ones(1))
     factors: list[TrigFactor] = []
-    stage_new: list[dict[int, float]] = []
+    stage_exact: list[float] = []
     stage_bounds: list[float] = []
+    # every stage's new terms in generation order: summing in it keeps
+    # the sums reproducible bit for bit
+    stage_freqs = np.zeros(0, dtype=np.int64)
+    stage_coeffs: list[float] = []
     norm_a = 1.0
-    max_freq = 0
 
     for stage in range(1, stages + 1):
         level = _choose_trig_level(
-            spectrum, norm_a, max_freq, stage, psi, budget, oversample, c, level_cap
+            spectrum, norm_a, stage, psi, budget, oversample, c, level_cap
         )
-        while True:
-            amp = 1.0 / (4.0 * c * math.sqrt(level))
-            flat = build_trig_flat(level, oversample, c)
-            freqs = np.array([level * n for n in range(1, level + 1)], dtype=np.int64)
-            coeffs = amp * np.array(
-                [flat.coeffs[n] for n in range(1, level + 1)]
-            )
-            new: dict[int, float] = {}
-            collided = False
-            for f, x in zip(freqs, coeffs):
-                f = int(f)
-                new[f] = new.get(f, 0.0) + float(x)
-                for h, ch in spectrum.items():
-                    for g in (f + h, f - h):
-                        if g <= 0 or g in spectrum:
-                            collided = True
-                        new[g] = new.get(g, 0.0) + ch * float(x) / 2.0
-            if collided or len(new) != (2 * len(spectrum) + 1) * level:
-                level *= 2  # lacunarity rule prevents this; retry defensively
-                if level > level_cap:
-                    raise LevelSelectionError("collision retries exhausted")
-                continue
-            break
+        amp = 1.0 / (4.0 * c * math.sqrt(level))
+        flat = build_trig_flat(level, oversample, c)
+        freqs = level * flat.indices
+        coeffs = amp * flat.coeffs
+        new_freqs, new_coeffs = _stage_terms(spectrum, freqs, coeffs)
+        # lacunarity makes every new frequency positive and unseen; the
+        # Spectrum's strictly-increasing check asserts the latter
+        if np.any(new_freqs <= 0):
+            raise InvariantViolation(f"stage {stage} produced a nonpositive frequency")
 
         # a-priori stage bound: sum of new coeffs^2 is 2 sigma^2 ||Pi||_2^2
-        norm2sq = 1.0 + 0.5 * sum(v * v for v in spectrum.values())
+        norm2sq = 1.0 + 0.5 * sum(v * v for v in stage_coeffs)
         sigma2 = 0.5 * float(np.sum(coeffs * coeffs))
         stage_bounds.append(2.0 * sigma2 * norm2sq * psi.epsilon_bar(amp))
+        stage_exact.append(float(sum(psi.psi(abs(v)) for v in new_coeffs.tolist())))
 
-        spectrum.update(new)
-        stage_new.append(new)
+        merged = np.concatenate([spectrum.indices, new_freqs])
+        order = np.argsort(merged, kind="stable")
+        spectrum = Spectrum(merged[order], np.concatenate([spectrum.coeffs, new_coeffs])[order])
+        stage_freqs = np.concatenate([stage_freqs, new_freqs])
+        stage_coeffs += new_coeffs.tolist()
         factors.append(TrigFactor(level, amp, freqs, coeffs))
         norm_a *= 1.0 + amp * level
-        max_freq = max(spectrum) if spectrum else 0
 
-    state = TrigMeasureState(
-        factors=tuple(factors),
-        spectrum=spectrum,
-        constant=1.0,
-        norm_a=norm_a,
-        max_freq=max_freq,
-    )
+    state = TrigMeasureState(factors=tuple(factors), spectrum=spectrum, norm_a=norm_a)
+    max_freq = state.max_freq
 
     # certificates -----------------------------------------------------------
     points = max(oversample * max(max_freq, 1), 8)
-    t = _grid(points)
-    acc = np.ones_like(t)
-    gmin = float(acc.min())
-    for f in sorted(spectrum):
-        acc += spectrum[f] * np.cos(f * t)
+    gmin = math.inf
+    for _, acc in _grid_scan(spectrum, points):
         gmin = min(gmin, float(acc.min()))
-    coeff_sum = sum(abs(v) for v in spectrum.values())
+    coeff_sum = sum(abs(v) for v in stage_coeffs)
     slack = max_freq * (1.0 + coeff_sum) * math.pi / points if max_freq else 0.0
-
-    supports = [set(int(f) for f in d) for d in stage_new]
-    disjoint = all(
-        not (supports[i] & supports[j])
-        for i in range(len(supports))
-        for j in range(i + 1, len(supports))
-    )
-
-    stage_exact = tuple(
-        float(sum(psi.psi(abs(v)) for v in d.values())) for d in stage_new
-    )
+    # np.sort, not np.unique: np.unique imports numpy.ma, 0.7 MB of peak RSS
+    sorted_freqs = np.sort(stage_freqs)
+    disjoint = bool(np.all(sorted_freqs[1:] > sorted_freqs[:-1]))
     quad = float((acc * acc).mean())
-    exact_l2 = 1.0 + 0.5 * sum(v * v for v in spectrum.values())
+    exact_l2 = 1.0 + 0.5 * sum(v * v for v in stage_coeffs)
     parseval_gap = abs(quad - exact_l2)
 
     passed = (
-        gmin >= 0.0
+        gmin - slack >= 0.0
         and disjoint
         and all(e <= b * (1 + 1e-12) for e, b in zip(stage_exact, stage_bounds))
         and parseval_gap <= 1e-8
@@ -270,7 +245,7 @@ def build_trig_measure(
         grid_min_partial=gmin,
         bernstein_slack=slack,
         stage_supports_disjoint=disjoint,
-        stage_psi_exact=stage_exact,
+        stage_psi_exact=tuple(stage_exact),
         stage_psi_bounds=tuple(stage_bounds),
         parseval_gap=parseval_gap,
         passed=passed,
@@ -297,35 +272,34 @@ def strong_orthogonality_integral(factors, alpha) -> float:
     if alpha.count(2) > 2:
         raise ValueError(f"multi-index allows at most two entries equal to 2: {alpha}")
 
-    prod = {0: 1.0}  # frequency -> coefficient, 0 is the constant term
+    prod = Spectrum(np.zeros(1, dtype=np.int64), np.ones(1))  # 0 is the constant term
     for f, a in zip(factors, alpha):
-        spec = {int(fr): float(cf) for fr, cf in zip(f.freqs, f.coeffs)}
+        spec = Spectrum(f.freqs, f.coeffs)
         for _ in range(a):
             prod = _cos_multiply(prod, spec)
-    return prod.get(0, 0.0)
+    return float(prod.coeffs[prod.indices == 0].sum())
 
 
-def _cos_multiply(left: dict[int, float], right: dict[int, float]) -> dict[int, float]:
-    out: dict[int, float] = {}
-
-    def put(f, v):
-        if v == 0.0:
-            return
-        out[f] = out.get(f, 0.0) + v
-
-    for a, ca in left.items():
-        for b, cb in right.items():
-            if a == 0:
-                put(b, ca * cb)
-            else:
-                put(a + b, ca * cb / 2.0)
-                put(abs(a - b), ca * cb / 2.0)
-    return out
+def _cos_multiply(left: Spectrum, right: Spectrum) -> Spectrum:
+    """The product of two cosine series, by cos a cos b = (cos(a+b) +
+    cos|a-b|)/2 on every pair; a constant term (a = 0) multiplies through
+    unhalved.  Zero products are dropped and equal frequencies merged in
+    pair order, left outer, right inner, a + b before |a - b|."""
+    prod = np.multiply.outer(left.coeffs, right.coeffs)
+    const = (left.indices == 0)[:, None]
+    freqs = np.stack(
+        [np.add.outer(left.indices, right.indices),
+         np.abs(np.subtract.outer(left.indices, right.indices))], axis=-1
+    ).ravel()
+    values = np.stack(
+        [np.where(const, prod, prod / 2.0), np.where(const, 0.0, prod / 2.0)], axis=-1
+    ).ravel()
+    keep = values != 0.0
+    merged, inverse = np.unique(freqs[keep], return_inverse=True)
+    return Spectrum(merged, np.bincount(inverse, weights=values[keep]))
 
 
 def trig_export(state: TrigMeasureState, path) -> None:
     """CSV `frequency,coeff`, ascending, with the constant at frequency 0,
     written atomically."""
-    rows = [(0, repr(float(state.constant)))]
-    rows += [(f, repr(float(state.spectrum[f]))) for f in sorted(state.spectrum)]
-    _write_csv(path, ["frequency", "coeff"], rows)
+    _write_spectrum(path, "frequency", state.spectrum)

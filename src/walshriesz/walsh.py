@@ -310,17 +310,20 @@ def u_norm(coeffs: np.ndarray) -> float:
     return int(best) if np.issubdtype(mx.dtype, np.integer) else float(best)
 
 
-def prefix_scan(indices, coeffs, patterns: np.ndarray):
-    """Stream the partial sums of a sparse series on the given atoms:
-    after support index n, yield (n, acc) with acc = S_(n+1), the partial
-    sum of every order up to the next support index.  acc is one buffer
-    updated in place, and each term goes through one more: full-width
-    temporaries freed at the heap top are returned to the system and
-    faulted back in on the next step.  O(|support| |patterns|)."""
-    acc = np.zeros(patterns.size)
-    term = np.empty(patterns.size)
+def prefix_scan(indices, coeffs, basis, size: int):
+    """Stream the partial sums of a sparse series sum c_n basis(n), each
+    basis vector of length `size`: after support index n, yield (n, acc)
+    with acc = S_(n+1), the partial sum of every order up to the next
+    support index.  The package's one streaming partial-sum loop: Walsh
+    series pass `lambda n: sign_vector(n, patterns)`, cosine series on a
+    grid t pass `lambda f: np.cos(f * t)`.  acc is one buffer updated in
+    place, and each term goes through one more: full-width temporaries
+    freed at the heap top are returned to the system and faulted back in
+    on the next step.  O(|support| size)."""
+    acc = np.zeros(size)
+    term = np.empty(size)
     for n, c in zip(indices, coeffs):
-        np.add(acc, np.multiply(sign_vector(int(n), patterns), c, out=term), out=acc)
+        np.add(acc, np.multiply(basis(int(n)), c, out=term), out=acc)
         yield int(n), acc
 
 

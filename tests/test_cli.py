@@ -321,6 +321,45 @@ def test_build_trig_cli(tmp_path):
     assert data["certificates"]["stage_supports_disjoint"]
 
 
+def test_build_trig_cli_fails_coarse_grid(tmp_path, capsys):
+    # at 4x oversampling the Bernstein slack exceeds the grid minimum
+    out = tmp_path / "trig.csv"
+    manifest = tmp_path / "trig.json"
+    code = run(
+        [
+            "build-trig-measure",
+            "--grid-oversample", "4",
+            "--out", str(out),
+            "--manifest", str(manifest),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("FAIL")
+    certs = json.loads(manifest.read_text())["certificates"]
+    assert not certs["passed"]
+    assert certs["grid_min_partial"] < certs["bernstein_slack"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-trig-measure", "--stages", "4"],
+        ["build-trig-measure", "--stages", "3"],
+        ["build-trig-measure", "--grid-oversample", "0"],
+        ["rs-pair", "--level", "21"],
+        ["build-walsh-measure", "--stages", "-1"],
+    ],
+    ids=["trig-stages4", "trig-stages3", "trig-oversample0", "rs-level21", "walsh-stages-1"],
+)
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    manifest = tmp_path / "manifest.json"
+    extra = ["--manifest", str(manifest)] if argv[0] != "rs-pair" else []
+    assert run(argv + ["--out", str(out)] + extra) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_supplies_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"stages": 2, "psi": "preset:power,delta=1",

@@ -27,7 +27,8 @@ def scan_runs(state, patterns):
     ends = indices[1:].tolist() + [1 << state.used_coordinates]
     if indices[0] >= 1:
         yield 1, int(indices[0]), np.zeros(patterns.size)
-    for (n, acc), hi in zip(prefix_scan(indices, coeffs, patterns), ends):
+    scan = prefix_scan(indices, coeffs, lambda n: sign_vector(n, patterns), patterns.size)
+    for (n, acc), hi in zip(scan, ends):
         yield n + 1, hi, acc
 
 
@@ -240,6 +241,11 @@ def test_build_measure_flagship_shape():
     assert state.used_coordinates == 13
     assert len(state.spectrum) == 2 * 2 * 1025
     assert state.block_boundaries() == [2, 4, 8192]
+
+
+def test_build_measure_rejects_negative_stages():
+    with pytest.raises(ValueError, match="negative"):
+        wr.build_measure(wr.PsiSpec.logpow(1.0), -1)
 
 
 def test_sigma_constant_per_factor():

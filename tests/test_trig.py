@@ -1,6 +1,7 @@
 """Cosine products: flat polynomials, the dilated factors, frequency
 bookkeeping, and grid certificates."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,16 +12,25 @@ import walshriesz as wr
 C = wr.CTRIG
 
 
+def cos_values(freqs, coeffs, t):
+    """sum coeffs[i] cos(freqs[i] t), one term at a time."""
+    out = np.zeros_like(t)
+    for fr, cf in zip(freqs, coeffs):
+        out += cf * np.cos(fr * t)
+    return out
+
+
 def test_flat_length_one():
     poly = wr.build_trig_flat(1)
-    assert poly.coeffs == {1: 1.0}
+    assert poly.indices.tolist() == [1] and poly.coeffs.tolist() == [1.0]
     t = np.linspace(0, 2 * math.pi, 101)
-    assert np.max(np.abs(poly.evaluate(t) - np.cos(t))) < 1e-12
+    assert np.max(np.abs(cos_values(poly.indices, poly.coeffs, t) - np.cos(t))) < 1e-12
 
 
 def test_flat_length_four_signs():
     poly = wr.build_trig_flat(4)
-    assert [poly.coeffs[n] for n in (1, 2, 3, 4)] == [1.0, 1.0, 1.0, -1.0]
+    assert poly.indices.tolist() == [1, 2, 3, 4]
+    assert poly.coeffs.tolist() == [1.0, 1.0, 1.0, -1.0]
 
 
 @pytest.mark.parametrize("length", [1, 2, 4, 8, 16, 64, 256])
@@ -31,7 +41,7 @@ def test_flat_prefix_sup_ratio(length):
     acc = np.zeros_like(t)
     peak = 0.0
     for n in range(1, length + 1):
-        acc += poly.coeffs[n] * np.cos(n * t)
+        acc += poly.coeffs[n - 1] * np.cos(n * t)
         peak = max(peak, float(np.max(np.abs(acc))))
     assert peak <= C * math.sqrt(length)
 
@@ -77,14 +87,16 @@ def test_two_stage_build_certificates():
 def test_mean_is_one_and_spectrum_structure():
     psi = wr.PsiSpec.logpow(1.0)
     state, _ = wr.build_trig_measure(psi, 2, wr.SummabilityBudget(scale=2.25))
-    assert state.constant == 1.0
+    # the constant term sits at frequency 0
+    assert state.spectrum.indices[0] == 0 and state.spectrum.coeffs[0] == 1.0
     # frequencies combine as h +- f only: stage 2 block 8..64 step 8,
     # sidebands at +-1 around each multiple
-    freqs = set(state.spectrum)
+    freqs = set(state.spectrum.indices[1:].tolist())
     assert {1} | {8 * n for n in range(1, 9)} <= freqs
     for n in range(1, 9):
         assert 8 * n - 1 in freqs and 8 * n + 1 in freqs
     assert len(freqs) == 1 + 8 * 3
+    assert len(state.spectrum) == 1 + len(freqs)
 
 
 def test_sigma_constant_across_stages():
@@ -102,11 +114,33 @@ def test_partial_sums_on_grid_all_nonnegative():
     t = np.arange(certs.grid_points) * (2 * math.pi / certs.grid_points)
     acc = np.ones_like(t)
     worst = float(acc.min())
-    for f in sorted(state.spectrum):
-        acc += state.spectrum[f] * np.cos(f * t)
+    for f, coeff in zip(state.spectrum.indices[1:], state.spectrum.coeffs[1:]):
+        acc += coeff * np.cos(f * t)
         worst = min(worst, float(acc.min()))
     assert worst == pytest.approx(certs.grid_min_partial)
     assert worst >= 0.0
+
+
+def test_bernstein_slack_gates_passed():
+    # the grid minimum alone would pass both builds; only the default
+    # oversampling leaves it above the slack that bounds dips between points
+    psi = wr.PsiSpec.logpow(1.0)
+    budget = wr.SummabilityBudget(scale=2.25)
+    _, fine = wr.build_trig_measure(psi, 2, budget, oversample=16)
+    assert fine.grid_min_partial - fine.bernstein_slack >= 0.0
+    assert fine.passed
+    _, coarse = wr.build_trig_measure(psi, 2, budget, oversample=4)
+    assert coarse.grid_min_partial > 0.0
+    assert coarse.grid_min_partial - coarse.bernstein_slack < 0.0
+    assert not coarse.passed
+
+
+@pytest.mark.parametrize(
+    "stages, oversample", [(3, 16), (-1, 16), (2, 0)], ids=["stages3", "stages-1", "oversample0"]
+)
+def test_build_rejects_stages_and_oversample(stages, oversample):
+    with pytest.raises(ValueError):
+        wr.build_trig_measure(wr.PsiSpec.logpow(1.0), stages, oversample=oversample)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +164,7 @@ def test_strong_orthogonality_quadrature_cross_check():
     t = np.arange(n) * (2 * math.pi / n)
 
     def vals(f):
-        out = np.zeros_like(t)
-        for fr, cf in zip(f.freqs, f.coeffs):
-            out += cf * np.cos(fr * t)
-        return out
+        return cos_values(f.freqs, f.coeffs, t)
 
     quad = float((vals(x1) * vals(x2) ** 2).mean())
     assert abs(quad) < 1e-14
@@ -156,10 +187,11 @@ def test_cos_product_constant_term_positive_control():
     from walshriesz.trig import _cos_multiply
 
     (x,) = state.factors
-    spec = {int(f): float(c) for f, c in zip(x.freqs, x.coeffs)}
+    spec = wr.Spectrum(x.freqs, x.coeffs)
     square = _cos_multiply(spec, spec)
-    expected = 0.5 * sum(c * c for c in spec.values())
-    assert square[0] == pytest.approx(expected)
+    expected = 0.5 * float(np.sum(x.coeffs * x.coeffs))
+    assert square.indices[0] == 0
+    assert square.coeffs[0] == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +206,16 @@ def test_trig_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "frequency,coeff"
     assert lines[1] == "0,1.0"
-    assert len(lines) == 2 + len(state.spectrum)
+    assert len(lines) == 1 + len(state.spectrum)
     freqs = [int(line.split(",")[0]) for line in lines[1:]]
     assert freqs == sorted(freqs)
+
+
+def test_trig_export_matches_pin(tmp_path):
+    # the 2-stage build the benchmark's desk workload exports, byte for byte
+    psi = wr.PsiSpec.logpow(1.0)
+    state, _ = wr.build_trig_measure(psi, 2, wr.SummabilityBudget(scale=2.25), oversample=16)
+    path = tmp_path / "trig.csv"
+    wr.trig_export(state, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "c7c88220d947e49a8f74ef8c43145ffb21b028c80e2e76696f00a98a96e79e35"
