@@ -153,7 +153,10 @@ def _cmd_build_walsh(args) -> int:
 
     t0 = time.perf_counter()
     positivity = riesz.verify_all_partial_sums(state)
-    psi_report = riesz.psi_sum_report(state, psi, budget)
+    try:
+        psi_report = riesz.psi_sum_report(state, psi, budget)
+    except riesz.CoordinateBudgetError as exc:  # spectrum past SPECTRUM_LIMIT
+        raise _UsageError(str(exc)) from None
     singular = martingale.singularity_report(state)
     ortho = (
         martingale.verify_product_orthogonality(state)

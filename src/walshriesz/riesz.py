@@ -21,12 +21,16 @@ forces every partial sum whose order falls in stage k+1's range to stay
 above (1/4) Pi_k pointwise, hence positivity; condition (6) caps the
 stage contributions to sum_n psi(|c_n|).
 
-Each block lies right of all used coordinates, so stage k+1's XOR
-products are distinct and exceed every index of Pi_k: the spectrum is
-one sorted pair of int64/float64 arrays, stage k at positions
-[N_(k-1), N_k), N_k = prod_(i<=k) (1 + |supp X_i|), exported atomically
-as CSV.  Each X_i is evaluated on its own block's 2^|J_i| atoms (one
-butterfly) and read off elsewhere by the block's bits of the atom.
+The product state is its factors.  Everything else is derived from
+them on first use: ||Pi_k||_A, inf Pi_k, the support size
+N_k = prod_(i<=k) (1 + |supp X_i|) and the spectrum.  Each block lies
+right of all used coordinates, so stage k+1's XOR products are distinct
+and exceed every index of Pi_k: the spectrum is one sorted pair of
+int64/float64 arrays, stage k at positions [N_(k-1), N_k), built only
+for the export and the dense routes, and refused past SPECTRUM_LIMIT
+terms before anything is allocated.  Each X_i is evaluated on its own
+block's 2^|J_i| atoms (one butterfly) and read off elsewhere by the
+block's bits of the atom.
 
 Every prefix order is certified on every atom, by one of two methods.
 Within `exhaustive_cap` used coordinates (at most DENSE_LIMIT) the
@@ -50,7 +54,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +103,10 @@ __all__ = [
 # certificate's tables hold 2^DENSE_LIMIT float64 values each.
 DENSE_LIMIT = 20
 
+# Largest spectrum materialized, in terms (16 bytes each); the ladder's
+# largest build, depth 21, has 589,860.
+SPECTRUM_LIMIT = 1 << 24
+
 
 class PsiHypothesisError(ValueError):
     """psi fails the gauge hypothesis: psi(x)/x^2 must tend to 0 at 0."""
@@ -112,7 +121,8 @@ class BlockOverlapError(ValueError):
 
 
 class CoordinateBudgetError(ValueError):
-    """Adding the factor would exceed the hard coordinate budget."""
+    """Adding the factor would exceed the hard coordinate budget, or the
+    spectrum asked for has more than SPECTRUM_LIMIT terms."""
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +297,12 @@ class Factor:
     def norm_2(self) -> float:
         return float(np.sqrt(np.sum(self.coeffs * self.coeffs)))
 
+    @cached_property
+    def value_range(self) -> tuple[float, float]:
+        """min X and max X, read off its block table once per factor."""
+        table = _block_table(self)
+        return float(table.min()), float(table.max())
+
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -315,13 +331,14 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class RieszProductState:
-    """Sparse spectrum of Pi_k plus the caches the level rule needs."""
+    """Pi_k as its factors, plus the caps the certificates and builder obey.
 
-    factors: tuple[Factor, ...]
-    spectrum: Spectrum
-    norm_a: float
-    inf_value: float
-    used_coordinates: int
+    Everything else is derived from the factors on first use and cached:
+    `norm_a` = ||Pi_k||_A, `inf_value` = inf Pi_k, `used_coordinates`,
+    `support_size` and the `spectrum`.
+    """
+
+    factors: tuple[Factor, ...] = ()
     exhaustive_cap: int = 14
     max_coordinates: int = 30
 
@@ -333,20 +350,54 @@ class RieszProductState:
         """Orders 2^(sup J_k) splitting the spectrum into stage ranges."""
         return [1 << f.block[-1] for f in self.factors]
 
+    @cached_property
+    def used_coordinates(self) -> int:
+        """sup J_k, the last block's top coordinate, or 0."""
+        return self.factors[-1].block[-1] if self.factors else 0
+
+    @cached_property
+    def norm_a(self) -> float:
+        """||Pi_k||_A: the blocks are disjoint, so the A-norm is multiplicative."""
+        return math.prod((1.0 + f.norm_a for f in self.factors), start=1.0)
+
+    @cached_property
+    def inf_value(self) -> float:
+        """inf Pi_k, the rounded dense minimum (see `_product_ranges`)."""
+        return _product_ranges(self.factors)[-1][0]
+
+    @cached_property
+    def support_size(self) -> int:
+        """N_k = prod (1 + |supp X_i|), the number of spectrum terms."""
+        return math.prod(1 + f.indices.size for f in self.factors)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """The sorted spectrum of Pi_k; refused past SPECTRUM_LIMIT terms."""
+        _check_spectrum_limit(self)
+        indices, coeffs = np.zeros(1, dtype=np.int64), np.ones(1)
+        for f in self.factors:
+            # factor index outer, old index inner: already ascending
+            indices = np.concatenate([indices, np.bitwise_xor.outer(f.indices, indices).ravel()])
+            coeffs = np.concatenate([coeffs, np.multiply.outer(f.coeffs, coeffs).ravel()])
+        return Spectrum(indices, coeffs)
+
+
+def _check_spectrum_limit(state: RieszProductState) -> None:
+    if state.support_size > SPECTRUM_LIMIT:
+        raise CoordinateBudgetError(
+            f"the spectrum has {state.support_size:,} terms, past the limit"
+            f" of {SPECTRUM_LIMIT:,} terms"
+        )
+
 
 def empty_state(exhaustive_cap: int = 14, max_coordinates: int = 30) -> RieszProductState:
     if not 0 <= exhaustive_cap <= DENSE_LIMIT:
         raise ValueError(f"exhaustive cap {exhaustive_cap} outside [0, {DENSE_LIMIT}]:"
                          f" the exhaustive certificate is dense, limit {DENSE_LIMIT} coordinates")
-    return RieszProductState(
-        factors=(),
-        spectrum=Spectrum(np.zeros(1, dtype=np.int64), np.ones(1)),
-        norm_a=1.0,
-        inf_value=1.0,
-        used_coordinates=0,
-        exhaustive_cap=exhaustive_cap,
-        max_coordinates=max_coordinates,
-    )
+    if not 0 <= max_coordinates <= 63:
+        raise ValueError(f"coordinate budget {max_coordinates} outside [0, 63]:"
+                         " Walsh indices are int64")
+    return RieszProductState((), exhaustive_cap, max_coordinates)
 
 
 def _block_bits(values: np.ndarray, block) -> np.ndarray:
@@ -389,6 +440,18 @@ def product_values(factors, m: int) -> np.ndarray:
     return _product_at(factors, atom_patterns(m))
 
 
+def _product_ranges(factors) -> list[tuple[float, float]]:
+    """[min, max] of Pi_k for k = 0..K.  Disjoint blocks make the factors
+    independent, so Pi_k (1 + X) takes every product of a value of Pi_k
+    and one of 1 + X, and its extremes sit at the four corners.  Rounding
+    is monotone, so these are the rounded dense extremes bit for bit."""
+    ranges = [(1.0, 1.0)]
+    for factor in factors:
+        products = [p * (1.0 + v) for p in ranges[-1] for v in factor.value_range]
+        ranges.append((min(products), max(products)))
+    return ranges
+
+
 def make_factor(level: int, block: BlockSpec, c: float = FLATNESS_CONSTANT) -> Factor:
     amplitude = (0.5 / c) * 2.0 ** (-level / 2)
     flat = build_flat(level)
@@ -412,8 +475,8 @@ def choose_next_level(
     """Smallest level passing (5) and the budgeted envelope condition (6).
 
     Both left-hand sides decrease in the level, so the linear scan stops
-    at the first admissible value.  inf Pi_k is exact at every depth: the
-    product of the factors' own minima (see `add_factor`).
+    at the first admissible value.  inf Pi_k is exact at every depth: it
+    comes from the factors' own ranges (see `_product_ranges`).
     """
     k_next = state.stages + 1
     bound = budget.term_bound(k_next)
@@ -440,9 +503,9 @@ def add_factor(
 
     The caller is responsible for level admissibility; structural rules
     are enforced here: the block must sit strictly to the right of all
-    used coordinates, and the new XOR products must extend the sorted
-    spectrum (they do, since the block lies past every used coordinate;
-    the Spectrum's strictly-increasing check asserts it anyway).
+    used coordinates and within the coordinate budget.  Then the new XOR
+    products extend the sorted spectrum (the Spectrum's strictly-
+    increasing check asserts it when the spectrum is built).
     """
     if block is None:
         lo = state.used_coordinates + 1
@@ -458,28 +521,7 @@ def add_factor(
             f"block {block.coordinates} exceeds the coordinate budget"
             f" {state.max_coordinates}"
         )
-
-    factor = make_factor(level, block, c)
-    old = state.spectrum
-    # factor index outer, old index inner: already ascending
-    spectrum = Spectrum(
-        np.concatenate([old.indices, np.bitwise_xor.outer(factor.indices, old.indices).ravel()]),
-        np.concatenate([old.coeffs, np.multiply.outer(factor.coeffs, old.coeffs).ravel()]),
-    )
-    # independent factors, each with 1 + X >= 1/2: the infimum of the
-    # product is the product of the infima, and since rounded products of
-    # positive values are monotone it is also the rounded dense minimum
-    inf_value = state.inf_value * (1.0 + float(_block_table(factor).min()))
-
-    return RieszProductState(
-        factors=state.factors + (factor,),
-        spectrum=spectrum,
-        norm_a=state.norm_a * (1.0 + factor.norm_a),
-        inf_value=inf_value,
-        used_coordinates=block.sup,
-        exhaustive_cap=state.exhaustive_cap,
-        max_coordinates=state.max_coordinates,
-    )
+    return replace(state, factors=state.factors + (make_factor(level, block, c),))
 
 
 def build_measure(
@@ -581,18 +623,16 @@ def _per_factor_bounds(state: RieszProductState) -> tuple[float, list[float]]:
     - PM(X_(k+1)) ||Pi_k||_A with Pi_k in [lo, hi] and P in [low, high],
     the extremes of the prefixes of X_(k+1), the empty one included; a
     product over two ranges is smallest at a corner."""
-    lo = hi = norm_a = 1.0
+    norm_a = 1.0
     gmin, margins = math.inf, []
-    for factor in state.factors:
-        values, mx, mn = prefix_extrema(_block_coeffs(factor))
+    for factor, corners in zip(state.factors, _product_ranges(state.factors)):
+        _, mx, mn = prefix_extrema(_block_coeffs(factor))
         prefixes = (min(0.0, float(mn.min())), max(0.0, float(mx.max())))
         tail = float(np.max(np.abs(factor.coeffs))) * norm_a
-        gmin = min(gmin, min(p * (1.0 + q) for p in (lo, hi) for q in prefixes) - tail)
-        margins.append(min(p * (0.75 + q) for p in (lo, hi) for q in prefixes) - tail)
-        products = [p * (1.0 + float(v)) for p in (lo, hi) for v in (values.min(), values.max())]
-        lo, hi = min(products), max(products)
+        gmin = min(gmin, min(p * (1.0 + q) for p in corners for q in prefixes) - tail)
+        margins.append(min(p * (0.75 + q) for p in corners for q in prefixes) - tail)
         norm_a *= 1.0 + factor.norm_a
-    slack = (state.used_coordinates + 1) * 2.0**-52 * norm_a
+    slack = (state.used_coordinates + 1) * 2.0**-52 * state.norm_a
     return gmin - slack, [m - slack for m in margins]
 
 
@@ -621,7 +661,7 @@ def verify_all_partial_sums(state: RieszProductState, seed: int = 1729) -> Posit
         exhaustive=True,
         method=method,
         depth=depth,
-        support_size=len(state.spectrum),
+        support_size=state.support_size,
         band_edges=edges,
         global_min=float(gmin),
         stage_margins=tuple(float(m) for m in margins),
@@ -656,11 +696,12 @@ def psi_sum_report(
     psi: PsiSpec,
     budget: SummabilityBudget | None = None,
 ) -> PsiSumReport:
-    coeffs = state.spectrum.coeffs
-    lo = 1  # stage k's terms sit at positions [N_(k-1), N_k)
-    # positions [0, N_(k-1)) in generation order (previous term outer, factor
+    """Stage psi sums from the factors, without building the spectrum;
+    refused, like the spectrum, past SPECTRUM_LIMIT terms."""
+    _check_spectrum_limit(state)
+    # Pi_k's coefficients in generation order (previous term outer, factor
     # term inner): summing in it keeps the psi sums reproducible bit for bit
-    order = np.zeros(1, dtype=np.int64)
+    generated = np.ones(1)
     norm_a = 1.0
     pm = 1.0
     stage_exact = []
@@ -671,9 +712,8 @@ def psi_sum_report(
             * norm_a**2
             * psi.epsilon_bar(pm * factor.amplitude)
         )
-        width = factor.indices.size
-        terms = coeffs[lo : lo * (1 + width)].reshape(width, lo).T[order]
-        exact = float(sum(psi.psi(abs(c)) for c in terms.ravel().tolist()))
+        terms = np.multiply.outer(generated, factor.coeffs).ravel()
+        exact = float(sum(psi.psi(abs(c)) for c in _python_items(terms)))
         if exact > bound * (1.0 + 1e-12) + 1e-300:
             raise InvariantViolation(
                 f"stage psi sum {exact} exceeds its bound {bound}"
@@ -681,9 +721,8 @@ def psi_sum_report(
         stage_exact.append(exact)
         stage_bounds.append(float(bound))
         norm_a *= 1.0 + factor.norm_a
-        order = np.concatenate([order, lo + (order[:, None] + lo * np.arange(width)).ravel()])
-        lo *= 1 + width
-        pm = float(np.max(np.abs(coeffs[:lo])))
+        generated = np.concatenate([generated, terms])
+        pm = max(pm, float(np.max(np.abs(terms))))
     budget_terms = None
     if budget is not None:
         budget_terms = tuple(
@@ -699,7 +738,7 @@ def psi_sum_report(
         budget_terms=budget_terms,
         exact_total=exact_total,
         bound_total=bound_total,
-        c0_term=float(psi.psi(abs(coeffs[0]) if state.spectrum.indices[0] == 0 else 0.0)),
+        c0_term=float(psi.psi(1.0)),
         ok=exact_total <= bound_total * (1.0 + 1e-12),
     )
 
@@ -708,16 +747,19 @@ def psi_sum_report(
 # export / import
 # ---------------------------------------------------------------------------
 
+def _python_items(values: np.ndarray):
+    """The array's items as Python objects, converted 2^16 at a time, so a
+    deep spectrum is never held as one list."""
+    return itertools.chain.from_iterable(
+        values[lo : lo + (1 << 16)].tolist() for lo in range(0, values.size, 1 << 16)
+    )
+
+
 def _write_spectrum(path, index_name: str, spectrum: Spectrum) -> None:
     """The package's one spectrum writer: CSV `<index_name>,coeff`,
-    ascending index, repr-formatted floats, written atomically.  Rows are
-    converted to Python objects 2^16 at a time, so the export adds little
-    to the peak memory of a deep build."""
-    indices, coeffs, chunk = spectrum.indices, spectrum.coeffs, 1 << 16
-    rows = itertools.chain.from_iterable(
-        zip(indices[lo : lo + chunk].tolist(), map(repr, coeffs[lo : lo + chunk].tolist()))
-        for lo in range(0, indices.size, chunk)
-    )
+    ascending index, repr-formatted floats, written atomically, rows
+    converted chunk by chunk (`_python_items`)."""
+    rows = zip(_python_items(spectrum.indices), map(repr, _python_items(spectrum.coeffs)))
     _write_csv(path, [index_name, "coeff"], rows)
 
 

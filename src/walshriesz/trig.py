@@ -165,10 +165,12 @@ def build_trig_measure(
     budget: SummabilityBudget = SummabilityBudget(),
     oversample: int = 16,
     c: float = CTRIG,
-    level_cap: int = 1 << 14,
+    level_cap: int = 1 << _MAX_FLAT_LOG,
 ):
     """Build the cosine product and certify it; returns (state, certificates).
 
+    Levels stop at `level_cap`, by default 2^12, the longest flat
+    polynomial `build_trig_flat` builds.
     Raises ValueError unless 0 <= stages <= 2 and oversample >= 1.  The
     grid needed for the certificate grows like the square of the stage
     level: a third stage would need about 26k frequencies on 4.2M grid

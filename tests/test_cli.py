@@ -95,10 +95,15 @@ def test_cap_past_dense_limit_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "internal error" not in err and "limit 20" in err
     assert not list(tmp_path.iterdir())
-    manifest = tmp_path / "cap21.json"
-    manifest.write_text(json.dumps({"exhaustive_cap": 21, "stages": []}))
-    assert run(["singularity-report", "--state", str(manifest), "--out", "-"]) == 2
-    assert "limit 20" in capsys.readouterr().err
+    # manifests past either limit: the exhaustive cap, or coordinates
+    # whose Walsh indices would not fit in int64
+    for data, message in (({"exhaustive_cap": 21}, "limit 20"), ({"max_coordinates": 64}, "[0, 63]")):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({**data, "stages": []}))
+        out = tmp_path / "singularity.csv"
+        assert run(["singularity-report", "--state", str(manifest), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_build_walsh_cap_gate(tmp_path, capsys):
@@ -341,22 +346,34 @@ def test_build_trig_cli_fails_coarse_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "message"),
     [
-        ["build-trig-measure", "--stages", "4"],
-        ["build-trig-measure", "--stages", "3"],
-        ["build-trig-measure", "--grid-oversample", "0"],
-        ["rs-pair", "--level", "21"],
-        ["build-walsh-measure", "--stages", "-1"],
+        (["build-trig-measure", "--stages", "4"], "stages 4 outside [0, 2]"),
+        (["build-trig-measure", "--stages", "3"], "stages 3 outside [0, 2]"),
+        (["build-trig-measure", "--grid-oversample", "0"], "oversample 0 below 1"),
+        (["rs-pair", "--level", "21"], "level 21 outside [0, 20]"),
+        (["build-walsh-measure", "--stages", "-1"], "stage count -1 is negative"),
+        # Walsh indices are int64: coordinate 63 is index 2^62, the last one
+        (["build-walsh-measure", "--max-coordinates", "64"], "64 outside [0, 63]"),
+        # levels stop at the longest flat polynomial built, 2^12
+        (["build-trig-measure", "--budget-scale", "0.25", "--stages", "1"],
+         "no admissible trig level <= 4096 for stage 1"),
+        # depth 42 builds and certifies from the factors alone; its spectrum
+        # is refused before the psi sums or the export allocate it
+        (["build-walsh-measure", "--psi", "preset:power,delta=1", "--budget-scale", "6",
+          "--stages", "7", "--max-coordinates", "60"],
+         "274,339,462,140 terms, past the limit of 16,777,216"),
     ],
-    ids=["trig-stages4", "trig-stages3", "trig-oversample0", "rs-level21", "walsh-stages-1"],
+    ids=["trig-stages4", "trig-stages3", "trig-oversample0", "rs-level21", "walsh-stages-1",
+         "walsh-max-coordinates64", "trig-level-past-flat", "walsh-spectrum-past-limit"],
 )
-def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
     manifest = tmp_path / "manifest.json"
     extra = ["--manifest", str(manifest)] if argv[0] != "rs-pair" else []
     assert run(argv + ["--out", str(out)] + extra) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import walshriesz as wr
-from walshriesz.riesz import _band_minima, _block_table, _product_at, make_factor
+from walshriesz.riesz import _band_minima, _block_table, _product_at, _write_spectrum, make_factor
 from walshriesz.walsh import atom_patterns, prefix_extrema, prefix_scan, sign_vector
 
 C = wr.FLATNESS_CONSTANT
@@ -205,19 +205,20 @@ def test_factor_sup_on_far_block():
     table = _block_table(factor)
     assert table.size == 4
     assert float(np.max(np.abs(table))) == pytest.approx(2 * a)
-    # past the cap, add_factor reads inf X off the same 4-atom table
+    # past the cap, the state reads inf X off the same 4-atom table
     state = wr.empty_state(exhaustive_cap=2, max_coordinates=26)
     tracemalloc.start()
     try:
         state = wr.add_factor(state, 1, wr.BlockSpec((25, 26)))
+        inf_value = state.inf_value
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # 2^26 float64 values would be 512 MiB
-    assert state.inf_value == pytest.approx(1 - 2 * a)
+    assert inf_value == pytest.approx(1 - 2 * a)
     # X takes the same values on the near block (1, 2), where densifying is cheap
     near = make_factor(1, wr.BlockSpec((1, 2)))
-    assert state.inf_value == wr.product_values([near], 2).min()
+    assert inf_value == wr.product_values([near], 2).min()
 
 
 def test_inf_lower_bound_past_cap():
@@ -280,21 +281,11 @@ def test_certificate_empty_state():
 
 def hand_built_state(coeffs):
     """prod (1 + c_i r_i) on the blocks (1,), (2,), ...; any c_i, admissible or not."""
-    factors = tuple(
+    return wr.RieszProductState(factors=tuple(
         wr.Factor(level=0, block=(i,), amplitude=abs(c),
                   indices=np.array([1 << (i - 1)]), coeffs=np.array([float(c)]))
         for i, c in enumerate(coeffs, start=1)
-    )
-    spectrum = np.ones(1)
-    for c in coeffs:
-        spectrum = np.concatenate([spectrum, c * spectrum])
-    return wr.RieszProductState(
-        factors=factors,
-        spectrum=wr.Spectrum(np.arange(spectrum.size), spectrum),
-        norm_a=float(np.prod([1 + abs(c) for c in coeffs])),
-        inf_value=float(np.min(wr.product_values(factors, len(coeffs)))),
-        used_coordinates=len(coeffs),
-    )
+    ))
 
 
 def test_certificate_flags_negative_prefix():
@@ -367,6 +358,64 @@ def test_kernel_certificate_matches_scan_oracle(name):
             last = edges[j + 1] if j == state.stages - 1 else edges[j + 1] - 1
             ref = 0.25 * wr.product_values(state.factors[:j], cert.depth)
             assert abs(got - (partial[edges[j] - 1 : last] - ref).min()) <= tol
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_STATES))
+def test_derived_state_matches_dense(name):
+    # the state holds only its factors; the infimum derived from their
+    # ranges is the dense minimum bit for bit, negative products included
+    state = CERTIFIED_STATES[name]()
+    assert state.inf_value == wr.product_values(state.factors, state.used_coordinates).min()
+    assert wr.verify_all_partial_sums(state).support_size == len(state.spectrum)
+
+
+def test_state_holds_only_factors_and_caps():
+    fields = [f.name for f in dataclasses.fields(wr.RieszProductState)]
+    assert fields == ["factors", "exhaustive_cap", "max_coordinates"]
+    # the deep-d22 build reads levels off norm_a and inf_value alone, and
+    # its certificate and psi sums read the factors: the 523,260-term
+    # spectrum is never built
+    psi, budget = wr.PsiSpec.power(1.0), wr.SummabilityBudget(scale=6)
+    tracemalloc.start()
+    try:
+        state = wr.build_measure(psi, 6, budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (state.used_coordinates, state.support_size) == (22, 523_260)
+    assert wr.verify_all_partial_sums(state).passed and wr.psi_sum_report(state, psi, budget).ok
+    assert "spectrum" not in vars(state)
+
+
+def test_spectrum_limit_refused_before_allocating():
+    # 25 one-coordinate factors: 2^25 terms, past SPECTRUM_LIMIT = 2^24
+    state = wr.RieszProductState(tuple(make_factor(0, wr.BlockSpec((i,))) for i in range(1, 26)))
+    assert state.support_size == 1 << 25 and wr.riesz.SPECTRUM_LIMIT == 1 << 24
+    tracemalloc.start()
+    try:
+        for route in (lambda: state.spectrum, lambda: wr.psi_sum_report(state, wr.PsiSpec.power(1.0))):
+            with pytest.raises(wr.CoordinateBudgetError, match="33,554,432 terms"):
+                route()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the spectrum would take 512 MiB
+    # the certificate needs only the factors
+    cert = wr.verify_all_partial_sums(state)
+    assert cert.method == "per-factor" and cert.support_size == 1 << 25
+
+
+def test_max_coordinates_fits_int64(tmp_path):
+    for bad in (-1, 64):
+        with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
+            wr.empty_state(max_coordinates=bad)
+    with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
+        wr.state_from_manifest({"max_coordinates": 64, "stages": []})
+    # coordinate 63 is Walsh index 2^62, which exports and reloads
+    state = wr.add_factor(wr.empty_state(max_coordinates=63), 0, wr.BlockSpec((63,)))
+    wr.export_measure(state, tmp_path / "measure.csv")
+    assert wr.load_spectrum_csv(tmp_path / "measure.csv").indices.tolist() == [0, 1 << 62]
 
 
 def power_build_cap_20(stages):
@@ -472,12 +521,12 @@ def test_export_roundtrip(tmp_path):
     # rows are written in chunks of 2^16: the second spectrum spans two
     size = (1 << 16) + 3
     wide = wr.Spectrum(3 * np.arange(size), np.random.default_rng(5).normal(size=size))
-    path = tmp_path / "measure.csv"
-    for state in (built, dataclasses.replace(built, spectrum=wide)):
-        wr.export_measure(state, path)
-        spectrum = wr.load_spectrum_csv(path)
-        assert np.array_equal(spectrum.indices, state.spectrum.indices)
-        assert np.array_equal(spectrum.coeffs, state.spectrum.coeffs)
+    wr.export_measure(built, tmp_path / "measure.csv")
+    _write_spectrum(tmp_path / "wide.csv", "n", wide)
+    for name, written in (("measure.csv", built.spectrum), ("wide.csv", wide)):
+        spectrum = wr.load_spectrum_csv(tmp_path / name)
+        assert np.array_equal(spectrum.indices, written.indices)
+        assert np.array_equal(spectrum.coeffs, written.coeffs)
     assert not list(tmp_path.glob("*.tmp.*"))  # the atomic write left no temp file
 
 
@@ -591,20 +640,12 @@ def staged_states():
     # unequal coefficient magnitudes; at this seed sorted-order psi sums
     # would round differently from the dict's insertion order
     rng = np.random.default_rng(45)
-    factors, spectrum = [], {0: 1.0}
+    factors = []
     for level, block in zip((1,) * 5, ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))):
         shape = make_factor(level, wr.BlockSpec(block))
         coeffs = rng.uniform(0.05, 0.2, size=shape.indices.size)
         factors.append(wr.Factor(level, shape.block, 1.0, shape.indices, coeffs))
-        spectrum, _ = dict_merge(spectrum, factors[-1])
-    keys = sorted(spectrum)
-    yield "hand-built", wr.RieszProductState(
-        factors=tuple(factors),
-        spectrum=wr.Spectrum(keys, [spectrum[n] for n in keys]),
-        norm_a=math.prod(1 + f.norm_a for f in factors),
-        inf_value=0.0,
-        used_coordinates=10,
-    )
+    yield "hand-built", wr.RieszProductState(factors=tuple(factors))
 
 
 @pytest.mark.parametrize("state", [pytest.param(s, id=name) for name, s in staged_states()])
@@ -617,7 +658,7 @@ def test_array_spectrum_matches_dict_merge(state):
     assert len(state.spectrum) == len(spectrum)
     assert state.spectrum.indices.tolist() == sorted(spectrum)
     assert state.spectrum.coeffs.tolist() == [spectrum[n] for n in sorted(spectrum)]
-    # psi sums read stage slices in the dict's summation order: bit-identical
+    # psi sums walk the factors in the dict's summation order: bit-identical
     assert list(wr.psi_sum_report(state, psi).stage_exact) == oracle_exact
 
 
