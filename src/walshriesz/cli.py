@@ -357,19 +357,15 @@ def _load_manifest(path: str) -> dict:
         raise _IOFailure(f"bad JSON in {path}: {exc}") from None
 
 
+# conc50, conc90, conc99
+_CONC_COLUMNS = [f"conc{round(100 * d)}" for d in martingale.CONCENTRATION_FRACTIONS]
+
+
 def _singularity_rows(report: martingale.SingularityReport):
-    rows = []
-    for k, (h, conc) in enumerate(zip(report.hellinger, report.concentration)):
-        rows.append(
-            (
-                k,
-                _fmt(h),
-                _fmt(conc[0.5]),
-                _fmt(conc[0.9]),
-                _fmt(conc[0.99]),
-            )
-        )
-    return rows
+    return [
+        (k, _fmt(h), *(_fmt(conc[d]) for d in martingale.CONCENTRATION_FRACTIONS))
+        for k, (h, conc) in enumerate(zip(report.hellinger, report.concentration))
+    ]
 
 
 def _cmd_singularity_report(args) -> int:
@@ -379,7 +375,7 @@ def _cmd_singularity_report(args) -> int:
     except (KeyError, ValueError) as exc:
         raise _UsageError(f"cannot rebuild state from {args.state}: {exc}") from None
     rows = _singularity_rows(martingale.singularity_report(state))
-    _emit_csv(args.out, ["k", "hellinger", "conc50", "conc90", "conc99"], rows)
+    _emit_csv(args.out, ["k", "hellinger", *_CONC_COLUMNS], rows)
     return EXIT_OK
 
 
@@ -411,7 +407,7 @@ def _cmd_report(args) -> int:
     )
     _write_csv(
         os.path.join(args.out_dir, "concentration.csv"),
-        ["k", "conc50", "conc90", "conc99"],
+        ["k", *_CONC_COLUMNS],
         [r[:1] + r[2:] for r in rows],
     )
 

@@ -32,11 +32,11 @@ from .walsh import (
     AtomTable,
     InvariantViolation,
     WalshSeries,
+    _martingale_walk,
     atom_patterns,
     butterfly,
     multiply_by_walsh,
     partial_sum,
-    prefix_extrema,
     prefix_scan,
     sign_vector,
 )
@@ -72,20 +72,16 @@ def decompose(series: WalshSeries) -> MartingaleDecomposition:
     """Split the series into its martingale increments.
 
     N_k's coefficients are c_(2^k)..c_(2^(k+1) - 1) reindexed to [0, 2^k)
-    (w_(2^k + m) = r_(k+1) w_m for m < 2^k).  `prefix_extrema` gives N_k
-    and N_k* = max(MX, -MN); M_(k+1) is M_k + N_k, M_k - N_k on the halves.
+    (w_(2^k + m) = r_(k+1) w_m for m < 2^k).  The tables are read off
+    `_martingale_walk`: N_k* is the largest of MX, -MN and |N_k|, the
+    extremes of N_k's proper prefixes and of its full sum.
     """
-    c = series.coeffs
-    m = c[:1].copy()
-    m_tables = [AtomTable(0, m)]
-    n_tables = []
-    n_star = []
-    for k in range(series.depth):
-        n, mx, mn = prefix_extrema(c[1 << k : 1 << (k + 1)])
-        m = np.concatenate([m + n, m - n])
-        m_tables.append(AtomTable(k + 1, m))
-        n_tables.append(AtomTable(k, n))
-        n_star.append(AtomTable(k, np.maximum(mx, -mn)))
+    m_tables, n_tables, n_star = [], [], []
+    for k, (m, n, mx, mn) in enumerate(_martingale_walk(series.coeffs)):
+        m_tables.append(AtomTable(k, m))
+        if n is not None:
+            n_tables.append(AtomTable(k, n))
+            n_star.append(AtomTable(k, _n_star(n, mx, mn)))
     return MartingaleDecomposition(
         depth=series.depth,
         m_tables=tuple(m_tables),
@@ -94,12 +90,24 @@ def decompose(series: WalshSeries) -> MartingaleDecomposition:
     )
 
 
+def _n_star(n, mx, mn):
+    # max(MX, -MN, N, -N) in this order: np.maximum returns its second
+    # argument on a tie, so an atom whose prefixes are all zero reads -N,
+    # the zero's sign that prefix_extrema of the whole block gives
+    return np.maximum(np.maximum(mx, -mn), np.maximum(n, -n))
+
+
 @dataclass(frozen=True)
 class PositivityWitness:
-    """Localizes a failure: a prefix order or a martingale level, plus atom."""
+    """Localizes a failure: the first negative prefix order and an atom.
 
-    kind: str  # "prefix" or "maximal"
-    where: int  # order p, or level k
+    Reports carry only the prefix scan's witness, so `kind` is always
+    "prefix": the maximal-function route only answers yes or no, and a
+    disagreement between the two routes raises.
+    """
+
+    kind: str
+    where: int  # order p
     atom: int
     value: float
 
@@ -115,12 +123,12 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     """Exhaustive prefix scan vs the maximal-function inequality.
 
     The two predicates are computed by independent routes, the streaming
-    `prefix_scan` over the support and `decompose`'s prefix-extrema
-    tables, and must agree; a mismatch raises InvariantViolation.  The
-    witness localizes the first failure in whichever form it was found.
+    `prefix_scan` over the support and the martingale walk, and must
+    agree; a mismatch raises InvariantViolation.  The witness is the
+    scan's first failure.
     """
-    scan_ok, scan_witness = _all_prefixes_nonneg(series)
-    ineq_ok, ineq_witness = _maximal_inequality(series)
+    scan_ok, witness = _all_prefixes_nonneg(series)
+    ineq_ok = _maximal_inequality(series)
     if scan_ok != ineq_ok:
         raise InvariantViolation(
             "prefix scan and maximal-function inequality disagree:"
@@ -129,7 +137,7 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     return EquivalenceReport(
         all_prefixes_nonneg=scan_ok,
         inequality_holds=ineq_ok,
-        witness=scan_witness if not scan_ok else ineq_witness,
+        witness=witness,
     )
 
 
@@ -146,18 +154,16 @@ def _all_prefixes_nonneg(series: WalshSeries):
     return True, None
 
 
-def _maximal_inequality(series: WalshSeries):
-    dec = decompose(series)
-    m0 = dec.m_tables[0].values
-    if m0[0] < 0.0:
-        return False, PositivityWitness("maximal", 0, 0, float(m0[0]))
-    for k in range(series.depth):
-        deficit = dec.n_star[k].values - dec.m_tables[k].values
-        worst = deficit.max()
-        if worst > 0.0:
-            atom = int(np.argmax(deficit))
-            return False, PositivityWitness("maximal", k, atom, float(worst))
-    return True, None
+def _maximal_inequality(series: WalshSeries) -> bool:
+    """M_0 >= 0 and N_k* <= M_k on every atom for every k < K, one level
+    of the walk at a time."""
+    if series.coeffs[0] < 0.0:
+        return False
+    return not any(
+        (_n_star(n, mx, mn) - m).max() > 0.0
+        for m, n, mx, mn in _martingale_walk(series.coeffs)
+        if n is not None
+    )
 
 
 def check_shifted_bound(
@@ -191,11 +197,7 @@ def check_p3(series: WalshSeries) -> bool:
     Equivalent to nonnegativity of the depth-K atom masses, since each
     M_k is a conditional average of M_K.
     """
-    c = series.coeffs
-    for k in range(series.depth + 1):
-        if np.min(butterfly(c[: 1 << k].copy())) < 0.0:
-            return False
-    return True
+    return not any(np.min(m) < 0.0 for m, *_ in _martingale_walk(series.coeffs))
 
 
 def dyadic_block_envelope(series: WalshSeries | Spectrum) -> list[tuple[int, float]]:
@@ -220,6 +222,10 @@ def dyadic_block_envelope(series: WalshSeries | Spectrum) -> list[tuple[int, flo
 # singularity diagnostics for product states
 # ---------------------------------------------------------------------------
 
+# the mass fractions delta of the concentration curves
+CONCENTRATION_FRACTIONS = (0.5, 0.9, 0.99)
+
+
 @dataclass(frozen=True)
 class SingularityReport:
     """Hellinger affinities and mass-concentration curves per stage.
@@ -227,15 +233,15 @@ class SingularityReport:
     hellinger[k] = prod_(i <= k) E_lambda sqrt(1 + X_i) (k = 0 is the
     empty product); hellinger_direct cross-checks against E sqrt(Pi_k)
     on the full atom space.  concentration[k][delta] is the smallest Haar
-    measure of a set carrying the fraction delta of Pi_k's mass
-    (fractional atoms allowed: the group refines every finite atom).
+    measure of a set carrying the fraction delta of Pi_k's mass, for each
+    delta in CONCENTRATION_FRACTIONS (fractional atoms allowed: the group
+    refines every finite atom).
     """
 
     hellinger: tuple[float, ...]
     hellinger_direct: tuple[float, ...]
     concentration: tuple[dict[float, float], ...]
     l1_norms: tuple[float, ...]
-    deltas: tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
 def _concentration(masses: np.ndarray, delta: float) -> float:
@@ -253,13 +259,11 @@ def _concentration(masses: np.ndarray, delta: float) -> float:
 
 
 def singularity_report(
-    state: RieszProductState,
-    deltas: tuple[float, ...] = (0.5, 0.9, 0.99),
-    cross_check_tol: float = 1e-9,
+    state: RieszProductState, cross_check_tol: float = 1e-9
 ) -> SingularityReport:
     hellinger = [1.0]
     direct = [1.0]
-    concentration = [{d: d for d in deltas}]
+    concentration = [{d: d for d in CONCENTRATION_FRACTIONS}]
     l1 = [1.0]
     running = 1.0
     for k, factor in enumerate(state.factors, start=1):
@@ -271,7 +275,7 @@ def singularity_report(
         vals = product_values(state.factors[:k], depth)
         direct.append(float(np.sqrt(vals).mean()))
         masses = vals / vals.size
-        concentration.append({d: _concentration(masses, d) for d in deltas})
+        concentration.append({d: _concentration(masses, d) for d in CONCENTRATION_FRACTIONS})
         l1.append(float(np.abs(vals).mean()))
 
     gap = max(
@@ -286,7 +290,6 @@ def singularity_report(
         hellinger_direct=tuple(direct),
         concentration=tuple(concentration),
         l1_norms=tuple(l1),
-        deltas=tuple(deltas),
     )
 
 

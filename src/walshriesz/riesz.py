@@ -32,22 +32,24 @@ terms before anything is allocated.  Each X_i is evaluated on its own
 block's 2^|J_i| atoms (one butterfly) and read off elsewhere by the
 block's bits of the atom.
 
-Every prefix order is certified on every atom, by one of two methods.
-Within `exhaustive_cap` used coordinates (at most DENSE_LIMIT) the
-"kernel" reads exact minima in O(K 2^K): orders in (2^k, 2^(k+1)] read
-M_k plus or minus a prefix of N_k, whose extremes come from one
-`prefix_extrema` pass per level.  Past the cap the "per-factor" method
-bounds them from each factor's own data.  A partial sum of order in
-stage k+1's band is Pi_k (1 + P(X_(k+1))) + c w P_r(Pi_k), with P a
-prefix of X_(k+1), c one of its coefficients and P_r a prefix of Pi_k,
-so pointwise
+Every prefix order is certified on every atom, by one of two methods,
+and both allow (K+1) 2^-52 ||Pi_K||_A for float rounding.  Within
+`exhaustive_cap` used coordinates (at most DENSE_LIMIT) the "kernel"
+reads exact minima in O(K 2^K) off `walsh._martingale_walk`: orders in
+(2^k, 2^(k+1)] read M_k plus or minus a prefix of N_k, whose extremes
+the walk gives one level at a time.  These are minima of rounded sums,
+so the kernel passes only when each is at least the allowance.  Past the cap the "per-factor"
+method bounds them from each factor's own data.  A partial sum of
+order in stage k+1's band is Pi_k (1 + P(X_(k+1))) + c w P_r(Pi_k),
+with P a prefix of X_(k+1), c one of its coefficients and P_r a prefix
+of Pi_k, so pointwise
 
     S_p >= Pi_k (1 + P(X_(k+1))) - PM(X_(k+1)) ||Pi_k||_A.
 
 The blocks are disjoint, so the factors are independent: the range of
 Pi_k is the product of the factors' ranges, and the prefix extremes of
 X_(k+1) come from one `prefix_extrema` pass on its 2^|J| block atoms.
-The bounds subtract a float-rounding allowance (K+1) 2^-52 ||Pi_K||_A.
+The bounds subtract the allowance.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .walsh import (
     InvariantViolation,
     SeriesFormatError,
     WalshSeries,
+    _martingale_walk,
     _write_csv,
     atom_patterns,
     butterfly,
@@ -452,8 +455,13 @@ def _product_ranges(factors) -> list[tuple[float, float]]:
     return ranges
 
 
-def make_factor(level: int, block: BlockSpec, c: float = FLATNESS_CONSTANT) -> Factor:
-    amplitude = (0.5 / c) * 2.0 ** (-level / 2)
+def _amplitude(level: int) -> float:
+    """a_l = (1/2C) 2^(-l/2), C the flatness constant."""
+    return (0.5 / FLATNESS_CONSTANT) * 2.0 ** (-level / 2)
+
+
+def make_factor(level: int, block: BlockSpec) -> Factor:
+    amplitude = _amplitude(level)
     flat = build_flat(level)
     idx, signs = substitute_sparse(flat, block)
     return Factor(
@@ -469,10 +477,10 @@ def choose_next_level(
     state: RieszProductState,
     psi: PsiSpec,
     budget: SummabilityBudget,
-    level_cap: int = 64,
-    c: float = FLATNESS_CONSTANT,
+    level_cap: int = _MAX_PAIR_LEVEL,
 ) -> int:
-    """Smallest level passing (5) and the budgeted envelope condition (6).
+    """Smallest level passing (5) and the budgeted envelope condition (6),
+    by default up to the largest flat polynomial `build_pair` builds.
 
     Both left-hand sides decrease in the level, so the linear scan stops
     at the first admissible value.  inf Pi_k is exact at every depth: it
@@ -481,7 +489,7 @@ def choose_next_level(
     k_next = state.stages + 1
     bound = budget.term_bound(k_next)
     for level in range(level_cap + 1):
-        amp = (0.5 / c) * 2.0 ** (-level / 2)
+        amp = _amplitude(level)
         cond5 = amp * state.norm_a <= 0.25 * state.inf_value
         cond6 = state.norm_a**2 * psi.epsilon_bar(amp) <= bound
         if cond5 and cond6:
@@ -497,7 +505,6 @@ def add_factor(
     state: RieszProductState,
     level: int,
     block: BlockSpec | None = None,
-    c: float = FLATNESS_CONSTANT,
 ) -> RieszProductState:
     """Append a factor on the next free coordinates (or an explicit block).
 
@@ -521,7 +528,7 @@ def add_factor(
             f"block {block.coordinates} exceeds the coordinate budget"
             f" {state.max_coordinates}"
         )
-    return replace(state, factors=state.factors + (make_factor(level, block, c),))
+    return replace(state, factors=state.factors + (make_factor(level, block),))
 
 
 def build_measure(
@@ -530,17 +537,15 @@ def build_measure(
     budget: SummabilityBudget = SummabilityBudget(),
     exhaustive_cap: int = 14,
     max_coordinates: int = 30,
-    level_cap: int = 64,
 ) -> RieszProductState:
-    """Run the level rule for the requested number of stages, with levels
-    capped at the largest flat polynomial `build_pair` builds.  Raises
+    """Run the level rule for the requested number of stages.  Raises
     ValueError for a negative stage count."""
     psi.validate()
     if stages < 0:
         raise ValueError(f"stage count {stages} is negative")
     state = empty_state(exhaustive_cap, max_coordinates)
     for _ in range(stages):
-        level = choose_next_level(state, psi, budget, min(level_cap, _MAX_PAIR_LEVEL))
+        level = choose_next_level(state, psi, budget)
         state = add_factor(state, level)
     return state
 
@@ -568,9 +573,11 @@ class PositivityCertificate:
     S_p - (1/4) Pi_j over stage j's orders [edge_j, edge_(j+1)) (the
     last band closed), which the construction keeps nonnegative.
     `method` is "kernel" when both are exact minima and "per-factor"
-    when they are certified lower bounds, rounding allowance included.
-    Either way every order on every atom is covered, so `exhaustive` is
-    always true.
+    when they are certified lower bounds.  `rounding_slack` is the float
+    rounding allowance (K+1) 2^-52 ||Pi_K||_A: the per-factor bounds
+    already subtract it, and the kernel passes only when its minima are
+    at least the slack.  Either way every order on every atom is covered,
+    so `exhaustive` is always true.
     """
 
     exhaustive: bool
@@ -580,25 +587,19 @@ class PositivityCertificate:
     band_edges: tuple[int, ...]
     global_min: float
     stage_margins: tuple[float, ...]
+    rounding_slack: float
     passed: bool
 
 
 def _kernel_runs(state: RieszProductState):
-    """(lo, hi, values) runs on the first k + 1 coordinates' atoms: order
-    2^k reads M_k, and the orders inside (2^k, 2^(k+1)) read M_k + r_(k+1)
-    P_q(N_k), q < 2^k, at least M_k + MN where r_(k+1) = +1 and M_k - MX
-    elsewhere, (MX, MN) the prefix extrema of N_k without its last term."""
-    c = state_series(state).coeffs
-    m = c[:1].copy()
-    yield 1, 1, m
-    for k in range(state.used_coordinates):
-        block = c[1 << k : 1 << (k + 1)]
-        if k:  # (1, 2) holds no order
-            _, mx, mn = prefix_extrema(np.append(block[:-1], 0.0))
+    """(lo, hi, values) runs on the first k + 1 coordinates' atoms, read
+    off `_martingale_walk`: order 2^k reads M_k, and the orders inside
+    (2^k, 2^(k+1)) read M_k + r_(k+1) P_q(N_k), q < 2^k, at least M_k + MN
+    where r_(k+1) = +1 and M_k - MX elsewhere."""
+    for k, (m, n, mx, mn) in enumerate(_martingale_walk(state_series(state).coeffs)):
+        yield 1 << k, 1 << k, m
+        if k and n is not None:  # (1, 2) holds no order
             yield (1 << k) + 1, (1 << (k + 1)) - 1, np.concatenate([m + mn, m - mx])
-        n = butterfly(block)
-        m = np.concatenate([m + n, m - n])
-        yield 1 << (k + 1), 1 << (k + 1), m
 
 
 def _band_minima(edges, refs, runs) -> tuple[float, list[float]]:
@@ -617,12 +618,13 @@ def _band_minima(edges, refs, runs) -> tuple[float, list[float]]:
     return gmin, margins
 
 
-def _per_factor_bounds(state: RieszProductState) -> tuple[float, list[float]]:
+def _per_factor_bounds(state: RieszProductState, slack: float) -> tuple[float, list[float]]:
     """Lower bounds on the global minimum and the stage margins from
-    per-factor data.  In stage band k, S_p - s Pi_k >= Pi_k (1 - s + P)
-    - PM(X_(k+1)) ||Pi_k||_A with Pi_k in [lo, hi] and P in [low, high],
-    the extremes of the prefixes of X_(k+1), the empty one included; a
-    product over two ranges is smallest at a corner."""
+    per-factor data, less the rounding allowance `slack`.  In stage band
+    k, S_p - s Pi_k >= Pi_k (1 - s + P) - PM(X_(k+1)) ||Pi_k||_A with Pi_k
+    in [lo, hi] and P in [low, high], the extremes of the prefixes of
+    X_(k+1), the empty one included; a product over two ranges is
+    smallest at a corner."""
     norm_a = 1.0
     gmin, margins = math.inf, []
     for factor, corners in zip(state.factors, _product_ranges(state.factors)):
@@ -632,7 +634,6 @@ def _per_factor_bounds(state: RieszProductState) -> tuple[float, list[float]]:
         gmin = min(gmin, min(p * (1.0 + q) for p in corners for q in prefixes) - tail)
         margins.append(min(p * (0.75 + q) for p in corners for q in prefixes) - tail)
         norm_a *= 1.0 + factor.norm_a
-    slack = (state.used_coordinates + 1) * 2.0**-52 * state.norm_a
     return gmin - slack, [m - slack for m in margins]
 
 
@@ -647,16 +648,18 @@ def verify_all_partial_sums(state: RieszProductState, seed: int = 1729) -> Posit
     """
     depth = state.used_coordinates
     edges = tuple([1] + state.block_boundaries())
+    slack = (depth + 1) * 2.0**-52 * state.norm_a
     if depth <= state.exhaustive_cap:
-        method = "kernel"
+        # exact minima, reported as computed; passing leaves room for rounding
+        method, floor = "kernel", slack
         refs = [0.25 * product_values(state.factors[:j], edge.bit_length() - 1)
                 for j, edge in enumerate(edges[:-1])]
         gmin, margins = _band_minima(edges, refs, _kernel_runs(state))
     else:
-        method = "per-factor"
-        gmin, margins = _per_factor_bounds(state)
+        method, floor = "per-factor", 0.0
+        gmin, margins = _per_factor_bounds(state, slack)
 
-    passed = gmin >= 0.0 and all(m >= 0.0 for m in margins)
+    passed = gmin >= floor and all(m >= floor for m in margins)
     return PositivityCertificate(
         exhaustive=True,
         method=method,
@@ -665,6 +668,7 @@ def verify_all_partial_sums(state: RieszProductState, seed: int = 1729) -> Posit
         band_edges=edges,
         global_min=float(gmin),
         stage_margins=tuple(float(m) for m in margins),
+        rounding_slack=slack,
         passed=passed,
     )
 

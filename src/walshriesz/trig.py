@@ -67,12 +67,17 @@ def _grid_scan(spectrum: Spectrum, points: int):
     return prefix_scan(spectrum.indices, spectrum.coeffs, lambda f: np.cos(f * t), points)
 
 
-def build_trig_flat(length: int, oversample: int = 16, c: float = CTRIG) -> Spectrum:
+def _amplitude(level: int) -> float:
+    """a_l = 1/(4 C sqrt(l)), C = CTRIG."""
+    return 1.0 / (4.0 * CTRIG * math.sqrt(level))
+
+
+def build_trig_flat(length: int, oversample: int = 16) -> Spectrum:
     """phi_length with measured flatness, as frequencies 1..length and
     their Rudin-Shapiro signs.
 
     length must be a power of two (<= 2^12); the prefix sup over a
-    uniform oversample*length grid is asserted below c*sqrt(length).
+    uniform oversample*length grid is asserted below CTRIG*sqrt(length).
     """
     if length < 1 or (length & (length - 1)) != 0:
         raise ValueError(f"length {length} is not a power of two")
@@ -81,7 +86,7 @@ def build_trig_flat(length: int, oversample: int = 16, c: float = CTRIG) -> Spec
     flat = Spectrum(np.arange(1, length + 1), rs_sign_sequence(length))
     scan = _grid_scan(flat, max(oversample * length, 8))
     peak = max(float(np.max(np.abs(acc))) for _, acc in scan)
-    bound = c * math.sqrt(length)
+    bound = CTRIG * math.sqrt(length)
     if not peak <= bound:
         raise AssertionError(
             f"prefix sup {peak:.6f} above {bound:.6f} for length {length}"
@@ -125,22 +130,20 @@ class TrigCertificates:
     passed: bool
 
 
-def _choose_trig_level(spectrum, norm_a, stage, psi, budget, oversample, c, level_cap):
+def _choose_trig_level(spectrum, norm_a, stage, psi, budget, oversample):
     max_freq = int(spectrum.indices[-1])
     for _, vals in _grid_scan(spectrum, max(oversample * max_freq, 8)):
         pass  # the full sum Pi on the grid
     inf_val = float(vals.min())
-    level = 1
-    while level <= level_cap:
-        amp = 1.0 / (4.0 * c * math.sqrt(level))
+    for level in (1 << j for j in range(_MAX_FLAT_LOG + 1)):
+        amp = _amplitude(level)
         if level > 4 * max_freq:
             cond5 = amp * norm_a <= 0.25 * inf_val
             cond6 = norm_a**2 * psi.epsilon_bar(amp) <= budget.term_bound(stage)
             if cond5 and cond6:
                 return level
-        level *= 2
     raise LevelSelectionError(
-        f"no admissible trig level <= {level_cap} for stage {stage}"
+        f"no admissible trig level <= {1 << _MAX_FLAT_LOG} for stage {stage}"
     )
 
 
@@ -164,17 +167,14 @@ def build_trig_measure(
     stages: int,
     budget: SummabilityBudget = SummabilityBudget(),
     oversample: int = 16,
-    c: float = CTRIG,
-    level_cap: int = 1 << _MAX_FLAT_LOG,
 ):
     """Build the cosine product and certify it; returns (state, certificates).
 
-    Levels stop at `level_cap`, by default 2^12, the longest flat
-    polynomial `build_trig_flat` builds.
-    Raises ValueError unless 0 <= stages <= 2 and oversample >= 1.  The
-    grid needed for the certificate grows like the square of the stage
-    level: a third stage would need about 26k frequencies on 4.2M grid
-    points, which does not finish.
+    Levels stop at 2^12, the longest flat polynomial `build_trig_flat`
+    builds.  Raises ValueError unless 0 <= stages <= 2 and oversample >=
+    1.  The grid needed for the certificate grows like the square of the
+    stage level: a third stage would need about 26k frequencies on 4.2M
+    grid points, which does not finish.
     """
     psi.validate()
     if not 0 <= stages <= _MAX_STAGES:
@@ -192,11 +192,9 @@ def build_trig_measure(
     norm_a = 1.0
 
     for stage in range(1, stages + 1):
-        level = _choose_trig_level(
-            spectrum, norm_a, stage, psi, budget, oversample, c, level_cap
-        )
-        amp = 1.0 / (4.0 * c * math.sqrt(level))
-        flat = build_trig_flat(level, oversample, c)
+        level = _choose_trig_level(spectrum, norm_a, stage, psi, budget, oversample)
+        amp = _amplitude(level)
+        flat = build_trig_flat(level, oversample)
         freqs = level * flat.indices
         coeffs = amp * flat.coeffs
         new_freqs, new_coeffs = _stage_terms(spectrum, freqs, coeffs)

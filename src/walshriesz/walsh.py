@@ -301,6 +301,27 @@ def prefix_extrema(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, mx, mn
 
 
+def _martingale_walk(coeffs):
+    """Walk the dyadic martingale of c_0..c_(2^K - 1): the package's one
+    application of M_(k+1) = M_k + r_(k+1) N_k.
+
+    For k = 0..K-1 yields (M_k, N_k, MX, MN) on the 2^k atoms of the first
+    k coordinates, where N_k has the coefficients c_(2^k)..c_(2^(k+1) - 1)
+    and MX, MN are the extremes of its nonempty proper prefixes (0.0 at
+    k = 0, which has none); then yields (M_K, None, None, None).  M_k
+    equals `butterfly(c[:2^k])` bit for bit.
+    """
+    c = np.asarray(coeffs, dtype=np.float64)
+    m = c[:1].copy()
+    for k in range(c.size.bit_length() - 1):
+        block = c[1 << k : 1 << (k + 1)]
+        n = butterfly(block)
+        _, mx, mn = prefix_extrema(np.append(block[:-1], 0.0))
+        yield m, n, mx, mn
+        m = np.concatenate([m + n, m - n])
+    yield m, None, None, None
+
+
 def u_norm(coeffs: np.ndarray) -> float:
     """sup over prefix orders p of the sup-norm of the p-th partial sum,
     read off the `prefix_extrema` tables (the empty sum counts as 0).

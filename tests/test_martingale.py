@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
+from walshriesz.martingale import CONCENTRATION_FRACTIONS
+from walshriesz.walsh import _martingale_walk
 
 C = wr.FLATNESS_CONSTANT
 
@@ -73,6 +75,36 @@ def test_n_star_dominates_prefixes():
             acc = acc + coeffs[n] * wr.walsh_signs(n, k)
             brute = np.maximum(brute, np.abs(acc))
         assert np.max(np.abs(dec.n_star[k].values - brute)) <= 1e-12
+
+
+def _walk_cases(depth):
+    """Random, sparse and signed-zero coefficients at one depth."""
+    rng = np.random.default_rng(depth)
+    size = 1 << depth
+    dense = rng.uniform(-1, 1, size)
+    sparse = np.where(rng.random(size) < 0.3, dense, 0.0)
+    signed_zeros = np.where(rng.random(size) < 0.3, -0.0, sparse)
+    return [dense, sparse, signed_zeros, np.zeros(size)]
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_martingale_walk_matches_direct_transforms(depth):
+    # bit for bit, signed zeros included: M_k is the butterfly of the
+    # first 2^k coefficients, and N_k* the max(MX, -MN) of prefix_extrema
+    # on the whole block, the form the walk's proper-prefix extremes replaced
+    for c in _walk_cases(depth):
+        walk = list(_martingale_walk(c))
+        assert len(walk) == depth + 1 and walk[-1][1:] == (None, None, None)
+        for k, (m, *_) in enumerate(walk):
+            assert m.tobytes() == wr.butterfly(c[: 1 << k]).tobytes()
+        dec = wr.decompose(wr.WalshSeries(depth, c))
+        for k in range(depth):
+            n, mx, mn = wr.prefix_extrema(c[1 << k : 1 << (k + 1)])
+            assert dec.n_tables[k].values.tobytes() == n.tobytes()
+            assert dec.n_star[k].values.tobytes() == np.maximum(mx, -mn).tobytes()
+        assert wr.check_p3(wr.WalshSeries(depth, c)) == all(
+            wr.butterfly(c[: 1 << k]).min() >= 0.0 for k in range(depth + 1)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +264,7 @@ def test_singularity_multiplicative_cross_check():
     assert all(b < a for a, b in zip(report.hellinger, report.hellinger[1:]))
     # total mass stays one: E|Pi_k| = E Pi_k = 1
     assert all(abs(x - 1.0) <= 1e-12 for x in report.l1_norms)
+    assert all(tuple(row) == CONCENTRATION_FRACTIONS for row in report.concentration)
 
 
 # ---------------------------------------------------------------------------

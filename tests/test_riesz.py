@@ -143,6 +143,20 @@ def test_level_monotone_in_budget():
     assert levels[0] < levels[-1]  # the log-slow envelope reacts strongly
 
 
+def test_level_range_stops_at_pair_limit():
+    # past level 20 there is no flat polynomial to build, so the rule
+    # stops there by default; an explicit cap still probes past it
+    psi, budget = wr.PsiSpec.logpow(1.0), wr.SummabilityBudget(scale=1.5)
+    state = wr.empty_state(max_coordinates=63)
+    for level in (0, 2):
+        state = wr.add_factor(state, level)
+    with pytest.raises(wr.LevelSelectionError, match="no admissible level <= 20"):
+        wr.choose_next_level(state, psi, budget)
+    assert wr.choose_next_level(state, psi, budget, level_cap=256) == 26
+    with pytest.raises(ValueError, match=r"level 26 outside \[0, 20\]"):
+        wr.add_factor(state, 26)
+
+
 def test_level_selection_fails_without_decay():
     psi = wr.PsiSpec.quadratic()  # envelope stuck at 1
     state = wr.empty_state()
@@ -317,6 +331,21 @@ def test_certificate_sampled_past_cap():
     assert cert == wr.verify_all_partial_sums(state, seed=8)  # the seed is unused
 
 
+def test_kernel_fails_within_rounding():
+    # exact float minima of 4.4e-16 and 3.3e-16 are inside the rounding
+    # allowance 3 2^-52 ||Pi_2||_A = 1.33e-15, so they prove nothing
+    state = hand_built_state([1 - 2**-51, 2**-60])
+    cert = wr.verify_all_partial_sums(state)
+    assert cert.method == "kernel"
+    assert cert.rounding_slack == 3 * 2.0**-52 * state.norm_a
+    assert 0.0 < cert.global_min < cert.rounding_slack
+    assert 0.0 < cert.stage_margins[1] < cert.rounding_slack
+    assert cert.global_min == 1.0 - (1 - 2**-51) - 2**-60  # reported exactly
+    assert not cert.passed
+    per_factor = wr.verify_all_partial_sums(dataclasses.replace(state, exhaustive_cap=0))
+    assert per_factor.rounding_slack == cert.rounding_slack and not per_factor.passed
+
+
 CERTIFIED_STATES = {
     "one-factor": lambda: wr.add_factor(wr.empty_state(), 0),
     "gap-block": lambda: wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((3,))),
@@ -344,6 +373,8 @@ def test_kernel_certificate_matches_scan_oracle(name):
     refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
     gmin, margins = _band_minima(cert.band_edges, refs, scan_runs(state, atoms))
     tol = (cert.depth + 1) * 2.0**-52 * state.norm_a
+    assert cert.rounding_slack == tol
+    assert cert.passed == (name not in ("negative-prefix", "edge-order"))
     assert abs(cert.global_min - gmin) <= tol
     assert len(cert.stage_margins) == len(margins) == state.stages
     for got, want in zip(cert.stage_margins, margins):
