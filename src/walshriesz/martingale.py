@@ -11,8 +11,11 @@ inequality on the martingale:
     every S_p >= 0  (0 <= p <= 2^K)   <=>   N_k* <= M_k for every k < K
 
 (the sums of order q in (2^k, 2^(k+1)] read M_k +- a prefix of N_k, and
-both signs of r_(k+1) occur on atoms).  Both sides are computed
-independently here and compared; disagreement would be a library bug.
+both signs of r_(k+1) occur on atoms).  Both sides are computed here by
+routes that share no code, each in O(K 2^K): the left in exact integer
+arithmetic on the coefficients' dyadic expansion, the right in float64
+along the martingale walk.  They must agree within the float route's
+rounding allowance; disagreement would be a library bug.
 
 Products Pi_k = prod (1 + X_i) over disjoint blocks are certified
 singular-at-finite-scale via Hellinger affinity E_lambda sqrt(Pi_k),
@@ -33,17 +36,17 @@ from .walsh import (
     InvariantViolation,
     WalshSeries,
     _martingale_walk,
-    atom_patterns,
+    _rounding_allowance,
     butterfly,
     multiply_by_walsh,
     partial_sum,
-    prefix_scan,
-    sign_vector,
+    walsh_signs,
 )
 
 __all__ = [
     "MartingaleDecomposition",
     "PositivityWitness",
+    "PositivityRoute",
     "EquivalenceReport",
     "SingularityReport",
     "OrthogonalityReport",
@@ -101,9 +104,9 @@ def _n_star(n, mx, mn):
 class PositivityWitness:
     """Localizes a failure: the first negative prefix order and an atom.
 
-    Reports carry only the prefix scan's witness, so `kind` is always
-    "prefix": the maximal-function route only answers yes or no, and a
-    disagreement between the two routes raises.
+    `where` is the smallest order p with S_p < 0 on some atom, `atom` the
+    first atom minimizing S_p and `value` that minimum, all from the exact
+    route, so `kind` is always "prefix".
     """
 
     kind: str
@@ -113,57 +116,183 @@ class PositivityWitness:
 
 
 @dataclass(frozen=True)
+class PositivityRoute:
+    """One route's answer to "is every partial sum nonnegative?".
+
+    `minimum` is the smallest S_p over the orders 1..2^K on every atom;
+    the exact route's is rounded once to float64.  `verdict` is "pass",
+    "fail", or, for the float route, "within rounding" when the minimum
+    lies in [-rounding_slack, rounding_slack).  Every route covers
+    `atoms` x `orders` = 2^K x 2^K.
+    """
+
+    name: str
+    arithmetic: str
+    minimum: float
+    verdict: str
+    rounding_slack: float
+    atoms: int
+    orders: int
+
+
+@dataclass(frozen=True)
 class EquivalenceReport:
     all_prefixes_nonneg: bool
     inequality_holds: bool
     witness: PositivityWitness | None
+    routes: tuple[PositivityRoute, ...]
 
 
 def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
-    """Exhaustive prefix scan vs the maximal-function inequality.
+    """Every partial sum S_p >= 0 (exact) vs the maximal-function
+    inequality N_k* <= M_k (float64), each over every order on every atom.
 
-    The two predicates are computed by independent routes, the streaming
-    `prefix_scan` over the support and the martingale walk, and must
-    agree; a mismatch raises InvariantViolation.  The witness is the
-    scan's first failure.
+    The exact route runs the (S, MX, MN) segment merge over Python ints,
+    the coefficients' exact dyadic expansion, so its verdict is a proof
+    for the series as the float64 array holds it, and it decides
+    `all_prefixes_nonneg`.  Its minimum is confirmed from the definition
+    at the first atom attaining it.  The float route is the martingale
+    walk; `inequality_holds` is its literal verdict (minimum >= 0), read
+    against the rounding allowance (K+1) 2^-52 ||S||_A as pass, fail or
+    within rounding.  The two minima must agree within the allowance,
+    else InvariantViolation.  On failure the witness comes from bisecting
+    the order with the exact route, at most K more passes.  Both routes
+    cost O(K 2^K); non-finite coefficients raise ValueError.
     """
-    scan_ok, witness = _all_prefixes_nonneg(series)
-    ineq_ok = _maximal_inequality(series)
-    if scan_ok != ineq_ok:
+    ints, exponent = _dyadic_ints(series.coeffs)
+    low_table = _exact_prefix_minima(ints)
+    atom = int(np.argmin(low_table))
+    low = low_table[atom]
+    del low_table
+    # w_n(t) = w_t(n): the partial sums on one atom are a cumsum along n
+    sums = ints * walsh_signs(atom, series.depth)
+    np.cumsum(sums, out=sums)
+    if sums.min() != low:
         raise InvariantViolation(
-            "prefix scan and maximal-function inequality disagree:"
-            f" scan={scan_ok} inequality={ineq_ok}"
+            f"exact prefix extrema give {low} at atom {atom},"
+            f" its partial sums {sums.min()} (units of 2^{exponent})"
         )
+    exact_min = _dyadic_float(low, exponent)
+    float_min = _maximal_margin(series)
+    slack = _rounding_allowance(series.depth, float(np.sum(np.abs(series.coeffs))))
+    if abs(float_min - exact_min) > slack:
+        raise InvariantViolation(
+            "exact and maximal-function routes disagree beyond the rounding"
+            f" allowance {slack:.3e}: exact min {exact_min!r}, float min {float_min!r}"
+        )
+    witness = None
+    if low < 0:
+        witness = _first_negative(ints, exponent, int(np.argmax(sums < 0)) + 1)
+    size = series.order
     return EquivalenceReport(
-        all_prefixes_nonneg=scan_ok,
-        inequality_holds=ineq_ok,
+        all_prefixes_nonneg=low >= 0,
+        inequality_holds=float_min >= 0.0,
         witness=witness,
+        routes=(
+            PositivityRoute("exact prefix extrema", "integer-dyadic", exact_min,
+                            "pass" if low >= 0 else "fail", 0.0, size, size),
+            PositivityRoute("maximal function", "float64", float_min,
+                            _float_verdict(float_min, slack), slack, size, size),
+        ),
     )
 
 
-def _all_prefixes_nonneg(series: WalshSeries):
-    support = series.support()
-    patterns = atom_patterns(series.depth)
-    scan = prefix_scan(
-        support, series.coeffs[support], lambda n: sign_vector(n, patterns), patterns.size
-    )
-    for n, acc in scan:
-        low = acc.min()
-        if low < 0.0:
-            return False, PositivityWitness("prefix", n + 1, int(np.argmin(acc)), float(low))
-    return True, None
+def _dyadic_ints(coeffs):
+    """(I, e) with c_n = I_n 2^e exactly: the 53-bit integer mantissas of
+    `np.frexp` shifted to the smallest exponent in use, as Python ints in
+    an object array."""
+    c = np.asarray(coeffs, dtype=np.float64)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite for the exact positivity route")
+    mantissa, exp = np.frexp(c)
+    exp = exp.astype(np.int64) - 53
+    nonzero = c != 0.0
+    base = int(exp[nonzero].min()) if nonzero.any() else 0
+    shift = np.where(nonzero, exp - base, 0)
+    ints = np.ldexp(mantissa, 53).astype(np.int64).astype(object) << shift.astype(object)
+    return ints, base
 
 
-def _maximal_inequality(series: WalshSeries) -> bool:
-    """M_0 >= 0 and N_k* <= M_k on every atom for every k < K, one level
-    of the walk at a time."""
-    if series.coeffs[0] < 0.0:
-        return False
-    return not any(
-        (_n_star(n, mx, mn) - m).max() > 0.0
+def _dyadic_float(value: int, exponent: int) -> float:
+    """value 2^exponent, rounded once to float64 (int true division is
+    correctly rounded)."""
+    return value / (1 << -exponent) if exponent < 0 else float(value << exponent)
+
+
+# pairs merged per step of the exact pass: bounds its temporaries
+_EXACT_CHUNK = 1 << 12
+
+
+def _exact_prefix_minima(ints):
+    """MN, the smallest nonempty partial sum on each of the 2^j atoms, of
+    integer coefficients I_0..I_(2^j - 1) (object array).
+
+    Merges segments [a | b] of (S, MX, MN) tables: a prefix of a segment
+    is a prefix of a, or Sa plus r times a prefix of b, r the segment's
+    top coordinate.  On the r = +1 atoms S = Sa + Sb, MX = max(MXa,
+    Sa + MXb), MN = min(MNa, Sa + MNb); on the r = -1 atoms the prefixes
+    of b change sign, so S = Sa - Sb, MX = max(MXa, Sa - MNb) and
+    MN = min(MNa, Sa - MXb).  The r = +1 and r = -1 atoms take the slots
+    of a and b, so the merge runs in place, a chunk of pairs at a time,
+    and holds three tables.  Python ints never round or wrap.
+    """
+    size = ints.size
+    s, mx, mn = ints.copy(), ints.copy(), ints.copy()
+    h = 1
+    while h < size:
+        for lo in range(0, size // 2, _EXACT_CHUNK):
+            pair = np.arange(lo, min(lo + _EXACT_CHUNK, size // 2))
+            a = pair + (pair & -h)  # pair // h segments of 2h, then pair % h
+            b = a + h
+            sa, sb, xa, xb, na, nb = s[a], s[b], mx[a], mx[b], mn[a], mn[b]
+            s[a], s[b] = sa + sb, sa - sb
+            mx[a], mx[b] = np.maximum(xa, sa + xb), np.maximum(xa, sa - nb)
+            mn[a], mn[b] = np.minimum(na, sa + nb), np.minimum(na, sa - xb)
+        h *= 2
+    return mn
+
+
+def _first_negative(ints, exponent: int, hi: int) -> PositivityWitness:
+    """The first order with a negative partial sum, at most `hi` (an order
+    known to dip), and the first atom minimizing it.  Bisects the order:
+    the smallest S_q over q <= p is the exact pass on c_0..c_(p-1),
+    zero-padded to a power of two."""
+
+    def minima_through(p):
+        pad = (1 << (p - 1).bit_length()) - p
+        return _exact_prefix_minima(np.concatenate([ints[:p], np.zeros(pad, dtype=object)]))
+
+    lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if minima_through(mid).min() < 0:
+            hi = mid
+        else:
+            lo = mid
+    # every S_q with q < hi is nonnegative, so MN < 0 exactly where S_hi is
+    low = minima_through(hi)
+    atom = int(np.argmin(low))
+    return PositivityWitness("prefix", hi, atom, _dyadic_float(low[atom], exponent))
+
+
+def _maximal_margin(series: WalshSeries) -> float:
+    """The float route: the smallest M_k - N_k* over k < K and the atoms
+    (M_0 at depth 0), one level of the walk at a time.  Orders in
+    (2^k, 2^(k+1)] read M_k +- a prefix of N_k, so this is the smallest
+    partial sum of every order."""
+    if series.depth == 0:
+        return float(series.coeffs[0])
+    return min(
+        float((m - _n_star(n, mx, mn)).min())
         for m, n, mx, mn in _martingale_walk(series.coeffs)
         if n is not None
     )
+
+
+def _float_verdict(low: float, slack: float) -> str:
+    if low >= slack:
+        return "pass"
+    return "fail" if low < -slack else "within rounding"
 
 
 def check_shifted_bound(

@@ -68,6 +68,7 @@ from .walsh import (
     SeriesFormatError,
     WalshSeries,
     _martingale_walk,
+    _rounding_allowance,
     _write_csv,
     atom_patterns,
     butterfly,
@@ -648,7 +649,7 @@ def verify_all_partial_sums(state: RieszProductState, seed: int = 1729) -> Posit
     """
     depth = state.used_coordinates
     edges = tuple([1] + state.block_boundaries())
-    slack = (depth + 1) * 2.0**-52 * state.norm_a
+    slack = _rounding_allowance(depth, state.norm_a)
     if depth <= state.exhaustive_cap:
         # exact minima, reported as computed; passing leaves room for rounding
         method, floor = "kernel", slack

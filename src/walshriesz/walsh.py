@@ -33,6 +33,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -47,6 +48,7 @@ __all__ = [
     "LemmaWitness",
     "InvariantViolation",
     "SeriesFormatError",
+    "DepthLimitError",
     "product_index",
     "walsh_eval",
     "walsh_signs",
@@ -75,6 +77,16 @@ class SeriesFormatError(ValueError):
     """Malformed serialized series (carries a line number when parsing CSV)."""
 
 
+class DepthLimitError(ValueError):
+    """A serialized series deeper than the reader's limit, refused before
+    its dense coefficients are allocated."""
+
+    def __init__(self, depth: int, limit: int) -> None:
+        super().__init__(f"depth {depth} past the limit {limit}")
+        self.depth = depth
+        self.limit = limit
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -89,9 +101,9 @@ def atom_patterns(m: int) -> np.ndarray:
 def sign_vector(n: int, patterns: np.ndarray) -> np.ndarray:
     """w_n evaluated on the given atom patterns, as an int64 vector of +-1.
 
-    The parity stays uint8 until the one int64 result: `prefix_scan`
-    calls this once per coefficient, and full-width temporaries cost
-    page faults whenever the allocator returns them to the system.
+    w_n(t) = w_t(n), so on the patterns 0..2^K - 1 this is also the row
+    of every w_m at the one atom n.  The parity stays uint8 until the
+    one int64 result, so a call allocates one full-width array.
     """
     parity = np.bitwise_count(np.uint64(n) & patterns) & 1
     return np.subtract(1, parity << 1, dtype=np.int64)
@@ -322,6 +334,13 @@ def _martingale_walk(coeffs):
     yield m, None, None, None
 
 
+def _rounding_allowance(depth: int, norm_a: float) -> float:
+    """(K+1) 2^-52 ||S||_A: the float64 rounding allowance of a depth-K
+    prefix-extrema pass, whose every partial sum is a K-deep tree of sums
+    of terms of total modulus at most ||S||_A."""
+    return (depth + 1) * 2.0**-52 * norm_a
+
+
 def u_norm(coeffs: np.ndarray) -> float:
     """sup over prefix orders p of the sup-norm of the p-th partial sum,
     read off the `prefix_extrema` tables (the empty sum counts as 0).
@@ -335,10 +354,10 @@ def prefix_scan(indices, coeffs, basis, size: int):
     """Stream the partial sums of a sparse series sum c_n basis(n), each
     basis vector of length `size`: after support index n, yield (n, acc)
     with acc = S_(n+1), the partial sum of every order up to the next
-    support index.  The package's one streaming partial-sum loop: Walsh
-    series pass `lambda n: sign_vector(n, patterns)`, cosine series on a
-    grid t pass `lambda f: np.cos(f * t)`.  acc is one buffer updated in
-    place, and each term goes through one more: full-width temporaries
+    support index.  The package's one streaming partial-sum loop: cosine
+    series on a grid t pass `lambda f: np.cos(f * t)`, the tests' Walsh
+    oracles `lambda n: sign_vector(n, patterns)`.  acc is one buffer
+    updated in place, and each term goes through one more: full-width temporaries
     freed at the heap top are returned to the system and faulted back in
     on the next step.  O(|support| size)."""
     acc = np.zeros(size)
@@ -470,6 +489,8 @@ def read_coeff_rows(source) -> list[tuple[int, float]]:
             c = float(row[1])
         except ValueError as exc:
             raise SeriesFormatError(f"line {i}: {exc}") from None
+        if not math.isfinite(c):
+            raise SeriesFormatError(f"line {i}: coefficient {row[1].strip()!r} is not finite")
         if n < 0:
             raise SeriesFormatError(f"line {i}: negative index {n}")
         if n <= prev:
@@ -481,16 +502,20 @@ def read_coeff_rows(source) -> list[tuple[int, float]]:
     return out
 
 
-def series_from_csv(source) -> WalshSeries:
+def series_from_csv(source, max_depth: int | None = None) -> WalshSeries:
     """Load a series from `n,coeff` rows; sparse rows are zero-filled.
 
-    The depth is the smallest K with every index below 2^K.
+    The depth is the smallest K with every index below 2^K.  A depth
+    past `max_depth` raises DepthLimitError before anything of size 2^K
+    is allocated.
     """
     rows = read_coeff_rows(source)
     top = rows[-1][0]
+    depth = top.bit_length()
+    if max_depth is not None and depth > max_depth:
+        raise DepthLimitError(depth, max_depth)
     if top >= 1 << 26:
         raise SeriesFormatError(f"index {top} too large for a dense series")
-    depth = top.bit_length() if top else 0
     coeffs = np.zeros(1 << depth)
     for n, c in rows:
         coeffs[n] = c

@@ -1,10 +1,11 @@
 """CLI behavior: exit codes, file outputs, determinism, config files."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from walshriesz import WalshSeries, cli
+from walshriesz import DepthLimitError, WalshSeries, cli, series_from_csv
 
 
 def run(argv):
@@ -163,6 +164,19 @@ def test_theorem1_check_pass_and_fail(tmp_path, capsys):
     )
     report = json.loads(report_path.read_text())
     assert report["all_prefixes_nonneg"] and report["p3"]
+    size = 1 << report["depth"]
+    exact, maximal = report["positivity_routes"]
+    assert exact == {
+        "name": "exact prefix extrema",
+        "arithmetic": "integer-dyadic",
+        "minimum": exact["minimum"],
+        "verdict": "pass",
+        "rounding_slack": 0.0,
+        "coverage": {"atoms": size, "orders": size},
+    }
+    assert maximal["arithmetic"] == "float64" and maximal["verdict"] == "pass"
+    assert 0.0 < maximal["rounding_slack"] < 1e-12
+    assert abs(maximal["minimum"] - exact["minimum"]) <= maximal["rounding_slack"]
     # two multipliers per level kj, one at kj = 0
     assert report["shifted_bounds"] == {"checked": 2 * report["depth"] - 1, "all_hold": True}
     assert len(report["envelope"]) == report["depth"]
@@ -202,6 +216,58 @@ def test_theorem1_check_io_errors(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
     assert run(["theorem1-check", "--in", str(tmp_path / "missing.csv")]) == 3
+
+    # non-finite coefficients are malformed rows, named by line
+    for rows, line in (
+        ("0,nan\n", 2),
+        ("0,1.0\n1,0.5\n2,nan\n3,0.1\n", 4),
+        ("0,1.0\n1,inf\n", 3),
+        ("0,1.0\n1,-Infinity\n", 3),
+    ):
+        bad = tmp_path / "non_finite.csv"
+        bad.write_text("n,coeff\n" + rows)
+        assert run(["theorem1-check", "--in", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert f"line {line}" in err and "not finite" in err
+
+
+def test_theorem1_check_refuses_depth_before_allocating(tmp_path, capsys):
+    deep = tmp_path / "deep.csv"
+    deep.write_text(f"n,coeff\n0,1.0\n{(1 << 26) - 1},0.5\n")
+    tracemalloc.start()
+    try:
+        code = run(["theorem1-check", "--in", str(deep)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    limit = cli.THEOREM1_DEPTH_LIMIT
+    assert f"depth 26 is past theorem1-check's limit {limit}" in err
+    assert f"{cli._EXACT_BYTES_PER_ATOM << 26:,} bytes" in err
+
+    at_limit = tmp_path / "at_limit.csv"
+    at_limit.write_text(f"n,coeff\n0,1.0\n{(1 << limit) - 1},0.5\n")
+    with pytest.raises(DepthLimitError):
+        series_from_csv(str(deep), max_depth=limit)
+    assert series_from_csv(str(at_limit), max_depth=limit).depth == limit
+
+
+def test_theorem1_check_exact_route_decides_at_rounding_scale(tmp_path, capsys):
+    # exact minimum 0; the float64 walk dips to -5.6e-17, inside its allowance
+    coeffs = [
+        0.3739205990475317, 0.005180237545479943, 0.04410103486582448,
+        0.04229973453151192, 0.032419044882653514, 0.012267349702376584,
+        -0.24801367261064516, 0.06209387915278364,
+    ]
+    path = tmp_path / "rounding.csv"
+    path.write_text("n,coeff\n" + "".join(f"{n},{c!r}\n" for n, c in enumerate(coeffs)))
+    assert run(["theorem1-check", "--in", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_prefixes_nonneg"] and not report["inequality_holds"]
+    assert [r["verdict"] for r in report["positivity_routes"]] == ["pass", "within rounding"]
+    assert report["positivity_routes"][0]["minimum"] == 0.0
 
 
 def test_verify_alias(tmp_path):

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
+from walshriesz import martingale
 from walshriesz.martingale import CONCENTRATION_FRACTIONS
-from walshriesz.walsh import _martingale_walk
+from walshriesz.walsh import _martingale_walk, atom_patterns, prefix_scan, sign_vector
 
 C = wr.FLATNESS_CONSTANT
 
@@ -111,6 +112,49 @@ def test_martingale_walk_matches_direct_transforms(depth):
 # positivity equivalence
 # ---------------------------------------------------------------------------
 
+def _all_prefixes_nonneg(series):
+    """Definition-level oracle: stream every partial sum over the support,
+    O(|support| 2^K) in float64.  Returns (ok, witness, minimum over the
+    orders 1..2^K); the witness is the first negative order and the first
+    atom minimizing it."""
+    support = series.support()
+    patterns = atom_patterns(series.depth)
+    # orders up to the first support index sum nothing
+    low = 0.0 if support.size == 0 or support[0] > 0 else math.inf
+    witness = None
+    scan = prefix_scan(
+        support, series.coeffs[support], lambda n: sign_vector(n, patterns), patterns.size
+    )
+    for n, acc in scan:
+        step = float(acc.min())
+        low = min(low, step)
+        if step < 0.0 and witness is None:
+            witness = wr.PositivityWitness("prefix", n + 1, int(np.argmin(acc)), step)
+    return witness is None, witness, low
+
+
+def _assert_matches_oracle(series):
+    """The exact route's verdict, minimum and witness against the scan,
+    whose sequential float sums are off by at most 2^K 2^-52 ||S||_A."""
+    report = wr.check_positivity_equivalence(series)
+    ok, witness, low = _all_prefixes_nonneg(series)
+    tol = series.order * 2.0**-52 * np.sum(np.abs(series.coeffs))
+    exact, maximal = report.routes
+    assert (exact.name, exact.arithmetic) == ("exact prefix extrema", "integer-dyadic")
+    assert (maximal.name, maximal.arithmetic) == ("maximal function", "float64")
+    assert report.all_prefixes_nonneg == ok
+    assert exact.verdict == ("pass" if ok else "fail")
+    assert abs(exact.minimum - low) <= tol
+    assert abs(maximal.minimum - exact.minimum) <= maximal.rounding_slack
+    assert (exact.atoms, exact.orders) == (maximal.atoms, maximal.orders) == (series.order,) * 2
+    if ok:
+        assert report.witness is None
+    else:
+        assert (report.witness.where, report.witness.atom) == (witness.where, witness.atom)
+        assert abs(report.witness.value - witness.value) <= tol
+    return report
+
+
 def test_equivalence_positive_example():
     report = wr.check_positivity_equivalence(
         wr.WalshSeries.from_coeffs([1.0, 0.5, 0.25, 0.1])
@@ -149,7 +193,7 @@ def test_equivalence_never_disagrees(seed):
 def test_equivalence_random_bulk():
     agree_true = agree_false = 0
     for seed in range(300):
-        report = wr.check_positivity_equivalence(_random_series(seed))
+        report = _assert_matches_oracle(_random_series(seed))
         if report.all_prefixes_nonneg:
             agree_true += 1
         else:
@@ -160,8 +204,52 @@ def test_equivalence_random_bulk():
         rng = np.random.default_rng(seed)
         tail = rng.uniform(-1, 1, 31)
         coeffs = np.concatenate([[np.sum(np.abs(tail)) + 0.1], tail])
-        report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(coeffs))
+        report = _assert_matches_oracle(wr.WalshSeries.from_coeffs(coeffs))
         assert report.all_prefixes_nonneg and report.inequality_holds
+        assert [r.verdict for r in report.routes] == ["pass", "pass"]
+
+
+def test_witness_is_first_negative_order_not_global_minimum():
+    # S_2 = 1 - 1.5 r_1 first dips at order 2 (atom 0, -0.5); the global
+    # minimum is S_4 = -2.5 at order 4 on atom 2 (r_1 = +1, r_2 = -1)
+    series = wr.WalshSeries.from_coeffs([1.0, -1.5, 0.0, 2.0])
+    report = _assert_matches_oracle(series)
+    assert report.witness == wr.PositivityWitness("prefix", 2, 0, -0.5)
+    assert report.routes[0].minimum == -2.5
+
+
+# depth 3, found by searching seeded series for an exact minimum of 0
+# whose float64 walk dips below it
+ROUNDING_SCALE = [float.fromhex(h) for h in (
+    "0x1.7ee50aa0d6ea2p-2", "0x1.537df6d7e5a20p-8", "0x1.694692cefdb8cp-5",
+    "0x1.5a84f90e27880p-5", "0x1.0993aa313bd38p-5", "0x1.91f9fce3e0f60p-7",
+    "-0x1.fbee97a696acep-3", "0x1.fcac4d87c6820p-5",
+)]
+
+
+def test_float_route_within_rounding_does_not_overrule_exact_route():
+    report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(ROUNDING_SCALE))
+    exact, maximal = report.routes
+    assert exact.minimum == 0.0 and exact.verdict == "pass"
+    assert -maximal.rounding_slack <= maximal.minimum < 0.0
+    assert maximal.verdict == "within rounding"
+    assert report.all_prefixes_nonneg and not report.inequality_holds
+    assert report.witness is None
+
+
+def test_routes_disagreeing_beyond_the_allowance_raise(monkeypatch):
+    series = wr.WalshSeries.from_coeffs([1.0, 0.5, 0.25, 0.1])
+    slack = wr.check_positivity_equivalence(series).routes[1].rounding_slack
+    margin = martingale._maximal_margin
+    monkeypatch.setattr(martingale, "_maximal_margin", lambda s: margin(s) + 2 * slack)
+    with pytest.raises(wr.InvariantViolation, match="disagree"):
+        wr.check_positivity_equivalence(series)
+
+
+def test_exact_route_rejects_non_finite_coefficients():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs([1.0, 0.5, bad, 0.1]))
 
 
 # ---------------------------------------------------------------------------
