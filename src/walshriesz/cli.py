@@ -4,7 +4,10 @@ Commands: rs-pair, build-walsh-measure, build-trig-measure,
 theorem1-check (alias: verify), singularity-report, report.
 
 Exit codes: 0 all certificates pass, 1 certificate failure (witness in
-the report), 2 usage or configuration error, 3 I/O error.  All output
+the report), 2 usage or configuration error, 3 I/O error.  A state too
+large to certify (a spectrum past riesz.SPECTRUM_LIMIT terms, dense
+diagnostics past martingale.DIAGNOSTIC_DEPTH_LIMIT coordinates) is a
+configuration error, refused before it is allocated.  All output
 files are written atomically (temp file + rename).  Any flag may be
 supplied through a JSON --config file keyed by the flag's dest name;
 explicit flags win.  No command draws random numbers: every positivity
@@ -25,6 +28,7 @@ allocated; a non-finite coefficient exits 3, naming its line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -127,6 +131,37 @@ class _IOFailure(Exception):
     pass
 
 
+def _gauge(args) -> tuple[riesz.PsiSpec, riesz.SummabilityBudget]:
+    """--psi and --budget-scale; a psi failing the hypothesis exits 2."""
+    try:
+        psi = riesz.PsiSpec.parse(args.psi).validate()
+    except ValueError as exc:  # PsiHypothesisError included
+        raise _UsageError(str(exc)) from None
+    return psi, riesz.SummabilityBudget(scale=args.budget_scale)
+
+
+def _manifest_header(args, psi: riesz.PsiSpec) -> dict:
+    """What every build manifest starts with: the command, how it was
+    called, the versions, and the gauge."""
+    return {
+        "command": args.command,
+        "argv": list(args.argv),
+        "config_hash": _config_hash(args),
+        "seed": args.seed,
+        "versions": _versions(),
+        "psi": psi.descriptor,
+        "budget_scale": args.budget_scale,
+    }
+
+
+def _certificate(report) -> dict:
+    """A report dataclass as a dict, its verdict `ok` renamed `passed`
+    and moved last."""
+    data = dataclasses.asdict(report)
+    data["passed"] = data.pop("ok")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # rs-pair
 # ---------------------------------------------------------------------------
@@ -147,11 +182,7 @@ def _cmd_rs_pair(args) -> int:
 
 def _cmd_build_walsh(args) -> int:
     print(f"seed: {args.seed}")
-    try:
-        psi = riesz.PsiSpec.parse(args.psi).validate()
-    except (ValueError, riesz.PsiHypothesisError) as exc:
-        raise _UsageError(str(exc)) from None
-    budget = riesz.SummabilityBudget(scale=args.budget_scale)
+    psi, budget = _gauge(args)
 
     t0 = time.perf_counter()
     try:
@@ -168,29 +199,14 @@ def _cmd_build_walsh(args) -> int:
 
     t0 = time.perf_counter()
     positivity = riesz.verify_all_partial_sums(state)
-    try:
-        psi_report = riesz.psi_sum_report(state, psi, budget)
-    except riesz.CoordinateBudgetError as exc:  # spectrum past SPECTRUM_LIMIT
-        raise _UsageError(str(exc)) from None
+    psi_report = riesz.psi_sum_report(state, psi, budget)
     singular = martingale.singularity_report(state)
-    ortho = (
-        martingale.verify_product_orthogonality(state)
-        if state.stages >= 2
-        else None
-    )
+    ortho = martingale.verify_product_orthogonality(state) if state.stages >= 2 else None
     verify_s = time.perf_counter() - t0
 
     certificates = {
         "positivity": dataclasses.asdict(positivity),
-        "psi_sum": {
-            "stage_exact": list(psi_report.stage_exact),
-            "stage_bounds": list(psi_report.stage_bounds),
-            "budget_terms": list(psi_report.budget_terms or ()),
-            "exact_total": psi_report.exact_total,
-            "bound_total": psi_report.bound_total,
-            "c0_term": psi_report.c0_term,
-            "passed": psi_report.ok,
-        },
+        "psi_sum": _certificate(psi_report),
         "singularity": {
             "hellinger": list(singular.hellinger),
             "hellinger_direct": list(singular.hellinger_direct),
@@ -201,14 +217,7 @@ def _cmd_build_walsh(args) -> int:
                 b < a for a, b in zip(singular.hellinger, singular.hellinger[1:])
             ),
         },
-        "orthogonality": None
-        if ortho is None
-        else {
-            "max_mean_residual": ortho.max_mean_residual,
-            "max_cross_residual": ortho.max_cross_residual,
-            "max_second_moment": ortho.max_second_moment,
-            "passed": ortho.ok,
-        },
+        "orthogonality": None if ortho is None else _certificate(ortho),
     }
     passed = (
         positivity.passed
@@ -220,13 +229,7 @@ def _cmd_build_walsh(args) -> int:
     t0 = time.perf_counter()
     riesz.export_measure(state, args.out)
     manifest = {
-        "command": "build-walsh-measure",
-        "argv": list(args.argv),
-        "config_hash": _config_hash(args),
-        "seed": args.seed,
-        "versions": _versions(),
-        "psi": psi.descriptor,
-        "budget_scale": args.budget_scale,
+        **_manifest_header(args, psi),
         **riesz.state_manifest(state),
         "certificates": certificates,
         "timings": {
@@ -253,11 +256,7 @@ def _cmd_build_walsh(args) -> int:
 
 def _cmd_build_trig(args) -> int:
     print(f"seed: {args.seed}")
-    try:
-        psi = riesz.PsiSpec.parse(args.psi).validate()
-    except (ValueError, riesz.PsiHypothesisError) as exc:
-        raise _UsageError(str(exc)) from None
-    budget = riesz.SummabilityBudget(scale=args.budget_scale)
+    psi, budget = _gauge(args)
     t0 = time.perf_counter()
     try:
         state, certs = trig.build_trig_measure(
@@ -270,13 +269,7 @@ def _cmd_build_trig(args) -> int:
     trig.trig_export(state, args.out)
     if args.manifest:
         manifest = {
-            "command": "build-trig-measure",
-            "argv": list(args.argv),
-            "config_hash": _config_hash(args),
-            "seed": args.seed,
-            "versions": _versions(),
-            "psi": psi.descriptor,
-            "budget_scale": args.budget_scale,
+            **_manifest_header(args, psi),
             "flatness_constant": trig.CTRIG,
             "stages": [
                 {"level": f.level, "amplitude": f.amplitude} for f in state.factors
@@ -346,14 +339,7 @@ def _cmd_theorem1_check(args) -> int:
         "depth": series.depth,
         "all_prefixes_nonneg": equiv.all_prefixes_nonneg,
         "inequality_holds": equiv.inequality_holds,
-        "witness": None
-        if equiv.witness is None
-        else {
-            "kind": equiv.witness.kind,
-            "where": equiv.witness.where,
-            "atom": equiv.witness.atom,
-            "value": equiv.witness.value,
-        },
+        "witness": None if equiv.witness is None else dataclasses.asdict(equiv.witness),
         "p3": p3,
         "shifted_bounds": shifted,
         "envelope": martingale.dyadic_block_envelope(series),
@@ -396,6 +382,16 @@ def _load_manifest(path: str) -> dict:
         raise _IOFailure(f"bad JSON in {path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _rebuilding(path: str):
+    """Rebuild a state from the manifest read from `path`: a KeyError or
+    ValueError in the block exits 2, naming the manifest."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise _UsageError(f"cannot rebuild state from {path}: {exc}") from None
+
+
 # conc50, conc90, conc99
 _CONC_COLUMNS = [f"conc{round(100 * d)}" for d in martingale.CONCENTRATION_FRACTIONS]
 
@@ -409,10 +405,8 @@ def _singularity_rows(report: martingale.SingularityReport):
 
 def _cmd_singularity_report(args) -> int:
     manifest = _load_manifest(args.state)
-    try:
+    with _rebuilding(args.state):
         state = riesz.state_from_manifest(manifest)
-    except (KeyError, ValueError) as exc:
-        raise _UsageError(f"cannot rebuild state from {args.state}: {exc}") from None
     rows = _singularity_rows(martingale.singularity_report(state))
     _emit_csv(args.out, ["k", "hellinger", *_CONC_COLUMNS], rows)
     return EXIT_OK
@@ -426,12 +420,13 @@ def _cmd_report(args) -> int:
         raise _IOFailure(f"cannot read {args.measure}: {exc}") from None
     except SeriesFormatError as exc:
         raise _IOFailure(f"{args.measure}: {exc}") from None
-    try:
+    with _rebuilding(args.manifest):
         state = riesz.state_from_manifest(manifest)
         psi = riesz.PsiSpec.parse(manifest["psi"])
         budget = riesz.SummabilityBudget(scale=float(manifest["budget_scale"]))
-    except (KeyError, ValueError) as exc:
-        raise _UsageError(f"cannot rebuild state from {args.manifest}: {exc}") from None
+    # computed before the first file is written: both may refuse the state
+    rows = _singularity_rows(martingale.singularity_report(state))
+    psi_report = riesz.psi_sum_report(state, psi, budget)
 
     os.makedirs(args.out_dir, exist_ok=True)
     _write_csv(
@@ -439,8 +434,6 @@ def _cmd_report(args) -> int:
         ["k", "max_abs_coeff"],
         [(k, _fmt(v)) for k, v in martingale.dyadic_block_envelope(spectrum)],
     )
-
-    rows = _singularity_rows(martingale.singularity_report(state))
     _write_csv(
         os.path.join(args.out_dir, "hellinger.csv"), ["k", "hellinger"], [r[:2] for r in rows]
     )
@@ -450,7 +443,6 @@ def _cmd_report(args) -> int:
         [r[:1] + r[2:] for r in rows],
     )
 
-    psi_report = riesz.psi_sum_report(state, psi, budget)
     terms = zip(psi_report.stage_exact, psi_report.stage_bounds, psi_report.budget_terms or ())
     _write_csv(
         os.path.join(args.out_dir, "psi_terms.csv"),
@@ -540,7 +532,7 @@ def main(argv=None) -> int:
         args = _apply_config(_build_parser(), argv)
         args.argv = argv
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, riesz.CoordinateBudgetError) as exc:  # bad input, or past a size limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (_IOFailure, OSError) as exc:

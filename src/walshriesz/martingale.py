@@ -30,13 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riesz import RieszProductState, Spectrum, factor_values, product_values
+from .riesz import CoordinateBudgetError, RieszProductState, Spectrum, _monomial
+from .riesz import factor_values, product_values
 from .walsh import (
     AtomTable,
     InvariantViolation,
     WalshSeries,
     _martingale_walk,
     _rounding_allowance,
+    _walk_minima,
     butterfly,
     multiply_by_walsh,
     partial_sum,
@@ -279,14 +281,9 @@ def _maximal_margin(series: WalshSeries) -> float:
     """The float route: the smallest M_k - N_k* over k < K and the atoms
     (M_0 at depth 0), one level of the walk at a time.  Orders in
     (2^k, 2^(k+1)] read M_k +- a prefix of N_k, so this is the smallest
-    partial sum of every order."""
-    if series.depth == 0:
-        return float(series.coeffs[0])
-    return min(
-        float((m - _n_star(n, mx, mn)).min())
-        for m, n, mx, mn in _martingale_walk(series.coeffs)
-        if n is not None
-    )
+    partial sum of every order: M_k - N_k* is min(M_k - MX, M_k + MN,
+    M_(k+1)), rounding being monotone, so `walsh._walk_minima` reads it."""
+    return _walk_minima(series.coeffs)[0]
 
 
 def _float_verdict(low: float, slack: float) -> str:
@@ -354,6 +351,24 @@ def dyadic_block_envelope(series: WalshSeries | Spectrum) -> list[tuple[int, flo
 # the mass fractions delta of the concentration curves
 CONCENTRATION_FRACTIONS = (0.5, 0.9, 0.99)
 
+# The dense diagnostics below hold tables of 2^depth atoms: a CLI build
+# peaked at 358 MB of RSS at depth 22 (9 s) and at 2.6 GB at depth 25
+# (82 s), about this many bytes per atom, so depth 24 needs about 1.3 GB.
+DIAGNOSTIC_DEPTH_LIMIT = 24
+_DIAGNOSTIC_BYTES_PER_ATOM = 80
+
+
+def _dense_depth(factors) -> int:
+    """The top coordinate of the factors' blocks, refused past
+    DIAGNOSTIC_DEPTH_LIMIT before any table of its atoms is allocated."""
+    depth = max((f.block[-1] for f in factors), default=0)
+    if depth > DIAGNOSTIC_DEPTH_LIMIT:
+        raise CoordinateBudgetError(
+            f"depth {depth} is past the dense diagnostics' limit {DIAGNOSTIC_DEPTH_LIMIT}:"
+            f" they would hold about {_DIAGNOSTIC_BYTES_PER_ATOM << depth:,} bytes"
+        )
+    return depth
+
 
 @dataclass(frozen=True)
 class SingularityReport:
@@ -390,6 +405,7 @@ def _concentration(masses: np.ndarray, delta: float) -> float:
 def singularity_report(
     state: RieszProductState, cross_check_tol: float = 1e-9
 ) -> SingularityReport:
+    _dense_depth(state.factors)
     hellinger = [1.0]
     direct = [1.0]
     concentration = [{d: d for d in CONCENTRATION_FRACTIONS}]
@@ -452,7 +468,7 @@ def verify_product_orthogonality(
     factors = _factor_list(state_or_factors)
     if len(factors) < 2:
         raise ValueError("need at least two factors")
-    depth = max(f.block[-1] for f in factors)
+    depth = _dense_depth(factors)
     weights = product_values(factors, depth) / (1 << depth)
     ys = []
     for f in factors:
@@ -477,17 +493,9 @@ def verify_strong_orthogonality(state_or_factors, alpha, tol: float = 1e-10) -> 
     Admissible: entries in {0, 1, 2}, at least one 1, at most two 2s.
     """
     factors = _factor_list(state_or_factors)
-    alpha = [int(a) for a in alpha]
-    if len(alpha) > len(factors):
-        raise ValueError(f"multi-index has {len(alpha)} entries, only {len(factors)} factors")
-    if any(a not in (0, 1, 2) for a in alpha):
-        raise ValueError(f"entries must be 0, 1 or 2: {alpha}")
-    if alpha.count(1) < 1:
-        raise ValueError(f"multi-index needs at least one entry equal to 1: {alpha}")
-    if alpha.count(2) > 2:
-        raise ValueError(f"multi-index allows at most two entries equal to 2: {alpha}")
+    alpha = _monomial(alpha, len(factors))
     active = [(f, a) for f, a in zip(factors, alpha) if a > 0]
-    depth = max(f.block[-1] for f, _ in active)
+    depth = _dense_depth(f for f, _ in active)
     prod = np.ones(1 << depth)
     for f, a in active:
         vals = factor_values(f, depth)

@@ -35,14 +35,19 @@ block's bits of the atom.
 Every prefix order is certified on every atom, by one of two methods,
 and both allow (K+1) 2^-52 ||Pi_K||_A for float rounding.  Within
 `exhaustive_cap` used coordinates (at most DENSE_LIMIT) the "kernel"
-reads exact minima in O(K 2^K) off `walsh._martingale_walk`: orders in
-(2^k, 2^(k+1)] read M_k plus or minus a prefix of N_k, whose extremes
-the walk gives one level at a time.  These are minima of rounded sums,
-so the kernel passes only when each is at least the allowance.  Past the cap the "per-factor"
-method bounds them from each factor's own data.  A partial sum of
-order in stage k+1's band is Pi_k (1 + P(X_(k+1))) + c w P_r(Pi_k),
-with P a prefix of X_(k+1), c one of its coefficients and P_r a prefix
-of Pi_k, so pointwise
+reads exact minima in O(K 2^K) off `walsh._martingale_walk`, through
+`walsh._walk_minima`, the reduction theorem1-check's float route reads
+too: order 2^k reads M_k, and the orders in (2^k, 2^(k+1)) read M_k
+plus a prefix of N_k where r_(k+1) = +1 and minus one elsewhere, so
+the r = +1 half of the atoms reads M_k + MN and the other half M_k - MX,
+the extremes the walk gives one level at a time, with no table of both
+halves.  The band edges are powers of two, so each level's orders fall
+in one stage band.  These are minima of rounded sums, so the kernel
+passes only when each is at least the allowance.  Past the cap the
+"per-factor" method bounds them from each factor's own data.  A
+partial sum of order in stage k+1's band is Pi_k (1 + P(X_(k+1))) +
+c w P_r(Pi_k), with P a prefix of X_(k+1), c one of its coefficients
+and P_r a prefix of Pi_k, so pointwise
 
     S_p >= Pi_k (1 + P(X_(k+1))) - PM(X_(k+1)) ||Pi_k||_A.
 
@@ -67,8 +72,8 @@ from .walsh import (
     InvariantViolation,
     SeriesFormatError,
     WalshSeries,
-    _martingale_walk,
     _rounding_allowance,
+    _walk_minima,
     _write_csv,
     atom_patterns,
     butterfly,
@@ -474,6 +479,29 @@ def make_factor(level: int, block: BlockSpec) -> Factor:
     )
 
 
+def _admissible(amp: float, norm_a: float, inf_value: float, psi: PsiSpec, bound: float) -> bool:
+    """Conditions (5) and (6) for a factor of amplitude `amp` on a product
+    with A-norm `norm_a` and infimum `inf_value`, `bound` the stage's
+    budget term: the level rule of both the Walsh and the cosine builds."""
+    return amp * norm_a <= 0.25 * inf_value and norm_a**2 * psi.epsilon_bar(amp) <= bound
+
+
+def _monomial(alpha, factor_count: int) -> list[int]:
+    """The multi-index of a strong-orthogonality monomial prod X_k^alpha_k
+    as ints, checked admissible: entries in {0, 1, 2}, at least one 1, at
+    most two 2s, and no more entries than factors."""
+    alpha = [int(a) for a in alpha]
+    if len(alpha) > factor_count:
+        raise ValueError(f"multi-index has {len(alpha)} entries, only {factor_count} factors")
+    if any(a not in (0, 1, 2) for a in alpha):
+        raise ValueError(f"entries must be 0, 1 or 2: {alpha}")
+    if alpha.count(1) < 1:
+        raise ValueError(f"multi-index needs at least one entry equal to 1: {alpha}")
+    if alpha.count(2) > 2:
+        raise ValueError(f"multi-index allows at most two entries equal to 2: {alpha}")
+    return alpha
+
+
 def choose_next_level(
     state: RieszProductState,
     psi: PsiSpec,
@@ -490,10 +518,7 @@ def choose_next_level(
     k_next = state.stages + 1
     bound = budget.term_bound(k_next)
     for level in range(level_cap + 1):
-        amp = _amplitude(level)
-        cond5 = amp * state.norm_a <= 0.25 * state.inf_value
-        cond6 = state.norm_a**2 * psi.epsilon_bar(amp) <= bound
-        if cond5 and cond6:
+        if _admissible(_amplitude(level), state.norm_a, state.inf_value, psi, bound):
             return level
     raise LevelSelectionError(
         f"no admissible level <= {level_cap} for stage {k_next}"
@@ -592,33 +617,6 @@ class PositivityCertificate:
     passed: bool
 
 
-def _kernel_runs(state: RieszProductState):
-    """(lo, hi, values) runs on the first k + 1 coordinates' atoms, read
-    off `_martingale_walk`: order 2^k reads M_k, and the orders inside
-    (2^k, 2^(k+1)) read M_k + r_(k+1) P_q(N_k), q < 2^k, at least M_k + MN
-    where r_(k+1) = +1 and M_k - MX elsewhere."""
-    for k, (m, n, mx, mn) in enumerate(_martingale_walk(state_series(state).coeffs)):
-        yield 1 << k, 1 << k, m
-        if k and n is not None:  # (1, 2) holds no order
-            yield (1 << k) + 1, (1 << (k + 1)) - 1, np.concatenate([m + mn, m - mx])
-
-
-def _band_minima(edges, refs, runs) -> tuple[float, list[float]]:
-    """Global minimum and per-band minimum of S_p - refs[j] over runs
-    (lo, hi, values), values = S_p for every order p in [lo, hi].  Bands
-    are [edge_j, edge_(j+1)), the last one closed; refs[j] is a function
-    of the values' atoms or of their first coordinates, broadcast."""
-    gmin = math.inf
-    margins = [math.inf] * len(refs)
-    for lo, hi, values in runs:
-        gmin = min(gmin, float(np.min(values)))
-        for b, ref in enumerate(refs):
-            upper = edges[b + 1] if b == len(refs) - 1 else edges[b + 1] - 1
-            if lo <= upper and hi >= edges[b]:
-                margins[b] = min(margins[b], float(np.min(values.reshape(-1, ref.size) - ref)))
-    return gmin, margins
-
-
 def _per_factor_bounds(state: RieszProductState, slack: float) -> tuple[float, list[float]]:
     """Lower bounds on the global minimum and the stage margins from
     per-factor data, less the rounding allowance `slack`.  In stage band
@@ -655,7 +653,7 @@ def verify_all_partial_sums(state: RieszProductState, seed: int = 1729) -> Posit
         method, floor = "kernel", slack
         refs = [0.25 * product_values(state.factors[:j], edge.bit_length() - 1)
                 for j, edge in enumerate(edges[:-1])]
-        gmin, margins = _band_minima(edges, refs, _kernel_runs(state))
+        gmin, margins = _walk_minima(state_series(state).coeffs, refs)
     else:
         method, floor = "per-factor", 0.0
         gmin, margins = _per_factor_bounds(state, slack)

@@ -49,31 +49,32 @@ __all__ = [
 FLATNESS_CONSTANT = 2.0 + math.sqrt(2.0)
 
 _MAX_PAIR_LEVEL = 20
-_VERIFY_LEVEL = 12  # exhaustive construction checks up to this level
 
 
 @dataclass(frozen=True, eq=False)
 class RudinShapiroPair:
-    """Sign vectors of P_level and Q_level in Paley order."""
+    """Sign vectors of P_level and Q_level in Paley order, checked to
+    satisfy P^2 + Q^2 = 2^(level+1) on every atom in exact integers."""
 
     level: int
     p: np.ndarray
     q: np.ndarray
 
+    def __post_init__(self) -> None:
+        pv, qv = butterfly(self.p), butterfly(self.q)
+        if not np.all(pv * pv + qv * qv == np.int64(2) ** (self.level + 1)):
+            raise AssertionError(f"P^2 + Q^2 != 2^{self.level + 1} at level {self.level}")
+
 
 def build_pair(level: int) -> RudinShapiroPair:
-    """Build (P_level, Q_level) by the concatenation recurrence, exact ints."""
+    """Build (P_level, Q_level) by the concatenation recurrence, exact ints;
+    the pair checks its identity at every level."""
     if not 0 <= level <= _MAX_PAIR_LEVEL:
         raise ValueError(f"level {level} outside [0, {_MAX_PAIR_LEVEL}]")
     p = np.array([1], dtype=np.int64)
     q = np.array([1], dtype=np.int64)
     for _ in range(level):
         p, q = np.concatenate([p, q]), np.concatenate([p, -q])
-    if level <= _VERIFY_LEVEL:
-        pv = butterfly(p)
-        qv = butterfly(q)
-        if not np.all(pv * pv + qv * qv == np.int64(2) ** (level + 1)):
-            raise AssertionError(f"P^2 + Q^2 != 2^{level + 1} at level {level}")
     return RudinShapiroPair(level, p, q)
 
 
@@ -119,20 +120,18 @@ class FlatPolynomial:
 def build_flat(level: int) -> FlatPolynomial:
     """Flat polynomial at the given level, with construction-time checks.
 
-    Mean zero by construction; for level <= 12 the prefix-sup bound
-    ||phi||_U = ||P_level||_U < FLATNESS_CONSTANT * 2^(level/2) is
-    verified exhaustively over all atoms.
+    Mean zero by construction.  At every level, the pair's P^2 + Q^2
+    identity and the prefix-sup bound ||phi||_U = ||P_level||_U <
+    FLATNESS_CONSTANT * 2^(level/2) are verified exhaustively over all
+    atoms, in exact integers and O(level 2^level): about 1 s at level 20.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
     pair = build_pair(level)
-    if level <= _VERIFY_LEVEL:
-        u = u_norm(pair.p)
-        bound = FLATNESS_CONSTANT * 2.0 ** (level / 2)
-        if not u < bound:
-            raise AssertionError(
-                f"prefix sup {u} not below {bound} at level {level}"
-            )
+    u = u_norm(pair.p)
+    bound = FLATNESS_CONSTANT * 2.0 ** (level / 2)
+    if not u < bound:
+        raise AssertionError(f"prefix sup {u} not below {bound} at level {level}")
     return FlatPolynomial(level, pair.p)
 
 

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rudin_shapiro import FLATNESS_CONSTANT, rs_sign_sequence
-from .riesz import PsiSpec, SummabilityBudget, LevelSelectionError, Spectrum, _write_spectrum
+from .riesz import LevelSelectionError, PsiSpec, SummabilityBudget, Spectrum
+from .riesz import _admissible, _monomial, _write_spectrum
 from .walsh import InvariantViolation, prefix_scan
 
 __all__ = [
@@ -135,13 +136,11 @@ def _choose_trig_level(spectrum, norm_a, stage, psi, budget, oversample):
     for _, vals in _grid_scan(spectrum, max(oversample * max_freq, 8)):
         pass  # the full sum Pi on the grid
     inf_val = float(vals.min())
+    bound = budget.term_bound(stage)
     for level in (1 << j for j in range(_MAX_FLAT_LOG + 1)):
-        amp = _amplitude(level)
-        if level > 4 * max_freq:
-            cond5 = amp * norm_a <= 0.25 * inf_val
-            cond6 = norm_a**2 * psi.epsilon_bar(amp) <= budget.term_bound(stage)
-            if cond5 and cond6:
-                return level
+        # lacunarity, then conditions (5) and (6)
+        if level > 4 * max_freq and _admissible(_amplitude(level), norm_a, inf_val, psi, bound):
+            return level
     raise LevelSelectionError(
         f"no admissible trig level <= {1 << _MAX_FLAT_LOG} for stage {stage}"
     )
@@ -261,17 +260,8 @@ def strong_orthogonality_integral(factors, alpha) -> float:
     (cos(a+b) + cos(a-b))/2; the returned value is the resulting
     constant term, which is exactly 0.0 when no frequencies cancel.
     """
-    alpha = [int(a) for a in alpha]
     factors = list(factors)
-    if len(alpha) > len(factors):
-        raise ValueError("multi-index longer than the factor list")
-    if any(a not in (0, 1, 2) for a in alpha):
-        raise ValueError(f"entries must be 0, 1 or 2: {alpha}")
-    if alpha.count(1) < 1:
-        raise ValueError(f"multi-index needs at least one entry equal to 1: {alpha}")
-    if alpha.count(2) > 2:
-        raise ValueError(f"multi-index allows at most two entries equal to 2: {alpha}")
-
+    alpha = _monomial(alpha, len(factors))
     prod = Spectrum(np.zeros(1, dtype=np.int64), np.ones(1))  # 0 is the constant term
     for f, a in zip(factors, alpha):
         spec = Spectrum(f.freqs, f.coeffs)

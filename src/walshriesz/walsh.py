@@ -334,6 +334,30 @@ def _martingale_walk(coeffs):
     yield m, None, None, None
 
 
+def _walk_minima(coeffs, refs=()) -> tuple[float, list[float]]:
+    """The smallest partial sum S_p over the orders 1..2^K on every atom,
+    and for each band j the smallest S_p - refs[j] over its orders, read
+    off `_martingale_walk` in O(K 2^K).
+
+    Order 2^k reads M_k, and the orders in (2^k, 2^(k+1)) read M_k +
+    r_(k+1) P_q(N_k), q < 2^k: at least M_k + MN where r_(k+1) = +1 and
+    M_k - MX where r_(k+1) = -1.  Band j runs from order refs[j].size, a
+    power of two, to the next band's (the last band through 2^K), and
+    refs[j] is a function of the first log2(refs[j].size) coordinates,
+    broadcast over the rest; so level k's orders all fall in the last
+    band starting at or below 2^k.
+    """
+    gmin, margins = math.inf, [math.inf] * len(refs)
+    for k, (m, n, mx, mn) in enumerate(_martingale_walk(coeffs)):
+        band = sum(ref.size <= 1 << k for ref in refs) - 1
+        for sums in [m] if not k or n is None else [m, m + mn, m - mx]:  # (1, 2) holds no order
+            gmin = min(gmin, float(sums.min()))
+            if band >= 0:
+                ref = refs[band]
+                margins[band] = min(margins[band], float((sums.reshape(-1, ref.size) - ref).min()))
+    return gmin, margins
+
+
 def _rounding_allowance(depth: int, norm_a: float) -> float:
     """(K+1) 2^-52 ||S||_A: the float64 rounding allowance of a depth-K
     prefix-extrema pass, whose every partial sum is a K-deep tree of sums
@@ -535,4 +559,9 @@ def series_from_json(text: str) -> WalshSeries:
         coeffs = data["coeffs"]
     except (KeyError, TypeError) as exc:
         raise SeriesFormatError(f"bad series JSON: {exc}") from None
-    return WalshSeries(depth, np.asarray(coeffs, dtype=np.float64))
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        n = int(bad[0])
+        raise SeriesFormatError(f"coefficient {n}, {float(coeffs[n])!r}, is not finite")
+    return WalshSeries(depth, coeffs)

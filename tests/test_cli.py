@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import walshriesz as wr
 from walshriesz import DepthLimitError, WalshSeries, cli, series_from_csv
 
 
@@ -411,6 +412,26 @@ def test_build_trig_cli_fails_coarse_grid(tmp_path, capsys):
     assert certs["grid_min_partial"] < certs["bernstein_slack"]
 
 
+def deep_manifest(directory):
+    """The manifest of a one-factor state on coordinate 27."""
+    state = wr.add_factor(wr.empty_state(max_coordinates=27), 0, wr.BlockSpec((27,)))
+    path = directory / "deep.json"
+    path.write_text(json.dumps({"psi": "preset:logpow,p=1", "budget_scale": 1.0,
+                                **wr.state_manifest(state)}))
+    return path
+
+
+def test_report_past_depth_limit_exits_2_and_writes_nothing(tmp_path, capsys):
+    manifest = deep_manifest(tmp_path)
+    measure = tmp_path / "measure.csv"
+    measure.write_text(f"n,coeff\n0,1.0\n{1 << 26},0.125\n")
+    out_dir = tmp_path / "report"
+    argv = ["report", "--manifest", str(manifest), "--measure", str(measure)]
+    assert run(argv + ["--out-dir", str(out_dir)]) == 2
+    assert "depth 27 is past the dense diagnostics'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
@@ -429,14 +450,21 @@ def test_build_trig_cli_fails_coarse_grid(tmp_path, capsys):
         (["build-walsh-measure", "--psi", "preset:power,delta=1", "--budget-scale", "6",
           "--stages", "7", "--max-coordinates", "60"],
          "274,339,462,140 terms, past the limit of 16,777,216"),
+        # a depth-27 state would need about 10 GB of dense diagnostics
+        (["singularity-report", "--state", "{deep}"], "depth 27 is past the dense diagnostics'"),
     ],
     ids=["trig-stages4", "trig-stages3", "trig-oversample0", "rs-level21", "walsh-stages-1",
-         "walsh-max-coordinates64", "trig-level-past-flat", "walsh-spectrum-past-limit"],
+         "walsh-max-coordinates64", "trig-level-past-flat", "walsh-spectrum-past-limit",
+         "singularity-past-depth-limit"],
 )
-def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
+def test_bad_input_exits_2_and_writes_nothing(
+    tmp_path, tmp_path_factory, capsys, argv, message
+):
     out = tmp_path / "out.csv"
     manifest = tmp_path / "manifest.json"
-    extra = ["--manifest", str(manifest)] if argv[0] != "rs-pair" else []
+    extra = ["--manifest", str(manifest)] if argv[0].startswith("build-") else []
+    deep = str(deep_manifest(tmp_path_factory.mktemp("input")))
+    argv = [deep if a == "{deep}" else a for a in argv]
     assert run(argv + ["--out", str(out)] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -2,6 +2,7 @@
 and the product-measure diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,6 +398,31 @@ def test_strong_orthogonality_rejects_bad_indices():
         wr.verify_strong_orthogonality(state, [3])
     with pytest.raises(ValueError, match="at most two"):
         wr.verify_strong_orthogonality(_built_state([0, 1, 2, 3]), [2, 2, 2, 1])
+
+
+def test_dense_diagnostics_refuse_past_the_depth_limit():
+    # a depth-27 state: its dense tables would take about 10 GB, so every
+    # diagnostic refuses it, naming the depth, before allocating them
+    assert martingale.DIAGNOSTIC_DEPTH_LIMIT == 24
+    state = wr.empty_state(max_coordinates=27)
+    for block in ((1,), (27,)):
+        state = wr.add_factor(state, 0, wr.BlockSpec(block))
+    routes = (
+        lambda: wr.singularity_report(state),
+        lambda: wr.verify_product_orthogonality(state),
+        lambda: wr.verify_strong_orthogonality(state, [1, 1]),
+    )
+    tracemalloc.start()
+    try:
+        for route in routes:
+            with pytest.raises(wr.CoordinateBudgetError, match="depth 27 is past"):
+                route()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a monomial that leaves out the deep factor stays within the limit
+    assert wr.verify_strong_orthogonality(state, [1])
 
 
 # ---------------------------------------------------------------------------

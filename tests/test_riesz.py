@@ -2,6 +2,7 @@
 positivity certificates, psi summability, and export."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import walshriesz as wr
-from walshriesz.riesz import _band_minima, _block_table, _product_at, _write_spectrum, make_factor
+from walshriesz.riesz import _block_table, _product_at, _write_spectrum, make_factor
 from walshriesz.walsh import atom_patterns, prefix_extrema, prefix_scan, sign_vector
 
 C = wr.FLATNESS_CONSTANT
@@ -30,6 +31,23 @@ def scan_runs(state, patterns):
     scan = prefix_scan(indices, coeffs, lambda n: sign_vector(n, patterns), patterns.size)
     for (n, acc), hi in zip(scan, ends):
         yield n + 1, hi, acc
+
+
+def band_minima(edges, refs, runs):
+    """Global minimum and per-band minimum of S_p - refs[j] over runs
+    (lo, hi, values), values = S_p for every order p in [lo, hi].  Bands
+    are [edge_j, edge_(j+1)), the last one closed; refs[j] is a function
+    of the values' atoms or of their first coordinates, broadcast.  Runs
+    may span several bands."""
+    gmin = math.inf
+    margins = [math.inf] * len(refs)
+    for lo, hi, values in runs:
+        gmin = min(gmin, float(np.min(values)))
+        for b, ref in enumerate(refs):
+            upper = edges[b + 1] if b == len(refs) - 1 else edges[b + 1] - 1
+            if lo <= upper and hi >= edges[b]:
+                margins[b] = min(margins[b], float(np.min(values.reshape(-1, ref.size) - ref)))
+    return gmin, margins
 
 
 def sign_vector_values(factor, patterns):
@@ -371,7 +389,7 @@ def test_kernel_certificate_matches_scan_oracle(name):
     assert cert.exhaustive and cert.method == "kernel"
     atoms = atom_patterns(cert.depth)
     refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
-    gmin, margins = _band_minima(cert.band_edges, refs, scan_runs(state, atoms))
+    gmin, margins = band_minima(cert.band_edges, refs, scan_runs(state, atoms))
     tol = (cert.depth + 1) * 2.0**-52 * state.norm_a
     assert cert.rounding_slack == tol
     assert cert.passed == (name not in ("negative-prefix", "edge-order"))
@@ -559,6 +577,26 @@ def test_export_roundtrip(tmp_path):
         assert np.array_equal(spectrum.indices, written.indices)
         assert np.array_equal(spectrum.coeffs, written.coeffs)
     assert not list(tmp_path.glob("*.tmp.*"))  # the atomic write left no temp file
+
+
+LADDER_PINS = {
+    # the benchmark workloads' builds and their measure CSVs' sha256
+    "desk-d13": ((wr.PsiSpec.logpow(1.0), 3, 2.25, 14),
+                 "29494ef4b1dd1c200155d80a87a806bb3e3bac09e1c452cb21fce1652616ed54"),
+    "exhaustive-d16": ((wr.PsiSpec.logpow(1.0), 4, 6.0, 16),
+                       "8ad7cfb729fbd1a082904718ec389370c9a430a206e4bcc07f91ff6244623129"),
+    "deep-d22": ((wr.PsiSpec.power(1.0), 6, 6.0, 14),
+                 "b874df9bced9caca124e9d6562c8c4ba8a51e996fbbf3a1d1c48a6c110b930de"),
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER_PINS))
+def test_measure_export_matches_pin(tmp_path, name):
+    (psi, stages, scale, cap), digest = LADDER_PINS[name]
+    state = wr.build_measure(psi, stages, wr.SummabilityBudget(scale), exhaustive_cap=cap)
+    path = tmp_path / "measure.csv"
+    wr.export_measure(state, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_export_empty_state(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import walshriesz as wr
+from walshriesz import rudin_shapiro
 from walshriesz.walsh import butterfly
 
 C = wr.FLATNESS_CONSTANT
@@ -61,6 +62,20 @@ def test_pair_level_range():
         wr.build_pair(-1)
     with pytest.raises(ValueError):
         wr.build_pair(21)
+
+
+def test_construction_checks_run_at_every_level(monkeypatch):
+    # no level is exempt: a level-16 pair with one corrupted sign fails
+    # P^2 + Q^2 = 2^17, and the flat's prefix-sup bound is checked at 16
+    pair = wr.build_pair(16)
+    p = pair.p.copy()
+    p[40_000] *= -1
+    with pytest.raises(AssertionError, match=r"P\^2 \+ Q\^2 != 2\^17 at level 16"):
+        wr.RudinShapiroPair(16, p, pair.q)
+    bound = C * 2.0**8
+    monkeypatch.setattr(rudin_shapiro, "u_norm", lambda coeffs: bound)
+    with pytest.raises(AssertionError, match="not below .* at level 16"):
+        wr.build_flat(16)
 
 
 def test_sign_sequence_matches_pairs():

@@ -8,6 +8,7 @@ transform matrix), which stay independent of the butterfly code paths.
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -359,3 +360,8 @@ def test_json_roundtrip():
     assert np.array_equal(back.coeffs, series.coeffs)
     payload = json.loads(wr.series_to_json(series))
     assert payload["depth"] == 1
+    # json parses NaN and +-Infinity; like the CSV reader, the series refuses them
+    for bad in (math.nan, math.inf, -math.inf):
+        text = wr.series_to_json(wr.WalshSeries.from_coeffs([1.0, bad]))
+        with pytest.raises(wr.SeriesFormatError, match="coefficient 1, .* is not finite"):
+            wr.series_from_json(text)
