@@ -5,16 +5,20 @@ theorem1-check (alias: verify), singularity-report, report.
 
 Exit codes: 0 all certificates pass, 1 certificate failure (witness in
 the report), 2 usage or configuration error, 3 I/O error.  A state too
-large to certify (a spectrum past riesz.SPECTRUM_LIMIT terms, dense
-diagnostics past martingale.DIAGNOSTIC_DEPTH_LIMIT coordinates) is a
-configuration error, refused before it is allocated.  All output
-files are written atomically (temp file + rename).  Any flag may be
-supplied through a JSON --config file keyed by the flag's dest name;
-explicit flags win.  No command draws random numbers: every positivity
-certificate covers every order on every atom, exactly within the
-exhaustive cap and by per-factor lower bounds past it.  --seed is only
-recorded in manifests and reports; it is kept because
-benchmarks/run.py passes it.
+large to certify (a block past coordinate 63, a spectrum past
+riesz.SPECTRUM_LIMIT terms, dense diagnostics past
+martingale.DIAGNOSTIC_DEPTH_LIMIT coordinates) is a configuration
+error: build-walsh-measure checks both limits right after the build,
+before any certificate runs.  All output files are written atomically
+(temp file + rename).  Any flag may be supplied through a JSON --config
+file keyed by the flag's dest name, each value read as the flag's
+command-line text (one its type rejects exits 2); explicit flags win.
+No command draws random numbers: every positivity certificate covers
+every order on every atom, exactly within riesz.DENSE_LIMIT coordinates
+and by per-factor lower bounds past them.  --seed is only recorded in
+manifests and reports, and --cap is parsed and ignored (the depth
+chooses the method); both are kept because benchmarks/workloads.py
+passes them.
 
 theorem1-check decides positivity by the exact route: every partial
 sum of the series exactly as its float64 coefficients hold it, in
@@ -115,10 +119,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         target = sub.choices.get(command)
         if target is None:
             raise _UsageError("--config needs a subcommand to apply to")
-        valid = {action.dest for action in target._actions}
-        unknown = sorted(set(cfg) - valid)
+        actions = {action.dest: action for action in target._actions}
+        unknown = sorted(set(cfg) - set(actions))
         if unknown:
             raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in cfg.items():  # read as the flag's command-line text
+            kind = actions[key].type or str
+            try:
+                cfg[key] = value if value is None else kind(str(value))
+            except ValueError:
+                raise _UsageError(f"config {key!r}: {value!r} is not {kind.__name__}") from None
         target.set_defaults(**cfg)
     return parser.parse_args(argv)
 
@@ -186,16 +196,13 @@ def _cmd_build_walsh(args) -> int:
 
     t0 = time.perf_counter()
     try:
-        state = riesz.build_measure(
-            psi,
-            args.stages,
-            budget,
-            exhaustive_cap=args.cap,
-            max_coordinates=args.max_coordinates,
-        )
-    except (riesz.LevelSelectionError, ValueError) as exc:  # cap, coordinate budget
+        state = riesz.build_measure(psi, args.stages, budget)
+    except (riesz.LevelSelectionError, ValueError) as exc:  # stages, coordinate 63
         raise _UsageError(str(exc)) from None
     build_s = time.perf_counter() - t0
+    # refuse a state past either size limit before any certificate runs
+    riesz._check_spectrum_limit(state)
+    martingale._dense_depth(state.factors)
 
     t0 = time.perf_counter()
     positivity = riesz.verify_all_partial_sums(state)
@@ -384,11 +391,11 @@ def _load_manifest(path: str) -> dict:
 
 @contextlib.contextmanager
 def _rebuilding(path: str):
-    """Rebuild a state from the manifest read from `path`: a KeyError or
-    ValueError in the block exits 2, naming the manifest."""
+    """Rebuild a state from the manifest read from `path`: a KeyError,
+    TypeError or ValueError in the block exits 2, naming the manifest."""
     try:
         yield
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"cannot rebuild state from {path}: {exc}") from None
 
 
@@ -466,8 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="recorded in manifests and reports; nothing is random"
-                            f" (kept because benchmarks/run.py passes it; default {DEFAULT_SEED})")
+                       help="recorded only, nothing is random (kept because"
+                            f" benchmarks/workloads.py passes it; default {DEFAULT_SEED})")
         p.add_argument("--config", help="JSON file of flag defaults (dest-name keys)")
 
     p = sub.add_parser("rs-pair", help="emit a Rudin-Shapiro sign pair as CSV")
@@ -481,11 +488,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", default="preset:logpow,p=1")
     p.add_argument("--stages", type=int, default=3)
     p.add_argument("--cap", type=int, default=14,
-                   help="used coordinates up to which positivity is read from the dense kernel"
-                        f" (at most {riesz.DENSE_LIMIT}); past it, from per-factor bounds")
+                   help="ignored, the depth chooses the positivity method"
+                        " (kept because benchmarks/workloads.py passes it)")
     p.add_argument("--budget-scale", type=float, default=2.25,
-                   help="stage budget is scale * 2^-k (default keeps 3 stages within the cap)")
-    p.add_argument("--max-coordinates", type=int, default=30)
+                   help="stage budget is scale * 2^-k (default: 3 stages in 13 coordinates)")
     p.add_argument("--out", default="measure.csv")
     p.add_argument("--manifest", default="manifest.json")
     common(p)

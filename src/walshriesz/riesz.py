@@ -21,8 +21,8 @@ forces every partial sum whose order falls in stage k+1's range to stay
 above (1/4) Pi_k pointwise, hence positivity; condition (6) caps the
 stage contributions to sum_n psi(|c_n|).
 
-The product state is its factors.  Everything else is derived from
-them on first use: ||Pi_k||_A, inf Pi_k, the support size
+The product state is its factors alone.  Everything else is derived
+from them on first use: ||Pi_k||_A, inf Pi_k, the support size
 N_k = prod_(i<=k) (1 + |supp X_i|) and the spectrum.  Each block lies
 right of all used coordinates, so stage k+1's XOR products are distinct
 and exceed every index of Pi_k: the spectrum is one sorted pair of
@@ -32,10 +32,10 @@ terms before anything is allocated.  Each X_i is evaluated on its own
 block's 2^|J_i| atoms (one butterfly) and read off elsewhere by the
 block's bits of the atom.
 
-Every prefix order is certified on every atom, by one of two methods,
-and both allow (K+1) 2^-52 ||Pi_K||_A for float rounding.  Within
-`exhaustive_cap` used coordinates (at most DENSE_LIMIT) the "kernel"
-reads exact minima in O(K 2^K) off `walsh._martingale_walk`, through
+Every prefix order is certified on every atom, by one of two methods
+chosen from the depth, and both allow (K+1) 2^-52 ||Pi_K||_A for float
+rounding.  Within DENSE_LIMIT used coordinates the "kernel" reads exact
+minima in O(K 2^K) off `walsh._martingale_walk`, through
 `walsh._walk_minima`, the reduction theorem1-check's float route reads
 too: order 2^k reads M_k, and the orders in (2^k, 2^(k+1)) read M_k
 plus a prefix of N_k where r_(k+1) = +1 and minus one elsewhere, so
@@ -43,7 +43,7 @@ the r = +1 half of the atoms reads M_k + MN and the other half M_k - MX,
 the extremes the walk gives one level at a time, with no table of both
 halves.  The band edges are powers of two, so each level's orders fall
 in one stage band.  These are minima of rounded sums, so the kernel
-passes only when each is at least the allowance.  Past the cap the
+passes only when each is at least the allowance.  Past DENSE_LIMIT the
 "per-factor" method bounds them from each factor's own data.  A
 partial sum of order in stage k+1's band is Pi_k (1 + P(X_(k+1))) +
 c w P_r(Pi_k), with P a prefix of X_(k+1), c one of its coefficients
@@ -108,8 +108,9 @@ __all__ = [
     "state_from_manifest",
 ]
 
-# Largest depth densified: the dense series and the exhaustive
-# certificate's tables hold 2^DENSE_LIMIT float64 values each.
+# Largest depth densified: the dense series and the kernel's tables
+# hold 2^DENSE_LIMIT float64 values each.  At depth 20 the kernel took
+# 0.55 s and a 60 MiB tracemalloc peak on one Xeon core.
 DENSE_LIMIT = 20
 
 # Largest spectrum materialized, in terms (16 bytes each); the ladder's
@@ -130,8 +131,10 @@ class BlockOverlapError(ValueError):
 
 
 class CoordinateBudgetError(ValueError):
-    """Adding the factor would exceed the hard coordinate budget, or the
-    spectrum asked for has more than SPECTRUM_LIMIT terms."""
+    """A state past a size limit: a block past coordinate 63 (Walsh
+    indices are int64), a spectrum past SPECTRUM_LIMIT terms, a dense
+    series past DENSE_LIMIT coordinates, or dense diagnostics past
+    `martingale.DIAGNOSTIC_DEPTH_LIMIT`."""
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +249,27 @@ class PsiSpec:
 
     @classmethod
     def parse(cls, text: str) -> "PsiSpec":
-        """Parse 'preset:name[,key=value...]' descriptors."""
-        if not text.startswith("preset:"):
+        """Parse 'preset:name[,key=value...]' descriptors; an unknown key or
+        a non-finite value raises ValueError naming it."""
+        if not isinstance(text, str) or not text.startswith("preset:"):
             raise ValueError(f"unknown psi descriptor {text!r}")
-        body = text[len("preset:") :]
-        parts = body.split(",")
-        name, args = parts[0], parts[1:]
+        name, *args = text[len("preset:") :].split(",")
+        presets = {"logpow": (cls.logpow, ("p",)), "power": (cls.power, ("delta",)),
+                   "quadratic": (cls.quadratic, ())}
+        if name not in presets:
+            raise ValueError(f"unknown psi preset {name!r}")
+        build, keys = presets[name]
         kwargs = {}
         for item in args:
-            key, _, value = item.partition("=")
-            if not _:
+            key, sep, value = (part.strip() for part in item.partition("="))
+            if not sep:
                 raise ValueError(f"bad psi parameter {item!r}")
-            kwargs[key.strip()] = float(value)
-        if name == "logpow":
-            return cls.logpow(**kwargs)
-        if name == "power":
-            return cls.power(**kwargs)
-        if name == "quadratic":
-            if kwargs:
-                raise ValueError("quadratic preset takes no parameters")
-            return cls.quadratic()
-        raise ValueError(f"unknown psi preset {name!r}")
+            if key not in keys:
+                raise ValueError(f"psi preset {name!r} takes no parameter {key!r}")
+            kwargs[key] = float(value)
+            if not math.isfinite(kwargs[key]):
+                raise ValueError(f"psi parameter {key}={value} is not finite")
+        return build(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -340,7 +343,7 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class RieszProductState:
-    """Pi_k as its factors, plus the caps the certificates and builder obey.
+    """Pi_k as its factors alone.
 
     Everything else is derived from the factors on first use and cached:
     `norm_a` = ||Pi_k||_A, `inf_value` = inf Pi_k, `used_coordinates`,
@@ -348,16 +351,10 @@ class RieszProductState:
     """
 
     factors: tuple[Factor, ...] = ()
-    exhaustive_cap: int = 14
-    max_coordinates: int = 30
 
     @property
     def stages(self) -> int:
         return len(self.factors)
-
-    def block_boundaries(self) -> list[int]:
-        """Orders 2^(sup J_k) splitting the spectrum into stage ranges."""
-        return [1 << f.block[-1] for f in self.factors]
 
     @cached_property
     def used_coordinates(self) -> int:
@@ -399,14 +396,8 @@ def _check_spectrum_limit(state: RieszProductState) -> None:
         )
 
 
-def empty_state(exhaustive_cap: int = 14, max_coordinates: int = 30) -> RieszProductState:
-    if not 0 <= exhaustive_cap <= DENSE_LIMIT:
-        raise ValueError(f"exhaustive cap {exhaustive_cap} outside [0, {DENSE_LIMIT}]:"
-                         f" the exhaustive certificate is dense, limit {DENSE_LIMIT} coordinates")
-    if not 0 <= max_coordinates <= 63:
-        raise ValueError(f"coordinate budget {max_coordinates} outside [0, 63]:"
-                         " Walsh indices are int64")
-    return RieszProductState((), exhaustive_cap, max_coordinates)
+def empty_state() -> RieszProductState:
+    return RieszProductState()
 
 
 def _block_bits(values: np.ndarray, block) -> np.ndarray:
@@ -536,7 +527,8 @@ def add_factor(
 
     The caller is responsible for level admissibility; structural rules
     are enforced here: the block must sit strictly to the right of all
-    used coordinates and within the coordinate budget.  Then the new XOR
+    used coordinates and end by coordinate 63, whose Walsh index 2^62 is
+    the last that int64 holds with its XOR products.  Then the new XOR
     products extend the sorted spectrum (the Spectrum's strictly-
     increasing check asserts it when the spectrum is built).
     """
@@ -549,10 +541,9 @@ def add_factor(
         raise BlockOverlapError(
             f"block {block.coordinates} overlaps coordinates <= {state.used_coordinates}"
         )
-    if block.sup > state.max_coordinates:
+    if block.sup > 63:
         raise CoordinateBudgetError(
-            f"block {block.coordinates} exceeds the coordinate budget"
-            f" {state.max_coordinates}"
+            f"block {block.coordinates} reaches past coordinate 63: Walsh indices are int64"
         )
     return replace(state, factors=state.factors + (make_factor(level, block),))
 
@@ -561,15 +552,13 @@ def build_measure(
     psi: PsiSpec,
     stages: int,
     budget: SummabilityBudget = SummabilityBudget(),
-    exhaustive_cap: int = 14,
-    max_coordinates: int = 30,
 ) -> RieszProductState:
     """Run the level rule for the requested number of stages.  Raises
     ValueError for a negative stage count."""
     psi.validate()
     if stages < 0:
         raise ValueError(f"stage count {stages} is negative")
-    state = empty_state(exhaustive_cap, max_coordinates)
+    state = empty_state()
     for _ in range(stages):
         level = choose_next_level(state, psi, budget)
         state = add_factor(state, level)
@@ -577,10 +566,11 @@ def build_measure(
 
 
 def state_series(state: RieszProductState) -> WalshSeries:
-    """Dense Walsh series of the current product (desk scale only)."""
-    depth = max(state.used_coordinates, 0)
+    """Dense Walsh series of the current product, refused past
+    DENSE_LIMIT coordinates before anything is allocated."""
+    depth = state.used_coordinates
     if depth > DENSE_LIMIT:
-        raise ValueError(f"refusing to densify a depth-{depth} spectrum")
+        raise CoordinateBudgetError(f"refusing to densify a depth-{depth} spectrum")
     coeffs = np.zeros(1 << depth)
     coeffs[state.spectrum.indices] = state.spectrum.coeffs
     return WalshSeries(depth, coeffs)
@@ -640,15 +630,15 @@ def verify_all_partial_sums(state: RieszProductState, seed: int = 1729) -> Posit
     """Certify S_p >= 0 and the stagewise S_p >= (1/4) Pi_j bound on
     every order and every atom.
 
-    Within the cap: exact minima in O(depth 2^depth), with Pi_j
-    evaluated on the first log2(edge_j) coordinates it depends on.  Past
-    the cap: per-factor lower bounds in O(sum_k |J_k| 2^|J_k|).  `seed`
+    Within DENSE_LIMIT coordinates: exact minima in O(depth 2^depth),
+    with Pi_j evaluated on the first log2(edge_j) coordinates it depends
+    on.  Past it: per-factor lower bounds in O(sum_k |J_k| 2^|J_k|).  `seed`
     is accepted and unused; no certificate draws random numbers.
     """
     depth = state.used_coordinates
-    edges = tuple([1] + state.block_boundaries())
+    edges = (1, *(1 << f.block[-1] for f in state.factors))  # the stage bands' first orders
     slack = _rounding_allowance(depth, state.norm_a)
-    if depth <= state.exhaustive_cap:
+    if depth <= DENSE_LIMIT:
         # exact minima, reported as computed; passing leaves room for rounding
         method, floor = "kernel", slack
         refs = [0.25 * product_values(state.factors[:j], edge.bit_length() - 1)
@@ -782,8 +772,6 @@ def state_manifest(state: RieszProductState) -> dict:
     """The reproducible description of the product: constant plus stages."""
     return {
         "flatness_constant": FLATNESS_CONSTANT,
-        "exhaustive_cap": state.exhaustive_cap,
-        "max_coordinates": state.max_coordinates,
         "stages": [
             {
                 "level": f.level,
@@ -796,10 +784,9 @@ def state_manifest(state: RieszProductState) -> dict:
 
 
 def state_from_manifest(data: dict) -> RieszProductState:
-    state = empty_state(
-        exhaustive_cap=int(data.get("exhaustive_cap", 14)),
-        max_coordinates=int(data.get("max_coordinates", 30)),
-    )
+    """Rebuild the state from its stages; other keys are ignored, among
+    them the two coordinate caps older manifests recorded."""
+    state = empty_state()
     for stage in data["stages"]:
         block = BlockSpec(tuple(int(j) for j in stage["block"]))
         state = add_factor(state, int(stage["level"]), block)

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import walshriesz as wr
-from walshriesz import DepthLimitError, WalshSeries, cli, series_from_csv
+from walshriesz import DepthLimitError, WalshSeries, cli, riesz, series_from_csv
 
 
 def run(argv):
@@ -76,7 +76,6 @@ def test_build_walsh_unbuildable_level_is_usage_error(tmp_path, monkeypatch, cap
             "build-walsh-measure",
             "--budget-scale", "4",
             "--stages", "4",
-            "--max-coordinates", "60",
         ]
     )
     assert code == 2
@@ -86,35 +85,47 @@ def test_build_walsh_unbuildable_level_is_usage_error(tmp_path, monkeypatch, cap
     assert not list(tmp_path.iterdir())
 
 
-def test_cap_past_dense_limit_is_usage_error(tmp_path, capsys):
-    args = [
-        "build-walsh-measure",
-        "--cap", "21",
-        "--out", str(tmp_path / "m.csv"),
-        "--manifest", str(tmp_path / "m.json"),
-    ]
-    assert run(args) == 2
+def test_cap_is_parsed_and_ignored(tmp_path):
+    # the depth chooses the positivity method; --cap is still accepted,
+    # in or out of [0, 20], and changes no output
+    outputs = []
+    for cap in ([], ["--cap", "0"], ["--cap", "21"]):
+        measure, manifest = tmp_path / "m.csv", tmp_path / "m.json"
+        args = ["build-walsh-measure", "--out", str(measure), "--manifest", str(manifest)]
+        assert run(args + cap) == 0
+        data = json.loads(manifest.read_text())
+        assert data["certificates"]["positivity"]["method"] == "kernel"
+        outputs.append((measure.read_bytes(), data["certificates"], data["stages"]))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_coordinate_past_63_is_usage_error(tmp_path, capsys):
+    # a manifest block past coordinate 63, whose Walsh index would not fit
+    # in int64, exits 2; the caps older manifests recorded are ignored
+    stage = {"level": 0, "block": [64], "amplitude": 0.5 / wr.FLATNESS_CONSTANT}
+    manifest = tmp_path / "manifest.json"
+    out = tmp_path / "singularity.csv"
+    argv = ["singularity-report", "--state", str(manifest), "--out", str(out)]
+    manifest.write_text(json.dumps({"stages": [stage]}))
+    assert run(argv) == 2
     err = capsys.readouterr().err
-    assert "internal error" not in err and "limit 20" in err
-    assert not list(tmp_path.iterdir())
-    # manifests past either limit: the exhaustive cap, or coordinates
-    # whose Walsh indices would not fit in int64
-    for data, message in (({"exhaustive_cap": 21}, "limit 20"), ({"max_coordinates": 64}, "[0, 63]")):
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({**data, "stages": []}))
-        out = tmp_path / "singularity.csv"
-        assert run(["singularity-report", "--state", str(manifest), "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+    assert "internal error" not in err and "past coordinate 63" in err
+    assert not out.exists()
+    stage["block"] = [3]
+    older = {"exhaustive_cap": 21, "max_coordinates": 64, "stages": [stage]}
+    manifest.write_text(json.dumps(older))
+    assert run(argv) == 0
 
 
-def test_build_walsh_cap_gate(tmp_path, capsys):
-    # past the cap the build is certified from per-factor bounds, no flag needed
+def test_build_walsh_cap_gate(tmp_path, monkeypatch):
+    # past DENSE_LIMIT the build is certified from per-factor bounds,
+    # whatever --cap says
+    monkeypatch.setattr(riesz, "DENSE_LIMIT", 5)
     args = [
         "build-walsh-measure",
         "--psi", "preset:logpow,p=1",
         "--stages", "3",
-        "--cap", "5",
+        "--cap", "14",
         "--out", str(tmp_path / "m.csv"),
         "--manifest", str(tmp_path / "m.json"),
     ]
@@ -412,13 +423,53 @@ def test_build_trig_cli_fails_coarse_grid(tmp_path, capsys):
     assert certs["grid_min_partial"] < certs["bernstein_slack"]
 
 
-def deep_manifest(directory):
+def deep_manifest(directory, psi="preset:logpow,p=1"):
     """The manifest of a one-factor state on coordinate 27."""
-    state = wr.add_factor(wr.empty_state(max_coordinates=27), 0, wr.BlockSpec((27,)))
+    state = wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((27,)))
     path = directory / "deep.json"
-    path.write_text(json.dumps({"psi": "preset:logpow,p=1", "budget_scale": 1.0,
-                                **wr.state_manifest(state)}))
+    path.write_text(json.dumps({"psi": psi, "budget_scale": 1.0, **wr.state_manifest(state)}))
     return path
+
+
+def bad_inputs(directory):
+    """The input files the bad-input cases name, by placeholder."""
+    inputs = {"{deep}": str(deep_manifest(directory))}
+    for name, config in (("stages-3.5", {"stages": 3.5}), ("psi-5", {"psi": 5})):
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(config))
+        inputs["{" + name + "}"] = str(path)
+    return inputs
+
+
+def test_deep_build_is_refused_before_any_certificate(tmp_path, monkeypatch, capsys):
+    # the depth-27 build (9,141,660 terms) is refused for the dense
+    # diagnostics before the certificates and psi sums run
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the size checks")
+
+    for name in ("verify_all_partial_sums", "psi_sum_report", "export_measure"):
+        monkeypatch.setattr(riesz, name, never)
+    argv = ["build-walsh-measure", "--psi", "preset:logpow,p=2", "--budget-scale", "100",
+            "--stages", "7", "--out", str(tmp_path / "m.csv"),
+            "--manifest", str(tmp_path / "m.json")]
+    assert run(argv) == 2
+    assert "depth 27 is past the dense diagnostics' limit 24" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bad_manifest_exits_2(tmp_path, capsys):
+    # an unknown psi key, and a stage level of the wrong JSON type
+    manifest = deep_manifest(tmp_path, psi="preset:logpow,q=1")
+    measure = tmp_path / "measure.csv"
+    measure.write_text("n,coeff\n0,1.0\n")
+    out_dir = tmp_path / "report"
+    argv = ["report", "--manifest", str(manifest), "--measure", str(measure)]
+    assert run(argv + ["--out-dir", str(out_dir)]) == 2
+    assert "takes no parameter 'q'" in capsys.readouterr().err
+    assert not out_dir.exists()
+    manifest.write_text(json.dumps({"stages": [{"level": None, "block": [1]}]}))
+    assert run(["singularity-report", "--state", str(manifest), "--out", "-"]) == 2
+    assert "cannot rebuild state" in capsys.readouterr().err
 
 
 def test_report_past_depth_limit_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -440,21 +491,31 @@ def test_report_past_depth_limit_exits_2_and_writes_nothing(tmp_path, capsys):
         (["build-trig-measure", "--grid-oversample", "0"], "oversample 0 below 1"),
         (["rs-pair", "--level", "21"], "level 21 outside [0, 20]"),
         (["build-walsh-measure", "--stages", "-1"], "stage count -1 is negative"),
-        # Walsh indices are int64: coordinate 63 is index 2^62, the last one
-        (["build-walsh-measure", "--max-coordinates", "64"], "64 outside [0, 63]"),
+        # psi presets take their own keys, and finite numbers only
+        (["build-walsh-measure", "--psi", "preset:logpow,q=1"],
+         "psi preset 'logpow' takes no parameter 'q'"),
+        (["build-walsh-measure", "--psi", "preset:logpow,p=nan"],
+         "psi parameter p=nan is not finite"),
+        (["build-trig-measure", "--psi", "preset:power,delta=inf"],
+         "psi parameter delta=inf is not finite"),
+        # config values are read as the flag's command-line text
+        (["build-walsh-measure", "--config", "{stages-3.5}"],
+         "config 'stages': 3.5 is not int"),
+        (["build-walsh-measure", "--config", "{psi-5}"], "unknown psi descriptor '5'"),
         # levels stop at the longest flat polynomial built, 2^12
         (["build-trig-measure", "--budget-scale", "0.25", "--stages", "1"],
          "no admissible trig level <= 4096 for stage 1"),
         # depth 42 builds and certifies from the factors alone; its spectrum
         # is refused before the psi sums or the export allocate it
         (["build-walsh-measure", "--psi", "preset:power,delta=1", "--budget-scale", "6",
-          "--stages", "7", "--max-coordinates", "60"],
+          "--stages", "7"],
          "274,339,462,140 terms, past the limit of 16,777,216"),
         # a depth-27 state would need about 10 GB of dense diagnostics
         (["singularity-report", "--state", "{deep}"], "depth 27 is past the dense diagnostics'"),
     ],
     ids=["trig-stages4", "trig-stages3", "trig-oversample0", "rs-level21", "walsh-stages-1",
-         "walsh-max-coordinates64", "trig-level-past-flat", "walsh-spectrum-past-limit",
+         "walsh-psi-unknown-key", "walsh-psi-nan", "trig-psi-inf", "config-stages-float",
+         "config-psi-int", "trig-level-past-flat", "walsh-spectrum-past-limit",
          "singularity-past-depth-limit"],
 )
 def test_bad_input_exits_2_and_writes_nothing(
@@ -463,8 +524,8 @@ def test_bad_input_exits_2_and_writes_nothing(
     out = tmp_path / "out.csv"
     manifest = tmp_path / "manifest.json"
     extra = ["--manifest", str(manifest)] if argv[0].startswith("build-") else []
-    deep = str(deep_manifest(tmp_path_factory.mktemp("input")))
-    argv = [deep if a == "{deep}" else a for a in argv]
+    inputs = bad_inputs(tmp_path_factory.mktemp("input"))
+    argv = [inputs.get(a, a) for a in argv]
     assert run(argv + ["--out", str(out)] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -320,8 +320,8 @@ def test_p3_equals_mass_positivity():
 # singularity diagnostics
 # ---------------------------------------------------------------------------
 
-def _built_state(levels, cap=14):
-    state = wr.empty_state(exhaustive_cap=cap)
+def _built_state(levels):
+    state = wr.empty_state()
     for level in levels:
         state = wr.add_factor(state, level)
     return state
@@ -404,7 +404,7 @@ def test_dense_diagnostics_refuse_past_the_depth_limit():
     # a depth-27 state: its dense tables would take about 10 GB, so every
     # diagnostic refuses it, naming the depth, before allocating them
     assert martingale.DIAGNOSTIC_DEPTH_LIMIT == 24
-    state = wr.empty_state(max_coordinates=27)
+    state = wr.empty_state()
     for block in ((1,), (27,)):
         state = wr.add_factor(state, 0, wr.BlockSpec(block))
     routes = (

@@ -48,3 +48,15 @@ def test_construction_constants_are_not_parameters():
     assert "deltas" not in {f.name for f in dataclasses.fields(martingale.SingularityReport)}
     cap = inspect.signature(riesz.choose_next_level).parameters["level_cap"].default
     assert cap == _MAX_PAIR_LEVEL == 20
+
+
+def test_product_state_is_its_factors():
+    # the depth chooses the positivity method and coordinate 63 is a fixed
+    # bound, so neither is a parameter of the state or of its builders
+    assert [f.name for f in dataclasses.fields(riesz.RieszProductState)] == ["factors"]
+    assert not inspect.signature(riesz.empty_state).parameters
+    assert list(inspect.signature(riesz.build_measure).parameters) == ["psi", "stages", "budget"]
+    assert riesz.state_manifest(riesz.empty_state()) == {
+        "flatness_constant": riesz.FLATNESS_CONSTANT,
+        "stages": [],
+    }

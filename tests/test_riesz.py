@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import walshriesz as wr
+from walshriesz import riesz
 from walshriesz.riesz import _block_table, _product_at, _write_spectrum, make_factor
 from walshriesz.walsh import atom_patterns, prefix_extrema, prefix_scan, sign_vector
 
@@ -165,7 +166,7 @@ def test_level_range_stops_at_pair_limit():
     # past level 20 there is no flat polynomial to build, so the rule
     # stops there by default; an explicit cap still probes past it
     psi, budget = wr.PsiSpec.logpow(1.0), wr.SummabilityBudget(scale=1.5)
-    state = wr.empty_state(max_coordinates=63)
+    state = wr.empty_state()
     for level in (0, 2):
         state = wr.add_factor(state, level)
     with pytest.raises(wr.LevelSelectionError, match="no admissible level <= 20"):
@@ -217,10 +218,19 @@ def test_add_factor_block_overlap_is_hard_error():
         wr.add_factor(state, 0, wr.BlockSpec((2,)))
 
 
-def test_add_factor_coordinate_budget():
-    state = wr.empty_state(max_coordinates=3)
-    with pytest.raises(wr.CoordinateBudgetError):
-        wr.add_factor(state, 3)
+def test_add_factor_coordinate_budget(tmp_path):
+    # Walsh indices are int64: coordinate 63 is index 2^62, the last one
+    for route in (
+        lambda: wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((64,))),
+        lambda: wr.add_factor(wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((60,))), 4),
+        lambda: wr.state_from_manifest({"stages": [{"level": 0, "block": [64]}]}),
+    ):
+        with pytest.raises(wr.CoordinateBudgetError, match="past coordinate 63"):
+            route()
+    # coordinate 63 exports and reloads
+    state = wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((63,)))
+    wr.export_measure(state, tmp_path / "measure.csv")
+    assert wr.load_spectrum_csv(tmp_path / "measure.csv").indices.tolist() == [0, 1 << 62]
 
 
 def test_add_factor_block_size_checked():
@@ -237,8 +247,8 @@ def test_factor_sup_on_far_block():
     table = _block_table(factor)
     assert table.size == 4
     assert float(np.max(np.abs(table))) == pytest.approx(2 * a)
-    # past the cap, the state reads inf X off the same 4-atom table
-    state = wr.empty_state(exhaustive_cap=2, max_coordinates=26)
+    # the state reads inf X off the same 4-atom table
+    state = wr.empty_state()
     tracemalloc.start()
     try:
         state = wr.add_factor(state, 1, wr.BlockSpec((25, 26)))
@@ -255,12 +265,12 @@ def test_factor_sup_on_far_block():
 
 def test_inf_lower_bound_past_cap():
     # the product of the factor minima is the exact, rounded dense minimum
-    # at every depth, past the cap too
-    state = wr.empty_state(exhaustive_cap=2)
+    # at every depth: inf_value never densifies
+    state = wr.empty_state()
     state = wr.add_factor(state, 0)
     state = wr.add_factor(state, 0)
     exact = state.inf_value
-    state = wr.add_factor(state, 0)  # three coordinates > cap of two
+    state = wr.add_factor(state, 0)
     a = 0.5 / C
     assert state.inf_value == pytest.approx(exact * (1 - a))
     assert state.inf_value == wr.product_values(state.factors, 3).min()
@@ -273,7 +283,7 @@ def test_build_measure_flagship_shape():
     assert [f.level for f in state.factors] == [0, 0, 10]
     assert state.used_coordinates == 13
     assert len(state.spectrum) == 2 * 2 * 1025
-    assert state.block_boundaries() == [2, 4, 8192]
+    assert wr.verify_all_partial_sums(state).band_edges == (1, 2, 4, 8192)
 
 
 def test_build_measure_rejects_negative_stages():
@@ -337,9 +347,10 @@ def test_certificate_with_gap_block():
     assert cert.passed
 
 
-def test_certificate_sampled_past_cap():
-    # past the cap the certificate is per-factor: every atom, no sample
-    state = wr.empty_state(exhaustive_cap=2)
+def test_certificate_sampled_past_cap(monkeypatch):
+    # past DENSE_LIMIT the certificate is per-factor: every atom, no sample
+    monkeypatch.setattr(riesz, "DENSE_LIMIT", 2)
+    state = wr.empty_state()
     for level in (0, 0, 1):
         state = wr.add_factor(state, level)
     cert = wr.verify_all_partial_sums(state, seed=7)
@@ -349,7 +360,7 @@ def test_certificate_sampled_past_cap():
     assert cert == wr.verify_all_partial_sums(state, seed=8)  # the seed is unused
 
 
-def test_kernel_fails_within_rounding():
+def test_kernel_fails_within_rounding(monkeypatch):
     # exact float minima of 4.4e-16 and 3.3e-16 are inside the rounding
     # allowance 3 2^-52 ||Pi_2||_A = 1.33e-15, so they prove nothing
     state = hand_built_state([1 - 2**-51, 2**-60])
@@ -360,7 +371,8 @@ def test_kernel_fails_within_rounding():
     assert 0.0 < cert.stage_margins[1] < cert.rounding_slack
     assert cert.global_min == 1.0 - (1 - 2**-51) - 2**-60  # reported exactly
     assert not cert.passed
-    per_factor = wr.verify_all_partial_sums(dataclasses.replace(state, exhaustive_cap=0))
+    monkeypatch.setattr(riesz, "DENSE_LIMIT", 0)
+    per_factor = wr.verify_all_partial_sums(state)
     assert per_factor.rounding_slack == cert.rounding_slack and not per_factor.passed
 
 
@@ -371,9 +383,7 @@ CERTIFIED_STATES = {
         wr.PsiSpec.logpow(1.0), 3, wr.SummabilityBudget(scale=2.25)
     ),
     "power-3": lambda: wr.build_measure(wr.PsiSpec.power(1.0), 3, wr.SummabilityBudget()),
-    "d16": lambda: wr.build_measure(
-        wr.PsiSpec.logpow(1.0), 4, wr.SummabilityBudget(scale=6), exhaustive_cap=16
-    ),
+    "d16": lambda: wr.build_measure(wr.PsiSpec.logpow(1.0), 4, wr.SummabilityBudget(scale=6)),
     "negative-prefix": lambda: hand_built_state([0.5 / C, 0.9]),
     # S_4 = Pi_2 sits at an edge and dips below every order of band 1
     "edge-order": lambda: hand_built_state([0.5, 2.0, 0.1]),
@@ -418,9 +428,7 @@ def test_derived_state_matches_dense(name):
     assert wr.verify_all_partial_sums(state).support_size == len(state.spectrum)
 
 
-def test_state_holds_only_factors_and_caps():
-    fields = [f.name for f in dataclasses.fields(wr.RieszProductState)]
-    assert fields == ["factors", "exhaustive_cap", "max_coordinates"]
+def test_state_holds_only_factors():
     # the deep-d22 build reads levels off norm_a and inf_value alone, and
     # its certificate and psi sums read the factors: the 523,260-term
     # spectrum is never built
@@ -455,41 +463,27 @@ def test_spectrum_limit_refused_before_allocating():
     assert cert.method == "per-factor" and cert.support_size == 1 << 25
 
 
-def test_max_coordinates_fits_int64(tmp_path):
-    for bad in (-1, 64):
-        with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
-            wr.empty_state(max_coordinates=bad)
-    with pytest.raises(ValueError, match=r"outside \[0, 63\]"):
-        wr.state_from_manifest({"max_coordinates": 64, "stages": []})
-    # coordinate 63 is Walsh index 2^62, which exports and reloads
-    state = wr.add_factor(wr.empty_state(max_coordinates=63), 0, wr.BlockSpec((63,)))
-    wr.export_measure(state, tmp_path / "measure.csv")
-    assert wr.load_spectrum_csv(tmp_path / "measure.csv").indices.tolist() == [0, 1 << 62]
-
-
-def power_build_cap_20(stages):
-    return wr.build_measure(
-        wr.PsiSpec.power(1.0), stages, wr.SummabilityBudget(scale=6), exhaustive_cap=20
-    )
+def power_build(stages, scale=6.0):
+    return wr.build_measure(wr.PsiSpec.power(1.0), stages, wr.SummabilityBudget(scale))
 
 
 SOUNDNESS_STATES = {
     **CERTIFIED_STATES,
-    "power-d12-cap-20": lambda: power_build_cap_20(5),
-    "power-d14-cap-20": lambda: wr.build_measure(
-        wr.PsiSpec.power(1.0), 4, wr.SummabilityBudget(), exhaustive_cap=20
-    ),
+    "power-d12-cap-20": lambda: power_build(5),
+    "power-d14-cap-20": lambda: power_build(4, scale=1.0),
+    "power-d18": lambda: power_build(6, scale=12.0),
 }
 
 
 @pytest.mark.parametrize("name", list(SOUNDNESS_STATES))
-def test_per_factor_bounds_below_kernel_minima(name):
+def test_per_factor_bounds_below_kernel_minima(name, monkeypatch):
     # the per-factor certificate only claims lower bounds: never above the
     # kernel's exact minima, and nonnegative on every construction build
     state = SOUNDNESS_STATES[name]()
     kernel = wr.verify_all_partial_sums(state)
     assert kernel.method == "kernel"
-    cert = wr.verify_all_partial_sums(dataclasses.replace(state, exhaustive_cap=0))
+    monkeypatch.setattr(riesz, "DENSE_LIMIT", 0)
+    cert = wr.verify_all_partial_sums(state)
     assert cert.method == "per-factor" and cert.exhaustive
     assert cert.band_edges == kernel.band_edges
     assert cert.global_min <= kernel.global_min
@@ -501,9 +495,9 @@ def test_per_factor_bounds_below_kernel_minima(name):
 
 
 def test_per_factor_bound_at_depth_22():
-    # the deep ladder rung: past every cap, so check the bound against the
-    # densified spectrum's exhaustive minimum, 0.28909...
-    state = power_build_cap_20(6)
+    # the deep ladder rung: past DENSE_LIMIT, so check the bound against
+    # the densified spectrum's exhaustive minimum, 0.28909...
+    state = power_build(6)
     cert = wr.verify_all_partial_sums(state)
     assert cert.method == "per-factor" and cert.exhaustive and cert.passed
     dense = np.zeros(1 << 22)
@@ -514,16 +508,18 @@ def test_per_factor_bound_at_depth_22():
     assert min(cert.stage_margins) >= 0.0
 
 
-def test_exhaustive_cap_bounded_by_dense_limit():
-    assert wr.riesz.DENSE_LIMIT == 20
-    wr.empty_state(exhaustive_cap=20)
-    for cap in (-1, 21):
-        with pytest.raises(ValueError, match="limit 20"):
-            wr.empty_state(exhaustive_cap=cap)
-    with pytest.raises(ValueError, match="limit 20"):
-        wr.build_measure(wr.PsiSpec.power(1.0), 1, exhaustive_cap=21)
-    with pytest.raises(ValueError, match="limit 20"):
-        wr.state_from_manifest({"exhaustive_cap": 21, "stages": []})
+def test_depth_chooses_the_method():
+    # the kernel reads exact minima up to DENSE_LIMIT = 20 coordinates, as
+    # on this default depth-18 build; past the limit the dense series is
+    # refused
+    assert riesz.DENSE_LIMIT == 20
+    cert = wr.verify_all_partial_sums(power_build(6, scale=12.0))
+    assert (cert.method, cert.depth, cert.passed) == ("kernel", 18, True)
+    assert cert.global_min == pytest.approx(0.2724510729806966, abs=1e-12)
+    deep = power_build(6)
+    assert wr.verify_all_partial_sums(deep).method == "per-factor"
+    with pytest.raises(wr.CoordinateBudgetError, match="depth-22 spectrum"):
+        wr.state_series(deep)
 
 
 # ---------------------------------------------------------------------------
@@ -581,19 +577,19 @@ def test_export_roundtrip(tmp_path):
 
 LADDER_PINS = {
     # the benchmark workloads' builds and their measure CSVs' sha256
-    "desk-d13": ((wr.PsiSpec.logpow(1.0), 3, 2.25, 14),
+    "desk-d13": ((wr.PsiSpec.logpow(1.0), 3, 2.25),
                  "29494ef4b1dd1c200155d80a87a806bb3e3bac09e1c452cb21fce1652616ed54"),
-    "exhaustive-d16": ((wr.PsiSpec.logpow(1.0), 4, 6.0, 16),
+    "exhaustive-d16": ((wr.PsiSpec.logpow(1.0), 4, 6.0),
                        "8ad7cfb729fbd1a082904718ec389370c9a430a206e4bcc07f91ff6244623129"),
-    "deep-d22": ((wr.PsiSpec.power(1.0), 6, 6.0, 14),
+    "deep-d22": ((wr.PsiSpec.power(1.0), 6, 6.0),
                  "b874df9bced9caca124e9d6562c8c4ba8a51e996fbbf3a1d1c48a6c110b930de"),
 }
 
 
 @pytest.mark.parametrize("name", list(LADDER_PINS))
 def test_measure_export_matches_pin(tmp_path, name):
-    (psi, stages, scale, cap), digest = LADDER_PINS[name]
-    state = wr.build_measure(psi, stages, wr.SummabilityBudget(scale), exhaustive_cap=cap)
+    (psi, stages, scale), digest = LADDER_PINS[name]
+    state = wr.build_measure(psi, stages, wr.SummabilityBudget(scale))
     path = tmp_path / "measure.csv"
     wr.export_measure(state, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -614,10 +610,14 @@ def test_manifest_roundtrip():
     for stage, factor in zip(manifest["stages"], state.factors):
         expected = (0.5 / C) * 2.0 ** (-factor.level / 2)
         assert stage["amplitude"] == expected  # exact float equality
-    rebuilt = wr.state_from_manifest(manifest)
-    assert np.array_equal(rebuilt.spectrum.indices, state.spectrum.indices)
-    assert np.array_equal(rebuilt.spectrum.coeffs, state.spectrum.coeffs)
-    assert rebuilt.norm_a == state.norm_a
+    assert list(manifest) == ["flatness_constant", "stages"]
+    # manifests of the older format also recorded two caps; they rebuild
+    older = {"flatness_constant": C, "exhaustive_cap": 21, "max_coordinates": 64,
+             "stages": manifest["stages"]}
+    for rebuilt in (wr.state_from_manifest(manifest), wr.state_from_manifest(older)):
+        assert np.array_equal(rebuilt.spectrum.indices, state.spectrum.indices)
+        assert np.array_equal(rebuilt.spectrum.coeffs, state.spectrum.coeffs)
+        assert rebuilt.norm_a == state.norm_a
 
 
 def test_state_series_matches_pointwise_product():
