@@ -218,16 +218,26 @@ def test_add_factor_block_overlap_is_hard_error():
         wr.add_factor(state, 0, wr.BlockSpec((2,)))
 
 
-def test_add_factor_coordinate_budget(tmp_path):
+def test_add_factor_coordinate_budget():
     # Walsh indices are int64: coordinate 63 is index 2^62, the last one
     for route in (
         lambda: wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((64,))),
         lambda: wr.add_factor(wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((60,))), 4),
-        lambda: wr.state_from_manifest({"stages": [{"level": 0, "block": [64]}]}),
     ):
         with pytest.raises(wr.CoordinateBudgetError, match="past coordinate 63"):
             route()
-    # coordinate 63 exports and reloads
+
+
+def test_max_coordinates_fits_int64(tmp_path):
+    # the coordinate bound is fixed at 63; a manifest past it is refused,
+    # whatever budget an older manifest recorded
+    for manifest in (
+        {"stages": [{"level": 0, "block": [64]}]},
+        {"max_coordinates": 64, "stages": [{"level": 0, "block": [64]}]},
+    ):
+        with pytest.raises(wr.CoordinateBudgetError, match="past coordinate 63"):
+            wr.state_from_manifest(manifest)
+    # coordinate 63 is Walsh index 2^62, which exports and reloads
     state = wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((63,)))
     wr.export_measure(state, tmp_path / "measure.csv")
     assert wr.load_spectrum_csv(tmp_path / "measure.csv").indices.tolist() == [0, 1 << 62]
