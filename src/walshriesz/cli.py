@@ -14,11 +14,13 @@ before any certificate runs.  All output files are written atomically
 file keyed by the flag's dest name, each value read as the flag's
 command-line text (one its type rejects exits 2); explicit flags win.
 No command draws random numbers: every positivity certificate covers
-every order on every atom, exactly within riesz.DENSE_LIMIT coordinates
-and by per-factor lower bounds past them.  --seed is only recorded in
-manifests and reports, and --cap is parsed and ignored (the depth
-chooses the method); both are kept because benchmarks/workloads.py
-passes them.
+every order on every atom, one stage band at a time, with exact minima
+wherever each band's head lies within riesz.DENSE_LIMIT coordinates and
+interval lower bounds past them.  --seed is only recorded in manifests
+and reports, and --cap is parsed and ignored (the heads' depths choose
+the method); both are kept because benchmarks/workloads.py passes them.
+report exits 2, before writing anything, when the measure CSV's term
+count is not the manifest product's.
 
 theorem1-check decides positivity by the exact route: every partial
 sum of the series exactly as its float64 coefficients hold it, in
@@ -142,12 +144,16 @@ class _IOFailure(Exception):
 
 
 def _gauge(args) -> tuple[riesz.PsiSpec, riesz.SummabilityBudget]:
-    """--psi and --budget-scale; a psi failing the hypothesis exits 2."""
+    """--psi and --budget-scale; a psi failing the hypothesis, or a scale
+    that is not finite and positive, exits 2."""
     try:
         psi = riesz.PsiSpec.parse(args.psi).validate()
     except ValueError as exc:  # PsiHypothesisError included
         raise _UsageError(str(exc)) from None
-    return psi, riesz.SummabilityBudget(scale=args.budget_scale)
+    try:
+        return psi, riesz.SummabilityBudget(scale=args.budget_scale)
+    except ValueError as exc:
+        raise _UsageError(f"--budget-scale: {exc}") from None
 
 
 def _manifest_header(args, psi: riesz.PsiSpec) -> dict:
@@ -431,6 +437,11 @@ def _cmd_report(args) -> int:
         state = riesz.state_from_manifest(manifest)
         psi = riesz.PsiSpec.parse(manifest["psi"])
         budget = riesz.SummabilityBudget(scale=float(manifest["budget_scale"]))
+    if len(spectrum) != state.support_size:
+        raise _UsageError(
+            f"{args.measure} has {len(spectrum):,} terms, but the product in"
+            f" {args.manifest} has {state.support_size:,}"
+        )
     # computed before the first file is written: both may refuse the state
     rows = _singularity_rows(martingale.singularity_report(state))
     psi_report = riesz.psi_sum_report(state, psi, budget)
@@ -488,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", default="preset:logpow,p=1")
     p.add_argument("--stages", type=int, default=3)
     p.add_argument("--cap", type=int, default=14,
-                   help="ignored, the depth chooses the positivity method"
+                   help="ignored, the heads' depths choose the positivity method"
                         " (kept because benchmarks/workloads.py passes it)")
     p.add_argument("--budget-scale", type=float, default=2.25,
                    help="stage budget is scale * 2^-k (default: 3 stages in 13 coordinates)")

@@ -37,8 +37,6 @@ from .walsh import (
     InvariantViolation,
     WalshSeries,
     _martingale_walk,
-    _rounding_allowance,
-    _walk_minima,
     butterfly,
     multiply_by_walsh,
     partial_sum,
@@ -176,7 +174,9 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
         )
     exact_min = _dyadic_float(low, exponent)
     float_min = _maximal_margin(series)
-    slack = _rounding_allowance(series.depth, float(np.sum(np.abs(series.coeffs))))
+    # each partial sum is a K-deep tree of sums of terms of total modulus
+    # at most ||S||_A
+    slack = (series.depth + 1) * 2.0**-52 * float(np.sum(np.abs(series.coeffs)))
     if abs(float_min - exact_min) > slack:
         raise InvariantViolation(
             "exact and maximal-function routes disagree beyond the rounding"
@@ -282,8 +282,9 @@ def _maximal_margin(series: WalshSeries) -> float:
     (M_0 at depth 0), one level of the walk at a time.  Orders in
     (2^k, 2^(k+1)] read M_k +- a prefix of N_k, so this is the smallest
     partial sum of every order: M_k - N_k* is min(M_k - MX, M_k + MN,
-    M_(k+1)), rounding being monotone, so `walsh._walk_minima` reads it."""
-    return _walk_minima(series.coeffs)[0]
+    M_(k+1)), rounding being monotone (at k = 0, MX = MN = 0)."""
+    return min(float(sums.min()) for m, n, mx, mn in _martingale_walk(series.coeffs)
+               for sums in ([m] if n is None else [m, m + mn, m - mx]))
 
 
 def _float_verdict(low: float, slack: float) -> str:

@@ -32,29 +32,37 @@ terms before anything is allocated.  Each X_i is evaluated on its own
 block's 2^|J_i| atoms (one butterfly) and read off elsewhere by the
 block's bits of the atom.
 
-Every prefix order is certified on every atom, by one of two methods
-chosen from the depth, and both allow (K+1) 2^-52 ||Pi_K||_A for float
-rounding.  Within DENSE_LIMIT used coordinates the "kernel" reads exact
-minima in O(K 2^K) off `walsh._martingale_walk`, through
-`walsh._walk_minima`, the reduction theorem1-check's float route reads
-too: order 2^k reads M_k, and the orders in (2^k, 2^(k+1)) read M_k
-plus a prefix of N_k where r_(k+1) = +1 and minus one elsewhere, so
-the r = +1 half of the atoms reads M_k + MN and the other half M_k - MX,
-the extremes the walk gives one level at a time, with no table of both
-halves.  The band edges are powers of two, so each level's orders fall
-in one stage band.  These are minima of rounded sums, so the kernel
-passes only when each is at least the allowance.  Past DENSE_LIMIT the
-"per-factor" method bounds them from each factor's own data.  A
-partial sum of order in stage k+1's band is Pi_k (1 + P(X_(k+1))) +
-c w P_r(Pi_k), with P a prefix of X_(k+1), c one of its coefficients
-and P_r a prefix of Pi_k, so pointwise
+Every prefix order is certified on every atom, one stage band at a
+time, as the paper's proof goes.  Band j holds the orders
+[2^d_j, 2^d_(j+1)) (d_j the top coordinate of Pi_j, the last band
+closed).  The blocks are disjoint and increasing, so stage j+1's terms
+are c_f w_f times Pi_j's, at the orders f + [0, 2^d_j) for each index f
+of X = X_(j+1), and pointwise
 
-    S_p >= Pi_k (1 + P(X_(k+1))) - PM(X_(k+1)) ||Pi_k||_A.
+    S_(f+m) = Pi_j (1 + P_<f(X)) + c_f w_f S_m(Pi_j),   0 <= m < 2^d_j,
 
-The blocks are disjoint, so the factors are independent: the range of
-Pi_k is the product of the factors' ranges, and the prefix extremes of
-X_(k+1) come from one `prefix_extrema` pass on its 2^|J| block atoms.
-The bounds subtract the allowance.
+with P_<f the prefix of X before f and S_m a proper prefix of the head
+Pi_j.  The orders before an index f and after the previous index's
+terms read its m = 0 value; those from max(X's indices) + 2^d_j on read
+Pi_j (1 + X) = Pi_(j+1), which band j reaches when it is the last band,
+or when a gap leaves some of them below 2^d_(j+1).  The head's
+coordinates t and the block's t' are independent, and S_(f+m) is linear
+in S_m and in P_<f, so each band's minimum is read off two pieces of
+data:
+
+  - the head: Pi_j on its atoms with the range [min(0, MN), max(0, MX)]
+    of its proper prefix sums, the empty one included.  While
+    d_j <= DENSE_LIMIT these are dense tables, exact; past it a
+    two-point interval head, the range of Pi_j from the factors' ranges
+    and +-||Pi_j||_A for the prefixes, which gives lower bounds;
+  - the block: one signed prefix-extrema butterfly on X's 2^|J| block
+    atoms per coefficient magnitude mu, giving the smallest and largest
+    P_<f(t') over each sign class of c_f w_f(t') = +-mu.
+
+Class +mu then takes the head's smallest prefix sum and class -mu its
+largest, and a band costs a few vector minima over the head's atoms.
+The certificate reports the computed figures, and passes only when each
+is at least the rounding allowance (see `verify_all_partial_sums`).
 """
 
 from __future__ import annotations
@@ -72,8 +80,7 @@ from .walsh import (
     InvariantViolation,
     SeriesFormatError,
     WalshSeries,
-    _rounding_allowance,
-    _walk_minima,
+    _segment_merge,
     _write_csv,
     atom_patterns,
     butterfly,
@@ -108,9 +115,11 @@ __all__ = [
     "state_from_manifest",
 ]
 
-# Largest depth densified: the dense series and the kernel's tables
-# hold 2^DENSE_LIMIT float64 values each.  At depth 20 the kernel took
-# 0.55 s and a 60 MiB tracemalloc peak on one Xeon core.
+# Largest depth densified: by `state_series`, and by the positivity
+# certificate for a band whose head Pi_j ends at coordinate
+# d_j <= DENSE_LIMIT, whose tables hold 2^d_j float64 values each (past
+# it the head is an interval).  A 20-coordinate head with all 2^20
+# terms took 0.67 s and an 88 MiB tracemalloc peak on one Xeon core.
 DENSE_LIMIT = 20
 
 # Largest spectrum materialized, in terms (16 bytes each); the ladder's
@@ -224,6 +233,8 @@ class PsiSpec:
         ys = np.asarray(ys, dtype=np.float64)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise ValueError("need matching 1-d sample arrays with >= 2 points")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValueError("psi samples must be finite")
         if np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
             raise ValueError("sample grid must be positive and increasing")
         if np.any(ys < 0) or np.any(np.diff(ys) < 0):
@@ -277,6 +288,10 @@ class SummabilityBudget:
     """Per-stage caps scale * 2^-k for the envelope terms of condition (6)."""
 
     scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"budget scale {self.scale} is not finite and positive")
 
     def term_bound(self, k: int) -> float:
         if k < 1:
@@ -588,12 +603,13 @@ class PositivityCertificate:
     definition).  `stage_margins[j]` is the pointwise minimum of
     S_p - (1/4) Pi_j over stage j's orders [edge_j, edge_(j+1)) (the
     last band closed), which the construction keeps nonnegative.
-    `method` is "kernel" when both are exact minima and "per-factor"
-    when they are certified lower bounds.  `rounding_slack` is the float
-    rounding allowance (K+1) 2^-52 ||Pi_K||_A: the per-factor bounds
-    already subtract it, and the kernel passes only when its minima are
-    at least the slack.  Either way every order on every atom is covered,
-    so `exhaustive` is always true.
+    `method` is "exact" when every band's head Pi_j lies within
+    DENSE_LIMIT coordinates, so both are exact minima, and "bounds" when
+    some head is an interval, so those bands give lower bounds.
+    `rounding_slack` is the float rounding allowance (K+3) 2^-52
+    ||Pi_K||_A; the figures are reported as computed, and the
+    certificate passes only when each is at least the slack.  Either way
+    every order on every atom is covered, so `exhaustive` is always true.
     """
 
     exhaustive: bool
@@ -607,58 +623,80 @@ class PositivityCertificate:
     passed: bool
 
 
-def _per_factor_bounds(state: RieszProductState, slack: float) -> tuple[float, list[float]]:
-    """Lower bounds on the global minimum and the stage margins from
-    per-factor data, less the rounding allowance `slack`.  In stage band
-    k, S_p - s Pi_k >= Pi_k (1 - s + P) - PM(X_(k+1)) ||Pi_k||_A with Pi_k
-    in [lo, hi] and P in [low, high], the extremes of the prefixes of
-    X_(k+1), the empty one included; a product over two ranges is
-    smallest at a corner."""
-    norm_a = 1.0
-    gmin, margins = math.inf, []
-    for factor, corners in zip(state.factors, _product_ranges(state.factors)):
-        _, mx, mn = prefix_extrema(_block_coeffs(factor))
-        prefixes = (min(0.0, float(mn.min())), max(0.0, float(mx.max())))
-        tail = float(np.max(np.abs(factor.coeffs))) * norm_a
-        gmin = min(gmin, min(p * (1.0 + q) for p in corners for q in prefixes) - tail)
-        margins.append(min(p * (0.75 + q) for p in corners for q in prefixes) - tail)
-        norm_a *= 1.0 + factor.norm_a
-    return gmin - slack, [m - slack for m in margins]
+def _head_tables(head: RieszProductState):
+    """Pi_j and the range [lo, hi] of its proper prefix sums S_m, m < 2^d_j
+    (S_0 = 0 included), on the head's atoms: dense tables while
+    d_j <= DENSE_LIMIT, else a two-point interval head, the range of
+    Pi_j with |S_m| <= ||Pi_j||_A."""
+    if head.used_coordinates > DENSE_LIMIT:
+        norm = np.full(2, head.norm_a)
+        return np.array(_product_ranges(head.factors)[-1]), -norm, norm
+    coeffs = state_series(head).coeffs
+    pi = butterfly(coeffs)
+    coeffs[-1] = 0.0  # S_(2^d_j) = Pi_j is an order of the next band
+    _, mx, mn = prefix_extrema(coeffs)
+    return pi, np.minimum(mn, 0.0), np.maximum(mx, 0.0)
+
+
+def _band_minima(pi, lo, hi, factor: Factor, reaches_end: bool) -> tuple[float, float]:
+    """The smallest S_p and S_p - Pi_j/4 over band j's orders, from the
+    head tables (pi, lo, hi) and X = `factor`: S_p = Pi_j (1 + P) + b S_m
+    is smallest at an end of P's class range and, b = +-mu, at S_m = lo
+    or hi.  `reaches_end` adds the orders reading Pi_j (1 + X)."""
+    coeffs = _block_coeffs(factor)
+    cases = []  # (smallest P, largest P, b S_m at its worst)
+    for mu in set(np.abs(factor.coeffs).tolist()):  # np.unique would import numpy.ma
+        # the signed prefix-extrema butterfly on X's block atoms t': the
+        # extremes of P_<f(t') over the f with |c_f| = mu, in row 0 where
+        # c_f w_f(t') = +mu and in row 1 where it is -mu
+        classes = np.array([coeffs == mu, coeffs == -mu])
+        _, mx, mn = _segment_merge(coeffs, np.where(classes, 0.0, -np.inf), np.where(classes, 0.0, np.inf))
+        cases += [(mn[0].min(), mx[0].max(), mu * lo), (mn[1].min(), mx[1].max(), -mu * hi)]
+    if reaches_end:
+        cases.append((*factor.value_range, 0.0))
+
+    def smallest(shift):
+        return min(float((np.minimum(pi * (shift + low), pi * (shift + high)) + term).min())
+                   for low, high, term in cases if low <= high)
+
+    return smallest(1.0), smallest(0.75)
 
 
 def verify_all_partial_sums(state: RieszProductState, seed: int = 1729) -> PositivityCertificate:
     """Certify S_p >= 0 and the stagewise S_p >= (1/4) Pi_j bound on
-    every order and every atom.
+    every order and every atom, band by band (see the module docstring),
+    in O(d_j 2^d_j + |J| 2^|J|) per band and coefficient magnitude.
 
-    Within DENSE_LIMIT coordinates: exact minima in O(depth 2^depth),
-    with Pi_j evaluated on the first log2(edge_j) coordinates it depends
-    on.  Past it: per-factor lower bounds in O(sum_k |J_k| 2^|J_k|).  `seed`
-    is accepted and unused; no certificate draws random numbers.
+    Rounding allowance: a band's figures carry the head pass's d_j-deep
+    sums of terms of total modulus ||Pi_j||_A, the block pass's |J|-deep
+    ones, one product and one sum, so to first order they lie within
+    (d_j + |J| + 3) 2^-52 ||Pi_(j+1)||_A of the exact minima.  The blocks
+    are disjoint, so d_j + |J| <= K, and (K+3) 2^-52 ||Pi_K||_A covers
+    every band: the figures are reported as computed, and the
+    certificate passes only when each is at least this allowance.
+    `seed` is accepted and unused; no certificate draws random numbers.
     """
     depth = state.used_coordinates
     edges = (1, *(1 << f.block[-1] for f in state.factors))  # the stage bands' first orders
-    slack = _rounding_allowance(depth, state.norm_a)
-    if depth <= DENSE_LIMIT:
-        # exact minima, reported as computed; passing leaves room for rounding
-        method, floor = "kernel", slack
-        refs = [0.25 * product_values(state.factors[:j], edge.bit_length() - 1)
-                for j, edge in enumerate(edges[:-1])]
-        gmin, margins = _walk_minima(state_series(state).coeffs, refs)
-    else:
-        method, floor = "per-factor", 0.0
-        gmin, margins = _per_factor_bounds(state, slack)
-
-    passed = gmin >= floor and all(m >= floor for m in margins)
+    slack = (depth + 3) * 2.0**-52 * state.norm_a
+    gmin, margins = 1.0, []  # S_1 = 1, the constant term
+    for j, factor in enumerate(state.factors):
+        reaches_end = j == state.stages - 1 or factor.indices.max() + edges[j] < edges[j + 1]
+        low, margin = _band_minima(*_head_tables(RieszProductState(state.factors[:j])),
+                                   factor, reaches_end)
+        gmin = min(gmin, low)
+        margins.append(margin)
+    dense = all(edge.bit_length() - 1 <= DENSE_LIMIT for edge in edges[:-1])
     return PositivityCertificate(
         exhaustive=True,
-        method=method,
+        method="exact" if dense else "bounds",
         depth=depth,
         support_size=state.support_size,
         band_edges=edges,
-        global_min=float(gmin),
-        stage_margins=tuple(float(m) for m in margins),
+        global_min=gmin,
+        stage_margins=tuple(margins),
         rounding_slack=slack,
-        passed=passed,
+        passed=gmin >= slack and all(m >= slack for m in margins),
     )
 
 

@@ -285,30 +285,42 @@ def multiply_by_walsh(series: WalshSeries, m) -> WalshSeries:
 
 def prefix_extrema(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, MX, MN) on all 2^K atoms of c_0..c_(2^K - 1): the full sum and
-    the largest and smallest nonempty partial sum, in O(K 2^K).
-
-    A butterfly whose merge is the martingale step M_(k+1) = M_k +
-    r_(k+1) N_k: a prefix of a segment is a prefix of its left half a, or
-    Sa plus r times a prefix of its right half b.  On the r = +1 half
-    S = Sa + Sb, MX = max(MXa, Sa + MXb), MN = min(MNa, Sa + MNb); on the
-    r = -1 half S = Sa - Sb, MX = max(MXa, Sa - MNb), MN = min(MNa, Sa - MXb).
-    S equals `butterfly` bit for bit; integer input is summed exactly in int64.
+    the largest and smallest nonempty partial sum, in O(K 2^K), by
+    `_segment_merge` with one class of prefixes.  S equals `butterfly`
+    bit for bit; integer input is summed exactly in int64.
     """
     coeffs = np.asarray(coeffs)
     exact = np.issubdtype(coeffs.dtype, np.integer)
     s = coeffs.astype(np.int64 if exact else np.float64)
+    if s.ndim != 1 or not _is_pow2(s.size):
+        raise ValueError(f"length {s.size} is not a power of two")
+    s, mx, mn = _segment_merge(s, s[None], s[None])
+    return s, mx[0], mn[0]
+
+
+def _segment_merge(s, mx, mn):
+    """The package's one prefix-extrema butterfly: (S, MX, MN) of every
+    segment, merged up to all 2^K atoms in O(K 2^K).
+
+    `s` holds the segments' full sums and `mx`, `mn` one row per class of
+    prefixes, each starting from a length-1 segment.  The merge is the
+    martingale step M_(k+1) = M_k + r_(k+1) N_k: a prefix of a segment
+    [a | b] is a prefix of a, or Sa plus r times a prefix of b, r the
+    segment's top coordinate.  On the r = +1 half S = Sa + Sb, MX =
+    max(MXa, Sa + MXb), MN = min(MNa, Sa + MNb); on the r = -1 half
+    S = Sa - Sb, MX = max(MXa, Sa - MNb), MN = min(MNa, Sa - MXb), with
+    b's rows taken in reverse order: a class that records a sign of b's
+    prefixes changes with it.  An empty class reads MX = -inf, MN = +inf.
+    """
     n = s.size
-    if s.ndim != 1 or not _is_pow2(n):
-        raise ValueError(f"length {n} is not a power of two")
-    mx, mn = s.copy(), s.copy()
     h = 1
     while h < n:
         sa, sb = s.reshape(-1, 2, h).transpose(1, 0, 2)
-        xa, xb = mx.reshape(-1, 2, h).transpose(1, 0, 2)
-        na, nb = mn.reshape(-1, 2, h).transpose(1, 0, 2)
+        xa, xb = mx.reshape(len(mx), -1, 2, h).transpose(2, 0, 1, 3)
+        na, nb = mn.reshape(len(mn), -1, 2, h).transpose(2, 0, 1, 3)
         s = np.stack([sa + sb, sa - sb], axis=1).reshape(n)
-        mx = np.stack([np.maximum(xa, sa + xb), np.maximum(xa, sa - nb)], axis=1).reshape(n)
-        mn = np.stack([np.minimum(na, sa + nb), np.minimum(na, sa - xb)], axis=1).reshape(n)
+        mx = np.stack([np.maximum(xa, sa + xb), np.maximum(xa, sa - nb[::-1])], axis=2).reshape(-1, n)
+        mn = np.stack([np.minimum(na, sa + nb), np.minimum(na, sa - xb[::-1])], axis=2).reshape(-1, n)
         h *= 2
     return s, mx, mn
 
@@ -332,37 +344,6 @@ def _martingale_walk(coeffs):
         yield m, n, mx, mn
         m = np.concatenate([m + n, m - n])
     yield m, None, None, None
-
-
-def _walk_minima(coeffs, refs=()) -> tuple[float, list[float]]:
-    """The smallest partial sum S_p over the orders 1..2^K on every atom,
-    and for each band j the smallest S_p - refs[j] over its orders, read
-    off `_martingale_walk` in O(K 2^K).
-
-    Order 2^k reads M_k, and the orders in (2^k, 2^(k+1)) read M_k +
-    r_(k+1) P_q(N_k), q < 2^k: at least M_k + MN where r_(k+1) = +1 and
-    M_k - MX where r_(k+1) = -1.  Band j runs from order refs[j].size, a
-    power of two, to the next band's (the last band through 2^K), and
-    refs[j] is a function of the first log2(refs[j].size) coordinates,
-    broadcast over the rest; so level k's orders all fall in the last
-    band starting at or below 2^k.
-    """
-    gmin, margins = math.inf, [math.inf] * len(refs)
-    for k, (m, n, mx, mn) in enumerate(_martingale_walk(coeffs)):
-        band = sum(ref.size <= 1 << k for ref in refs) - 1
-        for sums in [m] if not k or n is None else [m, m + mn, m - mx]:  # (1, 2) holds no order
-            gmin = min(gmin, float(sums.min()))
-            if band >= 0:
-                ref = refs[band]
-                margins[band] = min(margins[band], float((sums.reshape(-1, ref.size) - ref).min()))
-    return gmin, margins
-
-
-def _rounding_allowance(depth: int, norm_a: float) -> float:
-    """(K+1) 2^-52 ||S||_A: the float64 rounding allowance of a depth-K
-    prefix-extrema pass, whose every partial sum is a K-deep tree of sums
-    of terms of total modulus at most ||S||_A."""
-    return (depth + 1) * 2.0**-52 * norm_a
 
 
 def u_norm(coeffs: np.ndarray) -> float:

@@ -86,15 +86,15 @@ def test_build_walsh_unbuildable_level_is_usage_error(tmp_path, monkeypatch, cap
 
 
 def test_cap_is_parsed_and_ignored(tmp_path):
-    # the depth chooses the positivity method; --cap is still accepted,
-    # in or out of [0, 20], and changes no output
+    # the heads' depths choose the positivity method; --cap is still
+    # accepted, in or out of [0, 20], and changes no output
     outputs = []
     for cap in ([], ["--cap", "0"], ["--cap", "21"]):
         measure, manifest = tmp_path / "m.csv", tmp_path / "m.json"
         args = ["build-walsh-measure", "--out", str(measure), "--manifest", str(manifest)]
         assert run(args + cap) == 0
         data = json.loads(manifest.read_text())
-        assert data["certificates"]["positivity"]["method"] == "kernel"
+        assert data["certificates"]["positivity"]["method"] == "exact"
         outputs.append((measure.read_bytes(), data["certificates"], data["stages"]))
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -118,9 +118,9 @@ def test_coordinate_past_63_is_usage_error(tmp_path, capsys):
 
 
 def test_build_walsh_cap_gate(tmp_path, monkeypatch):
-    # past DENSE_LIMIT the build is certified from per-factor bounds,
-    # whatever --cap says
-    monkeypatch.setattr(riesz, "DENSE_LIMIT", 5)
+    # a band whose head Pi_j passes DENSE_LIMIT (here Pi_2, on 2
+    # coordinates) is certified from interval bounds, whatever --cap says
+    monkeypatch.setattr(riesz, "DENSE_LIMIT", 1)
     args = [
         "build-walsh-measure",
         "--psi", "preset:logpow,p=1",
@@ -131,7 +131,7 @@ def test_build_walsh_cap_gate(tmp_path, monkeypatch):
     ]
     assert run(args) == 0
     positivity = json.loads((tmp_path / "m.json").read_text())["certificates"]["positivity"]
-    assert positivity["method"] == "per-factor"
+    assert positivity["method"] == "bounds"
     assert positivity["exhaustive"] and positivity["passed"]
     assert "sampling" not in positivity
 
@@ -360,18 +360,12 @@ def test_report_outputs(tmp_path):
 
 
 def test_report_envelope_accepts_sparse_measure(tmp_path):
-    # the envelope reads the measure sparsely, past the dense 2^26 limit
+    # the envelope reads the measure sparsely, past the dense 2^26 limit;
+    # the manifest's product, one level-1 factor, has its three terms
     manifest = tmp_path / "manifest.json"
-    run(
-        [
-            "build-walsh-measure",
-            "--psi", "preset:power,delta=1",
-            "--budget-scale", "1.0",
-            "--stages", "2",
-            "--out", str(tmp_path / "m.csv"),
-            "--manifest", str(manifest),
-        ]
-    )
+    state = wr.add_factor(wr.empty_state(), 1)
+    manifest.write_text(json.dumps({"psi": "preset:power,delta=1", "budget_scale": 1.0,
+                                    **wr.state_manifest(state)}))
     measure = tmp_path / "sparse.csv"
     measure.write_text(f"n,coeff\n0,1.0\n3,-0.25\n{1 << 30},0.125\n")
     rep = tmp_path / "rep"
@@ -380,6 +374,46 @@ def test_report_envelope_accepts_sparse_measure(tmp_path):
     envelope = (rep / "envelope.csv").read_text().splitlines()
     assert len(envelope) == 1 + 31
     assert envelope[2] == "1,0.25" and envelope[-1] == "30,0.125"
+
+
+def test_report_refuses_measure_of_another_build(tmp_path, capsys):
+    # a 2-stage measure against a 3-stage manifest: 4 terms, not 4,100
+    for stages in ("2", "3"):
+        argv = ["build-walsh-measure", "--stages", stages,
+                "--out", str(tmp_path / f"m{stages}.csv"),
+                "--manifest", str(tmp_path / f"m{stages}.json")]
+        assert run(argv) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "rep"
+    argv = ["report", "--manifest", str(tmp_path / "m3.json"),
+            "--measure", str(tmp_path / "m2.csv"), "--out-dir", str(out_dir)]
+    assert run(argv) == 2
+    assert "m2.csv has 4 terms, but the product in" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_report_refuses_nan_budget_scale(tmp_path, capsys):
+    state = wr.add_factor(wr.empty_state(), 0)
+    manifest, measure = tmp_path / "manifest.json", tmp_path / "measure.csv"
+    manifest.write_text(json.dumps({"psi": "preset:logpow,p=1", "budget_scale": float("nan"),
+                                    **wr.state_manifest(state)}))
+    wr.export_measure(state, measure)
+    out_dir = tmp_path / "rep"
+    argv = ["report", "--manifest", str(manifest), "--measure", str(measure)]
+    assert run(argv + ["--out-dir", str(out_dir)]) == 2
+    assert "budget scale nan is not finite and positive" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["build-walsh-measure", "build-trig-measure"])
+@pytest.mark.parametrize("scale", ["nan", "-1", "0", "inf"])
+def test_budget_scale_must_be_finite_and_positive(tmp_path, capsys, command, scale):
+    argv = [command, "--budget-scale", scale, "--out", str(tmp_path / "out.csv"),
+            "--manifest", str(tmp_path / "manifest.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --budget-scale: ") and "not finite and positive" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_build_trig_cli(tmp_path):

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walshriesz as wr
 from walshriesz import riesz
@@ -49,6 +51,13 @@ def band_minima(edges, refs, runs):
             if lo <= upper and hi >= edges[b]:
                 margins[b] = min(margins[b], float(np.min(values.reshape(-1, ref.size) - ref)))
     return gmin, margins
+
+
+def scan_oracle(state, edges):
+    """band_minima over scan_runs on every atom, against (1/4) Pi_j."""
+    atoms = atom_patterns(state.used_coordinates)
+    refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
+    return band_minima(edges, refs, scan_runs(state, atoms))
 
 
 def sign_vector_values(factor, patterns):
@@ -133,6 +142,20 @@ def test_budget_terms():
     assert wr.SummabilityBudget(scale=2.25).total(3) == pytest.approx(2.25 * 0.875)
     with pytest.raises(ValueError):
         budget.term_bound(0)
+
+
+@pytest.mark.parametrize("scale", [math.nan, -1.0, 0.0, math.inf])
+def test_budget_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(ValueError, match="not finite and positive"):
+        wr.SummabilityBudget(scale=scale)
+
+
+@pytest.mark.parametrize("xs, ys", [([0.1, math.nan, 1.0], [0.01, 0.1, 1.0]),
+                                    ([0.1, 0.5, 1.0], [0.01, 0.1, math.inf])],
+                         ids=["nan-grid-point", "infinite-sample"])
+def test_table_psi_rejects_non_finite_samples(xs, ys):
+    with pytest.raises(ValueError, match="psi samples must be finite"):
+        wr.PsiSpec.from_table(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +381,14 @@ def test_certificate_with_gap_block():
 
 
 def test_certificate_sampled_past_cap(monkeypatch):
-    # past DENSE_LIMIT the certificate is per-factor: every atom, no sample
-    monkeypatch.setattr(riesz, "DENSE_LIMIT", 2)
+    # a head past DENSE_LIMIT (Pi_2, on 2 coordinates) is an interval:
+    # bounds over every atom, no sample
+    monkeypatch.setattr(riesz, "DENSE_LIMIT", 1)
     state = wr.empty_state()
     for level in (0, 0, 1):
         state = wr.add_factor(state, level)
     cert = wr.verify_all_partial_sums(state, seed=7)
-    assert cert.method == "per-factor"
+    assert cert.method == "bounds"
     assert cert.exhaustive and cert.passed
     assert not hasattr(cert, "sampling")
     assert cert == wr.verify_all_partial_sums(state, seed=8)  # the seed is unused
@@ -372,17 +396,18 @@ def test_certificate_sampled_past_cap(monkeypatch):
 
 def test_kernel_fails_within_rounding(monkeypatch):
     # exact float minima of 4.4e-16 and 3.3e-16 are inside the rounding
-    # allowance 3 2^-52 ||Pi_2||_A = 1.33e-15, so they prove nothing
+    # allowance 5 2^-52 ||Pi_2||_A = 2.2e-15, so they prove nothing
     state = hand_built_state([1 - 2**-51, 2**-60])
     cert = wr.verify_all_partial_sums(state)
-    assert cert.method == "kernel"
-    assert cert.rounding_slack == 3 * 2.0**-52 * state.norm_a
+    assert cert.method == "exact"
+    assert cert.rounding_slack == 5 * 2.0**-52 * state.norm_a
     assert 0.0 < cert.global_min < cert.rounding_slack
     assert 0.0 < cert.stage_margins[1] < cert.rounding_slack
     assert cert.global_min == 1.0 - (1 - 2**-51) - 2**-60  # reported exactly
     assert not cert.passed
     monkeypatch.setattr(riesz, "DENSE_LIMIT", 0)
     per_factor = wr.verify_all_partial_sums(state)
+    assert per_factor.method == "bounds"
     assert per_factor.rounding_slack == cert.rounding_slack and not per_factor.passed
 
 
@@ -397,22 +422,35 @@ CERTIFIED_STATES = {
     "negative-prefix": lambda: hand_built_state([0.5 / C, 0.9]),
     # S_4 = Pi_2 sits at an edge and dips below every order of band 1
     "edge-order": lambda: hand_built_state([0.5, 2.0, 0.1]),
+    # two coefficient magnitudes, of both signs, on a gapped block
+    "two-magnitudes": lambda: wr.RieszProductState((
+        make_factor(0, wr.BlockSpec((1,))),
+        wr.Factor(1, (3, 5), 0.3, np.array([16, 20]), np.array([0.3, -0.1])),
+    )),
+    # the band's minimum is S_6, index 6's own order: the head's empty
+    # prefix S_0 = 0 counts, below its smallest nonempty one
+    "index-order": lambda: wr.RieszProductState((
+        wr.Factor(0, (1,), 0.3, np.array([1]), np.array([0.3])),
+        wr.Factor(1, (2, 3), 0.7, np.array([2, 4, 6]), np.array([-0.7, -0.7, 0.05])),
+    )),
 }
+
+# hand-built states whose partial sums do go negative
+NEGATIVE_STATES = ("negative-prefix", "edge-order", "index-order")
 
 
 @pytest.mark.parametrize("name", list(CERTIFIED_STATES))
 def test_kernel_certificate_matches_scan_oracle(name):
     # the streaming scan on every atom is the oracle; both sum the same
-    # terms in different orders, so they agree to (K + 1) eps ||Pi||_A
+    # terms in different orders, so they agree to the allowance
+    # (K + 3) eps ||Pi||_A
     state = CERTIFIED_STATES[name]()
     cert = wr.verify_all_partial_sums(state)
-    assert cert.exhaustive and cert.method == "kernel"
-    atoms = atom_patterns(cert.depth)
-    refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
-    gmin, margins = band_minima(cert.band_edges, refs, scan_runs(state, atoms))
-    tol = (cert.depth + 1) * 2.0**-52 * state.norm_a
+    assert cert.exhaustive and cert.method == "exact"
+    gmin, margins = scan_oracle(state, cert.band_edges)
+    tol = (cert.depth + 3) * 2.0**-52 * state.norm_a
     assert cert.rounding_slack == tol
-    assert cert.passed == (name not in ("negative-prefix", "edge-order"))
+    assert cert.passed == (name not in NEGATIVE_STATES)
     assert abs(cert.global_min - gmin) <= tol
     assert len(cert.stage_margins) == len(margins) == state.stages
     for got, want in zip(cert.stage_margins, margins):
@@ -427,6 +465,49 @@ def test_kernel_certificate_matches_scan_oracle(name):
             last = edges[j + 1] if j == state.stages - 1 else edges[j + 1] - 1
             ref = 0.25 * wr.product_values(state.factors[:j], cert.depth)
             assert abs(got - (partial[edges[j] - 1 : last] - ref).min()) <= tol
+
+
+MAGNITUDES = (0.05, 0.2, 0.45, 0.7)
+
+
+@st.composite
+def hand_built_states(draw):
+    """1-3 factors on blocks with gaps, within 9 coordinates: each takes
+    some nonzero indices of its block, with coefficients of both signs
+    and up to four magnitudes."""
+    factors, top = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        room = list(range(top + 1, min(top + 5, 10)))
+        if not room:
+            break
+        block = sorted(draw(st.lists(st.sampled_from(room), min_size=1, max_size=3, unique=True)))
+        patterns = draw(st.lists(st.integers(1, (1 << len(block)) - 1), min_size=1, unique=True))
+        indices = np.array(sorted(sum(1 << (c - 1) for i, c in enumerate(block) if p >> i & 1)
+                                  for p in patterns))
+        coeffs = np.array([draw(st.sampled_from(MAGNITUDES)) * draw(st.sampled_from((1, -1)))
+                           for _ in patterns])
+        amplitude = float(np.abs(coeffs).max())
+        factors.append(wr.Factor(len(block) - 1, tuple(block), amplitude, indices, coeffs))
+        top = block[-1]
+    return wr.RieszProductState(tuple(factors))
+
+
+@given(hand_built_states())
+@settings(max_examples=60, deadline=None)
+def test_certificate_matches_scan_oracle_on_hand_built_states(state):
+    # exact against the scan oracle within the allowance; with every head
+    # past Pi_0 an interval, sound: never above the oracle by more
+    cert = wr.verify_all_partial_sums(state)
+    assert cert.method == "exact"
+    gmin, margins = scan_oracle(state, cert.band_edges)
+    slack = cert.rounding_slack
+    assert abs(cert.global_min - gmin) <= slack
+    assert all(abs(got - want) <= slack for got, want in zip(cert.stage_margins, margins))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(riesz, "DENSE_LIMIT", 0)
+        bounds = wr.verify_all_partial_sums(state)
+    assert bounds.global_min <= gmin + slack
+    assert all(got <= want + slack for got, want in zip(bounds.stage_margins, margins))
 
 
 @pytest.mark.parametrize("name", list(CERTIFIED_STATES))
@@ -468,9 +549,11 @@ def test_spectrum_limit_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # the spectrum would take 512 MiB
-    # the certificate needs only the factors
+    # the certificate needs only the factors and the heads within
+    # DENSE_LIMIT; Pi_21..Pi_24 are intervals
     cert = wr.verify_all_partial_sums(state)
-    assert cert.method == "per-factor" and cert.support_size == 1 << 25
+    assert cert.method == "bounds" and cert.support_size == 1 << 25
+    assert "spectrum" not in vars(state)
 
 
 def power_build(stages, scale=6.0):
@@ -487,49 +570,74 @@ SOUNDNESS_STATES = {
 
 @pytest.mark.parametrize("name", list(SOUNDNESS_STATES))
 def test_per_factor_bounds_below_kernel_minima(name, monkeypatch):
-    # the per-factor certificate only claims lower bounds: never above the
-    # kernel's exact minima, and nonnegative on every construction build
+    # interval heads only claim lower bounds: never above the exact minima
+    # by more than the allowance, and passing on every construction build
     state = SOUNDNESS_STATES[name]()
-    kernel = wr.verify_all_partial_sums(state)
-    assert kernel.method == "kernel"
+    exact = wr.verify_all_partial_sums(state)
+    assert exact.method == "exact"
     monkeypatch.setattr(riesz, "DENSE_LIMIT", 0)
     cert = wr.verify_all_partial_sums(state)
-    assert cert.method == "per-factor" and cert.exhaustive
-    assert cert.band_edges == kernel.band_edges
-    assert cert.global_min <= kernel.global_min
-    assert len(cert.stage_margins) == len(kernel.stage_margins)
-    for bound, margin in zip(cert.stage_margins, kernel.stage_margins):
-        assert bound <= margin
-    # passed: global_min and every margin >= 0; the hand-built two are not admissible
-    assert cert.passed == (name not in ("negative-prefix", "edge-order"))
+    # Pi_0 = 1 is the one head within 0 coordinates
+    assert cert.method == ("exact" if state.stages == 1 else "bounds") and cert.exhaustive
+    assert cert.band_edges == exact.band_edges
+    slack = cert.rounding_slack
+    assert slack == exact.rounding_slack
+    assert cert.global_min <= exact.global_min + slack
+    assert len(cert.stage_margins) == len(exact.stage_margins)
+    for bound, margin in zip(cert.stage_margins, exact.stage_margins):
+        assert bound <= margin + slack
+    # passed: global_min and every margin >= slack; the negative hand-built states fail
+    assert cert.passed == (name not in NEGATIVE_STATES)
 
 
 def test_per_factor_bound_at_depth_22():
-    # the deep ladder rung: past DENSE_LIMIT, so check the bound against
-    # the densified spectrum's exhaustive minimum, 0.28909...
+    # the deep ladder rung: past DENSE_LIMIT coordinates, but its last
+    # head Pi_5 holds 12, so the minimum is exact: check it against the
+    # densified spectrum's exhaustive minimum, 0.28909...
     state = power_build(6)
     cert = wr.verify_all_partial_sums(state)
-    assert cert.method == "per-factor" and cert.exhaustive and cert.passed
+    assert cert.method == "exact" and cert.exhaustive and cert.passed
     dense = np.zeros(1 << 22)
     dense[state.spectrum.indices] = state.spectrum.coeffs
     exhaustive_min = float(prefix_extrema(dense)[2].min())
     assert exhaustive_min == pytest.approx(0.28909103575544, abs=1e-13)
-    assert 0.0 <= cert.global_min <= exhaustive_min
-    assert min(cert.stage_margins) >= 0.0
+    assert abs(cert.global_min - exhaustive_min) <= cert.rounding_slack
+    assert min(cert.stage_margins) >= cert.rounding_slack
+
+
+@pytest.mark.parametrize("psi, stages, scale", [(wr.PsiSpec.power(1.0), 6, 12.0),
+                                               (wr.PsiSpec.logpow(2.0), 4, 1.0)],
+                         ids=["power-d18", "logpow-d21"])
+def test_exact_minimum_matches_dense_spectrum(psi, stages, scale):
+    # the ladder's depth-18 and depth-21 rungs against their densified
+    # spectra's exhaustive minima
+    state = wr.build_measure(psi, stages, wr.SummabilityBudget(scale))
+    cert = wr.verify_all_partial_sums(state)
+    assert cert.method == "exact" and cert.passed
+    dense = np.zeros(1 << cert.depth)  # past DENSE_LIMIT, so not state_series
+    dense[state.spectrum.indices] = state.spectrum.coeffs
+    dense_min = float(prefix_extrema(dense)[2].min())
+    assert abs(cert.global_min - dense_min) <= cert.rounding_slack
 
 
 def test_depth_chooses_the_method():
-    # the kernel reads exact minima up to DENSE_LIMIT = 20 coordinates, as
-    # on this default depth-18 build; past the limit the dense series is
-    # refused
+    # the heads' depths choose the method: minima are exact while every
+    # head Pi_j lies within DENSE_LIMIT = 20 coordinates, as on this
+    # default depth-18 build and the depth-22 one, whose dense series is
+    # still refused; a head past the limit is an interval
     assert riesz.DENSE_LIMIT == 20
     cert = wr.verify_all_partial_sums(power_build(6, scale=12.0))
-    assert (cert.method, cert.depth, cert.passed) == ("kernel", 18, True)
+    assert (cert.method, cert.depth, cert.passed) == ("exact", 18, True)
     assert cert.global_min == pytest.approx(0.2724510729806966, abs=1e-12)
     deep = power_build(6)
-    assert wr.verify_all_partial_sums(deep).method == "per-factor"
+    assert wr.verify_all_partial_sums(deep).method == "exact"
     with pytest.raises(wr.CoordinateBudgetError, match="depth-22 spectrum"):
         wr.state_series(deep)
+    # the last head ends at coordinate 30; the last block is coordinate 63
+    far = wr.RieszProductState(tuple(make_factor(0, wr.BlockSpec((i,))) for i in (1, 30, 63)))
+    cert = wr.verify_all_partial_sums(far)
+    assert (cert.method, cert.depth, cert.passed) == ("bounds", 63, True)
+    assert "spectrum" not in vars(far)
 
 
 # ---------------------------------------------------------------------------
