@@ -369,7 +369,7 @@ def _cmd_theorem1_check(args) -> int:
         ],
     }
     text = json.dumps(report, indent=2) + "\n"
-    if args.report:
+    if args.report and args.report != "-":
         _atomic_write_text(args.report, text)
     else:
         sys.stdout.write(text)
@@ -522,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem1-check", aliases=["verify"],
                        help="verify positivity machinery on a series CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--report", default=None, help="write the JSON report here")
+    p.add_argument("--report", default=None, help="JSON report path, or - for stdout (the default)")
     common(p)
     p.set_defaults(func=_cmd_theorem1_check)
 

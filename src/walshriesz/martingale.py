@@ -76,28 +76,21 @@ def decompose(series: WalshSeries) -> MartingaleDecomposition:
 
     N_k's coefficients are c_(2^k)..c_(2^(k+1) - 1) reindexed to [0, 2^k)
     (w_(2^k + m) = r_(k+1) w_m for m < 2^k).  The tables are read off
-    `_martingale_walk`: N_k* is the largest of MX, -MN and |N_k|, the
-    extremes of N_k's proper prefixes and of its full sum.
+    `_martingale_walk`, whose MX and MN are the extremes of N_k's
+    nonempty prefixes, its full sum included, so N_k* = max(MX, -MN).
     """
     m_tables, n_tables, n_star = [], [], []
     for k, (m, n, mx, mn) in enumerate(_martingale_walk(series.coeffs)):
         m_tables.append(AtomTable(k, m))
         if n is not None:
             n_tables.append(AtomTable(k, n))
-            n_star.append(AtomTable(k, _n_star(n, mx, mn)))
+            n_star.append(AtomTable(k, np.maximum(mx, -mn)))
     return MartingaleDecomposition(
         depth=series.depth,
         m_tables=tuple(m_tables),
         n_tables=tuple(n_tables),
         n_star=tuple(n_star),
     )
-
-
-def _n_star(n, mx, mn):
-    # max(MX, -MN, N, -N) in this order: np.maximum returns its second
-    # argument on a tie, so an atom whose prefixes are all zero reads -N,
-    # the zero's sign that prefix_extrema of the whole block gives
-    return np.maximum(np.maximum(mx, -mn), np.maximum(n, -n))
 
 
 @dataclass(frozen=True)
@@ -281,8 +274,9 @@ def _maximal_margin(series: WalshSeries) -> float:
     """The float route: the smallest M_k - N_k* over k < K and the atoms
     (M_0 at depth 0), one level of the walk at a time.  Orders in
     (2^k, 2^(k+1)] read M_k +- a prefix of N_k, so this is the smallest
-    partial sum of every order: M_k - N_k* is min(M_k - MX, M_k + MN,
-    M_(k+1)), rounding being monotone (at k = 0, MX = MN = 0)."""
+    partial sum of every order: M_k - N_k* is min(M_k - MX, M_k + MN),
+    rounding being monotone.  MX and MN include N_k's full sum, whose
+    values M_k +- N_k are the two halves of M_(k+1)."""
     return min(float(sums.min()) for m, n, mx, mn in _martingale_walk(series.coeffs)
                for sums in ([m] if n is None else [m, m + mn, m - mx]))
 

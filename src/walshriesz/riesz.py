@@ -119,7 +119,9 @@ __all__ = [
 # certificate for a band whose head Pi_j ends at coordinate
 # d_j <= DENSE_LIMIT, whose tables hold 2^d_j float64 values each (past
 # it the head is an interval).  A 20-coordinate head with all 2^20
-# terms took 0.67 s and an 88 MiB tracemalloc peak on one Xeon core.
+# terms took 0.6 s and a 72 MiB tracemalloc peak on one Xeon core,
+# its spectrum's construction included; the in-place merge holds three
+# tables and a scratch table.
 DENSE_LIMIT = 20
 
 # Largest spectrum materialized, in terms (16 bytes each); the ladder's
@@ -648,9 +650,12 @@ def _band_minima(pi, lo, hi, factor: Factor, reaches_end: bool) -> tuple[float, 
     for mu in set(np.abs(factor.coeffs).tolist()):  # np.unique would import numpy.ma
         # the signed prefix-extrema butterfly on X's block atoms t': the
         # extremes of P_<f(t') over the f with |c_f| = mu, in row 0 where
-        # c_f w_f(t') = +mu and in row 1 where it is -mu
+        # c_f w_f(t') = +mu and in row 1 where it is -mu; the merge
+        # overwrites its tables, so it gets a copy of the coefficients
         classes = np.array([coeffs == mu, coeffs == -mu])
-        _, mx, mn = _segment_merge(coeffs, np.where(classes, 0.0, -np.inf), np.where(classes, 0.0, np.inf))
+        mx, mn = np.where(classes, 0.0, -np.inf), np.where(classes, 0.0, np.inf)
+        for _ in _segment_merge(coeffs.copy(), mx, mn):
+            pass
         cases += [(mn[0].min(), mx[0].max(), mu * lo), (mn[1].min(), mx[1].max(), -mu * hi)]
     if reaches_end:
         cases.append((*factor.value_range, 0.0))

@@ -25,6 +25,13 @@ Walsh-Hadamard butterfly H with H^2 = 2^m I:
     coeffs = H(values) / 2^m      (analysis, `fwht`)
 
 Parseval: mean_t values(t)^2 = sum_n c_n^2.
+
+Every dense pass runs on one loop, `_segment_merge`, whose merge of two
+adjacent segments is the dyadic martingale step M_(k+1) = M_k + r_(k+1) N_k
+applied in place to their full sums and prefix extrema: `butterfly` is
+that merge with no class of prefixes, `prefix_extrema` with one, the
+positivity certificate's signed block pass with two, and
+`_martingale_walk` reads its levels.
 """
 
 from __future__ import annotations
@@ -234,24 +241,17 @@ class WalshSeries:
 
 
 def butterfly(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, natural (Paley) order.
+    """Unnormalized Walsh-Hadamard transform, natural (Paley) order: the
+    full sums S of `_segment_merge` with no class of prefixes.
 
-    Self-inverse up to the factor 2^m.  Preserves integer dtypes, so
-    +-1-coefficient polynomials evaluate exactly.
+    Self-inverse up to the factor 2^m.  Integer input is summed exactly
+    in int64, so +-1-coefficient polynomials evaluate exactly (ValueError
+    when sum |c| reaches 2^63); the rest in float64.
     """
-    v = np.array(values)
-    n = v.shape[0]
-    if not _is_pow2(n):
-        raise ValueError(f"length {n} is not a power of two")
-    h = 1
-    while h < n:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h].copy()
-        v[:, :h] += v[:, h:]
-        v[:, h:] = left - v[:, h:]
-        v = v.reshape(n)
-        h *= 2
-    return v
+    s = _merge_input(values)
+    for _ in _segment_merge(s, np.empty((0, s.size), s.dtype), np.empty((0, s.size), s.dtype)):
+        pass
+    return s
 
 
 def fwht(table: AtomTable) -> WalshSeries:
@@ -287,63 +287,95 @@ def prefix_extrema(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, MX, MN) on all 2^K atoms of c_0..c_(2^K - 1): the full sum and
     the largest and smallest nonempty partial sum, in O(K 2^K), by
     `_segment_merge` with one class of prefixes.  S equals `butterfly`
-    bit for bit; integer input is summed exactly in int64.
+    bit for bit; integer input is summed exactly in int64 (ValueError
+    when sum |c| reaches 2^63).
     """
-    coeffs = np.asarray(coeffs)
-    exact = np.issubdtype(coeffs.dtype, np.integer)
-    s = coeffs.astype(np.int64 if exact else np.float64)
-    if s.ndim != 1 or not _is_pow2(s.size):
-        raise ValueError(f"length {s.size} is not a power of two")
-    s, mx, mn = _segment_merge(s, s[None], s[None])
+    s = _merge_input(coeffs)
+    mx, mn = s[None].copy(), s[None].copy()
+    for _ in _segment_merge(s, mx, mn):
+        pass
     return s, mx[0], mn[0]
 
 
-def _segment_merge(s, mx, mn):
-    """The package's one prefix-extrema butterfly: (S, MX, MN) of every
-    segment, merged up to all 2^K atoms in O(K 2^K).
+def _merge_input(values) -> np.ndarray:
+    """A fresh table for `_segment_merge` from a power-of-two-length
+    vector: integer input widened to int64, the rest float64.  Every
+    partial sum and transform value is at most sum |c| in modulus, so
+    integer input is refused (ValueError) when that sum reaches 2^63,
+    where int64 would wrap; the sum is taken in Python ints unless
+    2^K max |c| is already below 2^63."""
+    v = np.asarray(values)
+    if v.ndim != 1 or not _is_pow2(v.size):
+        raise ValueError(f"length {v.size} is not a power of two")
+    if not np.issubdtype(v.dtype, np.integer):
+        return v.astype(np.float64)
+    if v.size * max(-int(v.min()), int(v.max())) >= 1 << 63 and sum(map(abs, v.tolist())) >= 1 << 63:
+        raise ValueError("integer coefficients whose moduli sum to 2^63 or more would overflow int64")
+    return v.astype(np.int64)
 
-    `s` holds the segments' full sums and `mx`, `mn` one row per class of
-    prefixes, each starting from a length-1 segment.  The merge is the
-    martingale step M_(k+1) = M_k + r_(k+1) N_k: a prefix of a segment
-    [a | b] is a prefix of a, or Sa plus r times a prefix of b, r the
-    segment's top coordinate.  On the r = +1 half S = Sa + Sb, MX =
-    max(MXa, Sa + MXb), MN = min(MNa, Sa + MNb); on the r = -1 half
-    S = Sa - Sb, MX = max(MXa, Sa - MNb), MN = min(MNa, Sa - MXb), with
-    b's rows taken in reverse order: a class that records a sign of b's
-    prefixes changes with it.  An empty class reads MX = -inf, MN = +inf.
+
+def _segment_merge(s, mx, mn):
+    """The package's one butterfly loop: (S, MX, MN) of every segment,
+    merged in place up to all 2^K atoms in O(K 2^K).
+
+    `s` holds the segments' full sums and `mx`, `mn` zero, one or two
+    rows, one per class of prefixes, each starting from length-1
+    segments; the three are C-contiguous, so their reshapes are views,
+    and share no memory.  The merge is the martingale step
+    M_(k+1) = M_k + r_(k+1) N_k: a prefix of a segment [a | b] is a
+    prefix of a, or Sa plus r times a prefix of b, r the segment's top
+    coordinate.  On the r = +1 half S = Sa + Sb, MX = max(MXa, Sa + MXb),
+    MN = min(MNa, Sa + MNb); on the r = -1 half S = Sa - Sb,
+    MX = max(MXa, Sa - MNb), MN = min(MNa, Sa - MXb), with b's rows taken
+    in reverse order: a class that records a sign of b's prefixes changes
+    with it.  An empty class reads MX = -inf, MN = +inf.  The two halves
+    take the slots of a and b, and two half-width scratch rows per class
+    (one with no class) hold the new r = -1 halves while a's slots are
+    overwritten.
+
+    A generator of the levels: it yields h just before merging the
+    segments of length h into those of 2h; once it is exhausted the
+    tables hold the whole merge.
     """
-    n = s.size
+    n, rows = s.size, len(mx)
+    spare = np.empty(max(2 * rows, 1) * (n // 2), s.dtype)
     h = 1
     while h < n:
+        yield h
         sa, sb = s.reshape(-1, 2, h).transpose(1, 0, 2)
-        xa, xb = mx.reshape(len(mx), -1, 2, h).transpose(2, 0, 1, 3)
-        na, nb = mn.reshape(len(mn), -1, 2, h).transpose(2, 0, 1, 3)
-        s = np.stack([sa + sb, sa - sb], axis=1).reshape(n)
-        mx = np.stack([np.maximum(xa, sa + xb), np.maximum(xa, sa - nb[::-1])], axis=2).reshape(-1, n)
-        mn = np.stack([np.minimum(na, sa + nb), np.minimum(na, sa - xb[::-1])], axis=2).reshape(-1, n)
+        if rows:
+            xa, xb = mx.reshape(rows, -1, 2, h).transpose(2, 0, 1, 3)
+            na, nb = mn.reshape(rows, -1, 2, h).transpose(2, 0, 1, 3)
+            up, down = spare.reshape(2, rows, -1, h)
+            np.maximum(xa, np.subtract(sa, nb[::-1], out=up), out=up)
+            np.minimum(na, np.subtract(sa, xb[::-1], out=down), out=down)
+            np.maximum(xa, np.add(sa, xb, out=xb), out=xa)
+            np.minimum(na, np.add(sa, nb, out=nb), out=na)
+            xb[...], nb[...] = up, down
+        diff = np.subtract(sa, sb, out=spare[: n // 2].reshape(-1, h))
+        sa += sb
+        sb[...] = diff
         h *= 2
-    return s, mx, mn
 
 
 def _martingale_walk(coeffs):
-    """Walk the dyadic martingale of c_0..c_(2^K - 1): the package's one
-    application of M_(k+1) = M_k + r_(k+1) N_k.
+    """Walk the dyadic martingale of c_0..c_(2^K - 1) along the levels of
+    one `_segment_merge` over the whole series.
 
-    For k = 0..K-1 yields (M_k, N_k, MX, MN) on the 2^k atoms of the first
-    k coordinates, where N_k has the coefficients c_(2^k)..c_(2^(k+1) - 1)
-    and MX, MN are the extremes of its nonempty proper prefixes (0.0 at
-    k = 0, which has none); then yields (M_K, None, None, None).  M_k
-    equals `butterfly(c[:2^k])` bit for bit.
+    Just before level 2^k is merged, slots [0, 2^k) hold M_k and slots
+    [2^k, 2^(k+1)) hold N_k, with coefficients c_(2^k)..c_(2^(k+1) - 1),
+    and the extremes MX, MN of its nonempty prefixes, its full sum
+    included; merging them is the step M_(k+1) = M_k + r_(k+1) N_k.  So
+    for k = 0..K-1 this yields copies of (M_k, N_k, MX, MN) on the 2^k
+    atoms of the first k coordinates, then (M_K, None, None, None).
+    M_k equals `butterfly(c[:2^k])` and (N_k, MX, MN) equal
+    `prefix_extrema(c[2^k:2^(k+1)])`, bit for bit.
     """
-    c = np.asarray(coeffs, dtype=np.float64)
-    m = c[:1].copy()
-    for k in range(c.size.bit_length() - 1):
-        block = c[1 << k : 1 << (k + 1)]
-        n = butterfly(block)
-        _, mx, mn = prefix_extrema(np.append(block[:-1], 0.0))
-        yield m, n, mx, mn
-        m = np.concatenate([m + n, m - n])
-    yield m, None, None, None
+    s = np.array(coeffs, dtype=np.float64)
+    mx, mn = s[None].copy(), s[None].copy()
+    for h in _segment_merge(s, mx, mn):
+        yield s[:h].copy(), s[h : 2 * h].copy(), mx[0, h : 2 * h].copy(), mn[0, h : 2 * h].copy()
+    yield s, None, None, None
 
 
 def u_norm(coeffs: np.ndarray) -> float:
@@ -386,10 +418,10 @@ class NormBundle:
 
 def norm_bundle(series: WalshSeries) -> NormBundle:
     c = series.coeffs
-    values = butterfly(c)
+    values, mx, mn = prefix_extrema(c)
     return NormBundle(
         l2=float(np.sqrt(np.sum(c * c))),
-        u=u_norm(c),
+        u=float(max(0, mx.max(), -mn.min())),
         a=float(np.sum(np.abs(c))),
         pm=float(np.max(np.abs(c))) if c.size else 0.0,
         sup=float(np.max(np.abs(values))),

@@ -282,6 +282,18 @@ def test_theorem1_check_exact_route_decides_at_rounding_scale(tmp_path, capsys):
     assert report["positivity_routes"][0]["minimum"] == 0.0
 
 
+def test_theorem1_check_report_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    # like rs-pair and singularity-report --out -, and like no --report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text("n,coeff\n0,1.0\n1,0.5\n2,-0.25\n3,0.25\n")
+    assert run(["theorem1-check", "--in", "s.csv"]) == 0
+    default = capsys.readouterr().out
+    assert run(["theorem1-check", "--in", "s.csv", "--report", "-"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["all_prefixes_nonneg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
 def test_verify_alias(tmp_path):
     out = tmp_path / "m.csv"
     run(

@@ -9,6 +9,7 @@ transform matrix), which stay independent of the butterfly code paths.
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,22 @@ def brute_matrix(m: int) -> np.ndarray:
         for n in range(size):
             h[t, n] = brute_walsh(n, t)
     return h
+
+
+def reference_butterfly(values: np.ndarray) -> np.ndarray:
+    """The standalone butterfly loop `walsh.butterfly` had before it became
+    the merge with no class of prefixes; it keeps the input's dtype."""
+    v = np.array(values)
+    n = v.shape[0]
+    h = 1
+    while h < n:
+        v = v.reshape(-1, 2 * h)
+        left = v[:, :h].copy()
+        v[:, :h] += v[:, h:]
+        v[:, h:] = left - v[:, h:]
+        v = v.reshape(n)
+        h *= 2
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +147,46 @@ def test_butterfly_matches_brute_matrix():
             e = np.zeros(1 << m)
             e[n] = 1.0
             assert np.array_equal(wr.butterfly(e), h[:, n])
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_butterfly_matches_reference_loop_bit_for_bit(m):
+    # float64 with signed zeros, int64, and the Rudin-Shapiro pair at
+    # level m: the merge's full sums are the old loop's, byte for byte
+    rng = np.random.default_rng(m)
+    size = 1 << m
+    floats = rng.uniform(-1, 1, size)
+    floats[rng.random(size) < 0.3] = 0.0
+    floats[rng.random(size) < 0.3] = -0.0
+    pair = wr.build_pair(m)
+    for values in (floats, -floats, rng.integers(-1000, 1001, size), pair.p, pair.q):
+        got, want = wr.butterfly(values), reference_butterfly(values)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_butterfly_widens_small_integers_exactly():
+    # int8 would wrap: 256 ones sum to 0 in int8
+    values = wr.butterfly(np.ones(256, dtype=np.int8))
+    assert values.dtype == np.int64
+    assert values[0] == 256 and not values[1:].any()
+
+
+def test_integer_input_refused_where_int64_would_wrap():
+    # sum |c| bounds every partial sum and transform value; at 2^63 it
+    # no longer fits int64, one below it does
+    too_big = np.array([2**62, 2**62])
+    for call in (wr.butterfly, wr.prefix_extrema, wr.u_norm):
+        with pytest.raises(ValueError, match="2\\^63"):
+            call(too_big)
+    with pytest.raises(ValueError, match="2\\^63"):
+        wr.butterfly(np.array([-(2**63), 0]))
+    s, mx, mn = wr.prefix_extrema(np.array([2**62, 2**62 - 1]))
+    assert s.tolist() == [2**63 - 1, 1] and mx.tolist() == [2**63 - 1, 2**62]
+    assert mn.tolist() == [2**62, 1]
+    assert wr.u_norm(np.array([2**62, 2**62 - 1])) == 2**63 - 1
+    # a large spread-out uint64 input that fits stays exact
+    assert wr.butterfly(np.full(4, 2**60, dtype=np.uint64)).tolist() == [2**62, 0, 0, 0]
 
 
 def test_fwht_constant_table():
@@ -315,6 +372,20 @@ def test_prefix_extrema_matches_brute_partial_sums(m):
             assert np.max(np.abs(s - partial[-1])) <= tol
             assert np.max(np.abs(mx - partial.max(axis=0))) <= tol
             assert np.max(np.abs(mn - partial.min(axis=0))) <= tol
+
+
+def test_prefix_extrema_merges_in_place():
+    # the merge overwrites its three tables and one scratch table: a
+    # merge that allocated fresh tables at each level peaked at 8
+    size = 1 << 18
+    coeffs = np.random.default_rng(18).uniform(-1, 1, size)
+    tracemalloc.start()
+    try:
+        wr.prefix_extrema(coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * coeffs.nbytes
 
 
 def test_prefix_extrema_rejects_bad_length():
