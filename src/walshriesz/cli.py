@@ -342,10 +342,7 @@ def _cmd_theorem1_check(args) -> int:
         ) from None
 
     equiv = martingale.check_positivity_equivalence(series)
-    p3 = martingale.check_p3(series)
-    shifted = None
-    if equiv.all_prefixes_nonneg:
-        shifted = _shifted_bound_sweep(series)
+    shifted = _shifted_bound_sweep(series) if equiv.all_prefixes_nonneg else None
     report = {
         "input": args.infile,
         "seed": args.seed,
@@ -353,7 +350,7 @@ def _cmd_theorem1_check(args) -> int:
         "all_prefixes_nonneg": equiv.all_prefixes_nonneg,
         "inequality_holds": equiv.inequality_holds,
         "witness": None if equiv.witness is None else dataclasses.asdict(equiv.witness),
-        "p3": p3,
+        "p3": equiv.p3,
         "shifted_bounds": shifted,
         "envelope": martingale.dyadic_block_envelope(series),
         "positivity_routes": [
@@ -373,11 +370,8 @@ def _cmd_theorem1_check(args) -> int:
         _atomic_write_text(args.report, text)
     else:
         sys.stdout.write(text)
-    ok = (
-        equiv.all_prefixes_nonneg
-        and p3
-        and (shifted is None or shifted["all_hold"])
-    )
+    # the sweep runs exactly when every partial sum is nonnegative
+    ok = equiv.all_prefixes_nonneg and equiv.p3 and shifted["all_hold"]
     return EXIT_OK if ok else EXIT_CERT
 
 

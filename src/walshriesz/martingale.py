@@ -37,6 +37,7 @@ from .walsh import (
     InvariantViolation,
     WalshSeries,
     _martingale_walk,
+    _require_finite,
     butterfly,
     multiply_by_walsh,
     partial_sum,
@@ -130,10 +131,14 @@ class PositivityRoute:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """The two routes' verdicts; `p3` (every M_k >= 0) is read off the
+    float route's walk."""
+
     all_prefixes_nonneg: bool
     inequality_holds: bool
     witness: PositivityWitness | None
     routes: tuple[PositivityRoute, ...]
+    p3: bool
 
 
 def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
@@ -147,11 +152,13 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     at the first atom attaining it.  The float route is the martingale
     walk; `inequality_holds` is its literal verdict (minimum >= 0), read
     against the rounding allowance (K+1) 2^-52 ||S||_A as pass, fail or
-    within rounding.  The two minima must agree within the allowance,
-    else InvariantViolation.  On failure the witness comes from bisecting
-    the order with the exact route, at most K more passes.  Both routes
-    cost O(K 2^K); non-finite coefficients raise ValueError.
+    within rounding, and `p3` comes from the same walk.  The two minima
+    must agree within the allowance, else InvariantViolation.  On
+    failure the witness comes from bisecting the order with the exact
+    route, at most K more passes.  Both routes cost O(K 2^K); non-finite
+    coefficients raise ValueError.
     """
+    float_min, p3 = _maximal_margin(series)  # first: it refuses non-finite coefficients
     ints, exponent = _dyadic_ints(series.coeffs)
     low_table = _exact_prefix_minima(ints)
     atom = int(np.argmin(low_table))
@@ -166,7 +173,6 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
             f" its partial sums {sums.min()} (units of 2^{exponent})"
         )
     exact_min = _dyadic_float(low, exponent)
-    float_min = _maximal_margin(series)
     # each partial sum is a K-deep tree of sums of terms of total modulus
     # at most ||S||_A
     slack = (series.depth + 1) * 2.0**-52 * float(np.sum(np.abs(series.coeffs)))
@@ -183,6 +189,7 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
         all_prefixes_nonneg=low >= 0,
         inequality_holds=float_min >= 0.0,
         witness=witness,
+        p3=p3,
         routes=(
             PositivityRoute("exact prefix extrema", "integer-dyadic", exact_min,
                             "pass" if low >= 0 else "fail", 0.0, size, size),
@@ -195,10 +202,8 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
 def _dyadic_ints(coeffs):
     """(I, e) with c_n = I_n 2^e exactly: the 53-bit integer mantissas of
     `np.frexp` shifted to the smallest exponent in use, as Python ints in
-    an object array."""
+    an object array.  The coefficients must be finite."""
     c = np.asarray(coeffs, dtype=np.float64)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficients must be finite for the exact positivity route")
     mantissa, exp = np.frexp(c)
     exp = exp.astype(np.int64) - 53
     nonzero = c != 0.0
@@ -270,15 +275,19 @@ def _first_negative(ints, exponent: int, hi: int) -> PositivityWitness:
     return PositivityWitness("prefix", hi, atom, _dyadic_float(low[atom], exponent))
 
 
-def _maximal_margin(series: WalshSeries) -> float:
-    """The float route: the smallest M_k - N_k* over k < K and the atoms
-    (M_0 at depth 0), one level of the walk at a time.  Orders in
-    (2^k, 2^(k+1)] read M_k +- a prefix of N_k, so this is the smallest
-    partial sum of every order: M_k - N_k* is min(M_k - MX, M_k + MN),
-    rounding being monotone.  MX and MN include N_k's full sum, whose
-    values M_k +- N_k are the two halves of M_(k+1)."""
-    return min(float(sums.min()) for m, n, mx, mn in _martingale_walk(series.coeffs)
-               for sums in ([m] if n is None else [m, m + mn, m - mx]))
+def _maximal_margin(series: WalshSeries) -> tuple[float, bool]:
+    """The float route, one walk: the smallest M_k - N_k* over k < K and
+    the atoms (M_0 at depth 0), and p3, whether every M_k (k = 0..K) is
+    nonnegative.  Orders in (2^k, 2^(k+1)] read M_k +- a prefix of N_k,
+    so the first is the smallest partial sum of every order:
+    M_k - N_k* is min(M_k - MX, M_k + MN), rounding being monotone.  MX
+    and MN include N_k's full sum, whose values M_k +- N_k are the two
+    halves of M_(k+1).  Non-finite coefficients raise ValueError."""
+    _require_finite(series.coeffs)
+    # per level: the smallest M_k, then M_k + MN and M_k - MX below K
+    lows = [[float(t.min()) for t in ([m] if n is None else [m, m + mn, m - mx])]
+            for m, n, mx, mn in _martingale_walk(series.coeffs)]
+    return min(map(min, lows)), min(low[0] for low in lows) >= 0.0
 
 
 def _float_verdict(low: float, slack: float) -> str:
@@ -313,12 +322,14 @@ def check_shifted_bound(
 
 
 def check_p3(series: WalshSeries) -> bool:
-    """True iff every M_k is pointwise nonnegative (k = 0..K).
+    """True iff every M_k is pointwise nonnegative (k = 0..K), read off
+    the float route's walk (`check_positivity_equivalence` reports the
+    same verdict as `p3`); non-finite coefficients raise ValueError.
 
     Equivalent to nonnegativity of the depth-K atom masses, since each
     M_k is a conditional average of M_K.
     """
-    return not any(np.min(m) < 0.0 for m, *_ in _martingale_walk(series.coeffs))
+    return _maximal_margin(series)[1]
 
 
 def dyadic_block_envelope(series: WalshSeries | Spectrum) -> list[tuple[int, float]]:

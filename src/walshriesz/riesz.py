@@ -27,10 +27,10 @@ N_k = prod_(i<=k) (1 + |supp X_i|) and the spectrum.  Each block lies
 right of all used coordinates, so stage k+1's XOR products are distinct
 and exceed every index of Pi_k: the spectrum is one sorted pair of
 int64/float64 arrays, stage k at positions [N_(k-1), N_k), built only
-for the export and the dense routes, and refused past SPECTRUM_LIMIT
-terms before anything is allocated.  Each X_i is evaluated on its own
-block's 2^|J_i| atoms (one butterfly) and read off elsewhere by the
-block's bits of the atom.
+for the export, and refused past SPECTRUM_LIMIT terms before anything
+is allocated; the dense series is grown from the factors instead.
+Each X_i is evaluated on its own block's 2^|J_i| atoms (one butterfly)
+and read off elsewhere by the block's bits of the atom.
 
 Every prefix order is certified on every atom, one stage band at a
 time, as the paper's proof goes.  Band j holds the orders
@@ -50,11 +50,12 @@ coordinates t and the block's t' are independent, and S_(f+m) is linear
 in S_m and in P_<f, so each band's minimum is read off two pieces of
 data:
 
-  - the head: Pi_j on its atoms with the range [min(0, MN), max(0, MX)]
-    of its proper prefix sums, the empty one included.  While
-    d_j <= DENSE_LIMIT these are dense tables, exact; past it a
-    two-point interval head, the range of Pi_j from the factors' ranges
-    and +-||Pi_j||_A for the prefixes, which gives lower bounds;
+  - the head: Pi_j on its atoms with the range [lo, hi] of its proper
+    prefix sums S_0..S_(2^d_j - 1), the empty one included.  While
+    d_j <= DENSE_LIMIT these are dense tables, exact, from one prefix
+    merge of Pi_j's coefficients; past it a two-point interval head,
+    the range of Pi_j from the factors' ranges and +-||Pi_j||_A for the
+    prefixes, which gives lower bounds;
   - the block: one signed prefix-extrema butterfly on X's 2^|J| block
     atoms per coefficient magnitude mu, giving the smallest and largest
     P_<f(t') over each sign class of c_f w_f(t') = +-mu.
@@ -84,7 +85,6 @@ from .walsh import (
     _write_csv,
     atom_patterns,
     butterfly,
-    prefix_extrema,
     read_coeff_rows,
 )
 
@@ -119,9 +119,10 @@ __all__ = [
 # certificate for a band whose head Pi_j ends at coordinate
 # d_j <= DENSE_LIMIT, whose tables hold 2^d_j float64 values each (past
 # it the head is an interval).  A 20-coordinate head with all 2^20
-# terms took 0.6 s and a 72 MiB tracemalloc peak on one Xeon core,
-# its spectrum's construction included; the in-place merge holds three
-# tables and a scratch table.
+# terms took 0.4-0.5 s and a 32 MiB tracemalloc peak on a shared
+# 2-core Xeon: its coefficients are grown from the factors, and one
+# in-place merge holds four tables of 2^20 float64 values (S, MX, MN
+# and a scratch).
 DENSE_LIMIT = 20
 
 # Largest spectrum materialized, in terms (16 bytes each); the ladder's
@@ -584,12 +585,29 @@ def build_measure(
 
 def state_series(state: RieszProductState) -> WalshSeries:
     """Dense Walsh series of the current product, refused past
-    DENSE_LIMIT coordinates before anything is allocated."""
+    DENSE_LIMIT coordinates before anything is allocated.
+
+    Grown from the factors, not from the spectrum: X_k's block lies
+    above Pi_(k-1)'s top coordinate d (BlockOverlapError if an index of
+    X_k has a bit at or below d), so with the coefficients as rows of
+    2^d, Pi_(k-1) fills row 0 and c_f Pi_(k-1) row f >> d.  Only the
+    terms of Pi_(k-1)'s support are written there, tracked in a mask:
+    the other slots keep +0.0, where c_f times a zero slot could read
+    -0.0, so the bytes equal the spectrum's scatter."""
     depth = state.used_coordinates
     if depth > DENSE_LIMIT:
         raise CoordinateBudgetError(f"refusing to densify a depth-{depth} spectrum")
-    coeffs = np.zeros(1 << depth)
-    coeffs[state.spectrum.indices] = state.spectrum.coeffs
+    coeffs, support, top = np.ones(1), np.ones(1, dtype=bool), 0
+    for f in state.factors:
+        rows, low = np.divmod(f.indices, coeffs.size)
+        # add_factor keeps this layout; a state built directly may not
+        if low.any():
+            raise BlockOverlapError(f"block {f.block} uses coordinates <= {top}")
+        grown = np.zeros(1 << f.block[-1]).reshape(-1, coeffs.size)
+        held = np.zeros(grown.shape, dtype=bool)
+        grown[0], grown[rows] = coeffs, np.where(support, np.multiply.outer(f.coeffs, coeffs), 0.0)
+        held[0], held[rows] = support, support
+        coeffs, support, top = grown.ravel(), held.ravel(), f.block[-1]
     return WalshSeries(depth, coeffs)
 
 
@@ -629,15 +647,21 @@ def _head_tables(head: RieszProductState):
     """Pi_j and the range [lo, hi] of its proper prefix sums S_m, m < 2^d_j
     (S_0 = 0 included), on the head's atoms: dense tables while
     d_j <= DENSE_LIMIT, else a two-point interval head, the range of
-    Pi_j with |S_m| <= ||Pi_j||_A."""
+    Pi_j with |S_m| <= ||Pi_j||_A.
+
+    The dense tables are one `_segment_merge` of the head's coefficients
+    (`state_series`) with one class of prefixes: the sums before each
+    slot, starting from 0.  So S is Pi_j, bit for bit the `butterfly`,
+    and MX, MN range over S_0..S_(2^d_j - 1), the proper prefixes, in
+    place on four tables of 2^d_j values (S, MX, MN and the scratch)."""
     if head.used_coordinates > DENSE_LIMIT:
         norm = np.full(2, head.norm_a)
         return np.array(_product_ranges(head.factors)[-1]), -norm, norm
-    coeffs = state_series(head).coeffs
-    pi = butterfly(coeffs)
-    coeffs[-1] = 0.0  # S_(2^d_j) = Pi_j is an order of the next band
-    _, mx, mn = prefix_extrema(coeffs)
-    return pi, np.minimum(mn, 0.0), np.maximum(mx, 0.0)
+    pi = state_series(head).coeffs
+    hi, lo = np.zeros((1, pi.size)), np.zeros((1, pi.size))
+    for _ in _segment_merge(pi, hi, lo):
+        pass
+    return pi, lo[0], hi[0]
 
 
 def _band_minima(pi, lo, hi, factor: Factor, reaches_end: bool) -> tuple[float, float]:

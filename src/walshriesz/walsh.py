@@ -29,9 +29,9 @@ Parseval: mean_t values(t)^2 = sum_n c_n^2.
 Every dense pass runs on one loop, `_segment_merge`, whose merge of two
 adjacent segments is the dyadic martingale step M_(k+1) = M_k + r_(k+1) N_k
 applied in place to their full sums and prefix extrema: `butterfly` is
-that merge with no class of prefixes, `prefix_extrema` with one, the
-positivity certificate's signed block pass with two, and
-`_martingale_walk` reads its levels.
+that merge with no class of prefixes, `prefix_extrema` and the
+positivity certificate's head tables with one, its signed block pass
+with two, and `_martingale_walk` reads its levels.
 """
 
 from __future__ import annotations
@@ -288,9 +288,12 @@ def prefix_extrema(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the largest and smallest nonempty partial sum, in O(K 2^K), by
     `_segment_merge` with one class of prefixes.  S equals `butterfly`
     bit for bit; integer input is summed exactly in int64 (ValueError
-    when sum |c| reaches 2^63).
+    when sum |c| reaches 2^63).  Extremes of non-finite partial sums
+    mean nothing, so a non-finite coefficient raises ValueError naming
+    it (`butterfly` propagates them).
     """
     s = _merge_input(coeffs)
+    _require_finite(s)
     mx, mn = s[None].copy(), s[None].copy()
     for _ in _segment_merge(s, mx, mn):
         pass
@@ -378,10 +381,18 @@ def _martingale_walk(coeffs):
     yield s, None, None, None
 
 
+def _require_finite(coeffs, error=ValueError) -> None:
+    """Raise `error` naming the first non-finite coefficient, if any."""
+    if not np.all(np.isfinite(coeffs)):
+        n = int(np.argmin(np.isfinite(coeffs)))  # the first False
+        raise error(f"coefficient {n}, {float(coeffs[n])!r}, is not finite")
+
+
 def u_norm(coeffs: np.ndarray) -> float:
     """sup over prefix orders p of the sup-norm of the p-th partial sum,
     read off the `prefix_extrema` tables (the empty sum counts as 0).
-    Integer input stays in exact integer arithmetic."""
+    Integer input stays in exact integer arithmetic; non-finite input
+    raises ValueError."""
     _, mx, mn = prefix_extrema(coeffs)
     best = max(0, mx.max(), -mn.min())
     return int(best) if np.issubdtype(mx.dtype, np.integer) else float(best)
@@ -417,6 +428,8 @@ class NormBundle:
 
 
 def norm_bundle(series: WalshSeries) -> NormBundle:
+    """Every norm of the series from one `prefix_extrema` pass;
+    non-finite coefficients raise ValueError."""
     c = series.coeffs
     values, mx, mn = prefix_extrema(c)
     return NormBundle(
@@ -573,8 +586,5 @@ def series_from_json(text: str) -> WalshSeries:
     except (KeyError, TypeError) as exc:
         raise SeriesFormatError(f"bad series JSON: {exc}") from None
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(coeffs))
-    if bad.size:
-        n = int(bad[0])
-        raise SeriesFormatError(f"coefficient {n}, {float(coeffs[n])!r}, is not finite")
+    _require_finite(coeffs, SeriesFormatError)
     return WalshSeries(depth, coeffs)

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import walshriesz as wr
-from walshriesz import DepthLimitError, WalshSeries, cli, riesz, series_from_csv
+from walshriesz import DepthLimitError, WalshSeries, cli, martingale, riesz, series_from_csv
 
 
 def run(argv):
@@ -292,6 +292,19 @@ def test_theorem1_check_report_dash_is_stdout(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == default
     assert json.loads(default)["all_prefixes_nonneg"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+def test_theorem1_check_walks_the_martingale_once(tmp_path, monkeypatch, capsys):
+    # the float route's one walk decides p3 too; check_p3 is not walked again
+    walk, calls = martingale._martingale_walk, []
+    monkeypatch.setattr(martingale, "_martingale_walk", lambda c: calls.append(1) or walk(c))
+    for rows, code, p3 in (("0,1.0\n1,0.5\n2,-0.25\n3,0.25\n", 0, True),
+                           ("0,1.0\n1,-2.0\n", 1, False)):
+        (tmp_path / "s.csv").write_text("n,coeff\n" + rows)
+        calls.clear()
+        assert run(["theorem1-check", "--in", str(tmp_path / "s.csv")]) == code
+        assert json.loads(capsys.readouterr().out)["p3"] is p3
+        assert len(calls) == 1
 
 
 def test_verify_alias(tmp_path):

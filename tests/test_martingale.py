@@ -242,7 +242,9 @@ def test_routes_disagreeing_beyond_the_allowance_raise(monkeypatch):
     series = wr.WalshSeries.from_coeffs([1.0, 0.5, 0.25, 0.1])
     slack = wr.check_positivity_equivalence(series).routes[1].rounding_slack
     margin = martingale._maximal_margin
-    monkeypatch.setattr(martingale, "_maximal_margin", lambda s: margin(s) + 2 * slack)
+    # the float route's minimum moved past the allowance; its p3 kept
+    monkeypatch.setattr(martingale, "_maximal_margin",
+                        lambda s: (margin(s)[0] + 2 * slack, margin(s)[1]))
     with pytest.raises(wr.InvariantViolation, match="disagree"):
         wr.check_positivity_equivalence(series)
 
@@ -314,6 +316,23 @@ def test_p3_equals_mass_positivity():
         series = _random_series(seed, depth=4)
         masses_ok = bool(np.min(wr.inverse_fwht(series).values) >= 0.0)
         assert wr.check_p3(series) == masses_ok
+
+
+def test_equivalence_report_carries_p3():
+    # p3 comes off the float route's one walk, as check_p3 reads it
+    for seed in range(20):
+        series = _random_series(seed, depth=4)
+        assert wr.check_positivity_equivalence(series).p3 == wr.check_p3(series)
+    assert not wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs([1.0, -1.5, 0, 0])).p3
+    masses = np.random.default_rng(3).uniform(0.0, 2.0, 16)
+    assert wr.check_positivity_equivalence(wr.fwht(wr.AtomTable(4, masses))).p3
+
+
+def test_p3_rejects_non_finite_coefficients():
+    # a NaN compares false, so the walk alone would call [1, nan] nonnegative
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"coefficient 1, .* is not finite"):
+            wr.check_p3(wr.WalshSeries.from_coeffs([1.0, bad]))
 
 
 # ---------------------------------------------------------------------------

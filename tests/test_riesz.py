@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import walshriesz as wr
 from walshriesz import riesz
 from walshriesz.riesz import _block_table, _product_at, _write_spectrum, make_factor
-from walshriesz.walsh import atom_patterns, prefix_extrema, prefix_scan, sign_vector
+from walshriesz.walsh import atom_patterns, butterfly, prefix_extrema, prefix_scan, sign_vector
 
 C = wr.FLATNESS_CONSTANT
 EPS = np.finfo(np.float64).eps
@@ -58,6 +58,25 @@ def scan_oracle(state, edges):
     atoms = atom_patterns(state.used_coordinates)
     refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
     return band_minima(edges, refs, scan_runs(state, atoms))
+
+
+def spectrum_series(state):
+    """Pi's dense coefficients scattered from its sorted spectrum."""
+    coeffs = np.zeros(1 << state.used_coordinates)
+    coeffs[state.spectrum.indices] = state.spectrum.coeffs
+    return coeffs
+
+
+def reference_head_tables(head):
+    """(pi, lo, hi) by the recipe one prefix merge replaced: the butterfly
+    of the spectrum's scatter, prefix_extrema on the series with its last
+    coefficient zeroed (S_(2^d) = Pi is an order of the next band), and
+    both extremes clamped to the empty prefix's 0."""
+    coeffs = spectrum_series(head)
+    pi = butterfly(coeffs)
+    coeffs[-1] = 0.0
+    _, mx, mn = prefix_extrema(coeffs)
+    return pi, np.minimum(mn, 0.0), np.maximum(mx, 0.0)
 
 
 def sign_vector_values(factor, patterns):
@@ -471,10 +490,10 @@ MAGNITUDES = (0.05, 0.2, 0.45, 0.7)
 
 
 @st.composite
-def hand_built_states(draw):
+def hand_built_states(draw, magnitudes=MAGNITUDES):
     """1-3 factors on blocks with gaps, within 9 coordinates: each takes
     some nonzero indices of its block, with coefficients of both signs
-    and up to four magnitudes."""
+    and up to four of the magnitudes."""
     factors, top = [], 0
     for _ in range(draw(st.integers(1, 3))):
         room = list(range(top + 1, min(top + 5, 10)))
@@ -484,7 +503,7 @@ def hand_built_states(draw):
         patterns = draw(st.lists(st.integers(1, (1 << len(block)) - 1), min_size=1, unique=True))
         indices = np.array(sorted(sum(1 << (c - 1) for i, c in enumerate(block) if p >> i & 1)
                                   for p in patterns))
-        coeffs = np.array([draw(st.sampled_from(MAGNITUDES)) * draw(st.sampled_from((1, -1)))
+        coeffs = np.array([draw(st.sampled_from(magnitudes)) * draw(st.sampled_from((1, -1)))
                            for _ in patterns])
         amplitude = float(np.abs(coeffs).max())
         factors.append(wr.Factor(len(block) - 1, tuple(block), amplitude, indices, coeffs))
@@ -508,6 +527,78 @@ def test_certificate_matches_scan_oracle_on_hand_built_states(state):
         bounds = wr.verify_all_partial_sums(state)
     assert bounds.global_min <= gmin + slack
     assert all(got <= want + slack for got, want in zip(bounds.stage_margins, margins))
+
+
+def assert_heads_match_reference(state):
+    # every head Pi_0..Pi_K, bytes and dtype equal
+    for j in range(state.stages + 1):
+        head = wr.RieszProductState(state.factors[:j])
+        for got, want in zip(riesz._head_tables(head), reference_head_tables(head)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_STATES))
+def test_head_tables_match_reference_recipe(name):
+    assert_heads_match_reference(CERTIFIED_STATES[name]())
+
+
+@given(hand_built_states((0.0, *MAGNITUDES)))
+@settings(max_examples=60, deadline=None)
+def test_head_tables_match_reference_recipe_on_hand_built_states(state):
+    # zero magnitudes give +-0.0 coefficients, so signed zeros are covered
+    assert_heads_match_reference(state)
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_STATES))
+def test_state_series_matches_spectrum_scatter(name):
+    # grown from the factors, the bytes of the spectrum's scatter, +0.0
+    # wherever the spectrum has no term; the spectrum itself is not built
+    state = CERTIFIED_STATES[name]()
+    got = wr.state_series(state).coeffs.tobytes()
+    assert "spectrum" not in vars(state)
+    assert got == spectrum_series(state).tobytes()
+
+
+def test_state_series_keeps_zero_terms_and_positive_zeros():
+    # a real term may be -0.0 (a zero coefficient times a negative one);
+    # a slot outside the spectrum stays +0.0 under a negative coefficient
+    state = wr.RieszProductState((
+        wr.Factor(0, (1,), 0.3, np.array([1]), np.array([-0.0])),
+        wr.Factor(1, (2, 4), 0.7, np.array([2, 8, 10]), np.array([-0.7, 0.0, -0.05])),
+        wr.Factor(0, (5,), 0.3, np.array([16]), np.array([-0.2])),
+    ))
+    got = wr.state_series(state).coeffs
+    want = spectrum_series(state)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[state.spectrum.indices]).any()
+    outside = np.setdiff1d(np.arange(got.size), state.spectrum.indices)
+    assert not np.signbit(got[outside]).any()
+
+
+def test_state_series_refuses_a_block_below_the_head():
+    # the rows layout needs each block above the previous top coordinate,
+    # as add_factor keeps it; a state built directly is checked
+    state = wr.RieszProductState((
+        wr.Factor(0, (2,), 0.3, np.array([2]), np.array([0.3])),
+        wr.Factor(1, (1, 3), 0.2, np.array([5]), np.array([0.2])),
+    ))
+    with pytest.raises(wr.BlockOverlapError, match=r"block \(1, 3\) uses coordinates <= 2"):
+        wr.state_series(state)
+
+
+def test_head_tables_hold_four_tables():
+    # the merge runs in place on S, MX, MN and its scratch, over
+    # coefficients grown from the factors: below six tables of 2^18
+    # float64 values at peak, where the butterfly, the zeroed copy and
+    # the spectrum's scatter took nine
+    head = wr.RieszProductState(tuple(make_factor(0, wr.BlockSpec((i,))) for i in range(1, 19)))
+    tracemalloc.start()
+    try:
+        riesz._head_tables(head)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 << 18
 
 
 @pytest.mark.parametrize("name", list(CERTIFIED_STATES))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import walshriesz as wr
+from walshriesz import trig
 
 C = wr.CTRIG
 
@@ -82,6 +83,24 @@ def test_two_stage_build_certificates():
     # lacunarity: the new block sits past 4x the previous top frequency
     assert state.factors[1].level > 4 * 1
     assert state.max_freq == 65
+
+
+def test_repeated_stage_frequency_is_refused(monkeypatch):
+    # lacunarity keeps every new frequency unseen; were one repeated, the
+    # merged spectrum's strictly-increasing check refuses the build
+    stage_terms = trig._stage_terms
+
+    def repeating(spectrum, freqs, coeffs):
+        new_freqs, new_coeffs = stage_terms(spectrum, freqs, coeffs)
+        if len(spectrum) > 1:
+            new_freqs[0] = spectrum.indices[-1]  # an old, positive frequency
+        return new_freqs, new_coeffs
+
+    monkeypatch.setattr(trig, "_stage_terms", repeating)
+    psi, budget = wr.PsiSpec.logpow(1.0), wr.SummabilityBudget(scale=2.25)
+    assert wr.build_trig_measure(psi, 1, budget)[1].stage_supports_disjoint
+    with pytest.raises(wr.InvariantViolation, match="not strictly increasing"):
+        wr.build_trig_measure(psi, 2, budget)
 
 
 def test_mean_is_one_and_spectrum_structure():

@@ -327,6 +327,29 @@ def test_norm_inequalities(seed):
     assert b.sup <= b.a + tol
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_prefix_extrema_and_u_norm_reject_non_finite_coefficients(bad):
+    # a NaN compares false, so the prefix sup alone would read 0.0
+    for call in (wr.prefix_extrema, wr.u_norm):
+        with pytest.raises(ValueError, match=r"coefficient 1, .* is not finite"):
+            call([1.0, bad])
+        with pytest.raises(ValueError, match=r"coefficient 2, .* is not finite"):
+            call(np.array([1.0, 0.5, bad, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_norm_bundle_rejects_non_finite_coefficients(bad):
+    # the bundle's u would read 0.0 beside NaN l2, a and sup
+    with pytest.raises(ValueError, match=r"coefficient 1, .* is not finite"):
+        wr.norm_bundle(wr.WalshSeries.from_coeffs([1.0, bad]))
+
+
+def test_butterfly_propagates_non_finite_values():
+    # the transform itself takes any float: NaN in, NaN out
+    assert np.isnan(wr.butterfly(np.array([1.0, math.nan]))).all()
+    assert wr.butterfly(np.array([math.inf, 1.0])).tolist() == [math.inf, math.inf]
+
+
 def test_u_norm_integer_exact():
     coeffs = np.array([1, -1, 1, 1], dtype=np.int64)
     value = wr.u_norm(coeffs)
