@@ -23,12 +23,13 @@ report exits 2, before writing anything, when the measure CSV's term
 count is not the manifest product's.
 
 theorem1-check decides positivity by the exact route: every partial
-sum of the series exactly as its float64 coefficients hold it, in
-integer arithmetic on their dyadic expansion, O(K 2^K).  The float64
-maximal-function route must agree within its rounding allowance, and
-the report lists both under `positivity_routes`.  A series deeper than
-THEOREM1_DEPTH_LIMIT exits 2 before its dense coefficients are
-allocated; a non-finite coefficient exits 3, naming its line.
+sum of the series exactly as its float64 coefficients hold it, by the
+package's one segment merge run over Python ints, their dyadic
+expansion, O(K 2^K).  The float64 maximal-function route must agree
+within its rounding allowance, and the report lists both under
+`positivity_routes`.  A series deeper than
+martingale.THEOREM1_DEPTH_LIMIT exits 2 before its dense coefficients
+are allocated; a non-finite coefficient exits 3, naming its line.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import numpy as np
 
 from . import __version__
 from . import martingale, riesz, trig
+from .martingale import _EXACT_BYTES_PER_ATOM, THEOREM1_DEPTH_LIMIT
 from .rudin_shapiro import build_pair
 from .walsh import (
     DepthLimitError,
@@ -317,14 +319,6 @@ def _shifted_bound_sweep(series: WalshSeries) -> dict:
         for m in sorted({0, (1 << kj) - 1})
     ]
     return {"checked": len(held), "all_hold": all(held)}
-
-
-# The exact positivity route holds about this many bytes per atom: a
-# dense series of 87-bit integers added 14 MB of RSS at depth 16 and
-# 210 MB at depth 20 (22 s on one Xeon core); sparser or
-# narrower series hold less.
-THEOREM1_DEPTH_LIMIT = 20
-_EXACT_BYTES_PER_ATOM = 225
 
 
 def _cmd_theorem1_check(args) -> int:

@@ -11,11 +11,17 @@ inequality on the martingale:
     every S_p >= 0  (0 <= p <= 2^K)   <=>   N_k* <= M_k for every k < K
 
 (the sums of order q in (2^k, 2^(k+1)] read M_k +- a prefix of N_k, and
-both signs of r_(k+1) occur on atoms).  Both sides are computed here by
-routes that share no code, each in O(K 2^K): the left in exact integer
-arithmetic on the coefficients' dyadic expansion, the right in float64
-along the martingale walk.  They must agree within the float route's
-rounding allowance; disagreement would be a library bug.
+both signs of r_(k+1) occur on atoms).  Both sides are computed here,
+each in O(K 2^K), by the one segment merge of `walsh._segment_merge`:
+the left over Python ints, the coefficients' exact dyadic expansion,
+the right in float64 along the martingale walk.  What stays independent
+is the arithmetic, the side each decides (the full merge's smallest
+prefix MN against the walk's M_k - N_k*), and the check of the exact
+minimum against the definition, a cumsum of the partial sums at its
+first atom.  The two minima must agree within the float route's
+rounding allowance; disagreement would be a library bug.  A bug in the
+merge itself, shared by both, is caught by the tests' scan oracle
+(`walsh.prefix_scan` over `sign_vector`), which shares no code with it.
 
 Products Pi_k = prod (1 + X_i) over disjoint blocks are certified
 singular-at-finite-scale via Hellinger affinity E_lambda sqrt(Pi_k),
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riesz import CoordinateBudgetError, RieszProductState, Spectrum, _monomial
+from .riesz import CoordinateBudgetError, RieszProductState, Spectrum, _monomial, _product_ranges
 from .riesz import factor_values, product_values
 from .walsh import (
     AtomTable,
@@ -38,6 +44,7 @@ from .walsh import (
     WalshSeries,
     _martingale_walk,
     _require_finite,
+    _segment_merge,
     butterfly,
     multiply_by_walsh,
     partial_sum,
@@ -141,13 +148,23 @@ class EquivalenceReport:
     p3: bool
 
 
+# The exact route holds about this many bytes per atom: on seeded dense
+# series of 98- to 104-bit integers it added 15.7 MiB of RSS at depth
+# 16, 61.4 MiB at depth 18 and 243 MiB at depth 20 (24-29 s on one Xeon
+# core, numpy 2.4), 243-251 per atom; sparser or narrower series hold
+# less.  `theorem1-check` refuses series deeper than the limit.
+THEOREM1_DEPTH_LIMIT = 20
+_EXACT_BYTES_PER_ATOM = 256
+
+
 def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     """Every partial sum S_p >= 0 (exact) vs the maximal-function
     inequality N_k* <= M_k (float64), each over every order on every atom.
 
-    The exact route runs the (S, MX, MN) segment merge over Python ints,
-    the coefficients' exact dyadic expansion, so its verdict is a proof
-    for the series as the float64 array holds it, and it decides
+    The exact route runs `_segment_merge` over Python ints, the
+    coefficients' exact dyadic expansion, which NumPy's object ufuncs add
+    without rounding or wrapping, so its verdict is a proof for the
+    series as the float64 array holds it, and it decides
     `all_prefixes_nonneg`.  Its minimum is confirmed from the definition
     at the first atom attaining it.  The float route is the martingale
     walk; `inequality_holds` is its literal verdict (minimum >= 0), read
@@ -219,37 +236,14 @@ def _dyadic_float(value: int, exponent: int) -> float:
     return value / (1 << -exponent) if exponent < 0 else float(value << exponent)
 
 
-# pairs merged per step of the exact pass: bounds its temporaries
-_EXACT_CHUNK = 1 << 12
-
-
 def _exact_prefix_minima(ints):
     """MN, the smallest nonempty partial sum on each of the 2^j atoms, of
-    integer coefficients I_0..I_(2^j - 1) (object array).
-
-    Merges segments [a | b] of (S, MX, MN) tables: a prefix of a segment
-    is a prefix of a, or Sa plus r times a prefix of b, r the segment's
-    top coordinate.  On the r = +1 atoms S = Sa + Sb, MX = max(MXa,
-    Sa + MXb), MN = min(MNa, Sa + MNb); on the r = -1 atoms the prefixes
-    of b change sign, so S = Sa - Sb, MX = max(MXa, Sa - MNb) and
-    MN = min(MNa, Sa - MXb).  The r = +1 and r = -1 atoms take the slots
-    of a and b, so the merge runs in place, a chunk of pairs at a time,
-    and holds three tables.  Python ints never round or wrap.
-    """
-    size = ints.size
-    s, mx, mn = ints.copy(), ints.copy(), ints.copy()
-    h = 1
-    while h < size:
-        for lo in range(0, size // 2, _EXACT_CHUNK):
-            pair = np.arange(lo, min(lo + _EXACT_CHUNK, size // 2))
-            a = pair + (pair & -h)  # pair // h segments of 2h, then pair % h
-            b = a + h
-            sa, sb, xa, xb, na, nb = s[a], s[b], mx[a], mx[b], mn[a], mn[b]
-            s[a], s[b] = sa + sb, sa - sb
-            mx[a], mx[b] = np.maximum(xa, sa + xb), np.maximum(xa, sa - nb)
-            mn[a], mn[b] = np.minimum(na, sa + nb), np.minimum(na, sa - xb)
-        h *= 2
-    return mn
+    integer coefficients I_0..I_(2^j - 1) (object array): `_segment_merge`
+    with one class of prefixes over Python ints, which add exactly."""
+    s, mx, mn = ints.copy(), ints[None].copy(), ints[None].copy()
+    for _ in _segment_merge(s, mx, mn):
+        pass
+    return mn[0]
 
 
 def _first_negative(ints, exponent: int, hi: int) -> PositivityWitness:
@@ -411,7 +405,13 @@ def _concentration(masses: np.ndarray, delta: float) -> float:
 def singularity_report(
     state: RieszProductState, cross_check_tol: float = 1e-9
 ) -> SingularityReport:
+    """The SingularityReport of every stage of `state`.  A signed
+    product has no Hellinger affinity: ValueError when some Pi_k dips
+    below 0, read off the factors' ranges before any table is built."""
     _dense_depth(state.factors)
+    for k, (low, _) in enumerate(_product_ranges(state.factors)):
+        if low < 0.0:
+            raise ValueError(f"Pi_{k} takes the negative value {low!r}: sqrt(Pi_{k}) is undefined")
     hellinger = [1.0]
     direct = [1.0]
     concentration = [{d: d for d in CONCENTRATION_FRACTIONS}]
@@ -429,10 +429,9 @@ def singularity_report(
         concentration.append({d: _concentration(masses, d) for d in CONCENTRATION_FRACTIONS})
         l1.append(float(np.abs(vals).mean()))
 
-    gap = max(
-        (abs(a - b) for a, b in zip(hellinger, direct)), default=0.0
-    )
-    if gap > cross_check_tol:
+    # np.max keeps a NaN gap, which the negated test then refuses
+    gap = float(np.max(np.abs(np.subtract(hellinger, direct))))
+    if not gap <= cross_check_tol:
         raise InvariantViolation(
             f"Hellinger multiplicativity off by {gap:.3e} (tol {cross_check_tol})"
         )

@@ -139,7 +139,8 @@ class LevelSelectionError(RuntimeError):
 
 
 class BlockOverlapError(ValueError):
-    """A factor block touches coordinates already in use."""
+    """A factor block touches coordinates already in use, or a factor's
+    index sets bits outside its block."""
 
 
 class CoordinateBudgetError(ValueError):
@@ -365,10 +366,22 @@ class RieszProductState:
 
     Everything else is derived from the factors on first use and cached:
     `norm_a` = ||Pi_k||_A, `inf_value` = inf Pi_k, `used_coordinates`,
-    `support_size` and the `spectrum`.
+    `support_size` and the `spectrum`.  Every pass reads the factors'
+    layout, so a state is refused (BlockOverlapError) unless each block
+    starts above the previous factor's top coordinate and each index
+    sets bits of its own block only.
     """
 
     factors: tuple[Factor, ...] = ()
+
+    def __post_init__(self) -> None:
+        tops = [0] + [f.block[-1] for f in self.factors]
+        for f, top in zip(self.factors, tops):
+            if f.block[0] <= top:
+                raise BlockOverlapError(f"block {f.block} uses coordinates <= {top}")
+            outside = f.indices[f.indices & ~sum(1 << (c - 1) for c in f.block) != 0]
+            if outside.size:
+                raise BlockOverlapError(f"index {outside[0]} sets bits outside its block {f.block}")
 
     @property
     def stages(self) -> int:
@@ -588,26 +601,23 @@ def state_series(state: RieszProductState) -> WalshSeries:
     DENSE_LIMIT coordinates before anything is allocated.
 
     Grown from the factors, not from the spectrum: X_k's block lies
-    above Pi_(k-1)'s top coordinate d (BlockOverlapError if an index of
-    X_k has a bit at or below d), so with the coefficients as rows of
-    2^d, Pi_(k-1) fills row 0 and c_f Pi_(k-1) row f >> d.  Only the
-    terms of Pi_(k-1)'s support are written there, tracked in a mask:
-    the other slots keep +0.0, where c_f times a zero slot could read
-    -0.0, so the bytes equal the spectrum's scatter."""
+    above Pi_(k-1)'s top coordinate d (the state refuses any other
+    layout), so with the coefficients as rows of 2^d, Pi_(k-1) fills
+    row 0 and c_f Pi_(k-1) row f >> d.  Only the terms of Pi_(k-1)'s
+    support are written there, tracked in a mask: the other slots keep
+    +0.0, where c_f times a zero slot could read -0.0, so the bytes
+    equal the spectrum's scatter."""
     depth = state.used_coordinates
     if depth > DENSE_LIMIT:
         raise CoordinateBudgetError(f"refusing to densify a depth-{depth} spectrum")
-    coeffs, support, top = np.ones(1), np.ones(1, dtype=bool), 0
+    coeffs, support = np.ones(1), np.ones(1, dtype=bool)
     for f in state.factors:
-        rows, low = np.divmod(f.indices, coeffs.size)
-        # add_factor keeps this layout; a state built directly may not
-        if low.any():
-            raise BlockOverlapError(f"block {f.block} uses coordinates <= {top}")
+        rows = f.indices // coeffs.size
         grown = np.zeros(1 << f.block[-1]).reshape(-1, coeffs.size)
         held = np.zeros(grown.shape, dtype=bool)
         grown[0], grown[rows] = coeffs, np.where(support, np.multiply.outer(f.coeffs, coeffs), 0.0)
         held[0], held[rows] = support, support
-        coeffs, support, top = grown.ravel(), held.ravel(), f.block[-1]
+        coeffs, support = grown.ravel(), held.ravel()
     return WalshSeries(depth, coeffs)
 
 

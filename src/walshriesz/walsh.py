@@ -31,7 +31,9 @@ adjacent segments is the dyadic martingale step M_(k+1) = M_k + r_(k+1) N_k
 applied in place to their full sums and prefix extrema: `butterfly` is
 that merge with no class of prefixes, `prefix_extrema` and the
 positivity certificate's head tables with one, its signed block pass
-with two, and `_martingale_walk` reads its levels.
+with two, and `_martingale_walk` reads its levels.  Run over object
+arrays of Python ints, the merge is exact: `theorem1-check`'s exact
+positivity route merges the coefficients' dyadic expansion that way.
 """
 
 from __future__ import annotations
@@ -334,7 +336,8 @@ def _segment_merge(s, mx, mn):
     with it.  An empty class reads MX = -inf, MN = +inf.  The two halves
     take the slots of a and b, and two half-width scratch rows per class
     (one with no class) hold the new r = -1 halves while a's slots are
-    overwritten.
+    overwritten.  Float tables round as float64 does; object arrays of
+    Python ints are merged exactly, never rounding or wrapping.
 
     A generator of the levels: it yields h just before merging the
     segments of length h into those of 2h; once it is exhausted the

@@ -375,6 +375,13 @@ def test_singularity_multiplicative_cross_check():
     assert all(tuple(row) == CONCENTRATION_FRACTIONS for row in report.concentration)
 
 
+def test_singularity_refuses_a_signed_product():
+    # 1 + 2 r_1 is -1 on half the atoms, where its square root is NaN
+    state = wr.RieszProductState((wr.Factor(0, (1,), 2.0, np.array([1]), np.array([2.0])),))
+    with pytest.raises(ValueError, match=r"Pi_1 takes the negative value -1\.0"):
+        wr.singularity_report(state)
+
+
 # ---------------------------------------------------------------------------
 # orthogonality in L^2(mu)
 # ---------------------------------------------------------------------------

@@ -577,13 +577,19 @@ def test_state_series_keeps_zero_terms_and_positive_zeros():
 
 def test_state_series_refuses_a_block_below_the_head():
     # the rows layout needs each block above the previous top coordinate,
-    # as add_factor keeps it; a state built directly is checked
-    state = wr.RieszProductState((
-        wr.Factor(0, (2,), 0.3, np.array([2]), np.array([0.3])),
-        wr.Factor(1, (1, 3), 0.2, np.array([5]), np.array([0.2])),
-    ))
+    # as add_factor keeps it; a state built directly is refused when built,
+    # before state_series or the certificate can read it
     with pytest.raises(wr.BlockOverlapError, match=r"block \(1, 3\) uses coordinates <= 2"):
-        wr.state_series(state)
+        wr.RieszProductState((
+            wr.Factor(0, (2,), 0.3, np.array([2]), np.array([0.3])),
+            wr.Factor(1, (1, 3), 0.2, np.array([5]), np.array([0.2])),
+        ))
+
+
+def test_state_refuses_an_index_outside_its_block():
+    # index 3 = r_1 r_2 on the block (2,): its bit 0 is coordinate 1
+    with pytest.raises(wr.BlockOverlapError, match=r"index 3 sets bits outside its block \(2,\)"):
+        wr.RieszProductState((wr.Factor(0, (2,), 0.3, np.array([3]), np.array([0.3])),))
 
 
 def test_head_tables_hold_four_tables():

@@ -7,6 +7,7 @@ transform matrix), which stay independent of the butterfly code paths.
 """
 
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
-from walshriesz.walsh import atom_patterns, sign_vector
+from walshriesz.walsh import _segment_merge, atom_patterns, sign_vector
 
 
 def brute_walsh(n: int, pattern: int) -> int:
@@ -395,6 +396,29 @@ def test_prefix_extrema_matches_brute_partial_sums(m):
             assert np.max(np.abs(s - partial[-1])) <= tol
             assert np.max(np.abs(mx - partial.max(axis=0))) <= tol
             assert np.max(np.abs(mn - partial.min(axis=0))) <= tol
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_segment_merge_is_exact_over_python_ints(m):
+    # the exact positivity route's arithmetic: +-2^70 plus small signed
+    # offsets, past int64 and past float64's mantissa, so a sum whose
+    # 2^70 parts cancel reads the offsets alone; the oracle is every
+    # prefix on every atom from the definition, w_n(t) through
+    # sign_vector, in Python ints
+    rng = np.random.default_rng(70 + m)
+    size = 1 << m
+    coeffs = [int(sign) * (1 << 70) + int(offset)
+              for sign, offset in zip(rng.choice([-1, 1], size), rng.integers(-9, 10, size))]
+    s = np.array(coeffs, dtype=object)
+    mx, mn = s[None].copy(), s[None].copy()
+    for _ in _segment_merge(s, mx, mn):
+        pass
+    signs = [sign_vector(n, atom_patterns(m)).tolist() for n in range(size)]
+    for t in range(size):
+        partial = list(itertools.accumulate(c * row[t] for c, row in zip(coeffs, signs)))
+        got = (s[t], mx[0, t], mn[0, t])
+        assert all(type(v) is int for v in got)
+        assert got == (partial[-1], max(partial), min(partial))
 
 
 def test_prefix_extrema_merges_in_place():
