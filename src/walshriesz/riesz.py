@@ -68,7 +68,6 @@ is at least the rounding allowance (see `verify_all_partial_sums`).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -81,8 +80,9 @@ from .walsh import (
     InvariantViolation,
     SeriesFormatError,
     WalshSeries,
+    _python_items,
     _segment_merge,
-    _write_csv,
+    _write_coeff_rows,
     atom_patterns,
     butterfly,
     read_coeff_rows,
@@ -767,7 +767,11 @@ def psi_sum_report(
     budget: SummabilityBudget | None = None,
 ) -> PsiSumReport:
     """Stage psi sums from the factors, without building the spectrum;
-    refused, like the spectrum, past SPECTRUM_LIMIT terms."""
+    refused, like the spectrum, past SPECTRUM_LIMIT terms.
+
+    `psi` is called once per distinct coefficient of each 2^16-term chunk
+    (`walsh._python_items`), and the builtin `sum` adds one value per
+    term, so each stage sum is the per-term sum bit for bit."""
     _check_spectrum_limit(state)
     # Pi_k's coefficients in generation order (previous term outer, factor
     # term inner): summing in it keeps the psi sums reproducible bit for bit
@@ -783,7 +787,7 @@ def psi_sum_report(
             * psi.epsilon_bar(pm * factor.amplitude)
         )
         terms = np.multiply.outer(generated, factor.coeffs).ravel()
-        exact = float(sum(psi.psi(abs(c)) for c in _python_items(terms)))
+        exact = float(sum(_python_items(terms, lambda c: psi.psi(abs(c)))))
         if exact > bound * (1.0 + 1e-12) + 1e-300:
             raise InvariantViolation(
                 f"stage psi sum {exact} exceeds its bound {bound}"
@@ -817,20 +821,11 @@ def psi_sum_report(
 # export / import
 # ---------------------------------------------------------------------------
 
-def _python_items(values: np.ndarray):
-    """The array's items as Python objects, converted 2^16 at a time, so a
-    deep spectrum is never held as one list."""
-    return itertools.chain.from_iterable(
-        values[lo : lo + (1 << 16)].tolist() for lo in range(0, values.size, 1 << 16)
-    )
-
-
 def _write_spectrum(path, index_name: str, spectrum: Spectrum) -> None:
-    """The package's one spectrum writer: CSV `<index_name>,coeff`,
-    ascending index, repr-formatted floats, written atomically, rows
-    converted chunk by chunk (`_python_items`)."""
-    rows = zip(_python_items(spectrum.indices), map(repr, _python_items(spectrum.coeffs)))
-    _write_csv(path, [index_name, "coeff"], rows)
+    """CSV `<index_name>,coeff` in ascending index, through the series
+    writer `walsh._write_coeff_rows`: repr-formatted floats, each distinct
+    coefficient formatted once per chunk, written atomically."""
+    _write_coeff_rows(path, index_name, spectrum.indices, spectrum.coeffs)
 
 
 def export_measure(state: RieszProductState, path) -> None:

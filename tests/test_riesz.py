@@ -1,8 +1,10 @@
 """Product builder: psi gauges, the level rule, factor bookkeeping,
 positivity certificates, psi summability, and export."""
 
+import csv
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
-from walshriesz import riesz
+from walshriesz import riesz, walsh
 from walshriesz.riesz import _block_table, _product_at, _write_spectrum, make_factor
 from walshriesz.walsh import atom_patterns, butterfly, prefix_extrema, prefix_scan, sign_vector
 
@@ -772,6 +774,67 @@ def test_psi_report_flagship():
     assert report.budget_terms == (1.125, 0.5625, 0.28125)
 
 
+def reference_stage_sums(state, psi):
+    """The per-term psi sums the chunk tables replaced: one psi call per
+    term, Pi_k's coefficients in generation order."""
+    generated, sums = np.ones(1), []
+    for factor in state.factors:
+        terms = np.multiply.outer(generated, factor.coeffs).ravel()
+        sums.append(sum(psi.psi(abs(c)) for c in terms.tolist()))
+        generated = np.concatenate([generated, terms])
+    return sums
+
+
+def several_magnitudes_state():
+    """Two hand-built factors, each with coefficients of both signs and
+    several magnitudes; stage 2 has more terms than one 2^16 chunk."""
+    rng = np.random.default_rng(8)
+    factors = []
+    for level, block in ((10, tuple(range(1, 12))), (6, tuple(range(12, 19)))):
+        shape = make_factor(level, wr.BlockSpec(block))
+        coeffs = rng.choice([0.05, -0.05, 0.2, -0.2, 0.45], size=shape.indices.size)
+        factors.append(wr.Factor(level, block, 0.45, shape.indices, coeffs))
+    return wr.RieszProductState(tuple(factors))
+
+
+def ladder_build(psi, stages, scale):
+    return wr.build_measure(psi, stages, wr.SummabilityBudget(scale)), psi
+
+
+def table_psi_build():
+    """d16 with a tabulated x^2.5; stage 1's one magnitude is a grid
+    point, as linear interpolation between points exceeds the envelope."""
+    state, _ = ladder_build(wr.PsiSpec.logpow(1.0), 4, 6.0)
+    xs = np.union1d(np.geomspace(1e-6, 2.0, 64), [state.factors[0].amplitude])
+    return state, wr.PsiSpec.from_table(xs, xs**2.5)
+
+
+PSI_SUM_CASES = {
+    "d13": lambda: ladder_build(wr.PsiSpec.logpow(1.0), 3, 2.25),
+    "d16": lambda: ladder_build(wr.PsiSpec.logpow(1.0), 4, 6.0),
+    "d21": lambda: ladder_build(wr.PsiSpec.logpow(2.0), 4, 1.0),
+    "d22": lambda: ladder_build(wr.PsiSpec.power(1.0), 6, 6.0),
+    "several-magnitudes": lambda: (several_magnitudes_state(), wr.PsiSpec.logpow(1.0)),
+    "table-psi-d16": table_psi_build,
+}
+
+
+@pytest.mark.parametrize("name", list(PSI_SUM_CASES))
+def test_psi_stage_sums_equal_per_term_sums_bit_for_bit(name):
+    state, psi = PSI_SUM_CASES[name]()
+    report = wr.psi_sum_report(state, psi)
+    want = reference_stage_sums(state, psi)
+    assert [x.hex() for x in report.stage_exact] == [x.hex() for x in want]
+
+
+@given(hand_built_states())
+@settings(max_examples=40, deadline=None)
+def test_psi_stage_sums_equal_per_term_sums_on_hand_built_states(state):
+    psi = wr.PsiSpec.power(1.0)
+    want = reference_stage_sums(state, psi)
+    assert [x.hex() for x in wr.psi_sum_report(state, psi).stage_exact] == [x.hex() for x in want]
+
+
 # ---------------------------------------------------------------------------
 # export / import
 # ---------------------------------------------------------------------------
@@ -788,6 +851,56 @@ def test_export_roundtrip(tmp_path):
         assert np.array_equal(spectrum.indices, written.indices)
         assert np.array_equal(spectrum.coeffs, written.coeffs)
     assert not list(tmp_path.glob("*.tmp.*"))  # the atomic write left no temp file
+
+
+def reference_write_spectrum(path, index_name, spectrum):
+    """The csv.writer export the line writer replaced, one repr per term."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([index_name, "coeff"])
+        writer.writerows(zip(spectrum.indices.tolist(), map(repr, spectrum.coeffs.tolist())))
+
+
+SPECIAL_COEFFS = np.array([0.0, -0.0, 5e-324, -1e-310, 1e16, -1e16, 1e-5, 0.1, -0.1, 1.0])
+
+
+def repeated_spectrum(size):
+    # every chunk of 2^16 rows meets the same few values again
+    coeffs = np.random.default_rng(size).choice(SPECIAL_COEFFS, size=size)
+    return wr.Spectrum(np.arange(size) * 5 + 1, coeffs)
+
+
+WRITER_CASES = {
+    "special": lambda: wr.Spectrum(np.arange(SPECIAL_COEFFS.size) ** 2, SPECIAL_COEFFS),
+    "normal": lambda: wr.Spectrum(np.arange(5000) * 3, np.random.default_rng(2).normal(size=5000)),
+    "repeated-2^16-1": lambda: repeated_spectrum((1 << 16) - 1),
+    "repeated-2^16": lambda: repeated_spectrum(1 << 16),
+    "repeated-2^16+3": lambda: repeated_spectrum((1 << 16) + 3),
+    "one-term": lambda: wr.Spectrum([0], [-0.0]),
+    "no-terms": lambda: wr.Spectrum(np.zeros(0, dtype=np.int64), np.zeros(0)),
+}
+
+
+@pytest.mark.parametrize("name", list(WRITER_CASES))
+def test_spectrum_writer_matches_csv_writer_bytes(tmp_path, name):
+    spectrum = WRITER_CASES[name]()
+    _write_spectrum(tmp_path / "lines.csv", "frequency", spectrum)
+    reference_write_spectrum(tmp_path / "reference.csv", "frequency", spectrum)
+    assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_spectrum_writer_failing_part_way_leaves_no_file(tmp_path, monkeypatch):
+    original = walsh._python_items
+
+    def failing(values, fn=None):
+        # past the first 2^10-line writes, then the conversion fails
+        yield from itertools.islice(original(values, fn), 5000)
+        raise OSError("conversion failed")
+
+    monkeypatch.setattr(walsh, "_python_items", failing)
+    with pytest.raises(OSError, match="conversion failed"):
+        _write_spectrum(tmp_path / "measure.csv", "n", repeated_spectrum(1 << 13))
+    assert list(tmp_path.iterdir()) == []
 
 
 LADDER_PINS = {

@@ -6,6 +6,7 @@ oracles at the top of this file (explicit sign products and the full
 transform matrix), which stay independent of the butterfly code paths.
 """
 
+import csv
 import io
 import itertools
 import json
@@ -453,6 +454,18 @@ def test_csv_roundtrip(tmp_path):
     back = wr.series_from_csv(path)
     assert back.depth == series.depth
     assert np.array_equal(back.coeffs, series.coeffs)
+
+
+def test_csv_writer_bytes_match_csv_module(tmp_path):
+    # every dense row is written, zeros and -0.0 included, with the bytes
+    # csv.writer gives for the same rows
+    series = wr.WalshSeries.from_coeffs([1.0, 0.0, -0.0, 0.1, 0.0, -0.0, 5e-324, 1e16])
+    wr.series_to_csv(series, tmp_path / "series.csv")
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "coeff"])
+        writer.writerows(enumerate(map(repr, series.coeffs.tolist())))
+    assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_csv_sparse_rows():
