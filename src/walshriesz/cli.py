@@ -24,12 +24,15 @@ count is not the manifest product's.
 
 theorem1-check decides positivity by the exact route: every partial
 sum of the series exactly as its float64 coefficients hold it, by the
-package's one segment merge run over Python ints, their dyadic
+package's one segment merge run over int64 limbs holding their dyadic
 expansion, O(K 2^K).  The float64 maximal-function route must agree
 within its rounding allowance, and the report lists both under
 `positivity_routes`.  A series deeper than
-martingale.THEOREM1_DEPTH_LIMIT exits 2 before its dense coefficients
-are allocated; a non-finite coefficient exits 3, naming its line.
+martingale.THEOREM1_DEPTH_LIMIT, or one whose coefficients' exponents
+lie so far apart that its limbs would take more memory than a 2-limb
+series at that depth, exits 2 before its dense coefficients are
+allocated, naming the limbs and the bytes; a non-finite coefficient
+exits 3, naming its line.
 """
 
 from __future__ import annotations
@@ -49,10 +52,9 @@ import numpy as np
 
 from . import __version__
 from . import martingale, riesz, trig
-from .martingale import _EXACT_BYTES_PER_ATOM, THEOREM1_DEPTH_LIMIT
+from .martingale import _EXACT_BYTES_PER_ATOM, _EXACT_LIMB_ATOMS, THEOREM1_DEPTH_LIMIT
 from .rudin_shapiro import build_pair
 from .walsh import (
-    DepthLimitError,
     SeriesFormatError,
     WalshSeries,
     _atomic_open,
@@ -321,19 +323,39 @@ def _shifted_bound_sweep(series: WalshSeries) -> dict:
     return {"checked": len(held), "all_hold": all(held)}
 
 
+def _exact_route_check(path: str):
+    """`series_from_csv`'s check for theorem1-check: exit 2 when the
+    series is past the depth limit or its int64 limbs take more atoms
+    than a 2-limb series at the limit, naming the limbs and the bytes the
+    exact route would hold, before any table of its atoms is allocated."""
+
+    def check(depth: int, coeffs) -> None:
+        width = martingale._limb_width(coeffs)[0]
+        held = (f"{width} int64 limb{'s' * (width > 1)} per value,"
+                f" about {width * _EXACT_BYTES_PER_ATOM << depth:,} bytes")
+        if depth > THEOREM1_DEPTH_LIMIT:
+            raise _UsageError(
+                f"{path}: depth {depth} is past theorem1-check's limit"
+                f" {THEOREM1_DEPTH_LIMIT}; its exact positivity route would hold {held}"
+            )
+        if width << depth > _EXACT_LIMB_ATOMS:
+            raise _UsageError(
+                f"{path}: theorem1-check's exact positivity route would hold {held}"
+                f" at depth {depth}, past the {_EXACT_BYTES_PER_ATOM * _EXACT_LIMB_ATOMS:,}"
+                f" bytes of a 2-limb series at its depth limit {THEOREM1_DEPTH_LIMIT}:"
+                " the coefficients' exponents are too far apart"
+            )
+
+    return check
+
+
 def _cmd_theorem1_check(args) -> int:
     try:
-        series = series_from_csv(args.infile, max_depth=THEOREM1_DEPTH_LIMIT)
+        series = series_from_csv(args.infile, check=_exact_route_check(args.infile))
     except OSError as exc:
         raise _IOFailure(f"cannot read {args.infile}: {exc}") from None
     except SeriesFormatError as exc:
         raise _IOFailure(f"{args.infile}: {exc}") from None
-    except DepthLimitError as exc:
-        raise _UsageError(
-            f"{args.infile}: depth {exc.depth} is past theorem1-check's limit"
-            f" {exc.limit}; its exact positivity route would hold about"
-            f" {_EXACT_BYTES_PER_ATOM << exc.depth:,} bytes"
-        ) from None
 
     equiv = martingale.check_positivity_equivalence(series)
     shifted = _shifted_bound_sweep(series) if equiv.all_prefixes_nonneg else None

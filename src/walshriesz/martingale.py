@@ -13,13 +13,13 @@ inequality on the martingale:
 (the sums of order q in (2^k, 2^(k+1)] read M_k +- a prefix of N_k, and
 both signs of r_(k+1) occur on atoms).  Both sides are computed here,
 each in O(K 2^K), by the one segment merge of `walsh._segment_merge`:
-the left over Python ints, the coefficients' exact dyadic expansion,
-the right in float64 along the martingale walk.  What stays independent
-is the arithmetic, the side each decides (the full merge's smallest
-prefix MN against the walk's M_k - N_k*), and the check of the exact
-minimum against the definition, a cumsum of the partial sums at its
-first atom.  The two minima must agree within the float route's
-rounding allowance; disagreement would be a library bug.  A bug in the
+the left over int64 limbs holding the coefficients' exact dyadic
+expansion, the right in float64 along the martingale walk.  What stays
+independent is the arithmetic, the side each decides (the full merge's
+smallest prefix MN against the walk's M_k - N_k*), and the check of the
+exact minimum against the definition, a cumsum in Python ints of the
+partial sums at its first atom.  The two minima must agree within the
+float route's rounding allowance; disagreement would be a library bug.  A bug in the
 merge itself, shared by both, is caught by the tests' scan oracle
 (`walsh.prefix_scan` over `sign_vector`), which shares no code with it.
 
@@ -42,13 +42,16 @@ from .walsh import (
     AtomTable,
     InvariantViolation,
     WalshSeries,
+    _LIMB_BITS,
+    _LIMB_MASK,
+    _carry,
     _martingale_walk,
     _require_finite,
     _segment_merge,
     butterfly,
     multiply_by_walsh,
     partial_sum,
-    walsh_signs,
+    sign_vector,
 )
 
 __all__ = [
@@ -148,26 +151,31 @@ class EquivalenceReport:
     p3: bool
 
 
-# The exact route holds about this many bytes per atom: on seeded dense
-# series of 98- to 104-bit integers it added 15.7 MiB of RSS at depth
-# 16, 61.4 MiB at depth 18 and 243 MiB at depth 20 (24-29 s on one Xeon
-# core, numpy 2.4), 243-251 per atom; sparser or narrower series hold
-# less.  `theorem1-check` refuses series deeper than the limit.
+# The exact route holds about this many bytes per atom per limb: on the
+# seeded dense 2-limb series (coefficients uniform(-1, 1) 2^-U{0..20})
+# it added 3.2-3.3 MiB of RSS at depth 16, 14.3-15.2 MiB at depth 18 and
+# 56-57 MiB at depth 20 (2.1-2.5 s on one Xeon core, numpy 2.4), 26-31
+# bytes per atom per limb, rounded up here; its Python-int object arrays held 256 per
+# atom.  The float walk before it holds no more.  `theorem1-check`
+# refuses series deeper than the limit, and series whose limbs take more
+# atoms than a 2-limb series at the limit.
 THEOREM1_DEPTH_LIMIT = 20
-_EXACT_BYTES_PER_ATOM = 256
+_EXACT_BYTES_PER_ATOM = 32
+_EXACT_LIMB_ATOMS = 2 << THEOREM1_DEPTH_LIMIT
 
 
 def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     """Every partial sum S_p >= 0 (exact) vs the maximal-function
     inequality N_k* <= M_k (float64), each over every order on every atom.
 
-    The exact route runs `_segment_merge` over Python ints, the
-    coefficients' exact dyadic expansion, which NumPy's object ufuncs add
-    without rounding or wrapping, so its verdict is a proof for the
-    series as the float64 array holds it, and it decides
-    `all_prefixes_nonneg`.  Its minimum is confirmed from the definition
-    at the first atom attaining it.  The float route is the martingale
-    walk; `inequality_holds` is its literal verdict (minimum >= 0), read
+    The exact route runs `_segment_merge` over the coefficients' exact
+    dyadic expansion held in int64 limbs, as many as its largest partial
+    sum needs, which add and compare without rounding or wrapping, so its
+    verdict is a proof for the series as the float64 array holds it, and
+    it decides `all_prefixes_nonneg`.  Its minimum is confirmed from the
+    definition at the first atom attaining it, in Python ints, once the
+    limb tables are freed.  The float route is the martingale walk;
+    `inequality_holds` is its literal verdict (minimum >= 0), read
     against the rounding allowance (K+1) 2^-52 ||S||_A as pass, fail or
     within rounding, and `p3` comes from the same walk.  The two minima
     must agree within the allowance, else InvariantViolation.  On
@@ -176,18 +184,14 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     coefficients raise ValueError.
     """
     float_min, p3 = _maximal_margin(series)  # first: it refuses non-finite coefficients
-    ints, exponent = _dyadic_ints(series.coeffs)
-    low_table = _exact_prefix_minima(ints)
-    atom = int(np.argmin(low_table))
-    low = low_table[atom]
-    del low_table
+    width, exponent = _limb_width(series.coeffs)
+    atom, low = _limb_argmin(_exact_prefix_minima(series.coeffs, width, exponent))
     # w_n(t) = w_t(n): the partial sums on one atom are a cumsum along n
-    sums = ints * walsh_signs(atom, series.depth)
-    np.cumsum(sums, out=sums)
-    if sums.min() != low:
+    definition, first = _partial_sums_at(series.coeffs, atom, exponent)
+    if definition != low:
         raise InvariantViolation(
             f"exact prefix extrema give {low} at atom {atom},"
-            f" its partial sums {sums.min()} (units of 2^{exponent})"
+            f" its partial sums {definition} (units of 2^{exponent})"
         )
     exact_min = _dyadic_float(low, exponent)
     # each partial sum is a K-deep tree of sums of terms of total modulus
@@ -200,7 +204,7 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
         )
     witness = None
     if low < 0:
-        witness = _first_negative(ints, exponent, int(np.argmax(sums < 0)) + 1)
+        witness = _first_negative(series.coeffs, width, exponent, first)
     size = series.order
     return EquivalenceReport(
         all_prefixes_nonneg=low >= 0,
@@ -216,18 +220,60 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     )
 
 
-def _dyadic_ints(coeffs):
-    """(I, e) with c_n = I_n 2^e exactly: the 53-bit integer mantissas of
-    `np.frexp` shifted to the smallest exponent in use, as Python ints in
-    an object array.  The coefficients must be finite."""
+# coefficients per chunk of the exact route's per-coefficient passes:
+# their int64 and Python-int temporaries stay small beside the tables
+_CHUNK = 1 << 14
+
+
+def _dyadic_chunks(coeffs, exponent: int):
+    """(lo, I, shift) for c_lo.., a chunk at a time, with
+    c_n = I_n 2^(shift_n + exponent) exactly: the 53-bit integer mantissas
+    of `np.frexp` (int64) and their shifts, nonnegative for an exponent
+    at most every nonzero coefficient's frexp exponent less 53."""
+    for lo in range(0, coeffs.size, _CHUNK):
+        chunk = coeffs[lo : lo + _CHUNK]
+        mantissa, exp = np.frexp(chunk)
+        ints = np.ldexp(mantissa, 53).astype(np.int64)
+        yield lo, ints, np.where(chunk != 0.0, exp.astype(np.int64) - 53 - exponent, 0)
+
+
+def _limb_width(coeffs) -> tuple[int, int]:
+    """(L, e): the int64 limbs the exact route needs for these finite
+    coefficients (a dense series, or only its nonzero ones), and e, the
+    smallest frexp exponent less 53 among them, so c_n = I_n 2^e with
+    integers I_n.  Every partial sum is at most A = sum |I_n| in modulus, and L
+    limbs hold every value and every difference of two when
+    A < 2^(62 L - 1).  A is exact: per chunk, one bincount by shift of
+    each of the mantissas' two 26-bit halves, whose float64 sums stay
+    below 2^53.  Nothing of size 2^K is allocated past a few bytes per
+    coefficient."""
     c = np.asarray(coeffs, dtype=np.float64)
-    mantissa, exp = np.frexp(c)
-    exp = exp.astype(np.int64) - 53
-    nonzero = c != 0.0
-    base = int(exp[nonzero].min()) if nonzero.any() else 0
-    shift = np.where(nonzero, exp - base, 0)
-    ints = np.ldexp(mantissa, 53).astype(np.int64).astype(object) << shift.astype(object)
-    return ints, base
+    nonzero = c[c != 0.0]
+    exponent = int(np.frexp(nonzero)[1].min()) - 53 if nonzero.size else 0
+    total = 0
+    for _, ints, shift in _dyadic_chunks(np.abs(c), exponent):
+        high = np.bincount(shift, weights=ints >> 26).tolist()
+        low = np.bincount(shift, weights=ints & ((1 << 26) - 1)).tolist()
+        total += sum(((int(h) << 26) + int(l)) << k for k, (h, l) in enumerate(zip(high, low)))
+    return max(1, -(-(total.bit_length() + 1) // _LIMB_BITS)), exponent
+
+
+def _dyadic_limbs(coeffs, width: int, exponent: int):
+    """The coefficients in units of 2^exponent (see `_limb_width`) as an
+    int64 limb table of `width` limbs (see `walsh._segment_merge`),
+    built a chunk at a time: a mantissa shifted by 62 q + r touches limbs q
+    and q + 1 only, and lies whole in limb q when that is the top one."""
+    table = np.zeros((width, coeffs.size), np.int64)
+    for lo, ints, shift in _dyadic_chunks(coeffs, exponent):
+        atoms = np.arange(lo, lo + ints.size)
+        q, r = np.divmod(shift, _LIMB_BITS)
+        top = q == width - 1
+        table[-1, atoms[top]] = ints[top] << r[top]
+        atoms, q, r, ints = atoms[~top], q[~top], r[~top], ints[~top]
+        table[q, atoms] = (ints.view(np.uint64) << r.astype(np.uint64)).view(np.int64) & _LIMB_MASK
+        table[q + 1, atoms] = ints >> (_LIMB_BITS - r)
+    _carry(table[:, None], np.empty((1, coeffs.size), np.int64))
+    return table
 
 
 def _dyadic_float(value: int, exponent: int) -> float:
@@ -236,37 +282,66 @@ def _dyadic_float(value: int, exponent: int) -> float:
     return value / (1 << -exponent) if exponent < 0 else float(value << exponent)
 
 
-def _exact_prefix_minima(ints):
-    """MN, the smallest nonempty partial sum on each of the 2^j atoms, of
-    integer coefficients I_0..I_(2^j - 1) (object array): `_segment_merge`
-    with one class of prefixes over Python ints, which add exactly."""
-    s, mx, mn = ints.copy(), ints[None].copy(), ints[None].copy()
+def _exact_prefix_minima(coeffs, width: int, exponent: int):
+    """MN, the smallest nonempty partial sum on each of the 2^j atoms of
+    c_0..c_(2^j - 1), as a limb table in units of 2^exponent:
+    `_segment_merge` with one class of prefixes over `width` limbs."""
+    s = _dyadic_limbs(coeffs, width, exponent)
+    mx, mn = s[None].copy(), s[None].copy()
     for _ in _segment_merge(s, mx, mn):
         pass
     return mn[0]
 
 
-def _first_negative(ints, exponent: int, hi: int) -> PositivityWitness:
+def _limb_argmin(table):
+    """The first atom of a limb table's smallest value, and that value as
+    a Python int: the top limb decides first, then each one below."""
+    atoms = np.flatnonzero(table[-1] == table[-1].min())
+    for limb in table[-2::-1]:
+        values = limb[atoms]
+        atoms = atoms[values == values.min()]
+    atom = int(atoms[0])
+    return atom, sum(int(d) << (_LIMB_BITS * j) for j, d in enumerate(table[:, atom].tolist()))
+
+
+def _partial_sums_at(coeffs, atom: int, exponent: int):
+    """The smallest partial sum on one atom, from the definition in Python
+    ints (units of 2^exponent), and the first order whose partial sum is
+    negative there (None if none is): a cumsum along n of I_n w_n(atom),
+    a chunk at a time."""
+    low, first, total = None, None, 0
+    for lo, ints, shift in _dyadic_chunks(coeffs, exponent):
+        sums = ints.astype(object) << shift.astype(object)
+        sums *= sign_vector(atom, np.arange(lo, lo + ints.size, dtype=np.uint64))
+        sums[0] += total
+        np.cumsum(sums, out=sums)
+        total = sums[-1]
+        low = min(sums.min(), total if low is None else low)
+        if first is None and low < 0:
+            first = lo + int(np.argmax(sums < 0)) + 1
+    return low, first
+
+
+def _first_negative(coeffs, width: int, exponent: int, hi: int) -> PositivityWitness:
     """The first order with a negative partial sum, at most `hi` (an order
     known to dip), and the first atom minimizing it.  Bisects the order:
     the smallest S_q over q <= p is the exact pass on c_0..c_(p-1),
-    zero-padded to a power of two."""
+    zero-padded to a power of two, in the whole series' limbs and units."""
 
     def minima_through(p):
         pad = (1 << (p - 1).bit_length()) - p
-        return _exact_prefix_minima(np.concatenate([ints[:p], np.zeros(pad, dtype=object)]))
+        return _exact_prefix_minima(np.concatenate([coeffs[:p], np.zeros(pad)]), width, exponent)
 
     lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if minima_through(mid).min() < 0:
+        if minima_through(mid)[-1].min() < 0:
             hi = mid
         else:
             lo = mid
     # every S_q with q < hi is nonnegative, so MN < 0 exactly where S_hi is
-    low = minima_through(hi)
-    atom = int(np.argmin(low))
-    return PositivityWitness("prefix", hi, atom, _dyadic_float(low[atom], exponent))
+    atom, value = _limb_argmin(minima_through(hi))
+    return PositivityWitness("prefix", hi, atom, _dyadic_float(value, exponent))
 
 
 def _maximal_margin(series: WalshSeries) -> tuple[float, bool]:

@@ -226,12 +226,16 @@ class PsiSpec:
 
     @classmethod
     def from_table(cls, xs, ys, descriptor: str = "table") -> "PsiSpec":
-        """Tabulated psi on an increasing sample grid.
+        """Tabulated psi on an increasing sample grid: linear between
+        samples, ys[-1] past the grid and ys[0] (x/xs[0])^2 below it.
 
-        The envelope at x is the running sup of ys/xs^2 over samples <= x
-        (clamped to the first sample below the grid); decay is probed by
-        comparing the envelope at the grid ends.  Refine the grid for a
-        sharper envelope.
+        The envelope at x is the sup of psi(y)/y^2 over y <= x, exactly:
+        the running sup over the samples and the segments below x, then
+        this segment up to x.  On a segment psi = a + b x, and psi/x^2
+        is monotone there unless a < 0 and x* = -2a/b lies inside, where
+        it peaks at -b^2/(4a); below the grid it is ys[0]/xs[0]^2.  Decay
+        is probed by comparing ys/xs^2 at the first sample with its
+        largest.  Refine the grid for a sharper envelope.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -243,13 +247,23 @@ class PsiSpec:
             raise ValueError("sample grid must be positive and increasing")
         if np.any(ys < 0) or np.any(np.diff(ys) < 0):
             raise ValueError("psi samples must be nonnegative and nondecreasing")
+        slope = np.diff(ys) / np.diff(xs)
+        intercept = ys[:-1] - slope * xs[:-1]
+        # a < 0 makes b > 0, as ys >= 0 at the segment's left end
+        dips = intercept < 0
+        star = np.where(dips, -2.0 * intercept / np.where(dips, slope, 1.0), 0.0)
+        inside = dips & (xs[:-1] < star) & (star < xs[1:])
+        peak = np.where(inside, -slope * slope / (4.0 * np.where(dips, intercept, -1.0)), 0.0)
+        # env[i]: the sup over [xs[0], xs[i]], samples and whole segments
         ratio = ys / (xs * xs)
-        env = np.maximum.accumulate(ratio)
+        env = np.maximum.accumulate(np.maximum(ratio, np.append(0.0, peak)))
 
         def psi(x):
             x = float(x)
             if x <= 0.0:
                 return 0.0
+            if x < xs[0]:
+                return float(ys[0] * (x / xs[0]) ** 2)
             return float(np.interp(x, xs, ys))
 
         def envelope(x):
@@ -257,9 +271,13 @@ class PsiSpec:
             if x <= 0.0:
                 return 0.0
             i = int(np.searchsorted(xs, x, side="right")) - 1
-            return float(env[max(i, 0)])
+            if i < 0:
+                return float(env[0])
+            if i == xs.size - 1 or not inside[i] or x < star[i]:
+                return max(float(env[i]), psi(x) / (x * x))
+            return max(float(env[i]), float(peak[i]))
 
-        decays = env[0] <= 0.5 * env[-1]
+        decays = ratio[0] <= 0.5 * ratio.max()
         return cls(descriptor, psi, envelope, bool(decays))
 
     @classmethod

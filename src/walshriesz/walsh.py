@@ -31,9 +31,10 @@ adjacent segments is the dyadic martingale step M_(k+1) = M_k + r_(k+1) N_k
 applied in place to their full sums and prefix extrema: `butterfly` is
 that merge with no class of prefixes, `prefix_extrema` and the
 positivity certificate's head tables with one, its signed block pass
-with two, and `_martingale_walk` reads its levels.  Run over object
-arrays of Python ints, the merge is exact: `theorem1-check`'s exact
-positivity route merges the coefficients' dyadic expansion that way.
+with two, and `_martingale_walk` reads its levels.  Run over int64
+limbs, 62 bits to a limb and as many limbs as the sums need, the merge
+is exact: `theorem1-check`'s exact positivity route merges the
+coefficients' dyadic expansion that way.
 """
 
 from __future__ import annotations
@@ -335,34 +336,136 @@ def _segment_merge(s, mx, mn):
     MX = max(MXa, Sa - MNb), MN = min(MNa, Sa - MXb), with b's rows taken
     in reverse order: a class that records a sign of b's prefixes changes
     with it.  An empty class reads MX = -inf, MN = +inf.  The two halves
-    take the slots of a and b, and two half-width scratch rows per class
-    (one with no class) hold the new r = -1 halves while a's slots are
-    overwritten.  Float tables round as float64 does; object arrays of
-    Python ints are merged exactly, never rounding or wrapping.
+    take the slots of a and b, and two scratch rows per class (one with
+    no class) hold the new r = -1 halves while a's slots are overwritten.
+    A level runs in blocks of 2^14 values per row (limbs counted) of its
+    segment pairs' positions, so the scratch rows are a block wide and a
+    block's dozen or more passes find their rows in cache.
+
+    Only the arithmetic depends on the tables.  Float tables round as
+    float64 does, int64 tables add exactly (the caller keeps them from
+    wrapping) and object arrays of Python ints add exactly, all by the
+    plain ufuncs.  A limb table, int64 of shape (L, 2^K) with `mx`, `mn`
+    of shape (rows, L, 2^K) and L >= 2, holds each value exactly as
+    sum_j d_j 2^(62 j): the low limbs d_j in [0, 2^62), the top one
+    signed.  It adds and subtracts limb by limb and then carries, and
+    compares by the sign of the difference's top limb; every value and
+    every difference of two must fit, which `martingale._limb_width`
+    sees to.  A one-limb table is an int64 table.
 
     A generator of the levels: it yields h just before merging the
     segments of length h into those of 2h; once it is exhausted the
     tables hold the whole merge.
     """
-    n, rows = s.size, len(mx)
-    spare = np.empty(max(2 * rows, 1) * (n // 2), s.dtype)
+    width, n = s.shape if s.ndim == 2 else (1, s.size)
+    rows = len(mx)
+    block = min(_MERGE_BLOCK // width, max(n // 2, 1))
+    add, sub, maximum, minimum = _limb_ops(max(rows, 1) * block) if width > 1 else _PLAIN_OPS
+    spare = np.empty(max(2 * rows, 1) * width * block, s.dtype)
     h = 1
     while h < n:
         yield h
-        sa, sb = s.reshape(-1, 2, h).transpose(1, 0, 2)
+        level = (width, n // (2 * h), 2, h)
+        sh = s.reshape(level)
         if rows:
-            xa, xb = mx.reshape(rows, -1, 2, h).transpose(2, 0, 1, 3)
-            na, nb = mn.reshape(rows, -1, 2, h).transpose(2, 0, 1, 3)
-            up, down = spare.reshape(2, rows, -1, h)
-            np.maximum(xa, np.subtract(sa, nb[::-1], out=up), out=up)
-            np.minimum(na, np.subtract(sa, xb[::-1], out=down), out=down)
-            np.maximum(xa, np.add(sa, xb, out=xb), out=xa)
-            np.minimum(na, np.add(sa, nb, out=nb), out=na)
-            xb[...], nb[...] = up, down
-        diff = np.subtract(sa, sb, out=spare[: n // 2].reshape(-1, h))
-        sa += sb
-        sb[...] = diff
+            xh, nh = mx.reshape(rows, *level), mn.reshape(rows, *level)
+        for cut in _blocks(n // (2 * h), h, block):
+            sa, sb = sh[cut].transpose(2, 0, 1, 3)
+            if rows:
+                xa, xb = xh[cut].transpose(3, 0, 1, 2, 4)
+                na, nb = nh[cut].transpose(3, 0, 1, 2, 4)
+                up, down = spare[: 2 * rows * sa.size].reshape(2, rows, *sa.shape)
+                maximum(xa, sub(sa, nb[::-1], out=up), out=up)
+                minimum(na, sub(sa, xb[::-1], out=down), out=down)
+                maximum(xa, add(sa, xb, out=xb), out=xa)
+                minimum(na, add(sa, nb, out=nb), out=na)
+                xb[...], nb[...] = up, down
+            diff = sub(sa, sb, out=spare[: sa.size].reshape(sa.shape))
+            add(sa, sb, out=sa)
+            sb[...] = diff
         h *= 2
+
+
+# values per row of a block of `_segment_merge`, limbs counted: on one
+# Xeon core 2^13 to 2^15 ran depth-20 merges fastest, and whole levels
+# ran the float one 1.3 and the 2-limb one 1.4 times slower
+_MERGE_BLOCK = 1 << 14
+
+
+def _blocks(segments: int, h: int, block: int):
+    """Index tuples cutting one level's (..., segments, 2, h) views into
+    blocks of at most `block` positions of its segment pairs: whole
+    segment pairs while they are short, runs of positions once they are
+    long.  A level that fits one block is one block."""
+    if segments * h <= block:
+        return [(...,)]
+    per, count = min(h, block), max(block // h, 1)
+    return [(..., slice(m, m + count), slice(None), slice(p, p + per))
+            for m in range(0, segments, count) for p in range(0, h, per)]
+
+
+# limb arithmetic: the limb axis is the third from last of every operand
+_LIMB_BITS = 62
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_PLAIN_OPS = (np.add, np.subtract, np.maximum, np.minimum)
+
+
+def _carry(t, tmp):
+    """Bring every low limb of `t` into [0, 2^62), in place, carrying the
+    rest upwards (an arithmetic shift: a borrow is a carry of -1); `tmp`
+    is one limb of scratch."""
+    for j in range(t.shape[-3] - 1):
+        t[..., j + 1, :, :] += np.right_shift(t[..., j, :, :], _LIMB_BITS, out=tmp)
+        t[..., j, :, :] &= _LIMB_MASK
+    return t
+
+
+def _limb_ops(size: int):
+    """`_segment_merge`'s add, subtract, maximum and minimum on limb
+    tables, with one limb of scratch, `size` values, for every call.
+    maximum and minimum write into `out`, which is one of their
+    operands, the other one where it wins, branch-free limb by limb: with
+    keep = -1 where `out` stays and 0 elsewhere,
+    out = ((out ^ other) & keep) ^ other."""
+    spare = np.empty(size, np.int64)
+
+    def scratch(t):
+        shape = t.shape[:-3] + t.shape[-2:]
+        return spare[: math.prod(shape)].reshape(shape)
+
+    def add(a, b, out):
+        return _carry(np.add(a, b, out=out), scratch(out))
+
+    def sub(a, b, out):
+        return _carry(np.subtract(a, b, out=out), scratch(out))
+
+    def keep(a, b):
+        # -1 where a >= b: the sign of a - b's top limb, borrows carried up
+        d = np.subtract(a[..., 0, :, :], b[..., 0, :, :], out=scratch(a))
+        for j in range(1, a.shape[-3]):
+            d >>= _LIMB_BITS
+            d += a[..., j, :, :]
+            d -= b[..., j, :, :]
+        d >>= 63
+        return np.invert(d, out=d)
+
+    def pick(out, other, mask):
+        for j in range(out.shape[-3]):
+            limb, rival = out[..., j, :, :], other[..., j, :, :]
+            limb ^= rival
+            limb &= mask
+            limb ^= rival
+        return out
+
+    def maximum(a, b, out):
+        other = b if out is a else a
+        return pick(out, other, keep(out, other))
+
+    def minimum(a, b, out):
+        other = b if out is a else a
+        return pick(out, other, keep(other, out))
+
+    return add, sub, maximum, minimum
 
 
 def _martingale_walk(coeffs):
@@ -588,18 +691,21 @@ def read_coeff_rows(source) -> list[tuple[int, float]]:
     return out
 
 
-def series_from_csv(source, max_depth: int | None = None) -> WalshSeries:
+def series_from_csv(source, max_depth: int | None = None, check=None) -> WalshSeries:
     """Load a series from `n,coeff` rows; sparse rows are zero-filled.
 
     The depth is the smallest K with every index below 2^K.  A depth
-    past `max_depth` raises DepthLimitError before anything of size 2^K
-    is allocated.
+    past `max_depth` raises DepthLimitError, and `check(depth, values)`,
+    given the rows' coefficients as a float64 array, may raise, both
+    before anything of size 2^K is allocated.
     """
     rows = read_coeff_rows(source)
     top = rows[-1][0]
     depth = top.bit_length()
     if max_depth is not None and depth > max_depth:
         raise DepthLimitError(depth, max_depth)
+    if check is not None:
+        check(depth, np.fromiter((c for _, c in rows), np.float64, len(rows)))
     if top >= 1 << 26:
         raise SeriesFormatError(f"index {top} too large for a dense series")
     coeffs = np.zeros(1 << depth)

@@ -266,6 +266,37 @@ def test_theorem1_check_refuses_depth_before_allocating(tmp_path, capsys):
     assert series_from_csv(str(at_limit), max_depth=limit).depth == limit
 
 
+def test_theorem1_check_refuses_wide_exponents_before_allocating(tmp_path, capsys):
+    # 1.0 and 1e-300 take 17 int64 limbs per value: at depth 20 that is
+    # past the bytes of a 2-limb depth-20 series, refused from the rows
+    wide = tmp_path / "wide.csv"
+    wide.write_text(f"n,coeff\n0,1.0\n{(1 << 20) - 1},1e-300\n")
+    tracemalloc.start()
+    try:
+        code = run(["theorem1-check", "--in", str(wide)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert "17 int64 limbs per value" in err
+    assert f"{17 * cli._EXACT_BYTES_PER_ATOM << 20:,} bytes at depth 20" in err
+    assert f"{cli._EXACT_BYTES_PER_ATOM * cli._EXACT_LIMB_ATOMS:,} bytes of a 2-limb series" in err
+    assert cli._EXACT_LIMB_ATOMS == 2 << cli.THEOREM1_DEPTH_LIMIT
+
+    # shallow, the same limbs are decided exactly: 1 - 1e-300 on one atom
+    shallow = tmp_path / "shallow.csv"
+    shallow.write_text("n,coeff\n0,1.0\n1,1e-300\n")
+    assert run(["theorem1-check", "--in", str(shallow)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["positivity_routes"][0]["minimum"] == 1.0
+    shallow.write_text("n,coeff\n0,1e-300\n1,-1.0\n")
+    assert run(["theorem1-check", "--in", str(shallow)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["witness"] == {"kind": "prefix", "where": 2, "atom": 0, "value": -1.0}
+
+
 def test_theorem1_check_exact_route_decides_at_rounding_scale(tmp_path, capsys):
     # exact minimum 0; the float64 walk dips to -5.6e-17, inside its allowance
     coeffs = [

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 import walshriesz as wr
 from walshriesz import martingale
 from walshriesz.martingale import CONCENTRATION_FRACTIONS
-from walshriesz.walsh import _martingale_walk, atom_patterns, prefix_scan, sign_vector
+from walshriesz.walsh import (
+    _martingale_walk, _segment_merge, atom_patterns, prefix_scan, sign_vector,
+)
 
 C = wr.FLATNESS_CONSTANT
 
@@ -253,6 +255,84 @@ def test_exact_route_rejects_non_finite_coefficients():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs([1.0, 0.5, bad, 0.1]))
+
+
+def spread_series(depth, seed, positive=False):
+    """The seeded dense series of the exact route's sizing: uniform(-1, 1)
+    times 2^-U{0..20}, with c_0 making every partial sum positive on request."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1, 1, 1 << depth) * 2.0 ** -rng.integers(0, 21, 1 << depth)
+    if positive:
+        c[0] = np.sum(np.abs(c[1:])) + 1.0
+    return c
+
+
+def dyadic_ints(coeffs, exponent):
+    """c_n / 2^exponent as Python ints, from float.as_integer_ratio."""
+    out = []
+    for num, den in map(float.as_integer_ratio, np.asarray(coeffs).tolist()):
+        scaled, rest = divmod(num << -exponent, den)
+        assert rest == 0
+        out.append(scaled)
+    return out
+
+
+@pytest.mark.parametrize("depth", [0, 3, 11])
+def test_exact_minima_equal_the_merge_over_python_ints(depth):
+    # the limb tables against the object-array merge, value for value
+    for c in (spread_series(depth, depth), spread_series(depth, depth + 1, positive=True)):
+        width, exponent = martingale._limb_width(c)
+        mn = martingale._exact_prefix_minima(c, width, exponent)
+        s = np.array(dyadic_ints(c, exponent), dtype=object)
+        mx, want = s[None].copy(), s[None].copy()
+        for _ in _segment_merge(s, mx, want):
+            pass
+        got = [sum(d << (62 * j) for j, d in enumerate(limbs)) for limbs in zip(*mn.tolist())]
+        assert got == want[0].tolist()
+
+
+def test_limb_width_is_the_fewest_limbs_that_hold_every_sum():
+    # L limbs hold every partial sum and every difference of two when
+    # sum |I_n| < 2^(62 L - 1); one fewer would not
+    cases = [np.zeros(4), [1.0, 0.5], [1.0, 1e-300], [-3.0, 2.0**-70, 5e-324],
+             spread_series(12, 12), wr.build_measure(wr.PsiSpec.logpow(1.0), 3,
+                                                     wr.SummabilityBudget(2.25)).spectrum.coeffs]
+    widths = []
+    for c in cases:
+        width, exponent = martingale._limb_width(c)
+        total = sum(map(abs, dyadic_ints(c, exponent)))
+        assert total < 1 << (62 * width - 1)
+        assert width == 1 or total >= 1 << (62 * width - 63)
+        widths.append(width)
+    assert widths == [1, 1, 17, 19, 2, 2]
+
+
+def test_exact_route_decides_at_the_last_bit_over_many_limbs():
+    # S_3 = 1 - r_1 + 1e-300 r_2 is -1e-300 where r_1 = +1, r_2 = -1: 17
+    # limbs carry the 1e-300 past the cancelling 1s, and the float route
+    # reads the dip as within rounding
+    series = wr.WalshSeries.from_coeffs([1.0, -1.0, 1e-300, 0.0])
+    assert martingale._limb_width(series.coeffs)[0] == 17
+    report = _assert_matches_oracle(series)
+    exact, maximal = report.routes
+    assert (exact.minimum, exact.verdict) == (-1e-300, "fail")
+    assert maximal.verdict == "within rounding"
+    assert report.witness == wr.PositivityWitness("prefix", 3, 2, -1e-300)
+
+
+def test_exact_route_memory_is_stated_per_limb_and_atom():
+    # a 2-limb depth-16 series: the float walk and the limb tables hold
+    # about the same, one after the other, and the definition's Python
+    # ints come after both, a chunk at a time
+    series = wr.WalshSeries.from_coeffs(spread_series(16, 16, positive=True))
+    assert martingale._limb_width(series.coeffs)[0] == 2
+    tracemalloc.start()
+    try:
+        assert wr.check_positivity_equivalence(series).all_prefixes_nonneg
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * martingale._EXACT_BYTES_PER_ATOM << 16
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,42 @@ def test_table_psi():
     assert not flat.envelope_decays
 
 
+TABLE_GRIDS = {
+    "convex": (np.geomspace(1e-6, 2.0, 64), np.geomspace(1e-6, 2.0, 64) ** 2.5),
+    "steps": ([0.01, 0.02, 0.05, 0.1, 0.5, 1.0], [1e-5, 1e-5, 2e-3, 2e-3, 0.2, 0.9]),
+    "sparse": ([1e-3, 0.3, 3.0], [0.0, 0.08, 9.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_GRIDS))
+def test_table_psi_envelope_bounds_the_interpolant(name):
+    # envelope(x) >= psi(y)/y^2 for every y <= x, below, on and past the
+    # grid, sampled 20k times: the running max over the fine grid; the
+    # slack is psi_sum_report's relative 1e-12
+    xs, ys = map(np.asarray, TABLE_GRIDS[name])
+    spec = wr.PsiSpec.from_table(xs, ys)
+    fine = np.union1d(np.geomspace(xs[0] / 100, xs[-1] * 4, 20000), xs)
+    ratio = [spec.psi(y) / (y * y) for y in fine]
+    env = [spec.epsilon_bar(x) for x in fine]
+    assert np.all(np.diff(env) >= 0.0)
+    assert np.all(np.array(env) * (1 + 1e-12) >= np.maximum.accumulate(ratio))
+    # below the grid psi is ys[0] (x/xs[0])^2, so the clamp is exact there
+    assert spec.epsilon_bar(xs[0] / 10) == env[0] == ratio[0]
+
+
+def test_table_psi_build_passes_its_psi_sums():
+    # the d16 ladder build with x^2.5 tabulated on 64 points: stage 1's
+    # one magnitude lies between samples, where the interpolant's psi/x^2
+    # rises above the samples' running sup
+    xs = np.geomspace(1e-6, 2.0, 64)
+    psi = wr.PsiSpec.from_table(xs, xs**2.5)
+    budget = wr.SummabilityBudget(scale=6.0)
+    state = wr.build_measure(psi, 4, budget)
+    assert state.factors[0].amplitude not in xs
+    report = wr.psi_sum_report(state, psi, budget)
+    assert report.ok and report.stage_exact[0] <= report.stage_bounds[0]
+
+
 def test_budget_terms():
     budget = wr.SummabilityBudget()
     assert budget.term_bound(1) == 0.5
@@ -802,10 +838,9 @@ def ladder_build(psi, stages, scale):
 
 
 def table_psi_build():
-    """d16 with a tabulated x^2.5; stage 1's one magnitude is a grid
-    point, as linear interpolation between points exceeds the envelope."""
+    """d16 with a tabulated x^2.5, stage 1's one magnitude between samples."""
     state, _ = ladder_build(wr.PsiSpec.logpow(1.0), 4, 6.0)
-    xs = np.union1d(np.geomspace(1e-6, 2.0, 64), [state.factors[0].amplitude])
+    xs = np.geomspace(1e-6, 2.0, 64)
     return state, wr.PsiSpec.from_table(xs, xs**2.5)
 
 

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
-from walshriesz.walsh import _segment_merge, atom_patterns, sign_vector
+from walshriesz.walsh import _limb_ops, _segment_merge, atom_patterns, sign_vector
 
 
 def brute_walsh(n: int, pattern: int) -> int:
@@ -420,6 +421,113 @@ def test_segment_merge_is_exact_over_python_ints(m):
         got = (s[t], mx[0, t], mn[0, t])
         assert all(type(v) is int for v in got)
         assert got == (partial[-1], max(partial), min(partial))
+
+
+LIMB = 1 << 62
+
+
+def to_limbs(values, width):
+    """Python ints as a limb table, built here from the definition: limb j
+    is digit j base 2^62, the top one the signed floor quotient."""
+    return np.array([[v // LIMB**j % LIMB if j < width - 1 else v // LIMB**j for v in values]
+                     for j in range(width)], dtype=np.int64)
+
+
+def from_limbs(table):
+    """A limb table (limb axis first) as Python ints, checking that every
+    low limb is in [0, 2^62)."""
+    limbs = table.reshape(len(table), -1).tolist()
+    assert all(0 <= d < LIMB for limb in limbs[:-1] for d in limb)
+    return [sum(d * LIMB**j for j, d in enumerate(digits)) for digits in zip(*limbs)]
+
+
+def limb_coeffs(width, m, pattern):
+    """2^m coefficients whose sums fill `width` limbs: +-2^62, +-2^124, ...
+    below the largest magnitude 2^m of them may take (every sum below
+    2^(62 width - 1) in modulus), plus small signed offsets.  "random"
+    draws sign and magnitude; "alternating" flips the sign of the largest
+    one, so the partial sums' top limbs cancel every other term."""
+    rng = np.random.default_rng(100 * width + m)
+    size = 1 << m
+    top = (1 << (62 * width - 7)) - 10
+    magnitudes = [LIMB**j for j in range(1, width)] + [top]
+    offsets = rng.integers(-9, 10, size).tolist()
+    if pattern == "alternating":
+        return [(-1) ** n * top + d for n, d in enumerate(offsets)]
+    signs = rng.choice([-1, 1], size).tolist()
+    picks = rng.integers(0, len(magnitudes), size).tolist()
+    return [s * magnitudes[i] + d for s, i, d in zip(signs, picks, offsets)]
+
+
+@pytest.mark.parametrize("pattern", ["random", "alternating"])
+@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_segment_merge_is_exact_over_limbs(width, m, pattern):
+    # the exact positivity route's arithmetic, against every prefix on
+    # every atom from the definition, w_n(t) through sign_vector, in
+    # Python ints; one limb is a plain int64 table
+    coeffs = limb_coeffs(width, m, pattern)
+    s = to_limbs(coeffs, width)
+    mx, mn = s[None].copy(), s[None].copy()
+    for _ in _segment_merge(s, mx, mn):
+        pass
+    signs = [sign_vector(n, atom_patterns(m)).tolist() for n in range(1 << m)]
+    partials = [list(itertools.accumulate(c * row[t] for c, row in zip(coeffs, signs)))
+                for t in range(1 << m)]
+    assert from_limbs(s) == [p[-1] for p in partials]
+    assert from_limbs(mx[0]) == [max(p) for p in partials]
+    assert from_limbs(mn[0]) == [min(p) for p in partials]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2])
+@pytest.mark.parametrize("width", [1, 2])
+def test_segment_merge_in_blocks_is_the_whole_level_merge(monkeypatch, rows, width):
+    # blocks of 8 values per row cut the levels of a 2^8 merge both ways,
+    # several segment pairs at a time, then runs of positions; the tables
+    # must equal one block per level bit for bit, float and limbs alike
+    size = 1 << 8
+
+    if width == 1:
+        start = np.random.default_rng(8).uniform(-1, 1, (1 + 2 * rows, size))
+    else:
+        c = limb_coeffs(2, 8, "random")
+        start = np.stack([to_limbs(c[k:] + c[:k], 2) for k in range(1 + 2 * rows)])
+
+    def merged():
+        s, mx, mn = start[0].copy(), start[1 : 1 + rows].copy(), start[1 + rows :].copy()
+        for _ in _segment_merge(s, mx, mn):
+            pass
+        return s, mx, mn
+
+    whole = merged()
+    monkeypatch.setattr(wr.walsh, "_MERGE_BLOCK", 8)
+    for got, want in zip(merged(), whole):
+        assert np.array_equal(got, want)
+
+
+def limb_values(width):
+    """Integers whose sums and differences fit `width` limbs, half of them
+    within a few units of +-2^(62 j)."""
+    bound = 1 << (62 * width - 2)
+    near = st.builds(lambda j, sign, d: sign * LIMB**j + d, st.integers(0, width - 1),
+                     st.sampled_from([-1, 1]), st.integers(-3, 3))
+    return st.one_of(st.integers(-bound, bound), near)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_limb_ops_match_python_ints(data):
+    width = data.draw(st.sampled_from([2, 3, 5]))
+    size = data.draw(st.integers(1, 6))
+    pair = st.lists(limb_values(width), min_size=size, max_size=size)
+    a, b = data.draw(pair), data.draw(pair)
+    add, sub, maximum, minimum = _limb_ops(size)
+    for op, want in ((add, operator.add), (sub, operator.sub), (maximum, max), (minimum, min)):
+        for into in range(2):  # the merge writes into either operand
+            ta, tb = to_limbs(a, width)[:, None], to_limbs(b, width)[:, None]
+            got = op(ta, tb, out=(ta, tb)[into])
+            assert got is (ta, tb)[into]
+            assert from_limbs(got) == list(map(want, a, b))
 
 
 def test_prefix_extrema_merges_in_place():
