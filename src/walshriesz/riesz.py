@@ -355,7 +355,8 @@ class Factor:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sparse spectrum: strictly increasing indices and their coefficients.
+    """Sparse spectrum: strictly increasing nonnegative indices and their
+    coefficients.
 
     The indices are Walsh indices for the Walsh products and cosine
     frequencies for the cosine products; index 0 is the constant term.
@@ -371,6 +372,8 @@ class Spectrum:
             raise ValueError(f"shapes {indices.shape} and {coeffs.shape} do not match")
         if np.any(indices[1:] <= indices[:-1]):
             raise InvariantViolation("spectrum indices are not strictly increasing")
+        if indices.size and indices[0] < 0:
+            raise InvariantViolation(f"spectrum index {indices[0]} is negative")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -842,7 +845,8 @@ def psi_sum_report(
 def _write_spectrum(path, index_name: str, spectrum: Spectrum) -> None:
     """CSV `<index_name>,coeff` in ascending index, through the series
     writer `walsh._write_coeff_rows`: repr-formatted floats, each distinct
-    coefficient formatted once per chunk, written atomically."""
+    coefficient formatted once per 2^14-row chunk, the rows laid out by
+    array operations, written atomically."""
     _write_coeff_rows(path, index_name, spectrum.indices, spectrum.coeffs)
 
 

@@ -4,7 +4,6 @@ positivity certificates, psi summability, and export."""
 import csv
 import dataclasses
 import hashlib
-import itertools
 import math
 import tracemalloc
 
@@ -876,7 +875,7 @@ def test_psi_stage_sums_equal_per_term_sums_on_hand_built_states(state):
 
 def test_export_roundtrip(tmp_path):
     built = wr.build_measure(wr.PsiSpec.power(1.0), 2, wr.SummabilityBudget())
-    # rows are written in chunks of 2^16: the second spectrum spans two
+    # rows are written in chunks: the second spectrum spans several
     size = (1 << 16) + 3
     wide = wr.Spectrum(3 * np.arange(size), np.random.default_rng(5).normal(size=size))
     wr.export_measure(built, tmp_path / "measure.csv")
@@ -905,9 +904,27 @@ def repeated_spectrum(size):
     return wr.Spectrum(np.arange(size) * 5 + 1, coeffs)
 
 
+# indices at the edges of their decimal digit count, 1 to 19 digits
+INDEX_EDGES = sorted(
+    {0, 9, 10, 1 << 62, (1 << 63) - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0, 1)}
+)
+EDGE_COEFFS = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e22, float(2**53 + 1), 2.0**53 + 2,
+               math.inf, -math.inf, math.nan]
+
+
+def digit_edges():
+    # one chunk whose index digit count changes from 1 to 19 partway through
+    coeffs = np.random.default_rng(3).choice(SPECIAL_COEFFS, size=len(INDEX_EDGES))
+    return wr.Spectrum(INDEX_EDGES, coeffs)
+
+
 WRITER_CASES = {
     "special": lambda: wr.Spectrum(np.arange(SPECIAL_COEFFS.size) ** 2, SPECIAL_COEFFS),
     "normal": lambda: wr.Spectrum(np.arange(5000) * 3, np.random.default_rng(2).normal(size=5000)),
+    "repeated-2^14-1": lambda: repeated_spectrum((1 << 14) - 1),
+    "repeated-2^14": lambda: repeated_spectrum(1 << 14),
+    "repeated-2^14+3": lambda: repeated_spectrum((1 << 14) + 3),
+    "digit-edges": digit_edges,
     "repeated-2^16-1": lambda: repeated_spectrum((1 << 16) - 1),
     "repeated-2^16": lambda: repeated_spectrum(1 << 16),
     "repeated-2^16+3": lambda: repeated_spectrum((1 << 16) + 3),
@@ -924,17 +941,40 @@ def test_spectrum_writer_matches_csv_writer_bytes(tmp_path, name):
     assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+@st.composite
+def edge_spectra(draw):
+    indices = draw(st.lists(st.sampled_from(INDEX_EDGES) | st.integers(0, (1 << 63) - 1),
+                            max_size=40, unique=True))
+    coeffs = draw(st.lists(st.sampled_from(EDGE_COEFFS) | st.floats(),
+                           min_size=len(indices), max_size=len(indices)))
+    return wr.Spectrum(sorted(indices), coeffs)
+
+
+@given(edge_spectra())
+@settings(max_examples=200, deadline=None)
+def test_spectrum_writer_matches_csv_writer_bytes_at_the_edges(tmp_path_factory, spectrum):
+    # non-finite coefficients are written as repr writes them
+    folder = tmp_path_factory.mktemp("writer")
+    _write_spectrum(folder / "lines.csv", "n", spectrum)
+    reference_write_spectrum(folder / "reference.csv", "n", spectrum)
+    assert (folder / "lines.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
 def test_spectrum_writer_failing_part_way_leaves_no_file(tmp_path, monkeypatch):
-    original = walsh._python_items
+    original = walsh._coeff_row_bytes
+    chunks = []
 
-    def failing(values, fn=None):
-        # past the first 2^10-line writes, then the conversion fails
-        yield from itertools.islice(original(values, fn), 5000)
-        raise OSError("conversion failed")
+    def failing(indices, coeffs):
+        # the first chunk is written, then the second one fails
+        chunks.append(indices.size)
+        if len(chunks) > 1:
+            raise OSError("conversion failed")
+        return original(indices, coeffs)
 
-    monkeypatch.setattr(walsh, "_python_items", failing)
+    monkeypatch.setattr(walsh, "_coeff_row_bytes", failing)
     with pytest.raises(OSError, match="conversion failed"):
-        _write_spectrum(tmp_path / "measure.csv", "n", repeated_spectrum(1 << 13))
+        _write_spectrum(tmp_path / "measure.csv", "n", repeated_spectrum(3 * walsh._ROW_CHUNK))
+    assert chunks == [walsh._ROW_CHUNK, walsh._ROW_CHUNK]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1100,3 +1140,12 @@ def test_spectrum_rejects_unsorted_indices():
         wr.Spectrum([0, 2, 2], [1.0, 0.5, 0.25])
     with pytest.raises(ValueError):
         wr.Spectrum([0, 1], [1.0])
+
+
+def test_spectrum_rejects_negative_indices():
+    # Walsh indices and cosine frequencies are never negative, and the CSV
+    # writer formats indices as unsigned decimal digits
+    assert len(wr.Spectrum(np.zeros(0, dtype=np.int64), np.zeros(0))) == 0
+    for indices in ([-1], [-3, 0, 2], [-(1 << 63), 5]):
+        with pytest.raises(wr.InvariantViolation, match="negative"):
+            wr.Spectrum(indices, np.ones(len(indices)))
