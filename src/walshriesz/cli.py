@@ -15,10 +15,9 @@ file keyed by the flag's dest name, each value read as the flag's
 command-line text (one its type rejects exits 2); explicit flags win.
 No command draws random numbers: every positivity certificate covers
 every order on every atom, one stage band at a time, with exact minima
-wherever each band's head lies within riesz.DENSE_LIMIT coordinates and
-interval lower bounds past them.  --seed is only recorded in manifests
-and reports, and --cap is parsed and ignored (the heads' depths choose
-the method); both are kept because benchmarks/workloads.py passes them.
+at every depth.  --seed is only recorded in manifests and reports, and
+--cap is parsed and ignored; both are kept because
+benchmarks/workloads.py passes them.
 report exits 2, before writing anything, when the measure CSV's term
 count is not the manifest product's.
 
@@ -509,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", default="preset:logpow,p=1")
     p.add_argument("--stages", type=int, default=3)
     p.add_argument("--cap", type=int, default=14,
-                   help="ignored, the heads' depths choose the positivity method"
+                   help="ignored: the positivity certificate is exact at every depth"
                         " (kept because benchmarks/workloads.py passes it)")
     p.add_argument("--budget-scale", type=float, default=2.25,
                    help="stage budget is scale * 2^-k (default: 3 stages in 13 coordinates)")

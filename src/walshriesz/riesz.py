@@ -28,7 +28,7 @@ right of all used coordinates, so stage k+1's XOR products are distinct
 and exceed every index of Pi_k: the spectrum is one sorted pair of
 int64/float64 arrays, stage k at positions [N_(k-1), N_k), built only
 for the export, and refused past SPECTRUM_LIMIT terms before anything
-is allocated; the dense series is grown from the factors instead.
+is allocated.
 Each X_i is evaluated on its own block's 2^|J_i| atoms (one butterfly)
 and read off elsewhere by the block's bits of the atom.
 
@@ -47,23 +47,28 @@ terms read its m = 0 value; those from max(X's indices) + 2^d_j on read
 Pi_j (1 + X) = Pi_(j+1), which band j reaches when it is the last band,
 or when a gap leaves some of them below 2^d_(j+1).  The head's
 coordinates t and the block's t' are independent, and S_(f+m) is linear
-in S_m and in P_<f, so each band's minimum is read off two pieces of
-data:
+in the pair (x, y) = (Pi_j(t), S_m(Pi_j)(t)) and in P_<f, so only two
+pieces of data matter:
 
-  - the head: Pi_j on its atoms with the range [lo, hi] of its proper
-    prefix sums S_0..S_(2^d_j - 1), the empty one included.  While
-    d_j <= DENSE_LIMIT these are dense tables, exact, from one prefix
-    merge of Pi_j's coefficients; past it a two-point interval head,
-    the range of Pi_j from the factors' ranges and +-||Pi_j||_A for the
-    prefixes, which gives lower bounds;
-  - the block: one signed prefix-extrema butterfly on X's 2^|J| block
-    atoms per coefficient magnitude mu, giving the smallest and largest
-    P_<f(t') over each sign class of c_f w_f(t') = +-mu.
+  - the head: H_j, the convex hull of the pairs (x, y) over every atom
+    and every proper order m < 2^d_j, the empty one included.
+    H_0 = {(1, 0)}, and H_(j+1) is the hull of the images of the
+    vertices of H_j and of the block data under three maps: the head's
+    orders give (x (1 + X), y), the band's orders of sign class b give
+    (x (1 + X), x (1 + P_<f) + b y), and the orders reading Pi_(j+1)
+    give (x (1 + X), x (1 + X));
+  - the block: one signed prefix-extrema merge on X's 2^|J| block
+    atoms, a pair of rows per coefficient magnitude mu, giving the
+    smallest and largest P_<f(t') over each sign class of
+    c_f w_f(t') = b = +-mu, and with them C_b, the hull of the points
+    (X(t'), P_<f(t')).
 
-Class +mu then takes the head's smallest prefix sum and class -mu its
-largest, and a band costs a few vector minima over the head's atoms.
-The certificate reports the computed figures, and passes only when each
-is at least the rounding allowance (see `verify_all_partial_sums`).
+Band j's smallest S_p and S_p - Pi_j/4 are x (s + P) + b y at the
+vertices of H_j, with P at its class extremes and s = 1 or 3/4.  Each
+factor's coefficients are integers over one dyadic unit, the block
+merges run in int64 and the hull vertices are Python-int pairs over a
+common power of two, so every figure is exact for the product of the
+stored float64 factors and is rounded once, at every depth.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ from .rudin_shapiro import build_flat, substitute_sparse
 from .walsh import (
     InvariantViolation,
     SeriesFormatError,
-    WalshSeries,
     _python_items,
     _segment_merge,
     _write_coeff_rows,
@@ -104,7 +108,6 @@ __all__ = [
     "choose_next_level",
     "add_factor",
     "build_measure",
-    "state_series",
     "factor_values",
     "product_values",
     "verify_all_partial_sums",
@@ -114,16 +117,6 @@ __all__ = [
     "state_manifest",
     "state_from_manifest",
 ]
-
-# Largest depth densified: by `state_series`, and by the positivity
-# certificate for a band whose head Pi_j ends at coordinate
-# d_j <= DENSE_LIMIT, whose tables hold 2^d_j float64 values each (past
-# it the head is an interval).  A 20-coordinate head with all 2^20
-# terms took 0.4-0.5 s and a 32 MiB tracemalloc peak on a shared
-# 2-core Xeon: its coefficients are grown from the factors, and one
-# in-place merge holds four tables of 2^20 float64 values (S, MX, MN
-# and a scratch).
-DENSE_LIMIT = 20
 
 # Largest spectrum materialized, in terms (16 bytes each); the ladder's
 # largest build, depth 21, has 589,860.
@@ -145,8 +138,9 @@ class BlockOverlapError(ValueError):
 
 class CoordinateBudgetError(ValueError):
     """A state past a size limit: a block past coordinate 63 (Walsh
-    indices are int64), a spectrum past SPECTRUM_LIMIT terms, a dense
-    series past DENSE_LIMIT coordinates, or dense diagnostics past
+    indices are int64), a spectrum past SPECTRUM_LIMIT terms, a factor
+    whose integer coefficients sum past the 61 bits of the certificate's
+    int64 block tables, or dense diagnostics past
     `martingale.DIAGNOSTIC_DEPTH_LIMIT`."""
 
 
@@ -460,17 +454,17 @@ def _block_bits(values: np.ndarray, block) -> np.ndarray:
     return out
 
 
-def _block_coeffs(factor: Factor) -> np.ndarray:
-    """X's coefficients remapped to the indices of its own block; the
-    remap is increasing, so prefixes stay prefixes."""
-    dense = np.zeros(1 << len(factor.block))
-    dense[_block_bits(factor.indices, factor.block)] = factor.coeffs
+def _block_coeffs(factor: Factor, coeffs: np.ndarray) -> np.ndarray:
+    """`coeffs`, X's coefficients in some dtype, remapped to the indices of
+    its own block; the remap is increasing, so prefixes stay prefixes."""
+    dense = np.zeros(1 << len(factor.block), coeffs.dtype)
+    dense[_block_bits(factor.indices, factor.block)] = coeffs
     return dense
 
 
 def _block_table(factor: Factor) -> np.ndarray:
     """X on the 2^|block| atoms of its own block, by one butterfly."""
-    return butterfly(_block_coeffs(factor))
+    return butterfly(_block_coeffs(factor, factor.coeffs))
 
 
 def _product_at(factors, patterns: np.ndarray) -> np.ndarray:
@@ -617,50 +611,23 @@ def build_measure(
     return state
 
 
-def state_series(state: RieszProductState) -> WalshSeries:
-    """Dense Walsh series of the current product, refused past
-    DENSE_LIMIT coordinates before anything is allocated.
-
-    Grown from the factors, not from the spectrum: X_k's block lies
-    above Pi_(k-1)'s top coordinate d (the state refuses any other
-    layout), so with the coefficients as rows of 2^d, Pi_(k-1) fills
-    row 0 and c_f Pi_(k-1) row f >> d.  Only the terms of Pi_(k-1)'s
-    support are written there, tracked in a mask: the other slots keep
-    +0.0, where c_f times a zero slot could read -0.0, so the bytes
-    equal the spectrum's scatter."""
-    depth = state.used_coordinates
-    if depth > DENSE_LIMIT:
-        raise CoordinateBudgetError(f"refusing to densify a depth-{depth} spectrum")
-    coeffs, support = np.ones(1), np.ones(1, dtype=bool)
-    for f in state.factors:
-        rows = f.indices // coeffs.size
-        grown = np.zeros(1 << f.block[-1]).reshape(-1, coeffs.size)
-        held = np.zeros(grown.shape, dtype=bool)
-        grown[0], grown[rows] = coeffs, np.where(support, np.multiply.outer(f.coeffs, coeffs), 0.0)
-        held[0], held[rows] = support, support
-        coeffs, support = grown.ravel(), held.ravel()
-    return WalshSeries(depth, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # positivity certificate
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PositivityCertificate:
-    """Minima of the partial sums of the product's series, or lower bounds.
+    """Exact minima of the partial sums of the product's series.
 
     `global_min` is over orders p >= 1 (the empty sum is 0 by
     definition).  `stage_margins[j]` is the pointwise minimum of
     S_p - (1/4) Pi_j over stage j's orders [edge_j, edge_(j+1)) (the
-    last band closed), which the construction keeps nonnegative.
-    `method` is "exact" when every band's head Pi_j lies within
-    DENSE_LIMIT coordinates, so both are exact minima, and "bounds" when
-    some head is an interval, so those bands give lower bounds.
-    `rounding_slack` is the float rounding allowance (K+3) 2^-52
-    ||Pi_K||_A; the figures are reported as computed, and the
-    certificate passes only when each is at least the slack.  Either way
-    every order on every atom is covered, so `exhaustive` is always true.
+    last band closed), which the construction keeps nonnegative.  Both
+    are exact for the product of the stored float64 factors, each
+    rounded once to float64, so `method` is always "exact", and the
+    certificate passes when the exact global minimum and every exact
+    margin are nonnegative.  Every order on every atom is covered, so
+    `exhaustive` is always true.
     """
 
     exhaustive: bool
@@ -670,93 +637,124 @@ class PositivityCertificate:
     band_edges: tuple[int, ...]
     global_min: float
     stage_margins: tuple[float, ...]
-    rounding_slack: float
     passed: bool
 
 
-def _head_tables(head: RieszProductState):
-    """Pi_j and the range [lo, hi] of its proper prefix sums S_m, m < 2^d_j
-    (S_0 = 0 included), on the head's atoms: dense tables while
-    d_j <= DENSE_LIMIT, else a two-point interval head, the range of
-    Pi_j with |S_m| <= ||Pi_j||_A.
+# An empty class's sentinel: a block table's integers sum below 2^61 in
+# modulus, so the sentinel plus any of their sums stays inside int64 and
+# beyond +-2^61, apart from every real prefix.
+_EMPTY = 1 << 62
 
-    The dense tables are one `_segment_merge` of the head's coefficients
-    (`state_series`) with one class of prefixes: the sums before each
-    slot, starting from 0.  So S is Pi_j, bit for bit the `butterfly`,
-    and MX, MN range over S_0..S_(2^d_j - 1), the proper prefixes, in
-    place on four tables of 2^d_j values (S, MX, MN and the scratch)."""
-    if head.used_coordinates > DENSE_LIMIT:
-        norm = np.full(2, head.norm_a)
-        return np.array(_product_ranges(head.factors)[-1]), -norm, norm
-    pi = state_series(head).coeffs
-    hi, lo = np.zeros((1, pi.size)), np.zeros((1, pi.size))
-    for _ in _segment_merge(pi, hi, lo):
+
+def _block_data(factor: Factor):
+    """X = `factor` on its block atoms t', in integers over one unit
+    u = g 2^-e: (g, e, X's integer range, classes).
+
+    The unit is the gcd of the distinct magnitudes over their common
+    power of two, so a construction factor's coefficients are +-u.  A
+    factor whose integers' moduli sum to 2^61 or more is refused
+    (CoordinateBudgetError, naming the bits) before any table is
+    allocated.  One signed `_segment_merge` on int64 block tables, with
+    a row per sign class b = +-k u of c_f w_f(t') (the rows of -b and b
+    mirror each other, as the merge's sign flip needs), gives the
+    extremes of P_<f(t') over each class; a class is (b, the vertices of
+    C_b = conv{(X(t'), P_<f(t'))}, empty where b never occurs)."""
+    mags = sorted(set(np.abs(factor.coeffs).tolist()))  # np.unique would import numpy.ma
+    pos = np.searchsorted(np.array(mags), np.abs(factor.coeffs))
+    ratios = [m.as_integer_ratio() for m in mags]  # (n, 2^q)
+    den = max((q for _, q in ratios), default=1)
+    ints = [n * (den // q) for n, q in ratios]
+    g = math.gcd(*ints) or 1
+    kvals = [n // g for n in ints]
+    total = sum(k * count for k, count in zip(kvals, np.bincount(pos).tolist()))
+    if total >> 61:
+        raise CoordinateBudgetError(
+            f"the factor on block {factor.block} sums to a {total.bit_length()}-bit integer"
+            f" in its unit {g}/{den}; int64 block tables hold 61 bits"
+        )
+    ks = np.array(kvals, np.int64)[pos]
+    xs = _block_coeffs(factor, np.where(np.signbit(factor.coeffs), -ks, ks))
+    signs = [*kvals, *(-k for k in reversed(kvals))]
+    rows = xs == np.array(signs)[:, None]
+    mx, mn = np.where(rows, 0, -_EMPTY), np.where(rows, 0, _EMPTY)
+    for _ in _segment_merge(xs, mx, mn):
         pass
-    return pi, lo[0], hi[0]
+    # only the lowest and highest P over each distinct X can be vertices
+    order = np.argsort(xs)
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(xs[order]) != 0)))
+    values = xs[order[starts]].tolist()
+    lows = np.minimum.reduceat(mn[:, order], starts, axis=1).tolist()
+    highs = np.maximum.reduceat(mx[:, order], starts, axis=1).tolist()
+    classes = [(b, _hull([(x, p) for x, low, high in zip(values, lo, hi) if high > -_EMPTY // 2
+                          for p in (low, high)])) for b, lo, hi in zip(signs, lows, highs)]
+    return g, den.bit_length() - 1, (values[0], values[-1]), classes
 
 
-def _band_minima(pi, lo, hi, factor: Factor, reaches_end: bool) -> tuple[float, float]:
-    """The smallest S_p and S_p - Pi_j/4 over band j's orders, from the
-    head tables (pi, lo, hi) and X = `factor`: S_p = Pi_j (1 + P) + b S_m
-    is smallest at an end of P's class range and, b = +-mu, at S_m = lo
-    or hi.  `reaches_end` adds the orders reading Pi_j (1 + X)."""
-    coeffs = _block_coeffs(factor)
-    cases = []  # (smallest P, largest P, b S_m at its worst)
-    for mu in set(np.abs(factor.coeffs).tolist()):  # np.unique would import numpy.ma
-        # the signed prefix-extrema butterfly on X's block atoms t': the
-        # extremes of P_<f(t') over the f with |c_f| = mu, in row 0 where
-        # c_f w_f(t') = +mu and in row 1 where it is -mu; the merge
-        # overwrites its tables, so it gets a copy of the coefficients
-        classes = np.array([coeffs == mu, coeffs == -mu])
-        mx, mn = np.where(classes, 0.0, -np.inf), np.where(classes, 0.0, np.inf)
-        for _ in _segment_merge(coeffs.copy(), mx, mn):
-            pass
-        cases += [(mn[0].min(), mx[0].max(), mu * lo), (mn[1].min(), mx[1].max(), -mu * hi)]
-    if reaches_end:
-        cases.append((*factor.value_range, 0.0))
+def _hull(points) -> list[tuple[int, int]]:
+    """The vertices of the convex hull of integer points, exactly: Andrew's
+    monotone chain over Python ints, dropping repeated and collinear
+    points.  A linear form's minimum over the points is its minimum
+    over these."""
+    points = sorted(set(points))
+    vertices = []
+    for run in (points, points[::-1]):
+        chain = []
+        for p in run:
+            while len(chain) > 1 and ((chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                                      <= (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])):
+                chain.pop()
+            chain.append(p)
+        vertices += chain[:-1]
+    return vertices or points
 
-    def smallest(shift):
-        return min(float((np.minimum(pi * (shift + low), pi * (shift + high)) + term).min())
-                   for low, high, term in cases if low <= high)
 
-    return smallest(1.0), smallest(0.75)
+def _bands(state: RieszProductState, edges):
+    """Each band j in turn: (H_j, shift, (low, margin), scale).  H_j's
+    vertices are integer pairs over 2^shift.  low and margin, integers
+    over 2^scale, are the exact minima of S_p and of S_p - Pi_j/4 over
+    band j's orders: x (s + P) + b y over H_j's vertices and the P of
+    each class's vertices, s = 1 or 3/4.  Where the band reaches
+    Pi_(j+1), those orders form one more class, b = 0 and P = X."""
+    hull, shift = [(1, 0)], 0  # H_0 = {(Pi_0, S_0)}
+    for j, factor in enumerate(state.factors):
+        g, e, ends, classes = _block_data(factor)
+        if j == state.stages - 1 or factor.indices.max(initial=0) + edges[j] < edges[j + 1]:
+            classes.append((0, [(p, p) for p in ends]))
+
+        def form(x, y, p, b, s=4):
+            # 2^(shift + e + 2) (x (s/4 + p u) + b u y) at a vertex (x, y), u = g 2^-e
+            return x * ((s << e) + (g * p << 2)) + (g * b * y << 2)
+
+        yield hull, shift, [min(form(x, y, p, b, s) for x, y in hull for b, vertices in classes
+                                for _, p in vertices) for s in (4, 3)], shift + e + 2
+        heads = [(form(x, y, p, 0), y << e + 2) for x, y in hull for p in ends]
+        bands = [(form(x, y, p, 0), form(x, y, q, b))
+                 for x, y in hull for b, vertices in classes for p, q in vertices]
+        hull, shift = _hull(heads + bands), shift + e + 2
 
 
 def verify_all_partial_sums(state: RieszProductState, seed: int = 1729) -> PositivityCertificate:
     """Certify S_p >= 0 and the stagewise S_p >= (1/4) Pi_j bound on
-    every order and every atom, band by band (see the module docstring),
-    in O(d_j 2^d_j + |J| 2^|J|) per band and coefficient magnitude.
-
-    Rounding allowance: a band's figures carry the head pass's d_j-deep
-    sums of terms of total modulus ||Pi_j||_A, the block pass's |J|-deep
-    ones, one product and one sum, so to first order they lie within
-    (d_j + |J| + 3) 2^-52 ||Pi_(j+1)||_A of the exact minima.  The blocks
-    are disjoint, so d_j + |J| <= K, and (K+3) 2^-52 ||Pi_K||_A covers
-    every band: the figures are reported as computed, and the
-    certificate passes only when each is at least this allowance.
+    every order and every atom, band by band, exactly (see the module
+    docstring): O(|J| 2^|J|) int64 work per factor and sign class, and
+    Python-int work on a few hull vertices per band.
     `seed` is accepted and unused; no certificate draws random numbers.
     """
-    depth = state.used_coordinates
     edges = (1, *(1 << f.block[-1] for f in state.factors))  # the stage bands' first orders
-    slack = (depth + 3) * 2.0**-52 * state.norm_a
-    gmin, margins = 1.0, []  # S_1 = 1, the constant term
-    for j, factor in enumerate(state.factors):
-        reaches_end = j == state.stages - 1 or factor.indices.max() + edges[j] < edges[j + 1]
-        low, margin = _band_minima(*_head_tables(RieszProductState(state.factors[:j])),
-                                   factor, reaches_end)
-        gmin = min(gmin, low)
-        margins.append(margin)
-    dense = all(edge.bit_length() - 1 <= DENSE_LIMIT for edge in edges[:-1])
+    gmin, margins, passed = 1.0, [], True  # S_1 = 1, the constant term
+    for _, _, (low, margin), scale in _bands(state, edges):
+        gmin = min(gmin, low / (1 << scale))  # int true division rounds once
+        margins.append(margin / (1 << scale))
+        passed = passed and low >= 0 and margin >= 0
     return PositivityCertificate(
         exhaustive=True,
-        method="exact" if dense else "bounds",
-        depth=depth,
+        method="exact",
+        depth=state.used_coordinates,
         support_size=state.support_size,
         band_edges=edges,
         global_min=gmin,
         stage_margins=tuple(margins),
-        rounding_slack=slack,
-        passed=gmin >= slack and all(m >= slack for m in margins),
+        passed=passed,
     )
 
 

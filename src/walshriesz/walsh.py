@@ -29,12 +29,12 @@ Parseval: mean_t values(t)^2 = sum_n c_n^2.
 Every dense pass runs on one loop, `_segment_merge`, whose merge of two
 adjacent segments is the dyadic martingale step M_(k+1) = M_k + r_(k+1) N_k
 applied in place to their full sums and prefix extrema: `butterfly` is
-that merge with no class of prefixes, `prefix_extrema` and the
-positivity certificate's head tables with one, its signed block pass
-with two, and `_martingale_walk` reads its levels.  Run over int64
-limbs, 62 bits to a limb and as many limbs as the sums need, the merge
-is exact: `theorem1-check`'s exact positivity route merges the
-coefficients' dyadic expansion that way.
+that merge with no class of prefixes, `prefix_extrema` with one, the
+positivity certificate's signed block pass, over int64, with a pair per
+coefficient magnitude, and `_martingale_walk` reads its levels.  Run over int64 limbs, 62 bits to
+a limb and as many limbs as the sums need, the merge is exact:
+`theorem1-check`'s exact positivity route merges the coefficients'
+dyadic expansion that way.
 """
 
 from __future__ import annotations
@@ -324,19 +324,22 @@ def _segment_merge(s, mx, mn):
     """The package's one butterfly loop: (S, MX, MN) of every segment,
     merged in place up to all 2^K atoms in O(K 2^K).
 
-    `s` holds the segments' full sums and `mx`, `mn` zero, one or two
-    rows, one per class of prefixes, each starting from length-1
-    segments; the three are C-contiguous, so their reshapes are views,
-    and share no memory.  The merge is the martingale step
+    `s` holds the segments' full sums and `mx`, `mn` zero or more rows,
+    one per class of prefixes, each starting from length-1 segments; the
+    three are C-contiguous, so their reshapes are views, and share no
+    memory.  The merge is the martingale step
     M_(k+1) = M_k + r_(k+1) N_k: a prefix of a segment [a | b] is a
     prefix of a, or Sa plus r times a prefix of b, r the segment's top
     coordinate.  On the r = +1 half S = Sa + Sb, MX = max(MXa, Sa + MXb),
     MN = min(MNa, Sa + MNb); on the r = -1 half S = Sa - Sb,
     MX = max(MXa, Sa - MNb), MN = min(MNa, Sa - MXb), with b's rows taken
     in reverse order: a class that records a sign of b's prefixes changes
-    with it.  An empty class reads MX = -inf, MN = +inf.  The two halves
-    take the slots of a and b, and two scratch rows per class (one with
-    no class) hold the new r = -1 halves while a's slots are overwritten.
+    with it, so such classes come in mirrored rows, the class of -b as
+    many rows from the end as that of b from the start.  An empty class
+    reads MX = -inf, MN = +inf, or in int64 a sentinel far from any sum.
+    The two halves take the slots of a and b, and two scratch rows per
+    class (one with no class) hold the new r = -1 halves while a's slots
+    are overwritten.
     A level runs in blocks of 2^14 values per row (limbs counted) of its
     segment pairs' positions, so the scratch rows are a block wide and a
     block's dozen or more passes find their rows in cache.

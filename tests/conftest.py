@@ -1,6 +1,14 @@
+import numpy as np
 import pytest
 
 import walshriesz as wr
+
+
+def spectrum_series(state):
+    """Pi's dense coefficients scattered from its sorted spectrum."""
+    coeffs = np.zeros(1 << state.used_coordinates)
+    coeffs[state.spectrum.indices] = state.spectrum.coeffs
+    return coeffs
 
 
 class BuildRecord:
@@ -18,7 +26,7 @@ class BuildRecord:
         self.final = state
 
     def stage_series(self):
-        return [wr.state_series(s) for s in self.states]
+        return [wr.WalshSeries(s.used_coordinates, spectrum_series(s)) for s in self.states]
 
 
 @pytest.fixture(scope="session")

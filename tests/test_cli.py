@@ -117,23 +117,22 @@ def test_coordinate_past_63_is_usage_error(tmp_path, capsys):
     assert run(argv) == 0
 
 
-def test_build_walsh_cap_gate(tmp_path, monkeypatch):
-    # a band whose head Pi_j passes DENSE_LIMIT (here Pi_2, on 2
-    # coordinates) is certified from interval bounds, whatever --cap says
-    monkeypatch.setattr(riesz, "DENSE_LIMIT", 1)
+def test_build_walsh_cap_gate(tmp_path):
+    # --cap gates nothing: a cap below every head's depth still gives the
+    # exact certificate over every order and atom
     args = [
         "build-walsh-measure",
         "--psi", "preset:logpow,p=1",
         "--stages", "3",
-        "--cap", "14",
+        "--cap", "1",
         "--out", str(tmp_path / "m.csv"),
         "--manifest", str(tmp_path / "m.json"),
     ]
     assert run(args) == 0
     positivity = json.loads((tmp_path / "m.json").read_text())["certificates"]["positivity"]
-    assert positivity["method"] == "bounds"
+    assert positivity["method"] == "exact"
     assert positivity["exhaustive"] and positivity["passed"]
-    assert "sampling" not in positivity
+    assert "sampling" not in positivity and "rounding_slack" not in positivity
 
 
 def test_determinism_same_seed(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
+from conftest import spectrum_series
 from walshriesz import riesz, walsh
 from walshriesz.riesz import _block_table, _product_at, _write_spectrum, make_factor
 from walshriesz.walsh import atom_patterns, butterfly, prefix_extrema, prefix_scan, sign_vector
@@ -59,13 +60,6 @@ def scan_oracle(state, edges):
     atoms = atom_patterns(state.used_coordinates)
     refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
     return band_minima(edges, refs, scan_runs(state, atoms))
-
-
-def spectrum_series(state):
-    """Pi's dense coefficients scattered from its sorted spectrum."""
-    coeffs = np.zeros(1 << state.used_coordinates)
-    coeffs[state.spectrum.indices] = state.spectrum.coeffs
-    return coeffs
 
 
 def reference_head_tables(head):
@@ -436,35 +430,31 @@ def test_certificate_with_gap_block():
     assert cert.passed
 
 
-def test_certificate_sampled_past_cap(monkeypatch):
-    # a head past DENSE_LIMIT (Pi_2, on 2 coordinates) is an interval:
-    # bounds over every atom, no sample
-    monkeypatch.setattr(riesz, "DENSE_LIMIT", 1)
+def test_certificate_sampled_past_cap():
+    # no cap: every head is its exact hull, over every atom, no sample
     state = wr.empty_state()
     for level in (0, 0, 1):
         state = wr.add_factor(state, level)
     cert = wr.verify_all_partial_sums(state, seed=7)
-    assert cert.method == "bounds"
+    assert cert.method == "exact"
     assert cert.exhaustive and cert.passed
     assert not hasattr(cert, "sampling")
     assert cert == wr.verify_all_partial_sums(state, seed=8)  # the seed is unused
 
 
-def test_kernel_fails_within_rounding(monkeypatch):
-    # exact float minima of 4.4e-16 and 3.3e-16 are inside the rounding
-    # allowance 5 2^-52 ||Pi_2||_A = 2.2e-15, so they prove nothing
+def test_kernel_fails_within_rounding():
+    # minima far inside the old float allowance 5 2^-52 ||Pi_2||_A = 2.2e-15
+    # are decided by their exact sign: 1 - (1 - 2^-51) - 2^-60 = 511 2^-60
+    # passes, and the control 1 - (1 - 2^-51) - (2^-51 + 2^-60) = -2^-60 fails
     state = hand_built_state([1 - 2**-51, 2**-60])
     cert = wr.verify_all_partial_sums(state)
     assert cert.method == "exact"
-    assert cert.rounding_slack == 5 * 2.0**-52 * state.norm_a
-    assert 0.0 < cert.global_min < cert.rounding_slack
-    assert 0.0 < cert.stage_margins[1] < cert.rounding_slack
-    assert cert.global_min == 1.0 - (1 - 2**-51) - 2**-60  # reported exactly
-    assert not cert.passed
-    monkeypatch.setattr(riesz, "DENSE_LIMIT", 0)
-    per_factor = wr.verify_all_partial_sums(state)
-    assert per_factor.method == "bounds"
-    assert per_factor.rounding_slack == cert.rounding_slack and not per_factor.passed
+    assert cert.global_min == 511 * 2.0**-60  # reported exactly
+    assert 0.0 < cert.stage_margins[1] < 5 * 2.0**-52 * state.norm_a
+    assert cert.passed
+    control = wr.verify_all_partial_sums(hand_built_state([1 - 2**-51, 2**-51 + 2**-60]))
+    assert control.global_min == -(2.0**-60)
+    assert control.stage_margins[1] < 0.0 and not control.passed
 
 
 CERTIFIED_STATES = {
@@ -489,6 +479,12 @@ CERTIFIED_STATES = {
         wr.Factor(0, (1,), 0.3, np.array([1]), np.array([0.3])),
         wr.Factor(1, (2, 3), 0.7, np.array([2, 4, 6]), np.array([-0.7, -0.7, 0.05])),
     )),
+    # factors with no terms, first and last: their bands read Pi_j alone
+    "empty-factors": lambda: wr.RieszProductState((
+        wr.Factor(0, (1,), 0.0, np.array([], dtype=np.int64), np.array([])),
+        make_factor(0, wr.BlockSpec((2,))),
+        wr.Factor(0, (3,), 0.0, np.array([], dtype=np.int64), np.array([])),
+    )),
 }
 
 # hand-built states whose partial sums do go negative
@@ -497,15 +493,13 @@ NEGATIVE_STATES = ("negative-prefix", "edge-order", "index-order")
 
 @pytest.mark.parametrize("name", list(CERTIFIED_STATES))
 def test_kernel_certificate_matches_scan_oracle(name):
-    # the streaming scan on every atom is the oracle; both sum the same
-    # terms in different orders, so they agree to the allowance
-    # (K + 3) eps ||Pi||_A
+    # the streaming scan on every atom is the oracle; it sums in float64,
+    # so the exact figures agree with it to the allowance (K + 3) eps ||Pi||_A
     state = CERTIFIED_STATES[name]()
     cert = wr.verify_all_partial_sums(state)
     assert cert.exhaustive and cert.method == "exact"
     gmin, margins = scan_oracle(state, cert.band_edges)
-    tol = (cert.depth + 3) * 2.0**-52 * state.norm_a
-    assert cert.rounding_slack == tol
+    tol = allowance(state)
     assert cert.passed == (name not in NEGATIVE_STATES)
     assert abs(cert.global_min - gmin) <= tol
     assert len(cert.stage_margins) == len(margins) == state.stages
@@ -514,7 +508,7 @@ def test_kernel_certificate_matches_scan_oracle(name):
     if cert.depth <= 8:
         # every partial sum on every atom, bands taken from their definition
         signs = np.array([wr.walsh_signs(n, cert.depth) for n in range(1 << cert.depth)])
-        partial = np.cumsum(wr.state_series(state).coeffs[:, None] * signs, axis=0)
+        partial = np.cumsum(spectrum_series(state)[:, None] * signs, axis=0)
         assert abs(cert.global_min - partial.min()) <= tol
         edges = cert.band_edges
         for j, got in enumerate(cert.stage_margins):
@@ -524,6 +518,12 @@ def test_kernel_certificate_matches_scan_oracle(name):
 
 
 MAGNITUDES = (0.05, 0.2, 0.45, 0.7)
+
+
+def allowance(state):
+    """(K + 3) 2^-52 ||Pi_K||_A: how far a float64 oracle's minima may lie
+    from the exact ones."""
+    return (state.used_coordinates + 3) * 2.0**-52 * state.norm_a
 
 
 @st.composite
@@ -548,30 +548,35 @@ def hand_built_states(draw, magnitudes=MAGNITUDES):
     return wr.RieszProductState(tuple(factors))
 
 
-@given(hand_built_states())
+@given(hand_built_states((0.0, *MAGNITUDES)))
 @settings(max_examples=60, deadline=None)
 def test_certificate_matches_scan_oracle_on_hand_built_states(state):
-    # exact against the scan oracle within the allowance; with every head
-    # past Pi_0 an interval, sound: never above the oracle by more
+    # exact against the scan oracle within the allowance; zero magnitudes
+    # give +-0.0 coefficients, so signed zeros are covered
     cert = wr.verify_all_partial_sums(state)
     assert cert.method == "exact"
     gmin, margins = scan_oracle(state, cert.band_edges)
-    slack = cert.rounding_slack
-    assert abs(cert.global_min - gmin) <= slack
-    assert all(abs(got - want) <= slack for got, want in zip(cert.stage_margins, margins))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(riesz, "DENSE_LIMIT", 0)
-        bounds = wr.verify_all_partial_sums(state)
-    assert bounds.global_min <= gmin + slack
-    assert all(got <= want + slack for got, want in zip(bounds.stage_margins, margins))
+    tol = allowance(state)
+    assert abs(cert.global_min - gmin) <= tol
+    assert all(abs(got - want) <= tol for got, want in zip(cert.stage_margins, margins))
 
 
 def assert_heads_match_reference(state):
-    # every head Pi_0..Pi_K, bytes and dtype equal
-    for j in range(state.stages + 1):
+    # every head's hull H_j against the points (Pi_j, S_m) of the
+    # reference recipe's dense tables: each vertex is one of them, and
+    # both hulls have the same support in 64 directions
+    edges = (1, *(1 << f.block[-1] for f in state.factors))
+    for j, (hull, shift, _, _) in enumerate(riesz._bands(state, edges)):
         head = wr.RieszProductState(state.factors[:j])
-        for got, want in zip(riesz._head_tables(head), reference_head_tables(head)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        pi, lo, hi = reference_head_tables(head)
+        points = np.concatenate([np.stack([pi, lo], 1), np.stack([pi, hi], 1)])
+        vertices = np.array([(x / (1 << shift), y / (1 << shift)) for x, y in hull])
+        tol = allowance(head)
+        gaps = np.abs(vertices[:, None, :] - points[None, :, :]).max(axis=2).min(axis=1)
+        assert gaps.max() <= tol
+        angles = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+        directions = np.stack([np.cos(angles), np.sin(angles)])
+        assert np.abs((vertices @ directions).max(0) - (points @ directions).max(0)).max() <= 2 * tol
 
 
 @pytest.mark.parametrize("name", list(CERTIFIED_STATES))
@@ -586,36 +591,10 @@ def test_head_tables_match_reference_recipe_on_hand_built_states(state):
     assert_heads_match_reference(state)
 
 
-@pytest.mark.parametrize("name", list(CERTIFIED_STATES))
-def test_state_series_matches_spectrum_scatter(name):
-    # grown from the factors, the bytes of the spectrum's scatter, +0.0
-    # wherever the spectrum has no term; the spectrum itself is not built
-    state = CERTIFIED_STATES[name]()
-    got = wr.state_series(state).coeffs.tobytes()
-    assert "spectrum" not in vars(state)
-    assert got == spectrum_series(state).tobytes()
-
-
-def test_state_series_keeps_zero_terms_and_positive_zeros():
-    # a real term may be -0.0 (a zero coefficient times a negative one);
-    # a slot outside the spectrum stays +0.0 under a negative coefficient
-    state = wr.RieszProductState((
-        wr.Factor(0, (1,), 0.3, np.array([1]), np.array([-0.0])),
-        wr.Factor(1, (2, 4), 0.7, np.array([2, 8, 10]), np.array([-0.7, 0.0, -0.05])),
-        wr.Factor(0, (5,), 0.3, np.array([16]), np.array([-0.2])),
-    ))
-    got = wr.state_series(state).coeffs
-    want = spectrum_series(state)
-    assert got.tobytes() == want.tobytes()
-    assert np.signbit(got[state.spectrum.indices]).any()
-    outside = np.setdiff1d(np.arange(got.size), state.spectrum.indices)
-    assert not np.signbit(got[outside]).any()
-
-
 def test_state_series_refuses_a_block_below_the_head():
-    # the rows layout needs each block above the previous top coordinate,
-    # as add_factor keeps it; a state built directly is refused when built,
-    # before state_series or the certificate can read it
+    # the band recursion needs each block above the previous top
+    # coordinate, as add_factor keeps it; a state built directly is
+    # refused when built, before the certificate can read it
     with pytest.raises(wr.BlockOverlapError, match=r"block \(1, 3\) uses coordinates <= 2"):
         wr.RieszProductState((
             wr.Factor(0, (2,), 0.3, np.array([2]), np.array([0.3])),
@@ -627,21 +606,6 @@ def test_state_refuses_an_index_outside_its_block():
     # index 3 = r_1 r_2 on the block (2,): its bit 0 is coordinate 1
     with pytest.raises(wr.BlockOverlapError, match=r"index 3 sets bits outside its block \(2,\)"):
         wr.RieszProductState((wr.Factor(0, (2,), 0.3, np.array([3]), np.array([0.3])),))
-
-
-def test_head_tables_hold_four_tables():
-    # the merge runs in place on S, MX, MN and its scratch, over
-    # coefficients grown from the factors: below six tables of 2^18
-    # float64 values at peak, where the butterfly, the zeroed copy and
-    # the spectrum's scatter took nine
-    head = wr.RieszProductState(tuple(make_factor(0, wr.BlockSpec((i,))) for i in range(1, 19)))
-    tracemalloc.start()
-    try:
-        riesz._head_tables(head)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 8 << 18
 
 
 @pytest.mark.parametrize("name", list(CERTIFIED_STATES))
@@ -683,10 +647,9 @@ def test_spectrum_limit_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # the spectrum would take 512 MiB
-    # the certificate needs only the factors and the heads within
-    # DENSE_LIMIT; Pi_21..Pi_24 are intervals
+    # the certificate needs only the factors
     cert = wr.verify_all_partial_sums(state)
-    assert cert.method == "bounds" and cert.support_size == 1 << 25
+    assert cert.method == "exact" and cert.support_size == 1 << 25
     assert "spectrum" not in vars(state)
 
 
@@ -703,40 +666,70 @@ SOUNDNESS_STATES = {
 
 
 @pytest.mark.parametrize("name", list(SOUNDNESS_STATES))
-def test_per_factor_bounds_below_kernel_minima(name, monkeypatch):
-    # interval heads only claim lower bounds: never above the exact minima
-    # by more than the allowance, and passing on every construction build
+def test_per_factor_bounds_below_kernel_minima(name):
+    # the figures the hull recursion reads off the factors equal the dense
+    # spectrum's exhaustive minimum within the float64 allowance, and the
+    # verdicts are the construction's: only the negative hand-built states fail
     state = SOUNDNESS_STATES[name]()
-    exact = wr.verify_all_partial_sums(state)
-    assert exact.method == "exact"
-    monkeypatch.setattr(riesz, "DENSE_LIMIT", 0)
     cert = wr.verify_all_partial_sums(state)
-    # Pi_0 = 1 is the one head within 0 coordinates
-    assert cert.method == ("exact" if state.stages == 1 else "bounds") and cert.exhaustive
-    assert cert.band_edges == exact.band_edges
-    slack = cert.rounding_slack
-    assert slack == exact.rounding_slack
-    assert cert.global_min <= exact.global_min + slack
-    assert len(cert.stage_margins) == len(exact.stage_margins)
-    for bound, margin in zip(cert.stage_margins, exact.stage_margins):
-        assert bound <= margin + slack
-    # passed: global_min and every margin >= slack; the negative hand-built states fail
+    assert cert.method == "exact" and cert.exhaustive
+    assert len(cert.stage_margins) == state.stages
+    dense_min = min(1.0, float(prefix_extrema(spectrum_series(state))[2].min()))
+    assert abs(cert.global_min - dense_min) <= allowance(state)
     assert cert.passed == (name not in NEGATIVE_STATES)
+    assert cert.passed == (cert.global_min >= 0.0 and min(cert.stage_margins) >= 0.0)
 
 
 def test_per_factor_bound_at_depth_22():
-    # the deep ladder rung: past DENSE_LIMIT coordinates, but its last
-    # head Pi_5 holds 12, so the minimum is exact: check it against the
-    # densified spectrum's exhaustive minimum, 0.28909...
+    # the deep ladder rung against the densified spectrum's exhaustive
+    # minimum, 0.28909...
     state = power_build(6)
     cert = wr.verify_all_partial_sums(state)
     assert cert.method == "exact" and cert.exhaustive and cert.passed
-    dense = np.zeros(1 << 22)
-    dense[state.spectrum.indices] = state.spectrum.coeffs
-    exhaustive_min = float(prefix_extrema(dense)[2].min())
+    exhaustive_min = float(prefix_extrema(spectrum_series(state))[2].min())
     assert exhaustive_min == pytest.approx(0.28909103575544, abs=1e-13)
-    assert abs(cert.global_min - exhaustive_min) <= cert.rounding_slack
-    assert min(cert.stage_margins) >= cert.rounding_slack
+    assert abs(cert.global_min - exhaustive_min) <= allowance(state)
+    assert min(cert.stage_margins) > 0.0
+
+
+def test_exact_minimum_at_depth_42():
+    # seven factors, 42 coordinates, 2^42 atoms: the last band's block
+    # merge on 2^20 atoms sets the peak.  A dense certificate over a
+    # 22-coordinate head read 0.22996329448583824, the interval head 0.22726
+    state = power_build(7)
+    assert state.used_coordinates == 42
+    tracemalloc.start()
+    try:
+        cert = wr.verify_all_partial_sums(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.method == "exact" and cert.exhaustive and cert.passed
+    assert abs(cert.global_min - 0.22996329448583824) <= allowance(state)
+    assert peak < 150 << 20
+    assert "spectrum" not in vars(state)
+
+
+def test_factor_past_int64_block_tables_is_refused():
+    # 1.0 and 2^-61 are 2^61 and 1 in their unit 2^-61: the block tables'
+    # sums would reach 2^61, so the factor is refused before its 2^20-atom
+    # tables are allocated
+    for block in ((1, 2), tuple(range(1, 21))):
+        state = wr.RieszProductState(
+            (wr.Factor(len(block) - 1, block, 1.0, np.array([1, 2]), np.array([1.0, 2.0**-61])),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(wr.CoordinateBudgetError, match="62-bit integer.*61 bits"):
+                wr.verify_all_partial_sums(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    # 2^-60 fits, and the exact minimum 1 - 1 - 2^-60 is negative
+    fits = wr.RieszProductState(
+        (wr.Factor(1, (1, 2), 1.0, np.array([1, 2]), np.array([1.0, 2.0**-60])),))
+    cert = wr.verify_all_partial_sums(fits)
+    assert cert.global_min == -(2.0**-60) and not cert.passed
 
 
 @pytest.mark.parametrize("psi, stages, scale", [(wr.PsiSpec.power(1.0), 6, 12.0),
@@ -748,29 +741,22 @@ def test_exact_minimum_matches_dense_spectrum(psi, stages, scale):
     state = wr.build_measure(psi, stages, wr.SummabilityBudget(scale))
     cert = wr.verify_all_partial_sums(state)
     assert cert.method == "exact" and cert.passed
-    dense = np.zeros(1 << cert.depth)  # past DENSE_LIMIT, so not state_series
-    dense[state.spectrum.indices] = state.spectrum.coeffs
-    dense_min = float(prefix_extrema(dense)[2].min())
-    assert abs(cert.global_min - dense_min) <= cert.rounding_slack
+    dense_min = float(prefix_extrema(spectrum_series(state))[2].min())
+    assert abs(cert.global_min - dense_min) <= allowance(state)
 
 
 def test_depth_chooses_the_method():
-    # the heads' depths choose the method: minima are exact while every
-    # head Pi_j lies within DENSE_LIMIT = 20 coordinates, as on this
-    # default depth-18 build and the depth-22 one, whose dense series is
-    # still refused; a head past the limit is an interval
-    assert riesz.DENSE_LIMIT == 20
+    # depth chooses nothing: the minima are exact at every depth, and
+    # gaps between the blocks change no figure
     cert = wr.verify_all_partial_sums(power_build(6, scale=12.0))
     assert (cert.method, cert.depth, cert.passed) == ("exact", 18, True)
     assert cert.global_min == pytest.approx(0.2724510729806966, abs=1e-12)
-    deep = power_build(6)
-    assert wr.verify_all_partial_sums(deep).method == "exact"
-    with pytest.raises(wr.CoordinateBudgetError, match="depth-22 spectrum"):
-        wr.state_series(deep)
     # the last head ends at coordinate 30; the last block is coordinate 63
     far = wr.RieszProductState(tuple(make_factor(0, wr.BlockSpec((i,))) for i in (1, 30, 63)))
-    cert = wr.verify_all_partial_sums(far)
-    assert (cert.method, cert.depth, cert.passed) == ("bounds", 63, True)
+    near = wr.RieszProductState(tuple(make_factor(0, wr.BlockSpec((i,))) for i in (1, 2, 3)))
+    cert, dense = wr.verify_all_partial_sums(far), wr.verify_all_partial_sums(near)
+    assert (cert.method, cert.depth, cert.passed) == ("exact", 63, True)
+    assert (cert.global_min, cert.stage_margins) == (dense.global_min, dense.stage_margins)
     assert "spectrum" not in vars(far)
 
 
@@ -1025,7 +1011,7 @@ def test_manifest_roundtrip():
 
 def test_state_series_matches_pointwise_product():
     state = wr.build_measure(wr.PsiSpec.power(1.0), 3, wr.SummabilityBudget())
-    series = wr.state_series(state)
+    series = wr.WalshSeries(state.used_coordinates, spectrum_series(state))
     from_spectrum = wr.inverse_fwht(series).values
     pointwise = wr.product_values(state.factors, state.used_coordinates)
     assert np.max(np.abs(from_spectrum - pointwise)) < 1e-12
