@@ -26,9 +26,12 @@ from them on first use: ||Pi_k||_A, inf Pi_k, the support size
 N_k = prod_(i<=k) (1 + |supp X_i|) and the spectrum.  Each block lies
 right of all used coordinates, so stage k+1's XOR products are distinct
 and exceed every index of Pi_k: the spectrum is one sorted pair of
-int64/float64 arrays, stage k at positions [N_(k-1), N_k), built only
-for the export, and refused past SPECTRUM_LIMIT terms before anything
-is allocated.
+int64/float64 arrays, stage k at positions [N_(k-1), N_k), filled in
+place, built only for the export, and refused past SPECTRUM_LIMIT terms
+before anything is allocated.  The stage sums of psi(|c_n|) need only
+the magnitudes: stage k+1's are the products of one distinct |c| of
+Pi_k and one of X_(k+1), so each sum is read off the two magnitude
+histograms, exactly and at any depth.
 Each X_i is evaluated on its own block's 2^|J_i| atoms (one butterfly)
 and read off elsewhere by the block's bits of the atom.
 
@@ -84,7 +87,6 @@ from .rudin_shapiro import build_flat, substitute_sparse
 from .walsh import (
     InvariantViolation,
     SeriesFormatError,
-    _python_items,
     _segment_merge,
     _write_coeff_rows,
     atom_patterns,
@@ -118,8 +120,9 @@ __all__ = [
     "state_from_manifest",
 ]
 
-# Largest spectrum materialized, in terms (16 bytes each); the ladder's
-# largest build, depth 21, has 589,860.
+# Largest spectrum materialized, in terms (16 bytes each), and the most
+# magnitude products one psi stage pairs; the ladder's largest build,
+# depth 21, has 589,860 terms.
 SPECTRUM_LIMIT = 1 << 24
 
 
@@ -138,9 +141,10 @@ class BlockOverlapError(ValueError):
 
 class CoordinateBudgetError(ValueError):
     """A state past a size limit: a block past coordinate 63 (Walsh
-    indices are int64), a spectrum past SPECTRUM_LIMIT terms, a factor
-    whose integer coefficients sum past the 61 bits of the certificate's
-    int64 block tables, or dense diagnostics past
+    indices are int64), a spectrum past SPECTRUM_LIMIT terms, a psi stage
+    with more than SPECTRUM_LIMIT magnitude products, a factor whose
+    integer coefficients sum past the 61 bits of the certificate's int64
+    block tables, or dense diagnostics past
     `martingale.DIAGNOSTIC_DEPTH_LIMIT`."""
 
 
@@ -426,11 +430,14 @@ class RieszProductState:
     def spectrum(self) -> Spectrum:
         """The sorted spectrum of Pi_k; refused past SPECTRUM_LIMIT terms."""
         _check_spectrum_limit(self)
-        indices, coeffs = np.zeros(1, dtype=np.int64), np.ones(1)
+        indices, coeffs = np.zeros(self.support_size, np.int64), np.ones(self.support_size)
+        size = 1  # index 0, coefficient 1: Pi_0
         for f in self.factors:
             # factor index outer, old index inner: already ascending
-            indices = np.concatenate([indices, np.bitwise_xor.outer(f.indices, indices).ravel()])
-            coeffs = np.concatenate([coeffs, np.multiply.outer(f.coeffs, coeffs).ravel()])
+            stage = slice(size, size * (1 + f.indices.size))
+            np.bitwise_xor.outer(f.indices, indices[:size], out=indices[stage].reshape(-1, size))
+            np.multiply.outer(f.coeffs, coeffs[:size], out=coeffs[stage].reshape(-1, size))
+            size = stage.stop
         return Spectrum(indices, coeffs)
 
 
@@ -496,6 +503,32 @@ def _product_ranges(factors) -> list[tuple[float, float]]:
         products = [p * (1.0 + v) for p in ranges[-1] for v in factor.value_range]
         ranges.append((min(products), max(products)))
     return ranges
+
+
+def _runs(values: np.ndarray):
+    """(order, starts): `values[order]` ascending, its runs of equal values
+    beginning at `starts`.  One argsort and a run mask, as np.unique on
+    floats would import numpy.ma (about 1.3 MB of RSS)."""
+    order = np.argsort(values)
+    return order, np.flatnonzero(np.append(True, np.diff(values[order]) != 0)[: values.size])
+
+
+def _histogram(values: np.ndarray, counts=1):
+    """The distinct values of nonnegative float64 `values`, ascending, and
+    the sum of `counts` (per value, or one each) over each.  They are
+    grouped by their bits, whose int64 order is their order: the
+    certificate's int64 sort is loaded already, and a float64 sort would
+    add 64 kB of RSS."""
+    order, starts = _runs(values.view(np.int64))
+    return values[order[starts]], np.add.reduceat(np.broadcast_to(counts, values.shape)[order], starts)
+
+
+def _magnitudes(coeffs: np.ndarray):
+    """The histogram of |coeffs|, taken 2^14 coefficients at a time and then
+    over the chunks' distinct values, so that a factor with few magnitudes
+    needs no temporary as large as its coefficients."""
+    chunks = (np.abs(coeffs[lo : lo + (1 << 14)]) for lo in range(0, max(coeffs.size, 1), 1 << 14))
+    return _histogram(*map(np.concatenate, zip(*map(_histogram, chunks))))
 
 
 def _amplitude(level: int) -> float:
@@ -659,14 +692,14 @@ def _block_data(factor: Factor):
     mirror each other, as the merge's sign flip needs), gives the
     extremes of P_<f(t') over each class; a class is (b, the vertices of
     C_b = conv{(X(t'), P_<f(t'))}, empty where b never occurs)."""
-    mags = sorted(set(np.abs(factor.coeffs).tolist()))  # np.unique would import numpy.ma
-    pos = np.searchsorted(np.array(mags), np.abs(factor.coeffs))
-    ratios = [m.as_integer_ratio() for m in mags]  # (n, 2^q)
+    mags, counts = _magnitudes(factor.coeffs)
+    pos = np.searchsorted(mags, np.abs(factor.coeffs))
+    ratios = [m.as_integer_ratio() for m in mags.tolist()]  # (n, 2^q)
     den = max((q for _, q in ratios), default=1)
     ints = [n * (den // q) for n, q in ratios]
     g = math.gcd(*ints) or 1
     kvals = [n // g for n in ints]
-    total = sum(k * count for k, count in zip(kvals, np.bincount(pos).tolist()))
+    total = sum(k * count for k, count in zip(kvals, counts.tolist()))
     if total >> 61:
         raise CoordinateBudgetError(
             f"the factor on block {factor.block} sums to a {total.bit_length()}-bit integer"
@@ -680,8 +713,7 @@ def _block_data(factor: Factor):
     for _ in _segment_merge(xs, mx, mn):
         pass
     # only the lowest and highest P over each distinct X can be vertices
-    order = np.argsort(xs)
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(xs[order]) != 0)))
+    order, starts = _runs(xs)
     values = xs[order[starts]].tolist()
     lows = np.minimum.reduceat(mn[:, order], starts, axis=1).tolist()
     highs = np.maximum.reduceat(mx[:, order], starts, axis=1).tolist()
@@ -766,6 +798,9 @@ def verify_all_partial_sums(state: RieszProductState, seed: int = 1729) -> Posit
 class PsiSumReport:
     """Exact sum_n>=1 psi(|c_n|) against the stagewise envelope bounds.
 
+    stage_exact[k] is the exact sum over stage k's terms of the float64
+    psi(|c|), rounded once to float64, so it is the same on every Python
+    version (it equals math.fsum of the per-term values).
     stage_bounds[k] = ||X_k||_2^2 ||Pi_(k-1)||_A^2 eps_bar(PM of stage k);
     ||X_k||_2 = 1/2C for construction factors, so this is the familiar
     (1/4C^2) ||Pi_(k-1)||_A^2 eps_bar(a_k).
@@ -780,42 +815,51 @@ class PsiSumReport:
     ok: bool
 
 
+def _psi_sum(psi: PsiSpec, mags: np.ndarray, counts: np.ndarray) -> float:
+    """sum count * psi(m) over the distinct magnitudes m, exactly over the
+    float64 psi values and rounded once: one psi call per magnitude.  A
+    finite float64 n/2^e has e <= 1074, so it is the integer n 2^(1074 - e)
+    over 2^1074, and int true division rounds once (`fractions` would
+    cost 0.25 MB of RSS)."""
+    terms = zip((float(psi.psi(m)).as_integer_ratio() for m in mags.tolist()), counts.tolist())
+    return sum(n * c << 1075 - den.bit_length() for (n, den), c in terms) / (1 << 1074)
+
+
 def psi_sum_report(
     state: RieszProductState,
     psi: PsiSpec,
     budget: SummabilityBudget | None = None,
 ) -> PsiSumReport:
-    """Stage psi sums from the factors, without building the spectrum;
-    refused, like the spectrum, past SPECTRUM_LIMIT terms.
+    """Stage psi sums from the factors' magnitude histograms, at any depth.
 
-    `psi` is called once per distinct coefficient of each 2^16-term chunk
-    (`walsh._python_items`), and the builtin `sum` adds one value per
-    term, so each stage sum is the per-term sum bit for bit."""
-    _check_spectrum_limit(state)
-    # Pi_k's coefficients in generation order (previous term outer, factor
-    # term inner): summing in it keeps the psi sums reproducible bit for bit
-    generated = np.ones(1)
-    norm_a = 1.0
-    pm = 1.0
-    stage_exact = []
-    stage_bounds = []
-    for factor in state.factors:
-        bound = (
-            factor.norm_2**2
-            * norm_a**2
-            * psi.epsilon_bar(pm * factor.amplitude)
-        )
-        terms = np.multiply.outer(generated, factor.coeffs).ravel()
-        exact = float(sum(_python_items(terms, lambda c: psi.psi(abs(c)))))
-        if exact > bound * (1.0 + 1e-12) + 1e-300:
-            raise InvariantViolation(
-                f"stage psi sum {exact} exceeds its bound {bound}"
+    psi(|c|) depends on |c| alone, and the blocks are disjoint, so stage
+    k's magnitudes are the products of one distinct |c| of Pi_(k-1) and
+    one of X_k, each as often as the product of their counts; the outer
+    product of the magnitudes is bitwise the per-term products.  Each
+    stage sum is `_psi_sum` over their histogram (see `PsiSumReport`).
+    A stage with more than SPECTRUM_LIMIT magnitude products is refused
+    (CoordinateBudgetError) before they are allocated."""
+    mags, counts = np.ones(1), np.ones(1, np.int64)  # Pi_0's distinct |c| and their counts
+    norm_a, stage_exact, stage_bounds = 1.0, [], []
+    for k, factor in enumerate(state.factors, 1):
+        fmags, fcounts = _magnitudes(factor.coeffs)
+        # ||X_k||_2^2 from the histogram; PM of stage k is the largest |c|
+        # of Pi_(k-1) times the amplitude
+        bound = np.sum(fcounts * fmags**2) * norm_a**2 * psi.epsilon_bar(mags[-1] * factor.amplitude)
+        if mags.size * fmags.size > SPECTRUM_LIMIT:
+            raise CoordinateBudgetError(
+                f"stage {k} pairs {mags.size:,} magnitudes with {fmags.size:,}: past the"
+                f" limit of {SPECTRUM_LIMIT:,} products"
             )
+        stage = _histogram(np.multiply.outer(mags, fmags).ravel(),
+                           np.multiply.outer(counts, fcounts).ravel())
+        exact = _psi_sum(psi, *stage)
+        if exact > bound * (1.0 + 1e-12) + 1e-300:
+            raise InvariantViolation(f"stage {k} psi sum {exact} exceeds its bound {bound}")
         stage_exact.append(exact)
         stage_bounds.append(float(bound))
-        norm_a *= 1.0 + factor.norm_a
-        generated = np.concatenate([generated, terms])
-        pm = max(pm, float(np.max(np.abs(terms))))
+        norm_a *= 1.0 + float(np.sum(fcounts * fmags))  # ||X_k||_A
+        mags, counts = _histogram(*map(np.concatenate, zip((mags, counts), stage)))  # Pi_k's
     budget_terms = None
     if budget is not None:
         budget_terms = tuple(

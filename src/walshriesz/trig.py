@@ -23,7 +23,10 @@ streamed by `walsh.prefix_scan` with the basis f -> cos(f t).  Each
 stage appends the products f and f +- h of the factor frequency f and
 the old frequencies h in generation order and sorts once; the sorted
 spectrum's strictly-increasing check and a positivity check on the new
-frequencies assert the disjointness lacunarity guarantees.
+frequencies assert the disjointness lacunarity guarantees.  A stage's
+psi sum is exact over the float64 psi values, rounded once, with one
+psi call per distinct magnitude of its new coefficients, as the Walsh
+products' sums are (`riesz._psi_sum`).
 
 Positivity of all partial sums is certified on a grid oversampled 16x
 past the top frequency: the grid minimum less the Bernstein slack
@@ -41,7 +44,7 @@ import numpy as np
 
 from .rudin_shapiro import FLATNESS_CONSTANT, rs_sign_sequence
 from .riesz import LevelSelectionError, PsiSpec, SummabilityBudget, Spectrum
-from .riesz import _admissible, _monomial, _write_spectrum
+from .riesz import _admissible, _magnitudes, _monomial, _psi_sum, _write_spectrum
 from .walsh import InvariantViolation, prefix_scan
 
 __all__ = [
@@ -184,8 +187,8 @@ def build_trig_measure(
     factors: list[TrigFactor] = []
     stage_exact: list[float] = []
     stage_bounds: list[float] = []
-    # every stage's new terms in generation order: summing in it keeps
-    # the sums reproducible bit for bit
+    # every stage's new terms in generation order: summing the norms in
+    # it keeps them reproducible bit for bit
     stage_coeffs: list[float] = []
     norm_a = 1.0
 
@@ -205,7 +208,7 @@ def build_trig_measure(
         norm2sq = 1.0 + 0.5 * sum(v * v for v in stage_coeffs)
         sigma2 = 0.5 * float(np.sum(coeffs * coeffs))
         stage_bounds.append(2.0 * sigma2 * norm2sq * psi.epsilon_bar(amp))
-        stage_exact.append(float(sum(psi.psi(abs(v)) for v in new_coeffs.tolist())))
+        stage_exact.append(_psi_sum(psi, *_magnitudes(new_coeffs)))
 
         merged = np.concatenate([spectrum.indices, new_freqs])
         order = np.argsort(merged, kind="stable")

@@ -617,20 +617,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _python_items(values: np.ndarray, fn):
-    """`fn` of the array's items as Python objects, in the items' order,
-    converted 2^16 at a time, so a deep spectrum is never held as one
-    list.  Each chunk calls `fn` once per distinct bit pattern (so -0.0
-    and 0.0 stay apart): a Riesz product's coefficients take a few
-    distinct values only.
-    """
-    for lo in range(0, values.size, 1 << 16):
-        chunk = values[lo : lo + (1 << 16)]
-        bits, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
-        table = np.fromiter(map(fn, bits.view(chunk.dtype).tolist()), object, bits.size)
-        yield from table[inverse].tolist()
-
-
 # rows per chunk of `_write_coeff_rows`: in a fresh process that has
 # built, certified and psi-summed the depth-22 ladder measure (peak RSS
 # 43.4 MB), exporting it in 2^16-row chunks raised peak RSS to 47.5 MB;

@@ -5,7 +5,12 @@ import csv
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -640,17 +645,32 @@ def test_spectrum_limit_refused_before_allocating():
     assert state.support_size == 1 << 25 and wr.riesz.SPECTRUM_LIMIT == 1 << 24
     tracemalloc.start()
     try:
-        for route in (lambda: state.spectrum, lambda: wr.psi_sum_report(state, wr.PsiSpec.power(1.0))):
-            with pytest.raises(wr.CoordinateBudgetError, match="33,554,432 terms"):
-                route()
+        with pytest.raises(wr.CoordinateBudgetError, match="33,554,432 terms"):
+            state.spectrum
+        # the psi sums read one magnitude per stage
+        report = wr.psi_sum_report(state, wr.PsiSpec.power(1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # the spectrum would take 512 MiB
+    assert report.ok and len(report.stage_exact) == 25
     # the certificate needs only the factors
     cert = wr.verify_all_partial_sums(state)
     assert cert.method == "exact" and cert.support_size == 1 << 25
     assert "spectrum" not in vars(state)
+    # two factors with 2^13 distinct magnitudes each: stage 2 would pair
+    # 2^13 + 1 magnitudes of Pi_1 with 2^13, past SPECTRUM_LIMIT products
+    many = wr.RieszProductState(tuple(
+        wr.Factor(13, block, 0.1, np.arange(1, 8193) << block[0] - 1, 2.0**-20 * np.arange(1, 8193))
+        for block in (tuple(range(1, 15)), tuple(range(15, 29)))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(wr.CoordinateBudgetError, match="stage 2 pairs 8,193 magnitudes with 8,192"):
+            wr.psi_sum_report(many, wr.PsiSpec.power(1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the products would take 512 MiB
 
 
 def power_build(stages, scale=6.0):
@@ -796,12 +816,13 @@ def test_psi_report_flagship():
 
 
 def reference_stage_sums(state, psi):
-    """The per-term psi sums the chunk tables replaced: one psi call per
-    term, Pi_k's coefficients in generation order."""
+    """The per-term psi sums the magnitude histograms replaced: one psi
+    call per term of Pi_k, built in generation order, added exactly and
+    rounded once by math.fsum."""
     generated, sums = np.ones(1), []
     for factor in state.factors:
         terms = np.multiply.outer(generated, factor.coeffs).ravel()
-        sums.append(sum(psi.psi(abs(c)) for c in terms.tolist()))
+        sums.append(math.fsum(psi.psi(abs(c)) for c in terms.tolist()))
         generated = np.concatenate([generated, terms])
     return sums
 
@@ -836,6 +857,8 @@ PSI_SUM_CASES = {
     "d22": lambda: ladder_build(wr.PsiSpec.power(1.0), 6, 6.0),
     "several-magnitudes": lambda: (several_magnitudes_state(), wr.PsiSpec.logpow(1.0)),
     "table-psi-d16": table_psi_build,
+    # factors with no terms read 0.0
+    "empty-factors": lambda: (CERTIFIED_STATES["empty-factors"](), wr.PsiSpec.power(1.0)),
 }
 
 
@@ -853,6 +876,48 @@ def test_psi_stage_sums_equal_per_term_sums_on_hand_built_states(state):
     psi = wr.PsiSpec.power(1.0)
     want = reference_stage_sums(state, psi)
     assert [x.hex() for x in wr.psi_sum_report(state, psi).stage_exact] == [x.hex() for x in want]
+
+
+def test_psi_sums_at_depth_42():
+    # 274,339,462,140 terms, summed from at most a few hundred distinct
+    # magnitudes per stage; the first six stages are d22's
+    psi = wr.PsiSpec.power(1.0)
+    state = power_build(7)
+    assert (state.used_coordinates, state.support_size) == (42, 274_339_462_140)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = wr.psi_sum_report(state, psi, wr.SummabilityBudget(6.0))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(report.stage_exact) == 7
+    d22 = wr.psi_sum_report(power_build(6), psi).stage_exact
+    assert [x.hex() for x in report.stage_exact[:6]] == [x.hex() for x in d22]
+    assert elapsed < 1.0 and peak < 1 << 20
+    assert "spectrum" not in vars(state)
+
+
+def test_psi_sums_and_export_leave_numpy_ma_unimported(tmp_path):
+    # np.unique on floats imports numpy.ma, about 1.3 MB of RSS: the d13
+    # build, certificate, psi sums and export group values without it
+    code = (
+        "import sys\n"
+        "import walshriesz as wr\n"
+        "psi, budget = wr.PsiSpec.logpow(1.0), wr.SummabilityBudget(2.25)\n"
+        "state = wr.build_measure(psi, 3, budget)\n"
+        "assert wr.verify_all_partial_sums(state).passed\n"
+        "assert wr.psi_sum_report(state, psi, budget).ok\n"
+        f"wr.export_measure(state, {str(tmp_path / 'measure.csv')!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(wr.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -1095,8 +1160,8 @@ def staged_states():
         state = wr.add_factor(state, level)
     yield "wide-stages", state
     yield "gap-block", wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((3,)))
-    # unequal coefficient magnitudes; at this seed sorted-order psi sums
-    # would round differently from the dict's insertion order
+    # unequal coefficient magnitudes: a sequential float sum of the psi
+    # values would round differently in sorted and in insertion order
     rng = np.random.default_rng(45)
     factors = []
     for level, block in zip((1,) * 5, ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))):
@@ -1112,12 +1177,12 @@ def test_array_spectrum_matches_dict_merge(state):
     spectrum, oracle_exact = {0: 1.0}, []
     for factor in state.factors:
         spectrum, new_terms = dict_merge(spectrum, factor)
-        oracle_exact.append(float(sum(psi.psi(abs(c)) for c in new_terms.values())))
+        oracle_exact.append(math.fsum(psi.psi(abs(c)) for c in new_terms.values()))
     assert len(state.spectrum) == len(spectrum)
     assert state.spectrum.indices.tolist() == sorted(spectrum)
     assert state.spectrum.coeffs.tolist() == [spectrum[n] for n in sorted(spectrum)]
-    # psi sums walk the factors in the dict's summation order: bit-identical
-    assert list(wr.psi_sum_report(state, psi).stage_exact) == oracle_exact
+    # psi sums are exact sums rounded once: bit-identical to fsum
+    assert [x.hex() for x in wr.psi_sum_report(state, psi).stage_exact] == [x.hex() for x in oracle_exact]
 
 
 def test_spectrum_rejects_unsorted_indices():
