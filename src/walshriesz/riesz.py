@@ -79,6 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -319,7 +320,7 @@ class SummabilityBudget:
         return self.scale * 2.0 ** (-k)
 
     def total(self, stages: int) -> float:
-        return sum(self.term_bound(k) for k in range(1, stages + 1))
+        return _exact_sum(self.term_bound(k) for k in range(1, stages + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +337,11 @@ class Factor:
     indices: np.ndarray
     coeffs: np.ndarray
 
-    @property
+    @cached_property
     def norm_a(self) -> float:
         return float(np.sum(np.abs(self.coeffs)))
 
-    @property
+    @cached_property
     def norm_2(self) -> float:
         return float(np.sqrt(np.sum(self.coeffs * self.coeffs)))
 
@@ -799,8 +800,10 @@ class PsiSumReport:
     """Exact sum_n>=1 psi(|c_n|) against the stagewise envelope bounds.
 
     stage_exact[k] is the exact sum over stage k's terms of the float64
-    psi(|c|), rounded once to float64, so it is the same on every Python
-    version (it equals math.fsum of the per-term values).
+    psi(|c|), rounded once to float64 (it equals math.fsum of the per-term
+    values); exact_total and bound_total are the exact sums of the stage
+    figures, rounded once, so every figure is the same on every Python
+    version.
     stage_bounds[k] = ||X_k||_2^2 ||Pi_(k-1)||_A^2 eps_bar(PM of stage k);
     ||X_k||_2 = 1/2C for construction factors, so this is the familiar
     (1/4C^2) ||Pi_(k-1)||_A^2 eps_bar(a_k).
@@ -815,14 +818,16 @@ class PsiSumReport:
     ok: bool
 
 
-def _psi_sum(psi: PsiSpec, mags: np.ndarray, counts: np.ndarray) -> float:
-    """sum count * psi(m) over the distinct magnitudes m, exactly over the
-    float64 psi values and rounded once: one psi call per magnitude.  A
-    finite float64 n/2^e has e <= 1074, so it is the integer n 2^(1074 - e)
-    over 2^1074, and int true division rounds once (`fractions` would
-    cost 0.25 MB of RSS)."""
-    terms = zip((float(psi.psi(m)).as_integer_ratio() for m in mags.tolist()), counts.tolist())
-    return sum(n * c << 1075 - den.bit_length() for (n, den), c in terms) / (1 << 1074)
+def _exact_sum(values, counts=None) -> float:
+    """sum of the float64 `values`, each times its count when `counts` is
+    given, exact and rounded once, so it is the same on every Python
+    version (3.12's builtin sum compensates, older ones do not).  `values`
+    is read lazily.  A finite float64 n/2^e has e <= 1074, so it is the
+    integer n 2^(1074 - e) over 2^1074, and int true division rounds once
+    (`fractions` would cost 0.25 MB of RSS)."""
+    ratios = (float(v).as_integer_ratio() for v in values)
+    weights = repeat(1) if counts is None else counts.tolist()
+    return sum(n * c << 1075 - den.bit_length() for (n, den), c in zip(ratios, weights)) / (1 << 1074)
 
 
 def psi_sum_report(
@@ -836,7 +841,7 @@ def psi_sum_report(
     k's magnitudes are the products of one distinct |c| of Pi_(k-1) and
     one of X_k, each as often as the product of their counts; the outer
     product of the magnitudes is bitwise the per-term products.  Each
-    stage sum is `_psi_sum` over their histogram (see `PsiSumReport`).
+    stage sum is `_exact_sum` over their histogram (see `PsiSumReport`).
     A stage with more than SPECTRUM_LIMIT magnitude products is refused
     (CoordinateBudgetError) before they are allocated."""
     mags, counts = np.ones(1), np.ones(1, np.int64)  # Pi_0's distinct |c| and their counts
@@ -853,7 +858,7 @@ def psi_sum_report(
             )
         stage = _histogram(np.multiply.outer(mags, fmags).ravel(),
                            np.multiply.outer(counts, fcounts).ravel())
-        exact = _psi_sum(psi, *stage)
+        exact = _exact_sum(map(psi.psi, stage[0].tolist()), stage[1])
         if exact > bound * (1.0 + 1e-12) + 1e-300:
             raise InvariantViolation(f"stage {k} psi sum {exact} exceeds its bound {bound}")
         stage_exact.append(exact)
@@ -865,10 +870,10 @@ def psi_sum_report(
         budget_terms = tuple(
             budget.term_bound(k) for k in range(1, state.stages + 1)
         )
-    exact_total = float(sum(stage_exact))
-    bound_total = float(sum(stage_bounds))
-    # equality is attainable (single-coefficient stages), so allow the
-    # one-ulp slack float summation order can introduce
+    exact_total = _exact_sum(stage_exact)
+    bound_total = _exact_sum(stage_bounds)
+    # equality is attainable (single-coefficient stages), where the bound's
+    # products and psi's own evaluation round apart by an ulp or so
     return PsiSumReport(
         stage_exact=tuple(stage_exact),
         stage_bounds=tuple(stage_bounds),
@@ -884,17 +889,10 @@ def psi_sum_report(
 # export / import
 # ---------------------------------------------------------------------------
 
-def _write_spectrum(path, index_name: str, spectrum: Spectrum) -> None:
-    """CSV `<index_name>,coeff` in ascending index, through the series
-    writer `walsh._write_coeff_rows`: repr-formatted floats, each distinct
-    coefficient formatted once per 2^14-row chunk, the rows laid out by
-    array operations, written atomically."""
-    _write_coeff_rows(path, index_name, spectrum.indices, spectrum.coeffs)
-
-
 def export_measure(state: RieszProductState, path) -> None:
-    """Sparse spectrum as CSV `n,coeff` (see `_write_spectrum`)."""
-    _write_spectrum(path, "n", state.spectrum)
+    """Sparse spectrum as CSV `n,coeff` in ascending index, through the
+    series writer `walsh._write_coeff_rows`, written atomically."""
+    _write_coeff_rows(path, "n", state.spectrum.indices, state.spectrum.coeffs)
 
 
 def load_spectrum_csv(path) -> Spectrum:

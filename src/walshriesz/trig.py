@@ -20,19 +20,19 @@ pure frequency bookkeeping.
 Every spectrum here is a `riesz.Spectrum` of cosine frequencies, with
 frequency 0 holding the constant term, and every grid partial sum is
 streamed by `walsh.prefix_scan` with the basis f -> cos(f t).  Each
-stage appends the products f and f +- h of the factor frequency f and
-the old frequencies h in generation order and sorts once; the sorted
-spectrum's strictly-increasing check and a positivity check on the new
-frequencies assert the disjointness lacunarity guarantees.  A stage's
-psi sum is exact over the float64 psi values, rounded once, with one
-psi call per distinct magnitude of its new coefficients, as the Walsh
-products' sums are (`riesz._psi_sum`).
+stage is the product Pi (1 + X) by `_cos_multiply`; its term count
+asserts the disjointness lacunarity guarantees, since any repeated
+frequency would merge two terms.  Every reported sum (a stage's psi sum,
+||Pi||_2^2, ||Pi||_A) is exact over the float64 terms and rounded once,
+from the histogram of the magnitudes (`riesz._exact_sum`), so it does
+not depend on the order the terms come in.
 
 Positivity of all partial sums is certified on a grid oversampled 16x
 past the top frequency: the grid minimum less the Bernstein slack
-max_freq * ||S||_A * (grid spacing)/2, which bounds dips between grid
-points, must be nonnegative.  Builds stop at two stages: a third needs
-about 26k frequencies on a grid of 4.2M points.
+max_freq * ||Pi||_A * (grid spacing)/2, which bounds dips between grid
+points, must be nonnegative.  The level rule reads inf Pi_k the same
+way.  Builds stop at two stages: a third needs about 26k frequencies on
+a grid of 4.2M points.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ import numpy as np
 
 from .rudin_shapiro import FLATNESS_CONSTANT, rs_sign_sequence
 from .riesz import LevelSelectionError, PsiSpec, SummabilityBudget, Spectrum
-from .riesz import _admissible, _magnitudes, _monomial, _psi_sum, _write_spectrum
-from .walsh import InvariantViolation, prefix_scan
+from .riesz import _admissible, _exact_sum, _magnitudes, _monomial
+from .walsh import InvariantViolation, _write_coeff_rows, prefix_scan
 
 __all__ = [
     "CTRIG",
@@ -134,11 +134,26 @@ class TrigCertificates:
     passed: bool
 
 
+def _norms(spectrum: Spectrum) -> tuple[float, float]:
+    """||S||_A and ||S||_2^2 = 1 + (1/2) sum_(f>0) c_f^2 of a cosine series
+    S with constant term 1, each an exact sum over its other terms."""
+    mags, counts = _magnitudes(spectrum.coeffs[1:])
+    return 1.0 + _exact_sum(mags, counts), 1.0 + 0.5 * _exact_sum(mags * mags, counts)
+
+
+def _bernstein_slack(spectrum: Spectrum, points: int) -> float:
+    """max_freq ||S||_A pi / points: no partial sum of S dips further below
+    its value at the nearest of `points` uniform grid points, since its
+    derivative is at most max_freq ||S||_A."""
+    return int(spectrum.indices[-1]) * _norms(spectrum)[0] * math.pi / points
+
+
 def _choose_trig_level(spectrum, norm_a, stage, psi, budget, oversample):
     max_freq = int(spectrum.indices[-1])
-    for _, vals in _grid_scan(spectrum, max(oversample * max_freq, 8)):
+    points = max(oversample * max_freq, 8)
+    for _, vals in _grid_scan(spectrum, points):
         pass  # the full sum Pi on the grid
-    inf_val = float(vals.min())
+    inf_val = float(vals.min()) - _bernstein_slack(spectrum, points)
     bound = budget.term_bound(stage)
     for level in (1 << j for j in range(_MAX_FLAT_LOG + 1)):
         # lacunarity, then conditions (5) and (6)
@@ -149,21 +164,6 @@ def _choose_trig_level(spectrum, norm_a, stage, psi, budget, oversample):
     )
 
 
-def _stage_terms(spectrum: Spectrum, freqs: np.ndarray, coeffs: np.ndarray):
-    """The new frequencies and coefficients of Pi (1 + X) in generation
-    order: for each factor frequency f with coefficient x, first f with
-    x, then f + h and f - h with ch x / 2 for each old frequency h > 0."""
-    h, ch = spectrum.indices[1:], spectrum.coeffs[1:]
-    new_freqs = np.empty((freqs.size, 1 + 2 * h.size), dtype=np.int64)
-    new_freqs[:, 0] = freqs
-    new_freqs[:, 1::2] = np.add.outer(freqs, h)
-    new_freqs[:, 2::2] = np.subtract.outer(freqs, h)
-    new_coeffs = np.empty(new_freqs.shape)
-    new_coeffs[:, 0] = coeffs
-    new_coeffs[:, 1::2] = new_coeffs[:, 2::2] = np.multiply.outer(coeffs, ch) / 2.0
-    return new_freqs.ravel(), new_coeffs.ravel()
-
-
 def build_trig_measure(
     psi: PsiSpec,
     stages: int,
@@ -172,11 +172,14 @@ def build_trig_measure(
 ):
     """Build the cosine product and certify it; returns (state, certificates).
 
-    Levels stop at 2^12, the longest flat polynomial `build_trig_flat`
-    builds.  Raises ValueError unless 0 <= stages <= 2 and oversample >=
-    1.  The grid needed for the certificate grows like the square of the
-    stage level: a third stage would need about 26k frequencies on 4.2M
-    grid points, which does not finish.
+    Stage k is Pi_k = Pi_(k-1) (1 + X_k) by `_cos_multiply`; it raises
+    InvariantViolation unless its term count shows every frequency
+    distinct, as lacunarity guarantees.  Levels stop at 2^12, the longest
+    flat polynomial `build_trig_flat` builds.  Raises ValueError unless
+    0 <= stages <= 2 and oversample >= 1.  The grid needed for the
+    certificate grows like the square of the stage level: a third stage
+    would need about 26k frequencies on 4.2M grid points, which does not
+    finish.
     """
     psi.validate()
     if not 0 <= stages <= _MAX_STAGES:
@@ -187,49 +190,39 @@ def build_trig_measure(
     factors: list[TrigFactor] = []
     stage_exact: list[float] = []
     stage_bounds: list[float] = []
-    # every stage's new terms in generation order: summing the norms in
-    # it keeps them reproducible bit for bit
-    stage_coeffs: list[float] = []
     norm_a = 1.0
 
     for stage in range(1, stages + 1):
         level = _choose_trig_level(spectrum, norm_a, stage, psi, budget, oversample)
         amp = _amplitude(level)
         flat = build_trig_flat(level, oversample)
-        freqs = level * flat.indices
-        coeffs = amp * flat.coeffs
-        new_freqs, new_coeffs = _stage_terms(spectrum, freqs, coeffs)
-        # lacunarity makes every new frequency positive and unseen; the
-        # Spectrum's strictly-increasing check asserts the latter
-        if np.any(new_freqs <= 0):
-            raise InvariantViolation(f"stage {stage} produced a nonpositive frequency")
+        factor = TrigFactor(level, amp, level * flat.indices, amp * flat.coeffs)
+        one_plus_x = Spectrum(np.append(0, factor.freqs), np.append(1.0, factor.coeffs))
+        product = _cos_multiply(spectrum, one_plus_x)
+        # lacunarity makes every f and f +- h distinct, nonzero and past the
+        # old frequencies: any coincidence would merge two terms
+        if len(product) != len(spectrum) + factor.freqs.size * (2 * len(spectrum) - 1):
+            raise InvariantViolation(f"stage {stage} repeats a frequency")
 
         # a-priori stage bound: sum of new coeffs^2 is 2 sigma^2 ||Pi||_2^2
-        norm2sq = 1.0 + 0.5 * sum(v * v for v in stage_coeffs)
-        sigma2 = 0.5 * float(np.sum(coeffs * coeffs))
-        stage_bounds.append(2.0 * sigma2 * norm2sq * psi.epsilon_bar(amp))
-        stage_exact.append(_psi_sum(psi, *_magnitudes(new_coeffs)))
+        stage_bounds.append(2.0 * factor.sigma2 * _norms(spectrum)[1] * psi.epsilon_bar(amp))
+        mags, counts = _magnitudes(product.coeffs[len(spectrum):])
+        stage_exact.append(_exact_sum(map(psi.psi, mags.tolist()), counts))
 
-        merged = np.concatenate([spectrum.indices, new_freqs])
-        order = np.argsort(merged, kind="stable")
-        spectrum = Spectrum(merged[order], np.concatenate([spectrum.coeffs, new_coeffs])[order])
-        stage_coeffs += new_coeffs.tolist()
-        factors.append(TrigFactor(level, amp, freqs, coeffs))
+        spectrum = product
+        factors.append(factor)
         norm_a *= 1.0 + amp * level
 
     state = TrigMeasureState(factors=tuple(factors), spectrum=spectrum, norm_a=norm_a)
-    max_freq = state.max_freq
 
     # certificates -----------------------------------------------------------
-    points = max(oversample * max(max_freq, 1), 8)
+    points = max(oversample * max(state.max_freq, 1), 8)
     gmin = math.inf
     for _, acc in _grid_scan(spectrum, points):
         gmin = min(gmin, float(acc.min()))
-    coeff_sum = sum(abs(v) for v in stage_coeffs)
-    slack = max_freq * (1.0 + coeff_sum) * math.pi / points if max_freq else 0.0
+    slack = _bernstein_slack(spectrum, points)
     quad = float((acc * acc).mean())
-    exact_l2 = 1.0 + 0.5 * sum(v * v for v in stage_coeffs)
-    parseval_gap = abs(quad - exact_l2)
+    parseval_gap = abs(quad - _norms(spectrum)[1])
 
     passed = (
         gmin - slack >= 0.0
@@ -240,7 +233,7 @@ def build_trig_measure(
         grid_points=points,
         grid_min_partial=gmin,
         bernstein_slack=slack,
-        stage_supports_disjoint=True,  # else the merged Spectrum raised
+        stage_supports_disjoint=True,  # else a stage's term count raised
         stage_psi_exact=tuple(stage_exact),
         stage_psi_bounds=tuple(stage_bounds),
         parseval_gap=parseval_gap,
@@ -271,7 +264,10 @@ def _cos_multiply(left: Spectrum, right: Spectrum) -> Spectrum:
     """The product of two cosine series, by cos a cos b = (cos(a+b) +
     cos|a-b|)/2 on every pair; a constant term (a = 0) multiplies through
     unhalved.  Zero products are dropped and equal frequencies merged in
-    pair order, left outer, right inner, a + b before |a - b|."""
+    pair order, left outer, right inner, a + b before |a - b|.  It builds
+    each stage Pi (1 + X) too: a left term c times the right constant 1
+    comes out as c/2 twice at its own frequency, which merges back to c
+    exactly."""
     prod = np.multiply.outer(left.coeffs, right.coeffs)
     const = (left.indices == 0)[:, None]
     freqs = np.stack(
@@ -289,4 +285,4 @@ def _cos_multiply(left: Spectrum, right: Spectrum) -> Spectrum:
 def trig_export(state: TrigMeasureState, path) -> None:
     """CSV `frequency,coeff`, ascending, with the constant at frequency 0,
     written atomically."""
-    _write_spectrum(path, "frequency", state.spectrum)
+    _write_coeff_rows(path, "frequency", state.spectrum.indices, state.spectrum.coeffs)

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 import walshriesz as wr
 from conftest import spectrum_series
 from walshriesz import riesz, walsh
-from walshriesz.riesz import _block_table, _product_at, _write_spectrum, make_factor
-from walshriesz.walsh import atom_patterns, butterfly, prefix_extrema, prefix_scan, sign_vector
+from walshriesz.riesz import _block_table, _product_at, make_factor
+from walshriesz.walsh import _write_coeff_rows, atom_patterns, butterfly, prefix_extrema, prefix_scan
+from walshriesz.walsh import sign_vector
 
 C = wr.FLATNESS_CONSTANT
 EPS = np.finfo(np.float64).eps
@@ -195,6 +196,8 @@ def test_budget_terms():
     assert budget.term_bound(1) == 0.5
     assert budget.term_bound(3) == 0.125
     assert wr.SummabilityBudget(scale=2.25).total(3) == pytest.approx(2.25 * 0.875)
+    # an exact sum rounded once: a sequential sum reads 0x1.8000000000001p-4
+    assert wr.SummabilityBudget(scale=0.1).total(4).hex() == math.fsum(0.1 * 2.0**-k for k in range(1, 5)).hex()
     with pytest.raises(ValueError):
         budget.term_bound(0)
 
@@ -870,6 +873,21 @@ def test_psi_stage_sums_equal_per_term_sums_bit_for_bit(name):
     assert [x.hex() for x in report.stage_exact] == [x.hex() for x in want]
 
 
+# exact_total read an ulp apart across Python versions while the totals
+# were builtin sums: 0x1.2afc1682a189ap-6 and 0x1.69dfa3d14cfa2p-7 before 3.12
+PSI_TOTAL_PINS = {"d13": "0x1.2afc1682a189bp-6", "d22": "0x1.69dfa3d14cfa1p-7"}
+
+
+@pytest.mark.parametrize("name", list(PSI_SUM_CASES))
+def test_psi_totals_are_exact_sums_of_the_stage_figures(name):
+    state, psi = PSI_SUM_CASES[name]()
+    report = wr.psi_sum_report(state, psi)
+    assert report.exact_total.hex() == math.fsum(report.stage_exact).hex()
+    assert report.bound_total.hex() == math.fsum(report.stage_bounds).hex()
+    if name in PSI_TOTAL_PINS:
+        assert report.exact_total.hex() == PSI_TOTAL_PINS[name]
+
+
 @given(hand_built_states())
 @settings(max_examples=40, deadline=None)
 def test_psi_stage_sums_equal_per_term_sums_on_hand_built_states(state):
@@ -897,6 +915,21 @@ def test_psi_sums_at_depth_42():
     assert [x.hex() for x in report.stage_exact[:6]] == [x.hex() for x in d22]
     assert elapsed < 1.0 and peak < 1 << 20
     assert "spectrum" not in vars(state)
+
+
+def test_factor_norms_are_read_once():
+    # d42's last factor has 2^19 coefficients: a read that recomputed the
+    # norms would allocate a temporary as large (4 MiB)
+    factor = power_build(7).factors[-1]
+    assert factor.indices.size == 1 << 19
+    first = (factor.norm_a, factor.norm_2)
+    tracemalloc.start()
+    try:
+        second = (factor.norm_a, factor.norm_2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second == first and peak < 1 << 16
 
 
 def test_psi_sums_and_export_leave_numpy_ma_unimported(tmp_path):
@@ -930,7 +963,7 @@ def test_export_roundtrip(tmp_path):
     size = (1 << 16) + 3
     wide = wr.Spectrum(3 * np.arange(size), np.random.default_rng(5).normal(size=size))
     wr.export_measure(built, tmp_path / "measure.csv")
-    _write_spectrum(tmp_path / "wide.csv", "n", wide)
+    _write_coeff_rows(tmp_path / "wide.csv", "n", wide.indices, wide.coeffs)
     for name, written in (("measure.csv", built.spectrum), ("wide.csv", wide)):
         spectrum = wr.load_spectrum_csv(tmp_path / name)
         assert np.array_equal(spectrum.indices, written.indices)
@@ -987,7 +1020,7 @@ WRITER_CASES = {
 @pytest.mark.parametrize("name", list(WRITER_CASES))
 def test_spectrum_writer_matches_csv_writer_bytes(tmp_path, name):
     spectrum = WRITER_CASES[name]()
-    _write_spectrum(tmp_path / "lines.csv", "frequency", spectrum)
+    _write_coeff_rows(tmp_path / "lines.csv", "frequency", spectrum.indices, spectrum.coeffs)
     reference_write_spectrum(tmp_path / "reference.csv", "frequency", spectrum)
     assert (tmp_path / "lines.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -1006,7 +1039,7 @@ def edge_spectra(draw):
 def test_spectrum_writer_matches_csv_writer_bytes_at_the_edges(tmp_path_factory, spectrum):
     # non-finite coefficients are written as repr writes them
     folder = tmp_path_factory.mktemp("writer")
-    _write_spectrum(folder / "lines.csv", "n", spectrum)
+    _write_coeff_rows(folder / "lines.csv", "n", spectrum.indices, spectrum.coeffs)
     reference_write_spectrum(folder / "reference.csv", "n", spectrum)
     assert (folder / "lines.csv").read_bytes() == (folder / "reference.csv").read_bytes()
 
@@ -1023,8 +1056,9 @@ def test_spectrum_writer_failing_part_way_leaves_no_file(tmp_path, monkeypatch):
         return original(indices, coeffs)
 
     monkeypatch.setattr(walsh, "_coeff_row_bytes", failing)
+    spectrum = repeated_spectrum(3 * walsh._ROW_CHUNK)
     with pytest.raises(OSError, match="conversion failed"):
-        _write_spectrum(tmp_path / "measure.csv", "n", repeated_spectrum(3 * walsh._ROW_CHUNK))
+        _write_coeff_rows(tmp_path / "measure.csv", "n", spectrum.indices, spectrum.coeffs)
     assert chunks == [walsh._ROW_CHUNK, walsh._ROW_CHUNK]
     assert list(tmp_path.iterdir()) == []
 

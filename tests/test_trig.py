@@ -86,21 +86,39 @@ def test_two_stage_build_certificates():
 
 
 def test_repeated_stage_frequency_is_refused(monkeypatch):
-    # lacunarity keeps every new frequency unseen; were one repeated, the
-    # merged spectrum's strictly-increasing check refuses the build
-    stage_terms = trig._stage_terms
+    # level 2 at stage 2 is not lacunary (2 <= 4 * 1): its frequencies 2 - 1
+    # and 4 - 1 repeat 1 and 2 + 1, and the stage's term count refuses it
+    choose = trig._choose_trig_level
 
-    def repeating(spectrum, freqs, coeffs):
-        new_freqs, new_coeffs = stage_terms(spectrum, freqs, coeffs)
-        if len(spectrum) > 1:
-            new_freqs[0] = spectrum.indices[-1]  # an old, positive frequency
-        return new_freqs, new_coeffs
+    def unlacunary(spectrum, norm_a, stage, *rest):
+        return 2 if stage == 2 else choose(spectrum, norm_a, stage, *rest)
 
-    monkeypatch.setattr(trig, "_stage_terms", repeating)
+    monkeypatch.setattr(trig, "_choose_trig_level", unlacunary)
     psi, budget = wr.PsiSpec.logpow(1.0), wr.SummabilityBudget(scale=2.25)
     assert wr.build_trig_measure(psi, 1, budget)[1].stage_supports_disjoint
-    with pytest.raises(wr.InvariantViolation, match="not strictly increasing"):
+    with pytest.raises(wr.InvariantViolation, match="stage 2 repeats a frequency"):
         wr.build_trig_measure(psi, 2, budget)
+
+
+def test_level_rule_subtracts_the_bernstein_slack(monkeypatch):
+    # stage 2 reads inf Pi_1 as its grid minimum less the slack the
+    # one-stage certificate reports on the same 16-point grid
+    seen = []
+    admissible = trig._admissible
+
+    def spy(amp, norm_a, inf_value, psi, bound):
+        seen.append((bound, inf_value))
+        return admissible(amp, norm_a, inf_value, psi, bound)
+
+    monkeypatch.setattr(trig, "_admissible", spy)
+    psi, budget = wr.PsiSpec.logpow(1.0), wr.SummabilityBudget(scale=2.25)
+    _, one = wr.build_trig_measure(psi, 1, budget)
+    state, _ = wr.build_trig_measure(psi, 2, budget)
+    stage2 = {inf for bound, inf in seen if bound == budget.term_bound(2)}
+    assert one.grid_points == 16 and stage2 == {one.grid_min_partial - one.bernstein_slack}
+    a = state.factors[0].amplitude
+    assert stage2.pop() == pytest.approx(1 - a - (1 + a) * math.pi / 16, rel=1e-14)
+    assert [f.level for f in state.factors] == [1, 8]
 
 
 def test_mean_is_one_and_spectrum_structure():
@@ -152,6 +170,34 @@ def test_bernstein_slack_gates_passed():
     assert coarse.grid_min_partial > 0.0
     assert coarse.grid_min_partial - coarse.bernstein_slack < 0.0
     assert not coarse.passed
+
+
+@pytest.mark.parametrize("psi", [wr.PsiSpec.logpow(1.0), wr.PsiSpec.power(1.0)], ids=["logpow1", "power1"])
+@pytest.mark.parametrize("oversample", [16, 4])
+def test_certificate_sums_equal_fsum_over_the_exported_spectrum(tmp_path, psi, oversample):
+    # every reported sum is exact and rounded once, whatever the term order
+    state, certs = wr.build_trig_measure(psi, 2, wr.SummabilityBudget(scale=2.25), oversample)
+    wr.trig_export(state, tmp_path / "trig.csv")
+    rows = [line.split(",") for line in (tmp_path / "trig.csv").read_text().splitlines()[1:]]
+    freqs = np.array([int(f) for f, _ in rows])
+    coeffs = np.array([float(c) for _, c in rows])
+    assert freqs[0] == 0 and coeffs[0] == 1.0
+
+    def norm2sq(upto):
+        return 1.0 + 0.5 * math.fsum(c * c for c in coeffs[1:][freqs[1:] <= upto].tolist())
+
+    slack = freqs[-1] * (1.0 + math.fsum(abs(c) for c in coeffs[1:].tolist())) * math.pi / certs.grid_points
+    assert certs.bernstein_slack.hex() == slack.hex()
+    # stage k's terms lie past level_k / 4, Pi_(k-1)'s at or below it
+    for k, factor in enumerate(state.factors):
+        bound = 2.0 * factor.sigma2 * norm2sq(factor.level // 4) * psi.epsilon_bar(factor.amplitude)
+        assert certs.stage_psi_bounds[k].hex() == bound.hex()
+        upto = state.factors[k + 1].level // 4 if k + 1 < len(state.factors) else freqs[-1]
+        new = coeffs[(freqs > factor.level // 4) & (freqs <= upto)]
+        assert certs.stage_psi_exact[k].hex() == math.fsum(psi.psi(abs(c)) for c in new.tolist()).hex()
+    for _, grid in trig._grid_scan(state.spectrum, certs.grid_points):
+        pass
+    assert certs.parseval_gap == abs(float((grid * grid).mean()) - norm2sq(freqs[-1]))
 
 
 @pytest.mark.parametrize(
