@@ -153,13 +153,18 @@ class EquivalenceReport:
 
 # The exact route holds about this many bytes per atom per limb: on the
 # seeded dense 2-limb series (coefficients uniform(-1, 1) 2^-U{0..20})
-# it added 3.2-3.3 MiB of RSS at depth 16, 14.3-15.2 MiB at depth 18 and
-# 56-57 MiB at depth 20 (2.1-2.5 s on one Xeon core, numpy 2.4), 26-31
-# bytes per atom per limb, rounded up here; its Python-int object arrays held 256 per
-# atom.  The float walk before it holds no more.  `theorem1-check`
-# refuses series deeper than the limit, and series whose limbs take more
-# atoms than a 2-limb series at the limit.
-THEOREM1_DEPTH_LIMIT = 20
+# its tracemalloc peak was 31.1 bytes per atom per limb at depth 16 and
+# 24.5 at depth 20, three limb tables and block-sized scratch, and RSS
+# rose by 18-21 at depths 16-20 (numpy 2.4); rounded up here.  The float
+# walk before it holds no more.  The whole `theorem1-check` command on
+# such a series, CSV reader included, took 2.5-3.4 s and 97 MiB of peak
+# RSS at depth 20, 4.9-6.4 s and 164 MiB at 21, 10.5-13.0 s and 290 MiB
+# at 22 and 22.6-26.5 s and 546 MiB at 23 on one shared Xeon core, the
+# reader's text and rows setting the peak; the limit is the deepest
+# depth under 30 s and 1 GiB.  `theorem1-check` refuses series deeper
+# than the limit, and series whose limbs take more atoms than a 2-limb
+# series at the limit.
+THEOREM1_DEPTH_LIMIT = 23
 _EXACT_BYTES_PER_ATOM = 32
 _EXACT_LIMB_ATOMS = 2 << THEOREM1_DEPTH_LIMIT
 

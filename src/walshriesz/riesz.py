@@ -896,10 +896,10 @@ def export_measure(state: RieszProductState, path) -> None:
 
 
 def load_spectrum_csv(path) -> Spectrum:
-    rows = read_coeff_rows(path)
-    if rows[-1][0] >> 63:
-        raise SeriesFormatError(f"index {rows[-1][0]} does not fit in 63 bits")
-    return Spectrum([n for n, _ in rows], [c for _, c in rows])
+    indices, coeffs = read_coeff_rows(path)
+    if int(indices[-1]) >> 63:
+        raise SeriesFormatError(f"index {indices[-1]} does not fit in 63 bits")
+    return Spectrum(indices, coeffs)
 
 
 def state_manifest(state: RieszProductState) -> dict:

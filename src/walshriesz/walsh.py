@@ -45,6 +45,7 @@ import io
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,7 +343,15 @@ def _segment_merge(s, mx, mn):
     are overwritten.
     A level runs in blocks of 2^14 values per row (limbs counted) of its
     segment pairs' positions, so the scratch rows are a block wide and a
-    block's dozen or more passes find their rows in cache.
+    block's dozen or more passes find their rows in cache.  The levels
+    below `_TILE` = 16 would run every pass on runs of h < 16 values, so
+    a merge of 2^12 atoms or more runs them a block at a time instead: its
+    16-atom segments are gathered into a block-sized (16, tiles) scratch
+    tile per table, atom outer and segment inner, where level h runs the
+    same level body on runs of h * tiles values; the tile is then
+    scattered back.  Every value meets the same operands in the same
+    order either way, so the tables come out bit for bit those of the
+    level-by-level merge.
 
     Only the arithmetic depends on the tables.  Float tables round as
     float64 does, int64 tables add exactly (the caller keeps them from
@@ -356,36 +365,74 @@ def _segment_merge(s, mx, mn):
     sees to.  A one-limb table is an int64 table.
 
     A generator of the levels: it yields h just before merging the
-    segments of length h into those of 2h; once it is exhausted the
-    tables hold the whole merge.
+    segments of length h into those of 2h, from h = 16 on when the merge
+    is tiled (its shorter levels run tile by tile, with no whole level in
+    between); once it is exhausted the tables hold the whole merge.
     """
     width, n = s.shape if s.ndim == 2 else (1, s.size)
     rows = len(mx)
     block = min(_MERGE_BLOCK // width, max(n // 2, 1))
-    add, sub, maximum, minimum = _limb_ops(max(rows, 1) * block) if width > 1 else _PLAIN_OPS
-    spare = np.empty(max(2 * rows, 1) * width * block, s.dtype)
-    h = 1
+    tiles = max(block // _TILE, 1) if n >= _TILED_FROM else 0
+    room = max(block, tiles * _TILE // 2)
+    add, sub, maximum, minimum = _limb_ops(max(rows, 1) * room) if width > 1 else _PLAIN_OPS
+    spare = np.empty(max(2 * rows, 1) * width * room, s.dtype)
+
+    def merge(level, s, mx, mn, cut=(...,)):
+        # one level, cut to a block, of the (width, segment pairs, 2, run)
+        # view of s and of each row of mx, mn
+        sa, sb = s.reshape(level)[cut].transpose(2, 0, 1, 3)
+        if rows:
+            xa, xb = mx.reshape(rows, *level)[cut].transpose(3, 0, 1, 2, 4)
+            na, nb = mn.reshape(rows, *level)[cut].transpose(3, 0, 1, 2, 4)
+            up, down = spare[: 2 * rows * sa.size].reshape(2, rows, *sa.shape)
+            maximum(xa, sub(sa, nb[::-1], out=up), out=up)
+            minimum(na, sub(sa, xb[::-1], out=down), out=down)
+            maximum(xa, add(sa, xb, out=xb), out=xa)
+            minimum(na, add(sa, nb, out=nb), out=na)
+            xb[...], nb[...] = up, down
+        diff = sub(sa, sb, out=spare[: sa.size].reshape(sa.shape))
+        add(sa, sb, out=sa)
+        sb[...] = diff
+
+    tables = s.reshape(width, n), mx.reshape(rows, width, n), mn.reshape(rows, width, n)
+    if tiles:
+        scratch = np.empty((1 + 2 * rows) * width * _TILE * tiles, s.dtype)
+        for first in range(0, n // _TILE, tiles):
+            cut = slice(first, min(first + tiles, n // _TILE))
+            count = cut.stop - first
+            tile = scratch[: scratch.size // tiles * count].reshape(1 + 2 * rows, width, _TILE, count)
+            parts = tile[0], tile[1 : 1 + rows], tile[1 + rows :]
+            segments = [t.reshape(*t.shape[:-1], n // _TILE, _TILE)[..., cut, :] for t in tables]
+            for part, segment in zip(parts, segments[: 1 + 2 * bool(rows)]):
+                part[...] = segment.swapaxes(-1, -2)
+            for k in range(_TILE.bit_length() - 1):
+                merge((width, _TILE >> (k + 1), 2, count << k), *parts)
+            for part, segment in zip(parts, segments[: 1 + 2 * bool(rows)]):
+                segment[...] = part.swapaxes(-1, -2)
+    h = _TILE if tiles else 1
     while h < n:
         yield h
         level = (width, n // (2 * h), 2, h)
-        sh = s.reshape(level)
-        if rows:
-            xh, nh = mx.reshape(rows, *level), mn.reshape(rows, *level)
         for cut in _blocks(n // (2 * h), h, block):
-            sa, sb = sh[cut].transpose(2, 0, 1, 3)
-            if rows:
-                xa, xb = xh[cut].transpose(3, 0, 1, 2, 4)
-                na, nb = nh[cut].transpose(3, 0, 1, 2, 4)
-                up, down = spare[: 2 * rows * sa.size].reshape(2, rows, *sa.shape)
-                maximum(xa, sub(sa, nb[::-1], out=up), out=up)
-                minimum(na, sub(sa, xb[::-1], out=down), out=down)
-                maximum(xa, add(sa, xb, out=xb), out=xa)
-                minimum(na, add(sa, nb, out=nb), out=na)
-                xb[...], nb[...] = up, down
-            diff = sub(sa, sb, out=spare[: sa.size].reshape(sa.shape))
-            add(sa, sb, out=sa)
-            sb[...] = diff
+            merge(level, *tables, cut)
         h *= 2
+
+
+# atoms per tile of `_segment_merge`'s short levels: on one shared Xeon
+# core (best of 3-7 runs, numpy 2.4) tiles of 8, 16, 32 and 64 atoms ran
+# the 2-limb merges of the depth-16 benchmark series in 43, 40, 46 and
+# 47 ms and of a dense depth-20 series in 1.13, 1.08, 1.07 and 1.01 s,
+# against 75 ms and 1.31 s level by level; 16 is the fastest at depth 16
+# and within the runs' spread at depth 20.  A block's worth of tiles per
+# run beat half a block (1.13-1.16 s at depth 20) and a quarter
+# (1.29-1.36 s).  Tables of fewer than `_TILED_FROM` atoms (more than a
+# tile) merge level by level: below it the gather and scatter cost more
+# than the longer runs save.  Level by level against tiled, the float
+# butterfly, float prefix extrema and 2-limb merge took 148/232,
+# 515/861 and 3.9/3.6 ms at 2^11 atoms and 308/277, 1259/1082 and
+# 5.9/3.9 ms at 2^12 (best of 9)
+_TILE = 16
+_TILED_FROM = 1 << 12
 
 
 # values per row of a block of `_segment_merge`, limbs counted: on one
@@ -472,7 +519,9 @@ def _limb_ops(size: int):
 
 def _martingale_walk(coeffs):
     """Walk the dyadic martingale of c_0..c_(2^K - 1) along the levels of
-    one `_segment_merge` over the whole series.
+    one `_segment_merge` over the whole series.  A tiled merge runs its
+    levels below `_TILE` tile by tile, unyielded; they depend on
+    c[:_TILE] alone, so they are read off a merge of those.
 
     Just before level 2^k is merged, slots [0, 2^k) hold M_k and slots
     [2^k, 2^(k+1)) hold N_k, with coefficients c_(2^k)..c_(2^(k+1) - 1),
@@ -484,9 +533,10 @@ def _martingale_walk(coeffs):
     `prefix_extrema(c[2^k:2^(k+1)])`, bit for bit.
     """
     s = np.array(coeffs, dtype=np.float64)
-    mx, mn = s[None].copy(), s[None].copy()
-    for h in _segment_merge(s, mx, mn):
-        yield s[:h].copy(), s[h : 2 * h].copy(), mx[0, h : 2 * h].copy(), mn[0, h : 2 * h].copy()
+    for t in [s[:_TILE].copy(), s] if s.size >= _TILED_FROM else [s]:
+        mx, mn = t[None].copy(), t[None].copy()
+        for h in _segment_merge(t, mx, mn):
+            yield t[:h].copy(), t[h : 2 * h].copy(), mx[0, h : 2 * h].copy(), mn[0, h : 2 * h].copy()
     yield s, None, None, None
 
 
@@ -681,13 +731,40 @@ def series_to_csv(series: WalshSeries, path) -> None:
     _write_coeff_rows(path, "n", np.arange(series.order), series.coeffs)
 
 
-def read_coeff_rows(source) -> list[tuple[int, float]]:
-    """Parse `n,coeff` rows (header required, n strictly increasing)."""
+def read_coeff_rows(source) -> tuple[np.ndarray, np.ndarray]:
+    """Parse `n,coeff` rows (header required, n strictly increasing) into
+    int64 indices and float64 coefficients.
+
+    `_read_rows`, one Python step per row, is the definition.  The text is
+    first read as one array by `_read_rows_array`, which gives up (None)
+    where it cannot vouch for the same result: on anything csv would
+    quote, split or refuse differently, on any field numpy's text parser
+    rejects, and on a failed array check (a non-finite coefficient, a
+    negative or non-increasing index, no rows).  Only then does the row
+    loop run, returning its rows or raising its line-numbered
+    SeriesFormatError.  An index of 2^63 or more, which only the row loop
+    reads, comes back in an object array of Python ints for the caller
+    to refuse.
+    """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
             text = fh.read()
     else:
         text = source.read()
+    parsed = _read_rows_array(text)
+    if parsed is not None:
+        return parsed
+    rows = _read_rows(text)
+    indices = [n for n, _ in rows]
+    wide = indices[-1] >> 63
+    return (np.array(indices, dtype=object if wide else np.int64),
+            np.array([c for _, c in rows], dtype=np.float64))
+
+
+def _read_rows(text: str) -> list[tuple[int, float]]:
+    """The reader's definition: csv rows of `text`, each index read by
+    `int` and each coefficient by `float`, blank rows skipped, extra
+    columns ignored, every fault a SeriesFormatError naming its line."""
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows:
@@ -720,6 +797,63 @@ def read_coeff_rows(source) -> list[tuple[int, float]]:
     return out
 
 
+_ROW_DTYPE = np.dtype([("n", np.int64), ("c", np.float64)])
+# characters of text per chunk that `_read_rows_array` splits into lines
+_LINE_CHUNK = 1 << 16
+
+
+def _read_rows_array(text: str):
+    """`_read_rows` of `text` as (int64 indices, float64 coefficients) by
+    one `np.loadtxt` of the lines after the header, or None where that
+    might differ.
+
+    The text must hold no quote (csv's quoting) and no NUL (which csv
+    refuses before Python 3.11), the header line no carriage return
+    before its end, and no line may be longer than csv's field size
+    limit.  Lines are split at LF alone, `_LINE_CHUNK` characters at a
+    time; numpy's reader ends a line at a CR before the LF, skips empty
+    lines as csv does, and raises on a lone CR, where csv would end a
+    row.  Its int64 and float64 fields then read what `int` and `float`
+    read: whitespace around a field, a sign, ASCII digits, and for floats
+    `PyOS_string_to_double`'s grammar, which is `float`'s without
+    underscores.  It raises on other digits, on `1_0`, on `5.0` as an
+    index (older numpy only warns, and warnings are raised here), on an
+    index past int64 and on a blank line, which the row loop skips.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    stop = text.find("\n") + 1 or len(text)
+    head = text[:stop].removesuffix("\n").removesuffix("\r")
+    if "\r" in head or [c.strip().lower() for c in head.split(",")[:2]] != ["n", "coeff"]:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(_lines(text, stop), _ROW_DTYPE, comments=None, delimiter=",",
+                              usecols=(0, 1), ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    indices, coeffs = rows["n"].copy(), rows["c"].copy()
+    if not (indices.size and indices[0] >= 0 and (indices[1:] > indices[:-1]).all()
+            and np.isfinite(coeffs).all()):
+        return None
+    return indices, coeffs
+
+
+def _lines(text: str, start: int):
+    """The lines of `text` from `start` on, split at LF, a chunk at a
+    time; ValueError at a line longer than csv's field size limit (a
+    chunk no longer than the limit holds none)."""
+    limit = csv.field_size_limit()
+    while start < len(text):
+        stop = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
+        lines = text[start:stop].split("\n")
+        if stop - start > limit and max(map(len, lines)) > limit:
+            raise ValueError("a line longer than csv's field size limit")
+        yield from lines
+        start = stop
+
+
 def series_from_csv(source, max_depth: int | None = None, check=None) -> WalshSeries:
     """Load a series from `n,coeff` rows; sparse rows are zero-filled.
 
@@ -729,18 +863,17 @@ def series_from_csv(source, max_depth: int | None = None, check=None) -> WalshSe
     before anything of size 2^K is allocated; that same array then fills
     the dense coefficients in one assignment.
     """
-    rows = read_coeff_rows(source)
-    top = rows[-1][0]
+    indices, values = read_coeff_rows(source)
+    top = int(indices[-1])
     depth = top.bit_length()
     if max_depth is not None and depth > max_depth:
         raise DepthLimitError(depth, max_depth)
-    values = np.fromiter((c for _, c in rows), np.float64, len(rows))
     if check is not None:
         check(depth, values)
     if top >= 1 << 26:
         raise SeriesFormatError(f"index {top} too large for a dense series")
     coeffs = np.zeros(1 << depth)
-    coeffs[np.fromiter((n for n, _ in rows), np.int64, len(rows))] = values
+    coeffs[indices] = values
     return WalshSeries(depth, coeffs)
 
 

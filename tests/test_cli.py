@@ -267,7 +267,8 @@ def test_theorem1_check_refuses_depth_before_allocating(tmp_path, capsys):
 
 def test_theorem1_check_refuses_wide_exponents_before_allocating(tmp_path, capsys):
     # 1.0 and 1e-300 take 17 int64 limbs per value: at depth 20 that is
-    # past the bytes of a 2-limb depth-20 series, refused from the rows
+    # past the bytes of a 2-limb series at the depth limit, refused from
+    # the rows
     wide = tmp_path / "wide.csv"
     wide.write_text(f"n,coeff\n0,1.0\n{(1 << 20) - 1},1e-300\n")
     tracemalloc.start()

@@ -91,16 +91,27 @@ def _walk_cases(depth):
     return [dense, sparse, signed_zeros, np.zeros(size)]
 
 
-@pytest.mark.parametrize("depth", range(9))
-def test_martingale_walk_matches_direct_transforms(depth):
+@pytest.mark.parametrize("depth", range(10))
+def test_martingale_walk_matches_direct_transforms(monkeypatch, depth):
     # bit for bit, signed zeros included: M_k is the butterfly of the
-    # first 2^k coefficients, and N_k* the max(MX, -MN) of prefix_extrema
-    # on the whole block, the form the walk's proper-prefix extremes replaced
+    # first 2^k coefficients, and (N_k, MX, MN) prefix_extrema of the
+    # block, whose N_k* is max(MX, -MN), the form the walk's proper-prefix
+    # extremes replaced.  Walked both level by level and tiled from 32
+    # atoms, when the merge runs its levels below a tile tile by tile and
+    # the walk reads those off a merge of c[:16]; the references are
+    # level by level
     for c in _walk_cases(depth):
         walk = list(_martingale_walk(c))
+        monkeypatch.setattr(wr.walsh, "_TILED_FROM", 32)
+        assert [[t if t is None else t.tobytes() for t in level] for level in _martingale_walk(c)] == [
+            [t if t is None else t.tobytes() for t in level] for level in walk]
+        monkeypatch.undo()
         assert len(walk) == depth + 1 and walk[-1][1:] == (None, None, None)
-        for k, (m, *_) in enumerate(walk):
+        for k, (m, *rest) in enumerate(walk):
             assert m.tobytes() == wr.butterfly(c[: 1 << k]).tobytes()
+            if k < depth:
+                want = wr.prefix_extrema(c[1 << k : 1 << (k + 1)])
+                assert [t.tobytes() for t in rest] == [t.tobytes() for t in want]
         dec = wr.decompose(wr.WalshSeries(depth, c))
         for k in range(depth):
             n, mx, mn = wr.prefix_extrema(c[1 << k : 1 << (k + 1)])

@@ -16,11 +16,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
-from walshriesz.walsh import _limb_ops, _segment_merge, atom_patterns, sign_vector
+from walshriesz.walsh import (
+    _limb_ops, _read_rows, _read_rows_array, _segment_merge, atom_patterns, sign_vector,
+)
 
 
 def brute_walsh(n: int, pattern: int) -> int:
@@ -400,27 +402,30 @@ def test_prefix_extrema_matches_brute_partial_sums(m):
             assert np.max(np.abs(mn - partial.min(axis=0))) <= tol
 
 
-@pytest.mark.parametrize("m", range(5))
-def test_segment_merge_is_exact_over_python_ints(m):
+@pytest.mark.parametrize("m", range(7))
+def test_segment_merge_is_exact_over_python_ints(monkeypatch, m):
     # the exact positivity route's arithmetic: +-2^70 plus small signed
     # offsets, past int64 and past float64's mantissa, so a sum whose
     # 2^70 parts cancel reads the offsets alone; the oracle is every
     # prefix on every atom from the definition, w_n(t) through
-    # sign_vector, in Python ints
+    # sign_vector, in Python ints, level by level and, tiled from 32
+    # atoms, in object-array tiles
     rng = np.random.default_rng(70 + m)
     size = 1 << m
     coeffs = [int(sign) * (1 << 70) + int(offset)
               for sign, offset in zip(rng.choice([-1, 1], size), rng.integers(-9, 10, size))]
-    s = np.array(coeffs, dtype=object)
-    mx, mn = s[None].copy(), s[None].copy()
-    for _ in _segment_merge(s, mx, mn):
-        pass
     signs = [sign_vector(n, atom_patterns(m)).tolist() for n in range(size)]
-    for t in range(size):
-        partial = list(itertools.accumulate(c * row[t] for c, row in zip(coeffs, signs)))
-        got = (s[t], mx[0, t], mn[0, t])
-        assert all(type(v) is int for v in got)
-        assert got == (partial[-1], max(partial), min(partial))
+    for tiled_from in (None, 32):
+        patch_merge(monkeypatch, tiled_from, None)
+        s = np.array(coeffs, dtype=object)
+        mx, mn = s[None].copy(), s[None].copy()
+        for _ in _segment_merge(s, mx, mn):
+            pass
+        for t in range(size):
+            partial = list(itertools.accumulate(c * row[t] for c, row in zip(coeffs, signs)))
+            got = (s[t], mx[0, t], mn[0, t])
+            assert all(type(v) is int for v in got)
+            assert got == (partial[-1], max(partial), min(partial))
 
 
 LIMB = 1 << 62
@@ -449,7 +454,7 @@ def limb_coeffs(width, m, pattern):
     one, so the partial sums' top limbs cancel every other term."""
     rng = np.random.default_rng(100 * width + m)
     size = 1 << m
-    top = (1 << (62 * width - 7)) - 10
+    top = (1 << (62 * width - max(m, 5) - 2)) - 10
     magnitudes = [LIMB**j for j in range(1, width)] + [top]
     offsets = rng.integers(-9, 10, size).tolist()
     if pattern == "alternating":
@@ -459,50 +464,102 @@ def limb_coeffs(width, m, pattern):
     return [s * magnitudes[i] + d for s, i, d in zip(signs, picks, offsets)]
 
 
+def merge_oracle(coeffs, highs, lows):
+    """`_segment_merge`'s (S, MX rows, MN rows) from the definition, in
+    Python ints.  Row r starts coefficient n's segment at highs[r][n] and
+    lows[r][n]; every sign flip of a prefix mirrors the rows, so at atom t
+    row r reads, over n, S_<n(t) plus highs[r][n] (lows[r][n]) where
+    w_n(t) = 1 and minus lows[R-1-r][n] (highs[R-1-r][n]) where
+    w_n(t) = -1.  With highs = lows = coeffs these are the largest and
+    smallest nonempty partial sums."""
+    size = len(coeffs)
+    signs = np.array([sign_vector(n, atom_patterns(size.bit_length() - 1)) for n in range(size)]).T
+    terms = np.array(coeffs, dtype=object)[None, :] * signs
+    before = np.cumsum(terms, axis=1) - terms
+    plus = signs == 1
+    rows = len(highs)
+    high = [np.array(v, dtype=object) for v in highs]
+    low = [np.array(v, dtype=object) for v in lows]
+    mx = [(before + np.where(plus, high[r], -low[rows - 1 - r])).max(axis=1) for r in range(rows)]
+    mn = [(before + np.where(plus, low[r], -high[rows - 1 - r])).min(axis=1) for r in range(rows)]
+    return (before[:, -1] + terms[:, -1]).tolist(), [v.tolist() for v in mx], [v.tolist() for v in mn]
+
+
+def merge_starts(coeffs, rows, seed):
+    """Starting extremes of `rows` rows: the coefficients themselves for
+    one row, small distinct widenings of them for more."""
+    if rows < 2:
+        return [list(coeffs)] * rows, [list(coeffs)] * rows
+    widen = np.random.default_rng(seed).integers(0, 10, (2, rows, len(coeffs))).tolist()
+    return ([[c + d for c, d in zip(coeffs, up)] for up in widen[0]],
+            [[c - d for c, d in zip(coeffs, down)] for down in widen[1]])
+
+
+# merge set-ups the tests patch in, (tiled from, block): tiles from 32
+# atoms (only tables of 2^12 atoms or more are tiled otherwise), at the
+# default blocks and at blocks narrower than half a tile or holding
+# several tiles and a partial run; and small blocks with no tiles
+MERGE_SETUPS = [(32, None), (32, 8), (32, 48), (32, 144), (None, 8)]
+
+
+def patch_merge(monkeypatch, tiled_from, block):
+    monkeypatch.undo()
+    if tiled_from:
+        monkeypatch.setattr(wr.walsh, "_TILED_FROM", tiled_from)
+    if block:
+        monkeypatch.setattr(wr.walsh, "_MERGE_BLOCK", block)
+
+
 @pytest.mark.parametrize("pattern", ["random", "alternating"])
-@pytest.mark.parametrize("m", range(6))
-@pytest.mark.parametrize("width", [1, 2, 3, 5])
-def test_segment_merge_is_exact_over_limbs(width, m, pattern):
+@pytest.mark.parametrize(("width", "m"), [(w, m) for w in (1, 2, 3, 5) for m in range(10 if w < 5 else 6)])
+def test_segment_merge_is_exact_over_limbs(monkeypatch, width, m, pattern):
     # the exact positivity route's arithmetic, against every prefix on
-    # every atom from the definition, w_n(t) through sign_vector, in
-    # Python ints; one limb is a plain int64 table
+    # every atom from the definition, in Python ints; one limb is a plain
+    # int64 table.  Depths 0-9 cover merges shorter than a tile, one tile
+    # and many tiles, with 0, 1 and 2 mirrored rows, level by level and
+    # tiled, at the default blocks and at small ones, so runs of tiles
+    # cross block edges
     coeffs = limb_coeffs(width, m, pattern)
-    s = to_limbs(coeffs, width)
-    mx, mn = s[None].copy(), s[None].copy()
-    for _ in _segment_merge(s, mx, mn):
-        pass
-    signs = [sign_vector(n, atom_patterns(m)).tolist() for n in range(1 << m)]
-    partials = [list(itertools.accumulate(c * row[t] for c, row in zip(coeffs, signs)))
-                for t in range(1 << m)]
-    assert from_limbs(s) == [p[-1] for p in partials]
-    assert from_limbs(mx[0]) == [max(p) for p in partials]
-    assert from_limbs(mn[0]) == [min(p) for p in partials]
+    for rows in (0, 1, 2):
+        highs, lows = merge_starts(coeffs, rows, m)
+        want = merge_oracle(coeffs, highs, lows)
+        for setup in [(None, None), *MERGE_SETUPS]:
+            patch_merge(monkeypatch, *setup)
+            s = to_limbs(coeffs, width)
+            mx = np.array([to_limbs(v, width) for v in highs], np.int64).reshape(rows, *s.shape)
+            mn = np.array([to_limbs(v, width) for v in lows], np.int64).reshape(rows, *s.shape)
+            for _ in _segment_merge(s, mx, mn):
+                pass
+            assert (from_limbs(s), [from_limbs(v) for v in mx], [from_limbs(v) for v in mn]) == want
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2])
-@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("width", [1, 2, 3])
 def test_segment_merge_in_blocks_is_the_whole_level_merge(monkeypatch, rows, width):
-    # blocks of 8 values per row cut the levels of a 2^8 merge both ways,
-    # several segment pairs at a time, then runs of positions; the tables
-    # must equal one block per level bit for bit, float and limbs alike
-    size = 1 << 8
+    # tiles and small blocks cut merges of depth 0-9: the levels below a
+    # tile into runs of tiles, partial ones included, and the longer
+    # levels both ways, several segment pairs at a time, then runs of
+    # positions; the tables must equal those of whole levels bit for bit,
+    # float and limbs alike
+    for m in range(10):
+        if width == 1:
+            start = np.random.default_rng(m).uniform(-1, 1, (1 + 2 * rows, 1 << m))
+        else:
+            c = limb_coeffs(width, m, "random")
+            start = np.stack([to_limbs(c[k:] + c[:k], width) for k in range(1 + 2 * rows)])
 
-    if width == 1:
-        start = np.random.default_rng(8).uniform(-1, 1, (1 + 2 * rows, size))
-    else:
-        c = limb_coeffs(2, 8, "random")
-        start = np.stack([to_limbs(c[k:] + c[:k], 2) for k in range(1 + 2 * rows)])
+        def merged():
+            s, mx, mn = start[0].copy(), start[1 : 1 + rows].copy(), start[1 + rows :].copy()
+            for _ in _segment_merge(s, mx, mn):
+                pass
+            return s, mx, mn
 
-    def merged():
-        s, mx, mn = start[0].copy(), start[1 : 1 + rows].copy(), start[1 + rows :].copy()
-        for _ in _segment_merge(s, mx, mn):
-            pass
-        return s, mx, mn
-
-    whole = merged()
-    monkeypatch.setattr(wr.walsh, "_MERGE_BLOCK", 8)
-    for got, want in zip(merged(), whole):
-        assert np.array_equal(got, want)
+        patch_merge(monkeypatch, None, None)
+        whole = merged()
+        for setup in MERGE_SETUPS:
+            patch_merge(monkeypatch, *setup)
+            for got, want in zip(merged(), whole):
+                assert np.array_equal(got, want)
 
 
 def limb_values(width):
@@ -590,6 +647,163 @@ def test_csv_errors_carry_line_numbers():
         wr.series_from_csv(io.StringIO("n,coeff\n0,1.0\n1,peach\n"))
     with pytest.raises(wr.SeriesFormatError, match="not increasing"):
         wr.series_from_csv(io.StringIO("n,coeff\n1,1.0\n1,2.0\n"))
+
+
+# every SeriesFormatError the reader raises, with its line: rows count
+# blank ones, and the message is the same with CR LF endings
+READER_ERRORS = {
+    "empty file": ("", "line 1: empty file, expected header 'n,coeff'"),
+    "bad header": ("x,y\n0,1.0\n", "line 1: expected header 'n,coeff', got ['x', 'y']"),
+    "one-field header": ("n\n0,1.0\n", "line 1: expected header 'n,coeff', got ['n']"),
+    "one field": ("n,coeff\n0,1.0\n\n1\n", "line 4: expected two fields, got ['1']"),
+    "bad int": ("n,coeff\n0,1.0\nx,2.0\n", "line 3: invalid literal for int() with base 10: 'x'"),
+    "float index": ("n,coeff\n5.0,1.0\n", "line 2: invalid literal for int() with base 10: '5.0'"),
+    "bad float": ("n,coeff\n0,1.0\n1,peach\n", "line 3: could not convert string to float: 'peach'"),
+    "nan": ("n,coeff\n0,nan\n", "line 2: coefficient 'nan' is not finite"),
+    "inf": ("n,coeff\n0,1.0\n1, -inf \n", "line 3: coefficient '-inf' is not finite"),
+    "overflow": ("n,coeff\n0,1e400\n", "line 2: coefficient '1e400' is not finite"),
+    "negative index": ("n,coeff\n-1,1.0\n", "line 2: negative index -1"),
+    "repeated index": ("n,coeff\n1,1.0\n1,2.0\n", "line 3: index 1 not increasing"),
+    "falling index": ("n,coeff\n2,1.0\n , \n1,2.0\n", "line 4: index 1 not increasing"),
+    "no rows": ("n,coeff\n", "line 2: no coefficient rows"),
+    "blank rows only": ("n,coeff\n\n , \n", "line 2: no coefficient rows"),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("case", READER_ERRORS)
+def test_reader_errors_name_their_line(case, newline):
+    text, message = READER_ERRORS[case]
+    with pytest.raises(wr.SeriesFormatError) as err:
+        wr.series_from_csv(io.StringIO(text.replace("\n", newline)))
+    assert str(err.value) == message
+
+
+def test_reader_refuses_indices_past_its_callers_limits(tmp_path):
+    # a dense series stops at 2^26 coefficients, a spectrum at 63-bit
+    # indices; indices past int64 come from the row loop as Python ints
+    for top in (1 << 26, 1 << 63, 1 << 70):
+        with pytest.raises(wr.SeriesFormatError) as err:
+            wr.series_from_csv(io.StringIO(f"n,coeff\n0,1.0\n{top},0.5\n"))
+        assert str(err.value) == f"index {top} too large for a dense series"
+    path = tmp_path / "spectrum.csv"
+    for top in (1 << 63, 1 << 70):
+        path.write_text(f"n,coeff\n0,1.0\n{top},0.5\n")
+        with pytest.raises(wr.SeriesFormatError) as err:
+            wr.load_spectrum_csv(path)
+        assert str(err.value) == f"index {top} does not fit in 63 bits"
+    path.write_text(f"n,coeff\n0,1.0\n{(1 << 63) - 1},0.5\n")
+    spectrum = wr.load_spectrum_csv(path)
+    assert spectrum.indices.dtype == np.int64
+    assert spectrum.indices.tolist() == [0, (1 << 63) - 1]
+
+
+def reader_outcome(read, text):
+    """What a reader makes of `text`: its rows, indices as ints and
+    coefficients as hex (signed zeros apart), or its error and message."""
+    try:
+        rows = read(text)
+    except Exception as exc:  # noqa: BLE001 - csv's own errors pass through both
+        return type(exc), str(exc)
+    if isinstance(rows, tuple):
+        indices, coeffs = rows
+        assert indices.dtype == (object if int(indices[-1]) >> 63 else np.int64)
+        assert coeffs.dtype == np.float64
+        rows = list(zip(indices.tolist(), coeffs.tolist()))
+    return [(int(n), float(c).hex()) for n, c in rows]
+
+
+_CLEAN_COEFFS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_INDEX_TOKENS = st.sampled_from([
+    "+5", " 7 ", "007", "-0", "1_0", "5.0", "1e3", "x", "", " ", "0x10", "٣", '"3"',
+    "+ 5", "#1", str(1 << 63), str((1 << 63) - 1), "\t9", "9\x0c", "9\xa0", "\u30009",
+])
+_COEFF_TOKENS = st.one_of(
+    st.floats(-10, 10).map(lambda x: f"{x:.3g}"),
+    st.sampled_from([
+        "nan", "-inf", "inf", "Infinity", "1e400", "-1e400", "1_0.5", " 2.5 ", '"1.5"', "",
+        "peach", "+5", ".5", "5.", "1E5", "-0", "1.5e", "0x1p3", "\t3", "1\x0c", "#1", "1 2",
+        "١", "1\u2028", "1\x00",
+    ]),
+)
+_EXTRA_COLUMNS = st.lists(st.sampled_from(["", "x", "1", " ", '"a,b"', '"open', "#c", "\x00", "é"]),
+                          max_size=2)
+_BLANK_LINES = st.sampled_from(["", "   ", ",", " , ", "#comment", "\t", "\x0c"])
+_HEADERS = st.sampled_from([" N , Coeff ", "n,coeff,extra", '"n",coeff', "x,y", "n", "",
+                            "n,co\reff", "n\r,coeff", "n,coeff\r"])
+
+
+@st.composite
+def coeff_texts(draw, messy=True):
+    """`n,coeff` texts: increasing indices and repr'd floats, with LF or
+    CR LF endings and a final newline or none; when `messy`, one line or
+    field in 4, 16 or 64 is replaced by another header, a blank or comment
+    line, a lone CR ending, extra columns, or a field with spaces, quotes,
+    underscores, a sign, a non-finite or malformed value."""
+    indices = sorted(draw(st.sets(st.integers(0, 1 << 40), max_size=8)))
+    # one field or line in `odds` is messy
+    odds = draw(st.sampled_from([4, 16, 64])) if messy else 0
+
+    def mess():
+        return odds and draw(st.integers(1, odds)) == 1
+
+    lines = [draw(_HEADERS) if mess() else "n,coeff"]
+    for n in indices:
+        if mess():
+            lines.append(draw(_BLANK_LINES))
+        index = draw(_INDEX_TOKENS) if mess() else str(n)
+        coeff = draw(_COEFF_TOKENS) if mess() else draw(_CLEAN_COEFFS)
+        extra = draw(_EXTRA_COLUMNS) if mess() else []
+        lines.append(",".join([index, coeff, *extra]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if mess() else ending)
+                   for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def read_text(text):
+    return wr.walsh.read_coeff_rows(io.StringIO(text))
+
+
+@given(coeff_texts())
+@example("n,coeff\n0,1.0,\"open\n1,2.0\n")  # csv's quote swallows the rows after it
+@example("n\r,coeff\n0,1.0\n")  # csv ends the header at the lone CR
+@example("n,coeff\n0,1.0\r1,2.0\n")
+@example("n,coeff\r\r\n0,1.0\n")
+@example("n,coeff\n0,1.0,\x00\n")  # csv refuses NUL before Python 3.11
+@settings(max_examples=400, deadline=None)
+def test_array_reader_is_the_row_loop(text):
+    # read_coeff_rows equals its definition, the row loop, bit for bit on
+    # every text, or raises its error with the same message
+    assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
+
+
+@given(coeff_texts(messy=False))
+@settings(max_examples=200, deadline=None)
+def test_array_reader_reads_clean_texts_without_the_row_loop(text):
+    # increasing indices and repr'd floats, LF or CR LF, a final newline
+    # or none: one array parse, no fallback
+    got = _read_rows_array(text)
+    want = reader_outcome(_read_rows, text)
+    if isinstance(want, tuple):  # no rows
+        assert got is None
+    else:
+        assert reader_outcome(lambda _: got, text) == want
+
+
+def test_array_reader_falls_back_on_long_lines(monkeypatch):
+    # csv refuses a field past its size limit; so does the row loop, and
+    # the array path leaves such a text to it
+    text = "n,coeff\n0,1.0\n1,2.0," + "x" * 64 + "\n"
+    assert _read_rows_array(text) is not None
+    monkeypatch.setattr(wr.walsh, "_LINE_CHUNK", 4)
+    old = csv.field_size_limit(32)
+    try:
+        assert _read_rows_array(text) is None
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_text(text)
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_json_roundtrip():
