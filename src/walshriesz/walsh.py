@@ -403,11 +403,11 @@ def _segment_merge(s, mx, mn):
             tile = scratch[: scratch.size // tiles * count].reshape(1 + 2 * rows, width, _TILE, count)
             parts = tile[0], tile[1 : 1 + rows], tile[1 + rows :]
             segments = [t.reshape(*t.shape[:-1], n // _TILE, _TILE)[..., cut, :] for t in tables]
-            for part, segment in zip(parts, segments[: 1 + 2 * bool(rows)]):
+            for part, segment in zip(parts, segments):
                 part[...] = segment.swapaxes(-1, -2)
             for k in range(_TILE.bit_length() - 1):
                 merge((width, _TILE >> (k + 1), 2, count << k), *parts)
-            for part, segment in zip(parts, segments[: 1 + 2 * bool(rows)]):
+            for part, segment in zip(parts, segments):
                 segment[...] = part.swapaxes(-1, -2)
     h = _TILE if tiles else 1
     while h < n:
@@ -521,7 +521,7 @@ def _martingale_walk(coeffs):
     """Walk the dyadic martingale of c_0..c_(2^K - 1) along the levels of
     one `_segment_merge` over the whole series.  A tiled merge runs its
     levels below `_TILE` tile by tile, unyielded; they depend on
-    c[:_TILE] alone, so they are read off a merge of those.
+    c[:_TILE] alone, so a longer series reads them off a merge of those.
 
     Just before level 2^k is merged, slots [0, 2^k) hold M_k and slots
     [2^k, 2^(k+1)) hold N_k, with coefficients c_(2^k)..c_(2^(k+1) - 1),
@@ -533,10 +533,12 @@ def _martingale_walk(coeffs):
     `prefix_extrema(c[2^k:2^(k+1)])`, bit for bit.
     """
     s = np.array(coeffs, dtype=np.float64)
-    for t in [s[:_TILE].copy(), s] if s.size >= _TILED_FROM else [s]:
+    merges = [s[:_TILE].copy(), s] if s.size > _TILE else [s]
+    for t in merges:
         mx, mn = t[None].copy(), t[None].copy()
         for h in _segment_merge(t, mx, mn):
-            yield t[:h].copy(), t[h : 2 * h].copy(), mx[0, h : 2 * h].copy(), mn[0, h : 2 * h].copy()
+            if t is merges[0] or h >= _TILE:
+                yield t[:h].copy(), t[h : 2 * h].copy(), mx[0, h : 2 * h].copy(), mn[0, h : 2 * h].copy()
     yield s, None, None, None
 
 
