@@ -42,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -831,8 +832,8 @@ def _read_rows_array(text: str):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(_lines(text, stop), _ROW_DTYPE, comments=None, delimiter=",",
-                              usecols=(0, 1), ndmin=1)
+            lines = itertools.chain.from_iterable(_line_chunks(text, stop))
+            rows = np.loadtxt(lines, _ROW_DTYPE, comments=None, delimiter=",", usecols=(0, 1), ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
     indices, coeffs = rows["n"].copy(), rows["c"].copy()
@@ -842,17 +843,19 @@ def _read_rows_array(text: str):
     return indices, coeffs
 
 
-def _lines(text: str, start: int):
-    """The lines of `text` from `start` on, split at LF, a chunk at a
-    time; ValueError at a line longer than csv's field size limit (a
-    chunk no longer than the limit holds none)."""
+def _line_chunks(text: str, start: int):
+    """The lines of `text` from `start` on, split at LF, as one list per
+    chunk, for `itertools.chain` to hand on one at a time (a generator
+    resumed per line took 6-10% longer to read a dense depth-20 series);
+    ValueError at a line longer than csv's field size limit (a chunk no
+    longer than the limit holds none)."""
     limit = csv.field_size_limit()
     while start < len(text):
         stop = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
         lines = text[start:stop].split("\n")
         if stop - start > limit and max(map(len, lines)) > limit:
             raise ValueError("a line longer than csv's field size limit")
-        yield from lines
+        yield lines
         start = stop
 
 
