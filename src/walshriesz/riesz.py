@@ -319,9 +319,6 @@ class SummabilityBudget:
             raise ValueError("stage index is 1-based")
         return self.scale * 2.0 ** (-k)
 
-    def total(self, stages: int) -> float:
-        return _exact_sum(self.term_bound(k) for k in range(1, stages + 1))
-
 
 # ---------------------------------------------------------------------------
 # product state

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -672,61 +673,141 @@ def _write_csv(path, header, rows) -> None:
 
 # rows per chunk of `_write_coeff_rows`: in a fresh process that has
 # built, certified and psi-summed the depth-22 ladder measure (peak RSS
-# 43.4 MB), exporting it in 2^16-row chunks raised peak RSS to 47.5 MB;
-# 2^12- and 2^14-row chunks left it at 43.4 MB (Linux x86-64, numpy 2.4)
+# 31.4 MB), its export, which also builds the 8.4 MB spectrum, peaked at
+# 39.7 MB in 2^12-row chunks, 40.7-40.9 MB in 2^14-row chunks and
+# 46.5-47.1 MB in 2^16-row chunks (Linux x86-64, numpy 2.4)
 _ROW_CHUNK = 1 << 14
 
 
 def _write_coeff_rows(path, index_name: str, indices, coeffs) -> None:
     """The package's one series and spectrum writer: CSV `<index_name>,coeff`
     with one `n,repr(c)` line per term, the bytes `csv.writer` would write,
-    written atomically.  The nonnegative int64 `indices` and float64
-    `coeffs` go through `_coeff_row_bytes` `_ROW_CHUNK` = 2^14 rows at a
-    time: no Python call is made per row, and each of a chunk's arrays
+    written atomically.  The strictly increasing nonnegative int64
+    `indices` and float64 `coeffs` go through `_coeff_row_bytes`
+    `_ROW_CHUNK` = 2^14 rows at a time, with the texts `_coeff_texts`
+    looks up: no Python call is made per row, and each of a chunk's arrays
     stays below 1 MB (larger chunks raised peak RSS, see `_ROW_CHUNK`)."""
     with _atomic_open(path, "wb") as fh:
         fh.write(f"{index_name},coeff\r\n".encode())
-        for lo in range(0, indices.size, _ROW_CHUNK):
-            fh.write(_coeff_row_bytes(indices[lo : lo + _ROW_CHUNK], coeffs[lo : lo + _ROW_CHUNK]))
+        chunks = zip(range(0, indices.size, _ROW_CHUNK), _coeff_texts(coeffs))
+        for lo, (inverse, texts) in chunks:
+            fh.write(_coeff_row_bytes(indices[lo : lo + _ROW_CHUNK], inverse, texts))
 
 
-def _coeff_row_bytes(indices: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """One nonempty chunk's `n,repr(c)` lines, each ended by CR LF, as a
-    uint8 array.
+def _coeff_texts(coeffs: np.ndarray):
+    """For each `_ROW_CHUNK` of `coeffs`, `(inverse, texts)` with
+    `texts[inverse]` the chunk's texts: a comma, the coefficient's repr
+    and CR LF, the repr NUL-padded to one width.
 
-    Each row is first laid out at one fixed width: the index's decimal
-    digits right-aligned, a comma, the coefficient's repr left-aligned,
-    CR LF, with NUL bytes for leading zeros and padding; dropping the NULs
-    leaves the lines.  repr is called once per distinct bit pattern (so
-    -0.0 and 0.0 stay apart) and its bytes gathered through the inverse
-    of `np.unique`.
+    repr is called once per distinct int64 bit pattern, so -0.0 and 0.0
+    keep their own text.  The sorted patterns of the last chunk that
+    needed new texts are kept with their texts.  A chunk holding only
+    those patterns is looked up with `searchsorted` and an exact check,
+    first on its first 2^10 patterns: a chunk that misses mostly shows it
+    there, at a sixteenth of a full lookup's cost.  Any other chunk is
+    grouped by `np.unique` (on int64, which leaves `numpy.ma` unimported)
+    and its texts replace the kept ones.
     """
-    bits, inverse = np.unique(coeffs.view(np.int64), return_inverse=True)
-    text = np.array([repr(c).encode() for c in bits.view(np.float64).tolist()])
-    digits = len(str(int(indices.max())))
-    rows = np.empty((indices.size, digits + text.itemsize + 3), np.uint8)
-    _index_digits(indices, rows[:, :digits])
-    rows[:, digits] = ord(",")
-    rows[:, digits + 1 : -2] = text.take(inverse).view(np.uint8).reshape(indices.size, -1)
-    rows[:, -2:] = (ord("\r"), ord("\n"))
-    flat = rows.ravel()
+    keys = texts = None
+    for lo in range(0, coeffs.size, _ROW_CHUNK):
+        bits = coeffs[lo : lo + _ROW_CHUNK].view(np.int64)
+        if keys is not None and _lookup(keys, bits[: 1 << 10]) is not None:
+            inverse = _lookup(keys, bits)
+            if inverse is not None:
+                yield inverse, texts
+                continue
+        keys, inverse = np.unique(bits, return_inverse=True)
+        reprs = np.array([repr(c).encode() for c in keys.view(np.float64).tolist()])
+        texts = np.empty((keys.size, reprs.itemsize + 3), np.uint8)
+        texts[:, 0] = ord(",")
+        texts[:, 1:-2] = reprs.view(np.uint8).reshape(keys.size, -1)
+        texts[:, -2:] = (ord("\r"), ord("\n"))
+        texts = texts.view(f"S{texts.shape[1]}").ravel()
+        yield inverse, texts
+
+
+def _lookup(keys: np.ndarray, bits: np.ndarray) -> np.ndarray | None:
+    """The positions of `bits` in the sorted `keys`, or None if one of
+    them is missing."""
+    pos = keys.searchsorted(bits)
+    return pos if np.array_equal(keys.take(pos, mode="clip"), bits) else None
+
+
+def _coeff_row_bytes(indices: np.ndarray, inverse: np.ndarray, texts: np.ndarray) -> np.ndarray:
+    """One nonempty chunk's `n,repr(c)` lines, each ended by CR LF, as a
+    uint8 array, from strictly increasing `indices` and the texts
+    `texts[inverse]` of `_coeff_texts`.
+
+    Each row is first laid out at one fixed width, as many bytes as the
+    largest index has digits plus the texts' width: the index's decimal
+    digits right-aligned, then the text, with NUL bytes for leading zeros
+    and padding; dropping the NULs leaves the lines.  The digits are
+    written first, by `_index_cells`, in 4-byte cells; the top cell's
+    first bytes, up to 3 and always NUL, lie on the previous row's text
+    (or on a lead of NULs before the first row), which is written after.
+    """
+    digits = len(str(int(indices[-1])))
+    groups = -(-digits // 4)
+    width = digits + texts.itemsize
+    rows = np.empty(4 * groups - digits + indices.size * width, np.uint8)
+    _index_cells(indices, groups, rows, width)
+    row_texts = np.ndarray(indices.shape, texts.dtype, buffer=rows, offset=4 * groups,
+                           strides=(width,))
+    row_texts[:] = texts[inverse]
     # `> 0` rather than `!= 0`: numpy's uint8 != loop lies on library pages
     # no other step of a unit touches, 64 kB more resident memory
-    return flat[flat > 0]
+    return rows[rows > 0]
 
 
-def _index_digits(indices: np.ndarray, out: np.ndarray) -> None:
-    """Nonnegative int64 `indices` as ASCII decimal digits, right-aligned
-    in the uint8 columns `out`, as many as the largest index has digits:
-    the units digit always, each higher digit only while the index has
-    one, NUL in place of leading zeros."""
-    last = out.shape[1] - 1
-    rest = indices
-    for col in range(last, -1, -1):
+def _index_cells(indices: np.ndarray, groups: int, rows: np.ndarray, stride: int) -> None:
+    """Strictly increasing nonnegative int64 `indices` as ASCII decimal
+    digits, right-aligned in `groups` 4-byte cells per index: index i's
+    cells fill the `4 * groups` bytes of the uint8 `rows` from `i * stride`
+    on, with NUL in place of leading zeros (the units digit always
+    written).
+
+    One `searchsorted` against the powers of 10^4 splits the indices into
+    runs with the same number of 4-digit groups.  Each group costs one
+    int64 division and one gather from the tables of `_digit_cells`; only
+    a run's top group reads the table without leading zeros, and the cells
+    above it are NUL.
+    """
+    padded, top = _digit_cells()
+    powers = [10 ** (4 * g) for g in range(1, groups)]
+    bounds = [0, *indices.searchsorted(powers).tolist(), indices.size]
+    for used, (a, b) in enumerate(zip(bounds, bounds[1:]), 1):
+        if a == b:
+            continue
+        rest = indices[a:b]
+        for j in range(groups):
+            # group j = 0 holds the units, in the last cell of an index
+            cell = np.ndarray((b - a,), np.uint32, buffer=rows,
+                              offset=a * stride + 4 * (groups - 1 - j), strides=(stride,))
+            if j < used - 1:
+                quot = rest // 10_000
+                cell[:] = padded[rest - 10_000 * quot]
+                rest = quot
+            else:
+                cell[:] = top[rest] if j == used - 1 else 0
+
+
+@functools.cache
+def _digit_cells() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0..9999 as two uint32 tables of 4-byte cells:
+    zero-padded, and with NUL in place of leading zeros (the units digit
+    always written).  Built on the first write, not at import, with the
+    integer steps the cells use (other numpy routines map more of its
+    library into memory)."""
+    padded = np.empty((10_000, 4), np.uint8)
+    top = np.empty_like(padded)
+    rest = np.arange(10_000)
+    for col in (3, 2, 1, 0):
         quot = rest // 10
         digit = rest - 10 * quot + ord("0")
-        out[:, col] = digit if col == last else digit * (rest > 0)
+        padded[:, col] = digit
+        top[:, col] = digit if col == 3 else digit * (rest > 0)
         rest = quot
+    return padded.view(np.uint32).ravel(), top.view(np.uint32).ravel()
 
 
 def series_to_csv(series: WalshSeries, path) -> None:
