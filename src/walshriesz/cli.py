@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Commands: rs-pair, build-walsh-measure, build-trig-measure,
-theorem1-check (alias: verify), singularity-report, report.
+theorem1-check, singularity-report, report.
 
 Exit codes: 0 all certificates pass, 1 certificate failure (witness in
 the report), 2 usage or configuration error, 3 I/O error.  A state too
@@ -10,9 +10,7 @@ riesz.SPECTRUM_LIMIT terms, dense diagnostics past
 martingale.DIAGNOSTIC_DEPTH_LIMIT coordinates) is a configuration
 error: build-walsh-measure checks both limits right after the build,
 before any certificate runs.  All output files are written atomically
-(temp file + rename).  Any flag may be supplied through a JSON --config
-file keyed by the flag's dest name, each value read as the flag's
-command-line text (one its type rejects exits 2); explicit flags win.
+(temp file + rename).  Commands take flags only.
 No command draws random numbers: every positivity certificate covers
 every order on every atom, one stage band at a time, with exact minima
 at every depth.  --seed is only recorded in manifests and reports, and
@@ -40,6 +38,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -101,41 +100,6 @@ def _versions() -> dict:
         "numpy": np.__version__,
         "python": platform.python_version(),
     }
-
-
-def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if known.config:
-        try:
-            with open(known.config) as fh:
-                cfg = json.load(fh)
-        except OSError as exc:
-            raise _IOFailure(f"cannot read config {known.config}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"bad JSON in config {known.config}: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise _UsageError("config file must hold a JSON object")
-        command = argv[0] if argv and not argv[0].startswith("-") else None
-        sub = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        target = sub.choices.get(command)
-        if target is None:
-            raise _UsageError("--config needs a subcommand to apply to")
-        actions = {action.dest: action for action in target._actions}
-        unknown = sorted(set(cfg) - set(actions))
-        if unknown:
-            raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in cfg.items():  # read as the flag's command-line text
-            kind = actions[key].type or str
-            try:
-                cfg[key] = value if value is None else kind(str(value))
-            except ValueError:
-                raise _UsageError(f"config {key!r}: {value!r} is not {kind.__name__}") from None
-        target.set_defaults(**cfg)
-    return parser.parse_args(argv)
 
 
 class _UsageError(Exception):
@@ -484,6 +448,7 @@ def _cmd_report(args) -> int:
 # parser plumbing
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process: nothing changes it once built
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walshriesz",
@@ -495,7 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="recorded only, nothing is random (kept because"
                             f" benchmarks/workloads.py passes it; default {DEFAULT_SEED})")
-        p.add_argument("--config", help="JSON file of flag defaults (dest-name keys)")
 
     p = sub.add_parser("rs-pair", help="emit a Rudin-Shapiro sign pair as CSV")
     p.add_argument("--level", type=int, required=True)
@@ -528,8 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_build_trig)
 
-    p = sub.add_parser("theorem1-check", aliases=["verify"],
-                       help="verify positivity machinery on a series CSV")
+    p = sub.add_parser("theorem1-check", help="verify positivity machinery on a series CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--report", default=None, help="JSON report path, or - for stdout (the default)")
     common(p)
@@ -555,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _apply_config(_build_parser(), argv)
+        args = _build_parser().parse_args(argv)
         args.argv = argv
         return args.func(args)
     except (_UsageError, riesz.CoordinateBudgetError) as exc:  # bad input, or past a size limit
@@ -580,7 +543,6 @@ rs_pair_main = _entry("rs-pair")
 build_walsh_measure_main = _entry("build-walsh-measure")
 build_trig_measure_main = _entry("build-trig-measure")
 theorem1_check_main = _entry("theorem1-check")
-verify_main = _entry("theorem1-check")
 singularity_report_main = _entry("singularity-report")
 report_main = _entry("report")
 

@@ -179,9 +179,20 @@ class PsiSpec:
 
     @classmethod
     def logpow(cls, p: float = 1.0) -> "PsiSpec":
-        """psi(x) = x^2 / (1 + ln(1/x))^p on (0, 1], extended by x^2 (1 + ln x)^p."""
+        """psi(x) = x^2 / (1 + ln(1/x))^p on (0, 1], extended by x^2 (1 + ln x)^p.
+
+        Below 1, where (1 + ln(1/x))^p passes float64 (by x = 0.01 at
+        p = 1000), psi and the envelope read 0.0: the quotient is below
+        1/DBL_MAX there.
+        """
         if p < 1:
             raise ValueError("logpow preset needs p >= 1")
+
+        def log_power(x):  # (1 + ln(1/x))^p, inf past float64
+            try:
+                return (1.0 + math.log(1.0 / x)) ** p
+            except OverflowError:
+                return math.inf
 
         def psi(x):
             x = float(x)
@@ -189,7 +200,7 @@ class PsiSpec:
                 return 0.0
             if x >= 1.0:
                 return x * x * (1.0 + math.log(x)) ** p
-            return x * x / (1.0 + math.log(1.0 / x)) ** p
+            return x * x / log_power(x)
 
         def envelope(x):
             x = float(x)
@@ -197,7 +208,7 @@ class PsiSpec:
                 return 0.0
             if x >= 1.0:
                 return (1.0 + math.log(x)) ** p
-            return 1.0 / (1.0 + math.log(1.0 / x)) ** p
+            return 1.0 / log_power(x)
 
         return cls(f"preset:logpow,p={p:g}", psi, envelope, True)
 

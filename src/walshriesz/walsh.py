@@ -44,7 +44,6 @@ import csv
 import functools
 import io
 import itertools
-import json
 import math
 import os
 import warnings
@@ -53,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "WalshIndex",
     "Atom",
     "AtomTable",
     "WalshSeries",
@@ -61,8 +59,6 @@ __all__ = [
     "LemmaWitness",
     "InvariantViolation",
     "SeriesFormatError",
-    "DepthLimitError",
-    "product_index",
     "walsh_eval",
     "walsh_signs",
     "butterfly",
@@ -76,8 +72,6 @@ __all__ = [
     "verify_lemma",
     "series_to_csv",
     "series_from_csv",
-    "series_to_json",
-    "series_from_json",
     "read_coeff_rows",
 ]
 
@@ -88,16 +82,6 @@ class InvariantViolation(RuntimeError):
 
 class SeriesFormatError(ValueError):
     """Malformed serialized series (carries a line number when parsing CSV)."""
-
-
-class DepthLimitError(ValueError):
-    """A serialized series deeper than the reader's limit, refused before
-    its dense coefficients are allocated."""
-
-    def __init__(self, depth: int, limit: int) -> None:
-        super().__init__(f"depth {depth} past the limit {limit}")
-        self.depth = depth
-        self.limit = limit
 
 
 def _is_pow2(n: int) -> bool:
@@ -127,40 +111,6 @@ def walsh_signs(n: int, m: int) -> np.ndarray:
     if n < 0:
         raise ValueError("Walsh index must be nonnegative")
     return sign_vector(n, atom_patterns(m))
-
-
-@dataclass(frozen=True)
-class WalshIndex:
-    """A Walsh index n together with its digit sequence (alpha_j)."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("Walsh index must be nonnegative")
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """(alpha_1, alpha_2, ...): alpha_j is the coefficient of 2^(j-1)."""
-        return tuple((self.n >> j) & 1 for j in range(self.n.bit_length()))
-
-    @classmethod
-    def from_bits(cls, bits) -> "WalshIndex":
-        return cls(sum(int(b) << j for j, b in enumerate(bits)))
-
-    def __xor__(self, other: "WalshIndex") -> "WalshIndex":
-        return WalshIndex(self.n ^ int(other))
-
-    def __int__(self) -> int:
-        return self.n
-
-
-def product_index(m, n) -> int:
-    """Index of w_m * w_n: exponents add mod 2, so the index is m XOR n."""
-    m, n = int(m), int(n)
-    if m < 0 or n < 0:
-        raise ValueError("Walsh indices must be nonnegative")
-    return m ^ n
 
 
 @dataclass(frozen=True)
@@ -544,11 +494,11 @@ def _martingale_walk(coeffs):
     yield s, None, None, None
 
 
-def _require_finite(coeffs, error=ValueError) -> None:
-    """Raise `error` naming the first non-finite coefficient, if any."""
+def _require_finite(coeffs) -> None:
+    """Raise ValueError naming the first non-finite coefficient, if any."""
     if not np.all(np.isfinite(coeffs)):
         n = int(np.argmin(np.isfinite(coeffs)))  # the first False
-        raise error(f"coefficient {n}, {float(coeffs[n])!r}, is not finite")
+        raise ValueError(f"coefficient {n}, {float(coeffs[n])!r}, is not finite")
 
 
 def u_norm(coeffs: np.ndarray) -> float:
@@ -940,42 +890,22 @@ def _line_chunks(text: str, start: int):
         start = stop
 
 
-def series_from_csv(source, max_depth: int | None = None, check=None) -> WalshSeries:
+def series_from_csv(source, check=None) -> WalshSeries:
     """Load a series from `n,coeff` rows; sparse rows are zero-filled.
 
-    The depth is the smallest K with every index below 2^K.  A depth
-    past `max_depth` raises DepthLimitError, and `check(depth, values)`,
-    given the rows' coefficients as a float64 array, may raise, both
-    before anything of size 2^K is allocated; that same array then fills
-    the dense coefficients in one assignment.
+    The depth is the smallest K with every index below 2^K.
+    `check(depth, values)`, given the rows' coefficients as a float64
+    array, may raise to refuse the series before anything of size 2^K
+    is allocated; that same array then fills the dense coefficients in
+    one assignment.
     """
     indices, values = read_coeff_rows(source)
     top = int(indices[-1])
     depth = top.bit_length()
-    if max_depth is not None and depth > max_depth:
-        raise DepthLimitError(depth, max_depth)
     if check is not None:
         check(depth, values)
     if top >= 1 << 26:
         raise SeriesFormatError(f"index {top} too large for a dense series")
     coeffs = np.zeros(1 << depth)
     coeffs[indices] = values
-    return WalshSeries(depth, coeffs)
-
-
-def series_to_json(series: WalshSeries) -> str:
-    return json.dumps(
-        {"depth": series.depth, "coeffs": [float(c) for c in series.coeffs]}
-    )
-
-
-def series_from_json(text: str) -> WalshSeries:
-    data = json.loads(text)
-    try:
-        depth = int(data["depth"])
-        coeffs = data["coeffs"]
-    except (KeyError, TypeError) as exc:
-        raise SeriesFormatError(f"bad series JSON: {exc}") from None
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    _require_finite(coeffs, SeriesFormatError)
     return WalshSeries(depth, coeffs)

@@ -1,12 +1,13 @@
-"""CLI behavior: exit codes, file outputs, determinism, config files."""
+"""CLI behavior: exit codes, file outputs, determinism, parser reuse."""
 
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import walshriesz as wr
-from walshriesz import DepthLimitError, WalshSeries, cli, martingale, riesz, series_from_csv
+from walshriesz import WalshSeries, cli, martingale, riesz
 
 
 def run(argv):
@@ -257,12 +258,11 @@ def test_theorem1_check_refuses_depth_before_allocating(tmp_path, capsys):
     limit = cli.THEOREM1_DEPTH_LIMIT
     assert f"depth 26 is past theorem1-check's limit {limit}" in err
     assert f"{cli._EXACT_BYTES_PER_ATOM << 26:,} bytes" in err
-
-    at_limit = tmp_path / "at_limit.csv"
-    at_limit.write_text(f"n,coeff\n0,1.0\n{(1 << limit) - 1},0.5\n")
-    with pytest.raises(DepthLimitError):
-        series_from_csv(str(deep), max_depth=limit)
-    assert series_from_csv(str(at_limit), max_depth=limit).depth == limit
+    # the same check= hook takes a series at the limit
+    check = cli._exact_route_check("at_limit.csv")
+    assert check(limit, np.array([1.0, 0.5])) is None
+    with pytest.raises(cli._UsageError, match=f"depth {limit + 1} is past"):
+        check(limit + 1, np.array([1.0, 0.5]))
 
 
 def test_theorem1_check_refuses_wide_exponents_before_allocating(tmp_path, capsys):
@@ -339,6 +339,7 @@ def test_theorem1_check_walks_the_martingale_once(tmp_path, monkeypatch, capsys)
 
 
 def test_verify_alias(tmp_path):
+    # theorem1-check is the command's only name: `verify` is no command
     out = tmp_path / "m.csv"
     run(
         [
@@ -350,7 +351,29 @@ def test_verify_alias(tmp_path):
             "--manifest", str(tmp_path / "m.json"),
         ]
     )
-    assert run(["verify", "--in", str(out)]) == 0
+    assert run(["theorem1-check", "--in", str(out)]) == 0
+    with pytest.raises(SystemExit) as info:
+        run(["verify", "--in", str(out)])
+    assert info.value.code == 2
+    assert not hasattr(cli, "verify_main")
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    # the second call's defaults are the parser's own, not the first
+    # call's flags
+    first = tmp_path / "first.json"
+    argv = ["build-walsh-measure", "--psi", "preset:power,delta=1", "--budget-scale", "1.0",
+            "--stages", "2", "--out", str(tmp_path / "first.csv"), "--manifest", str(first)]
+    assert run(argv) == 0
+    second = tmp_path / "second.json"
+    assert run(["build-walsh-measure", "--out", str(tmp_path / "second.csv"),
+                "--manifest", str(second)]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    manifest = json.loads(first.read_text())
+    assert (len(manifest["stages"]), manifest["budget_scale"]) == (2, 1.0)
+    manifest = json.loads(second.read_text())
+    assert (len(manifest["stages"]), manifest["budget_scale"]) == (3, 2.25)
+    assert manifest["psi"] == "preset:logpow,p=1"
 
 
 def test_singularity_report_rows(tmp_path, capsys):
@@ -472,6 +495,15 @@ def test_budget_scale_must_be_finite_and_positive(tmp_path, capsys, command, sca
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["build-walsh-measure", "build-trig-measure"])
+def test_logpow_past_float64_builds(tmp_path, command):
+    # psi(x) = x^2 / (1 + ln(1/x))^1000 underflows to 0.0 below x = 0.01
+    # instead of raising OverflowError
+    argv = [command, "--psi", "preset:logpow,p=1000", "--out", str(tmp_path / "out.csv"),
+            "--manifest", str(tmp_path / "manifest.json")]
+    assert run(argv) == 0
+
+
 def test_build_trig_cli(tmp_path):
     out = tmp_path / "trig.csv"
     manifest = tmp_path / "trig.json"
@@ -523,12 +555,7 @@ def deep_manifest(directory, psi="preset:logpow,p=1"):
 
 def bad_inputs(directory):
     """The input files the bad-input cases name, by placeholder."""
-    inputs = {"{deep}": str(deep_manifest(directory))}
-    for name, config in (("stages-3.5", {"stages": 3.5}), ("psi-5", {"psi": 5})):
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(config))
-        inputs["{" + name + "}"] = str(path)
-    return inputs
+    return {"{deep}": str(deep_manifest(directory))}
 
 
 def test_deep_build_is_refused_before_any_certificate(tmp_path, monkeypatch, capsys):
@@ -588,10 +615,6 @@ def test_report_past_depth_limit_exits_2_and_writes_nothing(tmp_path, capsys):
          "psi parameter p=nan is not finite"),
         (["build-trig-measure", "--psi", "preset:power,delta=inf"],
          "psi parameter delta=inf is not finite"),
-        # config values are read as the flag's command-line text
-        (["build-walsh-measure", "--config", "{stages-3.5}"],
-         "config 'stages': 3.5 is not int"),
-        (["build-walsh-measure", "--config", "{psi-5}"], "unknown psi descriptor '5'"),
         # levels stop at the longest flat polynomial built, 2^12
         (["build-trig-measure", "--budget-scale", "0.25", "--stages", "1"],
          "no admissible trig level <= 4096 for stage 1"),
@@ -604,9 +627,8 @@ def test_report_past_depth_limit_exits_2_and_writes_nothing(tmp_path, capsys):
         (["singularity-report", "--state", "{deep}"], "depth 27 is past the dense diagnostics'"),
     ],
     ids=["trig-stages4", "trig-stages3", "trig-oversample0", "rs-level21", "walsh-stages-1",
-         "walsh-psi-unknown-key", "walsh-psi-nan", "trig-psi-inf", "config-stages-float",
-         "config-psi-int", "trig-level-past-flat", "walsh-spectrum-past-limit",
-         "singularity-past-depth-limit"],
+         "walsh-psi-unknown-key", "walsh-psi-nan", "trig-psi-inf", "trig-level-past-flat",
+         "walsh-spectrum-past-limit", "singularity-past-depth-limit"],
 )
 def test_bad_input_exits_2_and_writes_nothing(
     tmp_path, tmp_path_factory, capsys, argv, message
@@ -620,24 +642,6 @@ def test_bad_input_exits_2_and_writes_nothing(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_config_file_supplies_flags(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"stages": 2, "psi": "preset:power,delta=1",
-                               "budget_scale": 1.0,
-                               "out": str(tmp_path / "m.csv"),
-                               "manifest": str(tmp_path / "m.json")}))
-    assert run(["build-walsh-measure", "--config", str(cfg)]) == 0
-    data = json.loads((tmp_path / "m.json").read_text())
-    assert len(data["stages"]) == 2
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"no_such_flag": 1}))
-    assert run(["build-walsh-measure", "--config", str(cfg)]) == 2
-    assert "no_such_flag" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

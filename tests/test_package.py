@@ -5,10 +5,13 @@ random numbers."""
 import dataclasses
 import inspect
 import re
+import sys
 from pathlib import Path
 
+import pytest
+
 import walshriesz
-from walshriesz import martingale, riesz, trig
+from walshriesz import cli, martingale, riesz, trig
 from walshriesz.rudin_shapiro import _MAX_PAIR_LEVEL
 
 SRC = Path(walshriesz.__file__).parent
@@ -23,6 +26,34 @@ def test_no_environment_knobs():
     assert readers == []
     assert not hasattr(walshriesz, "thread_cap")
     assert "thread_cap" not in walshriesz.__all__
+
+
+def test_no_argparse_internals():
+    # the CLI reads its flags through argparse's public API only
+    users = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if re.search(r"\._actions\b|_SubParsersAction", path.read_text())
+    ]
+    assert users == []
+
+
+def test_console_scripts_are_cli_commands(monkeypatch, capsys):
+    # every [project.scripts] entry names a runner in walshriesz.cli for
+    # the command of its own name; a regex reads the file, as Python 3.10
+    # has no tomllib
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    scripts = re.findall(r'^([\w-]+)\s*=\s*"([\w.]+):(\w+)"', section, re.M)
+    assert len(scripts) == len(re.findall(r"^\s*[^#\s]", section, re.M)) > 0
+    for name, module, attr in scripts:
+        assert module == "walshriesz.cli", name
+        runner = getattr(cli, attr)
+        monkeypatch.setattr(sys, "argv", [name, "--help"])
+        with pytest.raises(SystemExit) as info:
+            runner()
+        assert info.value.code == 0, name
+        assert capsys.readouterr().out.startswith(f"usage: walshriesz {name} "), name
 
 
 def test_no_random_numbers():

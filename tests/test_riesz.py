@@ -119,6 +119,18 @@ def test_logpow_values_and_envelope():
     psi.validate()
 
 
+def test_logpow_past_float64_reads_zero():
+    # (1 + ln(1/x))^1000 passes float64 by x = 0.01: the quotients read
+    # 0.0 there, and every finite value is the plain formula's
+    psi = wr.PsiSpec.logpow(1000)
+    assert psi.epsilon_bar(0.01) == 0.0
+    assert psi.psi(0.01) == 0.0
+    assert psi.epsilon_bar(0.5) == 1.0 / (1.0 + math.log(2.0)) ** 1000 > 0.0
+    assert psi.psi(0.5) == 0.25 / (1.0 + math.log(2.0)) ** 1000 > 0.0
+    vals = [psi.epsilon_bar(g) for g in np.logspace(-9, 0, 40)]
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
 def test_power_preset():
     psi = wr.PsiSpec.power(1.0)
     assert psi.psi(0.5) == pytest.approx(0.125)

@@ -9,7 +9,6 @@ transform matrix), which stay independent of the butterfly code paths.
 import csv
 import io
 import itertools
-import json
 import math
 import operator
 import tracemalloc
@@ -91,28 +90,12 @@ def test_walsh_eval_matches_brute_oracle():
             assert wr.walsh_eval(n, wr.Atom(4, pattern)) == brute_walsh(n, pattern)
 
 
-def test_walsh_index_bits_roundtrip():
-    for n in (0, 1, 5, 6, 100, 2**17 + 3):
-        idx = wr.WalshIndex(n)
-        assert idx.n == sum(b << j for j, b in enumerate(idx.bits))
-        assert wr.WalshIndex.from_bits(idx.bits) == idx
-    with pytest.raises(ValueError):
-        wr.WalshIndex(-1)
-
-
-def test_product_index_examples():
-    assert wr.product_index(0, 17) == 17
-    # exponent vectors (1,1,0) + (1,0,1) mod 2 = (0,1,1): frozen from the oracle
-    assert wr.product_index(3, 5) == 6
-    assert wr.product_index(9, 9) == 0
-    assert wr.WalshIndex(3) ^ wr.WalshIndex(5) == wr.WalshIndex(6)
-
-
 @given(st.integers(0, 63), st.integers(0, 63))
 @settings(max_examples=100)
 def test_product_index_is_pointwise_product(m, n):
+    # w_m w_n = w_(m XOR n): exponents add mod 2
     patterns = atom_patterns(6)
-    left = sign_vector(wr.product_index(m, n), patterns)
+    left = sign_vector(m ^ n, patterns)
     right = sign_vector(m, patterns) * sign_vector(n, patterns)
     assert np.array_equal(left, right)
 
@@ -804,17 +787,3 @@ def test_array_reader_falls_back_on_long_lines(monkeypatch):
             read_text(text)
     finally:
         csv.field_size_limit(old)
-
-
-def test_json_roundtrip():
-    series = wr.WalshSeries.from_coeffs([0.5, 0.25])
-    back = wr.series_from_json(wr.series_to_json(series))
-    assert back.depth == 1
-    assert np.array_equal(back.coeffs, series.coeffs)
-    payload = json.loads(wr.series_to_json(series))
-    assert payload["depth"] == 1
-    # json parses NaN and +-Infinity; like the CSV reader, the series refuses them
-    for bad in (math.nan, math.inf, -math.inf):
-        text = wr.series_to_json(wr.WalshSeries.from_coeffs([1.0, bad]))
-        with pytest.raises(wr.SeriesFormatError, match="coefficient 1, .* is not finite"):
-            wr.series_from_json(text)
