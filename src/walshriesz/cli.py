@@ -271,18 +271,18 @@ def _cmd_build_trig(args) -> int:
 # theorem1-check
 # ---------------------------------------------------------------------------
 
-def _shifted_bound_sweep(series: WalshSeries) -> dict:
+def _shifted_bound_sweep(series: WalshSeries, shifted_m0) -> dict:
     """The shifted prefix bound at every level kj, for m = 0 and m = 2^kj - 1.
 
     For k >= kj the checked prefix is all of w_m N_kj, whose modulus is
-    |N_kj| for every m, so these calls cover every (m, k); the two
-    multipliers still exercise the reindexing.
+    |N_kj| for every m, so these checks cover every (m, k); the two
+    multipliers still exercise the reindexing.  The m = 0 verdicts,
+    one per level, are `shifted_m0`, read off the float route's walk
+    (`EquivalenceReport.shifted_m0`); `martingale.check_shifted_bound`
+    checks m = 2^kj - 1 for kj >= 1, K - 1 calls.
     """
-    held = [
-        martingale.check_shifted_bound(series, kj, m, kj)
-        for kj in range(series.depth)
-        for m in sorted({0, (1 << kj) - 1})
-    ]
+    held = [*shifted_m0, *(martingale.check_shifted_bound(series, kj, (1 << kj) - 1, kj)
+                           for kj in range(1, series.depth))]
     return {"checked": len(held), "all_hold": all(held)}
 
 
@@ -321,7 +321,7 @@ def _cmd_theorem1_check(args) -> int:
         raise _IOFailure(f"{args.infile}: {exc}") from None
 
     equiv = martingale.check_positivity_equivalence(series)
-    shifted = _shifted_bound_sweep(series) if equiv.all_prefixes_nonneg else None
+    shifted = _shifted_bound_sweep(series, equiv.shifted_m0) if equiv.all_prefixes_nonneg else None
     report = {
         "input": args.infile,
         "seed": args.seed,

@@ -141,14 +141,17 @@ class PositivityRoute:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The two routes' verdicts; `p3` (every M_k >= 0) is read off the
-    float route's walk."""
+    """The two routes' verdicts.  `p3` (every M_k >= 0) and
+    `shifted_m0[kj]`, `check_shifted_bound(series, kj, 0, kj)`'s verdict
+    |N_kj| <= 2 M_kj for each kj < K, are read off the float route's
+    walk."""
 
     all_prefixes_nonneg: bool
     inequality_holds: bool
     witness: PositivityWitness | None
     routes: tuple[PositivityRoute, ...]
     p3: bool
+    shifted_m0: tuple[bool, ...]
 
 
 # The exact route holds about this many bytes per atom per limb: on the
@@ -182,13 +185,13 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     limb tables are freed.  The float route is the martingale walk;
     `inequality_holds` is its literal verdict (minimum >= 0), read
     against the rounding allowance (K+1) 2^-52 ||S||_A as pass, fail or
-    within rounding, and `p3` comes from the same walk.  The two minima
-    must agree within the allowance, else InvariantViolation.  On
-    failure the witness comes from bisecting the order with the exact
-    route, at most K more passes.  Both routes cost O(K 2^K); non-finite
+    within rounding, and `p3` and `shifted_m0` come from the same walk.
+    The two minima must agree within the allowance, else
+    InvariantViolation.  On failure the witness comes from bisecting the
+    order with the exact route, at most K more passes.  Both routes cost O(K 2^K); non-finite
     coefficients raise ValueError.
     """
-    float_min, p3 = _maximal_margin(series)  # first: it refuses non-finite coefficients
+    float_min, p3, shifted_m0 = _maximal_margin(series)  # first: it refuses non-finite coefficients
     width, exponent = _limb_width(series.coeffs)
     atom, low = _limb_argmin(_exact_prefix_minima(series.coeffs, width, exponent))
     # w_n(t) = w_t(n): the partial sums on one atom are a cumsum along n
@@ -216,6 +219,7 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
         inequality_holds=float_min >= 0.0,
         witness=witness,
         p3=p3,
+        shifted_m0=shifted_m0,
         routes=(
             PositivityRoute("exact prefix extrema", "integer-dyadic", exact_min,
                             "pass" if low >= 0 else "fail", 0.0, size, size),
@@ -246,12 +250,15 @@ def _limb_width(coeffs) -> tuple[int, int]:
     """(L, e): the int64 limbs the exact route needs for these finite
     coefficients (a dense series, or only its nonzero ones), and e, the
     smallest frexp exponent less 53 among them, so c_n = I_n 2^e with
-    integers I_n.  Every partial sum is at most A = sum |I_n| in modulus, and L
-    limbs hold every value and every difference of two when
-    A < 2^(62 L - 1).  A is exact: per chunk, one bincount by shift of
-    each of the mantissas' two 26-bit halves, whose float64 sums stay
-    below 2^53.  Nothing of size 2^K is allocated past a few bytes per
-    coefficient."""
+    integers I_n.  Every partial sum is at most A = sum |I_n| in modulus,
+    and L limbs of `walsh._LIMB_BITS` = 58 bits hold every value when
+    A < 2^(58 L - 1): its top limb stays within 17 of
+    value / 2^(58 (L - 1)), below 2^57 in modulus, between carries too
+    (see `walsh._LIMB_BITS`), so the top limbs of two values, and their
+    difference, are far from wrapping.  A is exact: per chunk, one
+    bincount by shift of each of the mantissas' two 26-bit halves, whose
+    float64 sums stay below 2^53.  Nothing of size 2^K is allocated past
+    a few bytes per coefficient."""
     c = np.asarray(coeffs, dtype=np.float64)
     nonzero = c[c != 0.0]
     exponent = int(np.frexp(nonzero)[1].min()) - 53 if nonzero.size else 0
@@ -266,7 +273,7 @@ def _limb_width(coeffs) -> tuple[int, int]:
 def _dyadic_limbs(coeffs, width: int, exponent: int):
     """The coefficients in units of 2^exponent (see `_limb_width`) as an
     int64 limb table of `width` limbs (see `walsh._segment_merge`),
-    built a chunk at a time: a mantissa shifted by 62 q + r touches limbs q
+    built a chunk at a time: a mantissa shifted by 58 q + r touches limbs q
     and q + 1 only, and lies whole in limb q when that is the top one."""
     table = np.zeros((width, coeffs.size), np.int64)
     for lo, ints, shift in _dyadic_chunks(coeffs, exponent):
@@ -349,19 +356,26 @@ def _first_negative(coeffs, width: int, exponent: int, hi: int) -> PositivityWit
     return PositivityWitness("prefix", hi, atom, _dyadic_float(value, exponent))
 
 
-def _maximal_margin(series: WalshSeries) -> tuple[float, bool]:
+def _maximal_margin(series: WalshSeries) -> tuple[float, bool, tuple[bool, ...]]:
     """The float route, one walk: the smallest M_k - N_k* over k < K and
-    the atoms (M_0 at depth 0), and p3, whether every M_k (k = 0..K) is
-    nonnegative.  Orders in (2^k, 2^(k+1)] read M_k +- a prefix of N_k,
-    so the first is the smallest partial sum of every order:
-    M_k - N_k* is min(M_k - MX, M_k + MN), rounding being monotone.  MX
-    and MN include N_k's full sum, whose values M_k +- N_k are the two
-    halves of M_(k+1).  Non-finite coefficients raise ValueError."""
+    the atoms (M_0 at depth 0); p3, whether every M_k (k = 0..K) is
+    nonnegative; and for each k < K whether |N_k| <= 2 M_k + 1e-12 on
+    every atom, the shifted bound at m = 0.  Orders in (2^k, 2^(k+1)]
+    read M_k +- a prefix of N_k, so the first is the smallest partial sum
+    of every order: M_k - N_k* is min(M_k - MX, M_k + MN), rounding being
+    monotone.  MX and MN include N_k's full sum, whose values M_k +- N_k
+    are the two halves of M_(k+1).  The walk's M_k and N_k are
+    `butterfly`'s of c[:2^k] and c[2^k:2^(k+1)] bit for bit, so the
+    shifted verdicts are `check_shifted_bound(series, k, 0, k)`'s.
+    Non-finite coefficients raise ValueError."""
     _require_finite(series.coeffs)
     # per level: the smallest M_k, then M_k + MN and M_k - MX below K
-    lows = [[float(t.min()) for t in ([m] if n is None else [m, m + mn, m - mx])]
-            for m, n, mx, mn in _martingale_walk(series.coeffs)]
-    return min(map(min, lows)), min(low[0] for low in lows) >= 0.0
+    lows, shifted = [], []
+    for m, n, mx, mn in _martingale_walk(series.coeffs):
+        lows.append([float(t.min()) for t in ([m] if n is None else [m, m + mn, m - mx])])
+        if n is not None:
+            shifted.append(bool(np.all(np.abs(n) <= 2.0 * m + _SHIFTED_TOL)))
+    return min(map(min, lows)), min(low[0] for low in lows) >= 0.0, tuple(shifted)
 
 
 def _float_verdict(low: float, slack: float) -> str:
@@ -370,8 +384,12 @@ def _float_verdict(low: float, slack: float) -> str:
     return "fail" if low < -slack else "within rounding"
 
 
+# the shifted bound's allowance for rounding, absolute
+_SHIFTED_TOL = 1e-12
+
+
 def check_shifted_bound(
-    series: WalshSeries, kj: int, m, k: int, tol: float = 1e-12
+    series: WalshSeries, kj: int, m, k: int, tol: float = _SHIFTED_TOL
 ) -> bool:
     """Pointwise |2^k-prefix of w_m N_kj| <= 2 M_kj on the first-kj atoms.
 
@@ -468,18 +486,19 @@ class SingularityReport:
     l1_norms: tuple[float, ...]
 
 
-def _concentration(masses: np.ndarray, delta: float) -> float:
+def _concentration(masses: np.ndarray) -> dict[float, float]:
+    """The concentration curve at every CONCENTRATION_FRACTIONS delta,
+    from one sort and one cumsum of the masses."""
     order = np.sort(masses)[::-1]
     cum = np.cumsum(order)
-    total = cum[-1]
-    target = delta * total
-    i = int(np.searchsorted(cum, target))
-    prev = cum[i - 1] if i > 0 else 0.0
-    if target <= prev:
-        atoms = float(i)
-    else:
-        atoms = i + (target - prev) / order[i]
-    return float(atoms / masses.size)
+    curve = {}
+    for delta in CONCENTRATION_FRACTIONS:
+        target = delta * cum[-1]
+        i = int(np.searchsorted(cum, target))
+        prev = cum[i - 1] if i > 0 else 0.0
+        atoms = float(i) if target <= prev else i + (target - prev) / order[i]
+        curve[delta] = float(atoms / masses.size)
+    return curve
 
 
 def singularity_report(
@@ -506,7 +525,7 @@ def singularity_report(
         vals = product_values(state.factors[:k], depth)
         direct.append(float(np.sqrt(vals).mean()))
         masses = vals / vals.size
-        concentration.append({d: _concentration(masses, d) for d in CONCENTRATION_FRACTIONS})
+        concentration.append(_concentration(masses))
         l1.append(float(np.abs(vals).mean()))
 
     # np.max keeps a NaN gap, which the negated test then refuses

@@ -181,16 +181,16 @@ class PsiSpec:
     def logpow(cls, p: float = 1.0) -> "PsiSpec":
         """psi(x) = x^2 / (1 + ln(1/x))^p on (0, 1], extended by x^2 (1 + ln x)^p.
 
-        Below 1, where (1 + ln(1/x))^p passes float64 (by x = 0.01 at
-        p = 1000), psi and the envelope read 0.0: the quotient is below
-        1/DBL_MAX there.
+        Where (1 + |ln x|)^p passes float64 (by x = 0.01 and x = 10 at
+        p = 1000), psi and the envelope read 0.0 below 1, the quotient
+        being below 1/DBL_MAX there, and inf from 1 up.
         """
         if p < 1:
             raise ValueError("logpow preset needs p >= 1")
 
-        def log_power(x):  # (1 + ln(1/x))^p, inf past float64
+        def log_power(y):  # (1 + ln y)^p for y >= 1, inf past float64
             try:
-                return (1.0 + math.log(1.0 / x)) ** p
+                return (1.0 + math.log(y)) ** p
             except OverflowError:
                 return math.inf
 
@@ -199,16 +199,16 @@ class PsiSpec:
             if x <= 0.0:
                 return 0.0
             if x >= 1.0:
-                return x * x * (1.0 + math.log(x)) ** p
-            return x * x / log_power(x)
+                return x * x * log_power(x)
+            return x * x / log_power(1.0 / x)
 
         def envelope(x):
             x = float(x)
             if x <= 0.0:
                 return 0.0
             if x >= 1.0:
-                return (1.0 + math.log(x)) ** p
-            return 1.0 / log_power(x)
+                return log_power(x)
+            return 1.0 / log_power(1.0 / x)
 
         return cls(f"preset:logpow,p={p:g}", psi, envelope, True)
 
@@ -463,11 +463,18 @@ def empty_state() -> RieszProductState:
 
 
 def _block_bits(values: np.ndarray, block) -> np.ndarray:
-    """Bits of indices or atom patterns at coordinate block[i], as bit i."""
-    out = np.zeros_like(values)
-    for i, coord in enumerate(block):
-        out |= ((values >> (coord - 1)) & 1) << i
-    return out
+    """Bits of indices or atom patterns at coordinate block[i], as bit i:
+    one shift and one mask per run of consecutive coordinates, so a
+    construction block takes one of each."""
+    kind = values.dtype.type
+    out, start = None, 0
+    for i in range(1, len(block) + 1):
+        if i == len(block) or block[i] != block[i - 1] + 1:
+            # coordinates block[start]..block[i - 1] to bits start..i - 1
+            bits = (values >> kind(block[start] - 1)) & kind((1 << (i - start)) - 1)
+            out = bits if out is None else out | (bits << kind(start))
+            start = i
+    return np.zeros_like(values) if out is None else out
 
 
 def _block_coeffs(factor: Factor, coeffs: np.ndarray) -> np.ndarray:

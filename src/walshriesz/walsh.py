@@ -31,10 +31,11 @@ adjacent segments is the dyadic martingale step M_(k+1) = M_k + r_(k+1) N_k
 applied in place to their full sums and prefix extrema: `butterfly` is
 that merge with no class of prefixes, `prefix_extrema` with one, the
 positivity certificate's signed block pass, over int64, with a pair per
-coefficient magnitude, and `_martingale_walk` reads its levels.  Run over int64 limbs, 62 bits to
-a limb and as many limbs as the sums need, the merge is exact:
-`theorem1-check`'s exact positivity route merges the coefficients'
-dyadic expansion that way.
+coefficient magnitude, and `_martingale_walk` reads its levels.  Run over
+int64 limbs, 58 bits to a limb, as many limbs as the sums need and
+carried once every four levels, the merge is exact: `theorem1-check`'s
+exact positivity route merges the coefficients' dyadic expansion that
+way.
 """
 
 from __future__ import annotations
@@ -310,29 +311,42 @@ def _segment_merge(s, mx, mn):
     wrapping) and object arrays of Python ints add exactly, all by the
     plain ufuncs.  A limb table, int64 of shape (L, 2^K) with `mx`, `mn`
     of shape (rows, L, 2^K) and L >= 2, holds each value exactly as
-    sum_j d_j 2^(62 j): the low limbs d_j in [0, 2^62), the top one
-    signed.  It adds and subtracts limb by limb and then carries, and
-    compares by the sign of the difference's top limb; every value and
-    every difference of two must fit, which `martingale._limb_width`
-    sees to.  A one-limb table is an int64 table.
+    sum_j d_j 2^(58 j): carried, the low limbs d_j lie in [0, 2^58) and
+    the top one is signed.  It adds and subtracts limb by limb with no
+    carry, and compares by the sign of the difference's top limb, borrows
+    carried up (`_limb_ops`).  The low limbs grow by a bit per level, so
+    every `_CARRY_LEVELS` = 4 levels, and at the last, each block is
+    carried once merged, while it is in cache: a tile after its four
+    short levels, before it is scattered back, and whole levels after
+    every fourth one from there on.  Tables go in and come out carried;
+    every value must fit, which `martingale._limb_width` sees to.  A
+    one-limb table is an int64 table.
 
     A generator of the levels: it yields h just before merging the
     segments of length h into those of 2h, from h = 16 on when the merge
     is tiled (its shorter levels run tile by tile, with no whole level in
-    between); once it is exhausted the tables hold the whole merge.
+    between); once it is exhausted the tables hold the whole merge (limb
+    tables are carried only then).
     """
     width, n = s.shape if s.ndim == 2 else (1, s.size)
     rows = len(mx)
     block = min(_MERGE_BLOCK // width, max(n // 2, 1))
     tiles = max(block // _TILE, 1) if n >= _TILED_FROM else 0
     room = max(block, tiles * _TILE // 2)
-    add, sub, maximum, minimum = _limb_ops(max(rows, 1) * room) if width > 1 else _PLAIN_OPS
+    add, sub, maximum, minimum, carry = _limb_ops(max(rows, 1) * room) if width > 1 else _PLAIN_OPS
     spare = np.empty(max(2 * rows, 1) * width * room, s.dtype)
 
-    def merge(level, s, mx, mn, cut=(...,)):
+    def carries(level_index):
+        # whether merging the segments of length 2^level_index carries
+        return carry is not None and (level_index % _CARRY_LEVELS == _CARRY_LEVELS - 1
+                                      or 2 << level_index == n)
+
+    def merge(level, s, mx, mn, cut=(...,), carried=False):
         # one level, cut to a block, of the (width, segment pairs, 2, run)
-        # view of s and of each row of mx, mn
+        # view of s and of each row of mx, mn; `carried` carries the
+        # block's limbs once it is merged, while they are in cache
         sa, sb = s.reshape(level)[cut].transpose(2, 0, 1, 3)
+        halves = [sa, sb]
         if rows:
             xa, xb = mx.reshape(rows, *level)[cut].transpose(3, 0, 1, 2, 4)
             na, nb = mn.reshape(rows, *level)[cut].transpose(3, 0, 1, 2, 4)
@@ -342,9 +356,13 @@ def _segment_merge(s, mx, mn):
             maximum(xa, add(sa, xb, out=xb), out=xa)
             minimum(na, add(sa, nb, out=nb), out=na)
             xb[...], nb[...] = up, down
+            halves += [xa, xb, na, nb]
         diff = sub(sa, sb, out=spare[: sa.size].reshape(sa.shape))
         add(sa, sb, out=sa)
         sb[...] = diff
+        if carried:
+            for half in halves:
+                carry(half)
 
     tables = s.reshape(width, n), mx.reshape(rows, width, n), mn.reshape(rows, width, n)
     if tiles:
@@ -358,7 +376,7 @@ def _segment_merge(s, mx, mn):
             for part, segment in zip(parts, segments):
                 part[...] = segment.swapaxes(-1, -2)
             for k in range(_TILE.bit_length() - 1):
-                merge((width, _TILE >> (k + 1), 2, count << k), *parts)
+                merge((width, _TILE >> (k + 1), 2, count << k), *parts, carried=carries(k))
             for part, segment in zip(parts, segments):
                 segment[...] = part.swapaxes(-1, -2)
     h = _TILE if tiles else 1
@@ -366,7 +384,7 @@ def _segment_merge(s, mx, mn):
         yield h
         level = (width, n // (2 * h), 2, h)
         for cut in _blocks(n // (2 * h), h, block):
-            merge(level, *tables, cut)
+            merge(level, *tables, cut, carries(h.bit_length() - 1))
         h *= 2
 
 
@@ -405,14 +423,28 @@ def _blocks(segments: int, h: int, block: int):
             for m in range(0, segments, count) for p in range(0, h, per)]
 
 
-# limb arithmetic: the limb axis is the third from last of every operand
-_LIMB_BITS = 62
+# limb arithmetic: the limb axis is the third from last of every operand.
+# Limbs are added and subtracted with no carry, and a merge carries its
+# tables once every `_CARRY_LEVELS` levels (see `_segment_merge`).  Each
+# merged value's limbs are sums or differences of two earlier values'
+# limbs, so a low limb below 2^58 in modulus grows by at most one bit per
+# level: after four levels it is below 2^62, and the difference of two
+# such limbs, which the comparison forms, is below 2^63.  The low limbs
+# together are then below 2^(58 (L - 1) + 4) in modulus, so the top limb
+# stays within 17 of value / 2^(58 (L - 1)), which
+# `martingale._limb_width` keeps below 2^57.  On 2 shared Xeon cores
+# (numpy 2.4, medians of 12 alternating processes) the 2-limb merge of
+# the depth-16 benchmark series took 48 ms so, against 53 ms with 62-bit
+# limbs carried after every add and subtract, and of a seeded dense
+# depth-18 series 197 ms against 238 ms
+_LIMB_BITS = 58
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_PLAIN_OPS = (np.add, np.subtract, np.maximum, np.minimum)
+_CARRY_LEVELS = 4
+_PLAIN_OPS = (np.add, np.subtract, np.maximum, np.minimum, None)
 
 
 def _carry(t, tmp):
-    """Bring every low limb of `t` into [0, 2^62), in place, carrying the
+    """Bring every low limb of `t` into [0, 2^58), in place, carrying the
     rest upwards (an arithmetic shift: a borrow is a carry of -1); `tmp`
     is one limb of scratch."""
     for j in range(t.shape[-3] - 1):
@@ -422,23 +454,20 @@ def _carry(t, tmp):
 
 
 def _limb_ops(size: int):
-    """`_segment_merge`'s add, subtract, maximum and minimum on limb
+    """`_segment_merge`'s add, subtract, maximum, minimum and carry on limb
     tables, with one limb of scratch, `size` values, for every call.
-    maximum and minimum write into `out`, which is one of their
-    operands, the other one where it wins, branch-free limb by limb: with
-    keep = -1 where `out` stays and 0 elsewhere,
-    out = ((out ^ other) & keep) ^ other."""
+    add and subtract are the plain ufuncs, limb by limb: their low limbs
+    leave [0, 2^58) until `carry` brings them back.  maximum and minimum
+    compare by the sign of the difference's top limb, borrows carried up
+    (exact for limbs grown as `_CARRY_LEVELS` allows), and write into
+    `out`, which is one of their operands, the other one where it wins,
+    branch-free limb by limb: with keep = -1 where `out` stays and 0
+    elsewhere, out = ((out ^ other) & keep) ^ other."""
     spare = np.empty(size, np.int64)
 
     def scratch(t):
         shape = t.shape[:-3] + t.shape[-2:]
         return spare[: math.prod(shape)].reshape(shape)
-
-    def add(a, b, out):
-        return _carry(np.add(a, b, out=out), scratch(out))
-
-    def sub(a, b, out):
-        return _carry(np.subtract(a, b, out=out), scratch(out))
 
     def keep(a, b):
         # -1 where a >= b: the sign of a - b's top limb, borrows carried up
@@ -466,7 +495,10 @@ def _limb_ops(size: int):
         other = b if out is a else a
         return pick(out, other, keep(other, out))
 
-    return add, sub, maximum, minimum
+    def carry(t):
+        return _carry(t, scratch(t))
+
+    return np.add, np.subtract, maximum, minimum, carry
 
 
 def _martingale_walk(coeffs):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import walshriesz as wr
-from walshriesz import WalshSeries, cli, martingale, riesz
+from walshriesz import WalshSeries, cli, martingale, riesz, walsh
 
 
 def run(argv):
@@ -205,15 +205,21 @@ def test_theorem1_check_pass_and_fail(tmp_path, capsys):
     }
 
 
+def sweep(series):
+    """`cli._shifted_bound_sweep` as theorem1-check runs it, its m = 0
+    verdicts read off the float route's walk."""
+    return cli._shifted_bound_sweep(series, martingale.check_positivity_equivalence(series).shifted_m0)
+
+
 def test_shifted_bound_sweep_negative_control():
     # |N_0| = 3 > 2 M_0 = 2: the bound fails, as it may without positivity
-    assert cli._shifted_bound_sweep(WalshSeries.from_coeffs([1.0, 3.0])) == {
+    assert sweep(WalshSeries.from_coeffs([1.0, 3.0])) == {
         "checked": 1,
         "all_hold": False,
     }
     # the failure sits at the top level, after positive ones
     series = WalshSeries.from_coeffs([1.0, 0.5, 0.25, 0.0, 3.0, 0.0, 0.0, 0.0])
-    assert cli._shifted_bound_sweep(series) == {"checked": 5, "all_hold": False}
+    assert sweep(series) == {"checked": 5, "all_hold": False}
 
 
 def test_theorem1_check_io_errors(tmp_path, capsys):
@@ -266,9 +272,9 @@ def test_theorem1_check_refuses_depth_before_allocating(tmp_path, capsys):
 
 
 def test_theorem1_check_refuses_wide_exponents_before_allocating(tmp_path, capsys):
-    # 1.0 and 1e-300 take 17 int64 limbs per value: at depth 20 that is
-    # past the bytes of a 2-limb series at the depth limit, refused from
-    # the rows
+    # 1.0 and 1e-300 take 19 int64 limbs per value (1050 bits in units of
+    # 2^-1049, and a sign bit): at depth 20 that is past the bytes of a
+    # 2-limb series at the depth limit, refused from the rows
     wide = tmp_path / "wide.csv"
     wide.write_text(f"n,coeff\n0,1.0\n{(1 << 20) - 1},1e-300\n")
     tracemalloc.start()
@@ -280,8 +286,10 @@ def test_theorem1_check_refuses_wide_exponents_before_allocating(tmp_path, capsy
     assert code == 2
     assert peak < 1 << 20
     err = capsys.readouterr().err
-    assert "17 int64 limbs per value" in err
-    assert f"{17 * cli._EXACT_BYTES_PER_ATOM << 20:,} bytes at depth 20" in err
+    width = -(-1051 // walsh._LIMB_BITS)
+    assert width == 19
+    assert f"{width} int64 limbs per value" in err
+    assert f"{width * cli._EXACT_BYTES_PER_ATOM << 20:,} bytes at depth 20" in err
     assert f"{cli._EXACT_BYTES_PER_ATOM * cli._EXACT_LIMB_ATOMS:,} bytes of a 2-limb series" in err
     assert cli._EXACT_LIMB_ATOMS == 2 << cli.THEOREM1_DEPTH_LIMIT
 

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
+from conftest import spectrum_series
 from walshriesz import martingale
 from walshriesz.martingale import CONCENTRATION_FRACTIONS
 from walshriesz.walsh import (
-    _martingale_walk, _segment_merge, atom_patterns, prefix_scan, sign_vector,
+    _LIMB_BITS, _martingale_walk, _segment_merge, atom_patterns, prefix_scan, sign_vector,
 )
 
 C = wr.FLATNESS_CONSTANT
@@ -257,7 +258,7 @@ def test_routes_disagreeing_beyond_the_allowance_raise(monkeypatch):
     margin = martingale._maximal_margin
     # the float route's minimum moved past the allowance; its p3 kept
     monkeypatch.setattr(martingale, "_maximal_margin",
-                        lambda s: (margin(s)[0] + 2 * slack, margin(s)[1]))
+                        lambda s: (margin(s)[0] + 2 * slack, *margin(s)[1:]))
     with pytest.raises(wr.InvariantViolation, match="disagree"):
         wr.check_positivity_equivalence(series)
 
@@ -298,13 +299,13 @@ def test_exact_minima_equal_the_merge_over_python_ints(depth):
         mx, want = s[None].copy(), s[None].copy()
         for _ in _segment_merge(s, mx, want):
             pass
-        got = [sum(d << (62 * j) for j, d in enumerate(limbs)) for limbs in zip(*mn.tolist())]
+        got = [sum(d << (_LIMB_BITS * j) for j, d in enumerate(limbs)) for limbs in zip(*mn.tolist())]
         assert got == want[0].tolist()
 
 
 def test_limb_width_is_the_fewest_limbs_that_hold_every_sum():
     # L limbs hold every partial sum and every difference of two when
-    # sum |I_n| < 2^(62 L - 1); one fewer would not
+    # sum |I_n| < 2^(_LIMB_BITS L - 1); one fewer would not
     cases = [np.zeros(4), [1.0, 0.5], [1.0, 1e-300], [-3.0, 2.0**-70, 5e-324],
              spread_series(12, 12), wr.build_measure(wr.PsiSpec.logpow(1.0), 3,
                                                      wr.SummabilityBudget(2.25)).spectrum.coeffs]
@@ -312,18 +313,21 @@ def test_limb_width_is_the_fewest_limbs_that_hold_every_sum():
     for c in cases:
         width, exponent = martingale._limb_width(c)
         total = sum(map(abs, dyadic_ints(c, exponent)))
-        assert total < 1 << (62 * width - 1)
-        assert width == 1 or total >= 1 << (62 * width - 63)
+        assert total < 1 << (_LIMB_BITS * width - 1)
+        assert width == 1 or total >= 1 << (_LIMB_BITS * width - _LIMB_BITS - 1)
         widths.append(width)
-    assert widths == [1, 1, 17, 19, 2, 2]
+    # in units of 2^-1049 (1e-300's frexp exponent less 53) 1.0 takes 1050
+    # bits, and in units of 2^-1126 (5e-324's) 3.0 takes 1128: each sum
+    # needs a sign bit more
+    assert widths == [1, 1, -(-1051 // _LIMB_BITS), -(-1129 // _LIMB_BITS), 2, 2] == [1, 1, 19, 20, 2, 2]
 
 
 def test_exact_route_decides_at_the_last_bit_over_many_limbs():
-    # S_3 = 1 - r_1 + 1e-300 r_2 is -1e-300 where r_1 = +1, r_2 = -1: 17
+    # S_3 = 1 - r_1 + 1e-300 r_2 is -1e-300 where r_1 = +1, r_2 = -1: 19
     # limbs carry the 1e-300 past the cancelling 1s, and the float route
     # reads the dip as within rounding
     series = wr.WalshSeries.from_coeffs([1.0, -1.0, 1e-300, 0.0])
-    assert martingale._limb_width(series.coeffs)[0] == 17
+    assert martingale._limb_width(series.coeffs)[0] == -(-1052 // _LIMB_BITS) == 19
     report = _assert_matches_oracle(series)
     exact, maximal = report.routes
     assert (exact.minimum, exact.verdict) == (-1e-300, "fail")
@@ -355,6 +359,46 @@ def test_shifted_bound_m_zero_reduces_to_maximal():
     for kj in range(3):
         for k in range(kj, 4):
             assert wr.check_shifted_bound(series, kj, 0, k)
+
+
+def shifted_verdicts_by_call(series):
+    """`check_shifted_bound(series, kj, 0, kj)` at every level."""
+    return tuple(wr.check_shifted_bound(series, kj, 0, kj) for kj in range(series.depth))
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1.0, 3.0], [1.0, -3.0],                        # |N_0| = 3 > 2 M_0
+    [1.0, 0.5, 0.25, 0.0, 3.0, 0.0, 0.0, 0.0],      # fails at the top level only
+    [1.0, 2.0], [1.0, 2.0 + 2e-12], [1.0, -2.0 - 1e-12],  # at the allowance
+    [0.0],
+])
+def test_walk_reads_the_m_zero_shifted_bounds(coeffs):
+    # theorem1-check's sweep takes its m = 0 verdicts from the float
+    # route's walk, which must give `check_shifted_bound`'s, failures included
+    series = wr.WalshSeries.from_coeffs(coeffs)
+    assert wr.check_positivity_equivalence(series).shifted_m0 == shifted_verdicts_by_call(series)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_reads_the_m_zero_shifted_bounds_of_dense_series(seed):
+    # positive, signed and borderline series: c_0 is scaled so that some
+    # levels hold the bound and others fail it
+    depth = 4 + 2 * seed
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1, 1, 1 << depth)
+    c[0] = [np.sum(np.abs(c[1:])) + 1.0, 0.5, 3.0][seed % 3]
+    series = wr.WalshSeries.from_coeffs(c)
+    got = wr.check_positivity_equivalence(series).shifted_m0
+    assert got == shifted_verdicts_by_call(series)
+    assert seed % 3 or all(got)
+
+
+def test_walk_reads_the_m_zero_shifted_bounds_of_a_built_measure():
+    state = wr.build_measure(wr.PsiSpec.logpow(1.0), 3, wr.SummabilityBudget(2.25))
+    series = wr.WalshSeries.from_coeffs(spectrum_series(state))
+    report = wr.check_positivity_equivalence(series)
+    assert len(report.shifted_m0) == series.depth == 13
+    assert report.shifted_m0 == shifted_verdicts_by_call(series) == (True,) * 13
 
 
 def test_shifted_bound_hand_case():
@@ -464,6 +508,32 @@ def test_singularity_multiplicative_cross_check():
     # total mass stays one: E|Pi_k| = E Pi_k = 1
     assert all(abs(x - 1.0) <= 1e-12 for x in report.l1_norms)
     assert all(tuple(row) == CONCENTRATION_FRACTIONS for row in report.concentration)
+
+
+def concentration_by_fraction(masses, delta):
+    """One point of the concentration curve, sorting the masses for it
+    alone."""
+    order = np.sort(masses)[::-1]
+    cum = np.cumsum(order)
+    target = delta * cum[-1]
+    i = int(np.searchsorted(cum, target))
+    prev = cum[i - 1] if i > 0 else 0.0
+    atoms = float(i) if target <= prev else i + (target - prev) / order[i]
+    return float(atoms / masses.size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 1 << 12])
+def test_concentration_sorts_once_bit_for_bit(size):
+    # one sort and one cumsum serve every fraction, with the values of a
+    # sort per fraction, ties and equal masses included
+    rng = np.random.default_rng(size)
+    for masses in (rng.uniform(0, 1, size), np.full(size, 1.0 / size), rng.integers(0, 3, size) / 7.0):
+        if masses.sum() == 0:
+            continue
+        got = martingale._concentration(masses)
+        assert list(got) == list(CONCENTRATION_FRACTIONS)
+        for delta, value in got.items():
+            assert value.hex() == concentration_by_fraction(masses, delta).hex()
 
 
 def test_singularity_refuses_a_signed_product():

@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
 from conftest import spectrum_series
 from walshriesz import riesz, walsh
-from walshriesz.riesz import _block_table, _product_at, make_factor
+from walshriesz.riesz import _block_bits, _block_table, _product_at, make_factor
 from walshriesz.walsh import _write_coeff_rows, atom_patterns, butterfly, prefix_extrema, prefix_scan
 from walshriesz.walsh import sign_vector
 
@@ -128,6 +128,18 @@ def test_logpow_past_float64_reads_zero():
     assert psi.epsilon_bar(0.5) == 1.0 / (1.0 + math.log(2.0)) ** 1000 > 0.0
     assert psi.psi(0.5) == 0.25 / (1.0 + math.log(2.0)) ** 1000 > 0.0
     vals = [psi.epsilon_bar(g) for g in np.logspace(-9, 0, 40)]
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def test_logpow_past_float64_reads_inf_from_one_up():
+    # x^2 (1 + ln x)^1000 passes float64 by x = 10: psi and the envelope
+    # read inf there, and every finite value is the plain formula's
+    psi = wr.PsiSpec.logpow(1000)
+    assert psi.psi(10.0) == psi.epsilon_bar(10.0) == math.inf
+    assert psi.psi(1.0) == psi.epsilon_bar(1.0) == 1.0
+    assert psi.epsilon_bar(1.5) == (1.0 + math.log(1.5)) ** 1000 < math.inf
+    assert psi.psi(1.5) == 2.25 * (1.0 + math.log(1.5)) ** 1000 < math.inf
+    vals = [psi.epsilon_bar(g) for g in np.logspace(0, 3, 40)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -1277,3 +1289,24 @@ def test_spectrum_rejects_negative_indices():
     for indices in ([-1], [-3, 0, 2], [-(1 << 63), 5]):
         with pytest.raises(wr.InvariantViolation, match="negative"):
             wr.Spectrum(indices, np.ones(len(indices)))
+
+
+@given(
+    block=st.one_of(st.sets(st.integers(1, 63), max_size=16).map(sorted),
+                    st.lists(st.integers(1, 63), max_size=8)),
+    values=st.lists(st.integers(0, (1 << 63) - 1), min_size=1, max_size=20),
+)
+@example(block=list(range(40, 64)), values=[1 << 62, (1 << 62) - 1, (1 << 63) - 1, 0])
+@example(block=[63], values=[1 << 62, (1 << 62) - 1])
+@example(block=[], values=[5])
+@settings(max_examples=200, deadline=None)
+def test_block_bits_is_the_per_coordinate_definition(block, values):
+    # one shift and one mask per run of consecutive coordinates: runs
+    # broken by gaps, single coordinates, coordinate 63 (the sign-free top
+    # bit of an int64 index), a construction block's one long run and,
+    # for the overlap control's sake, blocks out of order or repeating a
+    # coordinate
+    want = [sum(((v >> (c - 1)) & 1) << i for i, c in enumerate(block)) for v in values]
+    for dtype in (np.int64, np.uint64):  # factor indices, atom patterns
+        got = _block_bits(np.array(values, dtype), tuple(block))
+        assert got.dtype == dtype and got.tolist() == want

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import walshriesz as wr
 from walshriesz.walsh import (
-    _limb_ops, _read_rows, _read_rows_array, _segment_merge, atom_patterns, sign_vector,
+    _LIMB_BITS, _limb_ops, _read_rows, _read_rows_array, _segment_merge, atom_patterns,
+    sign_vector,
 )
 
 
@@ -411,33 +412,34 @@ def test_segment_merge_is_exact_over_python_ints(monkeypatch, m):
             assert got == (partial[-1], max(partial), min(partial))
 
 
-LIMB = 1 << 62
+LIMB = 1 << _LIMB_BITS
 
 
 def to_limbs(values, width):
     """Python ints as a limb table, built here from the definition: limb j
-    is digit j base 2^62, the top one the signed floor quotient."""
+    is digit j base 2^_LIMB_BITS, the top one the signed floor quotient."""
     return np.array([[v // LIMB**j % LIMB if j < width - 1 else v // LIMB**j for v in values]
                      for j in range(width)], dtype=np.int64)
 
 
-def from_limbs(table):
+def from_limbs(table, carried=True):
     """A limb table (limb axis first) as Python ints, checking that every
-    low limb is in [0, 2^62)."""
+    low limb is in [0, 2^_LIMB_BITS) unless it need not be carried."""
     limbs = table.reshape(len(table), -1).tolist()
-    assert all(0 <= d < LIMB for limb in limbs[:-1] for d in limb)
+    assert not carried or all(0 <= d < LIMB for limb in limbs[:-1] for d in limb)
     return [sum(d * LIMB**j for j, d in enumerate(digits)) for digits in zip(*limbs)]
 
 
 def limb_coeffs(width, m, pattern):
-    """2^m coefficients whose sums fill `width` limbs: +-2^62, +-2^124, ...
-    below the largest magnitude 2^m of them may take (every sum below
-    2^(62 width - 1) in modulus), plus small signed offsets.  "random"
-    draws sign and magnitude; "alternating" flips the sign of the largest
-    one, so the partial sums' top limbs cancel every other term."""
+    """2^m coefficients whose sums fill `width` limbs: +-2^L, +-2^(2L), ...
+    (L = _LIMB_BITS) below the largest magnitude 2^m of them may take
+    (every sum below 2^(L width - 1) in modulus), plus small signed
+    offsets.  "random" draws sign and magnitude; "alternating" flips the
+    sign of the largest one, so the partial sums' top limbs cancel every
+    other term."""
     rng = np.random.default_rng(100 * width + m)
     size = 1 << m
-    top = (1 << (62 * width - max(m, 5) - 2)) - 10
+    top = (1 << (_LIMB_BITS * width - max(m, 5) - 2)) - 10
     magnitudes = [LIMB**j for j in range(1, width)] + [top]
     offsets = rng.integers(-9, 10, size).tolist()
     if pattern == "alternating":
@@ -547,8 +549,8 @@ def test_segment_merge_in_blocks_is_the_whole_level_merge(monkeypatch, rows, wid
 
 def limb_values(width):
     """Integers whose sums and differences fit `width` limbs, half of them
-    within a few units of +-2^(62 j)."""
-    bound = 1 << (62 * width - 2)
+    within a few units of +-2^(_LIMB_BITS j)."""
+    bound = 1 << (_LIMB_BITS * width - 2)
     near = st.builds(lambda j, sign, d: sign * LIMB**j + d, st.integers(0, width - 1),
                      st.sampled_from([-1, 1]), st.integers(-3, 3))
     return st.one_of(st.integers(-bound, bound), near)
@@ -561,13 +563,56 @@ def test_limb_ops_match_python_ints(data):
     size = data.draw(st.integers(1, 6))
     pair = st.lists(limb_values(width), min_size=size, max_size=size)
     a, b = data.draw(pair), data.draw(pair)
-    add, sub, maximum, minimum = _limb_ops(size)
+    add, sub, maximum, minimum, carry = _limb_ops(size)
     for op, want in ((add, operator.add), (sub, operator.sub), (maximum, max), (minimum, min)):
         for into in range(2):  # the merge writes into either operand
             ta, tb = to_limbs(a, width)[:, None], to_limbs(b, width)[:, None]
             got = op(ta, tb, out=(ta, tb)[into])
             assert got is (ta, tb)[into]
-            assert from_limbs(got) == list(map(want, a, b))
+            # add and subtract leave the carry to `carry`; maximum and
+            # minimum pick one carried operand
+            assert from_limbs(got, carried=op in (maximum, minimum)) == list(map(want, a, b))
+            assert carry(got) is got and from_limbs(got) == list(map(want, a, b))
+
+
+@given(width=st.sampled_from([2, 3]), m=st.sampled_from([0, 1, 2, 3, 4, 5, 6, 9, 12, 13]),
+       lows=st.sampled_from(["top", "zero", "mixed"]),
+       signs=st.sampled_from(["plus", "minus", "alternating", "random"]),
+       rows=st.sampled_from([0, 1]), setup=st.sampled_from([(None, None), (32, None), (None, 8)]),
+       seed=st.integers(0, 2**32 - 1))
+@example(width=2, m=12, lows="top", signs="plus", rows=1, setup=(None, None), seed=0)
+@example(width=3, m=13, lows="mixed", signs="alternating", rows=1, setup=(None, None), seed=0)
+@settings(max_examples=60, deadline=None)
+def test_segment_merge_carries_grown_limbs(width, m, lows, signs, rows, setup, seed):
+    # limbs are carried only every fourth level: low limbs starting at
+    # 2^L - 1 (L = _LIMB_BITS) on terms of one sign double at every level
+    # until then, and sums and differences of terms of both signs drive
+    # them negative; the tables must still come out carried and equal to
+    # the same merge over Python ints, untiled and tiled (2^12 atoms and
+    # up by default, from 32 atoms patched), whole levels and small blocks
+    rng = np.random.default_rng(seed)
+    size = 1 << m
+    # top limbs below 2^(L - 2 - m): every sum is below 2^(L width - 2)
+    top = rng.integers(0, 1 << (_LIMB_BITS - 2 - m), size)
+    top[rng.random(size) < 0.5] = (1 << (_LIMB_BITS - 2 - m)) - 1
+    sign = {"plus": np.ones(size, int), "minus": -np.ones(size, int),
+            "alternating": (-1) ** np.arange(size), "random": rng.choice([-1, 1], size)}[signs]
+    low = {"top": np.full((width - 1, size), True), "zero": np.full((width - 1, size), False),
+           "mixed": rng.random((width - 1, size)) < 0.5}[lows]
+    coeffs = [sum((LIMB - 1) * LIMB**j for j in range(width - 1) if low[j, n])
+              + int(sign[n]) * int(top[n]) * LIMB ** (width - 1) for n in range(size)]
+    s = np.array(coeffs, dtype=object)
+    mx, mn = (s[None].repeat(rows, axis=0) for _ in range(2))
+    for _ in _segment_merge(s, mx, mn):
+        pass
+    want = s.tolist(), mx.tolist(), mn.tolist()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        patch_merge(monkeypatch, *setup)
+        t = to_limbs(coeffs, width)
+        tx, tn = (np.array([t] * rows, np.int64).reshape(rows, *t.shape) for _ in range(2))
+        for _ in _segment_merge(t, tx, tn):
+            pass
+    assert (from_limbs(t), [from_limbs(v) for v in tx], [from_limbs(v) for v in tn]) == want
 
 
 def test_prefix_extrema_merges_in_place():
