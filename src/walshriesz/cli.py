@@ -19,12 +19,14 @@ benchmarks/workloads.py passes them.
 report exits 2, before writing anything, when the measure CSV's term
 count is not the manifest product's.
 
-theorem1-check decides positivity by the exact route: every partial
-sum of the series exactly as its float64 coefficients hold it, by the
-package's one segment merge run over int64 limbs holding their dyadic
-expansion, O(K 2^K).  The float64 maximal-function route must agree
-within its rounding allowance, and the report lists both under
-`positivity_routes`.  A series deeper than
+theorem1-check decides positivity, p3 and the shifted bounds for the
+series exactly as its float64 coefficients hold it.  One float64 walk
+of the martingale, O(K 2^K), proves every verdict whose value lies
+outside its rounding allowance (K+1) 2^-52 ||S||_A; only when some
+value lies within it does one exact walk run, the package's segment
+merge over int64 limbs holding the coefficients' dyadic expansion.  The
+report lists the routes that ran under `positivity_routes` and the
+arithmetic that decided under `decided_by`.  A series deeper than
 martingale.THEOREM1_DEPTH_LIMIT, or one whose coefficients' exponents
 lie so far apart that its limbs would take more memory than a 2-limb
 series at that depth, exits 2 before its dense coefficients are
@@ -271,18 +273,22 @@ def _cmd_build_trig(args) -> int:
 # theorem1-check
 # ---------------------------------------------------------------------------
 
-def _shifted_bound_sweep(series: WalshSeries, shifted_m0) -> dict:
+def _shifted_bound_sweep(series: WalshSeries, equiv: martingale.EquivalenceReport) -> dict:
     """The shifted prefix bound at every level kj, for m = 0 and m = 2^kj - 1.
 
     For k >= kj the checked prefix is all of w_m N_kj, whose modulus is
     |N_kj| for every m, so these checks cover every (m, k); the two
-    multipliers still exercise the reindexing.  The m = 0 verdicts,
-    one per level, are `shifted_m0`, read off the float route's walk
-    (`EquivalenceReport.shifted_m0`); `martingale.check_shifted_bound`
-    checks m = 2^kj - 1 for kj >= 1, K - 1 calls.
+    multipliers still exercise the reindexing.  The m = 0 verdicts, one
+    per level, are `equiv.shifted_m0`, exact.  For kj >= 1,
+    `martingale.check_shifted_bound` checks m = 2^kj - 1 in float64 with
+    the float walk's allowance as `tol`, K - 1 calls: a failure there is
+    a proof, and a pass, which may lie within the allowance, is settled
+    by the exact m = 0 verdict of the same modulus.
     """
-    held = [*shifted_m0, *(martingale.check_shifted_bound(series, kj, (1 << kj) - 1, kj)
-                           for kj in range(1, series.depth))]
+    slack = equiv.routes[0].rounding_slack
+    held = [*equiv.shifted_m0, *(
+        martingale.check_shifted_bound(series, kj, (1 << kj) - 1, kj, tol=slack) and equiv.shifted_m0[kj]
+        for kj in range(1, series.depth))]
     return {"checked": len(held), "all_hold": all(held)}
 
 
@@ -321,7 +327,7 @@ def _cmd_theorem1_check(args) -> int:
         raise _IOFailure(f"{args.infile}: {exc}") from None
 
     equiv = martingale.check_positivity_equivalence(series)
-    shifted = _shifted_bound_sweep(series, equiv.shifted_m0) if equiv.all_prefixes_nonneg else None
+    shifted = _shifted_bound_sweep(series, equiv) if equiv.all_prefixes_nonneg else None
     report = {
         "input": args.infile,
         "seed": args.seed,
@@ -332,6 +338,7 @@ def _cmd_theorem1_check(args) -> int:
         "p3": equiv.p3,
         "shifted_bounds": shifted,
         "envelope": martingale.dyadic_block_envelope(series),
+        "decided_by": equiv.decided_by,
         "positivity_routes": [
             {
                 "name": route.name,

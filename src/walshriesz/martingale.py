@@ -11,17 +11,16 @@ inequality on the martingale:
     every S_p >= 0  (0 <= p <= 2^K)   <=>   N_k* <= M_k for every k < K
 
 (the sums of order q in (2^k, 2^(k+1)] read M_k +- a prefix of N_k, and
-both signs of r_(k+1) occur on atoms).  Both sides are computed here,
-each in O(K 2^K), by the one segment merge of `walsh._segment_merge`:
-the left over int64 limbs holding the coefficients' exact dyadic
-expansion, the right in float64 along the martingale walk.  What stays
-independent is the arithmetic, the side each decides (the full merge's
-smallest prefix MN against the walk's M_k - N_k*), and the check of the
-exact minimum against the definition, a cumsum in Python ints of the
-partial sums at its first atom.  The two minima must agree within the
-float route's rounding allowance; disagreement would be a library bug.  A bug in the
-merge itself, shared by both, is caught by the tests' scan oracle
-(`walsh.prefix_scan` over `sign_vector`), which shares no code with it.
+both signs of r_(k+1) occur on atoms), so min_k (M_k - N_k*) = min_p S_p
+and the two sides are one predicate.  One float64 walk of
+`walsh._segment_merge` holds M_k, N_k and N_k's prefix extremes at every
+level, O(K 2^K), and decides every verdict whose value lies outside its
+derived rounding allowance (`_allowance`); one exact walk, the same
+merge over int64 limbs holding the coefficients' dyadic expansion,
+settles the rest.  Every run also recomputes the partial sums at one
+atom from the definition, in Python ints, sharing no code with the
+merge; a bug in the merge itself is caught by the tests' scan oracle
+(`walsh.prefix_scan` over `sign_vector`).
 
 Products Pi_k = prod (1 + X_i) over disjoint blocks are certified
 singular-at-finite-scale via Hellinger affinity E_lambda sqrt(Pi_k),
@@ -32,6 +31,7 @@ carrying a given fraction of the product's mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +109,8 @@ class PositivityWitness:
     """Localizes a failure: the first negative prefix order and an atom.
 
     `where` is the smallest order p with S_p < 0 on some atom, `atom` the
-    first atom minimizing S_p and `value` that minimum, all from the exact
-    route, so `kind` is always "prefix".
+    first atom minimizing S_p and `value` that minimum, all exact, so
+    `kind` is always "prefix".
     """
 
     kind: str
@@ -125,7 +125,7 @@ class PositivityRoute:
 
     `minimum` is the smallest S_p over the orders 1..2^K on every atom;
     the exact route's is rounded once to float64.  `verdict` is "pass",
-    "fail", or, for the float route, "within rounding" when the minimum
+    "fail", or, for the float walk, "within rounding" when the minimum
     lies in [-rounding_slack, rounding_slack).  Every route covers
     `atoms` x `orders` = 2^K x 2^K.
     """
@@ -141,10 +141,12 @@ class PositivityRoute:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """The two routes' verdicts.  `p3` (every M_k >= 0) and
-    `shifted_m0[kj]`, `check_shifted_bound(series, kj, 0, kj)`'s verdict
-    |N_kj| <= 2 M_kj for each kj < K, are read off the float route's
-    walk."""
+    """The exact verdicts: `all_prefixes_nonneg` and `inequality_holds`
+    (one predicate), `p3` (every M_k >= 0) and `shifted_m0[kj]`,
+    |N_kj| <= 2 M_kj on every atom for each kj < K.  `routes` are the
+    routes that ran, the float walk first, the exact walk only when some
+    verdict fell within the float walk's allowance; `decided_by` is
+    "float64" when none did, else "integer-dyadic"."""
 
     all_prefixes_nonneg: bool
     inequality_holds: bool
@@ -152,6 +154,7 @@ class EquivalenceReport:
     routes: tuple[PositivityRoute, ...]
     p3: bool
     shifted_m0: tuple[bool, ...]
+    decided_by: str
 
 
 # The exact route holds about this many bytes per atom per limb: on the
@@ -162,71 +165,108 @@ class EquivalenceReport:
 # walk before it holds no more.  The whole `theorem1-check` command on
 # such a series, CSV reader included, took 2.5-3.4 s and 97 MiB of peak
 # RSS at depth 20, 4.9-6.4 s and 164 MiB at 21, 10.5-13.0 s and 290 MiB
-# at 22 and 22.6-26.5 s and 546 MiB at 23 on one shared Xeon core, the
-# reader's text and rows setting the peak; the limit is the deepest
-# depth under 30 s and 1 GiB.  `theorem1-check` refuses series deeper
-# than the limit, and series whose limbs take more atoms than a 2-limb
-# series at the limit.
+# at 22 and 22.6-26.5 s and 546 MiB at 23 on one shared Xeon core with
+# the exact walk run, the reader's text and rows setting the peak; the
+# limit is the deepest depth under 30 s and 1 GiB.  `theorem1-check`
+# refuses series deeper than the limit, and series whose limbs take more
+# atoms than a 2-limb series at the limit.
 THEOREM1_DEPTH_LIMIT = 23
 _EXACT_BYTES_PER_ATOM = 32
 _EXACT_LIMB_ATOMS = 2 << THEOREM1_DEPTH_LIMIT
 
 
 def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
-    """Every partial sum S_p >= 0 (exact) vs the maximal-function
-    inequality N_k* <= M_k (float64), each over every order on every atom.
+    """Every S_p >= 0, i.e. N_k* <= M_k at every level, p3 and the m = 0
+    shifted bounds, over every order on every atom.
 
-    The exact route runs `_segment_merge` over the coefficients' exact
-    dyadic expansion held in int64 limbs, as many as its largest partial
-    sum needs, which add and compare without rounding or wrapping, so its
-    verdict is a proof for the series as the float64 array holds it, and
-    it decides `all_prefixes_nonneg`.  Its minimum is confirmed from the
-    definition at the first atom attaining it, in Python ints, once the
-    limb tables are freed.  The float route is the martingale walk;
-    `inequality_holds` is its literal verdict (minimum >= 0), read
-    against the rounding allowance (K+1) 2^-52 ||S||_A as pass, fail or
-    within rounding, and `p3` and `shifted_m0` come from the same walk.
-    The two minima must agree within the allowance, else
-    InvariantViolation.  On failure the witness comes from bisecting the
-    order with the exact route, at most K more passes.  Both routes cost O(K 2^K); non-finite
-    coefficients raise ValueError.
+    The float64 walk (`_maximal_margin`) decides each verdict whose value
+    lies outside the allowance `_allowance`.  If any lies within it, one
+    exact walk runs, `_segment_merge` over the coefficients' dyadic
+    expansion in int64 limbs, which add and compare without rounding or
+    wrapping: its smallest prefix decides positivity, the sign of its M_K
+    p3 (each M_k is a conditional average of M_K), limb butterflies the
+    undecided shifted levels, and its minimum must lie within the
+    allowance of the walk's.  Every run recomputes the partial sums at
+    one atom, the exact minimum's or else the walk's, from the definition
+    in Python ints, which must agree (else InvariantViolation).  The
+    witness comes from bisecting the order with the exact merge, at most
+    K more passes.  Non-finite coefficients raise ValueError.
     """
-    float_min, p3, shifted_m0 = _maximal_margin(series)  # first: it refuses non-finite coefficients
-    width, exponent = _limb_width(series.coeffs)
-    atom, low = _limb_argmin(_exact_prefix_minima(series.coeffs, width, exponent))
+    low, atom, p3_low, margins = _maximal_margin(series)  # first: it refuses non-finite coefficients
+    c, size = series.coeffs, series.order
+    slack = _allowance(series)
+    positive, p3 = _decide(low, slack), _decide(p3_low, slack)
+    shifted = [_decide(margin, slack) for margin in margins]
+    width, exponent = _limb_width(c)
+    routes = [PositivityRoute("maximal function", "float64", low,
+                              {True: "pass", False: "fail", None: "within rounding"}[positive],
+                              slack, size, size)]
+    exact = None in (positive, p3, *shifted)
+    if exact:
+        top, minima = _exact_prefix_minima(c, width, exponent)
+        (atom, exact_low), exact_p3 = _limb_argmin(minima), bool(top[-1].min() >= 0)
+        del top, minima  # freed before the shifted levels' butterflies
+        if p3 not in (None, exact_p3):
+            raise InvariantViolation(f"the float walk's p3 {p3} is not the exact walk's")
+        positive, p3 = exact_low >= 0, exact_p3
+        shifted = [_exact_shifted(c, k, width, exponent) if s is None else s
+                   for k, s in enumerate(shifted)]
+        routes.append(PositivityRoute("exact prefix extrema", "integer-dyadic",
+                                      _dyadic_float(exact_low, exponent),
+                                      "pass" if positive else "fail", 0.0, size, size))
     # w_n(t) = w_t(n): the partial sums on one atom are a cumsum along n
-    definition, first = _partial_sums_at(series.coeffs, atom, exponent)
-    if definition != low:
+    definition, first = _partial_sums_at(c, atom, exponent)
+    if exact and definition != exact_low:
         raise InvariantViolation(
-            f"exact prefix extrema give {low} at atom {atom},"
+            f"exact prefix extrema give {exact_low} at atom {atom},"
             f" its partial sums {definition} (units of 2^{exponent})"
         )
-    exact_min = _dyadic_float(low, exponent)
-    # each partial sum is a K-deep tree of sums of terms of total modulus
-    # at most ||S||_A
-    slack = (series.depth + 1) * 2.0**-52 * float(np.sum(np.abs(series.coeffs)))
-    if abs(float_min - exact_min) > slack:
+    reference = _dyadic_float(definition, exponent)
+    if abs(low - reference) > slack:
         raise InvariantViolation(
-            "exact and maximal-function routes disagree beyond the rounding"
-            f" allowance {slack:.3e}: exact min {exact_min!r}, float min {float_min!r}"
+            f"the float walk's minimum {low!r} and the exact {reference!r} (atom {atom})"
+            f" disagree beyond the rounding allowance {slack:.3e}"
         )
-    witness = None
-    if low < 0:
-        witness = _first_negative(series.coeffs, width, exponent, first)
-    size = series.order
     return EquivalenceReport(
-        all_prefixes_nonneg=low >= 0,
-        inequality_holds=float_min >= 0.0,
-        witness=witness,
+        all_prefixes_nonneg=positive,
+        inequality_holds=positive,
+        witness=None if positive else _first_negative(c, width, exponent, first),
+        routes=tuple(routes),
         p3=p3,
-        shifted_m0=shifted_m0,
-        routes=(
-            PositivityRoute("exact prefix extrema", "integer-dyadic", exact_min,
-                            "pass" if low >= 0 else "fail", 0.0, size, size),
-            PositivityRoute("maximal function", "float64", float_min,
-                            _float_verdict(float_min, slack), slack, size, size),
-        ),
+        shifted_m0=tuple(shifted),
+        decided_by="integer-dyadic" if exact else "float64",
     )
+
+
+def _allowance(series: WalshSeries) -> float:
+    """(K+1) 2^-52 ||S||_A, which bounds the float walk's rounding error
+    in each value it decides by; inf when ||S||_A >= 2^1022.
+
+    Each value is built from sums of terms +-c_n over binary trees at
+    most K deep by max, min, abs and doubling, which are exact (a max or
+    min errs no more than its worst operand).  A sum rounds by at most
+    u = 2^-53 relative (one whose exact result is subnormal is exact), so
+    a depth-d tree errs by at most gamma_d sum |terms|,
+    gamma_d = d u / (1 - d u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 4).  Positivity's values M_k, M_k + MN and
+    M_k - MX (MN, MX prefixes of N_k, depth k over c[2^k:2^(k+1)]) and
+    p3's M_k (depth k over c[:2^k]) err by at most gamma_K ||S||_A.  The
+    shifted margin 2 M_k - |N_k|, k < K, errs by gamma_k (2 sum_(n<2^k)
+    |c_n| + N_k's) plus its own rounding u (2 |M_k| + |N_k|): at most
+    2 (k+1) u ||S||_A <= 2 K u ||S||_A to first order.  All lie below
+    2 (K+1) u ||S||_A by a factor (K+1)/K or more, far more than the
+    float64 sum of |c_n| errs by; its scaling is exact, but for a
+    subnormal result's 2^-1075, which matters only when
+    ||S||_A < 2^-1023, where every partial sum, a multiple of 2^-1074
+    below 2^-1021, is exact.  Below 2^1022 no sum, nor 2 M_k, overflows."""
+    total = float(np.sum(np.abs(series.coeffs)))
+    return (series.depth + 1) * 2.0**-52 * total if total < 2.0**1022 else math.inf
+
+
+def _decide(value: float, slack: float) -> bool | None:
+    """Whether a value off its exact one by at most `slack` proves that
+    one nonnegative (True) or negative (False); None within the slack."""
+    return True if value >= slack else False if value < -slack else None
 
 
 # coefficients per chunk of the exact route's per-coefficient passes:
@@ -290,19 +330,37 @@ def _dyadic_limbs(coeffs, width: int, exponent: int):
 
 def _dyadic_float(value: int, exponent: int) -> float:
     """value 2^exponent, rounded once to float64 (int true division is
-    correctly rounded)."""
-    return value / (1 << -exponent) if exponent < 0 else float(value << exponent)
+    correctly rounded), +-inf past its range."""
+    try:
+        return value / (1 << -exponent) if exponent < 0 else float(value << exponent)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def _exact_prefix_minima(coeffs, width: int, exponent: int):
-    """MN, the smallest nonempty partial sum on each of the 2^j atoms of
-    c_0..c_(2^j - 1), as a limb table in units of 2^exponent:
-    `_segment_merge` with one class of prefixes over `width` limbs."""
+    """(M, MN): the full sum and the smallest nonempty partial sum on each
+    of the 2^j atoms of c_0..c_(2^j - 1), as carried limb tables in units
+    of 2^exponent: `_segment_merge` with one class of prefixes over
+    `width` limbs."""
     s = _dyadic_limbs(coeffs, width, exponent)
     mx, mn = s[None].copy(), s[None].copy()
     for _ in _segment_merge(s, mx, mn):
         pass
-    return mn[0]
+    return s, mn[0]
+
+
+def _exact_shifted(coeffs, k: int, width: int, exponent: int) -> bool:
+    """|N_k| <= 2 M_k on every atom, exactly: the signs of 2 M_k -+ N_k
+    from limb butterflies of c[:2^k] and c[2^k:2^(k+1)]; `width` limbs
+    hold them (|2 M_k| + |N_k| <= 2 sum |I_n|, see `_limb_width`)."""
+    m, n = (_dyadic_limbs(part, width, exponent) for part in (coeffs[: 1 << k], coeffs[1 << k : 2 << k]))
+    for t in (m, n):
+        for _ in _segment_merge(t, np.empty((0, *t.shape), np.int64), np.empty((0, *t.shape), np.int64)):
+            pass
+    for d in (2 * m - n, 2 * m + n):
+        if _carry(d[:, None], np.empty((1, d.shape[1]), np.int64))[-1].min() < 0:
+            return False
+    return True
 
 
 def _limb_argmin(table):
@@ -319,18 +377,23 @@ def _limb_argmin(table):
 def _partial_sums_at(coeffs, atom: int, exponent: int):
     """The smallest partial sum on one atom, from the definition in Python
     ints (units of 2^exponent), and the first order whose partial sum is
-    negative there (None if none is): a cumsum along n of I_n w_n(atom),
-    a chunk at a time."""
-    low, first, total = None, None, 0
-    for lo, ints, shift in _dyadic_chunks(coeffs, exponent):
+    negative there (None if none is): a cumsum of I_n w_n(atom) over the
+    nonzero coefficients, a chunk at a time.  A zero coefficient repeats
+    the partial sum before it, so it changes neither; the orders up to
+    the first nonzero coefficient sum to 0."""
+    nonzero = np.flatnonzero(coeffs)
+    low = 0 if nonzero.size == 0 or nonzero[0] > 0 else None
+    first, total = None, 0
+    for lo, ints, shift in _dyadic_chunks(coeffs[nonzero], exponent):
+        index = nonzero[lo : lo + ints.size]
         sums = ints.astype(object) << shift.astype(object)
-        sums *= sign_vector(atom, np.arange(lo, lo + ints.size, dtype=np.uint64))
+        sums *= sign_vector(atom, index.astype(np.uint64))
         sums[0] += total
         np.cumsum(sums, out=sums)
         total = sums[-1]
-        low = min(sums.min(), total if low is None else low)
+        low = sums.min() if low is None else min(sums.min(), low)
         if first is None and low < 0:
-            first = lo + int(np.argmax(sums < 0)) + 1
+            first = int(index[np.argmax(sums < 0)]) + 1
     return low, first
 
 
@@ -342,7 +405,7 @@ def _first_negative(coeffs, width: int, exponent: int, hi: int) -> PositivityWit
 
     def minima_through(p):
         pad = (1 << (p - 1).bit_length()) - p
-        return _exact_prefix_minima(np.concatenate([coeffs[:p], np.zeros(pad)]), width, exponent)
+        return _exact_prefix_minima(np.concatenate([coeffs[:p], np.zeros(pad)]), width, exponent)[1]
 
     lo = 0
     while hi - lo > 1:
@@ -356,42 +419,33 @@ def _first_negative(coeffs, width: int, exponent: int, hi: int) -> PositivityWit
     return PositivityWitness("prefix", hi, atom, _dyadic_float(value, exponent))
 
 
-def _maximal_margin(series: WalshSeries) -> tuple[float, bool, tuple[bool, ...]]:
-    """The float route, one walk: the smallest M_k - N_k* over k < K and
-    the atoms (M_0 at depth 0); p3, whether every M_k (k = 0..K) is
-    nonnegative; and for each k < K whether |N_k| <= 2 M_k + 1e-12 on
-    every atom, the shifted bound at m = 0.  Orders in (2^k, 2^(k+1)]
-    read M_k +- a prefix of N_k, so the first is the smallest partial sum
-    of every order: M_k - N_k* is min(M_k - MX, M_k + MN), rounding being
-    monotone.  MX and MN include N_k's full sum, whose values M_k +- N_k
-    are the two halves of M_(k+1).  The walk's M_k and N_k are
-    `butterfly`'s of c[:2^k] and c[2^k:2^(k+1)] bit for bit, so the
-    shifted verdicts are `check_shifted_bound(series, k, 0, k)`'s.
-    Non-finite coefficients raise ValueError."""
+def _maximal_margin(series: WalshSeries) -> tuple[float, int, float, tuple[float, ...]]:
+    """The float walk: (low, atom, p3_low, margins).  low is the smallest
+    M_k (M_0 = S_1) and M_k - N_k* = min(M_k + MN, M_k - MX), k < K,
+    over the atoms: the smallest partial sum of every order, those in
+    (2^k, 2^(k+1)] reading M_k +- a prefix of N_k (MX and MN include its
+    full sum).  atom is the first full-depth atom where low falls: index
+    a of level k is atom a for M_k and M_k + MN (r_(k+1) = +1) and
+    a + 2^k for M_k - MX.  p3_low is the smallest M_k (k = 0..K), margins[k] the
+    smallest 2 M_k - |N_k| (k < K).  Non-finite coefficients raise
+    ValueError."""
     _require_finite(series.coeffs)
-    # per level: the smallest M_k, then M_k + MN and M_k - MX below K
-    lows, shifted = [], []
+    lows, atoms, p3_lows, margins = [], [], [], []
     for m, n, mx, mn in _martingale_walk(series.coeffs):
-        lows.append([float(t.min()) for t in ([m] if n is None else [m, m + mn, m - mx])])
+        p3_lows.append(m.min())
+        for table, offset in [(m, 0)] if n is None else [(m, 0), (m + mn, 0), (m - mx, m.size)]:
+            i = int(np.argmin(table))
+            lows.append(table[i])
+            atoms.append(i + offset)
         if n is not None:
-            shifted.append(bool(np.all(np.abs(n) <= 2.0 * m + _SHIFTED_TOL)))
-    return min(map(min, lows)), min(low[0] for low in lows) >= 0.0, tuple(shifted)
+            margins.append(float(np.min(2.0 * m - np.abs(n))))
+    first = int(np.argmin(lows))
+    return float(lows[first]), atoms[first], float(np.min(p3_lows)), tuple(margins)
 
 
-def _float_verdict(low: float, slack: float) -> str:
-    if low >= slack:
-        return "pass"
-    return "fail" if low < -slack else "within rounding"
-
-
-# the shifted bound's allowance for rounding, absolute
-_SHIFTED_TOL = 1e-12
-
-
-def check_shifted_bound(
-    series: WalshSeries, kj: int, m, k: int, tol: float = _SHIFTED_TOL
-) -> bool:
-    """Pointwise |2^k-prefix of w_m N_kj| <= 2 M_kj on the first-kj atoms.
+def check_shifted_bound(series: WalshSeries, kj: int, m, k: int, tol: float = 0.0) -> bool:
+    """Pointwise |2^k-prefix of w_m N_kj| <= 2 M_kj + tol on the first-kj
+    atoms, in float64, `tol` allowing for rounding.
 
     Requires m < 2^kj and kj <= k <= K, and a series whose partial sums
     are nonnegative (not re-verified here; the bound is only claimed
@@ -414,14 +468,10 @@ def check_shifted_bound(
 
 
 def check_p3(series: WalshSeries) -> bool:
-    """True iff every M_k is pointwise nonnegative (k = 0..K), read off
-    the float route's walk (`check_positivity_equivalence` reports the
-    same verdict as `p3`); non-finite coefficients raise ValueError.
-
-    Equivalent to nonnegativity of the depth-K atom masses, since each
-    M_k is a conditional average of M_K.
-    """
-    return _maximal_margin(series)[1]
+    """True iff every M_k (k = 0..K), a conditional average of the atom
+    masses M_K, is pointwise nonnegative: `check_positivity_equivalence`'s
+    exact p3.  Non-finite coefficients raise ValueError."""
+    return check_positivity_equivalence(series).p3
 
 
 def dyadic_block_envelope(series: WalshSeries | Spectrum) -> list[tuple[int, float]]:

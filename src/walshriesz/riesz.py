@@ -143,7 +143,8 @@ class BlockOverlapError(ValueError):
 class CoordinateBudgetError(ValueError):
     """A state past a size limit: a block past coordinate 63 (Walsh
     indices are int64), a spectrum past SPECTRUM_LIMIT terms, a psi stage
-    with more than SPECTRUM_LIMIT magnitude products, a factor whose
+    with more than SPECTRUM_LIMIT magnitude products or with a sum or
+    bound below float64's normal range, a factor whose
     integer coefficients sum past the 61 bits of the certificate's int64
     block tables, or dense diagnostics past
     `martingale.DIAGNOSTIC_DEPTH_LIMIT`."""
@@ -845,6 +846,11 @@ def _exact_sum(values, counts=None) -> float:
     return sum(n * c << 1075 - den.bit_length() for (n, den), c in zip(ratios, weights)) / (1 << 1074)
 
 
+# the smallest normal float64, 2^-1022: below it a stage figure has lost
+# relative precision, down to 0.0
+_NORMAL_MIN = 2.0**-1022
+
+
 def psi_sum_report(
     state: RieszProductState,
     psi: PsiSpec,
@@ -858,7 +864,8 @@ def psi_sum_report(
     product of the magnitudes is bitwise the per-term products.  Each
     stage sum is `_exact_sum` over their histogram (see `PsiSumReport`).
     A stage with more than SPECTRUM_LIMIT magnitude products is refused
-    (CoordinateBudgetError) before they are allocated."""
+    (CoordinateBudgetError) before they are allocated, and so is one with
+    terms whose sum or bound is below 2^-1022 once they are computed."""
     mags, counts = np.ones(1), np.ones(1, np.int64)  # Pi_0's distinct |c| and their counts
     norm_a, stage_exact, stage_bounds = 1.0, [], []
     for k, factor in enumerate(state.factors, 1):
@@ -874,7 +881,12 @@ def psi_sum_report(
         stage = _histogram(np.multiply.outer(mags, fmags).ravel(),
                            np.multiply.outer(counts, fcounts).ravel())
         exact = _exact_sum(map(psi.psi, stage[0].tolist()), stage[1])
-        if exact > bound * (1.0 + 1e-12) + 1e-300:
+        if fmags.size and not min(exact, bound) >= _NORMAL_MIN:
+            raise CoordinateBudgetError(
+                f"stage {k} psi sum {exact!r} or its bound {float(bound)!r} is below"
+                " float64's normal range (2^-1022): their comparison would say nothing"
+            )
+        if exact > bound * (1.0 + 1e-12):
             raise InvariantViolation(f"stage {k} psi sum {exact} exceeds its bound {bound}")
         stage_exact.append(exact)
         stage_bounds.append(float(bound))

@@ -177,18 +177,18 @@ def test_theorem1_check_pass_and_fail(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["all_prefixes_nonneg"] and report["p3"]
     size = 1 << report["depth"]
-    exact, maximal = report["positivity_routes"]
-    assert exact == {
-        "name": "exact prefix extrema",
-        "arithmetic": "integer-dyadic",
-        "minimum": exact["minimum"],
+    # the float walk decides: its minimum lies far past its allowance
+    (maximal,) = report["positivity_routes"]
+    assert maximal == {
+        "name": "maximal function",
+        "arithmetic": "float64",
+        "minimum": maximal["minimum"],
         "verdict": "pass",
-        "rounding_slack": 0.0,
+        "rounding_slack": maximal["rounding_slack"],
         "coverage": {"atoms": size, "orders": size},
     }
-    assert maximal["arithmetic"] == "float64" and maximal["verdict"] == "pass"
-    assert 0.0 < maximal["rounding_slack"] < 1e-12
-    assert abs(maximal["minimum"] - exact["minimum"]) <= maximal["rounding_slack"]
+    assert report["decided_by"] == "float64"
+    assert 0.0 < maximal["rounding_slack"] < 1e-12 < maximal["minimum"]
     # two multipliers per level kj, one at kj = 0
     assert report["shifted_bounds"] == {"checked": 2 * report["depth"] - 1, "all_hold": True}
     assert len(report["envelope"]) == report["depth"]
@@ -206,9 +206,9 @@ def test_theorem1_check_pass_and_fail(tmp_path, capsys):
 
 
 def sweep(series):
-    """`cli._shifted_bound_sweep` as theorem1-check runs it, its m = 0
-    verdicts read off the float route's walk."""
-    return cli._shifted_bound_sweep(series, martingale.check_positivity_equivalence(series).shifted_m0)
+    """`cli._shifted_bound_sweep` as theorem1-check runs it, on the m = 0
+    verdicts and allowance of `check_positivity_equivalence`."""
+    return cli._shifted_bound_sweep(series, martingale.check_positivity_equivalence(series))
 
 
 def test_shifted_bound_sweep_negative_control():
@@ -293,7 +293,8 @@ def test_theorem1_check_refuses_wide_exponents_before_allocating(tmp_path, capsy
     assert f"{cli._EXACT_BYTES_PER_ATOM * cli._EXACT_LIMB_ATOMS:,} bytes of a 2-limb series" in err
     assert cli._EXACT_LIMB_ATOMS == 2 << cli.THEOREM1_DEPTH_LIMIT
 
-    # shallow, the same limbs are decided exactly: 1 - 1e-300 on one atom
+    # shallow, the same limbs are read: the walk decides 1 +- 1e-300, and
+    # the witness of 1e-300 -+ 1 is bisected exactly over 19 limbs
     shallow = tmp_path / "shallow.csv"
     shallow.write_text("n,coeff\n0,1.0\n1,1e-300\n")
     assert run(["theorem1-check", "--in", str(shallow)]) == 0
@@ -316,9 +317,23 @@ def test_theorem1_check_exact_route_decides_at_rounding_scale(tmp_path, capsys):
     path.write_text("n,coeff\n" + "".join(f"{n},{c!r}\n" for n, c in enumerate(coeffs)))
     assert run(["theorem1-check", "--in", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["all_prefixes_nonneg"] and not report["inequality_holds"]
-    assert [r["verdict"] for r in report["positivity_routes"]] == ["pass", "within rounding"]
-    assert report["positivity_routes"][0]["minimum"] == 0.0
+    # the exact walk decides both sides of the equivalence, one predicate
+    assert report["all_prefixes_nonneg"] and report["inequality_holds"] and report["p3"]
+    assert report["decided_by"] == "integer-dyadic"
+    assert [r["verdict"] for r in report["positivity_routes"]] == ["within rounding", "pass"]
+    assert report["positivity_routes"][1]["minimum"] == 0.0
+
+
+def test_theorem1_check_report_agrees_with_itself_within_rounding(tmp_path, capsys):
+    # S_3 = 1 - 2^-54 r_1 - r_2 is -2^-54 on atom 0, where the float64
+    # walk reads 0: every verdict is the exact walk's, and all fail
+    path = tmp_path / "dip.csv"
+    path.write_text("n,coeff\n0,1.0\n1,-5.551115123125783e-17\n2,-1.0\n3,0.0\n")
+    assert run(["theorem1-check", "--in", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert not report["all_prefixes_nonneg"] and not report["inequality_holds"] and not report["p3"]
+    assert report["witness"] == {"kind": "prefix", "where": 3, "atom": 0, "value": -(2.0**-54)}
+    assert report["decided_by"] == "integer-dyadic" and report["shifted_bounds"] is None
 
 
 def test_theorem1_check_report_dash_is_stdout(tmp_path, monkeypatch, capsys):
@@ -503,13 +518,25 @@ def test_budget_scale_must_be_finite_and_positive(tmp_path, capsys, command, sca
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["build-walsh-measure", "build-trig-measure"])
+@pytest.mark.parametrize("command", ["build-trig-measure"])
 def test_logpow_past_float64_builds(tmp_path, command):
     # psi(x) = x^2 / (1 + ln(1/x))^1000 underflows to 0.0 below x = 0.01
     # instead of raising OverflowError
     argv = [command, "--psi", "preset:logpow,p=1000", "--out", str(tmp_path / "out.csv"),
             "--manifest", str(tmp_path / "manifest.json")]
     assert run(argv) == 0
+
+
+def test_psi_sums_below_the_normal_range_are_refused(tmp_path, capsys):
+    # at p = 1000 every stage's psi sum and bound underflow to 0.0, a
+    # comparison that says nothing: the build exits 2, naming stage 1,
+    # before writing anything
+    argv = ["build-walsh-measure", "--psi", "preset:logpow,p=1000", "--stages", "3",
+            "--out", str(tmp_path / "out.csv"), "--manifest", str(tmp_path / "manifest.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 1 psi sum 0.0 or its bound 0.0 is below float64's normal range")
+    assert not list(tmp_path.iterdir())
 
 
 def test_build_trig_cli(tmp_path):

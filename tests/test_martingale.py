@@ -1,6 +1,7 @@
 """Martingale decomposition, the positivity equivalence, shifted bounds,
 and the product-measure diagnostics."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -149,19 +150,26 @@ def _all_prefixes_nonneg(series):
 
 
 def _assert_matches_oracle(series):
-    """The exact route's verdict, minimum and witness against the scan,
-    whose sequential float sums are off by at most 2^K 2^-52 ||S||_A."""
+    """The verdicts, minima and witness against the scan, whose sequential
+    float sums are off by at most 2^K 2^-52 ||S||_A.  The float walk
+    always runs and the exact walk only when the walk leaves a verdict
+    within its allowance; a walk's verdict outside it is the oracle's."""
     report = wr.check_positivity_equivalence(series)
     ok, witness, low = _all_prefixes_nonneg(series)
     tol = series.order * 2.0**-52 * np.sum(np.abs(series.coeffs))
-    exact, maximal = report.routes
-    assert (exact.name, exact.arithmetic) == ("exact prefix extrema", "integer-dyadic")
+    maximal, *exact = report.routes
     assert (maximal.name, maximal.arithmetic) == ("maximal function", "float64")
-    assert report.all_prefixes_nonneg == ok
-    assert exact.verdict == ("pass" if ok else "fail")
-    assert abs(exact.minimum - low) <= tol
-    assert abs(maximal.minimum - exact.minimum) <= maximal.rounding_slack
-    assert (exact.atoms, exact.orders) == (maximal.atoms, maximal.orders) == (series.order,) * 2
+    assert report.all_prefixes_nonneg == report.inequality_holds == ok
+    assert abs(maximal.minimum - low) <= tol + maximal.rounding_slack
+    assert (maximal.atoms, maximal.orders) == (series.order,) * 2
+    assert maximal.verdict in ("pass" if ok else "fail", "within rounding")
+    assert report.decided_by == ("integer-dyadic" if exact else "float64")
+    for route in exact:
+        assert (route.name, route.arithmetic) == ("exact prefix extrema", "integer-dyadic")
+        assert route.verdict == ("pass" if ok else "fail")
+        assert abs(route.minimum - low) <= tol
+        assert abs(maximal.minimum - route.minimum) <= maximal.rounding_slack
+        assert (route.atoms, route.orders) == (series.order,) * 2
     if ok:
         assert report.witness is None
     else:
@@ -221,7 +229,7 @@ def test_equivalence_random_bulk():
         coeffs = np.concatenate([[np.sum(np.abs(tail)) + 0.1], tail])
         report = _assert_matches_oracle(wr.WalshSeries.from_coeffs(coeffs))
         assert report.all_prefixes_nonneg and report.inequality_holds
-        assert [r.verdict for r in report.routes] == ["pass", "pass"]
+        assert [r.verdict for r in report.routes] == ["pass"]
 
 
 def test_witness_is_first_negative_order_not_global_minimum():
@@ -243,20 +251,37 @@ ROUNDING_SCALE = [float.fromhex(h) for h in (
 
 
 def test_float_route_within_rounding_does_not_overrule_exact_route():
+    # the walk's dip lies within its allowance, so the exact walk runs and
+    # decides both sides of the equivalence, which cannot differ
     report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(ROUNDING_SCALE))
-    exact, maximal = report.routes
+    maximal, exact = report.routes
     assert exact.minimum == 0.0 and exact.verdict == "pass"
     assert -maximal.rounding_slack <= maximal.minimum < 0.0
     assert maximal.verdict == "within rounding"
-    assert report.all_prefixes_nonneg and not report.inequality_holds
+    assert report.all_prefixes_nonneg and report.inequality_holds and report.p3
+    assert report.decided_by == "integer-dyadic"
     assert report.witness is None
+
+
+# S_3 = 1 - 2^-54 r_1 - r_2 is -2^-54 on atom 0, where the float64 walk
+# rounds M_1 = 1 - 2^-54 to 1 and reads M_2 = S_3 = 0
+CONTRADICTION_ROWS = [1.0, -5.551115123125783e-17, -1.0, 0.0]
+
+
+def test_verdicts_within_rounding_are_decided_exactly_and_agree():
+    report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(CONTRADICTION_ROWS))
+    assert [r.verdict for r in report.routes] == ["within rounding", "fail"]
+    assert [r.minimum for r in report.routes] == [0.0, -(2.0**-54)]
+    assert not report.all_prefixes_nonneg and not report.inequality_holds and not report.p3
+    assert report.witness == wr.PositivityWitness("prefix", 3, 0, -(2.0**-54))
 
 
 def test_routes_disagreeing_beyond_the_allowance_raise(monkeypatch):
     series = wr.WalshSeries.from_coeffs([1.0, 0.5, 0.25, 0.1])
-    slack = wr.check_positivity_equivalence(series).routes[1].rounding_slack
+    slack = wr.check_positivity_equivalence(series).routes[0].rounding_slack
     margin = martingale._maximal_margin
-    # the float route's minimum moved past the allowance; its p3 kept
+    # the float walk's minimum moved past the allowance, still a pass, so
+    # the definition at its atom disagrees; the rest of the walk kept
     monkeypatch.setattr(martingale, "_maximal_margin",
                         lambda s: (margin(s)[0] + 2 * slack, *margin(s)[1:]))
     with pytest.raises(wr.InvariantViolation, match="disagree"):
@@ -294,13 +319,14 @@ def test_exact_minima_equal_the_merge_over_python_ints(depth):
     # the limb tables against the object-array merge, value for value
     for c in (spread_series(depth, depth), spread_series(depth, depth + 1, positive=True)):
         width, exponent = martingale._limb_width(c)
-        mn = martingale._exact_prefix_minima(c, width, exponent)
+        top, mn = martingale._exact_prefix_minima(c, width, exponent)
         s = np.array(dyadic_ints(c, exponent), dtype=object)
         mx, want = s[None].copy(), s[None].copy()
         for _ in _segment_merge(s, mx, want):
             pass
-        got = [sum(d << (_LIMB_BITS * j) for j, d in enumerate(limbs)) for limbs in zip(*mn.tolist())]
-        assert got == want[0].tolist()
+        for table, values in ((mn, want[0]), (top, s)):
+            got = [sum(d << (_LIMB_BITS * j) for j, d in enumerate(limbs)) for limbs in zip(*table.tolist())]
+            assert got == values.tolist()
 
 
 def test_limb_width_is_the_fewest_limbs_that_hold_every_sum():
@@ -329,25 +355,152 @@ def test_exact_route_decides_at_the_last_bit_over_many_limbs():
     series = wr.WalshSeries.from_coeffs([1.0, -1.0, 1e-300, 0.0])
     assert martingale._limb_width(series.coeffs)[0] == -(-1052 // _LIMB_BITS) == 19
     report = _assert_matches_oracle(series)
-    exact, maximal = report.routes
+    maximal, exact = report.routes
     assert (exact.minimum, exact.verdict) == (-1e-300, "fail")
     assert maximal.verdict == "within rounding"
     assert report.witness == wr.PositivityWitness("prefix", 3, 2, -1e-300)
 
 
-def test_exact_route_memory_is_stated_per_limb_and_atom():
-    # a 2-limb depth-16 series: the float walk and the limb tables hold
-    # about the same, one after the other, and the definition's Python
-    # ints come after both, a chunk at a time
+def test_exact_route_memory_is_stated_per_limb_and_atom(monkeypatch):
+    # a 2-limb depth-16 series, every verdict left to the exact walk: the
+    # float walk and the limb tables hold about the same, one after the
+    # other, and the definition's Python ints come after both, a chunk at
+    # a time
     series = wr.WalshSeries.from_coeffs(spread_series(16, 16, positive=True))
     assert martingale._limb_width(series.coeffs)[0] == 2
+    monkeypatch.setattr(martingale, "_allowance", lambda series: math.inf)
     tracemalloc.start()
     try:
-        assert wr.check_positivity_equivalence(series).all_prefixes_nonneg
+        report = wr.check_positivity_equivalence(series)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert report.all_prefixes_nonneg and report.decided_by == "integer-dyadic"
     assert peak < 2 * martingale._EXACT_BYTES_PER_ATOM << 16
+
+
+def dense_partial_sums_at(coeffs, atom, exponent):
+    """`_partial_sums_at` over every coefficient, zeros included: a cumsum
+    in Python ints along n of I_n w_n(atom)."""
+    ints = [sign * scaled for sign, scaled in zip(
+        sign_vector(atom, np.arange(len(coeffs), dtype=np.uint64)).tolist(), dyadic_ints(coeffs, exponent))]
+    sums = list(itertools.accumulate(ints))
+    first = next((p for p, v in enumerate(sums, 1) if v < 0), None)
+    return min(sums), first
+
+
+@pytest.mark.parametrize("case", ["zero runs", "c_0 = 0", "dip after zeros", "zeros", "chunks"])
+def test_partial_sums_at_skip_zero_coefficients(case):
+    # a zero coefficient repeats the partial sum before it; S_1 = 0 still
+    # counts when c_0 = 0
+    rng = np.random.default_rng(len(case))
+    c = np.where(rng.random(64) < 0.6, 0.0, rng.uniform(-1, 1, 64))
+    c[0] = 2.0
+    if case == "c_0 = 0":
+        c[:5] = [0.0, 0.0, 0.25, -0.5, 0.0]
+    elif case == "dip after zeros":
+        c[:12] = [0.5] + [0.0] * 10 + [-1.0]
+    elif case == "zeros":
+        c[:] = 0.0
+    elif case == "chunks":
+        c = np.where(rng.random(1 << 16) < 0.5, 0.0, rng.uniform(-1, 1, 1 << 16))
+        c[0] = 0.0
+    exponent = martingale._limb_width(c)[1]
+    for atom in (0, 1, 5, c.size - 1):
+        assert martingale._partial_sums_at(c, atom, exponent) == dense_partial_sums_at(c, atom, exponent)
+    if case == "dip after zeros":
+        assert martingale._partial_sums_at(c, 0, exponent)[1] == 12
+
+
+def test_decisive_series_never_run_the_exact_walk(monkeypatch, flagship_build):
+    # the d13 and d16 measures and a seeded positive dense series are
+    # decided by the float walk alone; a verdict within its allowance runs
+    # the exact walk
+    def refuse(*args):
+        raise RuntimeError("exact walk")
+
+    d16 = wr.build_measure(wr.PsiSpec.logpow(1.0), 4, wr.SummabilityBudget(scale=6))
+    positive = [wr.WalshSeries.from_coeffs(spectrum_series(state)) for state in (flagship_build.final, d16)]
+    positive.append(wr.WalshSeries.from_coeffs(spread_series(16, 16, positive=True)))
+    monkeypatch.setattr(martingale, "_exact_prefix_minima", refuse)
+    for series in positive:
+        report = wr.check_positivity_equivalence(series)
+        assert report.all_prefixes_nonneg and report.p3 and all(report.shifted_m0)
+        assert report.decided_by == "float64" and len(report.routes) == 1
+    for coeffs in (ROUNDING_SCALE, CONTRADICTION_ROWS):
+        with pytest.raises(RuntimeError, match="exact walk"):
+            wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(coeffs))
+
+
+def scan_verdicts(coeffs):
+    """Every verdict of `check_positivity_equivalence` from the definition,
+    in Python ints over a common power of two: the partial sums of every
+    order on every atom, M_k = S_(2^k) and N_k = S_(2^(k+1)) - S_(2^k)
+    where r_(k+1) = +1 (atoms below 2^k)."""
+    size = len(coeffs)
+    exponent = min(0, *(math.frexp(x)[1] - 53 for x in coeffs))
+    ints = dyadic_ints(coeffs, exponent)
+    sums = [list(itertools.accumulate(i * (-1) ** (n & t).bit_count() for n, i in enumerate(ints)))
+            for t in range(size)]
+    low = min(map(min, sums))
+    witness = None
+    for p in range(1, size + 1):
+        order = [row[p - 1] for row in sums]
+        if min(order) < 0:
+            atom = order.index(min(order))
+            witness = wr.PositivityWitness("prefix", p, atom, min(order) / (1 << -exponent))
+            break
+    level = [[row[(1 << k) - 1] for row in sums] for k in range(size.bit_length())]
+    p3 = min(map(min, level)) >= 0
+    shifted = tuple(all(abs(level[k + 1][t] - level[k][t]) <= 2 * level[k][t] for t in range(1 << k))
+                    for k in range(size.bit_length() - 1))
+    return low >= 0, witness, p3, shifted
+
+
+@st.composite
+def cancelling_series(draw):
+    """Dyadic terms with small exponents, each nudged by a few units of
+    2^-50..2^-56, and c_0 within a few ulps of the one that puts the
+    smallest partial sum at 0."""
+    size = 1 << draw(st.integers(0, 4))
+    tail = [draw(st.integers(-3, 3)) * 2.0 ** -draw(st.integers(0, 3))
+            + draw(st.integers(-1, 1)) * 2.0 ** -draw(st.integers(50, 56)) for _ in range(size - 1)]
+    # the smallest partial sum of the tail alone, in float64: near the
+    # exact one, which the nudge of c_0 straddles
+    low = min(sum(c * (-1) ** ((n + 1) & t).bit_count() for n, c in enumerate(tail[:p]))
+              for p in range(size) for t in range(size))
+    c0 = -low + draw(st.integers(-2, 2)) * 2.0 ** -draw(st.integers(50, 54))
+    return [c0, *tail]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1e308, 1e308, -1e308, 1e308],            # S_4 = -2e308: the exact minimum rounds to -inf
+    [8e307, 8e307, -8e307, 8e307, 1.0, -1.0, 0.0, 0.0],
+    [2.0**1000, 2.0**1000, 0.0, 0.0],
+    [5e-324, -5e-324, 5e-324, 0.0],           # every sum exact, the allowance 0.0
+    [1e-310, 5e-324, -1e-310, 0.0],
+    [2.0**-1022, -(2.0**-1023), 2.0**-1074, -(2.0**-1074)],
+])
+def test_verdicts_at_the_ends_of_float64(coeffs):
+    # at the top of float64 the walk overflows (||S||_A >= 2^1022, an
+    # infinite allowance) or its allowance covers the minimum 0, and the
+    # exact walk decides; at the bottom a subnormal allowance covers sums
+    # that are all exact
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(coeffs))
+    assert report.decided_by == ("integer-dyadic" if max(coeffs) > 1.0 else "float64")
+    assert (report.all_prefixes_nonneg, report.witness, report.p3, report.shifted_m0) == scan_verdicts(coeffs)
+
+
+@given(cancelling_series())
+@settings(max_examples=300, deadline=None)
+def test_verdicts_equal_the_scan_oracle_near_zero(coeffs):
+    report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(coeffs))
+    ok, witness, p3, shifted = scan_verdicts(coeffs)
+    assert report.all_prefixes_nonneg == report.inequality_holds == ok
+    assert report.witness == witness
+    assert report.p3 == p3
+    assert report.shifted_m0 == shifted
 
 
 # ---------------------------------------------------------------------------
