@@ -11,11 +11,10 @@ martingale.DIAGNOSTIC_DEPTH_LIMIT coordinates) is a configuration
 error: build-walsh-measure checks both limits right after the build,
 before any certificate runs.  All output files are written atomically
 (temp file + rename).  Commands take flags only.
-No command draws random numbers: every positivity certificate covers
-every order on every atom, one stage band at a time, with exact minima
-at every depth.  --seed is only recorded in manifests and reports, and
---cap is parsed and ignored; both are kept because
-benchmarks/workloads.py passes them.
+No command draws random numbers: every positivity certificate is exact
+over every order on every atom, at every depth.  --seed is only
+recorded in manifests and reports, and --cap is parsed and ignored;
+both are kept because benchmarks/workloads.py passes them.
 report exits 2, before writing anything, when the measure CSV's term
 count is not the manifest product's.
 
@@ -281,9 +280,9 @@ def _shifted_bound_sweep(series: WalshSeries, equiv: martingale.EquivalenceRepor
     multipliers still exercise the reindexing.  The m = 0 verdicts, one
     per level, are `equiv.shifted_m0`, exact.  For kj >= 1,
     `martingale.check_shifted_bound` checks m = 2^kj - 1 in float64 with
-    the float walk's allowance as `tol`, K - 1 calls: a failure there is
-    a proof, and a pass, which may lie within the allowance, is settled
-    by the exact m = 0 verdict of the same modulus.
+    the float walk's allowance as `tol`, K - 1 calls: a failure is a
+    proof, and a pass, maybe within the allowance, is settled by the
+    exact m = 0 verdict of the same modulus.
     """
     slack = equiv.routes[0].rounding_slack
     held = [*equiv.shifted_m0, *(
@@ -296,10 +295,12 @@ def _exact_route_check(path: str):
     """`series_from_csv`'s check for theorem1-check: exit 2 when the
     series is past the depth limit or its int64 limbs take more atoms
     than a 2-limb series at the limit, naming the limbs and the bytes the
-    exact route would hold, before any table of its atoms is allocated."""
+    exact route would hold, before any table of its atoms is allocated.
+    The check keeps `martingale._limb_width` of the values as `limbs`."""
 
     def check(depth: int, coeffs) -> None:
-        width = martingale._limb_width(coeffs)[0]
+        check.limbs = martingale._limb_width(coeffs)
+        width = check.limbs[0]
         held = (f"{width} int64 limb{'s' * (width > 1)} per value,"
                 f" about {width * _EXACT_BYTES_PER_ATOM << depth:,} bytes")
         if depth > THEOREM1_DEPTH_LIMIT:
@@ -320,13 +321,14 @@ def _exact_route_check(path: str):
 
 def _cmd_theorem1_check(args) -> int:
     try:
-        series = series_from_csv(args.infile, check=_exact_route_check(args.infile))
+        check = _exact_route_check(args.infile)
+        series = series_from_csv(args.infile, check=check)
     except OSError as exc:
         raise _IOFailure(f"cannot read {args.infile}: {exc}") from None
     except SeriesFormatError as exc:
         raise _IOFailure(f"{args.infile}: {exc}") from None
 
-    equiv = martingale.check_positivity_equivalence(series)
+    equiv = martingale.check_positivity_equivalence(series, check.limbs)
     shifted = _shifted_bound_sweep(series, equiv) if equiv.all_prefixes_nonneg else None
     report = {
         "input": args.infile,

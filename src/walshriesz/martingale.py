@@ -159,25 +159,24 @@ class EquivalenceReport:
 
 # The exact route holds about this many bytes per atom per limb: on the
 # seeded dense 2-limb series (coefficients uniform(-1, 1) 2^-U{0..20})
-# its tracemalloc peak was 31.1 bytes per atom per limb at depth 16 and
-# 24.5 at depth 20, three limb tables and block-sized scratch, and RSS
-# rose by 18-21 at depths 16-20 (numpy 2.4); rounded up here.  The float
-# walk before it holds no more.  The whole `theorem1-check` command on
-# such a series, CSV reader included, took 2.5-3.4 s and 97 MiB of peak
-# RSS at depth 20, 4.9-6.4 s and 164 MiB at 21, 10.5-13.0 s and 290 MiB
-# at 22 and 22.6-26.5 s and 546 MiB at 23 on one shared Xeon core with
-# the exact walk run, the reader's text and rows setting the peak; the
-# limit is the deepest depth under 30 s and 1 GiB.  `theorem1-check`
-# refuses series deeper than the limit, and series whose limbs take more
-# atoms than a 2-limb series at the limit.
+# its tracemalloc peak was 24.5-31.1 bytes per atom per limb at depths
+# 16-20, three limb tables and block-sized scratch (numpy 2.4); rounded
+# up here.  The float walk before it holds no more.  The whole
+# `theorem1-check` on such a series, exact walk run, took 2.5-3.4 s and
+# 97 MiB of peak RSS at depth 20 and 22.6-26.5 s and 546 MiB at 23 on
+# one shared Xeon core, the reader setting the peak; the limit is the
+# deepest depth under 30 s and 1 GiB.  `theorem1-check` refuses deeper
+# series, and series whose limbs take more atoms than a 2-limb series at
+# the limit.
 THEOREM1_DEPTH_LIMIT = 23
 _EXACT_BYTES_PER_ATOM = 32
 _EXACT_LIMB_ATOMS = 2 << THEOREM1_DEPTH_LIMIT
 
 
-def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
+def check_positivity_equivalence(series: WalshSeries, limbs=None) -> EquivalenceReport:
     """Every S_p >= 0, i.e. N_k* <= M_k at every level, p3 and the m = 0
-    shifted bounds, over every order on every atom.
+    shifted bounds, over every order on every atom (`limbs`: the
+    caller's `_limb_width` of the coefficients, if it has it).
 
     The float64 walk (`_maximal_margin`) decides each verdict whose value
     lies outside the allowance `_allowance`.  If any lies within it, one
@@ -197,7 +196,7 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     slack = _allowance(series)
     positive, p3 = _decide(low, slack), _decide(p3_low, slack)
     shifted = [_decide(margin, slack) for margin in margins]
-    width, exponent = _limb_width(c)
+    width, exponent = limbs or _limb_width(c)
     routes = [PositivityRoute("maximal function", "float64", low,
                               {True: "pass", False: "fail", None: "within rounding"}[positive],
                               slack, size, size)]

@@ -27,13 +27,13 @@ N_k = prod_(i<=k) (1 + |supp X_i|) and the spectrum.  Each block lies
 right of all used coordinates, so stage k+1's XOR products are distinct
 and exceed every index of Pi_k: the spectrum is one sorted pair of
 int64/float64 arrays, stage k at positions [N_(k-1), N_k), filled in
-place, built only for the export, and refused past SPECTRUM_LIMIT terms
-before anything is allocated.  The stage sums of psi(|c_n|) need only
-the magnitudes: stage k+1's are the products of one distinct |c| of
-Pi_k and one of X_(k+1), so each sum is read off the two magnitude
-histograms, exactly and at any depth.
+place, and refused past SPECTRUM_LIMIT terms before anything is
+allocated; the export builds it only if X_K outnumbers Pi_(K-1).
+The stage sums of psi(|c_n|) need only the magnitudes: stage k+1's are
+the products of one distinct |c| of Pi_k and one of X_(k+1), so each
+sum is read off the two magnitude histograms, exactly at any depth.
 Each X_i is evaluated on its own block's 2^|J_i| atoms (one butterfly)
-and read off elsewhere by the block's bits of the atom.
+and read off by the block's bits of the atom.
 
 Every prefix order is certified on every atom, one stage band at a
 time, as the paper's proof goes.  Band j holds the orders
@@ -121,8 +121,8 @@ __all__ = [
     "state_from_manifest",
 ]
 
-# Largest spectrum materialized, in terms (16 bytes each), and the most
-# magnitude products one psi stage pairs; the ladder's largest build,
+# Largest spectrum built or exported, in terms (16 bytes each), and the
+# most magnitude products one psi stage pairs; the ladder's largest build,
 # depth 21, has 589,860 terms.
 SPECTRUM_LIMIT = 1 << 24
 
@@ -246,7 +246,7 @@ class PsiSpec:
         is monotone there unless a < 0 and x* = -2a/b lies inside, where
         it peaks at -b^2/(4a); below the grid it is ys[0]/xs[0]^2.  Decay
         is probed by comparing ys/xs^2 at the first sample with its
-        largest.  Refine the grid for a sharper envelope.
+        largest.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -624,9 +624,7 @@ def add_factor(
     The caller is responsible for level admissibility; structural rules
     are enforced here: the block must sit strictly to the right of all
     used coordinates and end by coordinate 63, whose Walsh index 2^62 is
-    the last that int64 holds with its XOR products.  Then the new XOR
-    products extend the sorted spectrum (the Spectrum's strictly-
-    increasing check asserts it when the spectrum is built).
+    the last that int64 holds with its XOR products.
     """
     if block is None:
         lo = state.used_coordinates + 1
@@ -669,15 +667,13 @@ def build_measure(
 class PositivityCertificate:
     """Exact minima of the partial sums of the product's series.
 
-    `global_min` is over orders p >= 1 (the empty sum is 0 by
-    definition).  `stage_margins[j]` is the pointwise minimum of
-    S_p - (1/4) Pi_j over stage j's orders [edge_j, edge_(j+1)) (the
-    last band closed), which the construction keeps nonnegative.  Both
-    are exact for the product of the stored float64 factors, each
-    rounded once to float64, so `method` is always "exact", and the
-    certificate passes when the exact global minimum and every exact
-    margin are nonnegative.  Every order on every atom is covered, so
-    `exhaustive` is always true.
+    `global_min` is over orders p >= 1 (the empty sum is 0).
+    `stage_margins[j]` is the minimum of S_p - (1/4) Pi_j over stage j's
+    orders [edge_j, edge_(j+1)) (the last band closed), which the
+    construction keeps nonnegative.  Both are exact for the product of
+    the stored float64 factors, rounded once, so `method` is always
+    "exact"; the certificate passes when all are nonnegative.  Every
+    order on every atom is covered, so `exhaustive` is always true.
     """
 
     exhaustive: bool
@@ -846,9 +842,13 @@ def _exact_sum(values, counts=None) -> float:
     return sum(n * c << 1075 - den.bit_length() for (n, den), c in zip(ratios, weights)) / (1 << 1074)
 
 
-# the smallest normal float64, 2^-1022: below it a stage figure has lost
-# relative precision, down to 0.0
-_NORMAL_MIN = 2.0**-1022
+def _require_normal(k: int, exact: float, bound: float) -> None:
+    """Refuse stage k's psi sum or bound below 2^-1022, the normal range."""
+    if not min(exact, bound) >= 2.0**-1022:
+        raise CoordinateBudgetError(
+            f"stage {k} psi sum {exact!r} or its bound {float(bound)!r} is below"
+            " float64's normal range (2^-1022): their comparison would say nothing"
+        )
 
 
 def psi_sum_report(
@@ -864,8 +864,8 @@ def psi_sum_report(
     product of the magnitudes is bitwise the per-term products.  Each
     stage sum is `_exact_sum` over their histogram (see `PsiSumReport`).
     A stage with more than SPECTRUM_LIMIT magnitude products is refused
-    (CoordinateBudgetError) before they are allocated, and so is one with
-    terms whose sum or bound is below 2^-1022 once they are computed."""
+    (CoordinateBudgetError) before they are allocated, and so is one
+    whose sum or bound underflows."""
     mags, counts = np.ones(1), np.ones(1, np.int64)  # Pi_0's distinct |c| and their counts
     norm_a, stage_exact, stage_bounds = 1.0, [], []
     for k, factor in enumerate(state.factors, 1):
@@ -881,11 +881,8 @@ def psi_sum_report(
         stage = _histogram(np.multiply.outer(mags, fmags).ravel(),
                            np.multiply.outer(counts, fcounts).ravel())
         exact = _exact_sum(map(psi.psi, stage[0].tolist()), stage[1])
-        if fmags.size and not min(exact, bound) >= _NORMAL_MIN:
-            raise CoordinateBudgetError(
-                f"stage {k} psi sum {exact!r} or its bound {float(bound)!r} is below"
-                " float64's normal range (2^-1022): their comparison would say nothing"
-            )
+        if fmags.size:
+            _require_normal(k, exact, bound)
         if exact > bound * (1.0 + 1e-12):
             raise InvariantViolation(f"stage {k} psi sum {exact} exceeds its bound {bound}")
         stage_exact.append(exact)
@@ -917,9 +914,15 @@ def psi_sum_report(
 # ---------------------------------------------------------------------------
 
 def export_measure(state: RieszProductState, path) -> None:
-    """Sparse spectrum as CSV `n,coeff` in ascending index, through the
-    series writer `walsh._write_coeff_rows`, written atomically."""
-    _write_coeff_rows(path, "n", state.spectrum.indices, state.spectrum.coeffs)
+    """The spectrum as CSV `n,coeff` by `walsh._write_coeff_rows`, refused
+    past SPECTRUM_LIMIT terms; Pi_(K-1), unless X_K has more terms, is
+    the writer's inner part and 1 + X_K its outer part."""
+    _check_spectrum_limit(state)
+    last, outer = state.factors[-1:], ((0,), (1.0,))
+    if last and state.support_size >= (1 + last[0].indices.size) * last[0].indices.size:
+        outer = np.append(0, last[0].indices), np.append(1.0, last[0].coeffs)
+        state = RieszProductState(state.factors[:-1])
+    _write_coeff_rows(path, "n", state.spectrum.indices, state.spectrum.coeffs, outer)
 
 
 def load_spectrum_csv(path) -> Spectrum:

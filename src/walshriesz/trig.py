@@ -44,7 +44,7 @@ import numpy as np
 
 from .rudin_shapiro import FLATNESS_CONSTANT, rs_sign_sequence
 from .riesz import LevelSelectionError, PsiSpec, SummabilityBudget, Spectrum
-from .riesz import _admissible, _exact_sum, _magnitudes, _monomial
+from .riesz import _admissible, _exact_sum, _magnitudes, _monomial, _require_normal
 from .walsh import InvariantViolation, _write_coeff_rows, prefix_scan
 
 __all__ = [
@@ -176,10 +176,9 @@ def build_trig_measure(
     InvariantViolation unless its term count shows every frequency
     distinct, as lacunarity guarantees.  Levels stop at 2^12, the longest
     flat polynomial `build_trig_flat` builds.  Raises ValueError unless
-    0 <= stages <= 2 and oversample >= 1.  The grid needed for the
-    certificate grows like the square of the stage level: a third stage
-    would need about 26k frequencies on 4.2M grid points, which does not
-    finish.
+    0 <= stages <= 2 and oversample >= 1, and CoordinateBudgetError for a
+    stage psi sum or bound below float64's normal range.  The grid grows
+    like the square of the stage level (a third stage: see the module).
     """
     psi.validate()
     if not 0 <= stages <= _MAX_STAGES:
@@ -205,9 +204,11 @@ def build_trig_measure(
             raise InvariantViolation(f"stage {stage} repeats a frequency")
 
         # a-priori stage bound: sum of new coeffs^2 is 2 sigma^2 ||Pi||_2^2
-        stage_bounds.append(2.0 * factor.sigma2 * _norms(spectrum)[1] * psi.epsilon_bar(amp))
+        bound = 2.0 * factor.sigma2 * _norms(spectrum)[1] * psi.epsilon_bar(amp)
         mags, counts = _magnitudes(product.coeffs[len(spectrum):])
         stage_exact.append(_exact_sum(map(psi.psi, mags.tolist()), counts))
+        _require_normal(stage, stage_exact[-1], bound)
+        stage_bounds.append(bound)
 
         spectrum = product
         factors.append(factor)

@@ -294,17 +294,14 @@ def _segment_merge(s, mx, mn):
     The two halves take the slots of a and b, and two scratch rows per
     class (one with no class) hold the new r = -1 halves while a's slots
     are overwritten.
-    A level runs in blocks of 2^14 values per row (limbs counted) of its
-    segment pairs' positions, so the scratch rows are a block wide and a
-    block's dozen or more passes find their rows in cache.  The levels
-    below `_TILE` = 16 would run every pass on runs of h < 16 values, so
-    a merge of 2^12 atoms or more runs them a block at a time instead: its
-    16-atom segments are gathered into a block-sized (16, tiles) scratch
-    tile per table, atom outer and segment inner, where level h runs the
-    same level body on runs of h * tiles values; the tile is then
-    scattered back.  Every value meets the same operands in the same
-    order either way, so the tables come out bit for bit those of the
-    level-by-level merge.
+    A level runs in blocks of 2^14 values per row (limbs counted), so
+    the scratch rows are a block wide and a block's passes find their
+    rows in cache.  A merge of 2^12 atoms or more runs its levels below
+    `_TILE` = 16 a block at a time: its 16-atom segments are gathered
+    into a (16, tiles) scratch tile per table, atom outer, where level h
+    runs on runs of h * tiles values, then scattered back.  Every value
+    meets the same operands in the same order either way, so the tables
+    come out bit for bit those of the level-by-level merge.
 
     Only the arithmetic depends on the tables.  Float tables round as
     float64 does, int64 tables add exactly (the caller keeps them from
@@ -316,11 +313,9 @@ def _segment_merge(s, mx, mn):
     carry, and compares by the sign of the difference's top limb, borrows
     carried up (`_limb_ops`).  The low limbs grow by a bit per level, so
     every `_CARRY_LEVELS` = 4 levels, and at the last, each block is
-    carried once merged, while it is in cache: a tile after its four
-    short levels, before it is scattered back, and whole levels after
-    every fourth one from there on.  Tables go in and come out carried;
-    every value must fit, which `martingale._limb_width` sees to.  A
-    one-limb table is an int64 table.
+    carried once merged, while it is in cache.  Tables go in and come
+    out carried; every value must fit, which `martingale._limb_width`
+    sees to.  A one-limb table is an int64 table.
 
     A generator of the levels: it yields h just before merging the
     segments of length h into those of 2h, from h = 16 on when the merge
@@ -389,18 +384,11 @@ def _segment_merge(s, mx, mn):
 
 
 # atoms per tile of `_segment_merge`'s short levels: on one shared Xeon
-# core (best of 3-7 runs, numpy 2.4) tiles of 8, 16, 32 and 64 atoms ran
-# the 2-limb merges of the depth-16 benchmark series in 43, 40, 46 and
-# 47 ms and of a dense depth-20 series in 1.13, 1.08, 1.07 and 1.01 s,
-# against 75 ms and 1.31 s level by level; 16 is the fastest at depth 16
-# and within the runs' spread at depth 20.  A block's worth of tiles per
-# run beat half a block (1.13-1.16 s at depth 20) and a quarter
-# (1.29-1.36 s).  Tables of fewer than `_TILED_FROM` atoms (more than a
-# tile) merge level by level: below it the gather and scatter cost more
-# than the longer runs save.  Level by level against tiled, the float
-# butterfly, float prefix extrema and 2-limb merge took 148/232,
-# 515/861 and 3.9/3.6 ms at 2^11 atoms and 308/277, 1259/1082 and
-# 5.9/3.9 ms at 2^12 (best of 9)
+# core (numpy 2.4) 16-atom tiles ran the 2-limb merge of the depth-16
+# benchmark series fastest, in 40 ms against 43-47 ms for 8, 32 and 64
+# atoms and 75 ms level by level, and a block of tiles per run beat half
+# or a quarter of one.  Below `_TILED_FROM` atoms the gather and scatter
+# cost more than the longer runs save
 _TILE = 16
 _TILED_FROM = 1 << 12
 
@@ -432,11 +420,9 @@ def _blocks(segments: int, h: int, block: int):
 # such limbs, which the comparison forms, is below 2^63.  The low limbs
 # together are then below 2^(58 (L - 1) + 4) in modulus, so the top limb
 # stays within 17 of value / 2^(58 (L - 1)), which
-# `martingale._limb_width` keeps below 2^57.  On 2 shared Xeon cores
-# (numpy 2.4, medians of 12 alternating processes) the 2-limb merge of
-# the depth-16 benchmark series took 48 ms so, against 53 ms with 62-bit
-# limbs carried after every add and subtract, and of a seeded dense
-# depth-18 series 197 ms against 238 ms
+# `martingale._limb_width` keeps below 2^57.  The 2-limb merge of the
+# depth-16 benchmark series took 48 ms so, against 53 ms with 62-bit
+# limbs carried after every add and subtract (2 shared Xeon cores)
 _LIMB_BITS = 58
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _CARRY_LEVELS = 4
@@ -550,9 +536,9 @@ def prefix_scan(indices, coeffs, basis, size: int):
     support index.  The package's one streaming partial-sum loop: cosine
     series on a grid t pass `lambda f: np.cos(f * t)`, the tests' Walsh
     oracles `lambda n: sign_vector(n, patterns)`.  acc is one buffer
-    updated in place, and each term goes through one more: full-width temporaries
-    freed at the heap top are returned to the system and faulted back in
-    on the next step.  O(|support| size)."""
+    updated in place, and each term goes through one more (freed
+    full-width temporaries would be faulted back in each step).
+    O(|support| size)."""
     acc = np.zeros(size)
     term = np.empty(size)
     for n, c in zip(indices, coeffs):
@@ -627,7 +613,7 @@ def verify_lemma(series: WalshSeries, m, k: int, tol: float = 1e-12) -> LemmaWit
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV `n,coeff` (dense or sparse rows) and JSON
+# serialization: CSV `n,coeff`, dense or sparse rows
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
@@ -653,59 +639,76 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-# rows per chunk of `_write_coeff_rows`: in a fresh process that has
-# built, certified and psi-summed the depth-22 ladder measure (peak RSS
-# 31.4 MB), its export, which also builds the 8.4 MB spectrum, peaked at
-# 39.7 MB in 2^12-row chunks, 40.7-40.9 MB in 2^14-row chunks and
-# 46.5-47.1 MB in 2^16-row chunks (Linux x86-64, numpy 2.4)
+# inner rows per template of `_write_coeff_rows`, and the most bytes of
+# copies it joins for one write: at 2^18 the depth-22 ladder export peaks
+# at 1.2 MiB of tracemalloc (2.8 MiB at 2^20) and raised a fresh
+# process's peak RSS by 0.3 MB, where building the spectrum took 9.8 MB
+# (Linux x86-64, numpy 2.4)
 _ROW_CHUNK = 1 << 14
+_WRITE_BYTES = 1 << 18
+_POWERS = np.array([10**k for k in range(1, 19)])
 
 
-def _write_coeff_rows(path, index_name: str, indices, coeffs) -> None:
+def _write_coeff_rows(path, index_name: str, indices, coeffs, outer=((0,), (1.0,))) -> None:
     """The package's one series and spectrum writer: CSV `<index_name>,coeff`
     with one `n,repr(c)` line per term, the bytes `csv.writer` would write,
-    written atomically.  The strictly increasing nonnegative int64
-    `indices` and float64 `coeffs` go through `_coeff_row_bytes`
-    `_ROW_CHUNK` = 2^14 rows at a time, with the texts `_coeff_texts`
-    looks up: no Python call is made per row, and each of a chunk's arrays
-    stays below 1 MB (larger chunks raised peak RSS, see `_ROW_CHUNK`)."""
+    written atomically.  Row (i, j) is `f_i + p_j, repr(c_i * q_j)` for
+    the outer part (f, c), by default 1 at 0, and the inner part p =
+    `indices`, q = `coeffs`, indices increasing with (i, j).  Each
+    `_ROW_CHUNK` of inner rows is laid out by `_coeff_row_bytes` once per
+    c_i and digit counts, and an inner part of one chunk is copied for
+    the other outer terms (`_copied_rows`): no Python call per row."""
+    f, c = np.asarray(outer[0], np.int64), np.asarray(outer[1], np.float64)
+    # per chunk of inner rows, each outer term's template key as bytes: c_i
+    # and the count of inner rows below each power of 10 once f_i is added
+    below = indices.searchsorted(_POWERS - f[:, None])
+    starts = range(0, indices.size, _ROW_CHUNK)
+    kinds = [np.column_stack([c.view(np.int64), (below - a).clip(0, _ROW_CHUNK)]).view(
+        f"V{8 + 8 * _POWERS.size}").ravel().tolist() for a in starts]
+    templates, kept, batch, size = {}, [], [], 0
     with _atomic_open(path, "wb") as fh:
         fh.write(f"{index_name},coeff\r\n".encode())
-        chunks = zip(range(0, indices.size, _ROW_CHUNK), _coeff_texts(coeffs))
-        for lo, (inverse, texts) in chunks:
-            fh.write(_coeff_row_bytes(indices[lo : lo + _ROW_CHUNK], inverse, texts))
+        for i in range(f.size):
+            for a, kind in zip(starts, kinds):
+                if a:
+                    templates.clear()
+                p, key = indices[a : a + _ROW_CHUNK], (a, kind[i])
+                template = templates.get(key)
+                if batch and (template is None or size + template[0].size > _WRITE_BYTES):
+                    fh.write(_copied_rows(f[i - len(batch) : i], p, batch))
+                    batch, size = [], 0
+                if template is None:  # 1 at 0 leaves the inner part as it is
+                    q = coeffs[a : a + p.size]
+                    texts = _coeff_texts(q if c[i] == 1.0 else c[i] * q, kept)
+                    templates[key] = [_coeff_row_bytes(p + f[i] if f[i] else p, *texts), None]
+                    fh.write(templates[key][0])
+                else:
+                    batch.append(template)
+                    size += template[0].size
+        if batch:
+            fh.write(_copied_rows(f[f.size - len(batch) :], p, batch))
 
 
-def _coeff_texts(coeffs: np.ndarray):
-    """For each `_ROW_CHUNK` of `coeffs`, `(inverse, texts)` with
-    `texts[inverse]` the chunk's texts: a comma, the coefficient's repr
-    and CR LF, the repr NUL-padded to one width.
-
-    repr is called once per distinct int64 bit pattern, so -0.0 and 0.0
-    keep their own text.  The sorted patterns of the last chunk that
-    needed new texts are kept with their texts.  A chunk holding only
-    those patterns is looked up with `searchsorted` and an exact check,
-    first on its first 2^10 patterns: a chunk that misses mostly shows it
-    there, at a sixteenth of a full lookup's cost.  Any other chunk is
-    grouped by `np.unique` (on int64, which leaves `numpy.ma` unimported)
-    and its texts replace the kept ones.
-    """
-    keys = texts = None
-    for lo in range(0, coeffs.size, _ROW_CHUNK):
-        bits = coeffs[lo : lo + _ROW_CHUNK].view(np.int64)
-        if keys is not None and _lookup(keys, bits[: 1 << 10]) is not None:
-            inverse = _lookup(keys, bits)
-            if inverse is not None:
-                yield inverse, texts
-                continue
-        keys, inverse = np.unique(bits, return_inverse=True)
-        reprs = np.array([repr(c).encode() for c in keys.view(np.float64).tolist()])
-        texts = np.empty((keys.size, reprs.itemsize + 3), np.uint8)
-        texts[:, 0] = ord(",")
-        texts[:, 1:-2] = reprs.view(np.uint8).reshape(keys.size, -1)
-        texts[:, -2:] = (ord("\r"), ord("\n"))
-        texts = texts.view(f"S{texts.shape[1]}").ravel()
-        yield inverse, texts
+def _coeff_texts(values: np.ndarray, kept: list):
+    """`(inverse, texts)`, `texts[inverse]` the texts of `values`: a comma,
+    the repr, NUL-padded, and CR LF, one repr per distinct int64 bit
+    pattern (-0.0 is not 0.0).  Values of the patterns `kept` from the
+    last call that needed new ones are looked up, first their first
+    2^10, where misses mostly show; others are grouped by `np.unique`
+    (on int64: `numpy.ma` stays unimported), and kept."""
+    bits = values.view(np.int64)
+    if kept and _lookup(kept[0], bits[: 1 << 10]) is not None:
+        inverse = _lookup(kept[0], bits)
+        if inverse is not None:
+            return inverse, kept[1]
+    keys, inverse = np.unique(bits, return_inverse=True)
+    reprs = np.array([repr(c).encode() for c in keys.view(np.float64).tolist()])
+    texts = np.empty((keys.size, reprs.itemsize + 3), np.uint8)
+    texts[:, 0] = ord(",")
+    texts[:, 1:-2] = reprs.view(np.uint8).reshape(keys.size, -1)
+    texts[:, -2:] = (ord("\r"), ord("\n"))
+    kept[:] = keys, texts.view(f"S{texts.shape[1]}").ravel()
+    return inverse, kept[1]
 
 
 def _lookup(keys: np.ndarray, bits: np.ndarray) -> np.ndarray | None:
@@ -715,81 +718,73 @@ def _lookup(keys: np.ndarray, bits: np.ndarray) -> np.ndarray | None:
     return pos if np.array_equal(keys.take(pos, mode="clip"), bits) else None
 
 
-def _coeff_row_bytes(indices: np.ndarray, inverse: np.ndarray, texts: np.ndarray) -> np.ndarray:
-    """One nonempty chunk's `n,repr(c)` lines, each ended by CR LF, as a
-    uint8 array, from strictly increasing `indices` and the texts
-    `texts[inverse]` of `_coeff_texts`.
+def _copied_rows(f: np.ndarray, p: np.ndarray, templates: list) -> np.ndarray:
+    """The lines of the indices f_i + p_j from one `[rows, commas]`
+    template per f_i, laid out for indices of the same digit counts."""
+    for template in templates:
+        if template[1] is None:  # on its first copy
+            template[1] = np.flatnonzero(template[0] == ord(","))
+    rows = np.concatenate([t[0] for t in templates])
+    bases = np.array([0] + [t[0].size for t in templates[:-1]]).cumsum()
+    ends = (np.stack([t[1] for t in templates]) + bases[:, None]).ravel()
+    _index_digits(np.add.outer(f, p).ravel(), ends, rows)
+    return rows
 
-    Each row is first laid out at one fixed width, as many bytes as the
-    largest index has digits plus the texts' width: the index's decimal
-    digits right-aligned, then the text, with NUL bytes for leading zeros
-    and padding; dropping the NULs leaves the lines.  The digits are
-    written first, by `_index_cells`, in 4-byte cells; the top cell's
-    first bytes, up to 3 and always NUL, lie on the previous row's text
-    (or on a lead of NULs before the first row), which is written after.
-    """
+
+def _coeff_row_bytes(indices: np.ndarray, inverse: np.ndarray, texts: np.ndarray) -> np.ndarray:
+    """The `n,repr(c)` CR LF lines of strictly increasing `indices` and
+    the texts `texts[inverse]`, as a uint8 array: rows of one width,
+    NUL-filled, take the digits right-aligned and then the text; dropping
+    the NULs leaves the lines."""
     digits = len(str(int(indices[-1])))
-    groups = -(-digits // 4)
-    width = digits + texts.itemsize
-    rows = np.empty(4 * groups - digits + indices.size * width, np.uint8)
-    _index_cells(indices, groups, rows, width)
-    row_texts = np.ndarray(indices.shape, texts.dtype, buffer=rows, offset=4 * groups,
-                           strides=(width,))
-    row_texts[:] = texts[inverse]
+    rows = np.zeros((indices.size, digits + texts.itemsize), np.uint8)
+    rows[:, digits:].view(texts.dtype)[:, 0] = texts[inverse]
+    _index_digits(indices, range(digits, rows.size, rows.shape[1]), rows.ravel())
     # `> 0` rather than `!= 0`: numpy's uint8 != loop lies on library pages
     # no other step of a unit touches, 64 kB more resident memory
     return rows[rows > 0]
 
 
-def _index_cells(indices: np.ndarray, groups: int, rows: np.ndarray, stride: int) -> None:
-    """Strictly increasing nonnegative int64 `indices` as ASCII decimal
-    digits, right-aligned in `groups` 4-byte cells per index: index i's
-    cells fill the `4 * groups` bytes of the uint8 `rows` from `i * stride`
-    on, with NUL in place of leading zeros (the units digit always
-    written).
+def _index_digits(indices: np.ndarray, ends, rows: np.ndarray) -> None:
+    """Strictly increasing nonnegative int64 `indices` as ASCII digits in
+    the uint8 `rows`, ending before the offsets `ends`, an int64 array or
+    a range (then written to strided views), and nothing outside them.
+    From 4 digits on, cells of 4 digits from `_digit_cells` go to a
+    stride-1 view: the last ends at `ends`, any others fill the field
+    from its start.  Shorter indices are written digit by digit."""
+    def at(end, back):  # the offsets `back` bytes before the ends
+        return slice(end.start - back, end.stop - back, end.step) if isinstance(end, range) else end - back
 
-    One `searchsorted` against the powers of 10^4 splits the indices into
-    runs with the same number of 4-digit groups.  Each group costs one
-    int64 division and one gather from the tables of `_digit_cells`; only
-    a run's top group reads the table without leading zeros, and the cells
-    above it are NUL.
-    """
-    padded, top = _digit_cells()
-    powers = [10 ** (4 * g) for g in range(1, groups)]
-    bounds = [0, *indices.searchsorted(powers).tolist(), indices.size]
-    for used, (a, b) in enumerate(zip(bounds, bounds[1:]), 1):
-        if a == b:
+    padded = _digit_cells()
+    cells = np.ndarray((rows.size - 3,), np.uint32, buffer=rows, strides=(1,))
+    bounds = [0, *indices.searchsorted(_POWERS).tolist(), indices.size]
+    for d, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1):
+        if lo == hi:
             continue
-        rest = indices[a:b]
-        for j in range(groups):
-            # group j = 0 holds the units, in the last cell of an index
-            cell = np.ndarray((b - a,), np.uint32, buffer=rows,
-                              offset=a * stride + 4 * (groups - 1 - j), strides=(stride,))
-            if j < used - 1:
-                quot = rest // 10_000
-                cell[:] = padded[rest - 10_000 * quot]
-                rest = quot
-            else:
-                cell[:] = top[rest] if j == used - 1 else 0
+        rest, end = indices[lo:hi], ends[lo:hi]
+        if d < 4:
+            for k in range(1, d + 1):
+                quot = rest // 10
+                rows[at(end, k)], rest = rest - 10 * quot + ord("0"), quot
+            continue
+        for k in range(4, d, 4):
+            quot = rest // 10 ** (d - k)
+            cells[at(end, d - k + 4)] = padded[quot - 10_000 * (quot // 10_000) if k > 4 else quot]
+        cells[at(end, 4)] = padded[rest - 10_000 * (rest // 10_000)]
 
 
 @functools.cache
-def _digit_cells() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII digits of 0..9999 as two uint32 tables of 4-byte cells:
-    zero-padded, and with NUL in place of leading zeros (the units digit
-    always written).  Built on the first write, not at import, with the
-    integer steps the cells use (other numpy routines map more of its
-    library into memory)."""
-    padded = np.empty((10_000, 4), np.uint8)
-    top = np.empty_like(padded)
+def _digit_cells() -> np.ndarray:
+    """The zero-padded ASCII digits of 0..9999 as a uint32 table of 4-byte
+    cells, built on the first write, not at import, with the integer
+    steps the cells use (other numpy routines map more of its library)."""
+    cells = np.empty((10_000, 4), np.uint8)
     rest = np.arange(10_000)
     for col in (3, 2, 1, 0):
         quot = rest // 10
-        digit = rest - 10 * quot + ord("0")
-        padded[:, col] = digit
-        top[:, col] = digit if col == 3 else digit * (rest > 0)
+        cells[:, col] = rest - 10 * quot + ord("0")
         rest = quot
-    return padded.view(np.uint32).ravel(), top.view(np.uint32).ravel()
+    return cells.view(np.uint32).ravel()
 
 
 def series_to_csv(series: WalshSeries, path) -> None:
@@ -804,13 +799,12 @@ def read_coeff_rows(source) -> tuple[np.ndarray, np.ndarray]:
     `_read_rows`, one Python step per row, is the definition.  The text is
     first read as one array by `_read_rows_array`, which gives up (None)
     where it cannot vouch for the same result: on anything csv would
-    quote, split or refuse differently, on any field numpy's text parser
+    quote, split or refuse differently, on any field numpy's parser
     rejects, and on a failed array check (a non-finite coefficient, a
     negative or non-increasing index, no rows).  Only then does the row
-    loop run, returning its rows or raising its line-numbered
-    SeriesFormatError.  An index of 2^63 or more, which only the row loop
-    reads, comes back in an object array of Python ints for the caller
-    to refuse.
+    loop run, returning its rows or raising a line-numbered
+    SeriesFormatError; its indices of 2^63 or more come back in an object
+    array of Python ints for the caller to refuse.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, newline="") as fh:
@@ -881,10 +875,10 @@ def _read_rows_array(text: str):
     lines as csv does, and raises on a lone CR, where csv would end a
     row.  Its int64 and float64 fields then read what `int` and `float`
     read: whitespace around a field, a sign, ASCII digits, and for floats
-    `PyOS_string_to_double`'s grammar, which is `float`'s without
-    underscores.  It raises on other digits, on `1_0`, on `5.0` as an
-    index (older numpy only warns, and warnings are raised here), on an
-    index past int64 and on a blank line, which the row loop skips.
+    `PyOS_string_to_double`'s grammar, `float`'s without underscores.
+    It raises on other digits, on `1_0`, on `5.0` as an index (older
+    numpy warns, and warnings are raised here), on an index past int64
+    and on a blank line, which the row loop skips.
     """
     if '"' in text or "\0" in text:
         return None

@@ -361,6 +361,20 @@ def test_theorem1_check_walks_the_martingale_once(tmp_path, monkeypatch, capsys)
         assert len(calls) == 1
 
 
+def test_theorem1_check_reads_the_limb_width_once(tmp_path, monkeypatch, capsys):
+    # the read-time check's limb width serves the positivity check too, on
+    # a series the float walk decides and on one only the exact walk can
+    width, calls = martingale._limb_width, []
+    monkeypatch.setattr(martingale, "_limb_width", lambda c: calls.append(1) or width(c))
+    for rows, decided_by in (("0,1.0\n1,0.5\n", "float64"),
+                             ("0,1.0\n1,-1.0\n", "integer-dyadic")):
+        (tmp_path / "s.csv").write_text("n,coeff\n" + rows)
+        calls.clear()
+        assert run(["theorem1-check", "--in", str(tmp_path / "s.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["decided_by"] == decided_by
+        assert len(calls) == 1
+
+
 def test_verify_alias(tmp_path):
     # theorem1-check is the command's only name: `verify` is no command
     out = tmp_path / "m.csv"
@@ -518,21 +532,24 @@ def test_budget_scale_must_be_finite_and_positive(tmp_path, capsys, command, sca
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["build-trig-measure"])
-def test_logpow_past_float64_builds(tmp_path, command):
-    # psi(x) = x^2 / (1 + ln(1/x))^1000 underflows to 0.0 below x = 0.01
-    # instead of raising OverflowError
-    argv = [command, "--psi", "preset:logpow,p=1000", "--out", str(tmp_path / "out.csv"),
-            "--manifest", str(tmp_path / "manifest.json")]
-    assert run(argv) == 0
-
-
 def test_psi_sums_below_the_normal_range_are_refused(tmp_path, capsys):
     # at p = 1000 every stage's psi sum and bound underflow to 0.0, a
     # comparison that says nothing: the build exits 2, naming stage 1,
     # before writing anything
     argv = ["build-walsh-measure", "--psi", "preset:logpow,p=1000", "--stages", "3",
             "--out", str(tmp_path / "out.csv"), "--manifest", str(tmp_path / "manifest.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 1 psi sum 0.0 or its bound 0.0 is below float64's normal range")
+    assert not list(tmp_path.iterdir())
+
+
+def test_trig_psi_sums_below_the_normal_range_are_refused(tmp_path, capsys):
+    # psi(x) = x^2 / (1 + ln(1/x))^1000 underflows to 0.0 below x = 0.01
+    # (it raised OverflowError once): the cosine build refuses the zero
+    # sums as the Walsh build does, naming stage 1, before writing anything
+    argv = ["build-trig-measure", "--psi", "preset:logpow,p=1000", "--out", str(tmp_path / "out.csv"),
+            "--manifest", str(tmp_path / "manifest.json")]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: stage 1 psi sum 0.0 or its bound 0.0 is below float64's normal range")

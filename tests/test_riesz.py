@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1104,6 +1105,104 @@ def test_spectrum_writer_failing_part_way_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def hand_factor(block, indices, coeffs):
+    return riesz.Factor(len(block) - 1, tuple(block), 1.0, np.array(indices, np.int64),
+                        np.array(coeffs, np.float64))
+
+
+def coordinate_indices(coords, masks):
+    # the Walsh index whose bits are the chosen coordinates of each mask
+    return sorted(sum(1 << (c - 1) for b, c in enumerate(coords) if m >> b & 1) for m in masks)
+
+
+FACTOR_COEFFS = [0.0, -0.0, 1.0, -1.0, 0.5, 0.1, 1 / 3, -1e-300, 5e-324, 1e16, 2.0**53 + 2]
+
+
+@st.composite
+def product_states(draw):
+    # two to four factors on increasing blocks ending by coordinate 63 (19
+    # digits), coefficients from a few values so that terms share them;
+    # the last factor has no more terms than the head, which is then
+    # written once per distinct coefficient and digit counts, and copied
+    tops = sorted(draw(st.lists(st.integers(2, 63), min_size=2, max_size=4, unique=True)))
+    factors, lo, head = [], 1, 1
+    for k, top in enumerate(tops):
+        coords = sorted(draw(st.lists(st.integers(lo, top), min_size=1, max_size=4, unique=True)))
+        terms = min((1 << len(coords)) - 1, 6 if k < len(tops) - 1 else head)
+        masks = draw(st.lists(st.integers(1, (1 << len(coords)) - 1), min_size=1, max_size=terms,
+                              unique=True))
+        coeffs = draw(st.lists(st.sampled_from(FACTOR_COEFFS) | st.floats(-1e30, 1e30),
+                               min_size=len(masks), max_size=len(masks)))
+        factors.append(hand_factor(coords, coordinate_indices(coords, masks), coeffs))
+        lo, head = top + 1, head * (1 + len(masks))
+    return wr.RieszProductState(tuple(factors))
+
+
+@given(product_states())
+# the last copy's indices cross 100 partway: 64 + 35 = 99, 64 + 36 = 100
+@example(wr.RieszProductState((hand_factor(range(1, 7), [1, 35, 36, 63], [1.0, -0.0, 0.1, 0.1]),
+                               hand_factor([7], [64], [-0.5]))))
+# a one-row head, Pi_0, and one factor of one term
+@example(wr.RieszProductState((hand_factor([63], [1 << 62], [-0.0]),)))
+# the head's 12 rows copied for 3 terms with 3 distinct coefficients: the
+# first copy crosses 10^18 = f + R partway (2^47 < R < 2^48), the others
+# are 19 digits long
+@example(wr.RieszProductState((
+    hand_factor([1, 2, 48, 49], [1, 2, 1 << 47, 1 << 48, (1 << 48) + 3], [0.5, -0.5, 0.5, 1.0, 0.25]),
+    hand_factor([50], [1 << 49], [1e16]),
+    hand_factor([54, 55, 56, 57, 59, 60, 63], [10**18 - 10**18 % (1 << 51), 1 << 62,
+                                               (1 << 62) + 10**18 - 10**18 % (1 << 51)],
+                [2.0, -2.0, 1 / 3]))))
+@example(wr.empty_state())
+@settings(max_examples=150, deadline=None)
+def test_factorised_export_matches_csv_writer_bytes(tmp_path_factory, state):
+    folder = tmp_path_factory.mktemp("export")
+    wr.export_measure(state, folder / "measure.csv")
+    reference_write_spectrum(folder / "reference.csv", "n", state.spectrum)
+    assert (folder / "measure.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+@st.composite
+def outer_inner_parts(draw):
+    # indices f_i + p_j with p_j < 2^b <= the gaps of the f_i, as the
+    # product's stages have them; few distinct c_i, so templates are copied
+    bits = draw(st.integers(1, 40))
+    inner = sorted(draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=30, unique=True)))
+    steps = draw(st.lists(st.integers(1, 1 << 10), min_size=1, max_size=30))
+    base = draw(st.integers(0, (1 << (62 - bits)) - 1 - sum(steps)))
+    outer = np.cumsum([base, *steps[1:]]) << bits
+    values = [draw(st.sampled_from(FACTOR_COEFFS) | st.floats()) for _ in range(3)]
+    coeffs = draw(st.lists(st.sampled_from(values), min_size=outer.size, max_size=outer.size))
+    inner_coeffs = draw(st.lists(st.sampled_from(EDGE_COEFFS) | st.floats(), min_size=len(inner),
+                                 max_size=len(inner)))
+    return (outer, np.array(coeffs)), wr.Spectrum(inner, inner_coeffs)
+
+
+@given(outer_inner_parts(), st.sampled_from([1, 3, 1 << 14]), st.sampled_from([7, 64, 1 << 18]))
+@settings(max_examples=150, deadline=None)
+def test_outer_times_inner_rows_match_csv_writer_bytes(tmp_path_factory, parts, rows, size):
+    # also with inner chunks of 1 or 3 rows and writes of 7 or 64 bytes
+    # non-finite and overflowing products are written as repr writes them
+    (f, c), inner = parts
+    folder = tmp_path_factory.mktemp("parts")
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = wr.Spectrum(np.add.outer(f, inner.indices).ravel(),
+                              np.multiply.outer(c, inner.coeffs).ravel())
+        with mock.patch.object(walsh, "_ROW_CHUNK", rows), mock.patch.object(walsh, "_WRITE_BYTES", size):
+            _write_coeff_rows(folder / "lines.csv", "n", inner.indices, inner.coeffs, (f, c))
+    reference_write_spectrum(folder / "reference.csv", "n", product)
+    assert (folder / "lines.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+def test_copied_rows_of_seven_bytes_keep_their_digits(tmp_path):
+    # every row is `k,1.0` CR LF, 7 bytes: the copies of the first outer
+    # term's rows take their one digit without touching their neighbours'
+    _write_coeff_rows(tmp_path / "lines.csv", "n", np.arange(3), np.ones(3),
+                      (np.arange(0, 12, 3), np.ones(4)))
+    assert (tmp_path / "lines.csv").read_bytes() == b"n,coeff\r\n" + b"".join(
+        b"%d,1.0\r\n" % k for k in range(12))
+
+
 LADDER_PINS = {
     # the benchmark workloads' builds and their measure CSVs' sha256
     "desk-d13": ((wr.PsiSpec.logpow(1.0), 3, 2.25),
@@ -1136,6 +1235,14 @@ def test_export_of_the_d22_measure_stays_under_2_mib(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_export_of_the_d22_measure_leaves_its_spectrum_unbuilt(tmp_path):
+    # Pi_5 has 1,020 terms and X_6 512: the export copies the head's rows
+    state = power_build(6)
+    wr.export_measure(state, tmp_path / "measure.csv")
+    assert "spectrum" not in vars(state)
+    assert hashlib.sha256((tmp_path / "measure.csv").read_bytes()).hexdigest() == LADDER_PINS["deep-d22"][1]
 
 
 def test_export_empty_state(tmp_path):
