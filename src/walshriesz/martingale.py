@@ -18,9 +18,9 @@ level, O(K 2^K), and decides every verdict whose value lies outside its
 derived rounding allowance (`_allowance`); one exact walk, the same
 merge over int64 limbs holding the coefficients' dyadic expansion,
 settles the rest.  Every run also recomputes the partial sums at one
-atom from the definition, in Python ints, sharing no code with the
-merge; a bug in the merge itself is caught by the tests' scan oracle
-(`walsh.prefix_scan` over `sign_vector`).
+atom from the definition, exactly in int64 digits, sharing no code
+with the merge; a bug in the merge itself is caught by the tests' scan
+oracle (`walsh.prefix_scan` over `sign_vector`).
 
 Products Pi_k = prod (1 + X_i) over disjoint blocks are certified
 singular-at-finite-scale via Hellinger affinity E_lambda sqrt(Pi_k),
@@ -187,7 +187,7 @@ def check_positivity_equivalence(series: WalshSeries, limbs=None) -> Equivalence
     undecided shifted levels, and its minimum must lie within the
     allowance of the walk's.  Every run recomputes the partial sums at
     one atom, the exact minimum's or else the walk's, from the definition
-    in Python ints, which must agree (else InvariantViolation).  The
+    (`_partial_sums_at`), which must agree (else InvariantViolation).  The
     witness comes from bisecting the order with the exact merge, at most
     K more passes.  Non-finite coefficients raise ValueError.
     """
@@ -373,26 +373,49 @@ def _limb_argmin(table):
     return atom, sum(int(d) << (_LIMB_BITS * j) for j, d in enumerate(table[:, atom].tolist()))
 
 
+# `_partial_sums_at` sums int64 digits of 48 bits: `_CHUNK` = 2^14 of
+# them and a carried one stay below 2^63
+_DIGIT_BITS = 48
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+
+
 def _partial_sums_at(coeffs, atom: int, exponent: int):
-    """The smallest partial sum on one atom, from the definition in Python
-    ints (units of 2^exponent), and the first order whose partial sum is
+    """The smallest partial sum on one atom, from the definition (a Python
+    int, units of 2^exponent), and the first order whose partial sum is
     negative there (None if none is): a cumsum of I_n w_n(atom) over the
     nonzero coefficients, a chunk at a time.  A zero coefficient repeats
     the partial sum before it, so it changes neither; the orders up to
-    the first nonzero coefficient sum to 0."""
+    the first nonzero coefficient sum to 0.  Exact, and in no code of the
+    merge's: each term is three digits of `_DIGIT_BITS` bits, summed row
+    by row along the chunk, and each sum carried into a signed top digit
+    over low ones in [0, 2^48)."""
     nonzero = np.flatnonzero(coeffs)
     low = 0 if nonzero.size == 0 or nonzero[0] > 0 else None
     first, total = None, 0
+    top = math.frexp(float(np.max(np.abs(coeffs), initial=0.0)))[1] - exponent
+    width = (top + nonzero.size.bit_length()) // _DIGIT_BITS + 2  # holds every partial sum
     for lo, ints, shift in _dyadic_chunks(coeffs[nonzero], exponent):
         index = nonzero[lo : lo + ints.size]
-        sums = ints.astype(object) << shift.astype(object)
-        sums *= sign_vector(atom, index.astype(np.uint64))
-        sums[0] += total
-        np.cumsum(sums, out=sums)
-        total = sums[-1]
-        low = sums.min() if low is None else min(sums.min(), low)
+        signs = sign_vector(atom, index.astype(np.uint64))
+        q = shift // _DIGIT_BITS
+        r = shift - _DIGIT_BITS * q
+        sums = np.zeros((width, ints.size), np.int64)
+        flat, at = sums.ravel(), q * ints.size + np.arange(ints.size)  # digit q of each column
+        flat[at] = ((ints & (1 << (_DIGIT_BITS - r)) - 1) << r) * signs
+        flat[at + ints.size] = ((ints >> (_DIGIT_BITS - r)) & _DIGIT_MASK) * signs
+        flat[at + 2 * ints.size] = (ints >> np.minimum(2 * _DIGIT_BITS - r, 63)) * signs
+        sums[:, 0] += total
+        np.cumsum(sums, axis=1, out=sums)
+        for j in range(width - 1):
+            sums[j + 1] += sums[j] >> _DIGIT_BITS
+            sums[j] &= _DIGIT_MASK
+        total, columns = sums[:, -1].copy(), np.arange(ints.size)
+        for digits in sums[::-1]:
+            columns = columns[digits[columns] == digits[columns].min()]
+        least = sum(int(d) << (_DIGIT_BITS * j) for j, d in enumerate(sums[:, columns[0]].tolist()))
+        low = least if low is None else min(least, low)
         if first is None and low < 0:
-            first = int(index[np.argmax(sums < 0)]) + 1
+            first = int(index[np.argmax(sums[-1] < 0)]) + 1
     return low, first
 
 
@@ -458,11 +481,12 @@ def check_shifted_bound(series: WalshSeries, kj: int, m, k: int, tol: float = 0.
         raise ValueError(f"index {m} outside [0, 2^{kj})")
     if not kj <= k <= series.depth:
         raise ValueError(f"level {k} outside [{kj}, {series.depth}]")
-    n_series = WalshSeries(kj, series.coeffs[1 << kj : 1 << (kj + 1)].copy())
+    # views: the gather of `multiply_by_walsh` and `butterfly` copy
+    n_series = WalshSeries(kj, series.coeffs[1 << kj : 1 << (kj + 1)])
     shifted = multiply_by_walsh(n_series, m)
     order = min(1 << k, n_series.order)
     prefix = partial_sum(shifted, order).values
-    m_vals = butterfly(series.coeffs[: 1 << kj].copy())
+    m_vals = butterfly(series.coeffs[: 1 << kj])
     return bool(np.all(np.abs(prefix) <= 2.0 * m_vals + tol))
 
 
@@ -498,9 +522,10 @@ def dyadic_block_envelope(series: WalshSeries | Spectrum) -> list[tuple[int, flo
 # the mass fractions delta of the concentration curves
 CONCENTRATION_FRACTIONS = (0.5, 0.9, 0.99)
 
-# The dense diagnostics below hold tables of 2^depth atoms: a CLI build
-# peaked at 358 MB of RSS at depth 22 (9 s) and at 2.6 GB at depth 25
-# (82 s), about this many bytes per atom, so depth 24 needs about 1.3 GB.
+# The dense diagnostics below hold tables of 2^depth atoms: the depth-22
+# CLI build (`power delta=1`, scale 6) peaked at 292 MB of RSS, 70 bytes
+# per atom (0.9 s, 2 shared Xeon cores), one at depth 25 at 2.6 GB, so
+# at this many bytes per atom depth 24 needs about 1.3 GB.
 DIAGNOSTIC_DEPTH_LIMIT = 24
 _DIAGNOSTIC_BYTES_PER_ATOM = 80
 

@@ -32,8 +32,8 @@ allocated; the export builds it only if X_K outnumbers Pi_(K-1).
 The stage sums of psi(|c_n|) need only the magnitudes: stage k+1's are
 the products of one distinct |c| of Pi_k and one of X_(k+1), so each
 sum is read off the two magnitude histograms, exactly at any depth.
-Each X_i is evaluated on its own block's 2^|J_i| atoms (one butterfly)
-and read off by the block's bits of the atom.
+Each X_i is evaluated on its own block's 2^|J_i| atoms (one butterfly),
+and broadcast from there to all atoms.
 
 Every prefix order is certified on every atom, one stage band at a
 time, as the paper's proof goes.  Band j holds the orders
@@ -90,7 +90,6 @@ from .walsh import (
     SeriesFormatError,
     _segment_merge,
     _write_coeff_rows,
-    atom_patterns,
     butterfly,
     read_coeff_rows,
 )
@@ -355,10 +354,17 @@ class Factor:
         return float(np.sqrt(np.sum(self.coeffs * self.coeffs)))
 
     @cached_property
+    def _block_table(self) -> np.ndarray:
+        """X on the 2^|block| atoms of its own block, by one butterfly,
+        read-only."""
+        table = butterfly(_block_coeffs(self, self.coeffs))
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def value_range(self) -> tuple[float, float]:
-        """min X and max X, read off its block table once per factor."""
-        table = _block_table(self)
-        return float(table.min()), float(table.max())
+        """min X and max X."""
+        return float(self._block_table.min()), float(self._block_table.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,28 +492,40 @@ def _block_coeffs(factor: Factor, coeffs: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _block_table(factor: Factor) -> np.ndarray:
-    """X on the 2^|block| atoms of its own block, by one butterfly."""
-    return butterfly(_block_coeffs(factor, factor.coeffs))
-
-
-def _product_at(factors, patterns: np.ndarray) -> np.ndarray:
-    """prod (1 + X_i) on the given atom patterns, read from block tables;
-    pointwise, so overlapping blocks work too."""
-    out = np.ones(patterns.size)
-    for f in factors:
-        out *= 1.0 + _block_table(f)[_block_bits(patterns, f.block)]
-    return out
+def _atoms_view(block, m: int, table: np.ndarray) -> np.ndarray:
+    """`table`, the block table of the increasing `block`, as a view on
+    the 2^m atoms (coordinates past m read +1), of shape
+    (2,) * (m - j) + (2^j,): a stride per coordinate of the block, 0 per
+    other.  numpy loops along the lowest run of either; j > 0 joins a
+    short one, `table` copied out along up to 10 coordinates, at most
+    1/16 of the atoms (or 2^10 values)."""
+    inside = [c for c in block if c <= m]
+    if inside != sorted(set(inside)):
+        raise ValueError(f"block {tuple(block)} is not strictly increasing")
+    lowest = next((c - 1 for c in range(2, m + 1) if (c in inside) != (1 in inside)), m)
+    j = next((j for j in range(min(10, m), lowest, -1) if j + sum(c > j for c in inside) <= max(m - 4, 10)), 0)
+    top = [c for c in inside if c > j]
+    step = {c: table.itemsize << i for i, c in enumerate(inside)}
+    low = np.ndarray([2] * (len(top) + j), table.dtype, table[: 1 << len(inside)],
+                     strides=[step[c] for c in top[::-1]] + [step.get(c, 0) for c in range(j, 0, -1)])
+    low = low.reshape(1 << len(top), 1 << j)  # a copy, unless j = 0
+    strides = [low.strides[0] << top.index(c) if c in top else 0 for c in range(m, j, -1)]
+    return np.ndarray([2] * (m - j) + [1 << j], low.dtype, low, strides=[*strides, low.itemsize])
 
 
 def factor_values(factor: Factor, m: int) -> np.ndarray:
     """X evaluated on all 2^m atoms (coordinates past m read as +1)."""
-    return _block_table(factor)[_block_bits(atom_patterns(m), factor.block)]
+    return _atoms_view(factor.block, m, factor._block_table).copy().reshape(-1)
 
 
 def product_values(factors, m: int) -> np.ndarray:
-    """prod (1 + X_i) evaluated pointwise on all 2^m atoms."""
-    return _product_at(factors, atom_patterns(m))
+    """prod (1 + X_i) evaluated pointwise on all 2^m atoms, so
+    overlapping blocks work too."""
+    out = np.ones(1 << m)
+    for f in factors:
+        view = _atoms_view(f.block, m, 1.0 + f._block_table)
+        np.multiply(out.reshape(view.shape), view, out=out.reshape(view.shape))
+    return out
 
 
 def _product_ranges(factors) -> list[tuple[float, float]]:

@@ -226,9 +226,8 @@ def partial_sum(series: WalshSeries, p: int) -> AtomTable:
     """Values of sum_{n < p} c_n w_n on all atoms of the series' depth."""
     if not 0 <= p <= series.order:
         raise ValueError(f"order {p} outside [0, {series.order}]")
-    c = np.zeros_like(series.coeffs)
-    c[:p] = series.coeffs[:p]
-    return AtomTable(series.depth, butterfly(c))
+    c = series.coeffs  # `butterfly` copies its input
+    return AtomTable(series.depth, butterfly(c if p == c.size else np.concatenate([c[:p], np.zeros(c.size - p)])))
 
 
 def multiply_by_walsh(series: WalshSeries, m) -> WalshSeries:
@@ -690,24 +689,23 @@ def _write_coeff_rows(path, index_name: str, indices, coeffs, outer=((0,), (1.0,
 
 
 def _coeff_texts(values: np.ndarray, kept: list):
-    """`(inverse, texts)`, `texts[inverse]` the texts of `values`: a comma,
-    the repr, NUL-padded, and CR LF, one repr per distinct int64 bit
-    pattern (-0.0 is not 0.0).  Values of the patterns `kept` from the
-    last call that needed new ones are looked up, first their first
-    2^10, where misses mostly show; others are grouped by `np.unique`
-    (on int64: `numpy.ma` stays unimported), and kept."""
+    """`(inverse, (texts, lengths))`, `texts[inverse]` the texts of
+    `values`: a comma, the repr and CR LF, `lengths` bytes long, padded
+    with NULs to a multiple of 32 bytes, one repr per distinct int64 bit
+    pattern (-0.0 is not 0.0).
+    Values of the patterns `kept` from the last call that needed new ones
+    are looked up, first their first 2^10, where misses mostly show;
+    others are grouped by `np.unique` (on int64: `numpy.ma` stays
+    unimported), and kept."""
     bits = values.view(np.int64)
     if kept and _lookup(kept[0], bits[: 1 << 10]) is not None:
         inverse = _lookup(kept[0], bits)
         if inverse is not None:
             return inverse, kept[1]
     keys, inverse = np.unique(bits, return_inverse=True)
-    reprs = np.array([repr(c).encode() for c in keys.view(np.float64).tolist()])
-    texts = np.empty((keys.size, reprs.itemsize + 3), np.uint8)
-    texts[:, 0] = ord(",")
-    texts[:, 1:-2] = reprs.view(np.uint8).reshape(keys.size, -1)
-    texts[:, -2:] = (ord("\r"), ord("\n"))
-    kept[:] = keys, texts.view(f"S{texts.shape[1]}").ravel()
+    texts = [b"," + repr(c).encode() + b"\r\n" for c in keys.view(np.float64).tolist()]
+    lengths = np.array(list(map(len, texts)))
+    kept[:] = keys, (np.array(texts, f"S{-(-int(lengths.max()) // 32) * 32}"), lengths)
     return inverse, kept[1]
 
 
@@ -731,18 +729,28 @@ def _copied_rows(f: np.ndarray, p: np.ndarray, templates: list) -> np.ndarray:
     return rows
 
 
-def _coeff_row_bytes(indices: np.ndarray, inverse: np.ndarray, texts: np.ndarray) -> np.ndarray:
+def _coeff_row_bytes(indices: np.ndarray, inverse: np.ndarray, texts) -> np.ndarray:
     """The `n,repr(c)` CR LF lines of strictly increasing `indices` and
-    the texts `texts[inverse]`, as a uint8 array: rows of one width,
-    NUL-filled, take the digits right-aligned and then the text; dropping
-    the NULs leaves the lines."""
-    digits = len(str(int(indices[-1])))
-    rows = np.zeros((indices.size, digits + texts.itemsize), np.uint8)
-    rows[:, digits:].view(texts.dtype)[:, 0] = texts[inverse]
-    _index_digits(indices, range(digits, rows.size, rows.shape[1]), rows.ravel())
-    # `> 0` rather than `!= 0`: numpy's uint8 != loop lies on library pages
-    # no other step of a unit touches, 64 kB more resident memory
-    return rows[rows > 0]
+    the texts of `_coeff_texts`, as a uint8 array, each row at its own
+    length.  For each run of one digit count, in order, the padded texts
+    go in as cells no longer than its shortest row, last cells first, so
+    that later rows and then the digits overwrite the NULs."""
+    texts, lengths = texts
+    powers = indices.searchsorted(_POWERS[: len(str(int(indices[-1]))) - 1]).tolist()
+    sizes = lengths[inverse] + 1
+    for lo in powers:
+        sizes[lo:] += 1  # one more digit from each power of 10 on
+    starts = np.cumsum(sizes) - lengths[inverse]  # where each text starts
+    rows = np.empty(int(starts[-1] + lengths[inverse[-1]]) + texts.itemsize, np.uint8)
+    runs = sorted({0, *powers, indices.size})
+    for lo, hi in zip(runs, runs[1:]):
+        cell = min(32, 1 << (int(sizes[lo:hi].min()).bit_length() - 1))
+        out = np.ndarray(rows.size - cell + 1, f"V{cell}", rows, strides=(1,))
+        cells, at, which = texts.view(f"V{cell}").reshape(texts.size, -1), starts[lo:hi], inverse[lo:hi]
+        for k in reversed(range(cells.shape[1])):
+            out[at + cell * k] = cells[:, k][which]
+    _index_digits(indices, starts, rows)
+    return rows[: rows.size - texts.itemsize]
 
 
 def _index_digits(indices: np.ndarray, ends, rows: np.ndarray) -> None:
@@ -860,12 +868,20 @@ def _read_rows(text: str) -> list[tuple[int, float]]:
 _ROW_DTYPE = np.dtype([("n", np.int64), ("c", np.float64)])
 # characters of text per chunk that `_read_rows_array` splits into lines
 _LINE_CHUNK = 1 << 16
+# `_distinct_text_rows` reads texts shorter than _TEXT_BYTES, and runs
+# where at most 1/_DISTINCT_SHARE of the first chunk's texts are distinct
+_TEXT_BYTES = 32
+_TEXT_ROW_DTYPE = np.dtype([("n", np.int64), ("c", f"S{_TEXT_BYTES}")])
+_DISTINCT_SHARE = 8
+# a text's hash multiplies its 8-byte words by these, in int64, whose
+# sort and search loops the unit loads anyway
+_TEXT_HASH = np.array([0x1E3779B97F4A7C15, 0x42B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5])
 
 
 def _read_rows_array(text: str):
     """`_read_rows` of `text` as (int64 indices, float64 coefficients) by
-    one `np.loadtxt` of the lines after the header, or None where that
-    might differ.
+    `np.loadtxt` of the lines after the header, or None where that might
+    differ.
 
     The text must hold no quote (csv's quoting) and no NUL (which csv
     refuses before Python 3.11), the header line no carriage return
@@ -879,6 +895,9 @@ def _read_rows_array(text: str):
     It raises on other digits, on `1_0`, on `5.0` as an index (older
     numpy warns, and warnings are raised here), on an index past int64
     and on a blank line, which the row loop skips.
+
+    A measure's few distinct coefficient texts are parsed once each
+    (`_distinct_text_rows`); other texts by one float64 parse.
     """
     if '"' in text or "\0" in text:
         return None
@@ -889,15 +908,53 @@ def _read_rows_array(text: str):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lines = itertools.chain.from_iterable(_line_chunks(text, stop))
-            rows = np.loadtxt(lines, _ROW_DTYPE, comments=None, delimiter=",", usecols=(0, 1), ndmin=1)
+            parsed = _distinct_text_rows(_line_chunks(text, stop), text.count("\n", stop) + 1)
+            if parsed is None:
+                rows = _loadtxt(itertools.chain.from_iterable(_line_chunks(text, stop)), _ROW_DTYPE)
+                parsed = rows["n"].copy(), rows["c"].copy()
     except (ValueError, OverflowError, Warning):
         return None
-    indices, coeffs = rows["n"].copy(), rows["c"].copy()
+    indices, coeffs = parsed
     if not (indices.size and indices[0] >= 0 and (indices[1:] > indices[:-1]).all()
             and np.isfinite(coeffs).all()):
         return None
     return indices, coeffs
+
+
+def _loadtxt(lines, dtype):
+    return np.loadtxt(lines, dtype, comments=None, delimiter=",", usecols=(0, 1), ndmin=1)
+
+
+def _distinct_text_rows(chunks, most: int):
+    """The rows of the line `chunks` (at `most` of them), their texts read
+    as bytes and each distinct one parsed by the float64 field, so that
+    the values are the float64 parse's; None where there are no rows,
+    the first chunk's texts are over 1/`_DISTINCT_SHARE` distinct, or a
+    text fills `_TEXT_BYTES` bytes or differs from its hash's text."""
+    texts, indices, hashes, filled = {}, np.empty(most, np.int64), np.empty(most, np.int64), 0
+    for lines in chunks:
+        rows = _loadtxt(lines, _TEXT_ROW_DTYPE)
+        words = rows.view(np.int64).reshape(rows.size, -1)[:, 1:]
+        hashed = sum(words[:, i] * _TEXT_HASH[i] for i in range(_TEXT_HASH.size))
+        groups = _lookup(keys, hashed) if texts else None
+        if groups is None:  # new hashes: keep a text of each
+            new, groups = np.unique(hashed, return_inverse=True)
+            if not filled and new.size * _DISTINCT_SHARE > rows.size:
+                return None
+            members = np.empty(new.size, np.int64)
+            members[groups] = np.arange(groups.size)
+            texts = dict(zip(new.tolist(), rows["c"][members].tolist())) | texts
+            keys = np.array(sorted(texts))
+            firsts = np.array([texts[key] for key in keys.tolist()], rows["c"].dtype)
+            groups = keys.searchsorted(hashed)
+        if not np.array_equal(words, firsts.view(np.int64).reshape(keys.size, -1)[groups]):
+            return None
+        indices[filled : filled + rows.size], hashes[filled : filled + rows.size] = rows["n"], hashed
+        filled += rows.size
+    if not texts or max(map(len, texts.values())) >= _TEXT_BYTES:
+        return None
+    lines = [f"0,{text.decode('latin-1')}" for text in firsts.tolist()]  # numpy's bytes fields are latin-1
+    return indices[:filled], _loadtxt(lines, _ROW_DTYPE)["c"][keys.searchsorted(hashes[:filled])]
 
 
 def _line_chunks(text: str, start: int):

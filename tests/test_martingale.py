@@ -389,6 +389,44 @@ def dense_partial_sums_at(coeffs, atom, exponent):
     return min(sums), first
 
 
+def python_int_partial_sums_at(coeffs, atom, exponent):
+    """`_partial_sums_at` in Python ints: a cumsum of object arrays over
+    the nonzero coefficients, a chunk at a time, the route its int64
+    digits replaced."""
+    nonzero = np.flatnonzero(coeffs)
+    low = 0 if nonzero.size == 0 or nonzero[0] > 0 else None
+    first, total = None, 0
+    for lo, ints, shift in martingale._dyadic_chunks(coeffs[nonzero], exponent):
+        index = nonzero[lo : lo + ints.size]
+        sums = ints.astype(object) << shift.astype(object)
+        sums *= sign_vector(atom, index.astype(np.uint64))
+        sums[0] += total
+        np.cumsum(sums, out=sums)
+        total = sums[-1]
+        low = sums.min() if low is None else min(sums.min(), low)
+        if first is None and low < 0:
+            first = int(index[np.argmax(sums < 0)]) + 1
+    return low, first
+
+
+@given(st.sampled_from([1, 7, 1000, (1 << 14) + 3, 40_000]), st.integers(0, 1000),
+       st.floats(0.0, 0.9), st.floats(-1.0, 2.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_partial_sums_at_in_digits_is_the_python_int_cumsum(size, spread, zeros, head, seed):
+    # exponents up to 2000 apart, more than 2^14 nonzeros, and c_0 from
+    # below the dips to above them: the same Python-int minimum and the
+    # same first negative order on every atom tried
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1, 1, size) * 2.0 ** rng.integers(-spread, spread + 1, size)
+    c[rng.random(size) < zeros] = 0.0
+    c[0] = head * np.sum(np.abs(c))
+    exponent = martingale._limb_width(c)[1]
+    for atom in (0, 1, int(rng.integers(0, 1 << 20)), size - 1):
+        got = martingale._partial_sums_at(c, atom, exponent)
+        assert got == python_int_partial_sums_at(c, atom, exponent)
+        assert type(got[0]) is int
+
+
 @pytest.mark.parametrize("case", ["zero runs", "c_0 = 0", "dip after zeros", "zeros", "chunks"])
 def test_partial_sums_at_skip_zero_coefficients(case):
     # a zero coefficient repeats the partial sum before it; S_1 = 0 still

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import walshriesz as wr
 from conftest import spectrum_series
 from walshriesz import riesz, walsh
-from walshriesz.riesz import _block_bits, _block_table, _product_at, make_factor
+from walshriesz.riesz import _block_bits, make_factor
 from walshriesz.walsh import _write_coeff_rows, atom_patterns, butterfly, prefix_extrema, prefix_scan
 from walshriesz.walsh import sign_vector
 
@@ -32,6 +32,16 @@ EPS = np.finfo(np.float64).eps
 # ---------------------------------------------------------------------------
 # oracles: the evaluator, the merge and the scan the array code replaced
 # ---------------------------------------------------------------------------
+
+def gather_product(factors, patterns):
+    """prod (1 + X_i) on the given atom patterns, each block table read
+    by the block's bits of the pattern: the evaluator the broadcast one
+    replaced, pointwise, so overlapping blocks work too."""
+    out = np.ones(patterns.size)
+    for f in factors:
+        out *= 1.0 + f._block_table[_block_bits(patterns, f.block)]
+    return out
+
 
 def scan_runs(state, patterns):
     """(lo, hi, values) runs on the given atoms, streamed over the support:
@@ -65,7 +75,7 @@ def band_minima(edges, refs, runs):
 def scan_oracle(state, edges):
     """band_minima over scan_runs on every atom, against (1/4) Pi_j."""
     atoms = atom_patterns(state.used_coordinates)
-    refs = [0.25 * _product_at(state.factors[:j], atoms) for j in range(state.stages)]
+    refs = [0.25 * gather_product(state.factors[:j], atoms) for j in range(state.stages)]
     return band_minima(edges, refs, scan_runs(state, atoms))
 
 
@@ -357,7 +367,7 @@ def test_factor_sup_on_far_block():
     factor = make_factor(1, wr.BlockSpec((25, 26)))
     a = (0.5 / C) * 2.0 ** (-0.5)
     # phi at level 1 has values +-2 and 0 on its two coordinates
-    table = _block_table(factor)
+    table = factor._block_table
     assert table.size == 4
     assert float(np.max(np.abs(table))) == pytest.approx(2 * a)
     # the state reads inf X off the same 4-atom table
@@ -1327,7 +1337,7 @@ def test_factor_values_match_sign_vector_oracle(name):
         new = wr.factor_values(factor, depth)
         assert np.max(np.abs(new - sign_vector_values(factor, atom_patterns(depth)))) <= tol
     patterns = sampled_patterns(depth)
-    new = _product_at([factor], patterns)
+    new = gather_product([factor], patterns)
     assert np.max(np.abs(new - oracle_product([factor], patterns))) <= evaluator_tol([factor])
 
 
@@ -1336,7 +1346,7 @@ def test_construction_factor_values_are_exact_multiples():
     # amplitude, so the table is amplitude * (integer values of phi)
     factor = FACTOR_CASES["flagship-level-10"]
     phi_values = wr.butterfly(wr.build_flat(10).as_series().coeffs)
-    assert np.array_equal(_block_table(factor), factor.amplitude * phi_values)
+    assert np.array_equal(factor._block_table, factor.amplitude * phi_values)
 
 
 def test_overlapping_pair_product_matches_oracle():
@@ -1344,7 +1354,106 @@ def test_overlapping_pair_product_matches_oracle():
     tol = evaluator_tol(pair)
     assert np.max(np.abs(wr.product_values(pair, 3) - oracle_product(pair, atom_patterns(3)))) <= tol
     patterns = sampled_patterns(3, count=5)
-    assert np.max(np.abs(_product_at(pair, patterns) - oracle_product(pair, patterns))) <= tol
+    assert np.max(np.abs(gather_product(pair, patterns) - oracle_product(pair, patterns))) <= tol
+
+
+def gather_factor(factor, patterns):
+    """X on the given atom patterns, its block table read by the block's
+    bits of the pattern."""
+    return factor._block_table[_block_bits(patterns, factor.block)]
+
+
+def d16_state():
+    return wr.build_measure(wr.PsiSpec.logpow(1.0), 4, wr.SummabilityBudget(scale=6))
+
+
+EVALUATOR_CASES = {
+    "d13": lambda: (flagship_state().factors, 13),
+    "d16": lambda: (d16_state().factors, 16),
+    "gap-block": lambda: ([hand_built_factor(), make_factor(0, wr.BlockSpec((7,)))], 7),
+    # m below a block's top: its coordinates past m read +1
+    "m-below-top": lambda: (d16_state().factors, 11),
+    "far-block": lambda: ([make_factor(1, wr.BlockSpec((25, 26))), make_factor(0, wr.BlockSpec((1,)))], 3),
+    "shared-shared": lambda: ([flagship_state().factors[2]] * 2, 13),
+    "m-zero": lambda: (flagship_state().factors, 0),
+}
+
+
+def flagship_state():
+    return wr.build_measure(wr.PsiSpec.logpow(1.0), 3, wr.SummabilityBudget(scale=2.25))
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATOR_CASES))
+def test_broadcast_evaluator_is_the_gather_bit_for_bit(case):
+    # each 1 + X_i broadcast along the atoms' runs meets the same
+    # multiplies in the same factor order as the gather
+    factors, m = EVALUATOR_CASES[case]()
+    patterns = atom_patterns(m)
+    assert wr.product_values(factors, m).tobytes() == gather_product(factors, patterns).tobytes()
+    for f in factors:
+        assert wr.factor_values(f, m).tobytes() == gather_factor(f, patterns).tobytes()
+
+
+@given(st.lists(st.sets(st.integers(1, 12), min_size=1, max_size=5).map(sorted), min_size=1, max_size=3),
+       st.integers(0, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_broadcast_evaluator_on_any_blocks(blocks, m, seed):
+    # hand-built factors on any increasing blocks, overlapping or not,
+    # and m anywhere among their coordinates
+    rng = np.random.default_rng(seed)
+    factors = []
+    for block in blocks:
+        shape = make_factor(len(block) - 1, wr.BlockSpec(tuple(block)))
+        factors.append(wr.Factor(len(block) - 1, tuple(block), 1.0, shape.indices,
+                                 rng.normal(size=shape.indices.size)))
+    patterns = atom_patterns(m)
+    assert wr.product_values(factors, m).tobytes() == gather_product(factors, patterns).tobytes()
+    for f in factors:
+        assert wr.factor_values(f, m).tobytes() == gather_factor(f, patterns).tobytes()
+
+
+def test_block_tables_are_built_once_and_read_only():
+    factor = make_factor(3, wr.BlockSpec((1, 2, 3, 4)))
+    assert factor._block_table is factor._block_table
+    with pytest.raises(ValueError):
+        factor._block_table[0] = 0.0
+    values = wr.factor_values(factor, 4)  # a fresh array, though the view is contiguous here
+    values[0] = 1.0
+    assert factor._block_table[0] != 1.0
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        wr.factor_values(wr.Factor(1, (3, 2), 1.0, factor.indices[:0], factor.coeffs[:0]), 3)
+
+
+def report_hex(report):
+    """Every float of a report, as hex, its other fields as they are."""
+    def walk(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, dict):
+            return {k: walk(v) for k, v in value.items()}
+        if isinstance(value, (tuple, list)):
+            return [walk(v) for v in value]
+        return value
+    return walk(dataclasses.asdict(report))
+
+
+@pytest.mark.parametrize("build", ["d13", "d16", "shared-shared"])
+def test_dense_diagnostics_equal_those_of_the_gather(build, monkeypatch):
+    # singularity and orthogonality, field for field by hex, from the
+    # broadcast evaluator and from the gather it replaced
+    factors = {"d13": lambda: flagship_state().factors, "d16": lambda: d16_state().factors,
+               "shared-shared": lambda: [flagship_state().factors[0]] * 2}[build]()
+    reports = []
+    for gather in (False, True):
+        if gather:
+            monkeypatch.setattr(wr.martingale, "product_values",
+                                lambda fs, m: gather_product(fs, atom_patterns(m)))
+            monkeypatch.setattr(wr.martingale, "factor_values", lambda f, m: gather_factor(f, atom_patterns(m)))
+        report = [report_hex(wr.verify_product_orthogonality(factors))]
+        if build != "shared-shared":
+            report.append(report_hex(wr.singularity_report(wr.RieszProductState(tuple(factors)))))
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def staged_states():

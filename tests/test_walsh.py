@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 import walshriesz as wr
 from walshriesz.walsh import (
-    _LIMB_BITS, _limb_ops, _read_rows, _read_rows_array, _segment_merge, atom_patterns,
-    sign_vector,
+    _LIMB_BITS, _distinct_text_rows, _limb_ops, _line_chunks, _read_rows, _read_rows_array,
+    _segment_merge, atom_patterns, sign_vector,
 )
 
 
@@ -832,3 +833,82 @@ def test_array_reader_falls_back_on_long_lines(monkeypatch):
             read_text(text)
     finally:
         csv.field_size_limit(old)
+
+
+def distinct_route(text):
+    """`_distinct_text_rows` on the lines after the header."""
+    start = text.find("\n") + 1
+    return _distinct_text_rows(_line_chunks(text, start), text.count("\n", start) + 1)
+
+
+# coefficient texts as csv and numpy read them alike: repeated, with
+# whitespace, signs, exponents, subnormals and signed zeros
+_REPEATED_TEXTS = st.one_of(
+    _CLEAN_COEFFS,
+    st.sampled_from(["1.5", " 1.5", "1.5 ", "\t-2.5e-3", "+5", "-0", "-0.0", "0.0", "1E5",
+                     "2.5e+300", "1e-320", "-4.9406564584124654e-324", ".5", "5."]),
+)
+
+
+@st.composite
+def repeated_texts(draw):
+    """`n,coeff` texts whose rows take a few coefficient texts, the first
+    one 64 times and then any of them, LF or CR LF, with a final newline
+    or none."""
+    pool = draw(st.lists(_REPEATED_TEXTS, min_size=1, max_size=4))
+    picks = [0] * 64 + draw(st.lists(st.integers(0, len(pool) - 1), max_size=150))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(["n,coeff"] + [f"{n},{pool[i]}" for n, i in enumerate(picks)]) + ending
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@given(repeated_texts(), st.sampled_from([1 << 16, 256]))
+@settings(max_examples=300, deadline=None)
+def test_distinct_text_route_is_the_row_loop(text, chunk):
+    # a few texts, repeated: each distinct text parsed once gives the row
+    # loop's rows bit for bit, in one chunk or in many, later chunks
+    # bringing texts of their own
+    with mock.patch.object(wr.walsh, "_LINE_CHUNK", chunk):
+        got = distinct_route(text)
+        assert got is not None
+        assert reader_outcome(lambda _: got, text) == reader_outcome(_read_rows, text)
+        assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
+
+
+@pytest.mark.parametrize("coeff", ["1_0", "nan", "-inf", "1" * 31 + ".", "1." + "0" * 40])
+def test_distinct_text_route_leaves_what_it_cannot_vouch_for(coeff):
+    # numpy's float parse refuses underscores, a non-finite value fails
+    # the array check, and a text of the bytes field's width or more may
+    # be cut short: the row loop, or the float64 parse, reads these
+    text = "n,coeff\n" + "".join(f"{n},{coeff if n % 2 else 0.5}\n" for n in range(64))
+    if len(coeff) >= wr.walsh._TEXT_BYTES:
+        assert distinct_route(text) is None
+        assert _read_rows_array(text) is not None
+    else:
+        assert _read_rows_array(text) is None
+    assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
+
+
+def test_distinct_text_route_checks_every_text_against_its_hash(monkeypatch):
+    # with every hash equal, the texts of one hash differ: the float64
+    # parse reads the rows
+    text = "n,coeff\n" + "".join(f"{n},{0.25 * (n % 3)}\n" for n in range(64))
+    assert distinct_route(text) is not None
+    monkeypatch.setattr(wr.walsh, "_TEXT_HASH", np.zeros(4, np.int64))
+    assert distinct_route(text) is None
+    assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
+
+
+def test_all_distinct_series_keep_the_float64_parse(monkeypatch):
+    # a dense series' texts are all distinct: its first chunk sends it to
+    # the one float64 parse, whose rows are the row loop's
+    rng = np.random.default_rng(20)
+    c = rng.uniform(-1, 1, 1 << 12) * 2.0 ** -rng.integers(0, 21, 1 << 12)
+    text = "n,coeff\r\n" + "".join(f"{n},{v!r}\r\n" for n, v in enumerate(c.tolist()))
+    assert distinct_route(text) is None
+    calls = []
+    original = wr.walsh._loadtxt
+    monkeypatch.setattr(wr.walsh, "_loadtxt", lambda lines, dtype: calls.append(dtype) or original(lines, dtype))
+    indices, coeffs = _read_rows_array(text)
+    assert calls == [wr.walsh._TEXT_ROW_DTYPE, wr.walsh._ROW_DTYPE]
+    assert np.array_equal(indices, np.arange(c.size)) and np.array_equal(coeffs.view(np.int64), c.view(np.int64))
