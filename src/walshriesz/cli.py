@@ -20,8 +20,10 @@ count is not the manifest product's.
 
 theorem1-check decides positivity, p3 and the shifted bounds for the
 series exactly as its float64 coefficients hold it.  One float64 walk
-of the martingale, O(K 2^K), proves every verdict whose value lies
-outside its rounding allowance (K+1) 2^-52 ||S||_A; only when some
+of the martingale, O(k 2^k) for each dyadic block N_k = c[2^k:2^(k+1)]
+holding a nonzero coefficient and O(2^k) for each block of zeros,
+proves every verdict whose value lies outside its rounding allowance
+(K+1) 2^-52 ||S||_A; only when some
 value lies within it does one exact walk run, the package's segment
 merge over int64 limbs holding the coefficients' dyadic expansion.  The
 report lists the routes that ran under `positivity_routes` and the

@@ -14,19 +14,21 @@ inequality on the martingale:
 both signs of r_(k+1) occur on atoms), so min_k (M_k - N_k*) = min_p S_p
 and the two sides are one predicate.  One float64 walk of
 `walsh._segment_merge` holds M_k, N_k and N_k's prefix extremes at every
-level, O(K 2^K), and decides every verdict whose value lies outside its
-derived rounding allowance (`_allowance`); one exact walk, the same
-merge over int64 limbs holding the coefficients' dyadic expansion,
-settles the rest.  Every run also recomputes the partial sums at one
-atom from the definition, exactly in int64 digits, sharing no code
-with the merge; a bug in the merge itself is caught by the tests' scan
-oracle (`walsh.prefix_scan` over `sign_vector`).
+level, O(k 2^k) for each nonzero block N_k and O(2^k) for each block of
++0.0, which it leaves unmerged, and decides every verdict whose value
+lies outside its derived rounding allowance (`_allowance`); one exact
+walk, the same merge over int64 limbs holding the coefficients' dyadic
+expansion, settles the rest.  Every run also recomputes the partial
+sums at one atom from the definition, exactly in int64 digits, sharing
+no code with the merge; a bug in the merge itself is caught by the
+tests' scan oracle (`walsh.prefix_scan` over `sign_vector`).
 
 Products Pi_k = prod (1 + X_i) over disjoint blocks are certified
 singular-at-finite-scale via Hellinger affinity E_lambda sqrt(Pi_k),
 which is multiplicative across independent factors and strictly below 1
 per factor, and via mass-concentration curves: the smallest Haar measure
-carrying a given fraction of the product's mass.
+carrying a given fraction of the product's mass.  Both are read off
+Pi_k's few distinct values and their counts, not off its atoms.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riesz import CoordinateBudgetError, RieszProductState, Spectrum, _monomial, _product_ranges
-from .riesz import factor_values, product_values
+from .riesz import CoordinateBudgetError, RieszProductState, Spectrum, _exact_sum, _histogram
+from .riesz import _monomial, _product_ranges, factor_values, product_values
 from .walsh import (
     AtomTable,
     InvariantViolation,
@@ -89,6 +91,7 @@ def decompose(series: WalshSeries) -> MartingaleDecomposition:
     (w_(2^k + m) = r_(k+1) w_m for m < 2^k).  The tables are read off
     `_martingale_walk`, whose MX and MN are the extremes of N_k's
     nonempty prefixes, its full sum included, so N_k* = max(MX, -MN).
+    A block of +0.0 gives a read-only N_k table, the walk's view of +0.0.
     """
     m_tables, n_tables, n_star = [], [], []
     for k, (m, n, mx, mn) in enumerate(_martingale_walk(series.coeffs)):
@@ -449,12 +452,20 @@ def _maximal_margin(series: WalshSeries) -> tuple[float, int, float, tuple[float
     full sum).  atom is the first full-depth atom where low falls: index
     a of level k is atom a for M_k and M_k + MN (r_(k+1) = +1) and
     a + 2^k for M_k - MX.  p3_low is the smallest M_k (k = 0..K), margins[k] the
-    smallest 2 M_k - |N_k| (k < K).  Non-finite coefficients raise
-    ValueError."""
+    smallest 2 M_k - |N_k| (k < K).  At a level whose block is +0.0 (the
+    walk's stride-0 N_k) they come from M_k alone: M_k + MN is M_k + 0.0
+    and M_k - MX is M_k, bit for bit, with their minimum at M_k's first
+    one.  Non-finite coefficients raise ValueError."""
     _require_finite(series.coeffs)
     lows, atoms, p3_lows, margins = [], [], [], []
     for m, n, mx, mn in _martingale_walk(series.coeffs):
         p3_lows.append(m.min())
+        if n is not None and n.strides == (0,):
+            i = int(np.argmin(m))
+            lows += [m[i], m[i] + 0.0, m[i]]
+            atoms += [i, i, i + m.size]
+            margins.append(float(2.0 * m[i]))
+            continue
         for table, offset in [(m, 0)] if n is None else [(m, 0), (m + mn, 0), (m - mx, m.size)]:
             i = int(np.argmin(table))
             lows.append(table[i])
@@ -522,10 +533,11 @@ def dyadic_block_envelope(series: WalshSeries | Spectrum) -> list[tuple[int, flo
 # the mass fractions delta of the concentration curves
 CONCENTRATION_FRACTIONS = (0.5, 0.9, 0.99)
 
-# The dense diagnostics below hold tables of 2^depth atoms: the depth-22
-# CLI build (`power delta=1`, scale 6) peaked at 292 MB of RSS, 70 bytes
-# per atom (0.9 s, 2 shared Xeon cores), one at depth 25 at 2.6 GB, so
-# at this many bytes per atom depth 24 needs about 1.3 GB.
+# The orthogonality checks below hold tables of 2^depth atoms: the
+# depth-22 CLI build (`power delta=1`, scale 6) peaked at 292 MB of RSS,
+# 70 bytes per atom (0.9 s, 2 shared Xeon cores), one at depth 25 at
+# 2.6 GB, so at this many bytes per atom depth 24 needs about 1.3 GB.
+# `singularity_report` reads histograms, but refuses the same depths.
 DIAGNOSTIC_DEPTH_LIMIT = 24
 _DIAGNOSTIC_BYTES_PER_ATOM = 80
 
@@ -547,11 +559,12 @@ class SingularityReport:
     """Hellinger affinities and mass-concentration curves per stage.
 
     hellinger[k] = prod_(i <= k) E_lambda sqrt(1 + X_i) (k = 0 is the
-    empty product); hellinger_direct cross-checks against E sqrt(Pi_k)
-    on the full atom space.  concentration[k][delta] is the smallest Haar
-    measure of a set carrying the fraction delta of Pi_k's mass, for each
-    delta in CONCENTRATION_FRACTIONS (fractional atoms allowed: the group
-    refines every finite atom).
+    empty product); hellinger_direct cross-checks against E sqrt(Pi_k),
+    read off Pi_k's value histogram, not off the atom space.
+    concentration[k][delta] is the smallest Haar measure of a set
+    carrying the fraction delta of Pi_k's mass, for each delta in
+    CONCENTRATION_FRACTIONS (fractional atoms allowed: the group refines
+    every finite atom).
     """
 
     hellinger: tuple[float, ...]
@@ -560,47 +573,62 @@ class SingularityReport:
     l1_norms: tuple[float, ...]
 
 
-def _concentration(masses: np.ndarray) -> dict[float, float]:
-    """The concentration curve at every CONCENTRATION_FRACTIONS delta,
-    from one sort and one cumsum of the masses."""
-    order = np.sort(masses)[::-1]
-    cum = np.cumsum(order)
+def _mean(values: np.ndarray, counts: np.ndarray) -> float:
+    """The mean of a histogram's values, exact and rounded once (its
+    total count is a power of two)."""
+    return _exact_sum(values, counts) / int(counts.sum())
+
+
+def _concentration(values: np.ndarray, counts: np.ndarray) -> dict[float, float]:
+    """The concentration curve at every CONCENTRATION_FRACTIONS delta from
+    Pi's value histogram (`values` ascending, each on `counts` atoms).
+    The heaviest atoms come first, and within a group of equal masses the
+    mass grows linearly, so one cumsum over the groups serves: delta of
+    the mass is reached in the first group g whose cumulative mass C_g
+    reaches it, after T_(g-1) + (target - C_(g-1)) / value_g atoms."""
+    values, counts = values[::-1], counts[::-1]
+    cum, atoms = np.cumsum(values * counts), np.cumsum(counts)
     curve = {}
     for delta in CONCENTRATION_FRACTIONS:
         target = delta * cum[-1]
-        i = int(np.searchsorted(cum, target))
-        prev = cum[i - 1] if i > 0 else 0.0
-        atoms = float(i) if target <= prev else i + (target - prev) / order[i]
-        curve[delta] = float(atoms / masses.size)
+        g = int(np.searchsorted(cum, target))
+        prev, before = (cum[g - 1], int(atoms[g - 1])) if g > 0 else (0.0, 0)
+        taken = before if target <= prev else before + (target - prev) / values[g]
+        curve[delta] = float(taken / int(atoms[-1]))
     return curve
 
 
 def singularity_report(
     state: RieszProductState, cross_check_tol: float = 1e-9
 ) -> SingularityReport:
-    """The SingularityReport of every stage of `state`.  A signed
+    """The SingularityReport of every stage of `state`, from value
+    histograms: each factor's 1 + X from its block table, and Pi_k's as
+    the products of Pi_(k-1)'s distinct values and those of 1 + X_k, in
+    the factors' order, each on the product of their counts (the blocks
+    are disjoint), the values the dense product takes, bit for bit.
+    Every mean is exact and rounded once.  A signed or non-finite
     product has no Hellinger affinity: ValueError when some Pi_k dips
-    below 0, read off the factors' ranges before any table is built."""
+    below 0 or is not finite, read off the factors' ranges before any
+    histogram is built."""
     _dense_depth(state.factors)
-    for k, (low, _) in enumerate(_product_ranges(state.factors)):
+    for k, (low, high) in enumerate(_product_ranges(state.factors)):
         if low < 0.0:
             raise ValueError(f"Pi_{k} takes the negative value {low!r}: sqrt(Pi_{k}) is undefined")
+        if not high < math.inf:
+            raise ValueError(f"Pi_{k} takes the value {high!r}: its means are undefined")
     hellinger = [1.0]
     direct = [1.0]
     concentration = [{d: d for d in CONCENTRATION_FRACTIONS}]
     l1 = [1.0]
-    running = 1.0
-    for k, factor in enumerate(state.factors, start=1):
-        x_vals = factor_values(factor, factor.block[-1])
-        running *= float(np.sqrt(1.0 + x_vals).mean())
-        hellinger.append(running)
-
-        depth = factor.block[-1]
-        vals = product_values(state.factors[:k], depth)
-        direct.append(float(np.sqrt(vals).mean()))
-        masses = vals / vals.size
-        concentration.append(_concentration(masses))
-        l1.append(float(np.abs(vals).mean()))
+    values, counts = np.ones(1), np.ones(1, np.int64)  # Pi_0's histogram
+    for factor in state.factors:
+        fvalues, fcounts = _histogram(1.0 + factor._block_table)
+        hellinger.append(hellinger[-1] * _mean(np.sqrt(fvalues), fcounts))
+        values, counts = _histogram(np.multiply.outer(values, fvalues).ravel(),
+                                    np.multiply.outer(counts, fcounts).ravel())
+        direct.append(_mean(np.sqrt(values), counts))
+        concentration.append(_concentration(values, counts))
+        l1.append(_mean(np.abs(values), counts))
 
     # np.max keeps a NaN gap, which the negated test then refuses
     gap = float(np.max(np.abs(np.subtract(hellinger, direct))))
@@ -652,12 +680,15 @@ def verify_product_orthogonality(
     for f in factors:
         sigma = f.norm_2
         ys.append(factor_values(f, depth) / sigma - sigma)
-    means = [float(np.dot(weights, y)) for y in ys]
-    seconds = [float(np.dot(weights, y * y)) for y in ys]
+    # einsum's own loop sums in the calling thread: np.dot hands the sum to
+    # BLAS, whose worker threads wait for a core under load (8 ms a call
+    # against 0.03 ms at d16) and whose bits depend on their count
+    means = [float(np.einsum("i,i", weights, y)) for y in ys]
+    seconds = [float(np.einsum("i,i", weights, y * y)) for y in ys]
     crosses = []
     for i in range(len(ys)):
         for j in range(i + 1, len(ys)):
-            crosses.append(float(np.dot(weights, ys[i] * ys[j])))
+            crosses.append(float(np.einsum("i,i", weights, ys[i] * ys[j])))
     max_mean = max(abs(v) for v in means)
     max_cross = max(abs(v) for v in crosses)
     max_second = max(seconds)

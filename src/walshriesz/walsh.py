@@ -31,7 +31,10 @@ adjacent segments is the dyadic martingale step M_(k+1) = M_k + r_(k+1) N_k
 applied in place to their full sums and prefix extrema: `butterfly` is
 that merge with no class of prefixes, `prefix_extrema` with one, the
 positivity certificate's signed block pass, over int64, with a pair per
-coefficient magnitude, and `_martingale_walk` reads its levels.  Run over
+coefficient magnitude, and `_martingale_walk` reads its levels.  The
+first two and the walk run it by dyadic blocks N_k = c[2^k:2^(k+1)]
+(`_block_merge`), which leaves blocks of +0.0 unmerged, bit for bit the
+one merge: a Riesz product's series is zero in all but a few.  Run over
 int64 limbs, 58 bits to a limb, as many limbs as the sums need and
 carried once every four levels, the merge is exact: `theorem1-check`'s
 exact positivity route merges the coefficients' dyadic expansion that
@@ -199,14 +202,17 @@ class WalshSeries:
 
 def butterfly(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform, natural (Paley) order: the
-    full sums S of `_segment_merge` with no class of prefixes.
+    full sums S of `_segment_merge` with no class of prefixes, run by
+    `_block_merge`.  It skips the dyadic blocks c[2^k:2^(k+1)] of +0.0,
+    whose transform is +0.0, and joins M_k to such a block as
+    [M_k + 0.0, M_k], the single merge's bits, signed zeros included.
 
     Self-inverse up to the factor 2^m.  Integer input is summed exactly
     in int64, so +-1-coefficient polynomials evaluate exactly (ValueError
     when sum |c| reaches 2^63); the rest in float64.
     """
     s = _merge_input(values)
-    for _ in _segment_merge(s, np.empty((0, s.size), s.dtype), np.empty((0, s.size), s.dtype)):
+    for _ in _block_merge(s, np.empty((0, s.size), s.dtype), np.empty((0, s.size), s.dtype)):
         pass
     return s
 
@@ -242,7 +248,8 @@ def multiply_by_walsh(series: WalshSeries, m) -> WalshSeries:
 def prefix_extrema(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, MX, MN) on all 2^K atoms of c_0..c_(2^K - 1): the full sum and
     the largest and smallest nonempty partial sum, in O(K 2^K), by
-    `_segment_merge` with one class of prefixes.  S equals `butterfly`
+    `_segment_merge` with one class of prefixes, run by `_block_merge`
+    (bit for bit the single merge).  S equals `butterfly`
     bit for bit; integer input is summed exactly in int64 (ValueError
     when sum |c| reaches 2^63).  Extremes of non-finite partial sums
     mean nothing, so a non-finite coefficient raises ValueError naming
@@ -251,7 +258,7 @@ def prefix_extrema(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = _merge_input(coeffs)
     _require_finite(s)
     mx, mn = s[None].copy(), s[None].copy()
-    for _ in _segment_merge(s, mx, mn):
+    for _ in _block_merge(s, mx, mn):
         pass
     return s, mx[0], mn[0]
 
@@ -273,9 +280,16 @@ def _merge_input(values) -> np.ndarray:
     return v.astype(np.int64)
 
 
-def _segment_merge(s, mx, mn):
+def _segment_merge(s, mx, mn, merged: int = 1):
     """The package's one butterfly loop: (S, MX, MN) of every segment,
-    merged in place up to all 2^K atoms in O(K 2^K).
+    merged in place up to all 2^K atoms in O(K 2^K), from segments of
+    length `merged` (1, or tables whose segments of that length are
+    merged already: `_block_merge` joins a block to M_k so).
+    `butterfly`, `prefix_extrema` and `_martingale_walk` run it by dyadic
+    blocks through `_block_merge`, which leaves a block of +0.0 unmerged:
+    every S, MX and MN of it is +0.0 already, so the level that joins it
+    reads M_k -+ 0.0, which `_block_merge` writes as it is, M_k + 0.0
+    turning -0.0 into +0.0 as the merge would.
 
     `s` holds the segments' full sums and `mx`, `mn` zero or more rows,
     one per class of prefixes, each starting from length-1 segments; the
@@ -325,7 +339,7 @@ def _segment_merge(s, mx, mn):
     width, n = s.shape if s.ndim == 2 else (1, s.size)
     rows = len(mx)
     block = min(_MERGE_BLOCK // width, max(n // 2, 1))
-    tiles = max(block // _TILE, 1) if n >= _TILED_FROM else 0
+    tiles = max(block // _TILE, 1) if n >= _TILED_FROM and merged == 1 else 0
     room = max(block, tiles * _TILE // 2)
     add, sub, maximum, minimum, carry = _limb_ops(max(rows, 1) * room) if width > 1 else _PLAIN_OPS
     spare = np.empty(max(2 * rows, 1) * width * room, s.dtype)
@@ -373,7 +387,7 @@ def _segment_merge(s, mx, mn):
                 merge((width, _TILE >> (k + 1), 2, count << k), *parts, carried=carries(k))
             for part, segment in zip(parts, segments):
                 segment[...] = part.swapaxes(-1, -2)
-    h = _TILE if tiles else 1
+    h = _TILE if tiles else merged
     while h < n:
         yield h
         level = (width, n // (2 * h), 2, h)
@@ -396,6 +410,59 @@ _TILED_FROM = 1 << 12
 # Xeon core 2^13 to 2^15 ran depth-20 merges fastest, and whole levels
 # ran the float one 1.3 and the 2-limb one 1.4 times slower
 _MERGE_BLOCK = 1 << 14
+
+
+def _block_merge(s, mx, mn):
+    """`_segment_merge` of a float64 or int64 vector `s` whose rows `mx`,
+    `mn` start as copies of it (or are empty), by dyadic blocks, bit for
+    bit the single merge, in O(k 2^k) for each block N_k = s[2^k:2^(k+1)]
+    that holds a nonzero bit and O(2^k) for each block of +0.0 past the
+    first run.
+
+    A first run s[:2^j] merges in one call, and each later block merges
+    alone and then joins M_k = s[:2^k] by one level of the merge.  A block
+    of +0.0 is not merged: its S, MX and MN are +0.0 already, and the
+    level's operands Sa -+ 0.0 are Sa, but Sa + 0.0 turns -0.0 into
+    +0.0, so the level is S = [M_k + 0.0, M_k], MX = [max(MXa, M_k + 0.0),
+    max(MXa, M_k)], MN = [min(MNa, M_k + 0.0), min(MNa, M_k)], the values
+    the merge computes.  A block holding -0.0 is merged.  The first run
+    ends at the first block of +0.0 past every nonzero block shorter than
+    `_TILED_FROM`, so that a block merged alone is a tiled merge (a
+    shorter one pays a call per level: the depth-16 benchmark measure's
+    top block, zero at N_2 only, took 1.56 ms merged from N_3 on block by
+    block against 0.81 ms in one merge, minima of 200 runs on 2 shared
+    Xeon cores).  Below `_TILED_FROM` values, and when no such block is
+    zero, the single merge runs as it is.
+
+    A generator of the levels: (h, zero) just before level h is merged
+    (as `_segment_merge` yields h), `zero` whether N_k, k = log2 h, is a
+    block of +0.0 left as it is.
+    """
+    n = s.size
+    levels = range(n.bit_length() - 1)
+    zero = [n >= _TILED_FROM and not s[1 << k : 2 << k].view(np.int64).any() for k in levels]
+    short = max((k for k in levels if not zero[k] and 1 << k < _TILED_FROM), default=-1)
+    j = next((k for k in levels if zero[k] and k > short), len(levels))
+    for level in _segment_merge(s[: 1 << j], mx[:, : 1 << j], mn[:, : 1 << j]):
+        yield level, False
+    for k in levels[j:]:
+        h = 1 << k
+        a, b = slice(0, h), slice(h, 2 * h)
+        if zero[k]:
+            yield h, True
+            s[b] = s[a]
+            s[a] += 0  # M_k + 0.0
+            if len(mx):
+                np.maximum(mx[:, a], s[b], out=mx[:, b])
+                np.minimum(mn[:, a], s[b], out=mn[:, b])
+                np.maximum(mx[:, a], s[a], out=mx[:, a])
+                np.minimum(mn[:, a], s[a], out=mn[:, a])
+        else:
+            for _ in _segment_merge(s[b], mx[:, b], mn[:, b]):
+                pass
+            yield h, False
+            for _ in _segment_merge(s[: 2 * h], mx[:, : 2 * h], mn[:, : 2 * h], h):
+                pass
 
 
 def _blocks(segments: int, h: int, block: int):
@@ -488,7 +555,7 @@ def _limb_ops(size: int):
 
 def _martingale_walk(coeffs):
     """Walk the dyadic martingale of c_0..c_(2^K - 1) along the levels of
-    one `_segment_merge` over the whole series.  A tiled merge runs its
+    one `_block_merge` over the whole series.  A tiled merge runs its
     levels below `_TILE` tile by tile, unyielded; they depend on
     c[:_TILE] alone, so a longer series reads them off a merge of those.
 
@@ -499,14 +566,20 @@ def _martingale_walk(coeffs):
     for k = 0..K-1 this yields copies of (M_k, N_k, MX, MN) on the 2^k
     atoms of the first k coordinates, then (M_K, None, None, None).
     M_k equals `butterfly(c[:2^k])` and (N_k, MX, MN) equal
-    `prefix_extrema(c[2^k:2^(k+1)])`, bit for bit.
+    `prefix_extrema(c[2^k:2^(k+1)])`, bit for bit.  For a block of +0.0
+    that `_block_merge` leaves as it is, N_k, MX and MN are one
+    read-only view of +0.0 with stride 0, which holds no table.
     """
     s = np.array(coeffs, dtype=np.float64)
     merges = [s[:_TILE].copy(), s] if s.size > _TILE else [s]
     for t in merges:
         mx, mn = t[None].copy(), t[None].copy()
-        for h in _segment_merge(t, mx, mn):
-            if t is merges[0] or h >= _TILE:
+        for h, zero in _block_merge(t, mx, mn):
+            if t is not merges[0] and h < _TILE:
+                continue
+            if zero:
+                yield t[:h].copy(), *[np.broadcast_to(0.0, h)] * 3
+            else:
                 yield t[:h].copy(), t[h : 2 * h].copy(), mx[0, h : 2 * h].copy(), mn[0, h : 2 * h].copy()
     yield s, None, None, None
 
@@ -869,7 +942,7 @@ _ROW_DTYPE = np.dtype([("n", np.int64), ("c", np.float64)])
 # characters of text per chunk that `_read_rows_array` splits into lines
 _LINE_CHUNK = 1 << 16
 # `_distinct_text_rows` reads texts shorter than _TEXT_BYTES, and runs
-# where at most 1/_DISTINCT_SHARE of the first chunk's texts are distinct
+# while at most 1/_DISTINCT_SHARE of the texts read so far are distinct
 _TEXT_BYTES = 32
 _TEXT_ROW_DTYPE = np.dtype([("n", np.int64), ("c", f"S{_TEXT_BYTES}")])
 _DISTINCT_SHARE = 8
@@ -929,8 +1002,10 @@ def _distinct_text_rows(chunks, most: int):
     """The rows of the line `chunks` (at `most` of them), their texts read
     as bytes and each distinct one parsed by the float64 field, so that
     the values are the float64 parse's; None where there are no rows,
-    the first chunk's texts are over 1/`_DISTINCT_SHARE` distinct, or a
-    text fills `_TEXT_BYTES` bytes or differs from its hash's text."""
+    the texts read so far are over 1/`_DISTINCT_SHARE` distinct (each
+    chunk with new texts re-sorts those kept: a dense depth-20 block after
+    2^19 zeros took 70 s so), or a text fills `_TEXT_BYTES` bytes or
+    differs from its hash's text."""
     texts, indices, hashes, filled = {}, np.empty(most, np.int64), np.empty(most, np.int64), 0
     for lines in chunks:
         rows = _loadtxt(lines, _TEXT_ROW_DTYPE)
@@ -939,11 +1014,11 @@ def _distinct_text_rows(chunks, most: int):
         groups = _lookup(keys, hashed) if texts else None
         if groups is None:  # new hashes: keep a text of each
             new, groups = np.unique(hashed, return_inverse=True)
-            if not filled and new.size * _DISTINCT_SHARE > rows.size:
-                return None
             members = np.empty(new.size, np.int64)
             members[groups] = np.arange(groups.size)
             texts = dict(zip(new.tolist(), rows["c"][members].tolist())) | texts
+            if len(texts) * _DISTINCT_SHARE > filled + rows.size:
+                return None
             keys = np.array(sorted(texts))
             firsts = np.array([texts[key] for key in keys.tolist()], rows["c"].dtype)
             groups = keys.searchsorted(hashed)

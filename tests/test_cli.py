@@ -375,6 +375,45 @@ def test_theorem1_check_reads_the_limb_width_once(tmp_path, monkeypatch, capsys)
         assert len(calls) == 1
 
 
+def t1_series(name, path):
+    """The d13 and d16 measures, and seeded depth-16 series: dense, zero
+    in some dyadic blocks (the float walk decides), and zero in some
+    blocks with an exact minimum of 0 (the exact walk decides)."""
+    if name in ("d13", "d16"):
+        psi, stages, scale = {"d13": (1.0, 3, 2.25), "d16": (1.0, 4, 6.0)}[name]
+        wr.export_measure(wr.build_measure(wr.PsiSpec.logpow(psi), stages, wr.SummabilityBudget(scale)), path)
+        return
+    rng = np.random.default_rng(16)
+    if name == "at-zero16":
+        c = rng.integers(-(1 << 10), 1 << 10, 1 << 16) << rng.integers(0, 21, 1 << 16)
+    else:
+        c = rng.uniform(-1, 1, 1 << 16) * 2.0 ** -rng.integers(0, 21, 1 << 16)
+    if name != "dense16":
+        for k in (2, 3, 5, 6, 7, 9, 10, 11, 13):
+            c[1 << k : 2 << k] = 0
+    c[0] = 0
+    c[0] = -wr.prefix_extrema(c)[2].min() if name == "at-zero16" else np.sum(np.abs(c)) + 1.0
+    wr.series_to_csv(WalshSeries(16, c * 2.0**-30 if name == "at-zero16" else c), path)
+
+
+@pytest.mark.parametrize("name", ["d13", "d16", "dense16", "sparse16", "at-zero16"])
+def test_theorem1_check_report_is_that_of_the_single_merge(tmp_path, monkeypatch, capsys, name):
+    # the merge by dyadic blocks, which skips blocks of +0.0, against one
+    # merge over each whole table: the report, text for text
+    t1_series(name, tmp_path / "s.csv")
+    reports = []
+    for single in (False, True):
+        if single:
+            monkeypatch.setattr(walsh, "_block_merge", lambda s, mx, mn: (
+                (h, False) for h in walsh._segment_merge(s, mx, mn)))
+        code = run(["theorem1-check", "--in", str(tmp_path / "s.csv")])
+        reports.append((code, capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0][1])
+    assert report["shifted_bounds"]["all_hold"] and report["decided_by"] == (
+        "integer-dyadic" if name == "at-zero16" else "float64")
+
+
 def test_verify_alias(tmp_path):
     # theorem1-check is the command's only name: `verify` is no command
     out = tmp_path / "m.csv"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import walshriesz as wr
 from conftest import spectrum_series
-from walshriesz import martingale
+from walshriesz import martingale, riesz
 from walshriesz.martingale import CONCENTRATION_FRACTIONS
 from walshriesz.walsh import (
     _LIMB_BITS, _martingale_walk, _segment_merge, atom_patterns, prefix_scan, sign_vector,
@@ -715,22 +715,38 @@ def concentration_by_fraction(masses, delta):
 
 @pytest.mark.parametrize("size", [1, 2, 7, 1 << 12])
 def test_concentration_sorts_once_bit_for_bit(size):
-    # one sort and one cumsum serve every fraction, with the values of a
-    # sort per fraction, ties and equal masses included
+    # the curve from the masses' histogram, each group's mass growing
+    # linearly, against a sort of every mass per fraction: bit for bit
+    # where the histogram's group sums are the sorted masses' running
+    # sums (distinct masses, or eighths), within 1e-11 relative where they
+    # round apart (sevenths)
     rng = np.random.default_rng(size)
-    for masses in (rng.uniform(0, 1, size), np.full(size, 1.0 / size), rng.integers(0, 3, size) / 7.0):
+    for masses, exact in ((rng.uniform(0, 1, size), True), (rng.integers(0, 3, size) / 8.0, True),
+                          (np.full(size, 1.0 / size), size != 7), (rng.integers(0, 3, size) / 7.0, False)):
         if masses.sum() == 0:
             continue
-        got = martingale._concentration(masses)
+        got = martingale._concentration(*riesz._histogram(masses))
         assert list(got) == list(CONCENTRATION_FRACTIONS)
         for delta, value in got.items():
-            assert value.hex() == concentration_by_fraction(masses, delta).hex()
+            want = concentration_by_fraction(masses, delta)
+            if exact:
+                assert value.hex() == want.hex()
+            else:
+                assert abs(value - want) <= 1e-11 * want
 
 
 def test_singularity_refuses_a_signed_product():
     # 1 + 2 r_1 is -1 on half the atoms, where its square root is NaN
     state = wr.RieszProductState((wr.Factor(0, (1,), 2.0, np.array([1]), np.array([2.0])),))
     with pytest.raises(ValueError, match=r"Pi_1 takes the negative value -1\.0"):
+        wr.singularity_report(state)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_singularity_refuses_a_non_finite_product(value):
+    # a hand-built factor with a non-finite coefficient has no exact mean
+    state = wr.RieszProductState((wr.Factor(0, (1,), 1.0, np.array([0]), np.array([value])),))
+    with pytest.raises(ValueError, match=rf"Pi_1 takes the value {value!r}: its means are undefined"):
         wr.singularity_report(state)
 
 

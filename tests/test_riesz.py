@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import walshriesz as wr
 from conftest import spectrum_series
 from walshriesz import riesz, walsh
+from walshriesz.martingale import CONCENTRATION_FRACTIONS
 from walshriesz.riesz import _block_bits, make_factor
 from walshriesz.walsh import _write_coeff_rows, atom_patterns, butterfly, prefix_extrema, prefix_scan
 from walshriesz.walsh import sign_vector
@@ -1439,8 +1441,9 @@ def report_hex(report):
 
 @pytest.mark.parametrize("build", ["d13", "d16", "shared-shared"])
 def test_dense_diagnostics_equal_those_of_the_gather(build, monkeypatch):
-    # singularity and orthogonality, field for field by hex, from the
-    # broadcast evaluator and from the gather it replaced
+    # orthogonality, field for field by hex, from the broadcast evaluator
+    # and from the gather it replaced (singularity reads histograms, and
+    # is held to the dense route by test_singularity_from_histograms_is_the_dense_route)
     factors = {"d13": lambda: flagship_state().factors, "d16": lambda: d16_state().factors,
                "shared-shared": lambda: [flagship_state().factors[0]] * 2}[build]()
     reports = []
@@ -1449,11 +1452,82 @@ def test_dense_diagnostics_equal_those_of_the_gather(build, monkeypatch):
             monkeypatch.setattr(wr.martingale, "product_values",
                                 lambda fs, m: gather_product(fs, atom_patterns(m)))
             monkeypatch.setattr(wr.martingale, "factor_values", lambda f, m: gather_factor(f, atom_patterns(m)))
-        report = [report_hex(wr.verify_product_orthogonality(factors))]
-        if build != "shared-shared":
-            report.append(report_hex(wr.singularity_report(wr.RieszProductState(tuple(factors)))))
-        reports.append(report)
+        reports.append(report_hex(wr.verify_product_orthogonality(factors)))
     assert reports[0] == reports[1]
+
+
+def dense_singularity(factors):
+    """The singularity figures from the atom space, as `singularity_report`
+    computed them before it read value histograms: each stage's Pi_k on
+    its 2^depth atoms, float64 means, and one sort and cumsum of the
+    masses for the concentration curve.  Also each curve's exact figure,
+    from Pi_k's distinct values (np.unique of the dense table) in
+    rationals."""
+    hellinger, direct, l1 = [1.0], [1.0], [1.0]
+    concentration, exact = [{d: d for d in CONCENTRATION_FRACTIONS}], [{d: d for d in CONCENTRATION_FRACTIONS}]
+    for k, factor in enumerate(factors, start=1):
+        depth = factor.block[-1]
+        hellinger.append(hellinger[-1] * float(np.sqrt(1.0 + wr.factor_values(factor, depth)).mean()))
+        vals = wr.product_values(factors[:k], depth)
+        direct.append(float(np.sqrt(vals).mean()))
+        l1.append(float(np.abs(vals).mean()))
+        order = np.sort(vals / vals.size)[::-1]
+        cum = np.cumsum(order)
+        distinct, counts = np.unique(vals, return_counts=True)
+        groups = [(Fraction(v), c) for v, c in zip(distinct[::-1].tolist(), counts[::-1].tolist())]
+        total = sum(v * c for v, c in groups)
+        curve, rational = {}, {}
+        for delta in CONCENTRATION_FRACTIONS:
+            target = delta * cum[-1]
+            i = int(np.searchsorted(cum, target))
+            prev = cum[i - 1] if i > 0 else 0.0
+            curve[delta] = float((float(i) if target <= prev else i + (target - prev) / order[i]) / vals.size)
+            target, mass, atoms = Fraction(delta) * total, Fraction(0), 0
+            for v, c in groups:
+                if target <= mass + v * c:
+                    rational[delta] = float((atoms + (target - mass) / v if target > mass else atoms) / vals.size)
+                    break
+                mass, atoms = mass + v * c, atoms + c
+        concentration.append(curve)
+        exact.append(rational)
+    return hellinger, direct, l1, concentration, exact
+
+
+SINGULARITY_STATES = {
+    **CERTIFIED_STATES,
+    **{f"ladder-{name}": (lambda psi, stages, scale: lambda: wr.build_measure(
+        psi, stages, wr.SummabilityBudget(scale)))(*build) for name, (build, _) in LADDER_PINS.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(SINGULARITY_STATES))
+def test_singularity_from_histograms_is_the_dense_route(name):
+    # every figure of the histogram route against the dense route:
+    # Hellinger figures and L1 within 4 ulps, concentration within 1e-11
+    # relative; edge-order and index-order, signed products, are refused.
+    # The dense route's float64 cumsum of 2^22 masses (deep-d22) is itself
+    # 1.4e-11 off the exact figure, so each curve is also held to its
+    # exact figure, within 1e-13 relative: the histogram route rounds a
+    # cumsum of a few dozen groups and one product, amplified by at most
+    # the total mass over the crossing group's (6 ulps at negative-prefix's
+    # 0.99)
+    state = SINGULARITY_STATES[name]()
+    if any(low < 0.0 for low, _ in riesz._product_ranges(state.factors)):
+        with pytest.raises(ValueError, match="takes the negative value"):
+            wr.singularity_report(state)
+        return
+    report = wr.singularity_report(state)
+    hellinger, direct, l1, concentration, exact = dense_singularity(state.factors)
+    for got, want in ((report.hellinger, hellinger), (report.hellinger_direct, direct), (report.l1_norms, l1)):
+        assert len(got) == len(want) == state.stages + 1
+        assert all(abs(a - b) <= 4 * math.ulp(b) for a, b in zip(got, want)), (got, want)
+    assert len(report.concentration) == state.stages + 1
+    for got, want, rational in zip(report.concentration, concentration, exact):
+        assert list(got) == list(CONCENTRATION_FRACTIONS)
+        for delta, value in got.items():
+            assert abs(value - rational[delta]) <= 1e-13 * rational[delta]
+            if state.used_coordinates <= 16:
+                assert abs(value - want[delta]) <= 1e-11 * want[delta]
 
 
 def staged_states():

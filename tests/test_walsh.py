@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 import walshriesz as wr
 from walshriesz.walsh import (
-    _LIMB_BITS, _distinct_text_rows, _limb_ops, _line_chunks, _read_rows, _read_rows_array,
-    _segment_merge, atom_patterns, sign_vector,
+    _LIMB_BITS, _distinct_text_rows, _limb_ops, _line_chunks, _martingale_walk, _read_rows,
+    _read_rows_array, _segment_merge, atom_patterns, sign_vector,
 )
 
 
@@ -637,6 +637,66 @@ def test_prefix_extrema_rejects_bad_length():
         wr.prefix_extrema(np.zeros(0))
 
 
+def single_merge(values, rows: int):
+    """(S, MX, MN) of one `_segment_merge` over the whole vector, with
+    `rows` (0 or 1) copies of it as the class of prefixes: what
+    `_block_merge` must give bit for bit."""
+    s = values.copy()
+    mx, mn = s[None].copy()[:rows], s[None].copy()[:rows]
+    for _ in _segment_merge(s, mx, mn):
+        pass
+    return s, mx, mn
+
+
+def block_series(depth: int, dtype, kinds, seed: int) -> np.ndarray:
+    """c_0 and each dyadic block N_k of one kind: "nonzero", "+0", "-0"
+    (int64: 0) or "mixed" (+0.0, -0.0 and values).  Values are small
+    integers times powers of two, so sums cancel to zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(1 << depth, dtype)
+    for lo, kind in zip([0, *(1 << k for k in range(depth))], kinds):
+        size = max(lo, 1)
+        values = rng.integers(-3, 4, size) * 2.0 ** -rng.integers(0, 8, size)
+        zeros = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+        block = {"nonzero": values, "+0": np.zeros(size), "-0": np.full(size, -0.0),
+                 "mixed": np.where(rng.random(size) < 0.3, values, zeros)}[kind]
+        c[lo : lo + size] = block * 2**8 if dtype is np.int64 else block
+    return c
+
+
+BLOCK_KINDS = st.integers(0, 14).flatmap(lambda depth: st.lists(
+    st.sampled_from(["nonzero", "+0", "-0", "mixed"]), min_size=depth + 1, max_size=depth + 1))
+
+
+@given(BLOCK_KINDS, st.sampled_from([np.float64, np.int64]), st.integers(0, 2**32 - 1))
+@example(["-0", "-0", "+0", "+0", "+0", "+0", "+0"], np.float64, 0)
+@example(["-0", "-0"] + ["+0"] * 12, np.float64, 0)
+@settings(max_examples=150, deadline=None)
+def test_block_merge_is_the_single_merge_bit_for_bit(kinds, dtype, seed):
+    # butterfly, prefix_extrema and every level of the walk, by dyadic
+    # blocks, against one merge over the whole series: byte for byte,
+    # signed zeros included, at the default threshold (blocks skipped from
+    # 2^12 values) and at 32 values.  The examples' M_1 holds -0.0, which
+    # the skipped level N_1 turns into +0.0, as M_1 + 0.0 does
+    depth = len(kinds) - 1
+    c = block_series(depth, dtype, kinds, seed)
+    want = [t.tobytes() for t in (single_merge(c, 0)[0], *single_merge(c, 1))]
+    want_walk = []
+    if dtype is np.float64:
+        for k in range(depth):
+            s, mx, mn = single_merge(c[1 << k : 2 << k], 1)
+            want_walk.append([t.tobytes() for t in (single_merge(c[: 1 << k], 0)[0], s, mx, mn)])
+        want_walk.append([single_merge(c, 0)[0].tobytes(), None, None, None])
+    for tiled_from in (None, 32):
+        with pytest.MonkeyPatch.context() as patch:
+            if tiled_from:
+                patch.setattr(wr.walsh, "_TILED_FROM", tiled_from)
+            assert [t.tobytes() for t in (wr.butterfly(c), *wr.prefix_extrema(c))] == want
+            if dtype is np.float64:
+                walk = [[t if t is None else t.tobytes() for t in level] for level in _martingale_walk(c)]
+                assert walk == want_walk
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -912,3 +972,23 @@ def test_all_distinct_series_keep_the_float64_parse(monkeypatch):
     indices, coeffs = _read_rows_array(text)
     assert calls == [wr.walsh._TEXT_ROW_DTYPE, wr.walsh._ROW_DTYPE]
     assert np.array_equal(indices, np.arange(c.size)) and np.array_equal(coeffs.view(np.int64), c.view(np.int64))
+
+
+def test_distinct_text_route_stops_once_its_texts_turn_distinct(monkeypatch):
+    # 2^12 zeros, then 2^12 distinct texts: the route gives up a few
+    # chunks into them, once over 1/8 of the texts read are distinct, not
+    # at the end (each chunk of new texts re-sorts every text kept), and
+    # the float64 parse reads the rows the row loop reads
+    monkeypatch.setattr(wr.walsh, "_LINE_CHUNK", 1 << 12)
+    rng = np.random.default_rng(12)
+    c = np.concatenate([np.zeros(1 << 12), rng.uniform(-1, 1, 1 << 12)])
+    text = "n,coeff\r\n" + "".join(f"{n},{v!r}\r\n" for n, v in enumerate(c.tolist()))
+    chunks = len(list(_line_chunks(text, text.index("\n") + 1)))
+    calls = []
+    original = wr.walsh._loadtxt
+    monkeypatch.setattr(wr.walsh, "_loadtxt", lambda lines, dtype: calls.append(dtype) or original(lines, dtype))
+    indices, coeffs = _read_rows_array(text)
+    assert calls[-1] == wr.walsh._ROW_DTYPE and calls.count(wr.walsh._TEXT_ROW_DTYPE) < chunks / 2
+    rows = _read_rows(text)
+    assert indices.tolist() == [n for n, _ in rows]
+    assert np.array_equal(coeffs.view(np.int64), np.array([v for _, v in rows]).view(np.int64))
