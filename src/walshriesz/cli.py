@@ -19,13 +19,13 @@ report exits 2, before writing anything, when the measure CSV's term
 count is not the manifest product's.
 
 theorem1-check decides positivity, p3 and the shifted bounds for the
-series exactly as its float64 coefficients hold it.  One float64 walk
-of the martingale, O(k 2^k) for each dyadic block N_k = c[2^k:2^(k+1)]
-holding a nonzero coefficient and O(2^k) for each block of zeros,
-proves every verdict whose value lies outside its rounding allowance
-(K+1) 2^-52 ||S||_A; only when some
-value lies within it does one exact walk run, the package's segment
-merge over int64 limbs holding the coefficients' dyadic expansion.  The
+series exactly as its float64 coefficients hold it.  One float64
+prefix-extrema pass over the series, O(k 2^k) for each dyadic block
+N_k = c[2^k:2^(k+1)] holding a nonzero coefficient and O(2^k) for each
+block of zeros, proves every verdict whose value lies outside its
+rounding allowance (K+1) 2^-52 ||S||_A; only when some value lies within
+it does one exact pass run, the package's segment merge over int64
+limbs holding the coefficients' dyadic expansion.  The
 report lists the routes that ran under `positivity_routes` and the
 arithmetic that decided under `decided_by`.  A series deeper than
 martingale.THEOREM1_DEPTH_LIMIT, or one whose coefficients' exponents
@@ -280,16 +280,18 @@ def _shifted_bound_sweep(series: WalshSeries, equiv: martingale.EquivalenceRepor
     For k >= kj the checked prefix is all of w_m N_kj, whose modulus is
     |N_kj| for every m, so these checks cover every (m, k); the two
     multipliers still exercise the reindexing.  The m = 0 verdicts, one
-    per level, are `equiv.shifted_m0`, exact.  For kj >= 1,
-    `martingale.check_shifted_bound` checks m = 2^kj - 1 in float64 with
-    the float walk's allowance as `tol`, K - 1 calls: a failure is a
-    proof, and a pass, maybe within the allowance, is settled by the
-    exact m = 0 verdict of the same modulus.
+    per level, are the exact `equiv.p3`: M_(kj+1) = M_kj +- N_kj >= 0 on
+    the two halves of each atom gives |N_kj| <= M_kj <= 2 M_kj.  The sweep
+    runs only when every partial sum is nonnegative, so p3 holds.  For
+    kj >= 1, `martingale.check_shifted_bound` checks m = 2^kj - 1 in
+    float64 with the float pass's allowance as `tol`, K - 1 calls: a
+    failure would prove the bound false (see `martingale._allowance`),
+    and a pass, maybe within the allowance, is settled by p3.
     """
     slack = equiv.routes[0].rounding_slack
-    held = [*equiv.shifted_m0, *(
-        martingale.check_shifted_bound(series, kj, (1 << kj) - 1, kj, tol=slack) and equiv.shifted_m0[kj]
-        for kj in range(1, series.depth))]
+    held = [equiv.p3] * series.depth + [
+        martingale.check_shifted_bound(series, kj, (1 << kj) - 1, kj, tol=slack)
+        for kj in range(1, series.depth)]
     return {"checked": len(held), "all_hold": all(held)}
 
 

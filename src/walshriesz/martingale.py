@@ -12,16 +12,19 @@ inequality on the martingale:
 
 (the sums of order q in (2^k, 2^(k+1)] read M_k +- a prefix of N_k, and
 both signs of r_(k+1) occur on atoms), so min_k (M_k - N_k*) = min_p S_p
-and the two sides are one predicate.  One float64 walk of
-`walsh._segment_merge` holds M_k, N_k and N_k's prefix extremes at every
-level, O(k 2^k) for each nonzero block N_k and O(2^k) for each block of
-+0.0, which it leaves unmerged, and decides every verdict whose value
-lies outside its derived rounding allowance (`_allowance`); one exact
-walk, the same merge over int64 limbs holding the coefficients' dyadic
-expansion, settles the rest.  Every run also recomputes the partial
-sums at one atom from the definition, exactly in int64 digits, sharing
-no code with the merge; a bug in the merge itself is caught by the
-tests' scan oracle (`walsh.prefix_scan` over `sign_vector`).
+and the two sides are one predicate.  It also gives p3, every M_k >= 0,
+and with it the m = 0 shifted bounds: M_(k+1) = M_k +- N_k >= 0 on the
+two halves of each atom gives |N_k| <= M_k <= 2 M_k.  One float64
+`walsh.prefix_extrema` pass over the whole series reads min_p S_p as its
+smallest MN and p3 off M_K, its full sum, O(k 2^k) for each nonzero
+block N_k and O(2^k) for each block of +0.0, and decides every verdict
+whose value lies outside its derived rounding allowance (`_allowance`);
+one exact pass, the same merge over int64 limbs holding the
+coefficients' dyadic expansion, settles the rest.  Every run also
+recomputes the partial sums at one atom from the definition, exactly in
+int64 digits, sharing no code with the merge; a bug in the merge itself
+is caught by the tests' scan oracle (`walsh.prefix_scan` over
+`sign_vector`).
 
 Products Pi_k = prod (1 + X_i) over disjoint blocks are certified
 singular-at-finite-scale via Hellinger affinity E_lambda sqrt(Pi_k),
@@ -47,12 +50,11 @@ from .walsh import (
     _LIMB_BITS,
     _LIMB_MASK,
     _carry,
-    _martingale_walk,
-    _require_finite,
     _segment_merge,
     butterfly,
     multiply_by_walsh,
     partial_sum,
+    prefix_extrema,
     sign_vector,
 )
 
@@ -88,17 +90,19 @@ def decompose(series: WalshSeries) -> MartingaleDecomposition:
     """Split the series into its martingale increments.
 
     N_k's coefficients are c_(2^k)..c_(2^(k+1) - 1) reindexed to [0, 2^k)
-    (w_(2^k + m) = r_(k+1) w_m for m < 2^k).  The tables are read off
-    `_martingale_walk`, whose MX and MN are the extremes of N_k's
-    nonempty prefixes, its full sum included, so N_k* = max(MX, -MN).
-    A block of +0.0 gives a read-only N_k table, the walk's view of +0.0.
+    (w_(2^k + m) = r_(k+1) w_m for m < 2^k).  M_k is `butterfly(c[:2^k])`
+    and (N_k, MX, MN) are `prefix_extrema(c[2^k:2^(k+1)])`, whose MX and
+    MN are the extremes of N_k's nonempty prefixes, its full sum
+    included, so N_k* = max(MX, -MN): O(K 2^K) in all.  Non-finite
+    coefficients raise ValueError.
     """
-    m_tables, n_tables, n_star = [], [], []
-    for k, (m, n, mx, mn) in enumerate(_martingale_walk(series.coeffs)):
-        m_tables.append(AtomTable(k, m))
-        if n is not None:
-            n_tables.append(AtomTable(k, n))
-            n_star.append(AtomTable(k, np.maximum(mx, -mn)))
+    c = series.coeffs
+    m_tables = [AtomTable(k, butterfly(c[: 1 << k])) for k in range(series.depth + 1)]
+    n_tables, n_star = [], []
+    for k in range(series.depth):
+        n, mx, mn = prefix_extrema(c[1 << k : 2 << k])
+        n_tables.append(AtomTable(k, n))
+        n_star.append(AtomTable(k, np.maximum(mx, -mn)))
     return MartingaleDecomposition(
         depth=series.depth,
         m_tables=tuple(m_tables),
@@ -128,7 +132,7 @@ class PositivityRoute:
 
     `minimum` is the smallest S_p over the orders 1..2^K on every atom;
     the exact route's is rounded once to float64.  `verdict` is "pass",
-    "fail", or, for the float walk, "within rounding" when the minimum
+    "fail", or, for the float pass, "within rounding" when the minimum
     lies in [-rounding_slack, rounding_slack).  Every route covers
     `atoms` x `orders` = 2^K x 2^K.
     """
@@ -145,10 +149,10 @@ class PositivityRoute:
 @dataclass(frozen=True)
 class EquivalenceReport:
     """The exact verdicts: `all_prefixes_nonneg` and `inequality_holds`
-    (one predicate), `p3` (every M_k >= 0) and `shifted_m0[kj]`,
-    |N_kj| <= 2 M_kj on every atom for each kj < K.  `routes` are the
-    routes that ran, the float walk first, the exact walk only when some
-    verdict fell within the float walk's allowance; `decided_by` is
+    (one predicate) and `p3` (every M_k >= 0, which proves the m = 0
+    shifted bound |N_k| <= 2 M_k at every level k < K).  `routes` are the
+    routes that ran, the float pass first, the exact pass only when some
+    verdict fell within the float pass's allowance; `decided_by` is
     "float64" when none did, else "integer-dyadic"."""
 
     all_prefixes_nonneg: bool
@@ -156,7 +160,6 @@ class EquivalenceReport:
     witness: PositivityWitness | None
     routes: tuple[PositivityRoute, ...]
     p3: bool
-    shifted_m0: tuple[bool, ...]
     decided_by: str
 
 
@@ -164,8 +167,8 @@ class EquivalenceReport:
 # seeded dense 2-limb series (coefficients uniform(-1, 1) 2^-U{0..20})
 # its tracemalloc peak was 24.5-31.1 bytes per atom per limb at depths
 # 16-20, three limb tables and block-sized scratch (numpy 2.4); rounded
-# up here.  The float walk before it holds no more.  The whole
-# `theorem1-check` on such a series, exact walk run, took 2.5-3.4 s and
+# up here.  The float pass before it holds no more.  The whole
+# `theorem1-check` on such a series, exact pass run, took 2.5-3.4 s and
 # 97 MiB of peak RSS at depth 20 and 22.6-26.5 s and 546 MiB at 23 on
 # one shared Xeon core, the reader setting the peak; the limit is the
 # deepest depth under 30 s and 1 GiB.  `theorem1-check` refuses deeper
@@ -177,42 +180,39 @@ _EXACT_LIMB_ATOMS = 2 << THEOREM1_DEPTH_LIMIT
 
 
 def check_positivity_equivalence(series: WalshSeries, limbs=None) -> EquivalenceReport:
-    """Every S_p >= 0, i.e. N_k* <= M_k at every level, p3 and the m = 0
-    shifted bounds, over every order on every atom (`limbs`: the
-    caller's `_limb_width` of the coefficients, if it has it).
+    """Every S_p >= 0, i.e. N_k* <= M_k at every level, and p3, over
+    every order on every atom (`limbs`: the caller's `_limb_width` of the
+    coefficients, if it has it).
 
-    The float64 walk (`_maximal_margin`) decides each verdict whose value
-    lies outside the allowance `_allowance`.  If any lies within it, one
-    exact walk runs, `_segment_merge` over the coefficients' dyadic
+    The float64 pass (`_maximal_margin`) decides each verdict whose value
+    lies outside the allowance `_allowance`: positivity by the smallest
+    partial sum, p3 by the smallest M_K.  If either lies within it, one
+    exact pass runs, `_segment_merge` over the coefficients' dyadic
     expansion in int64 limbs, which add and compare without rounding or
     wrapping: its smallest prefix decides positivity, the sign of its M_K
-    p3 (each M_k is a conditional average of M_K), limb butterflies the
-    undecided shifted levels, and its minimum must lie within the
-    allowance of the walk's.  Every run recomputes the partial sums at
-    one atom, the exact minimum's or else the walk's, from the definition
+    p3, and its minimum must lie within the allowance of the float
+    pass's.  Every run recomputes the partial sums at one atom, the exact
+    minimum's or else the float pass's, from the definition
     (`_partial_sums_at`), which must agree (else InvariantViolation).  The
     witness comes from bisecting the order with the exact merge, at most
     K more passes.  Non-finite coefficients raise ValueError.
     """
-    low, atom, p3_low, margins = _maximal_margin(series)  # first: it refuses non-finite coefficients
+    low, atom, p3_low = _maximal_margin(series)  # first: it refuses non-finite coefficients
     c, size = series.coeffs, series.order
     slack = _allowance(series)
     positive, p3 = _decide(low, slack), _decide(p3_low, slack)
-    shifted = [_decide(margin, slack) for margin in margins]
     width, exponent = limbs or _limb_width(c)
     routes = [PositivityRoute("maximal function", "float64", low,
                               {True: "pass", False: "fail", None: "within rounding"}[positive],
                               slack, size, size)]
-    exact = None in (positive, p3, *shifted)
+    exact = None in (positive, p3)
     if exact:
         top, minima = _exact_prefix_minima(c, width, exponent)
         (atom, exact_low), exact_p3 = _limb_argmin(minima), bool(top[-1].min() >= 0)
-        del top, minima  # freed before the shifted levels' butterflies
+        del top, minima  # freed before the witness's bisection
         if p3 not in (None, exact_p3):
-            raise InvariantViolation(f"the float walk's p3 {p3} is not the exact walk's")
+            raise InvariantViolation(f"the float pass's p3 {p3} is not the exact pass's")
         positive, p3 = exact_low >= 0, exact_p3
-        shifted = [_exact_shifted(c, k, width, exponent) if s is None else s
-                   for k, s in enumerate(shifted)]
         routes.append(PositivityRoute("exact prefix extrema", "integer-dyadic",
                                       _dyadic_float(exact_low, exponent),
                                       "pass" if positive else "fail", 0.0, size, size))
@@ -226,7 +226,7 @@ def check_positivity_equivalence(series: WalshSeries, limbs=None) -> Equivalence
     reference = _dyadic_float(definition, exponent)
     if abs(low - reference) > slack:
         raise InvariantViolation(
-            f"the float walk's minimum {low!r} and the exact {reference!r} (atom {atom})"
+            f"the float pass's minimum {low!r} and the exact {reference!r} (atom {atom})"
             f" disagree beyond the rounding allowance {slack:.3e}"
         )
     return EquivalenceReport(
@@ -235,13 +235,12 @@ def check_positivity_equivalence(series: WalshSeries, limbs=None) -> Equivalence
         witness=None if positive else _first_negative(c, width, exponent, first),
         routes=tuple(routes),
         p3=p3,
-        shifted_m0=tuple(shifted),
         decided_by="integer-dyadic" if exact else "float64",
     )
 
 
 def _allowance(series: WalshSeries) -> float:
-    """(K+1) 2^-52 ||S||_A, which bounds the float walk's rounding error
+    """(K+1) 2^-52 ||S||_A, which bounds the float pass's rounding error
     in each value it decides by; inf when ||S||_A >= 2^1022.
 
     Each value is built from sums of terms +-c_n over binary trees at
@@ -250,12 +249,16 @@ def _allowance(series: WalshSeries) -> float:
     u = 2^-53 relative (one whose exact result is subnormal is exact), so
     a depth-d tree errs by at most gamma_d sum |terms|,
     gamma_d = d u / (1 - d u) (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 4).  Positivity's values M_k, M_k + MN and
-    M_k - MX (MN, MX prefixes of N_k, depth k over c[2^k:2^(k+1)]) and
-    p3's M_k (depth k over c[:2^k]) err by at most gamma_K ||S||_A.  The
-    shifted margin 2 M_k - |N_k|, k < K, errs by gamma_k (2 sum_(n<2^k)
-    |c_n| + N_k's) plus its own rounding u (2 |M_k| + |N_k|): at most
-    2 (k+1) u ||S||_A <= 2 K u ||S||_A to first order.  All lie below
+    Numerical Algorithms, ch. 4).  Positivity's value, the pass's MN, is
+    some M_k + MN_k or M_k - MX_k (MN_k, MX_k prefixes of N_k, depth k
+    over c[2^k:2^(k+1)]), and p3's is M_K: both err by at most
+    gamma_K ||S||_A.
+    `cli._shifted_bound_sweep` takes this allowance as the `tol` of
+    `check_shifted_bound`, which compares |N_k|, k < K, with 2 M_k + tol:
+    the two sides err by gamma_k (2 sum_(n<2^k) |c_n| + N_k's) and the
+    rounding of adding tol, u (2 |M_k| + tol), at most
+    2 (k+1) u ||S||_A <= 2 K u ||S||_A to first order, so a failure
+    proves |N_k| > 2 M_k.  All lie below
     2 (K+1) u ||S||_A by a factor (K+1)/K or more, far more than the
     float64 sum of |c_n| errs by; its scaling is exact, but for a
     subnormal result's 2^-1075, which matters only when
@@ -346,23 +349,8 @@ def _exact_prefix_minima(coeffs, width: int, exponent: int):
     `width` limbs."""
     s = _dyadic_limbs(coeffs, width, exponent)
     mx, mn = s[None].copy(), s[None].copy()
-    for _ in _segment_merge(s, mx, mn):
-        pass
+    _segment_merge(s, mx, mn)
     return s, mn[0]
-
-
-def _exact_shifted(coeffs, k: int, width: int, exponent: int) -> bool:
-    """|N_k| <= 2 M_k on every atom, exactly: the signs of 2 M_k -+ N_k
-    from limb butterflies of c[:2^k] and c[2^k:2^(k+1)]; `width` limbs
-    hold them (|2 M_k| + |N_k| <= 2 sum |I_n|, see `_limb_width`)."""
-    m, n = (_dyadic_limbs(part, width, exponent) for part in (coeffs[: 1 << k], coeffs[1 << k : 2 << k]))
-    for t in (m, n):
-        for _ in _segment_merge(t, np.empty((0, *t.shape), np.int64), np.empty((0, *t.shape), np.int64)):
-            pass
-    for d in (2 * m - n, 2 * m + n):
-        if _carry(d[:, None], np.empty((1, d.shape[1]), np.int64))[-1].min() < 0:
-            return False
-    return True
 
 
 def _limb_argmin(table):
@@ -444,36 +432,18 @@ def _first_negative(coeffs, width: int, exponent: int, hi: int) -> PositivityWit
     return PositivityWitness("prefix", hi, atom, _dyadic_float(value, exponent))
 
 
-def _maximal_margin(series: WalshSeries) -> tuple[float, int, float, tuple[float, ...]]:
-    """The float walk: (low, atom, p3_low, margins).  low is the smallest
-    M_k (M_0 = S_1) and M_k - N_k* = min(M_k + MN, M_k - MX), k < K,
-    over the atoms: the smallest partial sum of every order, those in
-    (2^k, 2^(k+1)] reading M_k +- a prefix of N_k (MX and MN include its
-    full sum).  atom is the first full-depth atom where low falls: index
-    a of level k is atom a for M_k and M_k + MN (r_(k+1) = +1) and
-    a + 2^k for M_k - MX.  p3_low is the smallest M_k (k = 0..K), margins[k] the
-    smallest 2 M_k - |N_k| (k < K).  At a level whose block is +0.0 (the
-    walk's stride-0 N_k) they come from M_k alone: M_k + MN is M_k + 0.0
-    and M_k - MX is M_k, bit for bit, with their minimum at M_k's first
-    one.  Non-finite coefficients raise ValueError."""
-    _require_finite(series.coeffs)
-    lows, atoms, p3_lows, margins = [], [], [], []
-    for m, n, mx, mn in _martingale_walk(series.coeffs):
-        p3_lows.append(m.min())
-        if n is not None and n.strides == (0,):
-            i = int(np.argmin(m))
-            lows += [m[i], m[i] + 0.0, m[i]]
-            atoms += [i, i, i + m.size]
-            margins.append(float(2.0 * m[i]))
-            continue
-        for table, offset in [(m, 0)] if n is None else [(m, 0), (m + mn, 0), (m - mx, m.size)]:
-            i = int(np.argmin(table))
-            lows.append(table[i])
-            atoms.append(i + offset)
-        if n is not None:
-            margins.append(float(np.min(2.0 * m - np.abs(n))))
-    first = int(np.argmin(lows))
-    return float(lows[first]), atoms[first], float(np.min(p3_lows)), tuple(margins)
+def _maximal_margin(series: WalshSeries) -> tuple[float, int, float]:
+    """The float pass: (low, atom, p3_low) from one `prefix_extrema` over
+    the whole series.  low is its smallest MN, the smallest partial sum
+    of every order 1..2^K over every atom (an order in (2^k, 2^(k+1)]
+    reads M_k +- a prefix of N_k, which the merge's level k forms), and
+    atom the first atom where it falls.  p3_low is the smallest M_K, the
+    pass's S: each M_k is a conditional average of M_K, so every M_k is
+    nonnegative exactly when M_K is.  Non-finite coefficients raise
+    ValueError."""
+    s, _, mn = prefix_extrema(series.coeffs)
+    atom = int(np.argmin(mn))
+    return float(mn[atom]), atom, float(s.min())
 
 
 def check_shifted_bound(series: WalshSeries, kj: int, m, k: int, tol: float = 0.0) -> bool:
@@ -537,7 +507,8 @@ CONCENTRATION_FRACTIONS = (0.5, 0.9, 0.99)
 # depth-22 CLI build (`power delta=1`, scale 6) peaked at 292 MB of RSS,
 # 70 bytes per atom (0.9 s, 2 shared Xeon cores), one at depth 25 at
 # 2.6 GB, so at this many bytes per atom depth 24 needs about 1.3 GB.
-# `singularity_report` reads histograms, but refuses the same depths.
+# `singularity_report` reads histograms, holds no table of atoms and
+# runs at any depth.
 DIAGNOSTIC_DEPTH_LIMIT = 24
 _DIAGNOSTIC_BYTES_PER_ATOM = 80
 
@@ -610,7 +581,6 @@ def singularity_report(
     product has no Hellinger affinity: ValueError when some Pi_k dips
     below 0 or is not finite, read off the factors' ranges before any
     histogram is built."""
-    _dense_depth(state.factors)
     for k, (low, high) in enumerate(_product_ranges(state.factors)):
         if low < 0.0:
             raise ValueError(f"Pi_{k} takes the negative value {low!r}: sqrt(Pi_{k}) is undefined")

@@ -741,8 +741,7 @@ def _block_data(factor: Factor):
     signs = [*kvals, *(-k for k in reversed(kvals))]
     rows = xs == np.array(signs)[:, None]
     mx, mn = np.where(rows, 0, -_EMPTY), np.where(rows, 0, _EMPTY)
-    for _ in _segment_merge(xs, mx, mn):
-        pass
+    _segment_merge(xs, mx, mn)
     # only the lowest and highest P over each distinct X can be vertices
     order, starts = _runs(xs)
     values = xs[order[starts]].tolist()

@@ -31,14 +31,15 @@ adjacent segments is the dyadic martingale step M_(k+1) = M_k + r_(k+1) N_k
 applied in place to their full sums and prefix extrema: `butterfly` is
 that merge with no class of prefixes, `prefix_extrema` with one, the
 positivity certificate's signed block pass, over int64, with a pair per
-coefficient magnitude, and `_martingale_walk` reads its levels.  The
-first two and the walk run it by dyadic blocks N_k = c[2^k:2^(k+1)]
-(`_block_merge`), which leaves blocks of +0.0 unmerged, bit for bit the
-one merge: a Riesz product's series is zero in all but a few.  Run over
-int64 limbs, 58 bits to a limb, as many limbs as the sums need and
-carried once every four levels, the merge is exact: `theorem1-check`'s
-exact positivity route merges the coefficients' dyadic expansion that
-way.
+coefficient magnitude.  The first two run it by dyadic blocks
+N_k = c[2^k:2^(k+1)] (`_block_merge`), which leaves blocks of +0.0
+unmerged, bit for bit the one merge: a Riesz product's series is zero in
+all but a few.  One `prefix_extrema` pass is `theorem1-check`'s float
+positivity route: its smallest MN is the smallest partial sum of every
+order on every atom.  Run over int64 limbs, 58 bits to a limb, as many
+limbs as the sums need and carried once every four levels, the merge is
+exact: `theorem1-check`'s exact positivity route merges the
+coefficients' dyadic expansion that way.
 """
 
 from __future__ import annotations
@@ -212,8 +213,7 @@ def butterfly(values: np.ndarray) -> np.ndarray:
     when sum |c| reaches 2^63); the rest in float64.
     """
     s = _merge_input(values)
-    for _ in _block_merge(s, np.empty((0, s.size), s.dtype), np.empty((0, s.size), s.dtype)):
-        pass
+    _block_merge(s, np.empty((0, s.size), s.dtype), np.empty((0, s.size), s.dtype))
     return s
 
 
@@ -258,8 +258,7 @@ def prefix_extrema(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = _merge_input(coeffs)
     _require_finite(s)
     mx, mn = s[None].copy(), s[None].copy()
-    for _ in _block_merge(s, mx, mn):
-        pass
+    _block_merge(s, mx, mn)
     return s, mx[0], mn[0]
 
 
@@ -285,8 +284,8 @@ def _segment_merge(s, mx, mn, merged: int = 1):
     merged in place up to all 2^K atoms in O(K 2^K), from segments of
     length `merged` (1, or tables whose segments of that length are
     merged already: `_block_merge` joins a block to M_k so).
-    `butterfly`, `prefix_extrema` and `_martingale_walk` run it by dyadic
-    blocks through `_block_merge`, which leaves a block of +0.0 unmerged:
+    `butterfly` and `prefix_extrema` run it by dyadic blocks through
+    `_block_merge`, which leaves a block of +0.0 unmerged:
     every S, MX and MN of it is +0.0 already, so the level that joins it
     reads M_k -+ 0.0, which `_block_merge` writes as it is, M_k + 0.0
     turning -0.0 into +0.0 as the merge would.
@@ -329,12 +328,6 @@ def _segment_merge(s, mx, mn, merged: int = 1):
     carried once merged, while it is in cache.  Tables go in and come
     out carried; every value must fit, which `martingale._limb_width`
     sees to.  A one-limb table is an int64 table.
-
-    A generator of the levels: it yields h just before merging the
-    segments of length h into those of 2h, from h = 16 on when the merge
-    is tiled (its shorter levels run tile by tile, with no whole level in
-    between); once it is exhausted the tables hold the whole merge (limb
-    tables are carried only then).
     """
     width, n = s.shape if s.ndim == 2 else (1, s.size)
     rows = len(mx)
@@ -389,7 +382,6 @@ def _segment_merge(s, mx, mn, merged: int = 1):
                 segment[...] = part.swapaxes(-1, -2)
     h = _TILE if tiles else merged
     while h < n:
-        yield h
         level = (width, n // (2 * h), 2, h)
         for cut in _blocks(n // (2 * h), h, block):
             merge(level, *tables, cut, carries(h.bit_length() - 1))
@@ -433,23 +425,17 @@ def _block_merge(s, mx, mn):
     block against 0.81 ms in one merge, minima of 200 runs on 2 shared
     Xeon cores).  Below `_TILED_FROM` values, and when no such block is
     zero, the single merge runs as it is.
-
-    A generator of the levels: (h, zero) just before level h is merged
-    (as `_segment_merge` yields h), `zero` whether N_k, k = log2 h, is a
-    block of +0.0 left as it is.
     """
     n = s.size
     levels = range(n.bit_length() - 1)
     zero = [n >= _TILED_FROM and not s[1 << k : 2 << k].view(np.int64).any() for k in levels]
     short = max((k for k in levels if not zero[k] and 1 << k < _TILED_FROM), default=-1)
     j = next((k for k in levels if zero[k] and k > short), len(levels))
-    for level in _segment_merge(s[: 1 << j], mx[:, : 1 << j], mn[:, : 1 << j]):
-        yield level, False
+    _segment_merge(s[: 1 << j], mx[:, : 1 << j], mn[:, : 1 << j])
     for k in levels[j:]:
         h = 1 << k
         a, b = slice(0, h), slice(h, 2 * h)
         if zero[k]:
-            yield h, True
             s[b] = s[a]
             s[a] += 0  # M_k + 0.0
             if len(mx):
@@ -458,11 +444,8 @@ def _block_merge(s, mx, mn):
                 np.maximum(mx[:, a], s[a], out=mx[:, a])
                 np.minimum(mn[:, a], s[a], out=mn[:, a])
         else:
-            for _ in _segment_merge(s[b], mx[:, b], mn[:, b]):
-                pass
-            yield h, False
-            for _ in _segment_merge(s[: 2 * h], mx[:, : 2 * h], mn[:, : 2 * h], h):
-                pass
+            _segment_merge(s[b], mx[:, b], mn[:, b])
+            _segment_merge(s[: 2 * h], mx[:, : 2 * h], mn[:, : 2 * h], h)
 
 
 def _blocks(segments: int, h: int, block: int):
@@ -551,37 +534,6 @@ def _limb_ops(size: int):
         return _carry(t, scratch(t))
 
     return np.add, np.subtract, maximum, minimum, carry
-
-
-def _martingale_walk(coeffs):
-    """Walk the dyadic martingale of c_0..c_(2^K - 1) along the levels of
-    one `_block_merge` over the whole series.  A tiled merge runs its
-    levels below `_TILE` tile by tile, unyielded; they depend on
-    c[:_TILE] alone, so a longer series reads them off a merge of those.
-
-    Just before level 2^k is merged, slots [0, 2^k) hold M_k and slots
-    [2^k, 2^(k+1)) hold N_k, with coefficients c_(2^k)..c_(2^(k+1) - 1),
-    and the extremes MX, MN of its nonempty prefixes, its full sum
-    included; merging them is the step M_(k+1) = M_k + r_(k+1) N_k.  So
-    for k = 0..K-1 this yields copies of (M_k, N_k, MX, MN) on the 2^k
-    atoms of the first k coordinates, then (M_K, None, None, None).
-    M_k equals `butterfly(c[:2^k])` and (N_k, MX, MN) equal
-    `prefix_extrema(c[2^k:2^(k+1)])`, bit for bit.  For a block of +0.0
-    that `_block_merge` leaves as it is, N_k, MX and MN are one
-    read-only view of +0.0 with stride 0, which holds no table.
-    """
-    s = np.array(coeffs, dtype=np.float64)
-    merges = [s[:_TILE].copy(), s] if s.size > _TILE else [s]
-    for t in merges:
-        mx, mn = t[None].copy(), t[None].copy()
-        for h, zero in _block_merge(t, mx, mn):
-            if t is not merges[0] and h < _TILE:
-                continue
-            if zero:
-                yield t[:h].copy(), *[np.broadcast_to(0.0, h)] * 3
-            else:
-                yield t[:h].copy(), t[h : 2 * h].copy(), mx[0, h : 2 * h].copy(), mn[0, h : 2 * h].copy()
-    yield s, None, None, None
 
 
 def _require_finite(coeffs) -> None:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import walshriesz as wr
+from walshriesz.walsh import _segment_merge
 
 
 def spectrum_series(state):
@@ -9,6 +10,17 @@ def spectrum_series(state):
     coeffs = np.zeros(1 << state.used_coordinates)
     coeffs[state.spectrum.indices] = state.spectrum.coeffs
     return coeffs
+
+
+def single_merge(values, rows: int):
+    """(S, MX, MN) of one `_segment_merge` over the whole vector, with
+    `rows` (0 or 1) copies of it as the class of prefixes: what
+    `_block_merge`, and the transforms `decompose` reads, must give bit
+    for bit."""
+    s = values.copy()
+    mx, mn = s[None].copy()[:rows], s[None].copy()[:rows]
+    _segment_merge(s, mx, mn)
+    return s, mx, mn
 
 
 class BuildRecord:

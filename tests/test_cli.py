@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, file outputs, determinism, parser reuse."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -177,7 +178,7 @@ def test_theorem1_check_pass_and_fail(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["all_prefixes_nonneg"] and report["p3"]
     size = 1 << report["depth"]
-    # the float walk decides: its minimum lies far past its allowance
+    # the float pass decides: its minimum lies far past its allowance
     (maximal,) = report["positivity_routes"]
     assert maximal == {
         "name": "maximal function",
@@ -293,7 +294,7 @@ def test_theorem1_check_refuses_wide_exponents_before_allocating(tmp_path, capsy
     assert f"{cli._EXACT_BYTES_PER_ATOM * cli._EXACT_LIMB_ATOMS:,} bytes of a 2-limb series" in err
     assert cli._EXACT_LIMB_ATOMS == 2 << cli.THEOREM1_DEPTH_LIMIT
 
-    # shallow, the same limbs are read: the walk decides 1 +- 1e-300, and
+    # shallow, the same limbs are read: the float pass decides 1 +- 1e-300, and
     # the witness of 1e-300 -+ 1 is bisected exactly over 19 limbs
     shallow = tmp_path / "shallow.csv"
     shallow.write_text("n,coeff\n0,1.0\n1,1e-300\n")
@@ -307,7 +308,7 @@ def test_theorem1_check_refuses_wide_exponents_before_allocating(tmp_path, capsy
 
 
 def test_theorem1_check_exact_route_decides_at_rounding_scale(tmp_path, capsys):
-    # exact minimum 0; the float64 walk dips to -5.6e-17, inside its allowance
+    # exact minimum 0; the float64 pass dips to -5.6e-17, inside its allowance
     coeffs = [
         0.3739205990475317, 0.005180237545479943, 0.04410103486582448,
         0.04229973453151192, 0.032419044882653514, 0.012267349702376584,
@@ -317,7 +318,7 @@ def test_theorem1_check_exact_route_decides_at_rounding_scale(tmp_path, capsys):
     path.write_text("n,coeff\n" + "".join(f"{n},{c!r}\n" for n, c in enumerate(coeffs)))
     assert run(["theorem1-check", "--in", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
-    # the exact walk decides both sides of the equivalence, one predicate
+    # the exact pass decides both sides of the equivalence, one predicate
     assert report["all_prefixes_nonneg"] and report["inequality_holds"] and report["p3"]
     assert report["decided_by"] == "integer-dyadic"
     assert [r["verdict"] for r in report["positivity_routes"]] == ["within rounding", "pass"]
@@ -326,7 +327,7 @@ def test_theorem1_check_exact_route_decides_at_rounding_scale(tmp_path, capsys):
 
 def test_theorem1_check_report_agrees_with_itself_within_rounding(tmp_path, capsys):
     # S_3 = 1 - 2^-54 r_1 - r_2 is -2^-54 on atom 0, where the float64
-    # walk reads 0: every verdict is the exact walk's, and all fail
+    # pass reads 0: every verdict is the exact pass's, and all fail
     path = tmp_path / "dip.csv"
     path.write_text("n,coeff\n0,1.0\n1,-5.551115123125783e-17\n2,-1.0\n3,0.0\n")
     assert run(["theorem1-check", "--in", str(path)]) == 1
@@ -349,9 +350,10 @@ def test_theorem1_check_report_dash_is_stdout(tmp_path, monkeypatch, capsys):
 
 
 def test_theorem1_check_walks_the_martingale_once(tmp_path, monkeypatch, capsys):
-    # the float route's one walk decides p3 too; check_p3 is not walked again
-    walk, calls = martingale._martingale_walk, []
-    monkeypatch.setattr(martingale, "_martingale_walk", lambda c: calls.append(1) or walk(c))
+    # the float route's one prefix-extrema pass over the whole series
+    # decides p3 too; check_p3 is not run again
+    extrema, calls = martingale.prefix_extrema, []
+    monkeypatch.setattr(martingale, "prefix_extrema", lambda c: calls.append(1) or extrema(c))
     for rows, code, p3 in (("0,1.0\n1,0.5\n2,-0.25\n3,0.25\n", 0, True),
                            ("0,1.0\n1,-2.0\n", 1, False)):
         (tmp_path / "s.csv").write_text("n,coeff\n" + rows)
@@ -363,7 +365,7 @@ def test_theorem1_check_walks_the_martingale_once(tmp_path, monkeypatch, capsys)
 
 def test_theorem1_check_reads_the_limb_width_once(tmp_path, monkeypatch, capsys):
     # the read-time check's limb width serves the positivity check too, on
-    # a series the float walk decides and on one only the exact walk can
+    # a series the float pass decides and on one only the exact pass can
     width, calls = martingale._limb_width, []
     monkeypatch.setattr(martingale, "_limb_width", lambda c: calls.append(1) or width(c))
     for rows, decided_by in (("0,1.0\n1,0.5\n", "float64"),
@@ -377,8 +379,8 @@ def test_theorem1_check_reads_the_limb_width_once(tmp_path, monkeypatch, capsys)
 
 def t1_series(name, path):
     """The d13 and d16 measures, and seeded depth-16 series: dense, zero
-    in some dyadic blocks (the float walk decides), and zero in some
-    blocks with an exact minimum of 0 (the exact walk decides)."""
+    in some dyadic blocks (the float pass decides), and zero in some
+    blocks with an exact minimum of 0 (the exact pass decides)."""
     if name in ("d13", "d16"):
         psi, stages, scale = {"d13": (1.0, 3, 2.25), "d16": (1.0, 4, 6.0)}[name]
         wr.export_measure(wr.build_measure(wr.PsiSpec.logpow(psi), stages, wr.SummabilityBudget(scale)), path)
@@ -404,14 +406,32 @@ def test_theorem1_check_report_is_that_of_the_single_merge(tmp_path, monkeypatch
     reports = []
     for single in (False, True):
         if single:
-            monkeypatch.setattr(walsh, "_block_merge", lambda s, mx, mn: (
-                (h, False) for h in walsh._segment_merge(s, mx, mn)))
+            monkeypatch.setattr(walsh, "_block_merge", walsh._segment_merge)
         code = run(["theorem1-check", "--in", str(tmp_path / "s.csv")])
         reports.append((code, capsys.readouterr().out))
     assert reports[0] == reports[1]
     report = json.loads(reports[0][1])
     assert report["shifted_bounds"]["all_hold"] and report["decided_by"] == (
         "integer-dyadic" if name == "at-zero16" else "float64")
+
+
+# theorem1-check's exit code and the sha256 of its report text on each
+# `t1_series`, read as s.csv
+T1_REPORT_PINS = {
+    "d13": (0, "46800955f188dd0d6b7d4f390f3cc7ba7becdb54a787bf35a8478d2c873bb636"),
+    "d16": (0, "451b10b3f42970f90e85edd1b3dd1a1bc3d9972ba3b862a300b8ad1d70aa689e"),
+    "dense16": (0, "90ae42a17166fcacea59467b46e197d7d974ca3fb5697d60fc1d2fde32179b81"),
+    "sparse16": (0, "cbf7ddce6b62e05d8fb060912895dca03da77f0324aed433bac09197e950e9e2"),
+    "at-zero16": (0, "651fcff9408fa6c3186b3c6cea13252c4948704f455f833817814c70d870efb3"),
+}
+
+
+@pytest.mark.parametrize("name", list(T1_REPORT_PINS))
+def test_theorem1_check_report_text_is_pinned(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    t1_series(name, tmp_path / "s.csv")
+    code = run(["theorem1-check", "--in", "s.csv"])
+    assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == T1_REPORT_PINS[name]
 
 
 def test_verify_alias(tmp_path):
@@ -644,11 +664,6 @@ def deep_manifest(directory, psi="preset:logpow,p=1"):
     return path
 
 
-def bad_inputs(directory):
-    """The input files the bad-input cases name, by placeholder."""
-    return {"{deep}": str(deep_manifest(directory))}
-
-
 def test_deep_build_is_refused_before_any_certificate(tmp_path, monkeypatch, capsys):
     # the depth-27 build (9,141,660 terms) is refused for the dense
     # diagnostics before the certificates and psi sums run
@@ -680,15 +695,26 @@ def test_bad_manifest_exits_2(tmp_path, capsys):
     assert "cannot rebuild state" in capsys.readouterr().err
 
 
-def test_report_past_depth_limit_exits_2_and_writes_nothing(tmp_path, capsys):
+def test_report_past_the_dense_depth_limit_writes_its_files(tmp_path):
+    # the singularity rows come from value histograms, so a depth-27 state
+    # is reported like any other
     manifest = deep_manifest(tmp_path)
     measure = tmp_path / "measure.csv"
     measure.write_text(f"n,coeff\n0,1.0\n{1 << 26},0.125\n")
     out_dir = tmp_path / "report"
     argv = ["report", "--manifest", str(manifest), "--measure", str(measure)]
-    assert run(argv + ["--out-dir", str(out_dir)]) == 2
-    assert "depth 27 is past the dense diagnostics'" in capsys.readouterr().err
-    assert not out_dir.exists()
+    assert run(argv + ["--out-dir", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "concentration.csv", "envelope.csv", "hellinger.csv", "psi_terms.csv"]
+    assert len((out_dir / "hellinger.csv").read_text().splitlines()) == 1 + 2  # k = 0, 1
+
+
+def test_singularity_report_past_the_dense_depth_limit(tmp_path, capsys):
+    # the depth-27 state the dense diagnostics refuse: its rows come from
+    # value histograms
+    assert run(["singularity-report", "--state", str(deep_manifest(tmp_path)), "--out", "-"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "k,hellinger,conc50,conc90,conc99" and len(lines) == 3
 
 
 @pytest.mark.parametrize(
@@ -714,21 +740,15 @@ def test_report_past_depth_limit_exits_2_and_writes_nothing(tmp_path, capsys):
         (["build-walsh-measure", "--psi", "preset:power,delta=1", "--budget-scale", "6",
           "--stages", "7"],
          "274,339,462,140 terms, past the limit of 16,777,216"),
-        # a depth-27 state would need about 10 GB of dense diagnostics
-        (["singularity-report", "--state", "{deep}"], "depth 27 is past the dense diagnostics'"),
     ],
     ids=["trig-stages4", "trig-stages3", "trig-oversample0", "rs-level21", "walsh-stages-1",
          "walsh-psi-unknown-key", "walsh-psi-nan", "trig-psi-inf", "trig-level-past-flat",
-         "walsh-spectrum-past-limit", "singularity-past-depth-limit"],
+         "walsh-spectrum-past-limit"],
 )
-def test_bad_input_exits_2_and_writes_nothing(
-    tmp_path, tmp_path_factory, capsys, argv, message
-):
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
     manifest = tmp_path / "manifest.json"
     extra = ["--manifest", str(manifest)] if argv[0].startswith("build-") else []
-    inputs = bad_inputs(tmp_path_factory.mktemp("input"))
-    argv = [inputs.get(a, a) for a in argv]
     assert run(argv + ["--out", str(out)] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

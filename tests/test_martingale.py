@@ -4,6 +4,7 @@ and the product-measure diagnostics."""
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
-from conftest import spectrum_series
+from conftest import single_merge, spectrum_series
 from walshriesz import martingale, riesz
 from walshriesz.martingale import CONCENTRATION_FRACTIONS
 from walshriesz.walsh import (
-    _LIMB_BITS, _martingale_walk, _segment_merge, atom_patterns, prefix_scan, sign_vector,
+    _LIMB_BITS, _segment_merge, atom_patterns, prefix_scan, sign_vector,
 )
 
 C = wr.FLATNESS_CONSTANT
@@ -95,30 +96,26 @@ def _walk_cases(depth):
 
 @pytest.mark.parametrize("depth", range(10))
 def test_martingale_walk_matches_direct_transforms(monkeypatch, depth):
-    # bit for bit, signed zeros included: M_k is the butterfly of the
-    # first 2^k coefficients, and (N_k, MX, MN) prefix_extrema of the
-    # block, whose N_k* is max(MX, -MN), the form the walk's proper-prefix
-    # extremes replaced.  Walked both level by level and tiled from 32
-    # atoms, when the merge runs its levels below a tile tile by tile and
-    # the walk reads those off a merge of c[:16]; the references are
-    # level by level
+    # `decompose`'s levels of the martingale, bit for bit, signed zeros
+    # included: M_k is the transform of the first 2^k coefficients, and
+    # N_k and N_k* = max(MX, -MN) come from the prefix extrema of the
+    # block, against one level-by-level merge of each.  Decomposed both
+    # level by level and tiled from 32 atoms
     for c in _walk_cases(depth):
-        walk = list(_martingale_walk(c))
-        monkeypatch.setattr(wr.walsh, "_TILED_FROM", 32)
-        assert [[t if t is None else t.tobytes() for t in level] for level in _martingale_walk(c)] == [
-            [t if t is None else t.tobytes() for t in level] for level in walk]
-        monkeypatch.undo()
-        assert len(walk) == depth + 1 and walk[-1][1:] == (None, None, None)
-        for k, (m, *rest) in enumerate(walk):
-            assert m.tobytes() == wr.butterfly(c[: 1 << k]).tobytes()
-            if k < depth:
-                want = wr.prefix_extrema(c[1 << k : 1 << (k + 1)])
-                assert [t.tobytes() for t in rest] == [t.tobytes() for t in want]
-        dec = wr.decompose(wr.WalshSeries(depth, c))
+        want_m = [single_merge(c[: 1 << k], 0)[0].tobytes() for k in range(depth + 1)]
+        want_n, want_star = [], []
         for k in range(depth):
-            n, mx, mn = wr.prefix_extrema(c[1 << k : 1 << (k + 1)])
-            assert dec.n_tables[k].values.tobytes() == n.tobytes()
-            assert dec.n_star[k].values.tobytes() == np.maximum(mx, -mn).tobytes()
+            n, (mx,), (mn,) = single_merge(c[1 << k : 2 << k], 1)
+            want_n.append(n.tobytes())
+            want_star.append(np.maximum(mx, -mn).tobytes())
+        for tiled_from in (None, 32):
+            if tiled_from:
+                monkeypatch.setattr(wr.walsh, "_TILED_FROM", tiled_from)
+            dec = wr.decompose(wr.WalshSeries(depth, c))
+            assert [t.values.tobytes() for t in dec.m_tables] == want_m
+            assert [t.values.tobytes() for t in dec.n_tables] == want_n
+            assert [t.values.tobytes() for t in dec.n_star] == want_star
+            monkeypatch.undo()
         assert wr.check_p3(wr.WalshSeries(depth, c)) == all(
             wr.butterfly(c[: 1 << k]).min() >= 0.0 for k in range(depth + 1)
         )
@@ -151,9 +148,9 @@ def _all_prefixes_nonneg(series):
 
 def _assert_matches_oracle(series):
     """The verdicts, minima and witness against the scan, whose sequential
-    float sums are off by at most 2^K 2^-52 ||S||_A.  The float walk
-    always runs and the exact walk only when the walk leaves a verdict
-    within its allowance; a walk's verdict outside it is the oracle's."""
+    float sums are off by at most 2^K 2^-52 ||S||_A.  The float pass
+    always runs and the exact pass only when the float pass leaves a
+    verdict within its allowance; a verdict outside it is the oracle's."""
     report = wr.check_positivity_equivalence(series)
     ok, witness, low = _all_prefixes_nonneg(series)
     tol = series.order * 2.0**-52 * np.sum(np.abs(series.coeffs))
@@ -242,7 +239,7 @@ def test_witness_is_first_negative_order_not_global_minimum():
 
 
 # depth 3, found by searching seeded series for an exact minimum of 0
-# whose float64 walk dips below it
+# whose float64 pass dips below it
 ROUNDING_SCALE = [float.fromhex(h) for h in (
     "0x1.7ee50aa0d6ea2p-2", "0x1.537df6d7e5a20p-8", "0x1.694692cefdb8cp-5",
     "0x1.5a84f90e27880p-5", "0x1.0993aa313bd38p-5", "0x1.91f9fce3e0f60p-7",
@@ -251,7 +248,7 @@ ROUNDING_SCALE = [float.fromhex(h) for h in (
 
 
 def test_float_route_within_rounding_does_not_overrule_exact_route():
-    # the walk's dip lies within its allowance, so the exact walk runs and
+    # the float pass's dip lies within its allowance, so the exact pass runs and
     # decides both sides of the equivalence, which cannot differ
     report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(ROUNDING_SCALE))
     maximal, exact = report.routes
@@ -263,7 +260,7 @@ def test_float_route_within_rounding_does_not_overrule_exact_route():
     assert report.witness is None
 
 
-# S_3 = 1 - 2^-54 r_1 - r_2 is -2^-54 on atom 0, where the float64 walk
+# S_3 = 1 - 2^-54 r_1 - r_2 is -2^-54 on atom 0, where the float64 pass
 # rounds M_1 = 1 - 2^-54 to 1 and reads M_2 = S_3 = 0
 CONTRADICTION_ROWS = [1.0, -5.551115123125783e-17, -1.0, 0.0]
 
@@ -280,8 +277,8 @@ def test_routes_disagreeing_beyond_the_allowance_raise(monkeypatch):
     series = wr.WalshSeries.from_coeffs([1.0, 0.5, 0.25, 0.1])
     slack = wr.check_positivity_equivalence(series).routes[0].rounding_slack
     margin = martingale._maximal_margin
-    # the float walk's minimum moved past the allowance, still a pass, so
-    # the definition at its atom disagrees; the rest of the walk kept
+    # the float pass's minimum moved past the allowance, still a pass, so
+    # the definition at its atom disagrees; the rest of the pass kept
     monkeypatch.setattr(martingale, "_maximal_margin",
                         lambda s: (margin(s)[0] + 2 * slack, *margin(s)[1:]))
     with pytest.raises(wr.InvariantViolation, match="disagree"):
@@ -322,8 +319,7 @@ def test_exact_minima_equal_the_merge_over_python_ints(depth):
         top, mn = martingale._exact_prefix_minima(c, width, exponent)
         s = np.array(dyadic_ints(c, exponent), dtype=object)
         mx, want = s[None].copy(), s[None].copy()
-        for _ in _segment_merge(s, mx, want):
-            pass
+        _segment_merge(s, mx, want)
         for table, values in ((mn, want[0]), (top, s)):
             got = [sum(d << (_LIMB_BITS * j) for j, d in enumerate(limbs)) for limbs in zip(*table.tolist())]
             assert got == values.tolist()
@@ -362,8 +358,8 @@ def test_exact_route_decides_at_the_last_bit_over_many_limbs():
 
 
 def test_exact_route_memory_is_stated_per_limb_and_atom(monkeypatch):
-    # a 2-limb depth-16 series, every verdict left to the exact walk: the
-    # float walk and the limb tables hold about the same, one after the
+    # a 2-limb depth-16 series, every verdict left to the exact pass: the
+    # float pass and the limb tables hold about the same, one after the
     # other, and the definition's Python ints come after both, a chunk at
     # a time
     series = wr.WalshSeries.from_coeffs(spread_series(16, 16, positive=True))
@@ -452,8 +448,8 @@ def test_partial_sums_at_skip_zero_coefficients(case):
 
 def test_decisive_series_never_run_the_exact_walk(monkeypatch, flagship_build):
     # the d13 and d16 measures and a seeded positive dense series are
-    # decided by the float walk alone; a verdict within its allowance runs
-    # the exact walk
+    # decided by the float pass alone; a verdict within its allowance runs
+    # the exact pass
     def refuse(*args):
         raise RuntimeError("exact walk")
 
@@ -463,7 +459,7 @@ def test_decisive_series_never_run_the_exact_walk(monkeypatch, flagship_build):
     monkeypatch.setattr(martingale, "_exact_prefix_minima", refuse)
     for series in positive:
         report = wr.check_positivity_equivalence(series)
-        assert report.all_prefixes_nonneg and report.p3 and all(report.shifted_m0)
+        assert report.all_prefixes_nonneg and report.p3
         assert report.decided_by == "float64" and len(report.routes) == 1
     for coeffs in (ROUNDING_SCALE, CONTRADICTION_ROWS):
         with pytest.raises(RuntimeError, match="exact walk"):
@@ -473,8 +469,7 @@ def test_decisive_series_never_run_the_exact_walk(monkeypatch, flagship_build):
 def scan_verdicts(coeffs):
     """Every verdict of `check_positivity_equivalence` from the definition,
     in Python ints over a common power of two: the partial sums of every
-    order on every atom, M_k = S_(2^k) and N_k = S_(2^(k+1)) - S_(2^k)
-    where r_(k+1) = +1 (atoms below 2^k)."""
+    order on every atom, and M_k = S_(2^k)."""
     size = len(coeffs)
     exponent = min(0, *(math.frexp(x)[1] - 53 for x in coeffs))
     ints = dyadic_ints(coeffs, exponent)
@@ -490,9 +485,7 @@ def scan_verdicts(coeffs):
             break
     level = [[row[(1 << k) - 1] for row in sums] for k in range(size.bit_length())]
     p3 = min(map(min, level)) >= 0
-    shifted = tuple(all(abs(level[k + 1][t] - level[k][t]) <= 2 * level[k][t] for t in range(1 << k))
-                    for k in range(size.bit_length() - 1))
-    return low >= 0, witness, p3, shifted
+    return low >= 0, witness, p3
 
 
 @st.composite
@@ -520,25 +513,24 @@ def cancelling_series(draw):
     [2.0**-1022, -(2.0**-1023), 2.0**-1074, -(2.0**-1074)],
 ])
 def test_verdicts_at_the_ends_of_float64(coeffs):
-    # at the top of float64 the walk overflows (||S||_A >= 2^1022, an
+    # at the top of float64 the float pass overflows (||S||_A >= 2^1022, an
     # infinite allowance) or its allowance covers the minimum 0, and the
-    # exact walk decides; at the bottom a subnormal allowance covers sums
+    # exact pass decides; at the bottom a subnormal allowance covers sums
     # that are all exact
     with np.errstate(over="ignore", invalid="ignore"):
         report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(coeffs))
     assert report.decided_by == ("integer-dyadic" if max(coeffs) > 1.0 else "float64")
-    assert (report.all_prefixes_nonneg, report.witness, report.p3, report.shifted_m0) == scan_verdicts(coeffs)
+    assert (report.all_prefixes_nonneg, report.witness, report.p3) == scan_verdicts(coeffs)
 
 
 @given(cancelling_series())
 @settings(max_examples=300, deadline=None)
 def test_verdicts_equal_the_scan_oracle_near_zero(coeffs):
     report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(coeffs))
-    ok, witness, p3, shifted = scan_verdicts(coeffs)
+    ok, witness, p3 = scan_verdicts(coeffs)
     assert report.all_prefixes_nonneg == report.inequality_holds == ok
     assert report.witness == witness
     assert report.p3 == p3
-    assert report.shifted_m0 == shifted
 
 
 # ---------------------------------------------------------------------------
@@ -552,44 +544,105 @@ def test_shifted_bound_m_zero_reduces_to_maximal():
             assert wr.check_shifted_bound(series, kj, 0, k)
 
 
-def shifted_verdicts_by_call(series):
-    """`check_shifted_bound(series, kj, 0, kj)` at every level."""
-    return tuple(wr.check_shifted_bound(series, kj, 0, kj) for kj in range(series.depth))
+def exact_block(ints, lo, size):
+    """sum_(n < size) I_(lo + n) w_n on the `size` atoms, in Python ints:
+    for each distinct nonzero I, the rows of w_n from `sign_vector`
+    summed in int64, then scaled by I exactly."""
+    patterns = atom_patterns(size.bit_length() - 1)
+    rows = {}
+    for n, i in enumerate(ints[lo : lo + size]):
+        if i:
+            rows[i] = rows.get(i, 0) + sign_vector(n, patterns)
+    total = [0] * size
+    for i, signs in rows.items():
+        total = [v + i * s for v, s in zip(total, signs.tolist())]
+    return total
 
 
-@pytest.mark.parametrize("coeffs", [
-    [1.0, 3.0], [1.0, -3.0],                        # |N_0| = 3 > 2 M_0
-    [1.0, 0.5, 0.25, 0.0, 3.0, 0.0, 0.0, 0.0],      # fails at the top level only
-    [1.0, 2.0], [1.0, 2.0 + 2e-12], [1.0, -2.0 - 1e-12],  # at the allowance
-    [0.0],
-])
-def test_walk_reads_the_m_zero_shifted_bounds(coeffs):
-    # theorem1-check's sweep takes its m = 0 verdicts from the float
-    # route's walk, which must give `check_shifted_bound`'s, failures included
+def assert_p3_proves_shifted_bounds(coeffs, multipliers=None, levels=None):
+    """Wherever the exact p3 holds, `check_shifted_bound(series, kj, m, k)`
+    holds at the float pass's allowance for every kj < K, every m < 2^kj
+    and every k in kj..K (or the m of `multipliers(kj)` and the k of
+    `levels(kj)`), and so does the exact bound |N_kj| <= M_kj <= 2 M_kj,
+    against a Python-int oracle in units of 2^exponent: M_kj and N_kj
+    from `exact_block`, and p3 as M_K >= 0.  For k >= kj the checked
+    prefix is all of w_m N_kj, of modulus |N_kj| for every m (the
+    reindexing identity of `verify_lemma`), so one exact margin per level
+    serves every (m, k).  Where the exact margin 2 M_kj - |N_kj| lies
+    below minus twice the allowance, every call fails."""
     series = wr.WalshSeries.from_coeffs(coeffs)
-    assert wr.check_positivity_equivalence(series).shifted_m0 == shifted_verdicts_by_call(series)
+    report = wr.check_positivity_equivalence(series)
+    slack = report.routes[0].rounding_slack
+    exponent = min(0, *(math.frexp(x)[1] - 53 for x in series.coeffs.tolist()))
+    ints = dyadic_ints(series.coeffs, exponent)
+    assert report.p3 == (min(exact_block(ints, 0, series.order)) >= 0)
+    for kj in range(series.depth):
+        m_k, n_k = exact_block(ints, 0, 1 << kj), exact_block(ints, 1 << kj, 1 << kj)
+        if report.p3:
+            assert all(abs(n) <= m for m, n in zip(m_k, n_k))
+        margin = min(2 * m - abs(n) for m, n in zip(m_k, n_k)) * Fraction(2) ** exponent
+        for m in multipliers(kj) if multipliers else range(1 << kj):
+            for k in levels(kj) if levels else range(kj, series.depth + 1):
+                held = wr.check_shifted_bound(series, kj, m, k, tol=slack)
+                if report.p3:
+                    assert held
+                elif margin < -2 * Fraction(slack):
+                    assert not held
+    return report
+
+
+# the m = 0 shifted bound at and around its edge: |N_0| = 3 > 2 M_0; a
+# failure at the top level only; |N_0| = 2 M_0 and just past it
+SHIFTED_CASES = [
+    [1.0, 3.0], [1.0, -3.0],
+    [1.0, 0.5, 0.25, 0.0, 3.0, 0.0, 0.0, 0.0],
+    [1.0, 2.0], [1.0, 2.0 + 2e-12], [1.0, -2.0 - 1e-12],
+    [0.0],
+]
+
+
+@st.composite
+def scaled_series(draw):
+    """A seeded uniform(-1, 1) series of depth 0-5 whose c_0 is scaled so
+    that every partial sum is positive, or some levels fail the bound."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.uniform(-1, 1, 1 << draw(st.integers(0, 5)))
+    c[0] = draw(st.sampled_from([np.sum(np.abs(c[1:])) + 1.0, 0.5, 3.0]))
+    return c.tolist()
+
+
+@given(st.one_of(cancelling_series(), scaled_series(), st.sampled_from(SHIFTED_CASES)))
+@settings(max_examples=200, deadline=None)
+def test_p3_proves_every_shifted_bound(coeffs):
+    assert_p3_proves_shifted_bounds(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", SHIFTED_CASES)
+def test_walk_reads_the_m_zero_shifted_bounds(coeffs):
+    # theorem1-check's sweep takes its m = 0 verdicts from p3: only the
+    # zero series holds it, and each call fails where the bound fails
+    assert assert_p3_proves_shifted_bounds(coeffs).p3 == (coeffs == [0.0])
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_walk_reads_the_m_zero_shifted_bounds_of_dense_series(seed):
-    # positive, signed and borderline series: c_0 is scaled so that some
-    # levels hold the bound and others fail it
-    depth = 4 + 2 * seed
+    # positive, signed and borderline series of depth 4-9: c_0 is scaled
+    # so that some levels hold the bound and others fail it
+    depth = 4 + seed
     rng = np.random.default_rng(seed)
     c = rng.uniform(-1, 1, 1 << depth)
     c[0] = [np.sum(np.abs(c[1:])) + 1.0, 0.5, 3.0][seed % 3]
-    series = wr.WalshSeries.from_coeffs(c)
-    got = wr.check_positivity_equivalence(series).shifted_m0
-    assert got == shifted_verdicts_by_call(series)
-    assert seed % 3 or all(got)
+    report = assert_p3_proves_shifted_bounds(c)
+    assert seed % 3 or report.p3
 
 
 def test_walk_reads_the_m_zero_shifted_bounds_of_a_built_measure():
+    # the d13 measure at the sweep's two multipliers and at k = kj and K
     state = wr.build_measure(wr.PsiSpec.logpow(1.0), 3, wr.SummabilityBudget(2.25))
-    series = wr.WalshSeries.from_coeffs(spectrum_series(state))
-    report = wr.check_positivity_equivalence(series)
-    assert len(report.shifted_m0) == series.depth == 13
-    assert report.shifted_m0 == shifted_verdicts_by_call(series) == (True,) * 13
+    coeffs = spectrum_series(state)
+    report = assert_p3_proves_shifted_bounds(
+        coeffs, lambda kj: {0, (1 << kj) - 1}, lambda kj: {kj, 13})
+    assert report.p3 and len(coeffs) == 1 << 13
 
 
 def test_shifted_bound_hand_case():
@@ -645,7 +698,7 @@ def test_p3_equals_mass_positivity():
 
 
 def test_equivalence_report_carries_p3():
-    # p3 comes off the float route's one walk, as check_p3 reads it
+    # p3 comes off the float route's one pass, as check_p3 reads it
     for seed in range(20):
         series = _random_series(seed, depth=4)
         assert wr.check_positivity_equivalence(series).p3 == wr.check_p3(series)
@@ -655,7 +708,7 @@ def test_equivalence_report_carries_p3():
 
 
 def test_p3_rejects_non_finite_coefficients():
-    # a NaN compares false, so the walk alone would call [1, nan] nonnegative
+    # a NaN compares false, so the float pass alone would call [1, nan] nonnegative
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"coefficient 1, .* is not finite"):
             wr.check_p3(wr.WalshSeries.from_coeffs([1.0, bad]))
@@ -795,14 +848,14 @@ def test_strong_orthogonality_rejects_bad_indices():
 
 
 def test_dense_diagnostics_refuse_past_the_depth_limit():
-    # a depth-27 state: its dense tables would take about 10 GB, so every
-    # diagnostic refuses it, naming the depth, before allocating them
+    # a depth-27 state: its dense tables would take about 10 GB, so both
+    # orthogonality checks refuse it, naming the depth, before allocating
+    # them; singularity_report holds no table of atoms and runs
     assert martingale.DIAGNOSTIC_DEPTH_LIMIT == 24
     state = wr.empty_state()
     for block in ((1,), (27,)):
         state = wr.add_factor(state, 0, wr.BlockSpec(block))
     routes = (
-        lambda: wr.singularity_report(state),
         lambda: wr.verify_product_orthogonality(state),
         lambda: wr.verify_strong_orthogonality(state, [1, 1]),
     )
@@ -817,6 +870,26 @@ def test_dense_diagnostics_refuse_past_the_depth_limit():
     assert peak < 1 << 20
     # a monomial that leaves out the deep factor stays within the limit
     assert wr.verify_strong_orthogonality(state, [1])
+
+
+def test_singularity_report_at_depth_42():
+    # seven factors on 42 coordinates, the last block's 2^20 atoms the
+    # largest table: its own Hellinger cross-check passes, Hellinger falls
+    # at every stage, and tracemalloc peaks at five or so tables of those
+    # 2^20 atoms (its block table, 1 + X and the histogram's sort), 42 MB
+    # measured, nothing of size 2^42
+    state = wr.build_measure(wr.PsiSpec.power(1.0), 7, wr.SummabilityBudget(6.0))
+    assert state.used_coordinates == 42 and state.factors[-1].block[-1] == 42
+    tracemalloc.start()
+    try:
+        report = wr.singularity_report(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.hellinger) == 8
+    assert all(b < a for a, b in zip(report.hellinger, report.hellinger[1:]))
+    assert max(abs(a - b) for a, b in zip(report.hellinger, report.hellinger_direct)) <= 1e-9
+    assert peak < 48 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walshriesz as wr
+from conftest import single_merge
 from walshriesz.walsh import (
-    _LIMB_BITS, _distinct_text_rows, _limb_ops, _line_chunks, _martingale_walk, _read_rows,
+    _LIMB_BITS, _distinct_text_rows, _limb_ops, _line_chunks, _read_rows,
     _read_rows_array, _segment_merge, atom_patterns, sign_vector,
 )
 
@@ -404,8 +405,7 @@ def test_segment_merge_is_exact_over_python_ints(monkeypatch, m):
         patch_merge(monkeypatch, tiled_from, None)
         s = np.array(coeffs, dtype=object)
         mx, mn = s[None].copy(), s[None].copy()
-        for _ in _segment_merge(s, mx, mn):
-            pass
+        _segment_merge(s, mx, mn)
         for t in range(size):
             partial = list(itertools.accumulate(c * row[t] for c, row in zip(coeffs, signs)))
             got = (s[t], mx[0, t], mn[0, t])
@@ -514,8 +514,7 @@ def test_segment_merge_is_exact_over_limbs(monkeypatch, width, m, pattern):
             s = to_limbs(coeffs, width)
             mx = np.array([to_limbs(v, width) for v in highs], np.int64).reshape(rows, *s.shape)
             mn = np.array([to_limbs(v, width) for v in lows], np.int64).reshape(rows, *s.shape)
-            for _ in _segment_merge(s, mx, mn):
-                pass
+            _segment_merge(s, mx, mn)
             assert (from_limbs(s), [from_limbs(v) for v in mx], [from_limbs(v) for v in mn]) == want
 
 
@@ -536,8 +535,7 @@ def test_segment_merge_in_blocks_is_the_whole_level_merge(monkeypatch, rows, wid
 
         def merged():
             s, mx, mn = start[0].copy(), start[1 : 1 + rows].copy(), start[1 + rows :].copy()
-            for _ in _segment_merge(s, mx, mn):
-                pass
+            _segment_merge(s, mx, mn)
             return s, mx, mn
 
         patch_merge(monkeypatch, None, None)
@@ -604,15 +602,13 @@ def test_segment_merge_carries_grown_limbs(width, m, lows, signs, rows, setup, s
               + int(sign[n]) * int(top[n]) * LIMB ** (width - 1) for n in range(size)]
     s = np.array(coeffs, dtype=object)
     mx, mn = (s[None].repeat(rows, axis=0) for _ in range(2))
-    for _ in _segment_merge(s, mx, mn):
-        pass
+    _segment_merge(s, mx, mn)
     want = s.tolist(), mx.tolist(), mn.tolist()
     with pytest.MonkeyPatch.context() as monkeypatch:
         patch_merge(monkeypatch, *setup)
         t = to_limbs(coeffs, width)
         tx, tn = (np.array([t] * rows, np.int64).reshape(rows, *t.shape) for _ in range(2))
-        for _ in _segment_merge(t, tx, tn):
-            pass
+        _segment_merge(t, tx, tn)
     assert (from_limbs(t), [from_limbs(v) for v in tx], [from_limbs(v) for v in tn]) == want
 
 
@@ -635,17 +631,6 @@ def test_prefix_extrema_rejects_bad_length():
         wr.prefix_extrema(np.zeros(6))
     with pytest.raises(ValueError, match="power of two"):
         wr.prefix_extrema(np.zeros(0))
-
-
-def single_merge(values, rows: int):
-    """(S, MX, MN) of one `_segment_merge` over the whole vector, with
-    `rows` (0 or 1) copies of it as the class of prefixes: what
-    `_block_merge` must give bit for bit."""
-    s = values.copy()
-    mx, mn = s[None].copy()[:rows], s[None].copy()[:rows]
-    for _ in _segment_merge(s, mx, mn):
-        pass
-    return s, mx, mn
 
 
 def block_series(depth: int, dtype, kinds, seed: int) -> np.ndarray:
@@ -673,28 +658,19 @@ BLOCK_KINDS = st.integers(0, 14).flatmap(lambda depth: st.lists(
 @example(["-0", "-0"] + ["+0"] * 12, np.float64, 0)
 @settings(max_examples=150, deadline=None)
 def test_block_merge_is_the_single_merge_bit_for_bit(kinds, dtype, seed):
-    # butterfly, prefix_extrema and every level of the walk, by dyadic
-    # blocks, against one merge over the whole series: byte for byte,
-    # signed zeros included, at the default threshold (blocks skipped from
-    # 2^12 values) and at 32 values.  The examples' M_1 holds -0.0, which
-    # the skipped level N_1 turns into +0.0, as M_1 + 0.0 does
+    # butterfly and prefix_extrema, by dyadic blocks, against one merge
+    # over the whole series: byte for byte, signed zeros included, at the
+    # default threshold (blocks skipped from 2^12 values) and at 32
+    # values.  The examples' M_1 holds -0.0, which the skipped level N_1
+    # turns into +0.0, as M_1 + 0.0 does
     depth = len(kinds) - 1
     c = block_series(depth, dtype, kinds, seed)
     want = [t.tobytes() for t in (single_merge(c, 0)[0], *single_merge(c, 1))]
-    want_walk = []
-    if dtype is np.float64:
-        for k in range(depth):
-            s, mx, mn = single_merge(c[1 << k : 2 << k], 1)
-            want_walk.append([t.tobytes() for t in (single_merge(c[: 1 << k], 0)[0], s, mx, mn)])
-        want_walk.append([single_merge(c, 0)[0].tobytes(), None, None, None])
     for tiled_from in (None, 32):
         with pytest.MonkeyPatch.context() as patch:
             if tiled_from:
                 patch.setattr(wr.walsh, "_TILED_FROM", tiled_from)
             assert [t.tobytes() for t in (wr.butterfly(c), *wr.prefix_extrema(c))] == want
-            if dtype is np.float64:
-                walk = [[t if t is None else t.tobytes() for t in level] for level in _martingale_walk(c)]
-                assert walk == want_walk
 
 
 # ---------------------------------------------------------------------------
