@@ -7,10 +7,11 @@ Exit codes: 0 all certificates pass, 1 certificate failure (witness in
 the report), 2 usage or configuration error, 3 I/O error.  A state too
 large to certify (a block past coordinate 63, a spectrum past
 riesz.SPECTRUM_LIMIT terms, dense diagnostics past
-martingale.DIAGNOSTIC_DEPTH_LIMIT coordinates) is a configuration
-error: build-walsh-measure checks both limits right after the build,
-before any certificate runs.  All output files are written atomically
-(temp file + rename).  Commands take flags only.
+martingale.DIAGNOSTIC_DEPTH_LIMIT coordinates, a series CSV past
+walsh.THEOREM1_DEPTH_LIMIT) is a configuration error:
+build-walsh-measure checks the spectrum and diagnostics limits right
+after the build, before any certificate runs.  All output files are
+written atomically (temp file + rename).  Commands take flags only.
 No command draws random numbers: every positivity certificate is exact
 over every order on every atom, at every depth.  --seed is only
 recorded in manifests and reports, and --cap is parsed and ignored;
@@ -27,11 +28,15 @@ rounding allowance (K+1) 2^-52 ||S||_A; only when some value lies within
 it does one exact pass run, the package's segment merge over int64
 limbs holding the coefficients' dyadic expansion.  The
 report lists the routes that ran under `positivity_routes` and the
-arithmetic that decided under `decided_by`.  A series deeper than
-martingale.THEOREM1_DEPTH_LIMIT, or one whose coefficients' exponents
-lie so far apart that its limbs would take more memory than a 2-limb
-series at that depth, exits 2 before its dense coefficients are
-allocated, naming the limbs and the bytes; a non-finite coefficient
+arithmetic that decided under `decided_by`.  Each size limit is checked
+where its memory would be allocated, and exits 2 naming what it would
+hold: `walsh.series_from_csv` refuses a series deeper than
+walsh.THEOREM1_DEPTH_LIMIT from its rows, before its dense coefficients
+exist, and `martingale.check_positivity_equivalence` refuses, just
+before an exact merge (the exact pass, or a failure's witness) would
+allocate its limb tables, limbs taking more memory than a 2-limb series
+at the depth limit, naming the limbs and the bytes; a series that the
+float pass decides as a pass builds no limbs.  A non-finite coefficient
 exits 3, naming its line.
 """
 
@@ -53,7 +58,6 @@ import numpy as np
 
 from . import __version__
 from . import martingale, riesz, trig
-from .martingale import _EXACT_BYTES_PER_ATOM, _EXACT_LIMB_ATOMS, THEOREM1_DEPTH_LIMIT
 from .rudin_shapiro import build_pair
 from .walsh import (
     SeriesFormatError,
@@ -287,6 +291,10 @@ def _shifted_bound_sweep(series: WalshSeries, equiv: martingale.EquivalenceRepor
     float64 with the float pass's allowance as `tol`, K - 1 calls: a
     failure would prove the bound false (see `martingale._allowance`),
     and a pass, maybe within the allowance, is settled by p3.
+
+    `checked` counts the entries, 2K - 1: the K restatements of p3 and
+    the K - 1 float64 calls, which check |N_kj| <= 2 M_kj again.  So it
+    counts verdicts listed, not independent inequalities.
     """
     slack = equiv.routes[0].rounding_slack
     held = [equiv.p3] * series.depth + [
@@ -295,44 +303,15 @@ def _shifted_bound_sweep(series: WalshSeries, equiv: martingale.EquivalenceRepor
     return {"checked": len(held), "all_hold": all(held)}
 
 
-def _exact_route_check(path: str):
-    """`series_from_csv`'s check for theorem1-check: exit 2 when the
-    series is past the depth limit or its int64 limbs take more atoms
-    than a 2-limb series at the limit, naming the limbs and the bytes the
-    exact route would hold, before any table of its atoms is allocated.
-    The check keeps `martingale._limb_width` of the values as `limbs`."""
-
-    def check(depth: int, coeffs) -> None:
-        check.limbs = martingale._limb_width(coeffs)
-        width = check.limbs[0]
-        held = (f"{width} int64 limb{'s' * (width > 1)} per value,"
-                f" about {width * _EXACT_BYTES_PER_ATOM << depth:,} bytes")
-        if depth > THEOREM1_DEPTH_LIMIT:
-            raise _UsageError(
-                f"{path}: depth {depth} is past theorem1-check's limit"
-                f" {THEOREM1_DEPTH_LIMIT}; its exact positivity route would hold {held}"
-            )
-        if width << depth > _EXACT_LIMB_ATOMS:
-            raise _UsageError(
-                f"{path}: theorem1-check's exact positivity route would hold {held}"
-                f" at depth {depth}, past the {_EXACT_BYTES_PER_ATOM * _EXACT_LIMB_ATOMS:,}"
-                f" bytes of a 2-limb series at its depth limit {THEOREM1_DEPTH_LIMIT}:"
-                " the coefficients' exponents are too far apart"
-            )
-
-    return check
-
-
 def _cmd_theorem1_check(args) -> int:
     try:
-        check = _exact_route_check(args.infile)
-        series = series_from_csv(args.infile, check=check)
+        series = series_from_csv(args.infile)
     except OSError as exc:
         raise _IOFailure(f"cannot read {args.infile}: {exc}") from None
     except SeriesFormatError as exc:
         raise _IOFailure(f"{args.infile}: {exc}") from None
 
-    equiv = martingale.check_positivity_equivalence(series, check.limbs)
+    equiv = martingale.check_positivity_equivalence(series)
     shifted = _shifted_bound_sweep(series, equiv) if equiv.all_prefixes_nonneg else None
     report = {
         "input": args.infile,

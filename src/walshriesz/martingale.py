@@ -44,6 +44,7 @@ import numpy as np
 from .riesz import CoordinateBudgetError, RieszProductState, Spectrum, _exact_sum, _histogram
 from .riesz import _monomial, _product_ranges, factor_values, product_values
 from .walsh import (
+    THEOREM1_DEPTH_LIMIT,
     AtomTable,
     InvariantViolation,
     WalshSeries,
@@ -167,22 +168,16 @@ class EquivalenceReport:
 # seeded dense 2-limb series (coefficients uniform(-1, 1) 2^-U{0..20})
 # its tracemalloc peak was 24.5-31.1 bytes per atom per limb at depths
 # 16-20, three limb tables and block-sized scratch (numpy 2.4); rounded
-# up here.  The float pass before it holds no more.  The whole
-# `theorem1-check` on such a series, exact pass run, took 2.5-3.4 s and
-# 97 MiB of peak RSS at depth 20 and 22.6-26.5 s and 546 MiB at 23 on
-# one shared Xeon core, the reader setting the peak; the limit is the
-# deepest depth under 30 s and 1 GiB.  `theorem1-check` refuses deeper
-# series, and series whose limbs take more atoms than a 2-limb series at
-# the limit.
-THEOREM1_DEPTH_LIMIT = 23
+# up here.  The float pass before it holds no more.  Limbs that would
+# take more atoms than a 2-limb series at `walsh.THEOREM1_DEPTH_LIMIT`
+# are refused (`_exact_width`) just before an exact merge would run.
 _EXACT_BYTES_PER_ATOM = 32
 _EXACT_LIMB_ATOMS = 2 << THEOREM1_DEPTH_LIMIT
 
 
-def check_positivity_equivalence(series: WalshSeries, limbs=None) -> EquivalenceReport:
+def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     """Every S_p >= 0, i.e. N_k* <= M_k at every level, and p3, over
-    every order on every atom (`limbs`: the caller's `_limb_width` of the
-    coefficients, if it has it).
+    every order on every atom.
 
     The float64 pass (`_maximal_margin`) decides each verdict whose value
     lies outside the allowance `_allowance`: positivity by the smallest
@@ -195,18 +190,21 @@ def check_positivity_equivalence(series: WalshSeries, limbs=None) -> Equivalence
     minimum's or else the float pass's, from the definition
     (`_partial_sums_at`), which must agree (else InvariantViolation).  The
     witness comes from bisecting the order with the exact merge, at most
-    K more passes.  Non-finite coefficients raise ValueError.
+    K more passes.  Limbs too many for the exact merge raise
+    CoordinateBudgetError before it runs (`_exact_width`), and non-finite
+    coefficients ValueError.
     """
     low, atom, p3_low = _maximal_margin(series)  # first: it refuses non-finite coefficients
     c, size = series.coeffs, series.order
     slack = _allowance(series)
     positive, p3 = _decide(low, slack), _decide(p3_low, slack)
-    width, exponent = limbs or _limb_width(c)
+    exponent, width = _dyadic_exponent(c), None
     routes = [PositivityRoute("maximal function", "float64", low,
                               {True: "pass", False: "fail", None: "within rounding"}[positive],
                               slack, size, size)]
     exact = None in (positive, p3)
     if exact:
+        width = _exact_width(series)
         top, minima = _exact_prefix_minima(c, width, exponent)
         (atom, exact_low), exact_p3 = _limb_argmin(minima), bool(top[-1].min() >= 0)
         del top, minima  # freed before the witness's bisection
@@ -232,7 +230,7 @@ def check_positivity_equivalence(series: WalshSeries, limbs=None) -> Equivalence
     return EquivalenceReport(
         all_prefixes_nonneg=positive,
         inequality_holds=positive,
-        witness=None if positive else _first_negative(c, width, exponent, first),
+        witness=None if positive else _first_negative(c, width or _exact_width(series), exponent, first),
         routes=tuple(routes),
         p3=p3,
         decided_by="integer-dyadic" if exact else "float64",
@@ -291,6 +289,26 @@ def _dyadic_chunks(coeffs, exponent: int):
         yield lo, ints, np.where(chunk != 0.0, exp.astype(np.int64) - 53 - exponent, 0)
 
 
+def _dyadic_exponent(coeffs) -> int:
+    """The smallest frexp exponent less 53 among the nonzero coefficients,
+    0 if none is: c_n = I_n 2^e with integers I_n."""
+    return int(np.frexp(coeffs[coeffs != 0.0])[1].min()) - 53 if coeffs.any() else 0
+
+
+def _exact_width(series: WalshSeries) -> int:
+    """The limbs of `_limb_width` for the exact merge over the series,
+    refused (CoordinateBudgetError, naming the limbs and the bytes) when
+    they would take more atoms than a 2-limb series at the depth limit."""
+    width = _limb_width(series.coeffs)[0]
+    if width << series.depth > _EXACT_LIMB_ATOMS:
+        raise CoordinateBudgetError(
+            f"the exact positivity route would hold {width} int64 limbs per value, about"
+            f" {width * _EXACT_BYTES_PER_ATOM << series.depth:,} bytes at depth {series.depth}, past"
+            f" the {_EXACT_BYTES_PER_ATOM * _EXACT_LIMB_ATOMS:,} bytes of a 2-limb series at the"
+            f" depth limit {THEOREM1_DEPTH_LIMIT}: the coefficients' exponents are too far apart")
+    return width
+
+
 def _limb_width(coeffs) -> tuple[int, int]:
     """(L, e): the int64 limbs the exact route needs for these finite
     coefficients (a dense series, or only its nonzero ones), and e, the
@@ -305,8 +323,7 @@ def _limb_width(coeffs) -> tuple[int, int]:
     float64 sums stay below 2^53.  Nothing of size 2^K is allocated past
     a few bytes per coefficient."""
     c = np.asarray(coeffs, dtype=np.float64)
-    nonzero = c[c != 0.0]
-    exponent = int(np.frexp(nonzero)[1].min()) - 53 if nonzero.size else 0
+    exponent = _dyadic_exponent(c)
     total = 0
     for _, ints, shift in _dyadic_chunks(np.abs(c), exponent):
         high = np.bincount(shift, weights=ints >> 26).tolist()

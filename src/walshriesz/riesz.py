@@ -86,6 +86,7 @@ import numpy as np
 from .rudin_shapiro import _MAX_PAIR_LEVEL, FLATNESS_CONSTANT, BlockSpec
 from .rudin_shapiro import build_flat, substitute_sparse
 from .walsh import (
+    CoordinateBudgetError,
     InvariantViolation,
     SeriesFormatError,
     _segment_merge,
@@ -137,16 +138,6 @@ class LevelSelectionError(RuntimeError):
 class BlockOverlapError(ValueError):
     """A factor block touches coordinates already in use, or a factor's
     index sets bits outside its block."""
-
-
-class CoordinateBudgetError(ValueError):
-    """A state past a size limit: a block past coordinate 63 (Walsh
-    indices are int64), a spectrum past SPECTRUM_LIMIT terms, a psi stage
-    with more than SPECTRUM_LIMIT magnitude products or with a sum or
-    bound below float64's normal range, a factor whose
-    integer coefficients sum past the 61 bits of the certificate's int64
-    block tables, or dense diagnostics past
-    `martingale.DIAGNOSTIC_DEPTH_LIMIT`."""
 
 
 # ---------------------------------------------------------------------------

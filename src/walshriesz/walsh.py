@@ -64,6 +64,7 @@ __all__ = [
     "LemmaWitness",
     "InvariantViolation",
     "SeriesFormatError",
+    "CoordinateBudgetError",
     "walsh_eval",
     "walsh_signs",
     "butterfly",
@@ -87,6 +88,18 @@ class InvariantViolation(RuntimeError):
 
 class SeriesFormatError(ValueError):
     """Malformed serialized series (carries a line number when parsing CSV)."""
+
+
+class CoordinateBudgetError(ValueError):
+    """A state past a size limit: a series deeper than
+    THEOREM1_DEPTH_LIMIT (`series_from_csv`), a block past coordinate 63
+    (Walsh indices are int64), a spectrum past `riesz.SPECTRUM_LIMIT`
+    terms, a psi stage with more than SPECTRUM_LIMIT magnitude products
+    or with a sum or bound below float64's normal range, a factor whose
+    integer coefficients sum past the 61 bits of the certificate's int64
+    block tables, an exact positivity route whose limbs would take more
+    atoms than a 2-limb series at THEOREM1_DEPTH_LIMIT, or dense
+    diagnostics past `martingale.DIAGNOSTIC_DEPTH_LIMIT`."""
 
 
 def _is_pow2(n: int) -> bool:
@@ -893,8 +906,8 @@ def _read_rows(text: str) -> list[tuple[int, float]]:
 _ROW_DTYPE = np.dtype([("n", np.int64), ("c", np.float64)])
 # characters of text per chunk that `_read_rows_array` splits into lines
 _LINE_CHUNK = 1 << 16
-# `_distinct_text_rows` reads texts shorter than _TEXT_BYTES, and runs
-# while at most 1/_DISTINCT_SHARE of the texts read so far are distinct
+# `_distinct_text_rows` reads texts shorter than _TEXT_BYTES, and keeps a
+# chunk while at most 1/_DISTINCT_SHARE of its rows bring a new text
 _TEXT_BYTES = 32
 _TEXT_ROW_DTYPE = np.dtype([("n", np.int64), ("c", f"S{_TEXT_BYTES}")])
 _DISTINCT_SHARE = 8
@@ -922,7 +935,8 @@ def _read_rows_array(text: str):
     and on a blank line, which the row loop skips.
 
     A measure's few distinct coefficient texts are parsed once each
-    (`_distinct_text_rows`); other texts by one float64 parse.
+    (`_distinct_text_rows`); from the first chunk with many new texts on,
+    the rows go to one float64 parse.
     """
     if '"' in text or "\0" in text:
         return None
@@ -953,12 +967,14 @@ def _loadtxt(lines, dtype):
 def _distinct_text_rows(chunks, most: int):
     """The rows of the line `chunks` (at `most` of them), their texts read
     as bytes and each distinct one parsed by the float64 field, so that
-    the values are the float64 parse's; None where there are no rows,
-    the texts read so far are over 1/`_DISTINCT_SHARE` distinct (each
-    chunk with new texts re-sorts those kept: a dense depth-20 block after
-    2^19 zeros took 70 s so), or a text fills `_TEXT_BYTES` bytes or
-    differs from its hash's text."""
-    texts, indices, hashes, filled = {}, np.empty(most, np.int64), np.empty(most, np.int64), 0
+    the values are the float64 parse's.  The first chunk with new texts
+    in over 1/`_DISTINCT_SHARE` of its rows (each chunk with new texts
+    re-sorts those kept: a dense depth-20 block after 2^19 zeros took
+    70 s so), a text of `_TEXT_BYTES` bytes or one that differs from its
+    hash's text goes, with every chunk after it, to one float64 parse;
+    the rows read before it are kept, not parsed again.  None where that
+    is the first chunk or there are no rows."""
+    texts, indices, hashes, filled, rest = {}, np.empty(most, np.int64), np.empty(most, np.int64), 0, []
     for lines in chunks:
         rows = _loadtxt(lines, _TEXT_ROW_DTYPE)
         words = rows.view(np.int64).reshape(rows.size, -1)[:, 1:]
@@ -968,20 +984,28 @@ def _distinct_text_rows(chunks, most: int):
             new, groups = np.unique(hashed, return_inverse=True)
             members = np.empty(new.size, np.int64)
             members[groups] = np.arange(groups.size)
-            texts = dict(zip(new.tolist(), rows["c"][members].tolist())) | texts
-            if len(texts) * _DISTINCT_SHARE > filled + rows.size:
-                return None
+            kept = dict(zip(new.tolist(), rows["c"][members].tolist())) | texts
+            if ((len(kept) - len(texts)) * _DISTINCT_SHARE > rows.size
+                    or max(map(len, kept.values())) >= _TEXT_BYTES):
+                rest = lines
+                break
+            texts = kept
             keys = np.array(sorted(texts))
             firsts = np.array([texts[key] for key in keys.tolist()], rows["c"].dtype)
             groups = keys.searchsorted(hashed)
         if not np.array_equal(words, firsts.view(np.int64).reshape(keys.size, -1)[groups]):
-            return None
+            rest = lines
+            break
         indices[filled : filled + rows.size], hashes[filled : filled + rows.size] = rows["n"], hashed
         filled += rows.size
-    if not texts or max(map(len, texts.values())) >= _TEXT_BYTES:
+    if not filled:
         return None
     lines = [f"0,{text.decode('latin-1')}" for text in firsts.tolist()]  # numpy's bytes fields are latin-1
-    return indices[:filled], _loadtxt(lines, _ROW_DTYPE)["c"][keys.searchsorted(hashes[:filled])]
+    values = _loadtxt(lines, _ROW_DTYPE)["c"][keys.searchsorted(hashes[:filled])]
+    if not rest:
+        return indices[:filled], values
+    rows = _loadtxt(itertools.chain(rest, itertools.chain.from_iterable(chunks)), _ROW_DTYPE)
+    return np.concatenate([indices[:filled], rows["n"]]), np.concatenate([values, rows["c"]])
 
 
 def _line_chunks(text: str, start: int):
@@ -1000,22 +1024,28 @@ def _line_chunks(text: str, start: int):
         start = stop
 
 
-def series_from_csv(source, check=None) -> WalshSeries:
+# The deepest series `series_from_csv` reads, the package's one limit on
+# a dense series.  `theorem1-check` on a seeded dense 2-limb series
+# (coefficients uniform(-1, 1) 2^-U{0..20}), its exact positivity pass
+# run, took 2.5-3.4 s and 97 MiB of peak RSS at depth 20 and
+# 22.6-26.5 s and 546 MiB at 23 on one shared Xeon core, this reader
+# setting the peak: 23 is the deepest depth under 30 s and 1 GiB.
+THEOREM1_DEPTH_LIMIT = 23
+
+
+def series_from_csv(source) -> WalshSeries:
     """Load a series from `n,coeff` rows; sparse rows are zero-filled.
 
-    The depth is the smallest K with every index below 2^K.
-    `check(depth, values)`, given the rows' coefficients as a float64
-    array, may raise to refuse the series before anything of size 2^K
-    is allocated; that same array then fills the dense coefficients in
-    one assignment.
+    The depth is the smallest K with every index below 2^K.  A series
+    deeper than THEOREM1_DEPTH_LIMIT raises CoordinateBudgetError, naming
+    the depth and the bytes of its dense coefficients, before they are
+    allocated.
     """
     indices, values = read_coeff_rows(source)
-    top = int(indices[-1])
-    depth = top.bit_length()
-    if check is not None:
-        check(depth, values)
-    if top >= 1 << 26:
-        raise SeriesFormatError(f"index {top} too large for a dense series")
+    depth = int(indices[-1]).bit_length()
+    if depth > THEOREM1_DEPTH_LIMIT:
+        raise CoordinateBudgetError(f"depth {depth} is past the dense-series limit"
+                                    f" {THEOREM1_DEPTH_LIMIT}: its coefficients would take {8 << depth:,} bytes")
     coeffs = np.zeros(1 << depth)
     coeffs[indices] = values
     return WalshSeries(depth, coeffs)

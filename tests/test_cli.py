@@ -250,51 +250,59 @@ def test_theorem1_check_io_errors(tmp_path, capsys):
         assert f"line {line}" in err and "not finite" in err
 
 
-def test_theorem1_check_refuses_depth_before_allocating(tmp_path, capsys):
-    deep = tmp_path / "deep.csv"
-    deep.write_text(f"n,coeff\n0,1.0\n{(1 << 26) - 1},0.5\n")
+def traced_run(argv):
+    """`run(argv)` and its tracemalloc peak."""
     tracemalloc.start()
     try:
-        code = run(["theorem1-check", "--in", str(deep)])
-        peak = tracemalloc.get_traced_memory()[1]
+        code = run(argv)
+        return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_theorem1_check_refuses_depth_before_allocating(tmp_path, capsys):
+    # the reader refuses a series past the depth limit from its rows,
+    # before the 2^24 float64 coefficients exist
+    deep = tmp_path / "deep.csv"
+    deep.write_text(f"n,coeff\n0,1.0\n{(1 << 24) - 1},0.5\n")
+    code, peak = traced_run(["theorem1-check", "--in", str(deep)])
     assert code == 2
     assert peak < 1 << 20
     err = capsys.readouterr().err
-    limit = cli.THEOREM1_DEPTH_LIMIT
-    assert f"depth 26 is past theorem1-check's limit {limit}" in err
-    assert f"{cli._EXACT_BYTES_PER_ATOM << 26:,} bytes" in err
-    # the same check= hook takes a series at the limit
-    check = cli._exact_route_check("at_limit.csv")
-    assert check(limit, np.array([1.0, 0.5])) is None
-    with pytest.raises(cli._UsageError, match=f"depth {limit + 1} is past"):
-        check(limit + 1, np.array([1.0, 0.5]))
+    limit = walsh.THEOREM1_DEPTH_LIMIT
+    assert limit == 23
+    assert f"depth 24 is past the dense-series limit {limit}" in err
+    assert f"{8 << 24:,} bytes" in err
+    assert not hasattr(cli, "THEOREM1_DEPTH_LIMIT") and not hasattr(cli, "_exact_route_check")
 
 
 def test_theorem1_check_refuses_wide_exponents_before_allocating(tmp_path, capsys):
-    # 1.0 and 1e-300 take 19 int64 limbs per value (1050 bits in units of
+    # 1e-300 and 1.0 take 19 int64 limbs per value (1050 bits in units of
     # 2^-1049, and a sign bit): at depth 20 that is past the bytes of a
-    # 2-limb series at the depth limit, refused from the rows
+    # 2-limb series at the depth limit.  The float pass proves the series
+    # negative, and the witness's exact bisection is refused before its
+    # first limb table exists
     wide = tmp_path / "wide.csv"
-    wide.write_text(f"n,coeff\n0,1.0\n{(1 << 20) - 1},1e-300\n")
-    tracemalloc.start()
-    try:
-        code = run(["theorem1-check", "--in", str(wide)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    wide.write_text(f"n,coeff\n0,1e-300\n{(1 << 20) - 1},-1.0\n")
+    code, peak = traced_run(["theorem1-check", "--in", str(wide)])
     assert code == 2
-    assert peak < 1 << 20
+    assert peak < 64 << 20
     err = capsys.readouterr().err
     width = -(-1051 // walsh._LIMB_BITS)
     assert width == 19
     assert f"{width} int64 limbs per value" in err
-    assert f"{width * cli._EXACT_BYTES_PER_ATOM << 20:,} bytes at depth 20" in err
-    assert f"{cli._EXACT_BYTES_PER_ATOM * cli._EXACT_LIMB_ATOMS:,} bytes of a 2-limb series" in err
-    assert cli._EXACT_LIMB_ATOMS == 2 << cli.THEOREM1_DEPTH_LIMIT
+    assert f"{width * martingale._EXACT_BYTES_PER_ATOM << 20:,} bytes at depth 20" in err
+    assert f"{martingale._EXACT_BYTES_PER_ATOM * martingale._EXACT_LIMB_ATOMS:,} bytes of a 2-limb series" in err
+    assert martingale._EXACT_LIMB_ATOMS == 2 << walsh.THEOREM1_DEPTH_LIMIT
 
-    # shallow, the same limbs are read: the float pass decides 1 +- 1e-300, and
+    # every partial sum of 1.0 and 1e-300 is at least 1 - 1e-300: the
+    # float pass decides, and no limb is built
+    wide.write_text(f"n,coeff\n0,1.0\n{(1 << 20) - 1},1e-300\n")
+    assert run(["theorem1-check", "--in", str(wide)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["decided_by"] == "float64" and report["all_prefixes_nonneg"]
+
+    # shallow, the same limbs fit: the float pass decides 1 +- 1e-300, and
     # the witness of 1e-300 -+ 1 is bisected exactly over 19 limbs
     shallow = tmp_path / "shallow.csv"
     shallow.write_text("n,coeff\n0,1.0\n1,1e-300\n")
@@ -364,17 +372,22 @@ def test_theorem1_check_walks_the_martingale_once(tmp_path, monkeypatch, capsys)
 
 
 def test_theorem1_check_reads_the_limb_width_once(tmp_path, monkeypatch, capsys):
-    # the read-time check's limb width serves the positivity check too, on
-    # a series the float pass decides and on one only the exact pass can
+    # the limb width is read only for an exact merge, once: not on a
+    # series the float pass decides as a pass; once for the exact pass,
+    # for a float-decided failure's witness, and for both on a failure
+    # only the exact pass can decide
     width, calls = martingale._limb_width, []
     monkeypatch.setattr(martingale, "_limb_width", lambda c: calls.append(1) or width(c))
-    for rows, decided_by in (("0,1.0\n1,0.5\n", "float64"),
-                             ("0,1.0\n1,-1.0\n", "integer-dyadic")):
+    for rows, code, decided_by, reads in (
+            ("0,1.0\n1,0.5\n", 0, "float64", 0),
+            ("0,1.0\n1,-1.0\n", 0, "integer-dyadic", 1),
+            ("0,1.0\n1,-2.0\n", 1, "float64", 1),
+            ("0,1.0\n1,-5.551115123125783e-17\n2,-1.0\n3,0.0\n", 1, "integer-dyadic", 1)):
         (tmp_path / "s.csv").write_text("n,coeff\n" + rows)
         calls.clear()
-        assert run(["theorem1-check", "--in", str(tmp_path / "s.csv")]) == 0
+        assert run(["theorem1-check", "--in", str(tmp_path / "s.csv")]) == code
         assert json.loads(capsys.readouterr().out)["decided_by"] == decided_by
-        assert len(calls) == 1
+        assert len(calls) == reads
 
 
 def t1_series(name, path):

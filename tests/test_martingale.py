@@ -375,6 +375,49 @@ def test_exact_route_memory_is_stated_per_limb_and_atom(monkeypatch):
     assert peak < 2 * martingale._EXACT_BYTES_PER_ATOM << 16
 
 
+def test_exact_merge_refuses_limbs_past_the_limit_before_allocating():
+    # a dense depth-20 series whose smallest partial sum, about 0, lies
+    # within the float pass's allowance needs the exact merge, and 1e-300
+    # beside coefficients near 1 takes it to 19 limbs: refused, naming the
+    # limbs and the bytes, while tracemalloc stays far below the 637 MB of
+    # its limb tables
+    rng = np.random.default_rng(20)
+    c = rng.uniform(-1, 1, 1 << 20) * 2.0 ** -rng.integers(0, 21, 1 << 20)
+    c[0], c[-1] = 0.0, 1e-300
+    c[0] = -wr.prefix_extrema(c)[2].min()
+    series = wr.WalshSeries(20, c)
+    assert martingale._decide(martingale._maximal_margin(series)[0], martingale._allowance(series)) is None
+    assert martingale._limb_width(c)[0] == 19
+    tracemalloc.start()
+    try:
+        with pytest.raises(wr.CoordinateBudgetError) as err:
+            wr.check_positivity_equivalence(series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = 19 * martingale._EXACT_BYTES_PER_ATOM << 20
+    assert f"19 int64 limbs per value, about {held:,} bytes at depth 20" in str(err.value)
+    assert peak < 64 << 20 < held // 8
+    # its twin with every partial sum at least 1 is the float pass's
+    c[0] += 1.0
+    report = wr.check_positivity_equivalence(series)
+    assert report.all_prefixes_nonneg and report.p3 and report.decided_by == "float64"
+
+
+def test_limb_width_is_read_only_for_an_exact_merge(monkeypatch, flagship_build):
+    # never on a series the float pass decides as a pass, once for the
+    # exact pass, and for a float-decided failure's witness
+    width, calls = martingale._limb_width, []
+    monkeypatch.setattr(martingale, "_limb_width", lambda c: calls.append(1) or width(c))
+    d13 = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(spectrum_series(flagship_build.final)))
+    assert d13.decided_by == "float64" and calls == []
+    at_zero = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs([1.0, -1.0]))
+    assert at_zero.all_prefixes_nonneg and at_zero.decided_by == "integer-dyadic" and len(calls) == 1
+    calls.clear()
+    failure = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs([1.0, -2.0]))
+    assert failure.decided_by == "float64" and failure.witness is not None and len(calls) >= 1
+
+
 def dense_partial_sums_at(coeffs, atom, exponent):
     """`_partial_sums_at` over every coefficient, zeros included: a cumsum
     in Python ints along n of I_n w_n(atom)."""

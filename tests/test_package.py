@@ -91,3 +91,11 @@ def test_product_state_is_its_factors():
         "flatness_constant": riesz.FLATNESS_CONSTANT,
         "stages": [],
     }
+
+
+def test_series_checks_take_only_the_series():
+    # each size limit is checked where its memory would be allocated, so
+    # neither the reader nor the positivity check takes a hook or a
+    # caller's limb width
+    assert list(inspect.signature(walshriesz.series_from_csv).parameters) == ["source"]
+    assert list(inspect.signature(martingale.check_positivity_equivalence).parameters) == ["series"]

@@ -745,12 +745,26 @@ def test_reader_errors_name_their_line(case, newline):
 
 
 def test_reader_refuses_indices_past_its_callers_limits(tmp_path):
-    # a dense series stops at 2^26 coefficients, a spectrum at 63-bit
+    # a dense series stops at depth THEOREM1_DEPTH_LIMIT, refused from its
+    # rows before its coefficients are allocated, a spectrum at 63-bit
     # indices; indices past int64 come from the row loop as Python ints
-    for top in (1 << 26, 1 << 63, 1 << 70):
-        with pytest.raises(wr.SeriesFormatError) as err:
-            wr.series_from_csv(io.StringIO(f"n,coeff\n0,1.0\n{top},0.5\n"))
-        assert str(err.value) == f"index {top} too large for a dense series"
+    limit = wr.walsh.THEOREM1_DEPTH_LIMIT
+    assert limit == 23
+    for top in ((1 << 24) - 1, 1 << 26, 1 << 63, 1 << 70):
+        depth = top.bit_length()
+        tracemalloc.start()
+        try:
+            with pytest.raises(wr.CoordinateBudgetError) as err:
+                wr.series_from_csv(io.StringIO(f"n,coeff\n0,1.0\n{top},0.5\n"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(err.value) == (f"depth {depth} is past the dense-series limit {limit}:"
+                                  f" its coefficients would take {8 << depth:,} bytes")
+    # the riesz and package names are the same class
+    assert wr.CoordinateBudgetError is wr.riesz.CoordinateBudgetError is wr.walsh.CoordinateBudgetError
+    assert wr.series_from_csv(io.StringIO(f"n,coeff\n0,1.0\n{(1 << limit) - 1},0.5\n")).depth == limit
     path = tmp_path / "spectrum.csv"
     for top in (1 << 63, 1 << 70):
         path.write_text(f"n,coeff\n0,1.0\n{top},0.5\n")
@@ -966,5 +980,30 @@ def test_distinct_text_route_stops_once_its_texts_turn_distinct(monkeypatch):
     indices, coeffs = _read_rows_array(text)
     assert calls[-1] == wr.walsh._ROW_DTYPE and calls.count(wr.walsh._TEXT_ROW_DTYPE) < chunks / 2
     rows = _read_rows(text)
+    assert indices.tolist() == [n for n, _ in rows]
+    assert np.array_equal(coeffs.view(np.int64), np.array([v for _, v in rows]).view(np.int64))
+
+
+def test_distinct_text_route_hands_over_without_rereading(monkeypatch):
+    # 2^12 zeros, then 2^12 distinct texts: the first chunk of mostly new
+    # texts and every chunk after it go to one float64 parse, and the
+    # zero rows read before it are kept, their one text parsed once, so
+    # the file's rows are parsed once each but for that chunk
+    monkeypatch.setattr(wr.walsh, "_LINE_CHUNK", 1 << 12)
+    rng = np.random.default_rng(12)
+    c = np.concatenate([np.zeros(1 << 12), rng.uniform(-1, 1, 1 << 12)])
+    text = "n,coeff\r\n" + "".join(f"{n},{v!r}\r\n" for n, v in enumerate(c.tolist()))
+    chunk = max(len(lines) for lines in _line_chunks(text, text.index("\n") + 1))
+    parsed, original = [], wr.walsh._loadtxt
+
+    def counted(lines, dtype):
+        lines = list(lines)
+        parsed.append(sum(1 for line in lines if line.strip()))
+        return original(lines, dtype)
+
+    monkeypatch.setattr(wr.walsh, "_loadtxt", counted)
+    indices, coeffs = _read_rows_array(text)
+    rows = _read_rows(text)
+    assert sum(parsed) <= len(rows) + chunk + 1  # the one distinct text, "0.0"
     assert indices.tolist() == [n for n, _ in rows]
     assert np.array_equal(coeffs.view(np.int64), np.array([v for _, v in rows]).view(np.int64))
