@@ -590,7 +590,8 @@ def singularity_report(
     state: RieszProductState, cross_check_tol: float = 1e-9
 ) -> SingularityReport:
     """The SingularityReport of every stage of `state`, from value
-    histograms: each factor's 1 + X from its block table, and Pi_k's as
+    histograms: each factor's 1 + X (`Factor.value_histogram`, from the
+    pair law for a construction factor), and Pi_k's as
     the products of Pi_(k-1)'s distinct values and those of 1 + X_k, in
     the factors' order, each on the product of their counts (the blocks
     are disjoint), the values the dense product takes, bit for bit.
@@ -609,7 +610,7 @@ def singularity_report(
     l1 = [1.0]
     values, counts = np.ones(1), np.ones(1, np.int64)  # Pi_0's histogram
     for factor in state.factors:
-        fvalues, fcounts = _histogram(1.0 + factor._block_table)
+        fvalues, fcounts = factor.value_histogram
         hellinger.append(hellinger[-1] * _mean(np.sqrt(fvalues), fcounts))
         values, counts = _histogram(np.multiply.outer(values, fvalues).ravel(),
                                     np.multiply.outer(counts, fcounts).ravel())

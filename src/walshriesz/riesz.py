@@ -60,18 +60,24 @@ pieces of data matter:
     orders give (x (1 + X), y), the band's orders of sign class b give
     (x (1 + X), x (1 + P_<f) + b y), and the orders reading Pi_(j+1)
     give (x (1 + X), x (1 + X));
-  - the block: one signed prefix-extrema merge on X's 2^|J| block
-    atoms, a pair of rows per coefficient magnitude mu, giving the
-    smallest and largest P_<f(t') over each sign class of
-    c_f w_f(t') = b = +-mu, and with them C_b, the hull of the points
-    (X(t'), P_<f(t')).
+  - the block: the smallest and largest P_<f(t') over each sign class
+    of c_f w_f(t') = b = +-mu, mu a coefficient magnitude, and with them
+    C_b, the hull of the points (X(t'), P_<f(t')).  A construction
+    factor X = a r P_l reads them off family A of its pair law
+    (`rudin_shapiro.pair_law`) in O(1) work per level: in the unit a,
+    X = rP, P_<f = rS and b = rs.  A hand-built factor takes one signed
+    prefix-extrema merge on its 2^|J| block atoms, a pair of rows per
+    magnitude, in int64.
 
 Band j's smallest S_p and S_p - Pi_j/4 are x (s + P) + b y at the
 vertices of H_j, with P at its class extremes and s = 1 or 3/4.  Each
-factor's coefficients are integers over one dyadic unit, the block
-merges run in int64 and the hull vertices are Python-int pairs over a
-common power of two, so every figure is exact for the product of the
-stored float64 factors and is rounded once, at every depth.
+factor's coefficients are integers over one dyadic unit, the pair laws
+hold Python ints, the hand-built factors' merges run in int64 and the
+hull vertices are Python-int pairs over a common power of two, so every
+figure is exact for the product of the stored float64 factors and is
+rounded once, at every depth.  A construction factor's norms, value
+range and value and magnitude histograms come from its level the same
+way (see `Factor`), so no certificate builds its 2^l coefficients.
 """
 
 from __future__ import annotations
@@ -83,8 +89,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .rudin_shapiro import _MAX_PAIR_LEVEL, FLATNESS_CONSTANT, BlockSpec
-from .rudin_shapiro import build_flat, substitute_sparse
+from .rudin_shapiro import _MAX_PAIR_LEVEL, FLATNESS_CONSTANT, BlockSpec, FlatPolynomial
+from .rudin_shapiro import _widen, pair_law, rs_sign_sequence, substitute_sparse
 from .walsh import (
     CoordinateBudgetError,
     InvariantViolation,
@@ -326,23 +332,70 @@ class SummabilityBudget:
 # product state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Factor:
-    """One factor X = amplitude * phi_level on the given block."""
+    """One factor X = amplitude * phi_level on the given block.
 
-    level: int
-    block: tuple[int, ...]
-    amplitude: float
-    indices: np.ndarray
-    coeffs: np.ndarray
+    `Factor(level, block, amplitude)`, as `make_factor` builds it, is a
+    construction factor, X = a r_(l+1) P_l remapped to its block, and holds
+    no array: its norms, value range, histograms and positivity block
+    data follow from `rudin_shapiro.pair_law(level)`, and its `indices`,
+    `coeffs` and `_block_table` are built on first use only (by the
+    export, orthogonality and the tests), from `rs_sign_sequence` and the
+    block remap.  `Factor(level, block, amplitude, indices, coeffs)` is a
+    hand-built factor: every figure is read off its arrays.
+    """
+
+    def __init__(self, level: int, block, amplitude: float, indices=None, coeffs=None) -> None:
+        self.level, self.block, self.amplitude = level, tuple(block), amplitude
+        self.construction = indices is None
+        if not self.construction:
+            self.indices, self.coeffs = indices, coeffs
+        elif len(self.block) != level + 1:
+            raise ValueError(f"block size {len(self.block)} != level + 1 = {level + 1}")
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """A construction factor's Walsh indices: the window [2^l, 2^(l+1))
+        remapped to the block."""
+        flat = FlatPolynomial(self.level, rs_sign_sequence(1 << self.level))
+        return substitute_sparse(flat, BlockSpec(self.block))[0]
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return self.amplitude * rs_sign_sequence(1 << self.level).astype(np.float64)
+
+    @cached_property
+    def terms(self) -> int:
+        """|supp X|, as a Python int: 2^l for a construction factor."""
+        return 1 << self.level if self.construction else self.indices.size
+
+    @cached_property
+    def top_index(self) -> int:
+        """The largest Walsh index of X (0 if none): every bit of a
+        construction factor's block."""
+        if self.construction:
+            return sum(1 << (c - 1) for c in self.block)
+        return int(self.indices.max(initial=0))
+
+    @cached_property
+    def magnitudes(self):
+        """The histogram of |c| (`_magnitudes`): a on 2^l terms for a
+        construction factor, its count a Python int."""
+        if self.construction:
+            return np.array([self.amplitude]), np.array([1 << self.level], dtype=object)
+        return _magnitudes(self.coeffs)
 
     @cached_property
     def norm_a(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
+        """sum |c|, exact and rounded once: a 2^l for a construction factor."""
+        return _exact_sum(*self.magnitudes)
 
     @cached_property
     def norm_2(self) -> float:
-        return float(np.sqrt(np.sum(self.coeffs * self.coeffs)))
+        """The square root of sum c^2, that sum of the float64 squares exact
+        and rounded once."""
+        mags, counts = self.magnitudes
+        return math.sqrt(_exact_sum(mags * mags, counts))
 
     @cached_property
     def _block_table(self) -> np.ndarray:
@@ -354,8 +407,23 @@ class Factor:
 
     @cached_property
     def value_range(self) -> tuple[float, float]:
-        """min X and max X."""
+        """min X and max X: a times the extreme values of phi for a
+        construction factor, which the block table holds exactly."""
+        if self.construction:
+            values = pair_law(self.level).flat_values
+            return self.amplitude * values[0][0], self.amplitude * values[-1][0]
         return float(self._block_table.min()), float(self._block_table.max())
+
+    @cached_property
+    def value_histogram(self):
+        """The histogram of 1 + X over its block atoms (`_histogram`): for a
+        construction factor 1.0 + a x over the values x of phi, each on
+        its count of atoms, a Python int."""
+        if self.construction:
+            values = pair_law(self.level).flat_values
+            return (np.array([1.0 + self.amplitude * x for x, _ in values]),
+                    np.array([count for _, count in values], dtype=object))
+        return _histogram(1.0 + self._block_table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,6 +473,8 @@ class RieszProductState:
         for f, top in zip(self.factors, tops):
             if f.block[0] <= top:
                 raise BlockOverlapError(f"block {f.block} uses coordinates <= {top}")
+            if f.construction:
+                continue  # its indices lie in its block by construction
             outside = f.indices[f.indices & ~sum(1 << (c - 1) for c in f.block) != 0]
             if outside.size:
                 raise BlockOverlapError(f"index {outside[0]} sets bits outside its block {f.block}")
@@ -431,7 +501,7 @@ class RieszProductState:
     @cached_property
     def support_size(self) -> int:
         """N_k = prod (1 + |supp X_i|), the number of spectrum terms."""
-        return math.prod(1 + f.indices.size for f in self.factors)
+        return math.prod(1 + f.terms for f in self.factors)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -441,7 +511,7 @@ class RieszProductState:
         size = 1  # index 0, coefficient 1: Pi_0
         for f in self.factors:
             # factor index outer, old index inner: already ascending
-            stage = slice(size, size * (1 + f.indices.size))
+            stage = slice(size, size * (1 + f.terms))
             np.bitwise_xor.outer(f.indices, indices[:size], out=indices[stage].reshape(-1, size))
             np.multiply.outer(f.coeffs, coeffs[:size], out=coeffs[stage].reshape(-1, size))
             size = stage.stop
@@ -550,11 +620,9 @@ def _histogram(values: np.ndarray, counts=1):
 
 
 def _magnitudes(coeffs: np.ndarray):
-    """The histogram of |coeffs|, taken 2^14 coefficients at a time and then
-    over the chunks' distinct values, so that a factor with few magnitudes
-    needs no temporary as large as its coefficients."""
-    chunks = (np.abs(coeffs[lo : lo + (1 << 14)]) for lo in range(0, max(coeffs.size, 1), 1 << 14))
-    return _histogram(*map(np.concatenate, zip(*map(_histogram, chunks))))
+    """The histogram of |coeffs|: of a hand-built factor's or a cosine
+    product's, as construction factors read theirs off their level."""
+    return _histogram(np.abs(coeffs))
 
 
 def _amplitude(level: int) -> float:
@@ -563,16 +631,13 @@ def _amplitude(level: int) -> float:
 
 
 def make_factor(level: int, block: BlockSpec) -> Factor:
-    amplitude = _amplitude(level)
-    flat = build_flat(level)
-    idx, signs = substitute_sparse(flat, block)
-    return Factor(
-        level=level,
-        block=block.coordinates,
-        amplitude=amplitude,
-        indices=idx,
-        coeffs=amplitude * signs.astype(np.float64),
-    )
+    """The construction factor a_l phi_l on `block`, levels 0 to
+    `_MAX_PAIR_LEVEL`; `pair_law` checks the pair identity and the
+    flatness bound at every level up to `level`."""
+    if not 0 <= level <= _MAX_PAIR_LEVEL:
+        raise ValueError(f"level {level} outside [0, {_MAX_PAIR_LEVEL}]")
+    pair_law(level)
+    return Factor(level, block.coordinates, _amplitude(level))
 
 
 def _admissible(amp: float, norm_a: float, inf_value: float, psi: PsiSpec, bound: float) -> bool:
@@ -703,7 +768,9 @@ _EMPTY = 1 << 62
 
 def _block_data(factor: Factor):
     """X = `factor` on its block atoms t', in integers over one unit
-    u = g 2^-e: (g, e, X's integer range, classes).
+    u = g 2^-e: (g, e, X's integer range, classes).  A construction
+    factor's come from its pair law (`_law_block_data`); a hand-built
+    factor's from one merge:
 
     The unit is the gcd of the distinct magnitudes over their common
     power of two, so a construction factor's coefficients are +-u.  A
@@ -714,7 +781,9 @@ def _block_data(factor: Factor):
     mirror each other, as the merge's sign flip needs), gives the
     extremes of P_<f(t') over each class; a class is (b, the vertices of
     C_b = conv{(X(t'), P_<f(t'))}, empty where b never occurs)."""
-    mags, counts = _magnitudes(factor.coeffs)
+    if factor.construction:
+        return _law_block_data(factor)
+    mags, counts = factor.magnitudes
     pos = np.searchsorted(mags, np.abs(factor.coeffs))
     ratios = [m.as_integer_ratio() for m in mags.tolist()]  # (n, 2^q)
     den = max((q for _, q in ratios), default=1)
@@ -741,6 +810,26 @@ def _block_data(factor: Factor):
     classes = [(b, _hull([(x, p) for x, low, high in zip(values, lo, hi) if high > -_EMPTY // 2
                           for p in (low, high)])) for b, lo, hi in zip(signs, lows, highs)]
     return g, den.bit_length() - 1, (values[0], values[-1]), classes
+
+
+def _law_block_data(factor: Factor):
+    """`_block_data` of a construction factor X = a r P_l, in the unit
+    u = a, from family A of `pair_law(l)`: on the half r of the block,
+    over the atoms where (P_l, Q_l) = (P, Q) and the orders before a term
+    of sign s, X = rP, P_<f = rS and c_f w_f = rs, S between the family's
+    extremes.  So class b gathers, for each r and (P, Q, rb), the points
+    (rP, r low) and (rP, r high); per value of X only its lowest and
+    highest P_<f are kept, as in the merge."""
+    law = pair_law(factor.level)
+    extremes = {1: {}, -1: {}}  # class b: {X: (lowest, highest P_<f)}
+    for (p, _, s), (low, high) in law.prefixes_p.items():
+        for r in (1, -1):
+            _widen(extremes[r * s], r * p, *sorted((r * low, r * high)))
+    values = law.flat_values
+    n, den = factor.amplitude.as_integer_ratio()
+    classes = [(b, _hull([(x, p) for x, ends in extremes[b].items() for p in ends]))
+               for b in (1, -1)]
+    return n, den.bit_length() - 1, (values[0][0], values[-1][0]), classes
 
 
 def _hull(points) -> list[tuple[int, int]]:
@@ -771,7 +860,7 @@ def _bands(state: RieszProductState, edges):
     hull, shift = [(1, 0)], 0  # H_0 = {(Pi_0, S_0)}
     for j, factor in enumerate(state.factors):
         g, e, ends, classes = _block_data(factor)
-        if j == state.stages - 1 or factor.indices.max(initial=0) + edges[j] < edges[j + 1]:
+        if j == state.stages - 1 or factor.top_index + edges[j] < edges[j + 1]:
             classes.append((0, [(p, p) for p in ends]))
 
         def form(x, y, p, b, s=4):
@@ -789,7 +878,8 @@ def _bands(state: RieszProductState, edges):
 def verify_all_partial_sums(state: RieszProductState, seed: int = 1729) -> PositivityCertificate:
     """Certify S_p >= 0 and the stagewise S_p >= (1/4) Pi_j bound on
     every order and every atom, band by band, exactly (see the module
-    docstring): O(|J| 2^|J|) int64 work per factor and sign class, and
+    docstring): O(1) Python-int work per level of a construction factor,
+    O(|J| 2^|J|) int64 work per hand-built factor and sign class, and
     Python-int work on a few hull vertices per band.
     `seed` is accepted and unused; no certificate draws random numbers.
     """
@@ -877,7 +967,7 @@ def psi_sum_report(
     mags, counts = np.ones(1), np.ones(1, np.int64)  # Pi_0's distinct |c| and their counts
     norm_a, stage_exact, stage_bounds = 1.0, [], []
     for k, factor in enumerate(state.factors, 1):
-        fmags, fcounts = _magnitudes(factor.coeffs)
+        fmags, fcounts = factor.magnitudes
         # ||X_k||_2^2 from the histogram; PM of stage k is the largest |c|
         # of Pi_(k-1) times the amplitude
         bound = np.sum(fcounts * fmags**2) * norm_a**2 * psi.epsilon_bar(mags[-1] * factor.amplitude)
@@ -895,7 +985,7 @@ def psi_sum_report(
             raise InvariantViolation(f"stage {k} psi sum {exact} exceeds its bound {bound}")
         stage_exact.append(exact)
         stage_bounds.append(float(bound))
-        norm_a *= 1.0 + float(np.sum(fcounts * fmags))  # ||X_k||_A
+        norm_a *= 1.0 + factor.norm_a
         mags, counts = _histogram(*map(np.concatenate, zip((mags, counts), stage)))  # Pi_k's
     budget_terms = None
     if budget is not None:
@@ -927,7 +1017,7 @@ def export_measure(state: RieszProductState, path) -> None:
     the writer's inner part and 1 + X_K its outer part."""
     _check_spectrum_limit(state)
     last, outer = state.factors[-1:], ((0,), (1.0,))
-    if last and state.support_size >= (1 + last[0].indices.size) * last[0].indices.size:
+    if last and state.support_size >= (1 + last[0].terms) * last[0].terms:
         outer = np.append(0, last[0].indices), np.append(1.0, last[0].coeffs)
         state = RieszProductState(state.factors[:-1])
     _write_coeff_rows(path, "n", state.spectrum.indices, state.spectrum.coeffs, outer)

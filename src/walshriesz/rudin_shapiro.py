@@ -22,6 +22,24 @@ prefixes of the window in order.
 The literal product r_1 P_l would put a w_0 term back (w_1 w_1 = w_0)
 and break mean-zero-ness, so the top coordinate is used instead; nothing
 else changes.
+
+Since P_l^2 + Q_l^2 = 2^(l+1), the pair (P_l, Q_l) takes 4 values on
+the atoms, whatever the level, and everything the product construction
+reads about phi follows from a recursion over those values
+(`pair_law`), in Python ints and O(1) work per level.  On an atom
+(t, v) of level l+1, with v = r_(l+1),
+
+    P_(l+1) = P + v Q,   Q_(l+1) = P - v Q,
+    S_m(P_(l+1)) = S_m(P),  S_(2^l + j)(P_(l+1)) = P + v S_j(Q),
+    S_m(Q_(l+1)) = S_m(P),  S_(2^l + j)(Q_(l+1)) = P - v S_j(Q)
+
+for m, j < 2^l, with S_m the prefix of the first m terms; term 2^l + j
+of P_(l+1) has the sign v s_j(Q) on the atom, and of Q_(l+1) the sign
+-v s_j(Q), s_j(Q) that of term j of Q.  So the smallest and largest
+prefix over the atoms of a value (P, Q) and the orders whose next term
+has sign s, family A for P and family B for Q, close under the step.
+`build_flat` checks the pair exhaustively on its 2^l atoms; `pair_law`
+checks the same two facts exactly at every level, on the 4 values.
 """
 
 from __future__ import annotations
@@ -38,6 +56,8 @@ __all__ = [
     "RudinShapiroPair",
     "FlatPolynomial",
     "BlockSpec",
+    "PairLaw",
+    "pair_law",
     "build_pair",
     "build_flat",
     "rs_sign_sequence",
@@ -76,6 +96,102 @@ def build_pair(level: int) -> RudinShapiroPair:
     for _ in range(level):
         p, q = np.concatenate([p, q]), np.concatenate([p, -q])
     return RudinShapiroPair(level, p, q)
+
+
+def _flat_enough(peak: int, level: int) -> bool:
+    """peak < FLATNESS_CONSTANT 2^(level/2), exactly: squared, the bound
+    is (6 + 4 sqrt2) 2^level, so with d = peak^2 - 6 2^level this is
+    d < 0 or d^2 < 32 4^level."""
+    d = peak * peak - 6 * (1 << level)
+    return d < 0 or d * d < 1 << (2 * level + 5)
+
+
+@dataclass(frozen=True, eq=False)
+class PairLaw:
+    """The law of (P_level, Q_level) over the 2^level atoms, and the
+    extremes of their prefix sums, in Python ints.
+
+    `states` maps each value (P, Q) of the pair to its number of atoms.
+    `prefixes_p` (family A) maps (P, Q, s) to the smallest and largest
+    S_m(P_level) over the atoms where the pair takes the value (P, Q)
+    and the orders m < 2^level whose term eps_m w_m has the sign s there;
+    `prefixes_q` (family B) holds the same for Q_level.  A law checks on
+    construction, exactly, that P^2 + Q^2 = 2^(level+1) on every value
+    and that the prefix sup `peak` is below FLATNESS_CONSTANT 2^(level/2).
+    """
+
+    level: int
+    states: dict
+    prefixes_p: dict
+    prefixes_q: dict
+
+    def __post_init__(self) -> None:
+        for p, q in self.states:
+            if p * p + q * q != 1 << (self.level + 1):
+                raise AssertionError(f"P^2 + Q^2 != 2^{self.level + 1} at level {self.level}")
+        if not _flat_enough(self.peak, self.level):
+            raise AssertionError(
+                f"prefix sup {self.peak} not below (2 + sqrt2) 2^({self.level}/2)"
+                f" at level {self.level}"
+            )
+
+    @property
+    def peak(self) -> int:
+        """||P_level||_U: the largest |S_m(P_level)| over every order, the
+        full sum P included."""
+        return max(*(max(-low, high) for low, high in self.prefixes_p.values()),
+                   *(abs(p) for p, _ in self.states))
+
+    @property
+    def flat_values(self) -> list[tuple[int, int]]:
+        """The values x of phi = r_(level+1) P_level over its 2^(level+1)
+        atoms, ascending, each with its number of atoms: x = rP."""
+        counts = {}
+        for (p, _), count in self.states.items():
+            for x in (p, -p):
+                counts[x] = counts.get(x, 0) + count
+        return sorted(counts.items())
+
+
+def _widen(family: dict, key, low: int, high: int) -> None:
+    """Widen family[key], the extremes (low, high), to take in low..high."""
+    old = family.get(key)
+    family[key] = (low, high) if old is None else (min(old[0], low), max(old[1], high))
+
+
+def _next_law(law: PairLaw) -> PairLaw:
+    """The law one level up: each value (P, Q) and v = +-1 give the value
+    (P + vQ, P - vQ); the first half of either new polynomial's orders
+    is P's, the second half P -+ v S_j(Q) (see the module docstring)."""
+    states, fam_p, fam_q = {}, {}, {}
+    for (p, q), count in law.states.items():
+        for v in (1, -1):
+            key = (p + v * q, p - v * q)
+            states[key] = states.get(key, 0) + count
+            for s in (1, -1):
+                if (p, q, s) in law.prefixes_p:
+                    _widen(fam_p, (*key, s), *law.prefixes_p[p, q, s])
+                    _widen(fam_q, (*key, s), *law.prefixes_p[p, q, s])
+                if (p, q, s) in law.prefixes_q:
+                    low, high = law.prefixes_q[p, q, s]
+                    _widen(fam_p, (*key, v * s), *sorted((p + v * low, p + v * high)))
+                    _widen(fam_q, (*key, -v * s), *sorted((p - v * low, p - v * high)))
+    return PairLaw(law.level + 1, states, fam_p, fam_q)
+
+
+# P_0 = Q_0 = 1 on the one atom; the empty prefix, before a term of sign +1.
+# A memo of a pure function: laws are never changed once built.
+_LAWS = [PairLaw(0, {(1, 1): 1}, {(1, 1, 1): (0, 0)}, {(1, 1, 1): (0, 0)})]
+
+
+def pair_law(level: int) -> PairLaw:
+    """The checked `PairLaw` of the given level, by the recursion from
+    level 0 (each law is built, and checked, once per process)."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    while len(_LAWS) <= level:
+        _LAWS.append(_next_law(_LAWS[-1]))
+    return _LAWS[level]
 
 
 def rs_sign_sequence(count: int) -> np.ndarray:
@@ -124,6 +240,9 @@ def build_flat(level: int) -> FlatPolynomial:
     identity and the prefix-sup bound ||phi||_U = ||P_level||_U <
     FLATNESS_CONSTANT * 2^(level/2) are verified exhaustively over all
     atoms, in exact integers and O(level 2^level): about 1 s at level 20.
+    The product construction checks the same two facts by `pair_law`
+    instead; this exhaustive route serves the public API and the tests,
+    where it is the law's oracle, as `build_pair` serves `rs-pair`.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")

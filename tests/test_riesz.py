@@ -750,20 +750,24 @@ def test_per_factor_bound_at_depth_22():
 
 
 def test_exact_minimum_at_depth_42():
-    # seven factors, 42 coordinates, 2^42 atoms: the last band's block
-    # merge on 2^20 atoms sets the peak.  A dense certificate over a
+    # seven factors, 42 coordinates, 2^42 atoms: every block's data come
+    # from its pair law, so no block merge runs and the peak (about 30 kB
+    # measured) is the head hulls'.  A dense certificate over a
     # 22-coordinate head read 0.22996329448583824, the interval head 0.22726
     state = power_build(7)
     assert state.used_coordinates == 42
     tracemalloc.start()
     try:
-        cert = wr.verify_all_partial_sums(state)
+        with mock.patch.object(riesz, "_segment_merge", side_effect=AssertionError("a merge ran")):
+            start = time.perf_counter()
+            cert = wr.verify_all_partial_sums(state)
+            elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert cert.method == "exact" and cert.exhaustive and cert.passed
     assert abs(cert.global_min - 0.22996329448583824) <= allowance(state)
-    assert peak < 150 << 20
+    assert peak < 1 << 20 and elapsed < 1.0
     assert "spectrum" not in vars(state)
 
 
@@ -955,7 +959,7 @@ def test_factor_norms_are_read_once():
     # d42's last factor has 2^19 coefficients: a read that recomputed the
     # norms would allocate a temporary as large (4 MiB)
     factor = power_build(7).factors[-1]
-    assert factor.indices.size == 1 << 19
+    assert factor.terms == 1 << 19
     first = (factor.norm_a, factor.norm_2)
     tracemalloc.start()
     try:
@@ -1349,6 +1353,76 @@ def test_construction_factor_values_are_exact_multiples():
     factor = FACTOR_CASES["flagship-level-10"]
     phi_values = wr.butterfly(wr.build_flat(10).as_series().coeffs)
     assert np.array_equal(factor._block_table, factor.amplitude * phi_values)
+
+
+# ---------------------------------------------------------------------------
+# construction factors from their pair law, against the array routes
+# ---------------------------------------------------------------------------
+
+def law_and_arrays(level):
+    """A construction factor (on a gapped block at odd levels) and its
+    hand-built copy, which reads every figure off its arrays."""
+    step = 1 + level % 2
+    factor = make_factor(level, wr.BlockSpec(tuple(range(step, step * (level + 2), step))))
+    return factor, wr.Factor(level, factor.block, factor.amplitude, factor.indices, factor.coeffs)
+
+
+@pytest.mark.parametrize("level", range(21))
+def test_law_block_data_equals_the_merge(level):
+    factor, arrays = law_and_arrays(level)
+    assert factor.construction and not arrays.construction
+    assert riesz._block_data(factor) == riesz._block_data(arrays)
+    assert factor.top_index == arrays.top_index == int(factor.indices.max())
+
+
+@pytest.mark.parametrize("level", range(17))
+def test_law_figures_equal_the_array_routes_bit_for_bit(level):
+    factor, arrays = law_and_arrays(level)
+    assert [v.hex() for v in factor.value_range] == [v.hex() for v in arrays.value_range]
+    for law, table in ((factor.value_histogram, arrays.value_histogram),
+                       (factor.magnitudes, arrays.magnitudes)):
+        assert law[0].tobytes() == table[0].tobytes() and law[1].tolist() == table[1].tolist()
+        assert law[1].dtype == object  # Python-int counts, past 2^63 too
+    assert (factor.norm_a, factor.norm_2) == (arrays.norm_a, arrays.norm_2)
+    state, copy = wr.RieszProductState((factor,)), wr.RieszProductState((arrays,))
+    assert state.support_size == copy.support_size == 1 + factor.indices.size == 1 + (1 << level)
+
+
+def test_norm_a_is_exact():
+    # np.sum of 2^l copies of a rounds below a 2^l from level 7 on
+    for level in range(21):
+        factor = make_factor(level, wr.BlockSpec(tuple(range(1, level + 2))))
+        assert factor.norm_a == math.ldexp(factor.amplitude, level)
+    level_10 = make_factor(10, wr.BlockSpec(tuple(range(1, 12))))
+    assert level_10.norm_a == 4.68629150101524
+    assert float(np.sum(np.abs(level_10.coeffs))) == 4.686291501015239
+    # a hand-built factor sums |c| exactly and rounds once
+    tenths = wr.Factor(1, (1, 2), 0.3, np.arange(1, 4), np.array([0.1, 0.2, -0.3]))
+    assert tenths.norm_a == 0.6 and float(np.sum(np.abs(tenths.coeffs))) == 0.6000000000000001
+    coeffs = np.random.default_rng(5).normal(size=1 << 10)
+    drawn = wr.Factor(10, tuple(range(1, 12)), 1.0, np.arange(1 << 10, 2 << 10), coeffs)
+    assert drawn.norm_a == float(sum(Fraction(abs(c)) for c in coeffs.tolist()))
+
+
+FACTOR_ARRAYS = {"indices", "coeffs", "_block_table"}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wr.build_measure(wr.PsiSpec.logpow(1.0), 3, wr.SummabilityBudget(2.25)),
+    lambda: wr.build_measure(wr.PsiSpec.power(1.0), 7, wr.SummabilityBudget(6.0)),
+], ids=["d13", "d42"])
+def test_certificates_build_no_factor_arrays(build):
+    # the build, the rebuild from a manifest, singularity, psi sums and
+    # positivity read construction factors off their level alone
+    built = build()
+    state = wr.state_from_manifest(wr.state_manifest(built))
+    psi = wr.PsiSpec.power(1.0)
+    wr.singularity_report(state)
+    wr.psi_sum_report(state, psi)
+    wr.verify_all_partial_sums(state)
+    for factor in built.factors + state.factors:
+        assert factor.construction and not FACTOR_ARRAYS & set(vars(factor))
+    assert "spectrum" not in vars(state)
 
 
 def test_overlapping_pair_product_matches_oracle():

@@ -1,11 +1,15 @@
 """Rudin-Shapiro pairs, flat polynomials, and block substitution."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import walshriesz as wr
 from walshriesz import rudin_shapiro
-from walshriesz.walsh import butterfly
+from walshriesz.rudin_shapiro import pair_law
+from walshriesz.walsh import atom_patterns, butterfly, sign_vector
 
 C = wr.FLATNESS_CONSTANT
 
@@ -76,6 +80,84 @@ def test_construction_checks_run_at_every_level(monkeypatch):
     monkeypatch.setattr(rudin_shapiro, "u_norm", lambda coeffs: bound)
     with pytest.raises(AssertionError, match="not below .* at level 16"):
         wr.build_flat(16)
+
+
+# ---------------------------------------------------------------------------
+# the pair law: the recursion over the pair's values
+# ---------------------------------------------------------------------------
+
+def brute_law(level):
+    """(states, family A, family B) of `pair_law(level)` from every term
+    on every atom: term m of a polynomial is c_m w_m(t), and its prefix
+    before m is the sum of the terms before it."""
+    pair = wr.build_pair(level)
+    patterns = atom_patterns(level)
+    walsh_rows = np.array([sign_vector(m, patterns) for m in range(1 << level)])
+    keys = list(zip(butterfly(pair.p).tolist(), butterfly(pair.q).tolist()))
+    states = {key: keys.count(key) for key in set(keys)}
+    families = []
+    for coeffs in (pair.p, pair.q):
+        terms = coeffs[:, None] * walsh_rows
+        prefixes = np.cumsum(terms, axis=0) - terms
+        family = {}
+        for (p, q), column, signs in zip(keys, prefixes.T.tolist(), terms.T.tolist()):
+            for s, value in zip(signs, column):
+                rudin_shapiro._widen(family, (p, q, s), value, value)
+        families.append(family)
+    return states, *families
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_pair_law_equals_the_brute_force(level):
+    law = pair_law(level)
+    assert (law.states, law.prefixes_p, law.prefixes_q) == brute_law(level)
+
+
+@pytest.mark.parametrize("level", range(21))
+def test_pair_law_peak_is_the_pairs_prefix_sup(level):
+    # the flatness maximum, the full sum included, is the exhaustive one
+    law = pair_law(level)
+    assert law.peak == wr.u_norm(wr.build_pair(level).p)
+    assert sum(law.states.values()) == 1 << level
+    assert len(law.states) <= 4 and len(law.prefixes_p) <= 8 and len(law.prefixes_q) <= 8
+
+
+def flatness_floor(level):
+    """floor((2 + sqrt2) 2^(level/2)), exactly: the bound is irrational,
+    so the smallest integer that breaks it is one more."""
+    if level % 2 == 0:
+        h = 1 << (level // 2)
+        return 2 * h + math.isqrt(2 * h * h)
+    h = 1 << (level // 2)  # 2^((level - 1)/2); the bound is (2 + 2 sqrt2) h
+    return 2 * h + math.isqrt(8 * h * h)
+
+
+@pytest.mark.parametrize("level", [16, 64])
+def test_pair_law_checks_fire(level, monkeypatch):
+    # a corrupted value fails P^2 + Q^2, a prefix at the flatness bound's
+    # ceiling and a lowered bound fail flatness, at level 16 and past the
+    # 20 levels `build_pair` reaches
+    law = pair_law(level)
+    (p, q), count = next(iter(law.states.items()))
+    corrupted = {**law.states, (p, q + 1): count}
+    with pytest.raises(AssertionError, match=rf"P\^2 \+ Q\^2 != 2\^{level + 1} at level {level}"):
+        dataclasses.replace(law, states=corrupted)
+    floor = flatness_floor(level)
+    assert rudin_shapiro._flat_enough(floor, level) and not rudin_shapiro._flat_enough(floor + 1, level)
+    assert floor < C * 2.0 ** (level / 2) < floor + 1
+    key, (low, _) = next(iter(law.prefixes_p.items()))
+    assert dataclasses.replace(law, prefixes_p={**law.prefixes_p, key: (low, floor)}).peak == floor
+    with pytest.raises(AssertionError, match=f"prefix sup {floor + 1} not below .* at level {level}"):
+        dataclasses.replace(law, prefixes_p={**law.prefixes_p, key: (low, floor + 1)})
+    monkeypatch.setattr(rudin_shapiro, "_flat_enough", lambda peak, lvl: peak < law.peak)
+    with pytest.raises(AssertionError, match=f"prefix sup {law.peak} not below .* at level {level}"):
+        dataclasses.replace(law)
+
+
+def test_pair_law_reaches_level_200_in_python_ints():
+    law = pair_law(200)
+    assert law.flat_values == [(-(1 << 100), 1 << 200), (1 << 100, 1 << 200)]
+    assert law.peak < C * 2.0**100
 
 
 def test_sign_sequence_matches_pairs():
