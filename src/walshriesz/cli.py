@@ -5,13 +5,14 @@ theorem1-check, singularity-report, report.
 
 Exit codes: 0 all certificates pass, 1 certificate failure (witness in
 the report), 2 usage or configuration error, 3 I/O error.  A state too
-large to certify (a block past coordinate 63, a spectrum past
-riesz.SPECTRUM_LIMIT terms, dense diagnostics past
-martingale.DIAGNOSTIC_DEPTH_LIMIT coordinates, a series CSV past
-walsh.THEOREM1_DEPTH_LIMIT) is a configuration error:
-build-walsh-measure checks the spectrum and diagnostics limits right
-after the build, before any certificate runs.  All output files are
-written atomically (temp file + rename).  Commands take flags only.
+large to certify or export (a block past coordinate 63, a spectrum past
+riesz.SPECTRUM_LIMIT terms, a series CSV past walsh.THEOREM1_DEPTH_LIMIT)
+is a configuration error.  build-walsh-measure runs every certificate
+at any depth, orthogonality on each group of factors' own atoms; the
+export then refuses a spectrum past the limit before it allocates
+anything, and before the manifest is written, so a refused build
+writes no file.  All output files are written atomically (temp file +
+rename).  Commands take flags only.
 No command draws random numbers: every positivity certificate is exact
 over every order on every atom, at every depth.  --seed is only
 recorded in manifests and reports, and --cap is parsed and ignored;
@@ -180,9 +181,6 @@ def _cmd_build_walsh(args) -> int:
     except (riesz.LevelSelectionError, ValueError) as exc:  # stages, coordinate 63
         raise _UsageError(str(exc)) from None
     build_s = time.perf_counter() - t0
-    # refuse a state past either size limit before any certificate runs
-    riesz._check_spectrum_limit(state)
-    martingale._dense_depth(state.factors)
 
     t0 = time.perf_counter()
     positivity = riesz.verify_all_partial_sums(state)

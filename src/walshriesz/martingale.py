@@ -36,6 +36,7 @@ Pi_k's few distinct values and their counts, not off its atoms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -520,28 +521,6 @@ def dyadic_block_envelope(series: WalshSeries | Spectrum) -> list[tuple[int, flo
 # the mass fractions delta of the concentration curves
 CONCENTRATION_FRACTIONS = (0.5, 0.9, 0.99)
 
-# The orthogonality checks below hold tables of 2^depth atoms: the
-# depth-22 CLI build (`power delta=1`, scale 6) peaked at 292 MB of RSS,
-# 70 bytes per atom (0.9 s, 2 shared Xeon cores), one at depth 25 at
-# 2.6 GB, so at this many bytes per atom depth 24 needs about 1.3 GB.
-# `singularity_report` reads histograms, holds no table of atoms and
-# runs at any depth.
-DIAGNOSTIC_DEPTH_LIMIT = 24
-_DIAGNOSTIC_BYTES_PER_ATOM = 80
-
-
-def _dense_depth(factors) -> int:
-    """The top coordinate of the factors' blocks, refused past
-    DIAGNOSTIC_DEPTH_LIMIT before any table of its atoms is allocated."""
-    depth = max((f.block[-1] for f in factors), default=0)
-    if depth > DIAGNOSTIC_DEPTH_LIMIT:
-        raise CoordinateBudgetError(
-            f"depth {depth} is past the dense diagnostics' limit {DIAGNOSTIC_DEPTH_LIMIT}:"
-            f" they would hold about {_DIAGNOSTIC_BYTES_PER_ATOM << depth:,} bytes"
-        )
-    return depth
-
-
 @dataclass(frozen=True)
 class SingularityReport:
     """Hellinger affinities and mass-concentration curves per stage.
@@ -649,37 +628,66 @@ def _factor_list(state_or_factors):
     return list(factors)
 
 
+def _groups(factors) -> list[tuple[list[int], list[int]]]:
+    """The factors' positions, joined while their blocks share a
+    coordinate, each group with the increasing union of its blocks.
+    Groups share no coordinate, so they are independent under Haar
+    measure; a valid state's groups are its single factors."""
+    groups = []
+    for i, f in enumerate(factors):
+        members, coords = [i], set(f.block)
+        for group in [g for g in groups if g[1] & coords]:
+            groups.remove(group)
+            members, coords = group[0] + members, group[1] | coords
+        groups.append((members, coords))
+    return sorted((sorted(members), sorted(coords)) for members, coords in groups)
+
+
 def verify_product_orthogonality(
     state_or_factors, tol: float = 1e-10
 ) -> OrthogonalityReport:
     """Check the normalized factors Y_k = X_k/sigma_k - sigma_k in L^2(mu).
 
     For disjoint blocks: E_mu Y_k = 0, E_mu Y_k Y_k' = 0 (k != k'), and
-    E_mu Y_k^2 <= 2 (1 + sigma_k^2) <= 4.  E_mu is the atom average
-    weighted by the full product's values.  Overlapping blocks (the
-    negative control) make the cross terms visibly nonzero.
+    E_mu Y_k^2 <= 2 (1 + sigma_k^2) <= 4.  E_mu is the Haar average
+    weighted by the full product.  Each group of factors sharing
+    coordinates (`_groups`) is evaluated on its own atoms, with weights
+    W_g = prod_(i in g) (1 + X_i) / 2^|coords_g|: its mass E W_g, and
+    E W_g Y_i, E W_g Y_i^2 and E W_g Y_i Y_j for its members.  The
+    groups are independent, so an E_mu figure of group g is its group
+    figure times the other groups' masses, and a cross term of two
+    groups the product of their means times the remaining masses.
+    Overlapping blocks (the negative control) share a group, where the
+    cross terms are visibly nonzero.
     """
     factors = _factor_list(state_or_factors)
     if len(factors) < 2:
         raise ValueError("need at least two factors")
-    depth = _dense_depth(factors)
-    weights = product_values(factors, depth) / (1 << depth)
-    ys = []
-    for f in factors:
-        sigma = f.norm_2
-        ys.append(factor_values(f, depth) / sigma - sigma)
-    # einsum's own loop sums in the calling thread: np.dot hands the sum to
-    # BLAS, whose worker threads wait for a core under load (8 ms a call
-    # against 0.03 ms at d16) and whose bits depend on their count
-    means = [float(np.einsum("i,i", weights, y)) for y in ys]
-    seconds = [float(np.einsum("i,i", weights, y * y)) for y in ys]
-    crosses = []
-    for i in range(len(ys)):
-        for j in range(i + 1, len(ys)):
-            crosses.append(float(np.einsum("i,i", weights, ys[i] * ys[j])))
-    max_mean = max(abs(v) for v in means)
-    max_cross = max(abs(v) for v in crosses)
-    max_second = max(seconds)
+    mass, group_of, means, seconds, inner = [], {}, {}, {}, []
+    for g, (members, coords) in enumerate(_groups(factors)):
+        weights = product_values([factors[i] for i in members], coords) / (1 << len(coords))
+        ys = {i: factor_values(factors[i], coords) / factors[i].norm_2 - factors[i].norm_2
+              for i in members}
+        # einsum's own loop sums in the calling thread: np.dot hands the sum to
+        # BLAS, whose worker threads wait for a core under load (8 ms a call
+        # against 0.03 ms at d16) and whose bits depend on their count
+        mass.append(float(np.einsum("i->", weights)))
+        for i in members:
+            group_of[i] = g
+            means[i] = float(np.einsum("i,i", weights, ys[i]))
+            seconds[i] = float(np.einsum("i,i", weights, ys[i] * ys[i]))
+        inner += [(g, float(np.einsum("i,i", weights, ys[i] * ys[j])))
+                  for i, j in itertools.combinations(members, 2)]
+
+    def rest(*skip):
+        """The product of the masses of the groups not in `skip`."""
+        return math.prod(m for h, m in enumerate(mass) if h not in skip)
+
+    max_mean = max(abs(means[i] * rest(group_of[i])) for i in means)
+    max_second = max(seconds[i] * rest(group_of[i]) for i in seconds)
+    max_cross = max([abs(v * rest(g)) for g, v in inner] + [
+        abs(means[i] * means[j] * rest(group_of[i], group_of[j]))
+        for i, j in itertools.combinations(means, 2) if group_of[i] != group_of[j]])
     ok = max_mean <= tol and max_cross <= tol and max_second <= 4.0 + tol
     return OrthogonalityReport(ok, max_mean, max_cross, max_second)
 
@@ -688,13 +696,16 @@ def verify_strong_orthogonality(state_or_factors, alpha, tol: float = 1e-10) -> 
     """|E_lambda prod X_k^alpha_k| <= tol for an admissible multi-index.
 
     Admissible: entries in {0, 1, 2}, at least one 1, at most two 2s.
+    The mean is the product, over the groups of the active factors
+    (`_groups`), of each group's mean on its own atoms.
     """
     factors = _factor_list(state_or_factors)
     alpha = _monomial(alpha, len(factors))
     active = [(f, a) for f, a in zip(factors, alpha) if a > 0]
-    depth = _dense_depth(f for f, _ in active)
-    prod = np.ones(1 << depth)
-    for f, a in active:
-        vals = factor_values(f, depth)
-        prod *= vals if a == 1 else vals * vals
-    return bool(abs(float(prod.mean())) <= tol)
+    mean = 1.0
+    for members, coords in _groups([f for f, _ in active]):
+        prod = np.ones(1 << len(coords))
+        for f, a in (active[i] for i in members):
+            prod *= factor_values(f, coords) ** a  # ** 2 squares, as vals * vals
+        mean *= float(prod.mean())
+    return bool(abs(mean) <= tol)

@@ -33,7 +33,7 @@ The stage sums of psi(|c_n|) need only the magnitudes: stage k+1's are
 the products of one distinct |c| of Pi_k and one of X_(k+1), so each
 sum is read off the two magnitude histograms, exactly at any depth.
 Each X_i is evaluated on its own block's 2^|J_i| atoms (one butterfly),
-and broadcast from there to all atoms.
+and broadcast from there to the atoms of any coordinates holding it.
 
 Every prefix order is certified on every atom, one stage band at a
 time, as the paper's proof goes.  Band j holds the orders
@@ -553,38 +553,31 @@ def _block_coeffs(factor: Factor, coeffs: np.ndarray) -> np.ndarray:
     return dense
 
 
-def _atoms_view(block, m: int, table: np.ndarray) -> np.ndarray:
+def _atoms_view(block, coords, table: np.ndarray) -> np.ndarray:
     """`table`, the block table of the increasing `block`, as a view on
-    the 2^m atoms (coordinates past m read +1), of shape
-    (2,) * (m - j) + (2^j,): a stride per coordinate of the block, 0 per
-    other.  numpy loops along the lowest run of either; j > 0 joins a
-    short one, `table` copied out along up to 10 coordinates, at most
-    1/16 of the atoms (or 2^10 values)."""
-    inside = [c for c in block if c <= m]
-    if inside != sorted(set(inside)):
-        raise ValueError(f"block {tuple(block)} is not strictly increasing")
-    lowest = next((c - 1 for c in range(2, m + 1) if (c in inside) != (1 in inside)), m)
-    j = next((j for j in range(min(10, m), lowest, -1) if j + sum(c > j for c in inside) <= max(m - 4, 10)), 0)
-    top = [c for c in inside if c > j]
-    step = {c: table.itemsize << i for i, c in enumerate(inside)}
-    low = np.ndarray([2] * (len(top) + j), table.dtype, table[: 1 << len(inside)],
-                     strides=[step[c] for c in top[::-1]] + [step.get(c, 0) for c in range(j, 0, -1)])
-    low = low.reshape(1 << len(top), 1 << j)  # a copy, unless j = 0
-    strides = [low.strides[0] << top.index(c) if c in top else 0 for c in range(m, j, -1)]
-    return np.ndarray([2] * (m - j) + [1 << j], low.dtype, low, strides=[*strides, low.itemsize])
+    the atoms of the increasing coordinates `coords`, which hold the
+    block: shape (2,) * len(coords), the top coordinate first, a stride
+    per coordinate of the block and 0 per other, so on its own block
+    it is the table itself."""
+    block, coords = tuple(block), tuple(coords)
+    if block != tuple(sorted(set(block) & set(coords))) or coords != tuple(sorted(set(coords))):
+        raise ValueError(f"block {block} is not an increasing part of the increasing coordinates {coords}")
+    step = {c: table.itemsize << i for i, c in enumerate(block)}
+    return np.ndarray([2] * len(coords), table.dtype, table, strides=[step.get(c, 0) for c in coords[::-1]])
 
 
-def factor_values(factor: Factor, m: int) -> np.ndarray:
-    """X evaluated on all 2^m atoms (coordinates past m read as +1)."""
-    return _atoms_view(factor.block, m, factor._block_table).copy().reshape(-1)
+def factor_values(factor: Factor, coords) -> np.ndarray:
+    """X on the atoms of the increasing coordinates `coords`, which hold
+    its block: atom t sets coordinate coords[i] when bit i of t is set."""
+    return _atoms_view(factor.block, coords, factor._block_table).copy().reshape(-1)
 
 
-def product_values(factors, m: int) -> np.ndarray:
-    """prod (1 + X_i) evaluated pointwise on all 2^m atoms, so
-    overlapping blocks work too."""
-    out = np.ones(1 << m)
+def product_values(factors, coords) -> np.ndarray:
+    """prod (1 + X_i) pointwise on the atoms of `coords`, as in
+    `factor_values`, so overlapping blocks work too."""
+    out = np.ones(1 << len(coords))
     for f in factors:
-        view = _atoms_view(f.block, m, 1.0 + f._block_table)
+        view = _atoms_view(f.block, coords, 1.0 + f._block_table)
         np.multiply(out.reshape(view.shape), view, out=out.reshape(view.shape))
     return out
 
@@ -1047,14 +1040,18 @@ def state_manifest(state: RieszProductState) -> dict:
 
 def state_from_manifest(data: dict) -> RieszProductState:
     """Rebuild the state from its stages; other keys are ignored, among
-    them the two coordinate caps older manifests recorded."""
+    them the two coordinate caps older manifests recorded.  A level or
+    block coordinate that is not a JSON integer (a float such as 1.5 or
+    Infinity, a bool, a string) raises ValueError naming its stage."""
     state = empty_state()
-    for stage in data["stages"]:
-        block = BlockSpec(tuple(int(j) for j in stage["block"]))
-        state = add_factor(state, int(stage["level"]), block)
+    for k, stage in enumerate(data["stages"], start=1):
+        level, block = stage["level"], list(stage["block"])
+        if any(type(v) is not int for v in [level, *block]):  # a bool is no int here
+            raise ValueError(f"stage {k}: level {level!r} and block {block!r} must be integers")
+        state = add_factor(state, level, BlockSpec(tuple(block)))
         rebuilt = state.factors[-1].amplitude
         if not math.isclose(rebuilt, float(stage["amplitude"]), rel_tol=1e-15):
             raise ValueError(
-                f"amplitude mismatch rebuilding stage: {rebuilt} vs {stage['amplitude']}"
+                f"amplitude mismatch rebuilding stage {k}: {rebuilt} vs {stage['amplitude']}"
             )
     return state

@@ -97,9 +97,8 @@ class CoordinateBudgetError(ValueError):
     terms, a psi stage with more than SPECTRUM_LIMIT magnitude products
     or with a sum or bound below float64's normal range, a factor whose
     integer coefficients sum past the 61 bits of the certificate's int64
-    block tables, an exact positivity route whose limbs would take more
-    atoms than a 2-limb series at THEOREM1_DEPTH_LIMIT, or dense
-    diagnostics past `martingale.DIAGNOSTIC_DEPTH_LIMIT`."""
+    block tables, or an exact positivity route whose limbs would take
+    more atoms than a 2-limb series at THEOREM1_DEPTH_LIMIT."""
 
 
 def _is_pow2(n: int) -> bool:

@@ -140,7 +140,7 @@ def test_criterion_05_end_to_end(flagship_build):
     previous = [wr.empty_state()] + flagship_build.states[:-1]
     for k, (before, factor) in enumerate(zip(previous, state.factors), start=1):
         assert factor.amplitude * before.norm_a <= 0.25 * before.inf_value
-        assert before.inf_value == wr.product_values(before.factors, before.used_coordinates).min()
+        assert before.inf_value == wr.product_values(before.factors, range(1, before.used_coordinates + 1)).min()
         term = before.norm_a**2 * psi.epsilon_bar(factor.amplitude)
         assert term <= budget.term_bound(k)
     elapsed = time.perf_counter() - start

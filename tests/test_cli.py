@@ -677,20 +677,23 @@ def deep_manifest(directory, psi="preset:logpow,p=1"):
     return path
 
 
-def test_deep_build_is_refused_before_any_certificate(tmp_path, monkeypatch, capsys):
-    # the depth-27 build (9,141,660 terms) is refused for the dense
-    # diagnostics before the certificates and psi sums run
-    def never(*args, **kwargs):
-        raise AssertionError("ran past the size checks")
-
-    for name in ("verify_all_partial_sums", "psi_sum_report", "export_measure"):
-        monkeypatch.setattr(riesz, name, never)
+def test_deep_build_certifies_every_stage(tmp_path, monkeypatch):
+    # the depth-27 build (9,141,660 terms) runs every certificate, and
+    # orthogonality reads each factor on its own block's atoms; the
+    # export is stubbed, so no 300 MB file is written
+    exported = []
+    monkeypatch.setattr(riesz, "export_measure", lambda state, path: exported.append(state))
     argv = ["build-walsh-measure", "--psi", "preset:logpow,p=2", "--budget-scale", "100",
             "--stages", "7", "--out", str(tmp_path / "m.csv"),
             "--manifest", str(tmp_path / "m.json")]
-    assert run(argv) == 2
-    assert "depth 27 is past the dense diagnostics' limit 24" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert run(argv) == 0
+    (state,) = exported
+    assert state.used_coordinates == 27 and state.support_size == 9_141_660
+    certificates = json.loads((tmp_path / "m.json").read_text())["certificates"]
+    assert certificates["positivity"]["passed"] and certificates["psi_sum"]["passed"]
+    assert certificates["singularity"]["strictly_decreasing"]
+    assert certificates["orthogonality"]["passed"]
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 def test_bad_manifest_exits_2(tmp_path, capsys):
@@ -708,6 +711,33 @@ def test_bad_manifest_exits_2(tmp_path, capsys):
     assert "cannot rebuild state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["singularity-report", "report"])
+@pytest.mark.parametrize("field", ["level", "coordinate"])
+@pytest.mark.parametrize("value", [float("inf"), 1.5, True, "1"], ids=["Infinity", "1.5", "true", "string-1"])
+def test_manifest_levels_and_coordinates_must_be_integers(tmp_path, capsys, command, field, value):
+    # a JSON Infinity, float, bool or string where an integer belongs
+    # exits 2, naming the manifest and the stage, and writes nothing
+    state = wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((1,)))
+    data = {"psi": "preset:logpow,p=1", "budget_scale": 1.0, **wr.state_manifest(state)}
+    if field == "level":
+        data["stages"][0]["level"] = value
+    else:
+        data["stages"][0]["block"] = [value]
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(json.dumps(data))
+    measure = tmp_path / "measure.csv"
+    measure.write_text(f"n,coeff\n0,1.0\n1,{state.factors[0].amplitude!r}\n")
+    out = tmp_path / "out"
+    if command == "report":
+        argv = ["report", "--manifest", str(manifest), "--measure", str(measure), "--out-dir", str(out)]
+    else:
+        argv = ["singularity-report", "--state", str(manifest), "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot rebuild state from {manifest}: stage 1:" in err and repr(value) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "measure.csv"]
+
+
 def test_report_past_the_dense_depth_limit_writes_its_files(tmp_path):
     # the singularity rows come from value histograms, so a depth-27 state
     # is reported like any other
@@ -723,42 +753,60 @@ def test_report_past_the_dense_depth_limit_writes_its_files(tmp_path):
 
 
 def test_singularity_report_past_the_dense_depth_limit(tmp_path, capsys):
-    # the depth-27 state the dense diagnostics refuse: its rows come from
-    # value histograms
+    # a depth-27 state: its rows come from value histograms
     assert run(["singularity-report", "--state", str(deep_manifest(tmp_path)), "--out", "-"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "k,hellinger,conc50,conc90,conc99" and len(lines) == 3
 
 
+# the build's certificates in the order they run, then the export
+CERTIFIED_THEN_EXPORTED = ((riesz, "verify_all_partial_sums"), (riesz, "psi_sum_report"),
+                           (martingale, "singularity_report"),
+                           (martingale, "verify_product_orthogonality"), (riesz, "export_measure"))
+
+
+def spy(monkeypatch, targets):
+    """The names of the (module, name) targets, appended as each is called."""
+    calls = []
+    for module, name in targets:
+        def wrapper(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.mark.parametrize(
-    ("argv", "message"),
+    ("argv", "message", "ran"),
     [
-        (["build-trig-measure", "--stages", "4"], "stages 4 outside [0, 2]"),
-        (["build-trig-measure", "--stages", "3"], "stages 3 outside [0, 2]"),
-        (["build-trig-measure", "--grid-oversample", "0"], "oversample 0 below 1"),
-        (["rs-pair", "--level", "21"], "level 21 outside [0, 20]"),
-        (["build-walsh-measure", "--stages", "-1"], "stage count -1 is negative"),
+        (["build-trig-measure", "--stages", "4"], "stages 4 outside [0, 2]", ()),
+        (["build-trig-measure", "--stages", "3"], "stages 3 outside [0, 2]", ()),
+        (["build-trig-measure", "--grid-oversample", "0"], "oversample 0 below 1", ()),
+        (["rs-pair", "--level", "21"], "level 21 outside [0, 20]", ()),
+        (["build-walsh-measure", "--stages", "-1"], "stage count -1 is negative", ()),
         # psi presets take their own keys, and finite numbers only
         (["build-walsh-measure", "--psi", "preset:logpow,q=1"],
-         "psi preset 'logpow' takes no parameter 'q'"),
+         "psi preset 'logpow' takes no parameter 'q'", ()),
         (["build-walsh-measure", "--psi", "preset:logpow,p=nan"],
-         "psi parameter p=nan is not finite"),
+         "psi parameter p=nan is not finite", ()),
         (["build-trig-measure", "--psi", "preset:power,delta=inf"],
-         "psi parameter delta=inf is not finite"),
+         "psi parameter delta=inf is not finite", ()),
         # levels stop at the longest flat polynomial built, 2^12
         (["build-trig-measure", "--budget-scale", "0.25", "--stages", "1"],
-         "no admissible trig level <= 4096 for stage 1"),
-        # depth 42 builds and certifies from the factors alone; its spectrum
-        # is refused before the psi sums or the export allocate it
+         "no admissible trig level <= 4096 for stage 1", ()),
+        # depth 42 builds and runs every certificate from the factors and
+        # each factor's own atoms; the export then refuses its spectrum
+        # before allocating it, and before the manifest is written
         (["build-walsh-measure", "--psi", "preset:power,delta=1", "--budget-scale", "6",
           "--stages", "7"],
-         "274,339,462,140 terms, past the limit of 16,777,216"),
+         "274,339,462,140 terms, past the limit of 16,777,216", CERTIFIED_THEN_EXPORTED),
     ],
     ids=["trig-stages4", "trig-stages3", "trig-oversample0", "rs-level21", "walsh-stages-1",
          "walsh-psi-unknown-key", "walsh-psi-nan", "trig-psi-inf", "trig-level-past-flat",
          "walsh-spectrum-past-limit"],
 )
-def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, message, ran):
+    calls = spy(monkeypatch, CERTIFIED_THEN_EXPORTED)
     out = tmp_path / "out.csv"
     manifest = tmp_path / "manifest.json"
     extra = ["--manifest", str(manifest)] if argv[0].startswith("build-") else []
@@ -766,6 +814,7 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert list(tmp_path.iterdir()) == []
+    assert calls == [name for _, name in ran]
 
 
 def test_usage_error_exit_code():

@@ -4,6 +4,7 @@ positivity certificates, psi summability, and export."""
 import csv
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -310,7 +311,7 @@ def test_add_factor_single_rademacher():
     assert state.spectrum.coeffs[0] == 1.0
     assert state.spectrum.coeffs[1] == pytest.approx(a)
     assert state.inf_value == pytest.approx(1 - a)
-    assert state.inf_value == wr.product_values(state.factors, 1).min()
+    assert state.inf_value == wr.product_values(state.factors, [1]).min()
     assert state.used_coordinates == 1
 
 
@@ -385,7 +386,7 @@ def test_factor_sup_on_far_block():
     assert inf_value == pytest.approx(1 - 2 * a)
     # X takes the same values on the near block (1, 2), where densifying is cheap
     near = make_factor(1, wr.BlockSpec((1, 2)))
-    assert inf_value == wr.product_values([near], 2).min()
+    assert inf_value == wr.product_values([near], near.block).min()
 
 
 def test_inf_lower_bound_past_cap():
@@ -398,7 +399,7 @@ def test_inf_lower_bound_past_cap():
     state = wr.add_factor(state, 0)
     a = 0.5 / C
     assert state.inf_value == pytest.approx(exact * (1 - a))
-    assert state.inf_value == wr.product_values(state.factors, 3).min()
+    assert state.inf_value == wr.product_values(state.factors, range(1, 4)).min()
 
 
 def test_build_measure_flagship_shape():
@@ -555,7 +556,7 @@ def test_kernel_certificate_matches_scan_oracle(name):
         edges = cert.band_edges
         for j, got in enumerate(cert.stage_margins):
             last = edges[j + 1] if j == state.stages - 1 else edges[j + 1] - 1
-            ref = 0.25 * wr.product_values(state.factors[:j], cert.depth)
+            ref = 0.25 * wr.product_values(state.factors[:j], range(1, cert.depth + 1))
             assert abs(got - (partial[edges[j] - 1 : last] - ref).min()) <= tol
 
 
@@ -655,7 +656,7 @@ def test_derived_state_matches_dense(name):
     # the state holds only its factors; the infimum derived from their
     # ranges is the dense minimum bit for bit, negative products included
     state = CERTIFIED_STATES[name]()
-    assert state.inf_value == wr.product_values(state.factors, state.used_coordinates).min()
+    assert state.inf_value == wr.product_values(state.factors, range(1, state.used_coordinates + 1)).min()
     assert wr.verify_all_partial_sums(state).support_size == len(state.spectrum)
 
 
@@ -1290,7 +1291,7 @@ def test_state_series_matches_pointwise_product():
     state = wr.build_measure(wr.PsiSpec.power(1.0), 3, wr.SummabilityBudget())
     series = wr.WalshSeries(state.used_coordinates, spectrum_series(state))
     from_spectrum = wr.inverse_fwht(series).values
-    pointwise = wr.product_values(state.factors, state.used_coordinates)
+    pointwise = wr.product_values(state.factors, range(1, state.used_coordinates + 1))
     assert np.max(np.abs(from_spectrum - pointwise)) < 1e-12
 
 
@@ -1327,6 +1328,16 @@ def sampled_patterns(depth, count=513, seed=11):
     return np.unique(np.concatenate([draws, [0, (1 << depth) - 1]]).astype(np.uint64))
 
 
+def coord_patterns(coords):
+    """The atom patterns of the atoms of the increasing `coords`, in the
+    evaluator's order: atom t sets coordinate coords[i] when bit i of t
+    is set."""
+    atoms, out = atom_patterns(len(coords)), np.zeros(1 << len(coords), np.uint64)
+    for i, c in enumerate(coords):
+        out |= ((atoms >> np.uint64(i)) & np.uint64(1)) << np.uint64(c - 1)
+    return out
+
+
 def oracle_product(factors, patterns):
     out = np.ones(patterns.size)
     for f in factors:
@@ -1339,9 +1350,10 @@ def test_factor_values_match_sign_vector_oracle(name):
     factor = FACTOR_CASES[name]
     depth = factor.block[-1]
     tol = 4 * len(factor.block) * EPS * factor.norm_a
-    if depth <= 16:  # all atoms; the far block stays sampled
-        new = wr.factor_values(factor, depth)
-        assert np.max(np.abs(new - sign_vector_values(factor, atom_patterns(depth)))) <= tol
+    # every atom of coordinates 1..depth, or of the far block's own
+    coords = range(1, depth + 1) if depth <= 16 else factor.block
+    new = wr.factor_values(factor, coords)
+    assert np.max(np.abs(new - sign_vector_values(factor, coord_patterns(coords)))) <= tol
     patterns = sampled_patterns(depth)
     new = gather_product([factor], patterns)
     assert np.max(np.abs(new - oracle_product([factor], patterns))) <= evaluator_tol([factor])
@@ -1428,7 +1440,7 @@ def test_certificates_build_no_factor_arrays(build):
 def test_overlapping_pair_product_matches_oracle():
     pair = [make_factor(1, wr.BlockSpec((1, 2))), make_factor(1, wr.BlockSpec((2, 3)))]
     tol = evaluator_tol(pair)
-    assert np.max(np.abs(wr.product_values(pair, 3) - oracle_product(pair, atom_patterns(3)))) <= tol
+    assert np.max(np.abs(wr.product_values(pair, range(1, 4)) - oracle_product(pair, atom_patterns(3)))) <= tol
     patterns = sampled_patterns(3, count=5)
     assert np.max(np.abs(gather_product(pair, patterns) - oracle_product(pair, patterns))) <= tol
 
@@ -1444,14 +1456,13 @@ def d16_state():
 
 
 EVALUATOR_CASES = {
-    "d13": lambda: (flagship_state().factors, 13),
-    "d16": lambda: (d16_state().factors, 16),
-    "gap-block": lambda: ([hand_built_factor(), make_factor(0, wr.BlockSpec((7,)))], 7),
-    # m below a block's top: its coordinates past m read +1
-    "m-below-top": lambda: (d16_state().factors, 11),
-    "far-block": lambda: ([make_factor(1, wr.BlockSpec((25, 26))), make_factor(0, wr.BlockSpec((1,)))], 3),
-    "shared-shared": lambda: ([flagship_state().factors[2]] * 2, 13),
-    "m-zero": lambda: (flagship_state().factors, 0),
+    "d13": lambda: (flagship_state().factors, range(1, 14)),
+    "d16": lambda: (d16_state().factors, range(1, 17)),
+    "gap-block": lambda: ([hand_built_factor(), make_factor(0, wr.BlockSpec((7,)))], range(1, 8)),
+    # explicit coordinates far apart, coordinate 9 in no block
+    "far-block": lambda: ([make_factor(1, wr.BlockSpec((25, 26))), make_factor(0, wr.BlockSpec((1,)))],
+                          (1, 9, 25, 26)),
+    "shared-shared": lambda: ([flagship_state().factors[2]] * 2, range(1, 14)),
 }
 
 
@@ -1463,29 +1474,37 @@ def flagship_state():
 def test_broadcast_evaluator_is_the_gather_bit_for_bit(case):
     # each 1 + X_i broadcast along the atoms' runs meets the same
     # multiplies in the same factor order as the gather
-    factors, m = EVALUATOR_CASES[case]()
-    patterns = atom_patterns(m)
-    assert wr.product_values(factors, m).tobytes() == gather_product(factors, patterns).tobytes()
+    factors, coords = EVALUATOR_CASES[case]()
+    patterns = coord_patterns(coords)
+    assert wr.product_values(factors, coords).tobytes() == gather_product(factors, patterns).tobytes()
     for f in factors:
-        assert wr.factor_values(f, m).tobytes() == gather_factor(f, patterns).tobytes()
+        assert wr.factor_values(f, coords).tobytes() == gather_factor(f, patterns).tobytes()
 
 
-@given(st.lists(st.sets(st.integers(1, 12), min_size=1, max_size=5).map(sorted), min_size=1, max_size=3),
-       st.integers(0, 12), st.integers(0, 2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_broadcast_evaluator_on_any_blocks(blocks, m, seed):
-    # hand-built factors on any increasing blocks, overlapping or not,
-    # and m anywhere among their coordinates
+def hand_built_factors(blocks, seed):
+    """Hand-built factors on the given increasing blocks, normal
+    coefficients on each construction factor's indices."""
     rng = np.random.default_rng(seed)
     factors = []
     for block in blocks:
         shape = make_factor(len(block) - 1, wr.BlockSpec(tuple(block)))
         factors.append(wr.Factor(len(block) - 1, tuple(block), 1.0, shape.indices,
                                  rng.normal(size=shape.indices.size)))
-    patterns = atom_patterns(m)
-    assert wr.product_values(factors, m).tobytes() == gather_product(factors, patterns).tobytes()
+    return factors
+
+
+@given(st.lists(st.sets(st.integers(1, 12), min_size=1, max_size=5).map(sorted), min_size=1, max_size=3),
+       st.sets(st.integers(1, 12), max_size=4), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_broadcast_evaluator_on_any_blocks(blocks, extra, seed):
+    # hand-built factors on any increasing blocks, overlapping or not, on
+    # the atoms of their coordinates and of up to four others
+    factors = hand_built_factors(blocks, seed)
+    coords = sorted(extra.union(*blocks))
+    patterns = coord_patterns(coords)
+    assert wr.product_values(factors, coords).tobytes() == gather_product(factors, patterns).tobytes()
     for f in factors:
-        assert wr.factor_values(f, m).tobytes() == gather_factor(f, patterns).tobytes()
+        assert wr.factor_values(f, coords).tobytes() == gather_factor(f, patterns).tobytes()
 
 
 def test_block_tables_are_built_once_and_read_only():
@@ -1493,11 +1512,14 @@ def test_block_tables_are_built_once_and_read_only():
     assert factor._block_table is factor._block_table
     with pytest.raises(ValueError):
         factor._block_table[0] = 0.0
-    values = wr.factor_values(factor, 4)  # a fresh array, though the view is contiguous here
+    values = wr.factor_values(factor, factor.block)  # a fresh array, though the view is the table
     values[0] = 1.0
     assert factor._block_table[0] != 1.0
-    with pytest.raises(ValueError, match="not strictly increasing"):
-        wr.factor_values(wr.Factor(1, (3, 2), 1.0, factor.indices[:0], factor.coeffs[:0]), 3)
+    # a block that is not increasing, coordinates that are not, and a
+    # block outside the coordinates
+    for block, coords in (((3, 2), (2, 3)), ((1, 2, 3, 4), (4, 3, 2, 1)), ((1, 2, 3, 4), (1, 2, 3))):
+        with pytest.raises(ValueError, match=rf"block \({block[0]}, .* is not an increasing part of the increasing"):
+            wr.product_values([wr.Factor(1, block, 1.0, factor.indices[:0], factor.coeffs[:0])], coords)
 
 
 def report_hex(report):
@@ -1516,18 +1538,101 @@ def report_hex(report):
 @pytest.mark.parametrize("build", ["d13", "d16", "shared-shared"])
 def test_dense_diagnostics_equal_those_of_the_gather(build, monkeypatch):
     # orthogonality, field for field by hex, from the broadcast evaluator
-    # and from the gather it replaced (singularity reads histograms, and
-    # is held to the dense route by test_singularity_from_histograms_is_the_dense_route)
+    # and from the gather it replaced, on each group's atoms (singularity
+    # reads histograms, and is held to the dense route by
+    # test_singularity_from_histograms_is_the_dense_route)
     factors = {"d13": lambda: flagship_state().factors, "d16": lambda: d16_state().factors,
                "shared-shared": lambda: [flagship_state().factors[0]] * 2}[build]()
     reports = []
     for gather in (False, True):
         if gather:
             monkeypatch.setattr(wr.martingale, "product_values",
-                                lambda fs, m: gather_product(fs, atom_patterns(m)))
-            monkeypatch.setattr(wr.martingale, "factor_values", lambda f, m: gather_factor(f, atom_patterns(m)))
+                                lambda fs, coords: gather_product(fs, coord_patterns(coords)))
+            monkeypatch.setattr(wr.martingale, "factor_values",
+                                lambda f, coords: gather_factor(f, coord_patterns(coords)))
         reports.append(report_hex(wr.verify_product_orthogonality(factors)))
     assert reports[0] == reports[1]
+
+
+def dense_orthogonality(factors, tol=1e-10):
+    """(report, scale): the orthogonality report by the all-atoms route
+    the groups replaced, every factor and the whole product on the
+    2^depth atoms of coordinates 1..depth, and the scale
+    max_i sum |W| (1 + Y_i^2), which bounds every field's sum of terms."""
+    coords = range(1, max(f.block[-1] for f in factors) + 1)
+    weights = wr.product_values(factors, coords) / (1 << len(coords))
+    ys = [wr.factor_values(f, coords) / f.norm_2 - f.norm_2 for f in factors]
+    means = [float(np.einsum("i,i", weights, y)) for y in ys]
+    seconds = [float(np.einsum("i,i", weights, y * y)) for y in ys]
+    crosses = [float(np.einsum("i,i", weights, y * z)) for y, z in itertools.combinations(ys, 2)]
+    max_mean, max_cross = max(map(abs, means)), max(map(abs, crosses))
+    ok = max_mean <= tol and max_cross <= tol and max(seconds) <= 4.0 + tol
+    scale = max(float(np.sum(np.abs(weights) * (1.0 + y * y))) for y in ys)
+    return wr.OrthogonalityReport(ok, max_mean, max_cross, max(seconds)), scale
+
+
+def dense_strong_orthogonality(factors, alpha, tol=1e-10):
+    """The strong-orthogonality verdict by the all-atoms route: the mean
+    of prod X_k^alpha_k on the atoms of coordinates 1..depth."""
+    active = [(f, a) for f, a in zip(factors, alpha) if a > 0]
+    coords = range(1, max(f.block[-1] for f, _ in active) + 1)
+    prod = np.ones(1 << len(coords))
+    for f, a in active:
+        prod *= wr.factor_values(f, coords) ** a
+    return bool(abs(float(prod.mean())) <= tol)
+
+
+def admissible_monomials(count):
+    """Every admissible multi-index on `count` factors: entries 0, 1 or 2,
+    at least one 1, at most two 2s."""
+    return [alpha for alpha in itertools.product((0, 1, 2), repeat=count)
+            if 1 in alpha and alpha.count(2) <= 2]
+
+
+def assert_groups_match_the_dense_route(factors):
+    """Both orthogonality checks by groups against the all-atoms route:
+    the same verdicts, and every report field within 1e-12 of the terms'
+    scale (at least 1) of the dense figure.  The dense sums round each of
+    2^depth terms; their residuals, which the groups' sums of at most
+    2^|block| terms replace, reach 2.5e-14 at d22, forty times below."""
+    report = wr.verify_product_orthogonality(factors)
+    oracle, scale = dense_orthogonality(factors)
+    assert report.ok == oracle.ok
+    for field in ("max_mean_residual", "max_cross_residual", "max_second_moment"):
+        assert abs(getattr(report, field) - getattr(oracle, field)) <= 1e-12 * scale, field
+    alphas = admissible_monomials(len(factors)) if len(factors) <= 4 else [
+        [1] * len(factors), [2, 1] + [0] * (len(factors) - 2), [0] * (len(factors) - 1) + [1]]
+    for alpha in alphas:
+        assert wr.verify_strong_orthogonality(factors, alpha) == dense_strong_orthogonality(factors, alpha)
+    return report
+
+
+ORTHOGONALITY_CASES = {
+    "d13": lambda: flagship_state().factors,
+    "d16": lambda: d16_state().factors,
+    "d22": lambda: wr.build_measure(wr.PsiSpec.power(1.0), 6, wr.SummabilityBudget(6.0)).factors,
+    "shared-shared": lambda: [flagship_state().factors[0]] * 2,
+    "gap-block": lambda: [hand_built_factor(), make_factor(0, wr.BlockSpec((7,)))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORTHOGONALITY_CASES))
+def test_orthogonality_by_groups_is_the_dense_route(case):
+    factors = list(ORTHOGONALITY_CASES[case]())
+    report = assert_groups_match_the_dense_route(factors)
+    # disjoint blocks pass, and the shared pair is caught
+    assert report.ok == (case != "shared-shared")
+    if not report.ok:
+        assert report.max_cross_residual > 1e-3
+
+
+@given(st.lists(st.sets(st.integers(1, 10), min_size=1, max_size=4).map(sorted), min_size=2, max_size=4),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_orthogonality_by_groups_on_any_blocks(blocks, seed):
+    # hand-built factors on any increasing blocks, overlapping or not, so
+    # groups of one factor and groups joined through shared coordinates
+    assert_groups_match_the_dense_route(hand_built_factors(blocks, seed))
 
 
 def dense_singularity(factors):
@@ -1541,8 +1646,8 @@ def dense_singularity(factors):
     concentration, exact = [{d: d for d in CONCENTRATION_FRACTIONS}], [{d: d for d in CONCENTRATION_FRACTIONS}]
     for k, factor in enumerate(factors, start=1):
         depth = factor.block[-1]
-        hellinger.append(hellinger[-1] * float(np.sqrt(1.0 + wr.factor_values(factor, depth)).mean()))
-        vals = wr.product_values(factors[:k], depth)
+        hellinger.append(hellinger[-1] * float(np.sqrt(1.0 + wr.factor_values(factor, range(1, depth + 1))).mean()))
+        vals = wr.product_values(factors[:k], range(1, depth + 1))
         direct.append(float(np.sqrt(vals).mean()))
         l1.append(float(np.abs(vals).mean()))
         order = np.sort(vals / vals.size)[::-1]
