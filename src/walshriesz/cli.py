@@ -5,20 +5,23 @@ theorem1-check, singularity-report, report.
 
 Exit codes: 0 all certificates pass, 1 certificate failure (witness in
 the report), 2 usage or configuration error, 3 I/O error.  A state too
-large to certify or export (a block past coordinate 63, a spectrum past
-riesz.SPECTRUM_LIMIT terms, a series CSV past walsh.THEOREM1_DEPTH_LIMIT)
-is a configuration error.  build-walsh-measure runs every certificate
-at any depth, orthogonality on each group of factors' own atoms; the
-export then refuses a spectrum past the limit before it allocates
-anything, and before the manifest is written, so a refused build
-writes no file.  All output files are written atomically (temp file +
-rename).  Commands take flags only.
+large to certify or export is a configuration error: a stage with no
+admissible level, or a block, past coordinate 1023 (the certificates
+count atoms in float64), an orthogonality group on more than 24
+coordinates, an export past coordinate 63 (int64 Walsh indices) or past
+riesz.SPECTRUM_LIMIT terms, a series CSV past walsh.THEOREM1_DEPTH_LIMIT.
+build-walsh-measure runs positivity, psi sums and singularity at any
+depth, then orthogonality on each group of factors' own atoms, then the
+export; each refuses before it allocates anything, and before the
+manifest is written, so a refused build writes no file.  All output
+files are written atomically (temp file + rename).  Commands take flags
+only.
 No command draws random numbers: every positivity certificate is exact
 over every order on every atom, at every depth.  --seed is only
 recorded in manifests and reports, and --cap is parsed and ignored;
 both are kept because benchmarks/workloads.py passes them.
 report exits 2, before writing anything, when the measure CSV's term
-count is not the manifest product's.
+count is not the manifest product's, or its psi fails the hypothesis.
 
 theorem1-check decides positivity, p3 and the shifted bounds for the
 series exactly as its float64 coefficients hold it.  One float64
@@ -178,7 +181,7 @@ def _cmd_build_walsh(args) -> int:
     t0 = time.perf_counter()
     try:
         state = riesz.build_measure(psi, args.stages, budget)
-    except (riesz.LevelSelectionError, ValueError) as exc:  # stages, coordinate 63
+    except (riesz.LevelSelectionError, ValueError) as exc:  # stages, the level rule
         raise _UsageError(str(exc)) from None
     build_s = time.perf_counter() - t0
 
@@ -288,16 +291,19 @@ def _shifted_bound_sweep(series: WalshSeries, equiv: martingale.EquivalenceRepor
     kj >= 1, `martingale.check_shifted_bound` checks m = 2^kj - 1 in
     float64 with the float pass's allowance as `tol`, K - 1 calls: a
     failure would prove the bound false (see `martingale._allowance`),
-    and a pass, maybe within the allowance, is settled by p3.
+    and a pass, maybe within the allowance, is settled by p3.  A series
+    whose sums pass float64's range has an infinite allowance, so its
+    calls, which may overflow, run with numpy's overflow warnings off.
 
     `checked` counts the entries, 2K - 1: the K restatements of p3 and
     the K - 1 float64 calls, which check |N_kj| <= 2 M_kj again.  So it
     counts verdicts listed, not independent inequalities.
     """
     slack = equiv.routes[0].rounding_slack
-    held = [equiv.p3] * series.depth + [
-        martingale.check_shifted_bound(series, kj, (1 << kj) - 1, kj, tol=slack)
-        for kj in range(1, series.depth)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        held = [equiv.p3] * series.depth + [
+            martingale.check_shifted_bound(series, kj, (1 << kj) - 1, kj, tol=slack)
+            for kj in range(1, series.depth)]
     return {"checked": len(held), "all_hold": all(held)}
 
 
@@ -398,7 +404,7 @@ def _cmd_report(args) -> int:
         raise _IOFailure(f"{args.measure}: {exc}") from None
     with _rebuilding(args.manifest):
         state = riesz.state_from_manifest(manifest)
-        psi = riesz.PsiSpec.parse(manifest["psi"])
+        psi = riesz.PsiSpec.parse(manifest["psi"]).validate()
         budget = riesz.SummabilityBudget(scale=float(manifest["budget_scale"]))
     if len(spectrum) != state.support_size:
         raise _UsageError(

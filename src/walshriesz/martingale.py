@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .riesz import CoordinateBudgetError, RieszProductState, Spectrum, _exact_sum, _histogram
-from .riesz import _monomial, _product_ranges, factor_values, product_values
+from .riesz import SPECTRUM_LIMIT, _monomial, _product_ranges, factor_values, product_values
 from .walsh import (
     THEOREM1_DEPTH_LIMIT,
     AtomTable,
@@ -195,9 +195,12 @@ def check_positivity_equivalence(series: WalshSeries) -> EquivalenceReport:
     CoordinateBudgetError before it runs (`_exact_width`), and non-finite
     coefficients ValueError.
     """
-    low, atom, p3_low = _maximal_margin(series)  # first: it refuses non-finite coefficients
+    # sums past float64's range read +-inf or nan, unwarned: the allowance
+    # is inf there, and the exact pass decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, atom, p3_low = _maximal_margin(series)  # first: it refuses non-finite coefficients
+        slack = _allowance(series)
     c, size = series.coeffs, series.order
-    slack = _allowance(series)
     positive, p3 = _decide(low, slack), _decide(p3_low, slack)
     exponent, width = _dyadic_exponent(c), None
     routes = [PositivityRoute("maximal function", "float64", low,
@@ -632,7 +635,9 @@ def _groups(factors) -> list[tuple[list[int], list[int]]]:
     """The factors' positions, joined while their blocks share a
     coordinate, each group with the increasing union of its blocks.
     Groups share no coordinate, so they are independent under Haar
-    measure; a valid state's groups are its single factors."""
+    measure; a valid state's groups are its single factors.  A group on
+    more than log2 SPECTRUM_LIMIT = 24 coordinates raises
+    CoordinateBudgetError, before any table of its atoms is allocated."""
     groups = []
     for i, f in enumerate(factors):
         members, coords = [i], set(f.block)
@@ -640,6 +645,12 @@ def _groups(factors) -> list[tuple[list[int], list[int]]]:
             groups.remove(group)
             members, coords = group[0] + members, group[1] | coords
         groups.append((members, coords))
+    for _, coords in groups:
+        if 1 << len(coords) > SPECTRUM_LIMIT:
+            raise CoordinateBudgetError(
+                f"an orthogonality group on the {len(coords)} coordinates {min(coords)}..{max(coords)}:"
+                f" one table of its atoms takes {8 << len(coords):,} bytes, past the limit of"
+                f" {SPECTRUM_LIMIT:,} atoms")
     return sorted((sorted(members), sorted(coords)) for members, coords in groups)
 
 

@@ -83,13 +83,13 @@ way (see `Factor`), so no certificate builds its 2^l coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
-from .rudin_shapiro import _MAX_PAIR_LEVEL, FLATNESS_CONSTANT, BlockSpec, FlatPolynomial
+from .rudin_shapiro import FLATNESS_CONSTANT, BlockSpec, FlatPolynomial
 from .rudin_shapiro import _widen, pair_law, rs_sign_sequence, substitute_sparse
 from .walsh import (
     CoordinateBudgetError,
@@ -127,10 +127,19 @@ __all__ = [
     "state_from_manifest",
 ]
 
-# Largest spectrum built or exported, in terms (16 bytes each), and the
-# most magnitude products one psi stage pairs; the ladder's largest build,
-# depth 21, has 589,860 terms.
+# Largest spectrum built or exported, in terms (16 bytes each), the most
+# magnitude products one psi stage pairs, and the most atoms an
+# orthogonality group is read on (`martingale._groups`: 24 coordinates,
+# 128 MiB a float64 table); the ladder's largest build, depth 21, has
+# 589,860 terms.
 SPECTRUM_LIMIT = 1 << 24
+
+# The last coordinate a block may use.  The certificates count atoms and
+# terms as float64 2^n (n coordinates), which stays finite by n = 1023;
+# so does ||Pi||_A^2 in the level rule, as 1 + a_l 2^l <= 2^((l+1)/2)
+# gives ||Pi||_A <= 2^(n/2).  Only int64 Walsh indices stop earlier, at
+# coordinate 63, and `rudin_shapiro.substitute_sparse` refuses those.
+_LAST_COORDINATE = 1023
 
 
 class PsiHypothesisError(ValueError):
@@ -138,7 +147,7 @@ class PsiHypothesisError(ValueError):
 
 
 class LevelSelectionError(RuntimeError):
-    """No admissible level within the cap."""
+    """No admissible level whose block ends by coordinate 1023."""
 
 
 class BlockOverlapError(ValueError):
@@ -338,11 +347,12 @@ class Factor:
     `Factor(level, block, amplitude)`, as `make_factor` builds it, is a
     construction factor, X = a r_(l+1) P_l remapped to its block, and holds
     no array: its norms, value range, histograms and positivity block
-    data follow from `rudin_shapiro.pair_law(level)`, and its `indices`,
-    `coeffs` and `_block_table` are built on first use only (by the
-    export, orthogonality and the tests), from `rs_sign_sequence` and the
-    block remap.  `Factor(level, block, amplitude, indices, coeffs)` is a
-    hand-built factor: every figure is read off its arrays.
+    data follow from `rudin_shapiro.pair_law(level)`.  Its `coeffs`, from
+    `rs_sign_sequence`, and its `_block_table` (orthogonality) are built
+    on first use only, at any coordinate, and its int64 `indices` (the
+    export) by the block remap, up to coordinate 63.
+    `Factor(level, block, amplitude, indices, coeffs)` is a hand-built
+    factor: every figure is read off its arrays.
     """
 
     def __init__(self, level: int, block, amplitude: float, indices=None, coeffs=None) -> None:
@@ -356,7 +366,7 @@ class Factor:
     @cached_property
     def indices(self) -> np.ndarray:
         """A construction factor's Walsh indices: the window [2^l, 2^(l+1))
-        remapped to the block."""
+        remapped to the block, refused past coordinate 63 (CoordinateBudgetError)."""
         flat = FlatPolynomial(self.level, rs_sign_sequence(1 << self.level))
         return substitute_sparse(flat, BlockSpec(self.block))[0]
 
@@ -400,8 +410,13 @@ class Factor:
     @cached_property
     def _block_table(self) -> np.ndarray:
         """X on the 2^|block| atoms of its own block, by one butterfly,
-        read-only."""
-        table = butterfly(_block_coeffs(self, self.coeffs))
+        read-only: a construction factor's coefficients sit at the window
+        [2^l, 2^(l+1)) of its block's indices, a hand-built factor's are
+        remapped from its `indices`."""
+        if self.construction:
+            table = butterfly(np.concatenate([np.zeros(1 << self.level), self.coeffs]))
+        else:
+            table = butterfly(_block_coeffs(self, self.coeffs))
         table.flags.writeable = False
         return table
 
@@ -624,13 +639,12 @@ def _amplitude(level: int) -> float:
 
 
 def make_factor(level: int, block: BlockSpec) -> Factor:
-    """The construction factor a_l phi_l on `block`, levels 0 to
-    `_MAX_PAIR_LEVEL`; `pair_law` checks the pair identity and the
-    flatness bound at every level up to `level`."""
-    if not 0 <= level <= _MAX_PAIR_LEVEL:
-        raise ValueError(f"level {level} outside [0, {_MAX_PAIR_LEVEL}]")
+    """The construction factor a_l phi_l on `block`, whose size must be
+    level + 1 (ValueError) before `pair_law` checks the pair identity and
+    the flatness bound at every level up to `level`."""
+    factor = Factor(level, block.coordinates, _amplitude(level))
     pair_law(level)
-    return Factor(level, block.coordinates, _amplitude(level))
+    return factor
 
 
 def _admissible(amp: float, norm_a: float, inf_value: float, psi: PsiSpec, bound: float) -> bool:
@@ -656,14 +670,10 @@ def _monomial(alpha, factor_count: int) -> list[int]:
     return alpha
 
 
-def choose_next_level(
-    state: RieszProductState,
-    psi: PsiSpec,
-    budget: SummabilityBudget,
-    level_cap: int = _MAX_PAIR_LEVEL,
-) -> int:
-    """Smallest level passing (5) and the budgeted envelope condition (6),
-    by default up to the largest flat polynomial `build_pair` builds.
+def choose_next_level(state: RieszProductState, psi: PsiSpec, budget: SummabilityBudget) -> int:
+    """Smallest level passing (5) and the budgeted envelope condition (6)
+    among those whose block, on the next free coordinates, ends by
+    coordinate 1023 (see `_LAST_COORDINATE`); LevelSelectionError if none.
 
     Both left-hand sides decrease in the level, so the linear scan stops
     at the first admissible value.  inf Pi_k is exact at every depth: it
@@ -671,14 +681,12 @@ def choose_next_level(
     """
     k_next = state.stages + 1
     bound = budget.term_bound(k_next)
-    for level in range(level_cap + 1):
+    for level in range(_LAST_COORDINATE - state.used_coordinates):
         if _admissible(_amplitude(level), state.norm_a, state.inf_value, psi, bound):
             return level
     raise LevelSelectionError(
-        f"no admissible level <= {level_cap} for stage {k_next}"
-        f" (psi {psi.descriptor!r}; slowly decaying envelopes force"
-        " very large levels)"
-    )
+        f"no admissible level for stage {k_next} whose block ends by coordinate {_LAST_COORDINATE}"
+        f" (psi {psi.descriptor!r}; slowly decaying envelopes force very large levels)")
 
 
 def add_factor(
@@ -688,25 +696,18 @@ def add_factor(
 ) -> RieszProductState:
     """Append a factor on the next free coordinates (or an explicit block).
 
-    The caller is responsible for level admissibility; structural rules
-    are enforced here: the block must sit strictly to the right of all
-    used coordinates and end by coordinate 63, whose Walsh index 2^62 is
-    the last that int64 holds with its XOR products.
+    The caller is responsible for level admissibility.  A block past
+    coordinate 1023 raises CoordinateBudgetError (see `_LAST_COORDINATE`)
+    before its pair law is built, so no level past 1022 starts one; the
+    factor checks its block size (ValueError) and the state its layout
+    (BlockOverlapError).
     """
-    if block is None:
-        lo = state.used_coordinates + 1
-        block = BlockSpec(tuple(range(lo, lo + level + 1)))
-    if len(block) != level + 1:
-        raise ValueError(f"block size {len(block)} != level + 1 = {level + 1}")
-    if block.coordinates[0] <= state.used_coordinates:
-        raise BlockOverlapError(
-            f"block {block.coordinates} overlaps coordinates <= {state.used_coordinates}"
-        )
-    if block.sup > 63:
-        raise CoordinateBudgetError(
-            f"block {block.coordinates} reaches past coordinate 63: Walsh indices are int64"
-        )
-    return replace(state, factors=state.factors + (make_factor(level, block),))
+    used = state.used_coordinates
+    coords = range(used + 1, used + level + 2) if block is None else block.coordinates
+    if coords and coords[-1] > _LAST_COORDINATE:  # before a default block is built
+        raise CoordinateBudgetError(f"block {coords[0]}..{coords[-1]} reaches past coordinate"
+                                    f" {_LAST_COORDINATE}: the certificates count its atoms in float64")
+    return RieszProductState(state.factors + (make_factor(level, BlockSpec(tuple(coords))),))
 
 
 def build_measure(

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walsh import WalshSeries, butterfly, u_norm
+from .walsh import CoordinateBudgetError, WalshSeries, butterfly, u_norm
 
 __all__ = [
     "FLATNESS_CONSTANT",
@@ -68,6 +68,8 @@ __all__ = [
 # sqrt2 / (sqrt2 - 1) = 2 + sqrt2
 FLATNESS_CONSTANT = 2.0 + math.sqrt(2.0)
 
+# The largest pair `build_pair` builds, as 2^l-entry arrays (`rs-pair`,
+# `build_flat` and the test oracles); `pair_law` has no such limit.
 _MAX_PAIR_LEVEL = 20
 
 
@@ -282,12 +284,18 @@ def substitute_sparse(flat: FlatPolynomial, block: BlockSpec):
     """Remap phi's variables r_1..r_(l+1) to the block's coordinates.
 
     Returns (indices, signs): the spectrum of phi((r_j), j in block) with
-    bit position i of each window index sent to coordinate block[i].
+    bit position i of each window index sent to coordinate block[i].  A
+    block past coordinate 63 raises CoordinateBudgetError: Walsh indices
+    are int64, and coordinate 63 is index 2^62, the last whose XOR
+    products int64 holds.
     """
     if len(block) != flat.vars:
         raise ValueError(
             f"block has {len(block)} coordinates, polynomial uses {flat.vars}"
         )
+    if block.sup > 63:
+        raise CoordinateBudgetError(f"block {block.coordinates[0]}..{block.sup} reaches past"
+                                    " coordinate 63: Walsh indices are int64")
     src = flat.indices()
     dst = np.zeros_like(src)
     for i, coord in enumerate(block.coordinates):

@@ -92,13 +92,17 @@ class SeriesFormatError(ValueError):
 
 class CoordinateBudgetError(ValueError):
     """A state past a size limit: a series deeper than
-    THEOREM1_DEPTH_LIMIT (`series_from_csv`), a block past coordinate 63
-    (Walsh indices are int64), a spectrum past `riesz.SPECTRUM_LIMIT`
-    terms, a psi stage with more than SPECTRUM_LIMIT magnitude products
-    or with a sum or bound below float64's normal range, a factor whose
-    integer coefficients sum past the 61 bits of the certificate's int64
-    block tables, or an exact positivity route whose limbs would take
-    more atoms than a 2-limb series at THEOREM1_DEPTH_LIMIT."""
+    THEOREM1_DEPTH_LIMIT (`series_from_csv`), a product block past
+    coordinate 1023 (the certificates count atoms in float64), Walsh
+    indices built past coordinate 63 (they are int64: the spectrum and
+    the export), a spectrum past `riesz.SPECTRUM_LIMIT` terms, an
+    orthogonality group on more than log2 SPECTRUM_LIMIT = 24
+    coordinates, a psi stage with more than SPECTRUM_LIMIT magnitude
+    products or with a sum or bound below float64's normal range, a
+    factor whose integer coefficients sum past the 61 bits of the
+    certificate's int64 block tables, or an exact positivity route whose
+    limbs would take more atoms than a 2-limb series at
+    THEOREM1_DEPTH_LIMIT."""
 
 
 def _is_pow2(n: int) -> bool:

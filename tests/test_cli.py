@@ -71,19 +71,19 @@ def test_build_walsh_rejects_quadratic(tmp_path, capsys):
 
 
 def test_build_walsh_unbuildable_level_is_usage_error(tmp_path, monkeypatch, capsys):
-    # stage 4 would need a level past the largest flat polynomial built (20)
+    # levels 0, 0, 2 and 25: positivity, psi sums and singularity read the
+    # factors off their levels, but orthogonality would read the last one
+    # on the 2^26 atoms of its block, and refuses before allocating them;
+    # no file is written
     monkeypatch.chdir(tmp_path)
-    code = run(
-        [
-            "build-walsh-measure",
-            "--budget-scale", "4",
-            "--stages", "4",
-        ]
-    )
-    assert code == 2
+    budget = wr.SummabilityBudget(4.0)
+    assert [f.level for f in wr.build_measure(wr.PsiSpec.logpow(1.0), 4, budget).factors] == [0, 0, 2, 25]
+    calls = spy(monkeypatch, CERTIFIED_THEN_EXPORTED)
+    assert run(["build-walsh-measure", "--budget-scale", "4", "--stages", "4"]) == 2
     err = capsys.readouterr().err
-    assert "internal error" not in err
-    assert "stage 4" in err and "<= 20" in err
+    assert err.startswith("error: an orthogonality group on the 26 coordinates 6..31:")
+    assert "536,870,912 bytes, past the limit of 16,777,216 atoms" in err
+    assert calls == [name for _, name in CERTIFIED_THEN_EXPORTED[:4]]
     assert not list(tmp_path.iterdir())
 
 
@@ -101,22 +101,25 @@ def test_cap_is_parsed_and_ignored(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_coordinate_past_63_is_usage_error(tmp_path, capsys):
-    # a manifest block past coordinate 63, whose Walsh index would not fit
-    # in int64, exits 2; the caps older manifests recorded are ignored
+def test_manifest_blocks_run_to_coordinate_1023(tmp_path, capsys):
+    # singularity builds no Walsh index, so a block on coordinate 64 is
+    # reported; past coordinate 1023 the manifest exits 2 and nothing is
+    # written.  The caps older manifests recorded are ignored
     stage = {"level": 0, "block": [64], "amplitude": 0.5 / wr.FLATNESS_CONSTANT}
     manifest = tmp_path / "manifest.json"
     out = tmp_path / "singularity.csv"
     argv = ["singularity-report", "--state", str(manifest), "--out", str(out)]
-    manifest.write_text(json.dumps({"stages": [stage]}))
-    assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert "internal error" not in err and "past coordinate 63" in err
-    assert not out.exists()
-    stage["block"] = [3]
     older = {"exhaustive_cap": 21, "max_coordinates": 64, "stages": [stage]}
     manifest.write_text(json.dumps(older))
     assert run(argv) == 0
+    assert out.read_text().splitlines()[0] == "k,hellinger,conc50,conc90,conc99"
+    out.unlink()
+    stage["block"] = [1024]
+    manifest.write_text(json.dumps({"stages": [stage]}))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot rebuild state from {manifest}" in err and "past coordinate 1023" in err
+    assert not out.exists()
 
 
 def test_build_walsh_cap_gate(tmp_path):
@@ -331,6 +334,24 @@ def test_theorem1_check_exact_route_decides_at_rounding_scale(tmp_path, capsys):
     assert report["decided_by"] == "integer-dyadic"
     assert [r["verdict"] for r in report["positivity_routes"]] == ["within rounding", "pass"]
     assert report["positivity_routes"][1]["minimum"] == 0.0
+
+
+@pytest.mark.parametrize("rows", [
+    "0,1e308\n1,1e308\n",                           # S_2 is 0 or 2e308
+    "0,1.7e308\n1,1e308\n2,3e307\n3,3e307\n",      # 2 M_1 overflows in the sweep
+], ids=["depth1", "sweep"])
+def test_theorem1_check_past_float64_sums(tmp_path, capsys, rows):
+    # ||S||_A passes float64's range, so the float pass's allowance is inf
+    # and the exact pass decides; the float sums that overflow on the way
+    # warn nothing (pytest fails on any warning, and CI runs the command
+    # under PYTHONWARNINGS=error::RuntimeWarning)
+    path = tmp_path / "big.csv"
+    path.write_text("n,coeff\n" + rows)
+    assert run(["theorem1-check", "--in", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_prefixes_nonneg"] and report["p3"] and report["shifted_bounds"]["all_hold"]
+    assert report["decided_by"] == "integer-dyadic"
+    assert report["positivity_routes"][0]["rounding_slack"] == float("inf")
 
 
 def test_theorem1_check_report_agrees_with_itself_within_rounding(tmp_path, capsys):
@@ -694,6 +715,33 @@ def test_deep_build_certifies_every_stage(tmp_path, monkeypatch):
     assert certificates["singularity"]["strictly_decreasing"]
     assert certificates["orthogonality"]["passed"]
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_singularity_report_on_a_depth_624_manifest(tmp_path, capsys):
+    # ten stages up to level 396: the rebuild and the report read the
+    # factors off their levels
+    state = wr.build_measure(wr.PsiSpec.power(1.0), 10, wr.SummabilityBudget(6.0))
+    manifest = tmp_path / "deep.json"
+    manifest.write_text(json.dumps(wr.state_manifest(state)))
+    assert run(["singularity-report", "--state", str(manifest), "--out", "-"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "k,hellinger,conc50,conc90,conc99" and len(lines) == 1 + 11
+
+
+def test_report_refuses_a_gauge_the_builds_refuse(tmp_path, capsys):
+    # psi = x^2 fails the hypothesis, so both builds exit 2 on it: so does
+    # report, naming the manifest, before writing anything
+    state = wr.add_factor(wr.empty_state(), 0)
+    manifest, measure = tmp_path / "manifest.json", tmp_path / "measure.csv"
+    manifest.write_text(json.dumps({"psi": "preset:quadratic", "budget_scale": 1.0,
+                                    **wr.state_manifest(state)}))
+    wr.export_measure(state, measure)
+    out_dir = tmp_path / "rep"
+    argv = ["report", "--manifest", str(manifest), "--measure", str(measure)]
+    assert run(argv + ["--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot rebuild state from {manifest}: psi 'preset:quadratic' violates the hypothesis" in err
+    assert not out_dir.exists()
 
 
 def test_bad_manifest_exits_2(tmp_path, capsys):

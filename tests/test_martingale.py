@@ -560,9 +560,8 @@ def test_verdicts_at_the_ends_of_float64(coeffs):
     # at the top of float64 the float pass overflows (||S||_A >= 2^1022, an
     # infinite allowance) or its allowance covers the minimum 0, and the
     # exact pass decides; at the bottom a subnormal allowance covers sums
-    # that are all exact
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(coeffs))
+    # that are all exact; the overflow warns nothing
+    report = wr.check_positivity_equivalence(wr.WalshSeries.from_coeffs(coeffs))
     assert report.decided_by == ("integer-dyadic" if max(coeffs) > 1.0 else "float64")
     assert (report.all_prefixes_nonneg, report.witness, report.p3) == scan_verdicts(coeffs)
 
@@ -912,8 +911,9 @@ def test_orthogonality_at_depth_27_reads_each_factors_own_atoms():
 def test_orthogonality_at_depth_42():
     # seven factors on 42 coordinates, each its own group: the last
     # block's 2^20 atoms are the largest table, nothing of size 2^42.
-    # Measured 0.13-0.17 s and 40.0 MiB of tracemalloc, the factors'
-    # arrays and block tables included, on 2 shared Xeon cores
+    # Measured 0.07-0.08 s and 36.0 MiB of tracemalloc, the factors'
+    # coefficients and block tables included (no Walsh index is built),
+    # on 2 shared Xeon cores
     state = wr.build_measure(wr.PsiSpec.power(1.0), 7, wr.SummabilityBudget(6.0))
     assert state.used_coordinates == 42
     tracemalloc.start()
@@ -930,6 +930,34 @@ def test_orthogonality_at_depth_42():
     assert report.max_mean_residual <= 1e-14 and report.max_second_moment <= 4.0
     assert elapsed < 2.0
     assert peak < 48 << 20
+
+
+def test_orthogonality_refuses_a_group_past_24_coordinates():
+    # a factor on 25 coordinates would be read on 2^25 atoms, 256 MiB a
+    # table: both checks refuse before allocating any
+    state = wr.add_factor(wr.add_factor(wr.empty_state(), 0), 24)
+    tracemalloc.start()
+    try:
+        for check in (wr.verify_product_orthogonality,
+                      lambda s: wr.verify_strong_orthogonality(s, [1, 1])):
+            with pytest.raises(wr.CoordinateBudgetError,
+                               match="group on the 25 coordinates 2..26: one table of its atoms"
+                                     " takes 268,435,456 bytes, past the limit of 16,777,216 atoms"):
+                check(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_orthogonality_past_coordinate_63():
+    # block tables need no Walsh index, so factors past coordinate 63,
+    # whose spectrum int64 cannot hold, are read on their own atoms
+    state = wr.add_factor(wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((64,))), 3,
+                          wr.BlockSpec((70, 100, 500, 1000)))
+    report = wr.verify_product_orthogonality(state)
+    assert report.ok and report.max_mean_residual <= 1e-15
+    assert wr.verify_strong_orthogonality(state, [1, 2])
 
 
 def test_singularity_report_at_depth_42():

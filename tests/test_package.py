@@ -12,7 +12,7 @@ import pytest
 
 import walshriesz
 from walshriesz import cli, martingale, riesz, trig
-from walshriesz.rudin_shapiro import _MAX_PAIR_LEVEL
+from walshriesz.rudin_shapiro import _MAX_PAIR_LEVEL, build_pair
 
 SRC = Path(walshriesz.__file__).parent
 
@@ -74,11 +74,16 @@ def test_construction_constants_are_not_parameters():
     for fn in (riesz.make_factor, riesz.add_factor, riesz.choose_next_level,
                trig.build_trig_flat, trig._choose_trig_level, trig.build_trig_measure):
         assert "c" not in params(fn), fn.__name__
-    assert "level_cap" not in params(riesz.build_measure) | params(trig.build_trig_measure)
+    for fn in (riesz.build_measure, riesz.choose_next_level, trig.build_trig_measure):
+        assert "level_cap" not in params(fn), fn.__name__
     assert "deltas" not in params(martingale.singularity_report)
     assert "deltas" not in {f.name for f in dataclasses.fields(martingale.SingularityReport)}
-    cap = inspect.signature(riesz.choose_next_level).parameters["level_cap"].default
-    assert cap == _MAX_PAIR_LEVEL == 20
+    # the level rule has no cap: level 20 bounds only the pairs built as arrays
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "_MAX_PAIR_LEVEL" in path.read_text()] == ["rudin_shapiro.py"]
+    assert _MAX_PAIR_LEVEL == 20 and len(build_pair(_MAX_PAIR_LEVEL).p) == 1 << 20
+    with pytest.raises(ValueError, match=r"level 21 outside \[0, 20\]"):
+        build_pair(_MAX_PAIR_LEVEL + 1)
 
 
 def test_product_state_is_its_factors():

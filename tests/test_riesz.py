@@ -271,33 +271,47 @@ def test_level_monotone_in_budget():
     state = wr.add_factor(state, 0)
     levels = []
     for scale in (4.0, 2.25, 1.0, 0.5):
-        levels.append(
-            wr.choose_next_level(state, psi, wr.SummabilityBudget(scale), level_cap=256)
-        )
+        levels.append(wr.choose_next_level(state, psi, wr.SummabilityBudget(scale)))
     assert levels == sorted(levels)
     assert levels[0] < levels[-1]  # the log-slow envelope reacts strongly
 
 
-def test_level_range_stops_at_pair_limit():
-    # past level 20 there is no flat polynomial to build, so the rule
-    # stops there by default; an explicit cap still probes past it
+def test_level_range_passes_the_pair_limit():
+    # construction factors are read off their pair laws, so the rule and
+    # the factor go past level 20, the largest pair `build_pair` builds
     psi, budget = wr.PsiSpec.logpow(1.0), wr.SummabilityBudget(scale=1.5)
     state = wr.empty_state()
     for level in (0, 2):
         state = wr.add_factor(state, level)
-    with pytest.raises(wr.LevelSelectionError, match="no admissible level <= 20"):
-        wr.choose_next_level(state, psi, budget)
-    assert wr.choose_next_level(state, psi, budget, level_cap=256) == 26
-    with pytest.raises(ValueError, match=r"level 26 outside \[0, 20\]"):
-        wr.add_factor(state, 26)
+    assert wr.choose_next_level(state, psi, budget) == 26
+    state = wr.add_factor(state, 26)
+    assert state.used_coordinates == 31 and wr.verify_all_partial_sums(state).passed
+    with pytest.raises(ValueError, match=r"level 21 outside \[0, 20\]"):
+        wr.build_pair(21)
 
 
 def test_level_selection_fails_without_decay():
     psi = wr.PsiSpec.quadratic()  # envelope stuck at 1
     state = wr.empty_state()
     state = wr.add_factor(state, 0)
-    with pytest.raises(wr.LevelSelectionError):
-        wr.choose_next_level(state, psi, wr.SummabilityBudget(scale=0.5), level_cap=20)
+    # every level whose block ends by coordinate 1023 is scanned
+    with pytest.raises(wr.LevelSelectionError, match="stage 2 whose block ends by coordinate 1023"):
+        wr.choose_next_level(state, psi, wr.SummabilityBudget(scale=0.5))
+
+
+def test_library_default_third_stage_needs_level_206():
+    # logpow p=1 at the library's scale 1: the log-slow envelope needs a
+    # factor on 207 coordinates at stage 3
+    state = wr.build_measure(wr.PsiSpec.logpow(1.0), 3)
+    assert [f.level for f in state.factors] == [0, 7, 206]
+
+
+@pytest.mark.parametrize(("delta", "stages"), [(1.0, 11), (2.0, 15)])
+def test_level_rule_stops_at_coordinate_1023(delta, stages):
+    # the next stage's smallest admissible level would end its block past
+    # coordinate 1023, where float64 counts stop
+    with pytest.raises(wr.LevelSelectionError, match=f"stage {stages} whose block ends by coordinate 1023"):
+        wr.build_measure(wr.PsiSpec.power(delta), stages, wr.SummabilityBudget(6.0))
 
 
 # ---------------------------------------------------------------------------
@@ -335,28 +349,36 @@ def test_add_factor_block_overlap_is_hard_error():
 
 
 def test_add_factor_coordinate_budget():
-    # Walsh indices are int64: coordinate 63 is index 2^62, the last one
+    # blocks end by coordinate 1023, where the certificates' float64
+    # counts 2^n still hold; the bound is checked before any pair law
     for route in (
-        lambda: wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((64,))),
-        lambda: wr.add_factor(wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((60,))), 4),
+        lambda: wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((1024,))),
+        lambda: wr.add_factor(wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((1020,))), 4),
+        lambda: wr.add_factor(wr.empty_state(), 1 << 40),
     ):
-        with pytest.raises(wr.CoordinateBudgetError, match="past coordinate 63"):
+        with pytest.raises(wr.CoordinateBudgetError, match="past coordinate 1023"):
             route()
+    assert wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((1023,))).used_coordinates == 1023
 
 
 def test_max_coordinates_fits_int64(tmp_path):
-    # the coordinate bound is fixed at 63; a manifest past it is refused,
-    # whatever budget an older manifest recorded
-    for manifest in (
-        {"stages": [{"level": 0, "block": [64]}]},
-        {"max_coordinates": 64, "stages": [{"level": 0, "block": [64]}]},
-    ):
-        with pytest.raises(wr.CoordinateBudgetError, match="past coordinate 63"):
-            wr.state_from_manifest(manifest)
-    # coordinate 63 is Walsh index 2^62, which exports and reloads
+    # Walsh indices are int64: coordinate 63 is index 2^62, which exports
+    # and reloads; a block on coordinate 64 builds and certifies, whatever
+    # budget an older manifest recorded, but its spectrum and its export
+    # are refused, and no file is written
     state = wr.add_factor(wr.empty_state(), 0, wr.BlockSpec((63,)))
     wr.export_measure(state, tmp_path / "measure.csv")
     assert wr.load_spectrum_csv(tmp_path / "measure.csv").indices.tolist() == [0, 1 << 62]
+    for manifest in (
+        {"stages": [{"level": 0, "block": [64], "amplitude": 0.5 / C}]},
+        {"max_coordinates": 64, "stages": [{"level": 0, "block": [64], "amplitude": 0.5 / C}]},
+    ):
+        state = wr.state_from_manifest(manifest)
+        assert state.used_coordinates == 64 and wr.verify_all_partial_sums(state).passed
+        for route in (lambda: state.spectrum, lambda: wr.export_measure(state, tmp_path / "far.csv")):
+            with pytest.raises(wr.CoordinateBudgetError, match="past coordinate 63: Walsh indices are int64"):
+                route()
+    assert not (tmp_path / "far.csv").exists()
 
 
 def test_add_factor_block_size_checked():
@@ -770,6 +792,42 @@ def test_exact_minimum_at_depth_42():
     assert abs(cert.global_min - 0.22996329448583824) <= allowance(state)
     assert peak < 1 << 20 and elapsed < 1.0
     assert "spectrum" not in vars(state)
+
+
+@pytest.mark.parametrize(("psi", "scale", "stages", "depth", "minimum"), [
+    (wr.PsiSpec.power(1.0), 6.0, 9, 227, 0.15567932559277675),
+    (wr.PsiSpec.power(1.0), 6.0, 10, 624, 0.1266185324802301),
+    (wr.PsiSpec.power(2.0), 6.0, 14, 836, 0.045319850776156106),
+    (wr.PsiSpec.logpow(1.0), 1.0, 3, 216, 0.47855339059327373),
+], ids=["power1-d227", "power1-d624", "power2-d836", "logpow1-d216"])
+def test_deep_builds_certify_past_level_20(psi, scale, stages, depth, minimum):
+    # factors up to level 396, read off their pair laws: the build and its
+    # positivity, psi and singularity certificates took 4-48 ms each on 2
+    # shared Xeon cores (the test allows 1 s for all four); any float64
+    # overflow warning fails the test
+    budget = wr.SummabilityBudget(scale)
+    start = time.perf_counter()
+    state = wr.build_measure(psi, stages, budget)
+    cert = wr.verify_all_partial_sums(state)
+    report = wr.psi_sum_report(state, psi, budget)
+    hellinger = wr.singularity_report(state).hellinger
+    elapsed = time.perf_counter() - start
+    assert state.used_coordinates == depth and state.factors[-1].level > 20
+    assert cert.passed and cert.global_min == minimum
+    assert report.ok and math.isfinite(report.bound_total)
+    assert all(b < a for a, b in zip(hellinger, hellinger[1:]))
+    assert elapsed < 1.0
+
+
+def test_depth_1023_state_certifies():
+    # the deepest state a block may reach: ||Pi||_A <= 2^(1023/2), and
+    # every count 2^n is a finite float64
+    state = wr.add_factor(power_build(10), 398)
+    assert state.used_coordinates == 1023 and math.isfinite(state.norm_a**2)
+    assert wr.verify_all_partial_sums(state).passed
+    assert wr.psi_sum_report(state, wr.PsiSpec.power(1.0)).ok
+    hellinger = wr.singularity_report(state).hellinger
+    assert all(b < a for a, b in zip(hellinger, hellinger[1:]))
 
 
 def test_factor_past_int64_block_tables_is_refused():
@@ -1520,6 +1578,22 @@ def test_block_tables_are_built_once_and_read_only():
     for block, coords in (((3, 2), (2, 3)), ((1, 2, 3, 4), (4, 3, 2, 1)), ((1, 2, 3, 4), (1, 2, 3))):
         with pytest.raises(ValueError, match=rf"block \({block[0]}, .* is not an increasing part of the increasing"):
             wr.product_values([wr.Factor(1, block, 1.0, factor.indices[:0], factor.coeffs[:0])], coords)
+
+
+@pytest.mark.parametrize(("level", "block"), [
+    (0, (5,)), (3, (2, 4, 5, 9)), (10, tuple(range(3, 14))), (1, (64, 100)),
+], ids=["level0", "gapped", "level10", "past-63"])
+def test_construction_block_table_from_its_window(level, block):
+    # the butterfly of the coefficients at the window [2^l, 2^(l+1)) of
+    # the block's own indices, built with no int64 index, so past
+    # coordinate 63 too: bit for bit the table remapped through the
+    # indices, on the block itself or, past 63, on coordinates 1..l+1
+    factor = make_factor(level, wr.BlockSpec(block))
+    table = factor._block_table
+    assert "indices" not in vars(factor) and not table.flags.writeable
+    oracle = make_factor(level, wr.BlockSpec(block if block[-1] <= 63 else range(1, level + 2)))
+    remapped = butterfly(riesz._block_coeffs(oracle, oracle.coeffs))
+    assert np.array_equal(table.view(np.int64), remapped.view(np.int64))
 
 
 def report_hex(report):
