@@ -14,8 +14,9 @@ build-walsh-measure runs positivity, psi sums and singularity at any
 depth, then orthogonality on each group of factors' own atoms, then the
 export; each refuses before it allocates anything, and before the
 manifest is written, so a refused build writes no file.  All output
-files are written atomically (temp file + rename).  Commands take flags
-only.
+files are written atomically (temp file + rename), and every JSON file
+is strict JSON: a non-finite figure is written as the string "nan",
+"inf" or "-inf".  Commands take flags only.
 No command draws random numbers: every positivity certificate is exact
 over every order on every atom, at every depth.  --seed is only
 recorded in manifests and reports, and --cap is parsed and ignored;
@@ -96,6 +97,14 @@ def _emit_csv(out: str, header, rows) -> None:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _json_text(value) -> str:
+    """`value` as indented strict JSON: read back, each non-finite float,
+    which JSON has no number for, becomes the string "nan", "inf" or
+    "-inf"."""
+    strict = json.loads(json.dumps(value), parse_constant=lambda name: repr(float(name)))
+    return json.dumps(strict, indent=2, allow_nan=False) + "\n"
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -227,7 +236,7 @@ def _cmd_build_walsh(args) -> int:
     }
     manifest["timings"]["export_s"] = time.perf_counter() - t0
     if args.manifest:
-        _atomic_write_text(args.manifest, json.dumps(manifest, indent=2) + "\n")
+        _atomic_write_text(args.manifest, _json_text(manifest))
 
     status = "pass" if passed else "FAIL"
     print(
@@ -265,7 +274,7 @@ def _cmd_build_trig(args) -> int:
             "certificates": dataclasses.asdict(certs),
             "timings": {"build_s": build_s},
         }
-        _atomic_write_text(args.manifest, json.dumps(manifest, indent=2) + "\n")
+        _atomic_write_text(args.manifest, _json_text(manifest))
     status = "pass" if certs.passed else "FAIL"
     print(
         f"{status}: {len(state.factors)} stages, top frequency {state.max_freq},"
@@ -340,7 +349,7 @@ def _cmd_theorem1_check(args) -> int:
             for route in equiv.routes
         ],
     }
-    text = json.dumps(report, indent=2) + "\n"
+    text = _json_text(report)
     if args.report and args.report != "-":
         _atomic_write_text(args.report, text)
     else:

@@ -705,7 +705,7 @@ def _write_coeff_rows(path, index_name: str, indices, coeffs, outer=((0,), (1.0,
     starts = range(0, indices.size, _ROW_CHUNK)
     kinds = [np.column_stack([c.view(np.int64), (below - a).clip(0, _ROW_CHUNK)]).view(
         f"V{8 + 8 * _POWERS.size}").ravel().tolist() for a in starts]
-    templates, kept, batch, size = {}, [], [], 0
+    templates, batch, size = {}, [], 0
     with _atomic_open(path, "wb") as fh:
         fh.write(f"{index_name},coeff\r\n".encode())
         for i in range(f.size):
@@ -719,7 +719,7 @@ def _write_coeff_rows(path, index_name: str, indices, coeffs, outer=((0,), (1.0,
                     batch, size = [], 0
                 if template is None:  # 1 at 0 leaves the inner part as it is
                     q = coeffs[a : a + p.size]
-                    texts = _coeff_texts(q if c[i] == 1.0 else c[i] * q, kept)
+                    texts = _coeff_texts(q if c[i] == 1.0 else c[i] * q)
                     templates[key] = [_coeff_row_bytes(p + f[i] if f[i] else p, *texts), None]
                     fh.write(templates[key][0])
                 else:
@@ -729,32 +729,16 @@ def _write_coeff_rows(path, index_name: str, indices, coeffs, outer=((0,), (1.0,
             fh.write(_copied_rows(f[f.size - len(batch) :], p, batch))
 
 
-def _coeff_texts(values: np.ndarray, kept: list):
+def _coeff_texts(values: np.ndarray):
     """`(inverse, (texts, lengths))`, `texts[inverse]` the texts of
     `values`: a comma, the repr and CR LF, `lengths` bytes long, padded
     with NULs to a multiple of 32 bytes, one repr per distinct int64 bit
-    pattern (-0.0 is not 0.0).
-    Values of the patterns `kept` from the last call that needed new ones
-    are looked up, first their first 2^10, where misses mostly show;
-    others are grouped by `np.unique` (on int64: `numpy.ma` stays
-    unimported), and kept."""
-    bits = values.view(np.int64)
-    if kept and _lookup(kept[0], bits[: 1 << 10]) is not None:
-        inverse = _lookup(kept[0], bits)
-        if inverse is not None:
-            return inverse, kept[1]
-    keys, inverse = np.unique(bits, return_inverse=True)
+    pattern (-0.0 is not 0.0), grouped by `np.unique` on int64 (`numpy.ma`
+    stays unimported)."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = [b"," + repr(c).encode() + b"\r\n" for c in keys.view(np.float64).tolist()]
     lengths = np.array(list(map(len, texts)))
-    kept[:] = keys, (np.array(texts, f"S{-(-int(lengths.max()) // 32) * 32}"), lengths)
-    return inverse, kept[1]
-
-
-def _lookup(keys: np.ndarray, bits: np.ndarray) -> np.ndarray | None:
-    """The positions of `bits` in the sorted `keys`, or None if one of
-    them is missing."""
-    pos = keys.searchsorted(bits)
-    return pos if np.array_equal(keys.take(pos, mode="clip"), bits) else None
+    return inverse, (np.array(texts, f"S{-(-int(lengths.max()) // 32) * 32}"), lengths)
 
 
 def _copied_rows(f: np.ndarray, p: np.ndarray, templates: list) -> np.ndarray:
@@ -846,9 +830,9 @@ def read_coeff_rows(source) -> tuple[np.ndarray, np.ndarray]:
     int64 indices and float64 coefficients.
 
     `_read_rows`, one Python step per row, is the definition.  The text is
-    first read as one array by `_read_rows_array`, which gives up (None)
-    where it cannot vouch for the same result: on anything csv would
-    quote, split or refuse differently, on any field numpy's parser
+    first read by one `np.loadtxt` parse, `_read_rows_array`, which gives
+    up (None) where it cannot vouch for the same result: on anything csv
+    would quote, split or refuse differently, on any field numpy's parser
     rejects, and on a failed array check (a non-finite coefficient, a
     negative or non-increasing index, no rows).  Only then does the row
     loop run, returning its rows or raising a line-numbered
@@ -909,20 +893,12 @@ def _read_rows(text: str) -> list[tuple[int, float]]:
 _ROW_DTYPE = np.dtype([("n", np.int64), ("c", np.float64)])
 # characters of text per chunk that `_read_rows_array` splits into lines
 _LINE_CHUNK = 1 << 16
-# `_distinct_text_rows` reads texts shorter than _TEXT_BYTES, and keeps a
-# chunk while at most 1/_DISTINCT_SHARE of its rows bring a new text
-_TEXT_BYTES = 32
-_TEXT_ROW_DTYPE = np.dtype([("n", np.int64), ("c", f"S{_TEXT_BYTES}")])
-_DISTINCT_SHARE = 8
-# a text's hash multiplies its 8-byte words by these, in int64, whose
-# sort and search loops the unit loads anyway
-_TEXT_HASH = np.array([0x1E3779B97F4A7C15, 0x42B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5])
 
 
 def _read_rows_array(text: str):
     """`_read_rows` of `text` as (int64 indices, float64 coefficients) by
-    `np.loadtxt` of the lines after the header, or None where that might
-    differ.
+    one `np.loadtxt` parse of the lines after the header, or None where
+    that might differ.
 
     The text must hold no quote (csv's quoting) and no NUL (which csv
     refuses before Python 3.11), the header line no carriage return
@@ -936,10 +912,6 @@ def _read_rows_array(text: str):
     It raises on other digits, on `1_0`, on `5.0` as an index (older
     numpy warns, and warnings are raised here), on an index past int64
     and on a blank line, which the row loop skips.
-
-    A measure's few distinct coefficient texts are parsed once each
-    (`_distinct_text_rows`); from the first chunk with many new texts on,
-    the rows go to one float64 parse.
     """
     if '"' in text or "\0" in text:
         return None
@@ -950,13 +922,10 @@ def _read_rows_array(text: str):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            parsed = _distinct_text_rows(_line_chunks(text, stop), text.count("\n", stop) + 1)
-            if parsed is None:
-                rows = _loadtxt(itertools.chain.from_iterable(_line_chunks(text, stop)), _ROW_DTYPE)
-                parsed = rows["n"].copy(), rows["c"].copy()
+            rows = _loadtxt(itertools.chain.from_iterable(_line_chunks(text, stop)), _ROW_DTYPE)
     except (ValueError, OverflowError, Warning):
         return None
-    indices, coeffs = parsed
+    indices, coeffs = rows["n"].copy(), rows["c"].copy()
     if not (indices.size and indices[0] >= 0 and (indices[1:] > indices[:-1]).all()
             and np.isfinite(coeffs).all()):
         return None
@@ -965,50 +934,6 @@ def _read_rows_array(text: str):
 
 def _loadtxt(lines, dtype):
     return np.loadtxt(lines, dtype, comments=None, delimiter=",", usecols=(0, 1), ndmin=1)
-
-
-def _distinct_text_rows(chunks, most: int):
-    """The rows of the line `chunks` (at `most` of them), their texts read
-    as bytes and each distinct one parsed by the float64 field, so that
-    the values are the float64 parse's.  The first chunk with new texts
-    in over 1/`_DISTINCT_SHARE` of its rows (each chunk with new texts
-    re-sorts those kept: a dense depth-20 block after 2^19 zeros took
-    70 s so), a text of `_TEXT_BYTES` bytes or one that differs from its
-    hash's text goes, with every chunk after it, to one float64 parse;
-    the rows read before it are kept, not parsed again.  None where that
-    is the first chunk or there are no rows."""
-    texts, indices, hashes, filled, rest = {}, np.empty(most, np.int64), np.empty(most, np.int64), 0, []
-    for lines in chunks:
-        rows = _loadtxt(lines, _TEXT_ROW_DTYPE)
-        words = rows.view(np.int64).reshape(rows.size, -1)[:, 1:]
-        hashed = sum(words[:, i] * _TEXT_HASH[i] for i in range(_TEXT_HASH.size))
-        groups = _lookup(keys, hashed) if texts else None
-        if groups is None:  # new hashes: keep a text of each
-            new, groups = np.unique(hashed, return_inverse=True)
-            members = np.empty(new.size, np.int64)
-            members[groups] = np.arange(groups.size)
-            kept = dict(zip(new.tolist(), rows["c"][members].tolist())) | texts
-            if ((len(kept) - len(texts)) * _DISTINCT_SHARE > rows.size
-                    or max(map(len, kept.values())) >= _TEXT_BYTES):
-                rest = lines
-                break
-            texts = kept
-            keys = np.array(sorted(texts))
-            firsts = np.array([texts[key] for key in keys.tolist()], rows["c"].dtype)
-            groups = keys.searchsorted(hashed)
-        if not np.array_equal(words, firsts.view(np.int64).reshape(keys.size, -1)[groups]):
-            rest = lines
-            break
-        indices[filled : filled + rows.size], hashes[filled : filled + rows.size] = rows["n"], hashed
-        filled += rows.size
-    if not filled:
-        return None
-    lines = [f"0,{text.decode('latin-1')}" for text in firsts.tolist()]  # numpy's bytes fields are latin-1
-    values = _loadtxt(lines, _ROW_DTYPE)["c"][keys.searchsorted(hashes[:filled])]
-    if not rest:
-        return indices[:filled], values
-    rows = _loadtxt(itertools.chain(rest, itertools.chain.from_iterable(chunks)), _ROW_DTYPE)
-    return np.concatenate([indices[:filled], rows["n"]]), np.concatenate([values, rows["c"]])
 
 
 def _line_chunks(text: str, start: int):

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,7 +353,44 @@ def test_theorem1_check_past_float64_sums(tmp_path, capsys, rows):
     report = json.loads(capsys.readouterr().out)
     assert report["all_prefixes_nonneg"] and report["p3"] and report["shifted_bounds"]["all_hold"]
     assert report["decided_by"] == "integer-dyadic"
-    assert report["positivity_routes"][0]["rounding_slack"] == float("inf")
+    assert report["positivity_routes"][0]["rounding_slack"] == "inf"
+
+
+def strict_json(text):
+    """`text` read as JSON, refusing NaN, Infinity and -Infinity, which
+    Python's json writes by default but JSON has no number for."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_theorem1_check_report_is_strict_json_past_float64_sums(tmp_path, capsys):
+    # the float pass's sums overflow both ways, so its minimum is NaN and
+    # its allowance inf: the report writes them as strings, and the exact
+    # pass's minimum fails the series
+    path = tmp_path / "over.csv"
+    path.write_text("n,coeff\n0,1.7e308\n1,1.7e308\n2,1.7e308\n3,1.7e308\n7,1e308\n")
+    assert run(["theorem1-check", "--in", str(path)]) == 1
+    report = strict_json(capsys.readouterr().out)
+    walk, exact = report["positivity_routes"]
+    assert (walk["minimum"], walk["rounding_slack"]) == ("nan", "inf")
+    assert report["decided_by"] == "integer-dyadic" and exact["minimum"] == -1.7e308
+    assert report["witness"]["value"] == -1.7e308 and not report["all_prefixes_nonneg"]
+
+
+def test_readme_command_block_writes_strict_json(tmp_path, monkeypatch):
+    # every JSON file the commands of README.md's command-line block
+    # write parses with NaN and Infinity refused
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.strip() and not line.startswith("#"):
+            assert run(shlex.split(line)) == 0, line
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.json"))
+    assert written == ["manifest.json", "report.json", "trig.json"]
+    for name in written:
+        strict_json((tmp_path / name).read_text())
 
 
 def test_theorem1_check_report_agrees_with_itself_within_rounding(tmp_path, capsys):

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import walshriesz as wr
 from conftest import single_merge
 from walshriesz.walsh import (
-    _LIMB_BITS, _distinct_text_rows, _limb_ops, _line_chunks, _read_rows,
-    _read_rows_array, _segment_merge, atom_patterns, sign_vector,
+    _LIMB_BITS, _limb_ops, _read_rows, _read_rows_array, _segment_merge,
+    atom_patterns, sign_vector,
 )
 
 
@@ -844,17 +844,41 @@ def read_text(text):
     return wr.walsh.read_coeff_rows(io.StringIO(text))
 
 
-@given(coeff_texts())
-@example("n,coeff\n0,1.0,\"open\n1,2.0\n")  # csv's quote swallows the rows after it
-@example("n\r,coeff\n0,1.0\n")  # csv ends the header at the lone CR
-@example("n,coeff\n0,1.0\r1,2.0\n")
-@example("n,coeff\r\r\n0,1.0\n")
-@example("n,coeff\n0,1.0,\x00\n")  # csv refuses NUL before Python 3.11
+# coefficient texts as csv and numpy read them alike: repeated, with
+# whitespace, signs, exponents, subnormals and signed zeros
+_REPEATED_TEXTS = st.one_of(
+    _CLEAN_COEFFS,
+    st.sampled_from(["1.5", " 1.5", "1.5 ", "\t-2.5e-3", "+5", "-0", "-0.0", "0.0", "1E5",
+                     "2.5e+300", "1e-320", "-4.9406564584124654e-324", ".5", "5."]),
+)
+
+
+@st.composite
+def repeated_texts(draw):
+    """`n,coeff` texts whose rows take a few coefficient texts, the first
+    one 64 times (several 256-character chunks) and then any of them, LF
+    or CR LF, with a final newline or none."""
+    pool = draw(st.lists(_REPEATED_TEXTS, min_size=1, max_size=4))
+    picks = [0] * 64 + draw(st.lists(st.integers(0, len(pool) - 1), max_size=150))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(["n,coeff"] + [f"{n},{pool[i]}" for n, i in enumerate(picks)]) + ending
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@given(st.one_of(coeff_texts(), repeated_texts()), st.sampled_from([1 << 16, 256]))
+@example("n,coeff\n0,1.0,\"open\n1,2.0\n", 1 << 16)  # csv's quote swallows the rows after it
+@example("n\r,coeff\n0,1.0\n", 1 << 16)  # csv ends the header at the lone CR
+@example("n,coeff\n0,1.0\r1,2.0\n", 1 << 16)
+@example("n,coeff\r\r\n0,1.0\n", 1 << 16)
+@example("n,coeff\n0,1.0,\x00\n", 1 << 16)  # csv refuses NUL before Python 3.11
 @settings(max_examples=400, deadline=None)
-def test_array_reader_is_the_row_loop(text):
+def test_array_reader_is_the_row_loop(text, chunk):
     # read_coeff_rows equals its definition, the row loop, bit for bit on
-    # every text, or raises its error with the same message
-    assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
+    # every text, messy or of a few repeated coefficient texts, split into
+    # lines in one chunk or in many, or raises its error with the same
+    # message
+    with mock.patch.object(wr.walsh, "_LINE_CHUNK", chunk):
+        assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
 
 
 @given(coeff_texts(messy=False))
@@ -885,125 +909,20 @@ def test_array_reader_falls_back_on_long_lines(monkeypatch):
         csv.field_size_limit(old)
 
 
-def distinct_route(text):
-    """`_distinct_text_rows` on the lines after the header."""
-    start = text.find("\n") + 1
-    return _distinct_text_rows(_line_chunks(text, start), text.count("\n", start) + 1)
-
-
-# coefficient texts as csv and numpy read them alike: repeated, with
-# whitespace, signs, exponents, subnormals and signed zeros
-_REPEATED_TEXTS = st.one_of(
-    _CLEAN_COEFFS,
-    st.sampled_from(["1.5", " 1.5", "1.5 ", "\t-2.5e-3", "+5", "-0", "-0.0", "0.0", "1E5",
-                     "2.5e+300", "1e-320", "-4.9406564584124654e-324", ".5", "5."]),
-)
-
-
-@st.composite
-def repeated_texts(draw):
-    """`n,coeff` texts whose rows take a few coefficient texts, the first
-    one 64 times and then any of them, LF or CR LF, with a final newline
-    or none."""
-    pool = draw(st.lists(_REPEATED_TEXTS, min_size=1, max_size=4))
-    picks = [0] * 64 + draw(st.lists(st.integers(0, len(pool) - 1), max_size=150))
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
-    text = ending.join(["n,coeff"] + [f"{n},{pool[i]}" for n, i in enumerate(picks)]) + ending
-    return text if draw(st.booleans()) else text.rstrip("\r\n")
-
-
-@given(repeated_texts(), st.sampled_from([1 << 16, 256]))
-@settings(max_examples=300, deadline=None)
-def test_distinct_text_route_is_the_row_loop(text, chunk):
-    # a few texts, repeated: each distinct text parsed once gives the row
-    # loop's rows bit for bit, in one chunk or in many, later chunks
-    # bringing texts of their own
-    with mock.patch.object(wr.walsh, "_LINE_CHUNK", chunk):
-        got = distinct_route(text)
-        assert got is not None
-        assert reader_outcome(lambda _: got, text) == reader_outcome(_read_rows, text)
-        assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
-
-
-@pytest.mark.parametrize("coeff", ["1_0", "nan", "-inf", "1" * 31 + ".", "1." + "0" * 40])
-def test_distinct_text_route_leaves_what_it_cannot_vouch_for(coeff):
-    # numpy's float parse refuses underscores, a non-finite value fails
-    # the array check, and a text of the bytes field's width or more may
-    # be cut short: the row loop, or the float64 parse, reads these
-    text = "n,coeff\n" + "".join(f"{n},{coeff if n % 2 else 0.5}\n" for n in range(64))
-    if len(coeff) >= wr.walsh._TEXT_BYTES:
-        assert distinct_route(text) is None
-        assert _read_rows_array(text) is not None
-    else:
-        assert _read_rows_array(text) is None
-    assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
-
-
-def test_distinct_text_route_checks_every_text_against_its_hash(monkeypatch):
-    # with every hash equal, the texts of one hash differ: the float64
-    # parse reads the rows
-    text = "n,coeff\n" + "".join(f"{n},{0.25 * (n % 3)}\n" for n in range(64))
-    assert distinct_route(text) is not None
-    monkeypatch.setattr(wr.walsh, "_TEXT_HASH", np.zeros(4, np.int64))
-    assert distinct_route(text) is None
-    assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
-
-
 def test_all_distinct_series_keep_the_float64_parse(monkeypatch):
-    # a dense series' texts are all distinct: its first chunk sends it to
-    # the one float64 parse, whose rows are the row loop's
+    # a dense series, whose texts are all distinct, and a measure's few
+    # texts repeated: one float64 parse of every line, whose rows are the
+    # row loop's bit for bit
     rng = np.random.default_rng(20)
-    c = rng.uniform(-1, 1, 1 << 12) * 2.0 ** -rng.integers(0, 21, 1 << 12)
-    text = "n,coeff\r\n" + "".join(f"{n},{v!r}\r\n" for n, v in enumerate(c.tolist()))
-    assert distinct_route(text) is None
+    dense = rng.uniform(-1, 1, 1 << 12) * 2.0 ** -rng.integers(0, 21, 1 << 12)
+    repeated = rng.choice([0.0, -0.0, 0.5, -0.25, 2.0**-30, 5e-324], 1 << 12)
     calls = []
     original = wr.walsh._loadtxt
     monkeypatch.setattr(wr.walsh, "_loadtxt", lambda lines, dtype: calls.append(dtype) or original(lines, dtype))
-    indices, coeffs = _read_rows_array(text)
-    assert calls == [wr.walsh._TEXT_ROW_DTYPE, wr.walsh._ROW_DTYPE]
-    assert np.array_equal(indices, np.arange(c.size)) and np.array_equal(coeffs.view(np.int64), c.view(np.int64))
-
-
-def test_distinct_text_route_stops_once_its_texts_turn_distinct(monkeypatch):
-    # 2^12 zeros, then 2^12 distinct texts: the route gives up a few
-    # chunks into them, once over 1/8 of the texts read are distinct, not
-    # at the end (each chunk of new texts re-sorts every text kept), and
-    # the float64 parse reads the rows the row loop reads
-    monkeypatch.setattr(wr.walsh, "_LINE_CHUNK", 1 << 12)
-    rng = np.random.default_rng(12)
-    c = np.concatenate([np.zeros(1 << 12), rng.uniform(-1, 1, 1 << 12)])
-    text = "n,coeff\r\n" + "".join(f"{n},{v!r}\r\n" for n, v in enumerate(c.tolist()))
-    chunks = len(list(_line_chunks(text, text.index("\n") + 1)))
-    calls = []
-    original = wr.walsh._loadtxt
-    monkeypatch.setattr(wr.walsh, "_loadtxt", lambda lines, dtype: calls.append(dtype) or original(lines, dtype))
-    indices, coeffs = _read_rows_array(text)
-    assert calls[-1] == wr.walsh._ROW_DTYPE and calls.count(wr.walsh._TEXT_ROW_DTYPE) < chunks / 2
-    rows = _read_rows(text)
-    assert indices.tolist() == [n for n, _ in rows]
-    assert np.array_equal(coeffs.view(np.int64), np.array([v for _, v in rows]).view(np.int64))
-
-
-def test_distinct_text_route_hands_over_without_rereading(monkeypatch):
-    # 2^12 zeros, then 2^12 distinct texts: the first chunk of mostly new
-    # texts and every chunk after it go to one float64 parse, and the
-    # zero rows read before it are kept, their one text parsed once, so
-    # the file's rows are parsed once each but for that chunk
-    monkeypatch.setattr(wr.walsh, "_LINE_CHUNK", 1 << 12)
-    rng = np.random.default_rng(12)
-    c = np.concatenate([np.zeros(1 << 12), rng.uniform(-1, 1, 1 << 12)])
-    text = "n,coeff\r\n" + "".join(f"{n},{v!r}\r\n" for n, v in enumerate(c.tolist()))
-    chunk = max(len(lines) for lines in _line_chunks(text, text.index("\n") + 1))
-    parsed, original = [], wr.walsh._loadtxt
-
-    def counted(lines, dtype):
-        lines = list(lines)
-        parsed.append(sum(1 for line in lines if line.strip()))
-        return original(lines, dtype)
-
-    monkeypatch.setattr(wr.walsh, "_loadtxt", counted)
-    indices, coeffs = _read_rows_array(text)
-    rows = _read_rows(text)
-    assert sum(parsed) <= len(rows) + chunk + 1  # the one distinct text, "0.0"
-    assert indices.tolist() == [n for n, _ in rows]
-    assert np.array_equal(coeffs.view(np.int64), np.array([v for _, v in rows]).view(np.int64))
+    for c in (dense, repeated):
+        text = "n,coeff\r\n" + "".join(f"{n},{v!r}\r\n" for n, v in enumerate(c.tolist()))
+        calls.clear()
+        indices, coeffs = _read_rows_array(text)
+        assert calls == [wr.walsh._ROW_DTYPE]
+        assert np.array_equal(indices, np.arange(c.size)) and np.array_equal(coeffs.view(np.int64), c.view(np.int64))
+        assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
