@@ -14,9 +14,11 @@ build-walsh-measure runs positivity, psi sums and singularity at any
 depth, then orthogonality on each group of factors' own atoms, then the
 export; each refuses before it allocates anything, and before the
 manifest is written, so a refused build writes no file.  All output
-files are written atomically (temp file + rename), and every JSON file
-is strict JSON: a non-finite figure is written as the string "nan",
-"inf" or "-inf".  Commands take flags only.
+files are written atomically (temp file + rename), but for a target
+that exists and is not a regular file, such as /dev/null or a FIFO,
+which is written in place; every JSON file is strict JSON: a non-finite
+figure is written as the string "nan", "inf" or "-inf".  Commands take
+flags only.
 No command draws random numbers: every positivity certificate is exact
 over every order on every atom, at every depth.  --seed is only
 recorded in manifests and reports, and --cap is parsed and ignored;

@@ -660,10 +660,17 @@ def verify_lemma(series: WalshSeries, m, k: int, tol: float = 1e-12) -> LemmaWit
 def _atomic_open(path, mode: str = "w"):
     """Handle on a temp file beside `path`, opened in `mode` (text with no
     newline translation unless binary), renamed over it on success and
-    removed on error: readers never see a partial write."""
+    removed on error: readers never see a partial write.  A `path` that
+    exists and is not a regular file, such as /dev/null or a FIFO, is
+    written in place instead: a rename would replace it by a file."""
+    newline = None if "b" in mode else ""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, newline=newline) as fh:
+            yield fh
+        return
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -681,8 +688,9 @@ def _write_csv(path, header, rows) -> None:
 
 # inner rows per template of `_write_coeff_rows`, and the most bytes of
 # copies it joins for one write: at 2^18 the depth-22 ladder export peaks
-# at 1.2 MiB of tracemalloc (2.8 MiB at 2^20) and raised a fresh
-# process's peak RSS by 0.3 MB, where building the spectrum took 9.8 MB
+# at 1.08 MiB of tracemalloc (2.76 MiB at 2^20), the 200 kB of digit
+# tables included, and raised the peak RSS of a fresh process that had
+# built the state by 1.0 MB, where building the spectrum took 9.8 MB
 # (Linux x86-64, numpy 2.4)
 _ROW_CHUNK = 1 << 14
 _WRITE_BYTES = 1 << 18
@@ -743,15 +751,19 @@ def _coeff_texts(values: np.ndarray):
 
 def _copied_rows(f: np.ndarray, p: np.ndarray, templates: list) -> np.ndarray:
     """The lines of the indices f_i + p_j from one `[rows, commas]`
-    template per f_i, laid out for indices of the same digit counts."""
+    template per f_i, laid out for indices of the same digit counts.  A
+    template's commas are found on its first copy; the copies go after 8
+    bytes of headroom, which `_index_digits` may write into."""
     for template in templates:
         if template[1] is None:  # on its first copy
             template[1] = np.flatnonzero(template[0] == ord(","))
-    rows = np.concatenate([t[0] for t in templates])
-    bases = np.array([0] + [t[0].size for t in templates[:-1]]).cumsum()
-    ends = (np.stack([t[1] for t in templates]) + bases[:, None]).ravel()
-    _index_digits(np.add.outer(f, p).ravel(), ends, rows)
-    return rows
+    sizes = [t[0].size for t in templates]
+    rows = np.empty(8 + sum(sizes), np.uint8)
+    np.concatenate([t[0] for t in templates], out=rows[8:])
+    ends = np.concatenate([t[1] for t in templates]).reshape(len(templates), -1)
+    ends += np.cumsum([8, *sizes[:-1]])[:, None]
+    _index_digits(np.add.outer(f, p).ravel(), ends.ravel(), rows)
+    return rows[8:]
 
 
 def _coeff_row_bytes(indices: np.ndarray, inverse: np.ndarray, texts) -> np.ndarray:
@@ -765,7 +777,8 @@ def _coeff_row_bytes(indices: np.ndarray, inverse: np.ndarray, texts) -> np.ndar
     sizes = lengths[inverse] + 1
     for lo in powers:
         sizes[lo:] += 1  # one more digit from each power of 10 on
-    starts = np.cumsum(sizes) - lengths[inverse]  # where each text starts
+    # where each text starts, after 8 bytes of headroom for `_index_digits`
+    starts = np.cumsum(sizes) - lengths[inverse] + 8
     rows = np.empty(int(starts[-1] + lengths[inverse[-1]]) + texts.itemsize, np.uint8)
     runs = sorted({0, *powers, indices.size})
     for lo, hi in zip(runs, runs[1:]):
@@ -775,21 +788,22 @@ def _coeff_row_bytes(indices: np.ndarray, inverse: np.ndarray, texts) -> np.ndar
         for k in reversed(range(cells.shape[1])):
             out[at + cell * k] = cells[:, k][which]
     _index_digits(indices, starts, rows)
-    return rows[: rows.size - texts.itemsize]
+    return rows[8 : rows.size - texts.itemsize]
 
 
-def _index_digits(indices: np.ndarray, ends, rows: np.ndarray) -> None:
+def _index_digits(indices: np.ndarray, ends: np.ndarray, rows: np.ndarray) -> None:
     """Strictly increasing nonnegative int64 `indices` as ASCII digits in
-    the uint8 `rows`, ending before the offsets `ends`, an int64 array or
-    a range (then written to strided views), and nothing outside them.
-    From 4 digits on, cells of 4 digits from `_digit_cells` go to a
-    stride-1 view: the last ends at `ends`, any others fill the field
-    from its start.  Shorter indices are written digit by digit."""
-    def at(end, back):  # the offsets `back` bytes before the ends
-        return slice(end.start - back, end.stop - back, end.step) if isinstance(end, range) else end - back
-
+    the uint8 `rows`, each field ending before its int64 offset in `ends`.
+    From 6 digits on, an index takes unaligned 8-byte stores of zero-padded
+    digits (`_eight_digits`): one ending at `ends`, and past 8 digits one
+    or two more from the field's start.  The store of a 6- or 7-digit index
+    also writes the CR LF or LF before its field, which every field has:
+    the line end of the row before it, or, before the first row, 8 bytes of
+    headroom.  4- and 5-digit indices take 4-byte cells of `_digit_cells`,
+    shorter ones digit by digit.  Nothing else in `rows` changes."""
     padded = _digit_cells()
     cells = np.ndarray((rows.size - 3,), np.uint32, buffer=rows, strides=(1,))
+    wide = np.ndarray((rows.size - 7,), np.uint64, buffer=rows, strides=(1,))
     bounds = [0, *indices.searchsorted(_POWERS).tolist(), indices.size]
     for d, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1):
         if lo == hi:
@@ -798,12 +812,29 @@ def _index_digits(indices: np.ndarray, ends, rows: np.ndarray) -> None:
         if d < 4:
             for k in range(1, d + 1):
                 quot = rest // 10
-                rows[at(end, k)], rest = rest - 10 * quot + ord("0"), quot
-            continue
-        for k in range(4, d, 4):
-            quot = rest // 10 ** (d - k)
-            cells[at(end, d - k + 4)] = padded[quot - 10_000 * (quot // 10_000) if k > 4 else quot]
-        cells[at(end, 4)] = padded[rest - 10_000 * (rest // 10_000)]
+                rows[end - k], rest = rest - 10 * quot + ord("0"), quot
+        elif d < 6:
+            if d == 5:
+                cells[end - 5] = padded[rest // 10]
+                rest = rest - 10_000 * (rest // 10_000)
+            cells[end - 4] = padded[rest]
+        else:
+            for k in range(8, d, 8):  # the leading digits, 8 at a time
+                wide[end - d + k - 8] = _eight_digits(rest // 10 ** (d - k) % 10**8)
+            last = _eight_digits(rest % 10**8 if d > 8 else rest)
+            if d < 8:
+                last.view(np.uint8).reshape(-1, 8)[:, : 8 - d] = np.frombuffer(b"\r\n"[d - 6 :], np.uint8)
+            wide[end - 8] = last
+
+
+def _eight_digits(values: np.ndarray) -> np.ndarray:
+    """The zero-padded ASCII digits of int64 `values` below 10^8, each as
+    one uint64 holding its 8 bytes in memory order."""
+    lead, trail = _digit_pairs()
+    quot = values // 10_000
+    digits = trail[values - 10_000 * quot]
+    digits |= lead[quot]
+    return digits
 
 
 @functools.cache
@@ -818,6 +849,17 @@ def _digit_cells() -> np.ndarray:
         cells[:, col] = rest - 10 * quot + ord("0")
         rest = quot
     return cells.view(np.uint32).ravel()
+
+
+@functools.cache
+def _digit_pairs() -> np.ndarray:
+    """`_digit_cells` in 8-byte cells, a (2, 10^4) uint64 table NUL but
+    for the digits: in the first 4 bytes in row 0, in the last 4 in row
+    1, so that two cells OR-ed hold 8 digits.  Built on the first write of
+    an index of 6 digits or more."""
+    pairs = np.zeros((2, 10_000, 2), np.uint32)
+    pairs[0, :, 0] = pairs[1, :, 1] = _digit_cells()
+    return pairs.view(np.uint64)[..., 0]
 
 
 def series_to_csv(series: WalshSeries, path) -> None:
@@ -846,7 +888,8 @@ def read_coeff_rows(source) -> tuple[np.ndarray, np.ndarray]:
         text = source.read()
     parsed = _read_rows_array(text)
     if parsed is not None:
-        return parsed
+        del text  # released before the fields are copied out of the rows
+        return parsed[0].copy(), parsed[1].copy()
     rows = _read_rows(text)
     indices = [n for n, _ in rows]
     wide = indices[-1] >> 63
@@ -896,9 +939,9 @@ _LINE_CHUNK = 1 << 16
 
 
 def _read_rows_array(text: str):
-    """`_read_rows` of `text` as (int64 indices, float64 coefficients) by
-    one `np.loadtxt` parse of the lines after the header, or None where
-    that might differ.
+    """`_read_rows` of `text` as (int64 indices, float64 coefficients),
+    the two fields of one `_ROW_DTYPE` array that one `np.loadtxt` parse
+    of the lines after the header fills, or None where that might differ.
 
     The text must hold no quote (csv's quoting) and no NUL (which csv
     refuses before Python 3.11), the header line no carriage return
@@ -925,7 +968,7 @@ def _read_rows_array(text: str):
             rows = _loadtxt(itertools.chain.from_iterable(_line_chunks(text, stop)), _ROW_DTYPE)
     except (ValueError, OverflowError, Warning):
         return None
-    indices, coeffs = rows["n"].copy(), rows["c"].copy()
+    indices, coeffs = rows["n"], rows["c"]
     if not (indices.size and indices[0] >= 0 and (indices[1:] > indices[:-1]).all()
             and np.isfinite(coeffs).all()):
         return None
@@ -956,8 +999,10 @@ def _line_chunks(text: str, start: int):
 # a dense series.  `theorem1-check` on a seeded dense 2-limb series
 # (coefficients uniform(-1, 1) 2^-U{0..20}), its exact positivity pass
 # run, took 2.5-3.4 s and 97 MiB of peak RSS at depth 20 and
-# 22.6-26.5 s and 546 MiB at 23 on one shared Xeon core, this reader
-# setting the peak: 23 is the deepest depth under 30 s and 1 GiB.
+# 22.6-26.5 s and 546 MiB at 23 on one shared Xeon core: 23 is the
+# deepest depth under 30 s and 1 GiB.  At 23 this reader alone peaks at
+# 525 MiB of RSS, set by the file read, which holds the 247 MiB text and
+# its bytes at once.
 THEOREM1_DEPTH_LIMIT = 23
 
 

@@ -7,8 +7,10 @@ import hashlib
 import itertools
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -1068,6 +1070,29 @@ def test_export_roundtrip(tmp_path):
     assert not list(tmp_path.glob("*.tmp.*"))  # the atomic write left no temp file
 
 
+def test_export_to_a_fifo_writes_through_it(tmp_path):
+    # a target that is not a regular file is written in place: the FIFO
+    # stays one, and its reader gets the bytes of the export to a file
+    state = wr.build_measure(wr.PsiSpec.logpow(1.0), 3, wr.SummabilityBudget(2.25))
+    wr.export_measure(state, tmp_path / "measure.csv")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    os.link(fifo, tmp_path / "same-fifo")  # a name a rename over `fifo` leaves
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        wr.export_measure(state, fifo)
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():  # no writer opened the FIFO: let its reader go
+            os.close(os.open(tmp_path / "same-fifo", os.O_WRONLY))
+            reader.join(timeout=10)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received == [(tmp_path / "measure.csv").read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "measure.csv", "same-fifo"]
+
+
 def reference_write_spectrum(path, index_name, spectrum):
     """The csv.writer export the line writer replaced, one repr per term."""
     with open(path, "w", newline="") as fh:
@@ -1253,7 +1278,30 @@ def outer_inner_parts(draw):
     return (outer, np.array(coeffs)), wr.Spectrum(inner, inner_coeffs)
 
 
+def repeated_outer(first, count, coeffs=(0.5,)):
+    # `count` outer terms 8 apart from `first`, their coefficients cycling
+    # through `coeffs`, times an 8-row inner part: a term whose c_i and
+    # digit counts an earlier term had is copied
+    return (first + 8 * np.arange(count), np.resize(coeffs, count)), wr.Spectrum(
+        np.arange(8), np.linspace(-1, 1, 8))
+
+
 @given(outer_inner_parts(), st.sampled_from([1, 3, 1 << 14]), st.sampled_from([7, 64, 1 << 18]))
+# copies whose first row has 6, 7, 8 or 9 digits: with writes of 7 bytes
+# each copy is a batch of its own, whose first index is stored into the
+# headroom before it (a 6- or 7-digit store also takes the line end)
+@example(repeated_outer(10**5, 6), 1 << 14, 7)
+@example(repeated_outer(10**6, 6), 1 << 14, 7)
+@example(repeated_outer(10**7, 6), 1 << 14, 7)
+@example(repeated_outer(10**8, 6), 1 << 14, 7)
+# the first outer term's rows cross 10^6 or 10^8 partway, and the terms
+# after it are copied
+@example(repeated_outer(10**6 - 4, 6), 1 << 14, 1 << 18)
+@example(repeated_outer(10**8 - 4, 6), 1 << 14, 1 << 18)
+# batches that mix templates: rows of 7 and 17 digits (three stores)
+# with texts of different lengths
+@example(repeated_outer(10**6, 12, (1.0, -0.5, 1 / 3)), 1 << 14, 1 << 18)
+@example(repeated_outer(10**16, 12, (1.0, -0.5)), 1 << 14, 1 << 18)
 @settings(max_examples=150, deadline=None)
 def test_outer_times_inner_rows_match_csv_writer_bytes(tmp_path_factory, parts, rows, size):
     # also with inner chunks of 1 or 3 rows and writes of 7 or 64 bytes

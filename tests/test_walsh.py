@@ -926,3 +926,22 @@ def test_all_distinct_series_keep_the_float64_parse(monkeypatch):
         assert calls == [wr.walsh._ROW_DTYPE]
         assert np.array_equal(indices, np.arange(c.size)) and np.array_equal(coeffs.view(np.int64), c.view(np.int64))
         assert reader_outcome(read_text, text) == reader_outcome(_read_rows, text)
+
+
+def test_reader_releases_the_text_before_copying_the_rows(tmp_path):
+    # a dense depth-18 series: the text is released once the array parse
+    # has vouched for the rows, so the peak stays below the text, the
+    # parsed rows and the copies of their two fields held at once
+    rng = np.random.default_rng(18)
+    c = rng.uniform(-1, 1, 1 << 18) * 2.0 ** -rng.integers(0, 21, 1 << 18)
+    path = tmp_path / "dense18.csv"
+    wr.series_to_csv(wr.WalshSeries(18, c), path)
+    text, rows = path.stat().st_size, wr.walsh._ROW_DTYPE.itemsize << 18
+    tracemalloc.start()
+    try:
+        series = wr.series_from_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(series.coeffs.view(np.int64), c.view(np.int64))
+    assert peak < text + rows + rows
