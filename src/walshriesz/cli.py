@@ -378,10 +378,11 @@ def _load_manifest(path: str) -> dict:
 @contextlib.contextmanager
 def _rebuilding(path: str):
     """Rebuild a state from the manifest read from `path`: a KeyError,
-    TypeError or ValueError in the block exits 2, naming the manifest."""
+    TypeError or ValueError in the block exits 2, naming the manifest, and
+    so does an OverflowError (a JSON integer past float64)."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _UsageError(f"cannot rebuild state from {path}: {exc}") from None
 
 
@@ -416,6 +417,8 @@ def _cmd_report(args) -> int:
     with _rebuilding(args.manifest):
         state = riesz.state_from_manifest(manifest)
         psi = riesz.PsiSpec.parse(manifest["psi"]).validate()
+        if type(manifest["budget_scale"]) not in (int, float):  # a bool is no number here
+            raise ValueError(f"budget_scale {manifest['budget_scale']!r} must be a number")
         budget = riesz.SummabilityBudget(scale=float(manifest["budget_scale"]))
     if len(spectrum) != state.support_size:
         raise _UsageError(

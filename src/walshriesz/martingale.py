@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .riesz import CoordinateBudgetError, RieszProductState, Spectrum, _exact_sum, _histogram
-from .riesz import SPECTRUM_LIMIT, _monomial, _product_ranges, factor_values, product_values
+from .riesz import SPECTRUM_LIMIT, _product_ranges, factor_values, product_values
 from .walsh import (
     THEOREM1_DEPTH_LIMIT,
     AtomTable,
@@ -73,7 +73,6 @@ __all__ = [
     "check_p3",
     "singularity_report",
     "verify_product_orthogonality",
-    "verify_strong_orthogonality",
     "dyadic_block_envelope",
 ]
 
@@ -626,11 +625,6 @@ class OrthogonalityReport:
     max_second_moment: float
 
 
-def _factor_list(state_or_factors):
-    factors = getattr(state_or_factors, "factors", state_or_factors)
-    return list(factors)
-
-
 def _groups(factors) -> list[tuple[list[int], list[int]]]:
     """The factors' positions, joined while their blocks share a
     coordinate, each group with the increasing union of its blocks.
@@ -671,7 +665,7 @@ def verify_product_orthogonality(
     Overlapping blocks (the negative control) share a group, where the
     cross terms are visibly nonzero.
     """
-    factors = _factor_list(state_or_factors)
+    factors = list(getattr(state_or_factors, "factors", state_or_factors))
     if len(factors) < 2:
         raise ValueError("need at least two factors")
     mass, group_of, means, seconds, inner = [], {}, {}, {}, []
@@ -701,22 +695,3 @@ def verify_product_orthogonality(
         for i, j in itertools.combinations(means, 2) if group_of[i] != group_of[j]])
     ok = max_mean <= tol and max_cross <= tol and max_second <= 4.0 + tol
     return OrthogonalityReport(ok, max_mean, max_cross, max_second)
-
-
-def verify_strong_orthogonality(state_or_factors, alpha, tol: float = 1e-10) -> bool:
-    """|E_lambda prod X_k^alpha_k| <= tol for an admissible multi-index.
-
-    Admissible: entries in {0, 1, 2}, at least one 1, at most two 2s.
-    The mean is the product, over the groups of the active factors
-    (`_groups`), of each group's mean on its own atoms.
-    """
-    factors = _factor_list(state_or_factors)
-    alpha = _monomial(alpha, len(factors))
-    active = [(f, a) for f, a in zip(factors, alpha) if a > 0]
-    mean = 1.0
-    for members, coords in _groups([f for f, _ in active]):
-        prod = np.ones(1 << len(coords))
-        for f, a in (active[i] for i in members):
-            prod *= factor_values(f, coords) ** a  # ** 2 squares, as vals * vals
-        mean *= float(prod.mean())
-    return bool(abs(mean) <= tol)

@@ -163,9 +163,10 @@ class BlockOverlapError(ValueError):
 class PsiSpec:
     """An increasing gauge psi with the monotone envelope of psi(x)/x^2.
 
-    `envelope_decays` records whether eps_bar(x) -> 0 as x -> 0 (known
-    analytically for the presets, probed on the grid for tables); the
-    product construction is only possible when it does.
+    `envelope_decays` records whether eps_bar(x) -> 0 as x -> 0: known
+    analytically for the presets, and vouched for by any caller that
+    builds a PsiSpec itself, as no finite table of samples can show it.
+    The product construction is only possible when it does.
     """
 
     descriptor: str
@@ -239,62 +240,6 @@ class PsiSpec:
         """psi(x) = x^2: envelope identically 1, hypothesis violated."""
         spec = cls.power(0.0)
         return cls("preset:quadratic", spec.psi, spec.epsilon_bar, False)
-
-    @classmethod
-    def from_table(cls, xs, ys, descriptor: str = "table") -> "PsiSpec":
-        """Tabulated psi on an increasing sample grid: linear between
-        samples, ys[-1] past the grid and ys[0] (x/xs[0])^2 below it.
-
-        The envelope at x is the sup of psi(y)/y^2 over y <= x, exactly:
-        the running sup over the samples and the segments below x, then
-        this segment up to x.  On a segment psi = a + b x, and psi/x^2
-        is monotone there unless a < 0 and x* = -2a/b lies inside, where
-        it peaks at -b^2/(4a); below the grid it is ys[0]/xs[0]^2.  Decay
-        is probed by comparing ys/xs^2 at the first sample with its
-        largest.
-        """
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-            raise ValueError("need matching 1-d sample arrays with >= 2 points")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValueError("psi samples must be finite")
-        if np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
-            raise ValueError("sample grid must be positive and increasing")
-        if np.any(ys < 0) or np.any(np.diff(ys) < 0):
-            raise ValueError("psi samples must be nonnegative and nondecreasing")
-        slope = np.diff(ys) / np.diff(xs)
-        intercept = ys[:-1] - slope * xs[:-1]
-        # a < 0 makes b > 0, as ys >= 0 at the segment's left end
-        dips = intercept < 0
-        star = np.where(dips, -2.0 * intercept / np.where(dips, slope, 1.0), 0.0)
-        inside = dips & (xs[:-1] < star) & (star < xs[1:])
-        peak = np.where(inside, -slope * slope / (4.0 * np.where(dips, intercept, -1.0)), 0.0)
-        # env[i]: the sup over [xs[0], xs[i]], samples and whole segments
-        ratio = ys / (xs * xs)
-        env = np.maximum.accumulate(np.maximum(ratio, np.append(0.0, peak)))
-
-        def psi(x):
-            x = float(x)
-            if x <= 0.0:
-                return 0.0
-            if x < xs[0]:
-                return float(ys[0] * (x / xs[0]) ** 2)
-            return float(np.interp(x, xs, ys))
-
-        def envelope(x):
-            x = float(x)
-            if x <= 0.0:
-                return 0.0
-            i = int(np.searchsorted(xs, x, side="right")) - 1
-            if i < 0:
-                return float(env[0])
-            if i == xs.size - 1 or not inside[i] or x < star[i]:
-                return max(float(env[i]), psi(x) / (x * x))
-            return max(float(env[i]), float(peak[i]))
-
-        decays = ratio[0] <= 0.5 * ratio.max()
-        return cls(descriptor, psi, envelope, bool(decays))
 
     @classmethod
     def parse(cls, text: str) -> "PsiSpec":
@@ -647,27 +592,17 @@ def make_factor(level: int, block: BlockSpec) -> Factor:
     return factor
 
 
+def _within_budget(amp: float, norm_a: float, psi: PsiSpec, bound: float) -> bool:
+    """Condition (6) for a factor of amplitude (largest |c|) `amp` on a
+    product with A-norm `norm_a`, `bound` the stage's budget term."""
+    return norm_a**2 * psi.epsilon_bar(amp) <= bound
+
+
 def _admissible(amp: float, norm_a: float, inf_value: float, psi: PsiSpec, bound: float) -> bool:
     """Conditions (5) and (6) for a factor of amplitude `amp` on a product
     with A-norm `norm_a` and infimum `inf_value`, `bound` the stage's
     budget term: the level rule of both the Walsh and the cosine builds."""
-    return amp * norm_a <= 0.25 * inf_value and norm_a**2 * psi.epsilon_bar(amp) <= bound
-
-
-def _monomial(alpha, factor_count: int) -> list[int]:
-    """The multi-index of a strong-orthogonality monomial prod X_k^alpha_k
-    as ints, checked admissible: entries in {0, 1, 2}, at least one 1, at
-    most two 2s, and no more entries than factors."""
-    alpha = [int(a) for a in alpha]
-    if len(alpha) > factor_count:
-        raise ValueError(f"multi-index has {len(alpha)} entries, only {factor_count} factors")
-    if any(a not in (0, 1, 2) for a in alpha):
-        raise ValueError(f"entries must be 0, 1 or 2: {alpha}")
-    if alpha.count(1) < 1:
-        raise ValueError(f"multi-index needs at least one entry equal to 1: {alpha}")
-    if alpha.count(2) > 2:
-        raise ValueError(f"multi-index allows at most two entries equal to 2: {alpha}")
-    return alpha
+    return amp * norm_a <= 0.25 * inf_value and _within_budget(amp, norm_a, psi, bound)
 
 
 def choose_next_level(state: RieszProductState, psi: PsiSpec, budget: SummabilityBudget) -> int:
@@ -908,9 +843,14 @@ class PsiSumReport:
     values); exact_total and bound_total are the exact sums of the stage
     figures, rounded once, so every figure is the same on every Python
     version.
-    stage_bounds[k] = ||X_k||_2^2 ||Pi_(k-1)||_A^2 eps_bar(PM of stage k);
-    ||X_k||_2 = 1/2C for construction factors, so this is the familiar
-    (1/4C^2) ||Pi_(k-1)||_A^2 eps_bar(a_k).
+    stage_bounds[k] = ||X_k||_2^2 ||Pi_(k-1)||_A^2 eps_bar(PM of stage k),
+    that PM the largest |c| of Pi_(k-1) times X_k's; ||X_k||_2 = 1/2C
+    and X_k's largest |c| is a_k for construction factors, so this is the
+    familiar (1/4C^2) ||Pi_(k-1)||_A^2 eps_bar(a_k).
+    `ok` holds when exact_total is within its bound and, when a budget is
+    given, condition (6) holds at every stage, with X_k's largest |c| in
+    float64 as the level rule evaluates it (`_within_budget`): a
+    rule-built state meets it by construction.
     """
 
     stage_exact: tuple[float, ...]
@@ -958,13 +898,17 @@ def psi_sum_report(
     A stage with more than SPECTRUM_LIMIT magnitude products is refused
     (CoordinateBudgetError) before they are allocated, and so is one
     whose sum or bound underflows."""
+    budget_terms = None if budget is None else tuple(map(budget.term_bound, range(1, state.stages + 1)))
     mags, counts = np.ones(1), np.ones(1, np.int64)  # Pi_0's distinct |c| and their counts
-    norm_a, stage_exact, stage_bounds = 1.0, [], []
+    norm_a, stage_exact, stage_bounds, within = 1.0, [], [], True
     for k, factor in enumerate(state.factors, 1):
         fmags, fcounts = factor.magnitudes
+        top = fmags.max(initial=0.0)  # X_k's largest |c|: a construction factor's amplitude
         # ||X_k||_2^2 from the histogram; PM of stage k is the largest |c|
-        # of Pi_(k-1) times the amplitude
-        bound = np.sum(fcounts * fmags**2) * norm_a**2 * psi.epsilon_bar(mags[-1] * factor.amplitude)
+        # of Pi_(k-1) times X_k's
+        bound = np.sum(fcounts * fmags**2) * norm_a**2 * psi.epsilon_bar(mags[-1] * top)
+        if budget_terms is not None:
+            within = within and _within_budget(top, norm_a, psi, budget_terms[k - 1])
         if mags.size * fmags.size > SPECTRUM_LIMIT:
             raise CoordinateBudgetError(
                 f"stage {k} pairs {mags.size:,} magnitudes with {fmags.size:,}: past the"
@@ -981,11 +925,6 @@ def psi_sum_report(
         stage_bounds.append(float(bound))
         norm_a *= 1.0 + factor.norm_a
         mags, counts = _histogram(*map(np.concatenate, zip((mags, counts), stage)))  # Pi_k's
-    budget_terms = None
-    if budget is not None:
-        budget_terms = tuple(
-            budget.term_bound(k) for k in range(1, state.stages + 1)
-        )
     exact_total = _exact_sum(stage_exact)
     bound_total = _exact_sum(stage_bounds)
     # equality is attainable (single-coefficient stages), where the bound's
@@ -997,7 +936,7 @@ def psi_sum_report(
         exact_total=exact_total,
         bound_total=bound_total,
         c0_term=float(psi.psi(1.0)),
-        ok=exact_total <= bound_total * (1.0 + 1e-12),
+        ok=exact_total <= bound_total * (1.0 + 1e-12) and within,
     )
 
 
@@ -1043,15 +982,18 @@ def state_from_manifest(data: dict) -> RieszProductState:
     """Rebuild the state from its stages; other keys are ignored, among
     them the two coordinate caps older manifests recorded.  A level or
     block coordinate that is not a JSON integer (a float such as 1.5 or
-    Infinity, a bool, a string) raises ValueError naming its stage."""
+    Infinity, a bool, a string), or an amplitude that is not a JSON
+    number (a bool, a string), raises ValueError naming its stage."""
     state = empty_state()
     for k, stage in enumerate(data["stages"], start=1):
         level, block = stage["level"], list(stage["block"])
         if any(type(v) is not int for v in [level, *block]):  # a bool is no int here
             raise ValueError(f"stage {k}: level {level!r} and block {block!r} must be integers")
+        if type(stage["amplitude"]) not in (int, float):
+            raise ValueError(f"stage {k}: amplitude {stage['amplitude']!r} must be a number")
         state = add_factor(state, level, BlockSpec(tuple(block)))
         rebuilt = state.factors[-1].amplitude
-        if not math.isclose(rebuilt, float(stage["amplitude"]), rel_tol=1e-15):
+        if not math.isclose(rebuilt, stage["amplitude"], rel_tol=1e-15):
             raise ValueError(
                 f"amplitude mismatch rebuilding stage {k}: {rebuilt} vs {stage['amplitude']}"
             )

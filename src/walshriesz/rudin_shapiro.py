@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walsh import CoordinateBudgetError, WalshSeries, butterfly, u_norm
+from .walsh import CoordinateBudgetError, butterfly, u_norm
 
 __all__ = [
     "FLATNESS_CONSTANT",
@@ -61,7 +61,6 @@ __all__ = [
     "build_pair",
     "build_flat",
     "rs_sign_sequence",
-    "substitute",
     "substitute_sparse",
 ]
 
@@ -229,11 +228,6 @@ class FlatPolynomial:
         lo, hi = self.window
         return np.arange(lo, hi, dtype=np.int64)
 
-    def as_series(self) -> WalshSeries:
-        coeffs = np.zeros(1 << (self.level + 1))
-        coeffs[1 << self.level :] = self.signs
-        return WalshSeries(self.level + 1, coeffs)
-
 
 def build_flat(level: int) -> FlatPolynomial:
     """Flat polynomial at the given level, with construction-time checks.
@@ -301,16 +295,3 @@ def substitute_sparse(flat: FlatPolynomial, block: BlockSpec):
     for i, coord in enumerate(block.coordinates):
         dst |= ((src >> i) & 1) << (coord - 1)
     return dst, flat.signs.copy()
-
-
-def substitute(flat: FlatPolynomial, block: BlockSpec) -> WalshSeries:
-    """Dense series of phi((r_j), j in block), depth = sup of the block.
-
-    A bit remap through increasing coordinates is a measure-preserving
-    permutation, so every norm in the bundle is preserved.
-    """
-    idx, signs = substitute_sparse(flat, block)
-    depth = block.sup
-    coeffs = np.zeros(1 << depth)
-    coeffs[idx] = signs
-    return WalshSeries(depth, coeffs)

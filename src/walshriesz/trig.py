@@ -13,9 +13,9 @@ The factors are dilations
 so sup |X_k| <= a_k C sqrt(l_k) = 1/4, and the frequency support of X_k
 is l_k * {1..l_k}.  The lacunarity rule l_(k+1) > 4 * (max frequency so
 far) keeps every product-to-sum frequency |h +- f| distinct and nonzero,
-which makes the stage supports exactly disjoint and kills the integrals
-of all admissible monomials prod X_k^alpha_k (strong orthogonality) by
-pure frequency bookkeeping.
+which makes the stage supports exactly disjoint; the tests check by the
+same frequency bookkeeping that it kills the integrals of all admissible
+monomials prod X_k^alpha_k (strong orthogonality).
 
 Every spectrum here is a `riesz.Spectrum` of cosine frequencies, with
 frequency 0 holding the constant term, and every grid partial sum is
@@ -44,7 +44,7 @@ import numpy as np
 
 from .rudin_shapiro import FLATNESS_CONSTANT, rs_sign_sequence
 from .riesz import LevelSelectionError, PsiSpec, SummabilityBudget, Spectrum
-from .riesz import _admissible, _exact_sum, _magnitudes, _monomial, _require_normal
+from .riesz import _admissible, _exact_sum, _magnitudes, _require_normal
 from .walsh import InvariantViolation, _write_coeff_rows, prefix_scan
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "TrigCertificates",
     "build_trig_flat",
     "build_trig_measure",
-    "strong_orthogonality_integral",
     "trig_export",
 ]
 
@@ -241,24 +240,6 @@ def build_trig_measure(
         passed=passed,
     )
     return state, certificates
-
-
-def strong_orthogonality_integral(factors, alpha) -> float:
-    """Exact (2pi)^-1 integral of prod X_k^alpha_k by frequency bookkeeping.
-
-    Admissible alpha: entries in {0, 1, 2}, at least one 1, at most two
-    2s.  The product is expanded symbolically with cos a cos b =
-    (cos(a+b) + cos(a-b))/2; the returned value is the resulting
-    constant term, which is exactly 0.0 when no frequencies cancel.
-    """
-    factors = list(factors)
-    alpha = _monomial(alpha, len(factors))
-    prod = Spectrum(np.zeros(1, dtype=np.int64), np.ones(1))  # 0 is the constant term
-    for f, a in zip(factors, alpha):
-        spec = Spectrum(f.freqs, f.coeffs)
-        for _ in range(a):
-            prod = _cos_multiply(prod, spec)
-    return float(prod.coeffs[prod.indices == 0].sum())
 
 
 def _cos_multiply(left: Spectrum, right: Spectrum) -> Spectrum:

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Atom",
     "AtomTable",
     "WalshSeries",
     "NormBundle",
@@ -65,7 +64,6 @@ __all__ = [
     "InvariantViolation",
     "SeriesFormatError",
     "CoordinateBudgetError",
-    "walsh_eval",
     "walsh_signs",
     "butterfly",
     "fwht",
@@ -132,38 +130,6 @@ def walsh_signs(n: int, m: int) -> np.ndarray:
     if n < 0:
         raise ValueError("Walsh index must be nonnegative")
     return sign_vector(n, atom_patterns(m))
-
-
-@dataclass(frozen=True)
-class Atom:
-    """One sign assignment of r_1..r_m, encoded as an m-bit pattern."""
-
-    m: int
-    pattern: int
-
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError("coordinate count must be nonnegative")
-        if not 0 <= self.pattern < (1 << self.m):
-            raise ValueError(f"pattern {self.pattern} not an {self.m}-bit integer")
-
-    def sign(self, j: int) -> int:
-        """Value of r_j on this atom (j is 1-based)."""
-        if not 1 <= j <= self.m:
-            raise ValueError(f"coordinate {j} outside 1..{self.m}")
-        return -1 if (self.pattern >> (j - 1)) & 1 else 1
-
-
-def walsh_eval(n, t: Atom) -> int:
-    """w_n(t).  Every set bit of n must name one of t's m coordinates."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("Walsh index must be nonnegative")
-    if n >> t.m:
-        raise ValueError(
-            f"index {n} uses coordinates beyond the atom's {t.m}"
-        )
-    return 1 - 2 * ((n & t.pattern).bit_count() & 1)
 
 
 @dataclass(frozen=True, eq=False)

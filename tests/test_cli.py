@@ -825,6 +825,63 @@ def test_manifest_levels_and_coordinates_must_be_integers(tmp_path, capsys, comm
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "measure.csv"]
 
 
+@pytest.mark.parametrize("value", [True, "2.25"], ids=["true", "string"])
+def test_report_refuses_a_budget_scale_that_is_not_a_number(tmp_path, capsys, value):
+    # a JSON bool or string where the budget scale belongs exits 2, naming
+    # the field, and writes nothing: float() would read true as 1.0
+    state = wr.add_factor(wr.empty_state(), 0)
+    manifest, measure = tmp_path / "manifest.json", tmp_path / "measure.csv"
+    manifest.write_text(json.dumps({"psi": "preset:logpow,p=1", "budget_scale": value,
+                                    **wr.state_manifest(state)}))
+    wr.export_measure(state, measure)
+    argv = ["report", "--manifest", str(manifest), "--measure", str(measure)]
+    assert run(argv + ["--out-dir", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot rebuild state from {manifest}: budget_scale {value!r} must be a number" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "measure.csv"]
+
+
+@pytest.mark.parametrize("command", ["singularity-report", "report"])
+@pytest.mark.parametrize("value", [True, "0.14644660940672624"], ids=["true", "string"])
+def test_manifest_amplitudes_must_be_numbers(tmp_path, capsys, command, value):
+    # a JSON bool or string where a stage amplitude belongs exits 2,
+    # naming the stage and the field, and writes nothing
+    state = wr.add_factor(wr.empty_state(), 0)
+    data = {"psi": "preset:logpow,p=1", "budget_scale": 1.0, **wr.state_manifest(state)}
+    data["stages"][0]["amplitude"] = value
+    manifest, measure = tmp_path / "bad.json", tmp_path / "measure.csv"
+    manifest.write_text(json.dumps(data))
+    wr.export_measure(state, measure)
+    out = tmp_path / "out"
+    if command == "report":
+        argv = ["report", "--manifest", str(manifest), "--measure", str(measure), "--out-dir", str(out)]
+    else:
+        argv = ["singularity-report", "--state", str(manifest), "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot rebuild state from {manifest}: stage 1: amplitude {value!r} must be a number" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "measure.csv"]
+
+
+@pytest.mark.parametrize("field", ["budget_scale", "amplitude"])
+def test_manifest_integers_past_float64_exit_2(tmp_path, capsys, field):
+    # a JSON integer that float64 cannot hold is bad input, not an
+    # internal error
+    state = wr.add_factor(wr.empty_state(), 0)
+    data = {"psi": "preset:logpow,p=1", "budget_scale": 1.0, **wr.state_manifest(state)}
+    if field == "budget_scale":
+        data["budget_scale"] = 10**400
+    else:
+        data["stages"][0]["amplitude"] = 10**400
+    manifest, measure = tmp_path / "bad.json", tmp_path / "measure.csv"
+    manifest.write_text(json.dumps(data))
+    wr.export_measure(state, measure)
+    argv = ["report", "--manifest", str(manifest), "--measure", str(measure), "--out-dir", str(tmp_path / "out")]
+    assert run(argv) == 2
+    assert f"cannot rebuild state from {manifest}: int too large to convert to float" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "measure.csv"]
+
+
 def test_report_past_the_dense_depth_limit_writes_its_files(tmp_path):
     # the singularity rows come from value histograms, so a depth-27 state
     # is reported like any other

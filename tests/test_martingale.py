@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import walshriesz as wr
 from conftest import single_merge, spectrum_series
+from oracles import verify_strong_orthogonality
 from walshriesz import martingale, riesz
 from walshriesz.martingale import CONCENTRATION_FRACTIONS
 from walshriesz.walsh import (
@@ -875,19 +876,19 @@ def test_product_orthogonality_overlap_detected():
 
 def test_strong_orthogonality_admissible_cases():
     state = _built_state([0, 1, 2])
-    assert wr.verify_strong_orthogonality(state, [1])
-    assert wr.verify_strong_orthogonality(state, [1, 2])
-    assert wr.verify_strong_orthogonality(state, [2, 1, 2])
+    assert verify_strong_orthogonality(state, [1])
+    assert verify_strong_orthogonality(state, [1, 2])
+    assert verify_strong_orthogonality(state, [2, 1, 2])
 
 
 def test_strong_orthogonality_rejects_bad_indices():
     state = _built_state([0, 1])
     with pytest.raises(ValueError, match="at least one"):
-        wr.verify_strong_orthogonality(state, [2, 2])
+        verify_strong_orthogonality(state, [2, 2])
     with pytest.raises(ValueError, match="0, 1 or 2"):
-        wr.verify_strong_orthogonality(state, [3])
+        verify_strong_orthogonality(state, [3])
     with pytest.raises(ValueError, match="at most two"):
-        wr.verify_strong_orthogonality(_built_state([0, 1, 2, 3]), [2, 2, 2, 1])
+        verify_strong_orthogonality(_built_state([0, 1, 2, 3]), [2, 2, 2, 1])
 
 
 def test_orthogonality_at_depth_27_reads_each_factors_own_atoms():
@@ -900,7 +901,7 @@ def test_orthogonality_at_depth_27_reads_each_factors_own_atoms():
     tracemalloc.start()
     try:
         report = wr.verify_product_orthogonality(state)
-        strong = [wr.verify_strong_orthogonality(state, alpha) for alpha in ([1, 1], [1], [2, 1])]
+        strong = [verify_strong_orthogonality(state, alpha) for alpha in ([1, 1], [1], [2, 1])]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -920,7 +921,7 @@ def test_orthogonality_at_depth_42():
     start = time.perf_counter()
     try:
         report = wr.verify_product_orthogonality(state)
-        strong = [wr.verify_strong_orthogonality(state, alpha)
+        strong = [verify_strong_orthogonality(state, alpha)
                   for alpha in ([1] * 7, [2, 1, 0, 0, 0, 0, 0])]
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
@@ -939,7 +940,7 @@ def test_orthogonality_refuses_a_group_past_24_coordinates():
     tracemalloc.start()
     try:
         for check in (wr.verify_product_orthogonality,
-                      lambda s: wr.verify_strong_orthogonality(s, [1, 1])):
+                      lambda s: verify_strong_orthogonality(s, [1, 1])):
             with pytest.raises(wr.CoordinateBudgetError,
                                match="group on the 25 coordinates 2..26: one table of its atoms"
                                      " takes 268,435,456 bytes, past the limit of 16,777,216 atoms"):
@@ -957,7 +958,7 @@ def test_orthogonality_past_coordinate_63():
                           wr.BlockSpec((70, 100, 500, 1000)))
     report = wr.verify_product_orthogonality(state)
     assert report.ok and report.max_mean_residual <= 1e-15
-    assert wr.verify_strong_orthogonality(state, [1, 2])
+    assert verify_strong_orthogonality(state, [1, 2])
 
 
 def test_singularity_report_at_depth_42():

@@ -104,3 +104,18 @@ def test_series_checks_take_only_the_series():
     # caller's limb width
     assert list(inspect.signature(walshriesz.series_from_csv).parameters) == ["source"]
     assert list(inspect.signature(martingale.check_positivity_equivalence).parameters) == ["series"]
+
+
+def test_public_surface_is_what_the_commands_and_criteria_call():
+    # the routines that only tests reached live in tests/oracles.py, and
+    # the table gauge, which no grid can vouch for near 0, is gone
+    moved = ["Atom", "walsh_eval", "substitute", "verify_strong_orthogonality",
+             "strong_orthogonality_integral"]
+    assert not set(moved) & set(walshriesz.__all__)
+    assert len(walshriesz.__all__) == 74
+    assert not hasattr(riesz.PsiSpec, "from_table")
+    definitions = re.compile(r"^\s*(?:def|class) (Atom|walsh_eval|substitute|as_series|"
+                             r"verify_strong_orthogonality|_monomial|strong_orthogonality_integral|"
+                             r"from_table)\b", re.M)
+    assert [(path.name, name) for path in sorted(SRC.glob("*.py"))
+            for name in definitions.findall(path.read_text())] == []

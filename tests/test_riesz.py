@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import walshriesz as wr
 from conftest import spectrum_series
+from oracles import flat_series, table_psi, verify_strong_orthogonality
 from walshriesz import riesz, walsh
 from walshriesz.martingale import CONCENTRATION_FRACTIONS
 from walshriesz.riesz import _block_bits, make_factor
@@ -185,16 +186,6 @@ def test_parse_descriptors():
         wr.PsiSpec.parse("preset:logpow,p")
 
 
-def test_table_psi():
-    xs = np.logspace(-6, 0, 50)
-    ys = xs**3  # cubic gauge sampled on a grid
-    psi = wr.PsiSpec.from_table(xs, ys)
-    psi.validate()
-    assert psi.epsilon_bar(1e-3) <= 2e-3
-    flat = wr.PsiSpec.from_table([0.1, 1.0], [0.01, 1.0])  # x^2 in disguise
-    assert not flat.envelope_decays
-
-
 TABLE_GRIDS = {
     "convex": (np.geomspace(1e-6, 2.0, 64), np.geomspace(1e-6, 2.0, 64) ** 2.5),
     "steps": ([0.01, 0.02, 0.05, 0.1, 0.5, 1.0], [1e-5, 1e-5, 2e-3, 2e-3, 0.2, 0.9]),
@@ -204,11 +195,12 @@ TABLE_GRIDS = {
 
 @pytest.mark.parametrize("name", list(TABLE_GRIDS))
 def test_table_psi_envelope_bounds_the_interpolant(name):
-    # envelope(x) >= psi(y)/y^2 for every y <= x, below, on and past the
-    # grid, sampled 20k times: the running max over the fine grid; the
-    # slack is psi_sum_report's relative 1e-12
+    # the tests' own tabulated gauge, which the table cases below build
+    # states with: envelope(x) >= psi(y)/y^2 for every y <= x, below, on
+    # and past the grid, sampled 20k times: the running max over the fine
+    # grid; the slack is psi_sum_report's relative 1e-12
     xs, ys = map(np.asarray, TABLE_GRIDS[name])
-    spec = wr.PsiSpec.from_table(xs, ys)
+    spec = table_psi(xs, ys)
     fine = np.union1d(np.geomspace(xs[0] / 100, xs[-1] * 4, 20000), xs)
     ratio = [spec.psi(y) / (y * y) for y in fine]
     env = [spec.epsilon_bar(x) for x in fine]
@@ -219,11 +211,11 @@ def test_table_psi_envelope_bounds_the_interpolant(name):
 
 
 def test_table_psi_build_passes_its_psi_sums():
-    # the d16 ladder build with x^2.5 tabulated on 64 points: stage 1's
-    # one magnitude lies between samples, where the interpolant's psi/x^2
-    # rises above the samples' running sup
+    # a gauge built by its caller, not a preset: 4 stages at scale 6 with
+    # x^2.5 tabulated on 64 points (levels 0, 0, 3, 11), stage 1's one
+    # magnitude between samples
     xs = np.geomspace(1e-6, 2.0, 64)
-    psi = wr.PsiSpec.from_table(xs, xs**2.5)
+    psi = table_psi(xs, xs**2.5)
     budget = wr.SummabilityBudget(scale=6.0)
     state = wr.build_measure(psi, 4, budget)
     assert state.factors[0].amplitude not in xs
@@ -243,14 +235,6 @@ def test_budget_terms():
 def test_budget_scale_must_be_finite_and_positive(scale):
     with pytest.raises(ValueError, match="not finite and positive"):
         wr.SummabilityBudget(scale=scale)
-
-
-@pytest.mark.parametrize("xs, ys", [([0.1, math.nan, 1.0], [0.01, 0.1, 1.0]),
-                                    ([0.1, 0.5, 1.0], [0.01, 0.1, math.inf])],
-                         ids=["nan-grid-point", "infinite-sample"])
-def test_table_psi_rejects_non_finite_samples(xs, ys):
-    with pytest.raises(ValueError, match="psi samples must be finite"):
-        wr.PsiSpec.from_table(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +901,36 @@ def test_psi_report_flagship():
     assert report.budget_terms == (1.125, 0.5625, 0.28125)
 
 
+def test_psi_stage_bound_reads_a_hand_built_factors_largest_coefficient():
+    # a hand-built factor whose one coefficient, 0.3, exceeds its stated
+    # amplitude, 0.1: PM of the stage is 0.3, so the bound is
+    # 0.3^2 * eps_bar(0.3) = 0.3^3, not 0.3^2 * 0.1
+    factor = wr.Factor(0, (1,), 0.1, np.array([1]), np.array([0.3]))
+    report = wr.psi_sum_report(wr.RieszProductState((factor,)), wr.PsiSpec.power(1.0))
+    assert report.ok
+    assert report.stage_bounds[0] == pytest.approx(0.027, rel=1e-15)
+    assert report.stage_exact[0] <= report.stage_bounds[0] * (1 + 1e-12)
+
+
+def test_psi_verdict_checks_the_budget_at_every_stage():
+    # levels 0, 0, 1, 2 of the cubic gauge against budget terms 0.01 2^-k:
+    # each stage's sum is within its bound, but ||Pi_(k-1)||_A^2
+    # eps_bar(a_k), 0.146 to 0.192, is far above its budget term, 0.005
+    # down to 0.000625, so condition (6) fails at every stage
+    psi, budget = wr.PsiSpec.power(1.0), wr.SummabilityBudget(scale=0.01)
+    state = wr.empty_state()
+    for level in (0, 0, 1, 2):
+        state = wr.add_factor(state, level)
+    assert wr.psi_sum_report(state, psi).ok
+    report = wr.psi_sum_report(state, psi, budget)
+    assert not report.ok
+    assert report.budget_terms == (0.005, 0.0025, 0.00125, 0.000625)
+    assert report.exact_total <= report.bound_total
+    # the state the level rule builds at that budget meets (6) by construction
+    built = wr.build_measure(psi, 4, budget)
+    assert wr.psi_sum_report(built, psi, budget).ok
+
+
 def reference_stage_sums(state, psi):
     """The per-term psi sums the magnitude histograms replaced: one psi
     call per term of Pi_k, built in generation order, added exactly and
@@ -949,7 +963,7 @@ def table_psi_build():
     """d16 with a tabulated x^2.5, stage 1's one magnitude between samples."""
     state, _ = ladder_build(wr.PsiSpec.logpow(1.0), 4, 6.0)
     xs = np.geomspace(1e-6, 2.0, 64)
-    return state, wr.PsiSpec.from_table(xs, xs**2.5)
+    return state, table_psi(xs, xs**2.5)
 
 
 PSI_SUM_CASES = {
@@ -1469,7 +1483,7 @@ def test_construction_factor_values_are_exact_multiples():
     # phi's block transform only ever adds powers-of-two multiples of the
     # amplitude, so the table is amplitude * (integer values of phi)
     factor = FACTOR_CASES["flagship-level-10"]
-    phi_values = wr.butterfly(wr.build_flat(10).as_series().coeffs)
+    phi_values = wr.butterfly(flat_series(wr.build_flat(10)).coeffs)
     assert np.array_equal(factor._block_table, factor.amplitude * phi_values)
 
 
@@ -1725,7 +1739,7 @@ def assert_groups_match_the_dense_route(factors):
     alphas = admissible_monomials(len(factors)) if len(factors) <= 4 else [
         [1] * len(factors), [2, 1] + [0] * (len(factors) - 2), [0] * (len(factors) - 1) + [1]]
     for alpha in alphas:
-        assert wr.verify_strong_orthogonality(factors, alpha) == dense_strong_orthogonality(factors, alpha)
+        assert verify_strong_orthogonality(factors, alpha) == dense_strong_orthogonality(factors, alpha)
     return report
 
 

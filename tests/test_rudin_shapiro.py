@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import walshriesz as wr
+from oracles import flat_series, substitute
 from walshriesz import rudin_shapiro
 from walshriesz.rudin_shapiro import pair_law
 from walshriesz.walsh import atom_patterns, butterfly, sign_vector
@@ -172,13 +173,13 @@ def test_sign_sequence_matches_pairs():
 
 def test_flat_level_zero_is_single_rademacher():
     flat = wr.build_flat(0)
-    series = flat.as_series()
+    series = flat_series(flat)
     assert np.array_equal(series.coeffs, [0.0, 1.0])
 
 
 def test_flat_level_one_window():
     flat = wr.build_flat(1)
-    series = flat.as_series()
+    series = flat_series(flat)
     # (+1, +1) on indices (2, 3): r_2 + r_1 r_2
     assert np.array_equal(series.coeffs, [0.0, 0.0, 1.0, 1.0])
 
@@ -186,7 +187,7 @@ def test_flat_level_one_window():
 def test_flat_mean_zero_and_norms():
     for level in range(0, 9):
         flat = wr.build_flat(level)
-        series = flat.as_series()
+        series = flat_series(flat)
         assert series.coeffs[0] == 0.0
         bundle = wr.norm_bundle(series)
         assert abs(bundle.l2 - 2 ** (level / 2)) < 1e-12
@@ -198,18 +199,18 @@ def test_flat_prefix_sup_equals_pair():
     for level in (0, 1, 2, 5, 8):
         pair = wr.build_pair(level)
         flat = wr.build_flat(level)
-        assert wr.u_norm(flat.as_series().coeffs) == wr.u_norm(pair.p)
+        assert wr.u_norm(flat_series(flat).coeffs) == wr.u_norm(pair.p)
 
 
 def test_flat_level_two_u_norm():
-    assert wr.u_norm(wr.build_flat(2).as_series().coeffs) == 3
+    assert wr.u_norm(flat_series(wr.build_flat(2)).coeffs) == 3
 
 
 def test_scaled_factor_norm_table():
     # X = a phi with a = (1/2C) 2^(-level/2) hits the closed-form norms
     for level in (0, 1, 3, 6):
         a = (0.5 / C) * 2.0 ** (-level / 2)
-        series = wr.build_flat(level).as_series()
+        series = flat_series(wr.build_flat(level))
         bundle = wr.norm_bundle(wr.WalshSeries(series.depth, a * series.coeffs))
         assert abs(bundle.l2 - 0.5 / C) < 1e-12
         assert abs(bundle.a - (0.5 / C) * 2 ** (level / 2)) < 1e-12
@@ -233,13 +234,13 @@ def test_block_spec_validation():
 def test_substitute_identity_block():
     flat = wr.build_flat(2)
     block = wr.BlockSpec((1, 2, 3))
-    series = wr.substitute(flat, block)
-    assert np.array_equal(series.coeffs, flat.as_series().coeffs)
+    series = substitute(flat, block)
+    assert np.array_equal(series.coeffs, flat_series(flat).coeffs)
 
 
 def test_substitute_single_coordinate():
     flat = wr.build_flat(0)
-    series = wr.substitute(flat, wr.BlockSpec((5,)))
+    series = substitute(flat, wr.BlockSpec((5,)))
     assert series.depth == 5
     expected = np.zeros(32)
     expected[16] = 1.0  # r_5 lives at index 2^4
@@ -248,7 +249,7 @@ def test_substitute_single_coordinate():
 
 def test_substitute_cardinality_mismatch():
     with pytest.raises(ValueError, match="coordinates"):
-        wr.substitute(wr.build_flat(2), wr.BlockSpec((1, 2)))
+        substitute(wr.build_flat(2), wr.BlockSpec((1, 2)))
 
 
 @pytest.mark.parametrize("level,block", [
@@ -259,8 +260,8 @@ def test_substitute_cardinality_mismatch():
 ])
 def test_substitute_preserves_norms(level, block):
     flat = wr.build_flat(level)
-    base = wr.norm_bundle(flat.as_series())
-    moved = wr.norm_bundle(wr.substitute(flat, wr.BlockSpec(block)))
+    base = wr.norm_bundle(flat_series(flat))
+    moved = wr.norm_bundle(substitute(flat, wr.BlockSpec(block)))
     for name in ("l2", "u", "a", "pm", "sup"):
         assert abs(getattr(base, name) - getattr(moved, name)) < 1e-12
 
@@ -268,13 +269,13 @@ def test_substitute_preserves_norms(level, block):
 def test_flat_serializes_as_series(tmp_path):
     flat = wr.build_flat(3)
     path = tmp_path / "flat.csv"
-    wr.series_to_csv(flat.as_series(), path)
+    wr.series_to_csv(flat_series(flat), path)
     back = wr.series_from_csv(path)
-    assert np.array_equal(back.coeffs, flat.as_series().coeffs)
+    assert np.array_equal(back.coeffs, flat_series(flat).coeffs)
 
 
 def test_substitute_depends_only_on_block():
-    series = wr.substitute(wr.build_flat(1), wr.BlockSpec((2, 4)))
+    series = substitute(wr.build_flat(1), wr.BlockSpec((2, 4)))
     values = wr.inverse_fwht(series).values
     # flipping coordinates 1 and 3 leaves the values unchanged
     for t in range(series.order):

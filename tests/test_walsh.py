@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import walshriesz as wr
 from conftest import single_merge
+from oracles import Atom, walsh_eval
 from walshriesz.walsh import (
     _LIMB_BITS, _limb_ops, _read_rows, _read_rows_array, _segment_merge,
     atom_patterns, sign_vector,
@@ -70,27 +71,27 @@ def reference_butterfly(values: np.ndarray) -> np.ndarray:
 
 def test_walsh_eval_empty_product():
     for pattern in range(8):
-        assert wr.walsh_eval(0, wr.Atom(3, pattern)) == 1
+        assert walsh_eval(0, Atom(3, pattern)) == 1
 
 
 def test_walsh_eval_small_identities():
     # w_3 = r_1 r_2 so both signs flipped give +1
-    assert wr.walsh_eval(3, wr.Atom(2, 0b11)) == 1
+    assert walsh_eval(3, Atom(2, 0b11)) == 1
     # w_4 = r_3
-    assert wr.walsh_eval(4, wr.Atom(3, 0b100)) == -1
-    assert wr.walsh_eval(1, wr.Atom(1, 0)) == 1
-    assert wr.walsh_eval(2, wr.Atom(2, 0b10)) == -1
+    assert walsh_eval(4, Atom(3, 0b100)) == -1
+    assert walsh_eval(1, Atom(1, 0)) == 1
+    assert walsh_eval(2, Atom(2, 0b10)) == -1
 
 
 def test_walsh_eval_out_of_range():
     with pytest.raises(ValueError, match="coordinates"):
-        wr.walsh_eval(4, wr.Atom(2, 0))
+        walsh_eval(4, Atom(2, 0))
 
 
 def test_walsh_eval_matches_brute_oracle():
     for n in range(16):
         for pattern in range(16):
-            assert wr.walsh_eval(n, wr.Atom(4, pattern)) == brute_walsh(n, pattern)
+            assert walsh_eval(n, Atom(4, pattern)) == brute_walsh(n, pattern)
 
 
 @given(st.integers(0, 63), st.integers(0, 63))
@@ -108,7 +109,7 @@ def test_sign_vector_matches_scalar_walsh_eval():
     for n in (0, 1, 6, 77, 127):
         signs = sign_vector(n, patterns)
         assert signs.dtype == np.int64
-        assert signs.tolist() == [wr.walsh_eval(n, wr.Atom(7, int(t))) for t in patterns]
+        assert signs.tolist() == [walsh_eval(n, Atom(7, int(t))) for t in patterns]
 
 
 def test_orthonormality_up_to_1024():
