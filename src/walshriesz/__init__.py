@@ -1,85 +1,13 @@
-"""Walsh series, Rudin-Shapiro flat polynomials, and positive Riesz products."""
+"""Walsh series, Rudin-Shapiro flat polynomials, and positive Riesz products.
+
+The package exports each module's `__all__` and the five modules."""
 
 __version__ = "1.0.0"
 
-from .walsh import (
-    AtomTable,
-    InvariantViolation,
-    LemmaWitness,
-    NormBundle,
-    SeriesFormatError,
-    WalshSeries,
-    butterfly,
-    fwht,
-    inverse_fwht,
-    multiply_by_walsh,
-    norm_bundle,
-    partial_sum,
-    prefix_extrema,
-    series_from_csv,
-    series_to_csv,
-    u_norm,
-    verify_lemma,
-    walsh_signs,
-)
-from .rudin_shapiro import (
-    FLATNESS_CONSTANT,
-    BlockSpec,
-    FlatPolynomial,
-    RudinShapiroPair,
-    build_flat,
-    build_pair,
-    rs_sign_sequence,
-    substitute_sparse,
-)
-from .martingale import (
-    EquivalenceReport,
-    MartingaleDecomposition,
-    OrthogonalityReport,
-    PositivityRoute,
-    PositivityWitness,
-    SingularityReport,
-    check_p3,
-    check_positivity_equivalence,
-    check_shifted_bound,
-    decompose,
-    dyadic_block_envelope,
-    singularity_report,
-    verify_product_orthogonality,
-)
-from .riesz import (
-    BlockOverlapError,
-    CoordinateBudgetError,
-    Factor,
-    LevelSelectionError,
-    PositivityCertificate,
-    PsiHypothesisError,
-    PsiSpec,
-    PsiSumReport,
-    RieszProductState,
-    Spectrum,
-    SummabilityBudget,
-    add_factor,
-    build_measure,
-    choose_next_level,
-    empty_state,
-    export_measure,
-    factor_values,
-    load_spectrum_csv,
-    product_values,
-    psi_sum_report,
-    state_from_manifest,
-    state_manifest,
-    verify_all_partial_sums,
-)
-from .trig import (
-    CTRIG,
-    TrigCertificates,
-    TrigFactor,
-    TrigMeasureState,
-    build_trig_flat,
-    build_trig_measure,
-    trig_export,
-)
+from .walsh import *
+from .rudin_shapiro import *
+from .martingale import *
+from .riesz import *
+from .trig import *
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,7 +24,9 @@ over every order on every atom, at every depth.  --seed is only
 recorded in manifests and reports, and --cap is parsed and ignored;
 both are kept because benchmarks/workloads.py passes them.
 report exits 2, before writing anything, when the measure CSV's term
-count is not the manifest product's, or its psi fails the hypothesis.
+count is not the manifest product's, or its psi fails the hypothesis;
+it exits 1, its four CSVs written, when `riesz.psi_sum_report` fails
+the product against the manifest's budget terms.
 
 theorem1-check decides positivity, p3 and the shifted bounds for the
 series exactly as its float64 coefficients hold it.  One float64
@@ -66,13 +68,7 @@ import numpy as np
 from . import __version__
 from . import martingale, riesz, trig
 from .rudin_shapiro import build_pair
-from .walsh import (
-    SeriesFormatError,
-    WalshSeries,
-    _atomic_open,
-    _write_csv,
-    series_from_csv,
-)
+from .walsh import SeriesFormatError, WalshSeries, _atomic_open, series_from_csv
 
 DEFAULT_SEED = 1729
 
@@ -88,13 +84,11 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def _emit_csv(out: str, header, rows) -> None:
-    """CSV to stdout for `-`, else atomically to the file."""
-    if out == "-":
-        writer = csv.writer(sys.stdout)
+    """CSV, header plus rows, to stdout for `-`, else atomically to the file."""
+    with contextlib.nullcontext(sys.stdout) if out == "-" else _atomic_open(out) as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    else:
-        _write_csv(out, header, rows)
 
 
 def _fmt(x: float) -> str:
@@ -207,11 +201,7 @@ def _cmd_build_walsh(args) -> int:
         "positivity": dataclasses.asdict(positivity),
         "psi_sum": _certificate(psi_report),
         "singularity": {
-            "hellinger": list(singular.hellinger),
-            "hellinger_direct": list(singular.hellinger_direct),
-            "concentration": [
-                {str(d): v for d, v in row.items()} for row in singular.concentration
-            ],
+            **dataclasses.asdict(singular),
             "strictly_decreasing": all(
                 b < a for a, b in zip(singular.hellinger, singular.hellinger[1:])
             ),
@@ -430,27 +420,21 @@ def _cmd_report(args) -> int:
     psi_report = riesz.psi_sum_report(state, psi, budget)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out_dir, "envelope.csv"),
-        ["k", "max_abs_coeff"],
-        [(k, _fmt(v)) for k, v in martingale.dyadic_block_envelope(spectrum)],
-    )
-    _write_csv(
-        os.path.join(args.out_dir, "hellinger.csv"), ["k", "hellinger"], [r[:2] for r in rows]
-    )
-    _write_csv(
-        os.path.join(args.out_dir, "concentration.csv"),
-        ["k", *_CONC_COLUMNS],
-        [r[:1] + r[2:] for r in rows],
-    )
-
-    terms = zip(psi_report.stage_exact, psi_report.stage_bounds, psi_report.budget_terms or ())
-    _write_csv(
-        os.path.join(args.out_dir, "psi_terms.csv"),
-        ["k", "exact", "bound", "budget_term"],
-        [(k, _fmt(e), _fmt(b), _fmt(t)) for k, (e, b, t) in enumerate(terms, start=1)],
-    )
+    terms = zip(psi_report.stage_exact, psi_report.stage_bounds, psi_report.budget_terms)
+    for name, header, table in (
+        ("envelope.csv", ["k", "max_abs_coeff"],
+         [(k, _fmt(v)) for k, v in martingale.dyadic_block_envelope(spectrum)]),
+        ("hellinger.csv", ["k", "hellinger"], [r[:2] for r in rows]),
+        ("concentration.csv", ["k", *_CONC_COLUMNS], [r[:1] + r[2:] for r in rows]),
+        ("psi_terms.csv", ["k", "exact", "bound", "budget_term"],
+         [(k, _fmt(e), _fmt(b), _fmt(t)) for k, (e, b, t) in enumerate(terms, start=1)]),
+    ):
+        _emit_csv(os.path.join(args.out_dir, name), header, table)
     print(f"wrote 4 CSV files to {args.out_dir}")
+    if not psi_report.ok:
+        print(f"FAIL: psi sum {psi_report.exact_total:.6e} <= {psi_report.bound_total:.6e},"
+              f" but a stage fails its budget term {budget.scale:g} * 2^-k")
+        return EXIT_CERT
     return EXIT_OK
 
 

@@ -502,14 +502,16 @@ def dyadic_block_envelope(series: WalshSeries | Spectrum) -> list[tuple[int, flo
     """(k, max_(2^k <= n < 2^(k+1)) |c_n|) for each dyadic block below the
     top index (0.0 for an empty block), dense or sparse, at any depth.
 
-    A monitored decay diagnostic; nothing is asserted about it.
+    A monitored decay diagnostic; nothing is asserted about it.  A dense
+    series' blocks are its slices c[2^k:2^(k+1)], read in place.
     """
-    if isinstance(series, WalshSeries):
-        series = Spectrum(np.arange(series.order), series.coeffs)
-    depth = int(series.indices[-1]).bit_length()
-    # every index is below 2^depth, so the last edge is the end (2^63 overflows)
-    edges = np.append(np.searchsorted(series.indices, [1 << k for k in range(depth)]), len(series))
     mags = np.abs(series.coeffs)
+    if isinstance(series, WalshSeries):
+        edges = [1 << k for k in range(series.depth + 1)]
+    else:
+        depth = int(series.indices[-1]).bit_length()
+        # every index is below 2^depth, so the last edge is the end (2^63 overflows)
+        edges = np.append(np.searchsorted(series.indices, [1 << k for k in range(depth)]), len(series))
     return [
         (k, float(mags[lo:hi].max()) if hi > lo else 0.0)
         for k, (lo, hi) in enumerate(zip(edges, edges[1:]))
@@ -539,7 +541,6 @@ class SingularityReport:
     hellinger: tuple[float, ...]
     hellinger_direct: tuple[float, ...]
     concentration: tuple[dict[float, float], ...]
-    l1_norms: tuple[float, ...]
 
 
 def _mean(values: np.ndarray, counts: np.ndarray) -> float:
@@ -588,7 +589,6 @@ def singularity_report(
     hellinger = [1.0]
     direct = [1.0]
     concentration = [{d: d for d in CONCENTRATION_FRACTIONS}]
-    l1 = [1.0]
     values, counts = np.ones(1), np.ones(1, np.int64)  # Pi_0's histogram
     for factor in state.factors:
         fvalues, fcounts = factor.value_histogram
@@ -597,7 +597,6 @@ def singularity_report(
                                     np.multiply.outer(counts, fcounts).ravel())
         direct.append(_mean(np.sqrt(values), counts))
         concentration.append(_concentration(values, counts))
-        l1.append(_mean(np.abs(values), counts))
 
     # np.max keeps a NaN gap, which the negated test then refuses
     gap = float(np.max(np.abs(np.subtract(hellinger, direct))))
@@ -609,7 +608,6 @@ def singularity_report(
         hellinger=tuple(hellinger),
         hellinger_direct=tuple(direct),
         concentration=tuple(concentration),
-        l1_norms=tuple(l1),
     )
 
 

@@ -105,7 +105,6 @@ __all__ = [
     "PsiHypothesisError",
     "LevelSelectionError",
     "BlockOverlapError",
-    "CoordinateBudgetError",
     "PsiSpec",
     "SummabilityBudget",
     "Factor",
@@ -297,14 +296,15 @@ class Factor:
     on first use only, at any coordinate, and its int64 `indices` (the
     export) by the block remap, up to coordinate 63.
     `Factor(level, block, amplitude, indices, coeffs)` is a hand-built
-    factor: every figure is read off its arrays.
+    factor: every figure is read off its arrays, taken as int64 and
+    float64.  It has no manifest entry (`state_manifest`).
     """
 
     def __init__(self, level: int, block, amplitude: float, indices=None, coeffs=None) -> None:
         self.level, self.block, self.amplitude = level, tuple(block), amplitude
         self.construction = indices is None
         if not self.construction:
-            self.indices, self.coeffs = indices, coeffs
+            self.indices, self.coeffs = np.asarray(indices, np.int64), np.asarray(coeffs, np.float64)
         elif len(self.block) != level + 1:
             raise ValueError(f"block size {len(self.block)} != level + 1 = {level + 1}")
 
@@ -874,13 +874,25 @@ def _exact_sum(values, counts=None) -> float:
     return sum(n * c << 1075 - den.bit_length() for (n, den), c in zip(ratios, weights)) / (1 << 1074)
 
 
-def _require_normal(k: int, exact: float, bound: float) -> None:
-    """Refuse stage k's psi sum or bound below 2^-1022, the normal range."""
-    if not min(exact, bound) >= 2.0**-1022:
+def _psi_stage(k: int, psi: PsiSpec, mags: np.ndarray, counts: np.ndarray, bound: float) -> float:
+    """Stage k's psi sum, of either build: the exact sum of psi(|c|) over
+    the stage's magnitude histogram (`_exact_sum`).  A stage with terms
+    whose sum or `bound` lies below 2^-1022, float64's normal range, is
+    refused (CoordinateBudgetError).  psi(x) <= x^2 eps_bar(x) <= x^2 eps_bar(m)
+    for each |c| = x of the stage, m the largest, so sum psi(|c|) <=
+    sum c^2 eps_bar(m), which each build's bound is at least: a sum past
+    its bound raises InvariantViolation."""
+    exact = _exact_sum(map(psi.psi, mags.tolist()), counts)
+    if mags.size and not min(exact, bound) >= 2.0**-1022:
         raise CoordinateBudgetError(
             f"stage {k} psi sum {exact!r} or its bound {float(bound)!r} is below"
             " float64's normal range (2^-1022): their comparison would say nothing"
         )
+    # equality is attainable (single-coefficient stages), where the bound's
+    # products and psi's own evaluation round apart by an ulp or so
+    if exact > bound * (1.0 + 1e-12):
+        raise InvariantViolation(f"stage {k} psi sum {exact} exceeds its bound {bound}")
+    return exact
 
 
 def psi_sum_report(
@@ -916,19 +928,12 @@ def psi_sum_report(
             )
         stage = _histogram(np.multiply.outer(mags, fmags).ravel(),
                            np.multiply.outer(counts, fcounts).ravel())
-        exact = _exact_sum(map(psi.psi, stage[0].tolist()), stage[1])
-        if fmags.size:
-            _require_normal(k, exact, bound)
-        if exact > bound * (1.0 + 1e-12):
-            raise InvariantViolation(f"stage {k} psi sum {exact} exceeds its bound {bound}")
-        stage_exact.append(exact)
+        stage_exact.append(_psi_stage(k, psi, *stage, bound))
         stage_bounds.append(float(bound))
         norm_a *= 1.0 + factor.norm_a
         mags, counts = _histogram(*map(np.concatenate, zip((mags, counts), stage)))  # Pi_k's
     exact_total = _exact_sum(stage_exact)
     bound_total = _exact_sum(stage_bounds)
-    # equality is attainable (single-coefficient stages), where the bound's
-    # products and psi's own evaluation round apart by an ulp or so
     return PsiSumReport(
         stage_exact=tuple(stage_exact),
         stage_bounds=tuple(stage_bounds),
@@ -964,7 +969,13 @@ def load_spectrum_csv(path) -> Spectrum:
 
 
 def state_manifest(state: RieszProductState) -> dict:
-    """The reproducible description of the product: constant plus stages."""
+    """The reproducible description of the product: constant plus stages,
+    each rebuilt from its level and block (`state_from_manifest`), so a
+    hand-built factor, which they do not describe, raises ValueError
+    naming its stage."""
+    for k, f in enumerate(state.factors, start=1):
+        if not f.construction:
+            raise ValueError(f"stage {k}: a hand-built factor has no manifest entry")
     return {
         "flatness_constant": FLATNESS_CONSTANT,
         "stages": [

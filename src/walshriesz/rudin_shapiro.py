@@ -56,8 +56,6 @@ __all__ = [
     "RudinShapiroPair",
     "FlatPolynomial",
     "BlockSpec",
-    "PairLaw",
-    "pair_law",
     "build_pair",
     "build_flat",
     "rs_sign_sequence",
@@ -244,9 +242,8 @@ def build_flat(level: int) -> FlatPolynomial:
         raise ValueError("level must be nonnegative")
     pair = build_pair(level)
     u = u_norm(pair.p)
-    bound = FLATNESS_CONSTANT * 2.0 ** (level / 2)
-    if not u < bound:
-        raise AssertionError(f"prefix sup {u} not below {bound} at level {level}")
+    if not _flat_enough(u, level):
+        raise AssertionError(f"prefix sup {u} not below (2 + sqrt2) 2^({level}/2) at level {level}")
     return FlatPolynomial(level, pair.p)
 
 

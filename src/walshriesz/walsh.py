@@ -76,7 +76,6 @@ __all__ = [
     "verify_lemma",
     "series_to_csv",
     "series_from_csv",
-    "read_coeff_rows",
 ]
 
 
@@ -642,14 +641,6 @@ def _atomic_open(path, mode: str = "w"):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def _write_csv(path, header, rows) -> None:
-    """The CLI's report CSV writer: header plus rows, written atomically."""
-    with _atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # inner rows per template of `_write_coeff_rows`, and the most bytes of

@@ -607,6 +607,28 @@ def test_report_outputs(tmp_path):
     assert len(conc) == 1 + 4
 
 
+def test_report_fails_psi_sums_past_their_budget(tmp_path, capsys):
+    # levels 0, 0, 1, 2 under `power delta=1` meet their psi bounds, but
+    # not the budget terms 0.01 * 2^-k: report writes its four CSVs, as
+    # the builds write theirs, and exits 1 with a FAIL line
+    state = wr.empty_state()
+    for level in (0, 0, 1, 2):
+        state = wr.add_factor(state, level)
+    manifest, measure = tmp_path / "manifest.json", tmp_path / "measure.csv"
+    manifest.write_text(json.dumps({"psi": "preset:power,delta=1", "budget_scale": 0.01,
+                                    **wr.state_manifest(state)}))
+    wr.export_measure(state, measure)
+    rep = tmp_path / "rep"
+    assert run(["report", "--manifest", str(manifest), "--measure", str(measure),
+                "--out-dir", str(rep)]) == 1
+    assert sorted(p.name for p in rep.iterdir()) == [
+        "concentration.csv", "envelope.csv", "hellinger.csv", "psi_terms.csv"]
+    psi_terms = (rep / "psi_terms.csv").read_text().splitlines()
+    assert psi_terms[1].endswith(",0.005") and len(psi_terms) == 1 + 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"wrote 4 CSV files to {rep}" and out[1].startswith("FAIL: psi sum ")
+
+
 def test_report_envelope_accepts_sparse_measure(tmp_path):
     # the envelope reads the measure sparsely, past the dense 2^26 limit;
     # the manifest's product, one level-1 factor, has its three terms

@@ -793,8 +793,11 @@ def test_singularity_multiplicative_cross_check():
         abs(a - b) for a, b in zip(report.hellinger, report.hellinger_direct)
     ) <= 1e-9
     assert all(b < a for a, b in zip(report.hellinger, report.hellinger[1:]))
-    # total mass stays one: E|Pi_k| = E Pi_k = 1
-    assert all(abs(x - 1.0) <= 1e-12 for x in report.l1_norms)
+    # total mass stays one: E|Pi_k| = E Pi_k = 1 on the atoms of the blocks
+    coords = range(1, state.used_coordinates + 1)
+    for k in range(state.stages + 1):
+        values = wr.product_values(state.factors[:k], coords)
+        assert values.min() > 0.0 and abs(values.mean() - 1.0) <= 1e-12
     assert all(tuple(row) == CONCENTRATION_FRACTIONS for row in report.concentration)
 
 
@@ -997,3 +1000,18 @@ def test_dyadic_block_envelope():
     assert len(envelope) == 63
     assert envelope[2] == (2, 0.25) and envelope[-1] == (62, 0.5)
     assert all(v == 0.0 for k, v in envelope if k not in (2, 62))
+
+
+def test_dense_envelope_reads_blocks_in_place():
+    # a dense depth-20 series' blocks are slices of its 8 MiB of
+    # coefficients: no 2^20 indices are built beside them (the sparse
+    # copy peaked at 16 MiB)
+    series = _random_series(20, depth=20)
+    tracemalloc.start()
+    try:
+        envelope = wr.dyadic_block_envelope(series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * series.coeffs.nbytes
+    assert envelope == wr.dyadic_block_envelope(wr.Spectrum(np.arange(series.order), series.coeffs))

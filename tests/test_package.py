@@ -2,6 +2,7 @@
 construction's constants are not arguments, and no certificate draws
 random numbers."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import walshriesz
-from walshriesz import cli, martingale, riesz, trig
+from walshriesz import cli, martingale, riesz, rudin_shapiro, trig, walsh
 from walshriesz.rudin_shapiro import _MAX_PAIR_LEVEL, build_pair
 
 SRC = Path(walshriesz.__file__).parent
@@ -117,5 +118,24 @@ def test_public_surface_is_what_the_commands_and_criteria_call():
     definitions = re.compile(r"^\s*(?:def|class) (Atom|walsh_eval|substitute|as_series|"
                              r"verify_strong_orthogonality|_monomial|strong_orthogonality_integral|"
                              r"from_table)\b", re.M)
+    assert [(path.name, name) for path in sorted(SRC.glob("*.py"))
+            for name in definitions.findall(path.read_text())] == []
+
+
+def test_each_public_name_is_declared_once():
+    # the package exports the five modules and each module's `__all__`,
+    # which are disjoint, with no list of its own; removed figures stay gone
+    modules = [walsh, rudin_shapiro, martingale, riesz, trig]
+    declared = [name for module in modules for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    assert all(hasattr(module, name) for module in modules for name in module.__all__)
+    assert sorted(walshriesz.__all__) == sorted({m.__name__.rpartition(".")[2] for m in modules} | set(declared))
+    assert len(walshriesz.__all__) == 74
+    imports = [node for node in ast.walk(ast.parse((SRC / "__init__.py").read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all([alias.name for alias in node.names] == ["*"] for node in imports)
+    assert "l1_norms" not in {f.name for f in dataclasses.fields(martingale.SingularityReport)}
+    assert [f.name for f in dataclasses.fields(trig.TrigMeasureState)] == ["factors", "spectrum"]
+    definitions = re.compile(r"^\s*def (_write_csv|_require_normal)\b", re.M)
     assert [(path.name, name) for path in sorted(SRC.glob("*.py"))
             for name in definitions.findall(path.read_text())] == []

@@ -1407,6 +1407,28 @@ def test_manifest_roundtrip():
         assert rebuilt.norm_a == state.norm_a
 
 
+def test_manifest_refuses_a_hand_built_factor():
+    # a stage is rebuilt from its level and block: the hand-built -a_0 r_1
+    # would come back as the construction factor +a_0 r_1
+    a0 = riesz._amplitude(0)
+    built = wr.add_factor(wr.empty_state(), 0)
+    state = wr.RieszProductState(built.factors + (wr.Factor(0, (2,), a0, np.array([2]), np.array([-a0])),))
+    with pytest.raises(ValueError, match="stage 2: a hand-built factor has no manifest entry"):
+        wr.state_manifest(state)
+
+
+def test_hand_built_factor_takes_lists():
+    # indices and coefficients as lists become int64 and float64 arrays,
+    # as the layout check and every certificate read them
+    factor = wr.Factor(0, (1,), 0.1, [1], [0.3])
+    assert (factor.indices.dtype, factor.coeffs.dtype) == (np.int64, np.float64)
+    state = wr.RieszProductState((factor,))
+    assert state.spectrum.indices.tolist() == [0, 1] and state.spectrum.coeffs.tolist() == [1.0, 0.3]
+    assert wr.verify_all_partial_sums(state).global_min == 0.7
+    with pytest.raises(wr.BlockOverlapError, match="index 2 sets bits outside its block"):
+        wr.RieszProductState((wr.Factor(0, (1,), 0.1, [2], [0.3]),))
+
+
 def test_state_series_matches_pointwise_product():
     state = wr.build_measure(wr.PsiSpec.power(1.0), 3, wr.SummabilityBudget())
     series = wr.WalshSeries(state.used_coordinates, spectrum_series(state))
@@ -1778,14 +1800,13 @@ def dense_singularity(factors):
     masses for the concentration curve.  Also each curve's exact figure,
     from Pi_k's distinct values (np.unique of the dense table) in
     rationals."""
-    hellinger, direct, l1 = [1.0], [1.0], [1.0]
+    hellinger, direct = [1.0], [1.0]
     concentration, exact = [{d: d for d in CONCENTRATION_FRACTIONS}], [{d: d for d in CONCENTRATION_FRACTIONS}]
     for k, factor in enumerate(factors, start=1):
         depth = factor.block[-1]
         hellinger.append(hellinger[-1] * float(np.sqrt(1.0 + wr.factor_values(factor, range(1, depth + 1))).mean()))
         vals = wr.product_values(factors[:k], range(1, depth + 1))
         direct.append(float(np.sqrt(vals).mean()))
-        l1.append(float(np.abs(vals).mean()))
         order = np.sort(vals / vals.size)[::-1]
         cum = np.cumsum(order)
         distinct, counts = np.unique(vals, return_counts=True)
@@ -1805,7 +1826,7 @@ def dense_singularity(factors):
                 mass, atoms = mass + v * c, atoms + c
         concentration.append(curve)
         exact.append(rational)
-    return hellinger, direct, l1, concentration, exact
+    return hellinger, direct, concentration, exact
 
 
 SINGULARITY_STATES = {
@@ -1818,7 +1839,7 @@ SINGULARITY_STATES = {
 @pytest.mark.parametrize("name", list(SINGULARITY_STATES))
 def test_singularity_from_histograms_is_the_dense_route(name):
     # every figure of the histogram route against the dense route:
-    # Hellinger figures and L1 within 4 ulps, concentration within 1e-11
+    # Hellinger figures within 4 ulps, concentration within 1e-11
     # relative; edge-order and index-order, signed products, are refused.
     # The dense route's float64 cumsum of 2^22 masses (deep-d22) is itself
     # 1.4e-11 off the exact figure, so each curve is also held to its
@@ -1832,8 +1853,8 @@ def test_singularity_from_histograms_is_the_dense_route(name):
             wr.singularity_report(state)
         return
     report = wr.singularity_report(state)
-    hellinger, direct, l1, concentration, exact = dense_singularity(state.factors)
-    for got, want in ((report.hellinger, hellinger), (report.hellinger_direct, direct), (report.l1_norms, l1)):
+    hellinger, direct, concentration, exact = dense_singularity(state.factors)
+    for got, want in ((report.hellinger, hellinger), (report.hellinger_direct, direct)):
         assert len(got) == len(want) == state.stages + 1
         assert all(abs(a - b) <= 4 * math.ulp(b) for a, b in zip(got, want)), (got, want)
     assert len(report.concentration) == state.stages + 1

@@ -77,9 +77,12 @@ def test_construction_checks_run_at_every_level(monkeypatch):
     p[40_000] *= -1
     with pytest.raises(AssertionError, match=r"P\^2 \+ Q\^2 != 2\^17 at level 16"):
         wr.RudinShapiroPair(16, p, pair.q)
-    bound = C * 2.0**8
-    monkeypatch.setattr(rudin_shapiro, "u_norm", lambda coeffs: bound)
-    with pytest.raises(AssertionError, match="not below .* at level 16"):
+    # the pair's prefix sup is an integer, checked exactly against C 2^8:
+    # the first integer past it fails
+    peak = flatness_floor(16) + 1
+    assert peak - 1 < C * 2.0**8 < peak
+    monkeypatch.setattr(rudin_shapiro, "u_norm", lambda coeffs: peak)
+    with pytest.raises(AssertionError, match=f"prefix sup {peak} not below .* at level 16"):
         wr.build_flat(16)
 
 

@@ -91,8 +91,8 @@ def test_repeated_stage_frequency_is_refused(monkeypatch):
     # and 4 - 1 repeat 1 and 2 + 1, and the stage's term count refuses it
     choose = trig._choose_trig_level
 
-    def unlacunary(spectrum, norm_a, stage, *rest):
-        return 2 if stage == 2 else choose(spectrum, norm_a, stage, *rest)
+    def unlacunary(spectrum, stage, *rest):
+        return 2 if stage == 2 else choose(spectrum, stage, *rest)
 
     monkeypatch.setattr(trig, "_choose_trig_level", unlacunary)
     psi, budget = wr.PsiSpec.logpow(1.0), wr.SummabilityBudget(scale=2.25)
